@@ -15,8 +15,11 @@ vet:
 test:
 	go test ./...
 
-# Style gate: gofmt must produce no diff, and vet must be clean. CI runs
-# this alongside `make verify`.
+# Style gate: gofmt must produce no diff, and vet must be clean. It also
+# keeps the one spec→link builder the only one: outside tests and bench/,
+# a scheme's Build may be called only by internal/scheme (NewLink) and by
+# topology.Validate's dry build, which makes no link; and no legacy.go
+# shim file may come back. CI runs this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -24,6 +27,14 @@ lint:
 		gofmt -d $$unformatted; exit 1; \
 	fi
 	go vet ./...
+	@builds=$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Build(' . \
+		| grep -v -e '^\./internal/scheme/' -e '^\./bench/' \
+			-e '^\./internal/topology/topology\.go:.*l\.scheme\.Build(cfg)'); \
+	if [ -n "$$builds" ]; then \
+		echo "build links with (*scheme.Scheme).NewLink, not Build:"; echo "$$builds"; exit 1; \
+	fi
+	@shims=$$(find . -name legacy.go); \
+	if [ -n "$$shims" ]; then echo "legacy shim files are not allowed:"; echo "$$shims"; exit 1; fi
 
 race:
 	go test -race -short -run 'TestParallel|TestPool|TestSweepCancel|TestMetricsDeterministic' ./internal/experiment

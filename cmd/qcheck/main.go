@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/signal"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/experiment"
 	"bufqos/internal/report"
 	"bufqos/internal/scheme"
@@ -29,10 +30,7 @@ func main() {
 	flag.Parse()
 
 	if *listSch {
-		if err := scheme.WriteCatalogue(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "qcheck: writing catalogue: %v\n", err)
-			os.Exit(2)
-		}
+		cli.Stdout("catalogue", scheme.WriteCatalogue)
 		return
 	}
 

@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/online"
 	"bufqos/internal/validate"
 )
@@ -59,7 +59,7 @@ func main() {
 	}
 	if *replayPath != "" {
 		if err := replay(*replayPath, *policies); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		return
 	}
@@ -79,7 +79,7 @@ func main() {
 	}
 	var err error
 	if opts.Buffers, err = parseInts(*buffers); err != nil {
-		fatalf("-buffers: %v", err)
+		cli.Fatalf("-buffers: %v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -91,12 +91,12 @@ func main() {
 		os.Exit(130)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	writeTable(rep)
 	if *outPath != "" {
-		if err := writeJSON(*outPath, rep); err != nil {
-			fatalf("%v", err)
+		if err := cli.WriteJSON(*outPath, rep); err != nil {
+			cli.Fatalf("%v", err)
 		}
 	}
 	if v := rep.Violations(); len(v) > 0 {
@@ -187,20 +187,6 @@ func writeTable(rep *validate.CompeteReport) {
 	}
 }
 
-func writeJSON(path string, rep *validate.CompeteReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, tok := range strings.Split(s, ",") {
@@ -211,9 +197,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qcomp: "+format+"\n", args...)
-	os.Exit(1)
 }

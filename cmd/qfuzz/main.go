@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/validate"
 )
 
@@ -55,10 +56,10 @@ func main() {
 		return
 	}
 	if *n <= 0 {
-		fatalf("-n must be positive (got %d)", *n)
+		cli.Fatalf("-n must be positive (got %d)", *n)
 	}
 	if *duration < 500*time.Millisecond {
-		fatalf("-duration must be at least 500ms (got %v)", *duration)
+		cli.Fatalf("-duration must be at least 500ms (got %v)", *duration)
 	}
 
 	opts := validate.Options{
@@ -82,7 +83,7 @@ func main() {
 
 	sum, err := validate.Fuzz(ctx, opts)
 	if err != nil && !errors.Is(err, context.Canceled) {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	validate.WriteSummary(os.Stdout, sum)
 	if errors.Is(err, context.Canceled) {
@@ -110,9 +111,4 @@ func progressPrinter(total int) func(int) {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qfuzz: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/packet"
 	"bufqos/internal/qosd"
 	"bufqos/internal/sim"
@@ -60,10 +61,10 @@ func main() {
 	)
 	flag.Parse()
 	if *clients <= 0 || *ops <= 0 || *batch <= 0 || *passes < 1 || *passes > 2 {
-		fatalf("need -clients > 0, -ops > 0, -batch > 0, -passes 1 or 2")
+		cli.Fatalf("need -clients > 0, -ops > 0, -batch > 0, -passes 1 or 2")
 	}
 	if *joinFrac < 0 || *leaveFrc < 0 || *joinFrac+*leaveFrc > 1 {
-		fatalf("need -join-frac >= 0, -leave-frac >= 0, and their sum <= 1")
+		cli.Fatalf("need -join-frac >= 0, -leave-frac >= 0, and their sum <= 1")
 	}
 	cfg := loadConfig{
 		clients: *clients, ops: *ops, batch: *batch, maxActive: *maxAct,
@@ -75,14 +76,14 @@ func main() {
 
 	var health qosd.Health
 	if err := getJSON(hc, base+"/healthz", &health); err != nil {
-		fatalf("daemon not reachable at %s: %v", base, err)
+		cli.Fatalf("daemon not reachable at %s: %v", base, err)
 	}
 	var links []qosd.LinkState
 	if err := getJSON(hc, base+"/v1/links", &links); err != nil {
-		fatalf("listing links: %v", err)
+		cli.Fatalf("listing links: %v", err)
 	}
 	if len(links) < *clients {
-		fatalf("%d links cannot be partitioned over %d clients", len(links), *clients)
+		cli.Fatalf("%d links cannot be partitioned over %d clients", len(links), *clients)
 	}
 	names := make([]string, len(links))
 	for i, l := range links {
@@ -106,7 +107,7 @@ func main() {
 
 	if *checkSnp {
 		if err := checkSnapshotRoundTrip(hc, base); err != nil {
-			fatalf("snapshot round trip: %v", err)
+			cli.Fatalf("snapshot round trip: %v", err)
 		}
 		fmt.Fprintln(os.Stderr, "qload: snapshot -> restore -> snapshot byte-identical")
 	}
@@ -118,10 +119,10 @@ func main() {
 	if *out != "" {
 		b, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 	}
 	if !identical {
@@ -252,11 +253,11 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 		var resp qosd.BatchResponse
 		code := post(hc, base+"/v1/batch", qosd.BatchRequest{Ops: pending}, &resp, &res.latencies)
 		if code != 200 || len(resp.Decisions) != len(pending) {
-			fatalf("client %d: batch: code %d, %d decisions for %d ops", c, code, len(resp.Decisions), len(pending))
+			cli.Fatalf("client %d: batch: code %d, %d decisions for %d ops", c, code, len(resp.Decisions), len(pending))
 		}
 		for i, d := range resp.Decisions {
 			if d.Error != "" {
-				fatalf("client %d: batch entry %s: %s", c, d.Flow, d.Error)
+				cli.Fatalf("client %d: batch entry %s: %s", c, d.Flow, d.Error)
 			}
 			res.decisions++
 			switch pending[i].Op {
@@ -386,7 +387,7 @@ func resetDaemon(hc *http.Client, base string) {
 	var rr qosd.RestoreResponse
 	var lat []float64
 	if code := post(hc, base+"/v1/restore", qosd.Snapshot{}, &rr, &lat); code != 200 {
-		fatalf("reset: code %d", code)
+		cli.Fatalf("reset: code %d", code)
 	}
 }
 
@@ -417,17 +418,17 @@ func checkSnapshotRoundTrip(hc *http.Client, base string) error {
 func post(hc *http.Client, url string, body, out any, lats *[]float64) int {
 	b, err := json.Marshal(body)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	start := time.Now()
 	resp, err := hc.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
-		fatalf("POST %s: %v", url, err)
+		cli.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			fatalf("POST %s: decode: %v", url, err)
+			cli.Fatalf("POST %s: decode: %v", url, err)
 		}
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
@@ -457,9 +458,4 @@ func getRaw(hc *http.Client, url string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: code %d", url, resp.StatusCode)
 	}
 	return io.ReadAll(resp.Body)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qload: "+format+"\n", args...)
-	os.Exit(1)
 }

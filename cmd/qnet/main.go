@@ -21,20 +21,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/metrics"
 	"bufqos/internal/report"
 	"bufqos/internal/scheme"
@@ -71,19 +71,17 @@ func main() {
 	flag.Parse()
 
 	if *listSchemes {
-		if err := scheme.WriteCatalogue(os.Stdout); err != nil {
-			fatalf("writing catalogue: %v", err)
-		}
+		cli.Stdout("catalogue", scheme.WriteCatalogue)
 		return
 	}
 	if (*topoPath == "") == (*genSpec == "") {
-		fatalf("exactly one of -topology or -gen is required (or -list-schemes)")
+		cli.Fatalf("exactly one of -topology or -gen is required (or -list-schemes)")
 	}
 	if *workers < 0 {
-		fatalf("-workers must be >= 0 (got %d)", *workers)
+		cli.Fatalf("-workers must be >= 0 (got %d)", *workers)
 	}
 	if *shards < 0 {
-		fatalf("-shards must be >= 0 (got %d)", *shards)
+		cli.Fatalf("-shards must be >= 0 (got %d)", *shards)
 	}
 	if max := maxWorkers(); *workers > max {
 		fmt.Fprintf(os.Stderr, "qnet: clamping -workers %d to %d (8x GOMAXPROCS)\n", *workers, max)
@@ -98,7 +96,7 @@ func main() {
 		topo, err = topology.Load(*topoPath)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	if topo.Description != "" {
 		fmt.Fprintf(os.Stderr, "qnet: %s: %s\n", topo.Name, topo.Description)
@@ -115,26 +113,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatalf("creating %s: %v", *pprofOut, err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("starting CPU profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "qnet: closing %s: %v\n", *pprofOut, err)
-			}
-			fmt.Fprintf(os.Stderr, "qnet: CPU profile written to %s\n", *pprofOut)
-		}()
-	}
+	defer cli.CPUProfile(*pprofOut)()
 
 	if *benchJSON != "" {
 		if err := runBench(ctx, topo, opts, *benchJSON); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		return
 	}
@@ -152,13 +135,16 @@ func main() {
 	start := time.Now()
 	results, err := topology.RunMany(ctx, topo, opts, *runs, *workers, onDone)
 	wall := time.Since(start)
-	flushMetrics(reg, *metricsOut)
+	if reg != nil {
+		// Before the error check: an interrupted run keeps its telemetry.
+		cli.Report("metrics", *metricsOut, reg.Snapshot().WriteJSON)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "qnet: interrupted")
 			os.Exit(130)
 		}
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	if *showRate {
 		var events uint64
@@ -170,16 +156,16 @@ func main() {
 	}
 
 	if err := topology.WriteFlowTable(os.Stdout, topo, results); err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	fmt.Println()
 	if err := topology.WriteLinkTable(os.Stdout, topo, results); err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatalf("creating %s: %v", *csvDir, err)
+			cli.Fatalf("creating %s: %v", *csvDir, err)
 		}
 		base := *genSpec
 		if base == "" {
@@ -187,11 +173,11 @@ func main() {
 		} else {
 			base = strings.NewReplacer("?", "_", "=", "-", ",", "_").Replace(base)
 		}
-		writeCSV(filepath.Join(*csvDir, base+"_flows.csv"), func(f *os.File) error {
-			return topology.WriteFlowCSV(f, topo, results)
+		writeCSV(filepath.Join(*csvDir, base+"_flows.csv"), func(w io.Writer) error {
+			return topology.WriteFlowCSV(w, topo, results)
 		})
-		writeCSV(filepath.Join(*csvDir, base+"_links.csv"), func(f *os.File) error {
-			return topology.WriteLinkCSV(f, topo, results)
+		writeCSV(filepath.Join(*csvDir, base+"_links.csv"), func(w io.Writer) error {
+			return topology.WriteLinkCSV(w, topo, results)
 		})
 	}
 
@@ -199,7 +185,7 @@ func main() {
 		fmt.Println()
 		as := topology.VerifyMany(topo, results)
 		if failed := report.WriteAssertions(os.Stdout, as); failed > 0 {
-			fatalf("%d of %d assertions failed", failed, len(as))
+			cli.Fatalf("%d of %d assertions failed", failed, len(as))
 		}
 		fmt.Printf("all %d assertions passed\n", len(as))
 	}
@@ -272,34 +258,16 @@ func runBench(ctx context.Context, topo *topology.Topology, opts topology.Option
 	if !rep.Identical {
 		return fmt.Errorf("bench: sharded results diverge from shards=1 — determinism bug")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", path, err)
+	if err := cli.WriteJSON(path, rep); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "qnet: benchmark written to %s\n", path)
 	return nil
 }
 
-func writeCSV(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("creating %s: %v", path, err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatalf("writing %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("closing %s: %v", path, err)
+func writeCSV(path string, write func(io.Writer) error) {
+	if err := cli.WriteFile(path, write); err != nil {
+		cli.Fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
@@ -321,35 +289,4 @@ func progressPrinter(total int) func(int) {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
-}
-
-// flushMetrics writes the aggregated registry as JSON to path ("-" for
-// stderr), even after an interrupt.
-func flushMetrics(reg *metrics.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	if path == "-" {
-		if err := reg.Snapshot().WriteJSON(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "qnet: writing metrics: %v\n", err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qnet: creating %s: %v\n", path, err)
-		return
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "qnet: writing %s: %v\n", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "qnet: closing %s: %v\n", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "qnet: metrics written to %s\n", path)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qnet: "+format+"\n", args...)
-	os.Exit(1)
 }

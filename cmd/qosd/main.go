@@ -31,10 +31,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/metrics"
 	"bufqos/internal/qosd"
 	"bufqos/internal/topology"
@@ -52,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if (*topoPath == "") == (*genSpec == "") {
-		fatalf("exactly one of -topology or -gen is required")
+		cli.Fatalf("exactly one of -topology or -gen is required")
 	}
 	var topo *topology.Topology
 	var err error
@@ -62,7 +62,7 @@ func main() {
 		topo, err = topology.Load(*topoPath)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 
 	// The long-lived admission state is tiny next to the per-request
@@ -76,34 +76,25 @@ func main() {
 	reg := metrics.NewRegistry()
 	srv, err := qosd.New(topo, reg)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	bound := ln.Addr().String()
 	if *addrFile != "" {
 		// The file appears only after the socket is live, so pollers
 		// that read it never race the bind.
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fatalf("writing -addr-file: %v", err)
+			cli.Fatalf("writing -addr-file: %v", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "qosd: topology %s (%d links) on http://%s\n",
 		topo.Name, srv.NumLinks(), bound)
 
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("%v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
+	defer cli.CPUProfile(*pprofOut)()
 
 	hs := &http.Server{Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -114,7 +105,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		fatalf("serve: %v", err)
+		cli.Fatalf("serve: %v", err)
 	case <-ctx.Done():
 	}
 
@@ -123,15 +114,10 @@ func main() {
 	dctx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainSecs*float64(time.Second)))
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
-		fatalf("drain: %v", err)
+		cli.Fatalf("drain: %v", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatalf("serve: %v", err)
+		cli.Fatalf("serve: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "qosd: drained cleanly, %d flows at shutdown\n", srv.NumFlows())
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qosd: "+format+"\n", args...)
-	os.Exit(1)
 }

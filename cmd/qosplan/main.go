@@ -17,6 +17,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
 	"bufqos/internal/packet"
@@ -47,7 +48,7 @@ func main() {
 	case "table2":
 		flows, queueOf = experiment.Table2Flows(), experiment.Table2QueueOf()
 	default:
-		fatalf("unknown workload %q", *workload)
+		cli.Fatalf("unknown workload %q", *workload)
 	}
 	specs := experiment.Specs(flows)
 	r := units.MbitsPerSecond(*rateMb)
@@ -60,7 +61,7 @@ func main() {
 
 	th, err := core.Thresholds(specs, r, b)
 	if err != nil {
-		fatalf("thresholds: %v", err)
+		cli.Fatalf("thresholds: %v", err)
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "flow\tσ\tρ\tthreshold (B=%v)\n", b)
@@ -86,7 +87,7 @@ func main() {
 			queueOf, err = core.OptimizeGroupingDP(specs, *queues)
 		}
 		if err != nil {
-			fatalf("grouping: %v", err)
+			cli.Fatalf("grouping: %v", err)
 		}
 		fmt.Printf("\noptimized grouping: %v\n", queueOf)
 	}
@@ -102,7 +103,7 @@ func main() {
 func printHybrid(specs []packet.FlowSpec, queueOf []int, k int, r units.Rate) {
 	groups, err := core.GroupFlows(specs, queueOf, k)
 	if err != nil {
-		fatalf("hybrid grouping: %v", err)
+		cli.Fatalf("hybrid grouping: %v", err)
 	}
 	alphas := core.OptimalAlphas(groups)
 	rates, err := core.AllocateHybrid(r, groups)
@@ -112,7 +113,7 @@ func printHybrid(specs []packet.FlowSpec, queueOf []int, k int, r units.Rate) {
 	}
 	perQueue, err := core.HybridBufferPerQueue(r, groups)
 	if err != nil {
-		fatalf("hybrid buffers: %v", err)
+		cli.Fatalf("hybrid buffers: %v", err)
 	}
 	fmt.Printf("\nhybrid system with %d queues (grouping %v):\n", k, queueOf)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -123,19 +124,14 @@ func printHybrid(specs []packet.FlowSpec, queueOf []int, k int, r units.Rate) {
 	tw.Flush()
 	total, err := core.HybridBufferTotal(r, groups)
 	if err != nil {
-		fatalf("hybrid total: %v", err)
+		cli.Fatalf("hybrid total: %v", err)
 	}
 	savings, err := core.BufferSavings(r, groups)
 	if err != nil {
-		fatalf("savings: %v", err)
+		cli.Fatalf("savings: %v", err)
 	}
 	fmt.Printf("hybrid total buffer (eq. 19): %v\n", total)
 	fmt.Printf("savings vs single FIFO (eq. 17): %v\n", savings)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qosplan: "+format+"\n", args...)
-	os.Exit(1)
 }
 
 func printCurve() {

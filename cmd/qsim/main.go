@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -32,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/experiment"
 	"bufqos/internal/metrics"
 	"bufqos/internal/scheme"
@@ -64,13 +66,11 @@ func main() {
 	flag.Parse()
 
 	if *listSchemes {
-		if err := scheme.WriteCatalogue(os.Stdout); err != nil {
-			fatalf("writing catalogue: %v", err)
-		}
+		cli.Stdout("catalogue", scheme.WriteCatalogue)
 		return
 	}
 	if *workers < 0 {
-		fatalf("-workers must be >= 0 (got %d)", *workers)
+		cli.Fatalf("-workers must be >= 0 (got %d)", *workers)
 	}
 	if max := maxWorkers(); *workers > max {
 		fmt.Fprintf(os.Stderr, "qsim: clamping -workers %d to %d (8x GOMAXPROCS)\n", *workers, max)
@@ -110,7 +110,7 @@ func main() {
 		for _, part := range strings.Split(*buffers, ",") {
 			var kb float64
 			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &kb); err != nil {
-				fatalf("bad -buffers entry %q: %v", part, err)
+				cli.Fatalf("bad -buffers entry %q: %v", part, err)
 			}
 			opts.BufferSizes = append(opts.BufferSizes, units.KiloBytes(kb))
 		}
@@ -118,7 +118,11 @@ func main() {
 
 	interrupted := false
 	defer func() {
-		flushMetrics(reg, *metricsOut)
+		if reg != nil {
+			// Even after an interrupt, so partial sweeps still leave
+			// their telemetry behind.
+			cli.Report("metrics", *metricsOut, reg.Snapshot().WriteJSON)
+		}
 		if interrupted {
 			fmt.Fprintln(os.Stderr, "qsim: interrupted; partial results written")
 			os.Exit(130)
@@ -137,7 +141,7 @@ func main() {
 		for _, id := range strings.Split(*figFlag, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := experiment.Figures[id]; !ok {
-				fatalf("unknown figure %q; known: %s", id, strings.Join(experiment.FigureIDs(), " "))
+				cli.Fatalf("unknown figure %q; known: %s", id, strings.Join(experiment.FigureIDs(), " "))
 			}
 			ids = append(ids, id)
 		}
@@ -145,14 +149,14 @@ func main() {
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatalf("creating %s: %v", *csvDir, err)
+			cli.Fatalf("creating %s: %v", *csvDir, err)
 		}
 	}
 
 	for _, id := range ids {
 		fig, err := experiment.Figures[id](ctx, opts)
 		if err != nil && !errors.Is(err, context.Canceled) {
-			fatalf("%s: %v", id, err)
+			cli.Fatalf("%s: %v", id, err)
 		}
 		writeFigure(fig, *csvDir)
 		if err != nil {
@@ -166,21 +170,14 @@ func main() {
 // file. Used for complete and partial (interrupted) figures alike.
 func writeFigure(fig experiment.Figure, csvDir string) {
 	if err := experiment.WriteTable(os.Stdout, fig); err != nil {
-		fatalf("writing table: %v", err)
+		cli.Fatalf("writing table: %v", err)
 	}
 	fmt.Println()
 	if csvDir != "" {
 		path := filepath.Join(csvDir, fig.ID+".csv")
-		f, err := os.Create(path)
+		err := cli.WriteFile(path, func(w io.Writer) error { return experiment.WriteCSV(w, fig) })
 		if err != nil {
-			fatalf("creating %s: %v", path, err)
-		}
-		if err := experiment.WriteCSV(f, fig); err != nil {
-			f.Close()
-			fatalf("writing %s: %v", path, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing %s: %v", path, err)
+			cli.Fatalf("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
@@ -212,45 +209,18 @@ func progressPrinter() experiment.ProgressFunc {
 	}
 }
 
-// flushMetrics writes the aggregated registry as JSON to path ("-" for
-// stderr). It runs even after an interrupt so partial sweeps still
-// leave their telemetry behind.
-func flushMetrics(reg *metrics.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	if path == "-" {
-		if err := reg.Snapshot().WriteJSON(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "qsim: writing metrics: %v\n", err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qsim: creating %s: %v\n", path, err)
-		return
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "qsim: writing %s: %v\n", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "qsim: closing %s: %v\n", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "qsim: metrics written to %s\n", path)
-}
-
 // runWorkloadSweep loads a JSON workload and runs the fig1/fig2-style
 // buffer sweep over the requested schemes. It reports whether the sweep
 // was interrupted.
 func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experiment.Options, csvDir string) bool {
 	f, err := os.Open(path)
 	if err != nil {
-		fatalf("opening workload: %v", err)
+		cli.Fatalf("opening workload: %v", err)
 	}
 	w, err := experiment.ParseWorkload(f)
 	f.Close()
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	// An empty -schemes defers to the workload's own scheme list (then
 	// the built-in default) inside SweepWorkload.
@@ -259,7 +229,7 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 		for _, name := range strings.Split(schemeList, ",") {
 			spec := strings.TrimSpace(name)
 			if _, err := experiment.ParseScheme(spec); err != nil {
-				fatalf("%v\navailable specs: %s\n(see -list-schemes for parameters)",
+				cli.Fatalf("%v\navailable specs: %s\n(see -list-schemes for parameters)",
 					err, strings.Join(experiment.SchemeSpecs(), ", "))
 			}
 			specs = append(specs, spec)
@@ -267,13 +237,13 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 	}
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fatalf("creating %s: %v", csvDir, err)
+			cli.Fatalf("creating %s: %v", csvDir, err)
 		}
 	}
 	util, loss, err := experiment.SweepWorkload(ctx, w, specs, opts)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fatalf("sweep: %v", err)
+		cli.Fatalf("sweep: %v", err)
 	}
 	for _, fig := range []experiment.Figure{util, loss} {
 		if len(fig.Series) == 0 {
@@ -282,9 +252,4 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 		writeFigure(fig, csvDir)
 	}
 	return interrupted
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qsim: "+format+"\n", args...)
-	os.Exit(1)
 }

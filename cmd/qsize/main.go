@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 
+	"bufqos/internal/cli"
 	"bufqos/internal/sizing"
 	"bufqos/internal/units"
 )
@@ -57,7 +58,7 @@ func main() {
 
 	if *md != "" {
 		if err := writeMarkdown(*md); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		return
 	}
@@ -75,11 +76,11 @@ func main() {
 	if custom {
 		ns, err := parseFlows(*flows)
 		if err != nil {
-			fatalf("-flows: %v", err)
+			cli.Fatalf("-flows: %v", err)
 		}
 		rs, err := parseRules(*rules)
 		if err != nil {
-			fatalf("-rules: %v", err)
+			cli.Fatalf("-rules: %v", err)
 		}
 		ss := sizing.DefaultSchemes
 		if *schemes != "" {
@@ -87,7 +88,7 @@ func main() {
 		}
 		cfg.Cells = sizing.Grid(ns, rs, ss, *open)
 	} else if *open {
-		fatalf("-open requires a custom grid (set -flows, -rules, or -schemes); the default grid already includes open-loop cells")
+		cli.Fatalf("-open requires a custom grid (set -flows, -rules, or -schemes); the default grid already includes open-loop cells")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -99,12 +100,12 @@ func main() {
 		os.Exit(130)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	writeTable(rep)
 	if *outPath != "" {
-		if err := writeJSON(*outPath, rep); err != nil {
-			fatalf("%v", err)
+		if err := cli.WriteJSON(*outPath, rep); err != nil {
+			cli.Fatalf("%v", err)
 		}
 	}
 	if bad := sqrtViolations(rep); len(bad) > 0 {
@@ -180,20 +181,6 @@ func writeMarkdown(path string) error {
 	return nil
 }
 
-func writeJSON(path string, rep *sizing.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func parseFlows(s string) ([]int, error) {
 	if s == "" {
 		return []int{10, 100, 1000, 10000}, nil
@@ -222,9 +209,4 @@ func parseRules(s string) ([]sizing.Rule, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qsize: "+format+"\n", args...)
-	os.Exit(1)
 }

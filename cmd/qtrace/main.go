@@ -23,11 +23,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-
 	"strings"
 
 	"bufqos/internal/buffer"
+	"bufqos/internal/cli"
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
 	"bufqos/internal/metrics"
@@ -54,44 +53,33 @@ func main() {
 	flag.Parse()
 
 	if *listSch {
-		if err := scheme.WriteCatalogue(os.Stdout); err != nil {
-			fatalf("writing catalogue: %v", err)
-		}
+		cli.Stdout("catalogue", scheme.WriteCatalogue)
 		return
 	}
 
-	s := sim.New()
-	linkRate := experiment.DefaultLinkRate
 	bufSize := units.MegaBytes(*bufferMB)
-
-	var mgr buffer.Manager
-	var labels []string
-	var probe func() []float64
 	var reg *metrics.Registry
 	if *metricsF != "" {
 		reg = metrics.NewRegistry()
-		s.Instrument(reg)
-	}
-	// instrument wires the built manager and link into reg (no-op
-	// without -metrics).
-	instrument := func(link *sched.Link, label string) {
-		if reg == nil {
-			return
-		}
-		if in, ok := mgr.(buffer.Instrumentable); ok {
-			in.Instrument(reg, "buffer")
-		}
-		link.Instrument(reg, label)
 	}
 
+	var s *sim.Simulator
+	var labels []string
+	var probe func() []float64
 	if *example1 {
-		// Two flows: conformant CBR at 8 Mb/s vs the greedy adversary.
+		// Two flows: conformant CBR at 8 Mb/s vs the greedy adversary,
+		// on thresholds no spec can express.
+		s = sim.New()
+		linkRate := experiment.DefaultLinkRate
 		rho := units.MbitsPerSecond(8)
 		th := core.PeakRateThreshold(rho, linkRate, bufSize)
-		fixed := buffer.NewFixedThreshold(bufSize, []units.Bytes{th + 500, bufSize - th - 500})
-		mgr = fixed
+		mgr := buffer.NewFixedThreshold(bufSize, []units.Bytes{th + 500, bufSize - th - 500})
 		link := sched.NewLink(s, linkRate, sched.NewFIFO(), mgr, nil)
-		instrument(link, "example1")
+		if reg != nil {
+			s.Instrument(reg)
+			mgr.Instrument(reg, "buffer")
+			link.Instrument(reg, "example1")
+		}
 		g := source.NewFeedbackGreedy(s, 1, 500, mgr, link)
 		link.OnDepart = g.DepartureHook()
 		g.Kick()
@@ -106,32 +94,26 @@ func main() {
 			}
 		}
 	} else {
+		// The Table 1 run is experiment.Run's own data plane; qtrace
+		// only watches it.
 		flows := experiment.Table1Flows()
-		sc, err := scheme.Parse(*schemeF)
+		p, err := experiment.NewPlane(experiment.NewOptions(
+			experiment.WithFlows(flows),
+			experiment.WithSchemeSpec(*schemeF),
+			experiment.WithBuffer(bufSize),
+			experiment.WithHeadroom(units.MegaBytes(*headMB)),
+			experiment.WithQueues(experiment.Table1QueueOf()),
+			experiment.WithSeed(*seed),
+			experiment.WithMetrics(reg),
+		))
 		if err != nil {
-			fatalf("%v\navailable specs: %s\n(see -list-schemes for parameters)",
+			cli.Fatalf("%v\navailable specs: %s\n(see -list-schemes for parameters)",
 				err, strings.Join(scheme.Specs(), ", "))
 		}
-		adaptive := make([]bool, len(flows))
-		for i, f := range flows {
-			adaptive[i] = f.Conformance != experiment.Aggressive
-		}
-		var scheduler sched.Scheduler
-		mgr, scheduler, err = sc.Build(scheme.Config{
-			Specs:    experiment.Specs(flows),
-			LinkRate: linkRate,
-			Buffer:   bufSize,
-			Headroom: units.MegaBytes(*headMB),
-			QueueOf:  experiment.Table1QueueOf(),
-			Adaptive: adaptive,
-			Now:      s.Now,
-			Seed:     *seed,
-		})
-		if err != nil {
-			fatalf("building %s: %v", sc.Spec(), err)
-		}
+		s = p.Sim
 		// Occupancy columns for every flow; sharing-family managers
 		// additionally expose their holes/headroom pool levels.
+		mgr := p.Link.Manager()
 		labels = occupancyLabels(len(flows))
 		switch m := mgr.(type) {
 		case *buffer.Sharing:
@@ -147,22 +129,6 @@ func main() {
 		default:
 			probe = occupancyProbe(mgr, len(flows), nil)
 		}
-		link := sched.NewLink(s, linkRate, scheduler, mgr, nil)
-		instrument(link, sc.String())
-		for i, f := range flows {
-			rng := sim.NewRand(sim.DeriveSeed(*seed, i))
-			var sink source.Sink = link
-			if f.Regulated() {
-				sink = source.NewShaper(s, f.Spec, link)
-			} else {
-				sink = source.NewMeter(s, f.Spec, link)
-			}
-			src := source.NewOnOff(s, rng, source.OnOffConfig{
-				Flow: i, PacketSize: experiment.DefaultPacketSize,
-				PeakRate: f.Spec.PeakRate, AvgRate: f.AvgRate, MeanBurst: f.MeanBurst,
-			}, sink)
-			src.Start()
-		}
 	}
 
 	sa := trace.NewSampler(s, *interval, labels, probe)
@@ -173,20 +139,10 @@ func main() {
 		msa.Start()
 	}
 	s.RunUntil(*duration)
-	if err := sa.WriteCSV(os.Stdout); err != nil {
-		fatalf("writing csv: %v", err)
-	}
+	cli.Stdout("csv", sa.WriteCSV)
 	if msa != nil {
-		f, err := os.Create(*metricsF)
-		if err != nil {
-			fatalf("creating %s: %v", *metricsF, err)
-		}
-		if err := msa.WriteCSV(f); err != nil {
-			f.Close()
-			fatalf("writing %s: %v", *metricsF, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing %s: %v", *metricsF, err)
+		if err := cli.WriteFile(*metricsF, msa.WriteCSV); err != nil {
+			cli.Fatalf("%v", err)
 		}
 	}
 }
@@ -210,9 +166,4 @@ func occupancyProbe(mgr buffer.Manager, n int, extra func() []float64) func() []
 		}
 		return row
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qtrace: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -94,10 +94,12 @@ func main() {
 		core.RequiredBufferWFQ(specs), len(flows))
 
 	// Run both systems at the hybrid's minimum buffer.
-	for _, scheme := range []experiment.Scheme{experiment.HybridSharing, experiment.WFQSharing} {
+	for _, spec := range []string{"hybrid+sharing", "wfq+sharing"} {
+		scheme, err := experiment.ParseScheme(spec)
+		check(err)
 		res, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(flows),
-			experiment.WithScheme(scheme),
+			experiment.WithSchemeSpec(spec),
 			experiment.WithBuffer(hybridTotal),
 			experiment.WithHeadroom(hybridTotal/4),
 			experiment.WithQueues(queueOf),

@@ -17,16 +17,16 @@ import (
 	"text/tabwriter"
 
 	"bufqos/internal/experiment"
+	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
 
 func main() {
 	flows := experiment.Table1Flows()
-	schemes := []experiment.Scheme{
-		experiment.FIFONoBM,
-		experiment.WFQNoBM,
-		experiment.FIFOThreshold,
-		experiment.WFQThreshold,
+	specs := []string{"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold"}
+	schemes := make([]*scheme.Scheme, len(specs))
+	for i, spec := range specs {
+		schemes[i] = scheme.MustParse(spec)
 	}
 
 	fmt.Println("SLA attainment on a 48 Mb/s link, 1 MB buffer, Table 1 workload")
@@ -41,10 +41,10 @@ func main() {
 	fmt.Fprintln(tw)
 
 	results := make([]experiment.Result, len(schemes))
-	for i, s := range schemes {
+	for i, spec := range specs {
 		res, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(flows),
-			experiment.WithScheme(s),
+			experiment.WithSchemeSpec(spec),
 			experiment.WithBuffer(units.MegaBytes(1)),
 			experiment.WithDuration(10),
 			experiment.WithWarmup(1),

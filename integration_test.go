@@ -331,7 +331,7 @@ func TestRequiredBufferLosslessPacketized(t *testing.T) {
 	buf := need + units.Bytes(len(specs))*500
 	res, err := experiment.Run(context.Background(), experiment.NewOptions(
 		experiment.WithFlows(flows),
-		experiment.WithScheme(experiment.FIFOThreshold),
+		experiment.WithSchemeSpec("fifo+threshold"),
 		experiment.WithBuffer(buf),
 		experiment.WithDuration(20),
 		experiment.WithWarmup(1),
@@ -369,7 +369,7 @@ func TestHybridMinimumBufferLossless(t *testing.T) {
 	}
 	res, err := experiment.Run(context.Background(), experiment.NewOptions(
 		experiment.WithFlows(flows),
-		experiment.WithScheme(experiment.HybridSharing),
+		experiment.WithSchemeSpec("hybrid+sharing"),
 		experiment.WithBuffer(minBuf+units.Bytes(len(specs))*2*500),
 		experiment.WithQueues(queueOf),
 		experiment.WithDuration(20),

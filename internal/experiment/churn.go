@@ -124,9 +124,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 	mgr := buffer.NewFixedThreshold(cfg.Buffer, thresholds)
 	link := sched.NewLink(s, cfg.LinkRate, sched.NewFIFO(), mgr, col)
 	if cfg.Metrics != nil {
-		s.Instrument(cfg.Metrics)
-		mgr.Instrument(cfg.Metrics, "buffer")
-		link.Instrument(cfg.Metrics, "churn")
+		instrument(cfg.Metrics, s, link, "churn")
 	}
 	admission := core.NewSerialAdmitter(core.DisciplineFIFO, cfg.LinkRate, cfg.Buffer)
 
@@ -230,7 +228,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 		})
 	}
 	s.After(sim.Exponential(rng, 1/cfg.ArrivalRate), arrive)
-	if err := runUntilCtx(ctx, s, cfg.Duration); err != nil {
+	if err := RunUntilCtx(ctx, s, cfg.Duration); err != nil {
 		return ChurnResult{}, err
 	}
 	accumulate()

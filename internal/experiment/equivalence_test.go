@@ -9,31 +9,30 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/legacy_golden.json from the current implementation")
 
-// legacyGoldenSchemes is every value of the deprecated Scheme enum, in
-// declaration order. The golden file keys results by the enum's String()
-// name, so table labels are pinned at the same time.
-func legacyGoldenSchemes() []Scheme {
-	return []Scheme{
-		FIFONoBM, WFQNoBM, FIFOThreshold, WFQThreshold,
-		FIFOSharing, WFQSharing, HybridSharing,
-		FIFODynamicThreshold, FIFORed, FIFOAdaptiveSharing,
-		RPQThreshold, DRRThreshold, EDFThreshold, VCThreshold,
-	}
+// goldenSpecs are the fourteen schemes the golden file was captured
+// for. The file keys results by each spec's display label, so table
+// labels are pinned at the same time.
+var goldenSpecs = []string{
+	"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold",
+	"fifo+sharing", "wfq+sharing", "hybrid+sharing",
+	"fifo+dynthresh", "fifo+red", "fifo+adaptive",
+	"rpq+threshold", "drr+threshold", "edf+threshold", "vc+threshold",
 }
 
 // legacyGoldenOptions is the fixed scenario the guard runs every scheme
 // under: short enough for the test suite, long enough that every code
 // path (thresholds, sharing pools, RED's RNG, hybrid partitioning)
 // executes.
-func legacyGoldenOptions(s Scheme) *Options {
+func legacyGoldenOptions(spec string) *Options {
 	o := &Options{
 		Flows:       Table1Flows(),
-		Scheme:      s,
+		SchemeSpec:  spec,
 		Buffer:      units.KiloBytes(500),
 		Headroom:    units.KiloBytes(250),
 		QueueOf:     Table1QueueOf(),
@@ -79,21 +78,21 @@ func toGolden(r Result) goldenResult {
 	return g
 }
 
-// TestLegacySchemeEquivalence is the refactor guard: for every value of
-// the deprecated Scheme enum, Run through the scheme registry must
-// produce bit-identical Results to the pre-registry construction switch
-// (captured in testdata/legacy_golden.json before the refactor).
+// TestLegacySchemeEquivalence is the refactor guard: for every golden
+// spec, Run through the scheme registry must produce bit-identical
+// Results to the pre-registry construction switch (captured in
+// testdata/legacy_golden.json before that refactor).
 // Regenerate with `go test -run LegacySchemeEquivalence -update-golden`
 // only when an intentional behaviour change is being made.
 func TestLegacySchemeEquivalence(t *testing.T) {
 	path := filepath.Join("testdata", "legacy_golden.json")
 	got := map[string]goldenResult{}
-	for _, s := range legacyGoldenSchemes() {
-		res, err := Run(context.Background(), legacyGoldenOptions(s))
+	for _, spec := range goldenSpecs {
+		res, err := Run(context.Background(), legacyGoldenOptions(spec))
 		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+			t.Fatalf("%v: %v", spec, err)
 		}
-		got[s.String()] = toGolden(res)
+		got[scheme.MustParse(spec).String()] = toGolden(res)
 	}
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -118,12 +117,12 @@ func TestLegacySchemeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("golden has %d schemes, current enum has %d", len(want), len(got))
+		t.Errorf("golden has %d schemes, goldenSpecs produced %d", len(want), len(got))
 	}
 	for name, w := range want {
 		g, ok := got[name]
 		if !ok {
-			t.Errorf("scheme %q in golden but not produced (String() drift?)", name)
+			t.Errorf("scheme %q in golden but not produced (label drift?)", name)
 			continue
 		}
 		compareGolden(t, name, w, g)

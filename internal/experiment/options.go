@@ -13,15 +13,13 @@ import (
 // package: it describes one simulation run (flows, scheme, buffer,
 // duration, seed) and how sweeps over such runs execute (replications,
 // swept axes, worker count) and are observed (metrics registry,
-// progress callbacks, trace sampling). It replaces the former
-// Config/RunOpts pair, whose overlapping Duration/Warmup/seed fields
-// every driver had to thread by hand.
+// progress callbacks, trace sampling).
 //
 // Build an Options with NewOptions and functional options:
 //
 //	o := experiment.NewOptions(
 //		experiment.WithFlows(experiment.Table1Flows()),
-//		experiment.WithScheme(experiment.FIFOThreshold),
+//		experiment.WithSchemeSpec("fifo+threshold"),
 //		experiment.WithBuffer(units.MegaBytes(1)),
 //		experiment.WithWarmup(0), // explicit zero, no hack needed
 //	)
@@ -29,8 +27,8 @@ import (
 //
 // Fields may also be set directly on the struct; unset fields get the
 // paper's defaults. The one thing struct literals cannot express is an
-// intentional zero Warmup or Seed — use WithWarmup(0)/WithSeed(0) (or
-// the legacy Config shim) for that.
+// intentional zero Warmup or Seed — use WithWarmup(0)/WithSeed(0) for
+// that.
 type Options struct {
 	// --- One run's physics ---
 
@@ -38,18 +36,14 @@ type Options struct {
 	// SchemeSpec selects the resource-management scheme through the
 	// scheme registry (e.g. "fifo+threshold", "wfq+sharing",
 	// "hybrid:3+sharing", "fifo+red?min=0.2"); see internal/scheme for
-	// the grammar and catalogue. When empty, the deprecated Scheme enum
-	// below is mapped onto its registry entry instead.
+	// the grammar and catalogue.
 	SchemeSpec string
-	// Scheme is the deprecated enum selector; SchemeSpec wins when both
-	// are set.
-	Scheme   Scheme
-	LinkRate units.Rate
-	Buffer   units.Bytes
+	LinkRate   units.Rate
+	Buffer     units.Bytes
 	// Headroom is H for the sharing schemes (the paper's default in
 	// §3.3 is 2 MB; buffer sweeps default it, single runs default 0).
 	Headroom units.Bytes
-	// QueueOf maps flows to queues for HybridSharing.
+	// QueueOf maps flows to queues for the hybrid schemes.
 	QueueOf []int
 	// Duration is the simulated time; Warmup the discarded prefix
 	// (default Duration/10; set an explicit zero with WithWarmup(0)).
@@ -61,8 +55,6 @@ type Options struct {
 	Seed int64
 	// PacketSize defaults to DefaultPacketSize.
 	PacketSize units.Bytes
-	// DynAlpha is α for FIFODynamicThreshold (default 1).
-	DynAlpha float64
 	// TrackDelays enables per-flow queueing-delay measurement (slower;
 	// off by default).
 	TrackDelays bool
@@ -103,9 +95,8 @@ type Options struct {
 	TraceInterval float64
 	TraceWriter   io.Writer
 
-	// warmupSet / seedSet mark explicit zeros, replacing the exported
-	// WarmupSet flag of the legacy API. Only WithWarmup/WithSeed and
-	// the legacy shims can set them.
+	// warmupSet / seedSet mark explicit zeros; only WithWarmup/WithSeed
+	// set them.
 	warmupSet bool
 	seedSet   bool
 }
@@ -126,11 +117,6 @@ func NewOptions(opts ...Option) *Options {
 
 // WithFlows sets the flow population of single runs.
 func WithFlows(flows []FlowConfig) Option { return func(o *Options) { o.Flows = flows } }
-
-// WithScheme selects the resource-management scheme of single runs.
-//
-// Deprecated: use WithSchemeSpec with a registry spec string.
-func WithScheme(s Scheme) Option { return func(o *Options) { o.Scheme = s } }
 
 // WithSchemeSpec selects the scheme through the registry, e.g.
 // "fifo+threshold", "wfq+sharing", "hybrid:3+sharing",
@@ -153,7 +139,7 @@ func WithQueues(queueOf []int) Option { return func(o *Options) { o.QueueOf = qu
 func WithDuration(d float64) Option { return func(o *Options) { o.Duration = d } }
 
 // WithWarmup sets the discarded warm-up prefix. An explicit zero is
-// honored — this replaces the legacy WarmupSet flag.
+// honored.
 func WithWarmup(w float64) Option {
 	return func(o *Options) { o.Warmup = w; o.warmupSet = true }
 }
@@ -164,29 +150,12 @@ func WithSeed(seed int64) Option {
 	return func(o *Options) { o.Seed = seed; o.seedSet = true }
 }
 
-// WithPacketSize overrides the default packet size.
-func WithPacketSize(b units.Bytes) Option { return func(o *Options) { o.PacketSize = b } }
-
-// WithDynAlpha sets α for FIFODynamicThreshold.
-func WithDynAlpha(a float64) Option { return func(o *Options) { o.DynAlpha = a } }
-
-// WithDelayTracking enables per-flow queueing-delay measurement.
-func WithDelayTracking() Option { return func(o *Options) { o.TrackDelays = true } }
-
 // WithRuns sets the number of independent replications per point.
 func WithRuns(n int) Option { return func(o *Options) { o.Runs = n } }
 
 // WithWorkers bounds concurrent simulation runs (0 = GOMAXPROCS,
 // 1 = sequential).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithBufferSizes sets the swept buffer axis.
-func WithBufferSizes(sizes ...units.Bytes) Option {
-	return func(o *Options) { o.BufferSizes = sizes }
-}
-
-// WithHeadrooms sets the swept headroom axis (Figure 7).
-func WithHeadrooms(hs ...units.Bytes) Option { return func(o *Options) { o.Headrooms = hs } }
 
 // WithFig7Buffer fixes the total buffer of the Figure 7 headroom sweep.
 func WithFig7Buffer(b units.Bytes) Option { return func(o *Options) { o.Fig7Buffer = b } }
@@ -196,14 +165,6 @@ func WithMetrics(r *metrics.Registry) Option { return func(o *Options) { o.Metri
 
 // WithProgress attaches a sweep progress callback.
 func WithProgress(fn ProgressFunc) Option { return func(o *Options) { o.Progress = fn } }
-
-// WithTrace enables periodic metric snapshots on single runs: every
-// interval simulated seconds the run's metrics are sampled, and the
-// series is written as CSV to w when the run finishes. Requires
-// WithMetrics.
-func WithTrace(interval float64, w io.Writer) Option {
-	return func(o *Options) { o.TraceInterval = interval; o.TraceWriter = w }
-}
 
 // defaults fills unset fields with the paper's setup. It mutates the
 // receiver, so callers work on a copy of caller-owned Options.
@@ -222,9 +183,6 @@ func (o *Options) defaults() {
 	}
 	if o.Seed == 0 && !o.seedSet {
 		o.Seed = 1
-	}
-	if o.DynAlpha == 0 {
-		o.DynAlpha = 1
 	}
 	if o.Runs == 0 {
 		o.Runs = 5

@@ -46,13 +46,13 @@ type Result struct {
 // span in factor-of-2 resolution.
 var runEventBuckets = metrics.ExpBuckets(1024, 2, 16)
 
-// runUntilCtx advances the simulation to duration, checking ctx between
+// RunUntilCtx advances the simulation to duration, checking ctx between
 // chunks of simulated time so a cancelled context interrupts a run
 // mid-flight. The chunk boundaries are exact fractions of duration and
 // every event at or before duration fires exactly as in an unchunked
 // RunUntil, so results are bit-identical with and without a cancellable
 // context. Returns ctx.Err() when interrupted.
-func runUntilCtx(ctx context.Context, s *sim.Simulator, duration float64) error {
+func RunUntilCtx(ctx context.Context, s *sim.Simulator, duration float64) error {
 	if ctx == nil || ctx.Done() == nil {
 		s.RunUntil(duration)
 		return nil
@@ -67,41 +67,54 @@ func runUntilCtx(ctx context.Context, s *sim.Simulator, duration float64) error 
 	return ctx.Err()
 }
 
-// Run executes one simulation and returns its measurements. The context
-// cancels a run mid-flight (Run then returns ctx.Err()); o is read-only
-// and may be shared across concurrent Runs. When o.Metrics is set, the
-// kernel, buffer manager, and scheduler publish counters into it, and
-// o.TraceInterval/TraceWriter additionally sample those metrics
-// periodically, flushing the series as CSV even on a cancelled run.
-func Run(ctx context.Context, o *Options) (Result, error) {
+// instrument publishes the kernel, buffer-manager and link metrics of
+// one data plane into reg; label names the link's scheme.
+func instrument(reg *metrics.Registry, s *sim.Simulator, link *sched.Link, label string) {
+	s.Instrument(reg)
+	if in, ok := link.Manager().(buffer.Instrumentable); ok {
+		in.Instrument(reg, "buffer")
+	}
+	link.Instrument(reg, label)
+}
+
+// Plane is one constructed single-link run: the Options' scheme built
+// on a fresh simulator, instrumented when Options.Metrics is set, with
+// every flow's on-off source (behind its shaper or meter) started.
+// Nothing has run yet. Run drives it to the horizon; a caller that
+// wants to watch the run attaches samplers to Sim, drives Sim itself
+// and reads Result.
+type Plane struct {
+	Sim  *sim.Simulator
+	Link *sched.Link
+
+	cfg Options // defaults applied
+	col *stats.Collector
+}
+
+// NewPlane constructs the data plane o describes. o is read-only and
+// may be shared across concurrent calls.
+func NewPlane(o *Options) (*Plane, error) {
 	cfg := *o
 	cfg.defaults()
 	if len(cfg.Flows) == 0 {
-		return Result{}, fmt.Errorf("experiment: no flows")
+		return nil, fmt.Errorf("experiment: no flows")
 	}
 	s := sim.New()
-	n := len(cfg.Flows)
-	col := stats.NewCollector(n, cfg.Warmup)
+	col := stats.NewCollector(len(cfg.Flows), cfg.Warmup)
 	if cfg.TrackDelays {
 		// Histogram ceiling: a full buffer draining at the link rate.
 		col.EnableDelays(2 * float64(cfg.Buffer) * 8 / cfg.LinkRate.BitsPerSecond())
 	}
-	sc, err := cfg.resolveScheme()
+	sc, err := scheme.Parse(cfg.SchemeSpec)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	mgr, scheduler, err := sc.Build(cfg.schemeConfig(s))
+	link, err := sc.NewLink(s, cfg.schemeConfig(), col)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-
-	link := sched.NewLink(s, cfg.LinkRate, scheduler, mgr, col)
 	if cfg.Metrics != nil {
-		s.Instrument(cfg.Metrics)
-		if in, ok := mgr.(buffer.Instrumentable); ok {
-			in.Instrument(cfg.Metrics, "buffer")
-		}
-		link.Instrument(cfg.Metrics, sc.String())
+		instrument(cfg.Metrics, s, link, sc.String())
 	}
 	for i, f := range cfg.Flows {
 		rng := sim.NewRand(sim.DeriveSeed(cfg.Seed, i))
@@ -124,6 +137,21 @@ func Run(ctx context.Context, o *Options) (Result, error) {
 		}, sink)
 		src.Start()
 	}
+	return &Plane{Sim: s, Link: link, cfg: cfg, col: col}, nil
+}
+
+// Run executes one simulation and returns its measurements. The context
+// cancels a run mid-flight (Run then returns ctx.Err()); o is read-only
+// and may be shared across concurrent Runs. When o.Metrics is set, the
+// kernel, buffer manager, and scheduler publish counters into it, and
+// o.TraceInterval/TraceWriter additionally sample those metrics
+// periodically, flushing the series as CSV even on a cancelled run.
+func Run(ctx context.Context, o *Options) (Result, error) {
+	p, err := NewPlane(o)
+	if err != nil {
+		return Result{}, err
+	}
+	cfg, s := &p.cfg, p.Sim
 
 	// The metrics sampler starts after instrumentation so every column
 	// name already exists in the registry.
@@ -132,7 +160,7 @@ func Run(ctx context.Context, o *Options) (Result, error) {
 		sampler = trace.NewMetricsSampler(s, cfg.TraceInterval, cfg.Metrics, cfg.Metrics.Names())
 		sampler.Start()
 	}
-	runErr := runUntilCtx(ctx, s, cfg.Duration)
+	runErr := RunUntilCtx(ctx, s, cfg.Duration)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Histogram("experiment.run_events", runEventBuckets).Observe(float64(s.Steps()))
 	}
@@ -146,7 +174,13 @@ func Run(ctx context.Context, o *Options) (Result, error) {
 	if runErr != nil {
 		return Result{}, runErr
 	}
+	return p.Result(), nil
+}
 
+// Result measures the plane over [Warmup, Duration]; call it once Sim
+// has reached Options.Duration.
+func (p *Plane) Result() Result {
+	cfg, col, n := &p.cfg, p.col, len(p.cfg.Flows)
 	res := Result{
 		AggThroughput:  col.AggregateThroughput(cfg.Duration),
 		FlowThroughput: make([]units.Rate, n),
@@ -176,14 +210,14 @@ func Run(ctx context.Context, o *Options) (Result, error) {
 			res.MeanDelay = sum / float64(count)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // schemeConfig assembles the scheme.Config describing this run's link:
 // the declared flow profiles, the link physics, and the adaptivity
 // flags (aggressive flows do not respond to loss, so adaptive-sharing
 // restricts their borrowing).
-func (o *Options) schemeConfig(s *sim.Simulator) scheme.Config {
+func (o *Options) schemeConfig() scheme.Config {
 	adaptive := make([]bool, len(o.Flows))
 	for i, f := range o.Flows {
 		adaptive[i] = f.Conformance != Aggressive
@@ -196,25 +230,6 @@ func (o *Options) schemeConfig(s *sim.Simulator) scheme.Config {
 		QueueOf:    o.QueueOf,
 		Adaptive:   adaptive,
 		PacketSize: o.PacketSize,
-		Now:        s.Now,
 		Seed:       o.Seed,
 	}
-}
-
-// resolveScheme returns the run's parsed scheme: SchemeSpec when set
-// (the registry path), otherwise the deprecated Scheme enum mapped onto
-// its registry entry, with DynAlpha carried into the dynthresh α
-// parameter.
-func (o *Options) resolveScheme() (*scheme.Scheme, error) {
-	if o.SchemeSpec != "" {
-		return scheme.Parse(o.SchemeSpec)
-	}
-	spec, err := o.Scheme.spec()
-	if err != nil {
-		return nil, err
-	}
-	if o.Scheme == FIFODynamicThreshold && o.DynAlpha != 0 && o.DynAlpha != 1 {
-		spec = fmt.Sprintf("%s?alpha=%g", spec, o.DynAlpha)
-	}
-	return scheme.Parse(spec)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -11,29 +12,25 @@ import (
 )
 
 // quickCfg returns a short Table 1 run for tests.
-func quickCfg(scheme Scheme, buf units.Bytes) Config {
-	return Config{
-		Flows:    Table1Flows(),
-		Scheme:   scheme,
-		Buffer:   buf,
-		Headroom: units.KiloBytes(500),
-		QueueOf:  Table1QueueOf(),
-		Duration: 4,
-		Warmup:   0.5,
-		Seed:     1,
+func quickCfg(spec string, buf units.Bytes) *Options {
+	return &Options{
+		Flows:      Table1Flows(),
+		SchemeSpec: spec,
+		Buffer:     buf,
+		Headroom:   units.KiloBytes(500),
+		QueueOf:    Table1QueueOf(),
+		Duration:   4,
+		Warmup:     0.5,
+		Seed:       1,
 	}
 }
 
+// run is Run without a deadline.
+func run(o *Options) (Result, error) { return Run(context.Background(), o) }
+
 func TestRunAllSchemesSmoke(t *testing.T) {
-	schemes := []Scheme{
-		FIFONoBM, WFQNoBM, FIFOThreshold, WFQThreshold,
-		FIFOSharing, WFQSharing, HybridSharing,
-		FIFODynamicThreshold, FIFORed,
-		FIFOAdaptiveSharing, RPQThreshold,
-		DRRThreshold, EDFThreshold, VCThreshold,
-	}
-	for _, s := range schemes {
-		res, err := RunConfig(quickCfg(s, units.MegaBytes(1)))
+	for _, s := range goldenSpecs {
+		res, err := run(quickCfg(s, units.MegaBytes(1)))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -52,20 +49,20 @@ func TestRunAllSchemesSmoke(t *testing.T) {
 }
 
 func TestRunDeterministicPerSeed(t *testing.T) {
-	a, err := RunConfig(quickCfg(FIFOThreshold, units.MegaBytes(1)))
+	a, err := run(quickCfg("fifo+threshold", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunConfig(quickCfg(FIFOThreshold, units.MegaBytes(1)))
+	b, err := run(quickCfg("fifo+threshold", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different results")
 	}
-	c := quickCfg(FIFOThreshold, units.MegaBytes(1))
+	c := quickCfg("fifo+threshold", units.MegaBytes(1))
 	c.Seed = 2
-	b2, err := RunConfig(c)
+	b2, err := run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +74,11 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 func TestThresholdsProtectConformantFlows(t *testing.T) {
 	// The core claim of the paper: with enough buffer, FIFO+thresholds
 	// drives conformant loss to ≈0 while plain FIFO keeps losing.
-	noBM, err := RunConfig(quickCfg(FIFONoBM, units.MegaBytes(1)))
+	noBM, err := run(quickCfg("fifo+none", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr, err := RunConfig(quickCfg(FIFOThreshold, units.MegaBytes(1)))
+	thr, err := run(quickCfg("fifo+threshold", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +93,11 @@ func TestThresholdsProtectConformantFlows(t *testing.T) {
 func TestNoBMFillsLinkAtSmallBuffer(t *testing.T) {
 	// Figure 1's left edge: plain FIFO hits ~90% utilization with just
 	// 500 KB while FIFO+thresholds is visibly below it.
-	noBM, err := RunConfig(quickCfg(FIFONoBM, units.KiloBytes(500)))
+	noBM, err := run(quickCfg("fifo+none", units.KiloBytes(500)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr, err := RunConfig(quickCfg(FIFOThreshold, units.KiloBytes(500)))
+	thr, err := run(quickCfg("fifo+threshold", units.KiloBytes(500)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +113,11 @@ func TestNoBMFillsLinkAtSmallBuffer(t *testing.T) {
 func TestSharingRecoversUtilization(t *testing.T) {
 	// Figure 4 vs Figure 1: sharing beats fixed partitioning at equal
 	// buffer.
-	fixed, err := RunConfig(quickCfg(FIFOThreshold, units.MegaBytes(1)))
+	fixed, err := run(quickCfg("fifo+threshold", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	share, err := RunConfig(quickCfg(FIFOSharing, units.MegaBytes(1)))
+	share, err := run(quickCfg("fifo+sharing", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +129,9 @@ func TestSharingRecoversUtilization(t *testing.T) {
 func TestWFQSharesExcessProportionally(t *testing.T) {
 	// Figure 3's key contrast: under WFQ+thresholds flows 6 and 8 split
 	// excess ∝ reservations (0.4 vs 2.0 Mb/s → ratio 5).
-	cfg := quickCfg(WFQThreshold, units.MegaBytes(3))
+	cfg := quickCfg("wfq+threshold", units.MegaBytes(3))
 	cfg.Duration = 8
-	res, err := RunConfig(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +146,11 @@ func TestWFQSharesExcessProportionally(t *testing.T) {
 func TestHybridTracksWFQ(t *testing.T) {
 	// Figures 8–9: the 3-queue hybrid stays close to per-flow WFQ with
 	// sharing on both utilization and conformant loss.
-	wfq, err := RunConfig(quickCfg(WFQSharing, units.MegaBytes(1)))
+	wfq, err := run(quickCfg("wfq+sharing", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := RunConfig(quickCfg(HybridSharing, units.MegaBytes(1)))
+	hyb, err := run(quickCfg("hybrid+sharing", units.MegaBytes(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,28 +163,31 @@ func TestHybridTracksWFQ(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := RunConfig(Config{}); err == nil {
+	if _, err := run(&Options{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	bad := quickCfg(HybridSharing, units.MegaBytes(1))
+	bad := quickCfg("hybrid+sharing", units.MegaBytes(1))
 	bad.QueueOf = []int{0}
-	if _, err := RunConfig(bad); err == nil {
+	if _, err := run(bad); err == nil {
 		t.Error("mismatched QueueOf accepted")
 	}
-	if _, err := RunConfig(quickCfg(Scheme(42), units.MegaBytes(1))); err == nil {
+	if _, err := run(quickCfg("lifo+threshold", units.MegaBytes(1))); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+	if _, err := run(quickCfg("", units.MegaBytes(1))); err == nil {
+		t.Error("unset scheme accepted")
 	}
 }
 
 func TestSchemeStrings(t *testing.T) {
-	for s, want := range map[Scheme]string{
-		FIFONoBM: "FIFO", WFQNoBM: "WFQ",
-		FIFOThreshold: "thresholds", FIFOSharing: "sharing",
-		HybridSharing: "hybrid", FIFORed: "RED",
-		Scheme(42): "42",
+	// The labels the figures print for the paper's schemes.
+	for spec, want := range map[string]string{
+		"fifo+none": "FIFO", "wfq+none": "WFQ",
+		"fifo+threshold": "thresholds", "fifo+sharing": "sharing",
+		"hybrid+sharing": "hybrid", "fifo+red": "RED",
 	} {
-		if !strings.Contains(s.String(), want) {
-			t.Errorf("Scheme(%d).String() = %q, want containing %q", int(s), s, want)
+		if got := specLabel(spec); !strings.Contains(got, want) {
+			t.Errorf("specLabel(%q) = %q, want containing %q", spec, got, want)
 		}
 	}
 }
@@ -196,9 +196,9 @@ func TestOfferedRatesMatchTable(t *testing.T) {
 	// The measured offered rates at the multiplexer should approximate
 	// the AvgRate column of Table 1 (conformant flows arrive shaped at
 	// their token rate ≈ avg rate; aggressive flows at their avg rate).
-	cfg := quickCfg(FIFONoBM, units.MegaBytes(5))
+	cfg := quickCfg("fifo+none", units.MegaBytes(5))
 	cfg.Duration = 12
-	res, err := RunConfig(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +218,9 @@ func TestFIFODelayBoundedByBufferDrainTime(t *testing.T) {
 	// "The worst case delay caused by a 1MByte buffer feeding an OC-48
 	// link is less than 3.5msec" — here on the 48 Mb/s link a 1 MB
 	// buffer bounds delay by 167 ms.
-	cfg := quickCfg(FIFONoBM, units.MegaBytes(1))
+	cfg := quickCfg("fifo+none", units.MegaBytes(1))
 	cfg.TrackDelays = true
-	res, err := RunConfig(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestOC48DelayClaim(t *testing.T) {
 		flows[i].Spec.TokenRate *= 50
 		flows[i].AvgRate *= 50
 	}
-	res, err := RunConfig(Config{
+	res, err := run(&Options{
 		Flows:       flows,
-		Scheme:      FIFONoBM,
+		SchemeSpec:  "fifo+none",
 		LinkRate:    units.Rate(2.4e9),
 		Buffer:      units.MegaBytes(1),
 		Duration:    1,
@@ -280,15 +280,15 @@ func TestRPQSchemeUrgentDelaySeparation(t *testing.T) {
 	// RPQ+thresholds gives the low-burst-ratio flows (classes 0-1)
 	// lower worst-case delays than FIFO+thresholds does under the same
 	// load — the ablation claim behind including reference [10].
-	fifoCfg := quickCfg(FIFOThreshold, units.MegaBytes(2))
+	fifoCfg := quickCfg("fifo+threshold", units.MegaBytes(2))
 	fifoCfg.TrackDelays = true
-	fifo, err := RunConfig(fifoCfg)
+	fifo, err := run(fifoCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpqCfg := quickCfg(RPQThreshold, units.MegaBytes(2))
+	rpqCfg := quickCfg("rpq+threshold", units.MegaBytes(2))
 	rpqCfg.TrackDelays = true
-	rpq, err := RunConfig(rpqCfg)
+	rpq, err := run(rpqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,13 +308,13 @@ func TestAdaptiveSharingRestrainsAggressors(t *testing.T) {
 	// Under the §5 adaptive policy, aggressive flows (non-adaptive)
 	// deliver less than under plain sharing, while conformant flows
 	// remain protected.
-	shareCfg := quickCfg(FIFOSharing, units.MegaBytes(3))
-	share, err := RunConfig(shareCfg)
+	shareCfg := quickCfg("fifo+sharing", units.MegaBytes(3))
+	share, err := run(shareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adCfg := quickCfg(FIFOAdaptiveSharing, units.MegaBytes(3))
-	ad, err := RunConfig(adCfg)
+	adCfg := quickCfg("fifo+adaptive", units.MegaBytes(3))
+	ad, err := run(adCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,13 +352,13 @@ func TestMixedPacketSizesProtected(t *testing.T) {
 			Conformance: Aggressive, PacketSize: 500,
 		},
 	}
-	res, err := RunConfig(Config{
-		Flows:    flows,
-		Scheme:   FIFOThreshold,
-		Buffer:   units.MegaBytes(1),
-		Duration: 8,
-		Warmup:   1,
-		Seed:     2,
+	res, err := run(&Options{
+		Flows:      flows,
+		SchemeSpec: "fifo+threshold",
+		Buffer:     units.MegaBytes(1),
+		Duration:   8,
+		Warmup:     1,
+		Seed:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

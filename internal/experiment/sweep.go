@@ -25,23 +25,6 @@ func SchemeSpecs() []string { return scheme.Specs() }
 // (the figure definitions).
 func specLabel(spec string) string { return scheme.MustParse(spec).String() }
 
-// SchemeByName resolves a scheme label to the deprecated enum.
-//
-// Deprecated: use ParseScheme, which also understands registry specs
-// and parameterized variants the enum cannot express.
-func SchemeByName(name string) (Scheme, error) {
-	parsed, err := scheme.Parse(name)
-	if err != nil {
-		return 0, err
-	}
-	for s, spec := range legacySpecs {
-		if parsed.Spec() == spec {
-			return Scheme(s), nil
-		}
-	}
-	return 0, fmt.Errorf("experiment: scheme %q has no legacy enum value; use ParseScheme", name)
-}
-
 // SweepWorkload runs the Figure-1/Figure-2 style buffer sweep for an
 // arbitrary workload (e.g. one loaded from a JSON file): it returns a
 // utilization figure and a conformant-loss figure over opts.BufferSizes

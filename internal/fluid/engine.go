@@ -69,15 +69,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Occupancy returns a flow's current queued volume in bits.
 func (e *Engine) Occupancy(flow int) float64 { return e.occ[flow] }
 
-// TotalOccupancy returns the queued volume across flows.
-func (e *Engine) TotalOccupancy() float64 {
-	t := 0.0
-	for _, q := range e.occ {
-		t += q
-	}
-	return t
-}
-
 // Step advances the model by dt. arrivals[i] is the volume (bits) flow
 // i offers during this step; greedy flows ignore their entry and top up
 // instead.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bufqos/internal/experiment"
@@ -24,6 +23,19 @@ type mixedResult struct {
 	Packets   []int64
 	Drops     []int64
 	Forwarded []int64
+}
+
+// specRouter builds one hop from a scheme-registry spec with the exact
+// builders the experiment layer uses, so a path can mix schemes per hop.
+func specRouter(t *testing.T, s *sim.Simulator, name, spec string, cfg scheme.Config,
+	col *stats.Collector, prop float64) *Router {
+	t.Helper()
+	cfg.Now = s.Now
+	mgr, scheduler, err := scheme.MustParse(spec).Build(cfg)
+	if err != nil {
+		t.Fatalf("router %s: %v", name, err)
+	}
+	return NewRouter(s, name, cfg.LinkRate, scheduler, mgr, col, prop)
 }
 
 // runMixedPath drives three shaped on/off flows through a two-hop path
@@ -49,14 +61,8 @@ func runMixedPath(t *testing.T, seed int64) mixedResult {
 		Headroom: units.KiloBytes(100),
 		Seed:     seed,
 	}
-	r1, err := NewRouterSpec(s, "hop1", "fifo+threshold", cfg, stats.NewCollector(len(specs), 0), 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewRouterSpec(s, "hop2", "wfq+sharing", cfg, stats.NewCollector(len(specs), 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := specRouter(t, s, "hop1", "fifo+threshold", cfg, stats.NewCollector(len(specs), 0), 0.001)
+	r2 := specRouter(t, s, "hop2", "wfq+sharing", cfg, stats.NewCollector(len(specs), 0), 0)
 	path := NewPath(s, []*Router{r1, r2}, len(specs))
 
 	for i, spec := range specs {
@@ -119,38 +125,6 @@ func TestMixedSchemePathDeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestRouterSpecErrors: bad specs and unbuildable configs surface as
-// errors, naming the hop.
-func TestRouterSpecErrors(t *testing.T) {
-	s := sim.New()
-	cfg := scheme.Config{
-		Specs:    []packet.FlowSpec{{TokenRate: units.MbitsPerSecond(2), BucketSize: 1000}},
-		LinkRate: units.MbitsPerSecond(48),
-		Buffer:   units.KiloBytes(100),
-	}
-	if _, err := NewRouterSpec(s, "bad", "bogus+threshold", cfg, nil, 0); err == nil {
-		t.Error("unknown spec built a router")
-	}
-	// hybrid needs a queue map; the Build error must propagate.
-	if _, err := NewRouterSpec(s, "bad", "hybrid+sharing", cfg, nil, 0); err == nil {
-		t.Error("hybrid without a queue map built a router")
-	}
-	// A negative propagation delay is a spec error, not a panic.
-	_, err := NewRouterSpec(s, "hop7", "fifo+threshold", cfg, nil, -0.001)
-	if err == nil {
-		t.Fatal("negative propagation delay built a router")
-	}
-	if !strings.Contains(err.Error(), "hop7") || !strings.Contains(err.Error(), "propagation") {
-		t.Errorf("error %q should name the hop and the bad propagation delay", err)
-	}
-	// An invalid flow spec fails the scheme build (threshold computation).
-	bad := cfg
-	bad.Specs = []packet.FlowSpec{{TokenRate: -1}}
-	if _, err := NewRouterSpec(s, "bad", "fifo+threshold", bad, nil, 0); err == nil {
-		t.Error("negative token rate built a router")
-	}
-}
-
 // runThreeHopMixedPath drives the three shaped flows of runMixedPath
 // through a three-hop path mixing three different registry specs, and
 // returns the end-to-end delivery counters plus per-hop forward counts.
@@ -174,12 +148,8 @@ func runThreeHopMixedPath(t *testing.T, seed int64) mixedResult {
 	}
 	var routers []*Router
 	for i, spec := range []string{"fifo+threshold", "wfq+sharing", "drr+dynthresh?alpha=2"} {
-		r, err := NewRouterSpec(s, fmt.Sprintf("hop%d", i), spec, cfg,
-			stats.NewCollector(len(specs), 0), 0.0005*float64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		routers = append(routers, r)
+		routers = append(routers, specRouter(t, s, fmt.Sprintf("hop%d", i), spec, cfg,
+			stats.NewCollector(len(specs), 0), 0.0005*float64(i)))
 	}
 	path := NewPath(s, routers, len(specs))
 	for i, spec := range specs {

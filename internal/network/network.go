@@ -13,7 +13,6 @@ import (
 	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
-	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
@@ -54,31 +53,6 @@ func NewRouter(s *sim.Simulator, name string, rate units.Rate, scheduler sched.S
 	r.link = sched.NewLink(s, rate, scheduler, mgr, col)
 	r.link.OnDepart = r.forward
 	return r
-}
-
-// NewRouterSpec builds a hop from a scheme-registry spec string (e.g.
-// "fifo+threshold", "wfq+sharing", "fifo+red?min=0.2"), so a multi-hop
-// path can mix schemes per hop with the exact builders the experiment
-// layer uses. cfg describes the hop's link (flows, rate, buffer); its
-// Now field defaults to the simulator clock. col may be nil; prop is
-// the propagation delay (seconds) to the next hop.
-func NewRouterSpec(s *sim.Simulator, name, spec string, cfg scheme.Config,
-	col *stats.Collector, prop float64) (*Router, error) {
-	if prop < 0 {
-		return nil, fmt.Errorf("network: router %s: negative propagation delay %v", name, prop)
-	}
-	sc, err := scheme.Parse(spec)
-	if err != nil {
-		return nil, fmt.Errorf("network: router %s: %w", name, err)
-	}
-	if cfg.Now == nil {
-		cfg.Now = s.Now
-	}
-	mgr, scheduler, err := sc.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("network: router %s: %w", name, err)
-	}
-	return NewRouter(s, name, cfg.LinkRate, scheduler, mgr, col, prop), nil
 }
 
 // Link exposes the router's output link (for occupancy inspection or
@@ -317,6 +291,10 @@ func (d *Delivery) Receive(p *packet.Packet) {
 	}
 }
 
+// TCPAckSize is the size of a pure acknowledgement — a TCP/IP header
+// with no payload — that the closed-loop engines pass to SetAcker.
+const TCPAckSize units.Bytes = 40
+
 // SetAcker registers flow as closed-loop: every delivered data segment
 // is answered with a cumulative acknowledgement packet of the given
 // size, handed to ack at delivery time. The caller routes the ACK back
@@ -382,11 +360,6 @@ func (d *Delivery) MeanDelay(flow int) float64 {
 
 // MaxDelay returns flow's worst end-to-end delay in seconds.
 func (d *Delivery) MaxDelay(flow int) float64 { return d.dmax[flow] }
-
-// DelaySum returns flow's total accumulated delay in seconds. Sharded
-// engines merge per-shard sinks by adding sums (a flow delivers on
-// exactly one shard, so the others contribute exact zeros).
-func (d *Delivery) DelaySum(flow int) float64 { return d.dsum[flow] }
 
 // Path wires a chain of routers for a set of flows: every flow entering
 // at the head traverses all hops and terminates in the Delivery sink.

@@ -350,9 +350,6 @@ func (m *MultiQueue) Total() units.Bytes { return m.total }
 // Capacity implements buffer.Manager.
 func (m *MultiQueue) Capacity() units.Bytes { return m.capacity }
 
-// Quota returns the per-class byte quota.
-func (m *MultiQueue) Quota() units.Bytes { return m.quota }
-
 // Enqueue implements sched.Scheduler.
 func (m *MultiQueue) Enqueue(p *packet.Packet) {
 	c := m.classOf[p.Flow]

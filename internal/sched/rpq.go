@@ -67,9 +67,6 @@ func NewRPQ(numClasses int, interval float64, now func() float64, classes []int)
 	return r
 }
 
-// NumClasses returns P.
-func (r *RPQ) NumClasses() int { return len(r.ring) }
-
 // Epoch returns the current rotation epoch (after advancing the clock).
 func (r *RPQ) Epoch() int64 {
 	r.advance()

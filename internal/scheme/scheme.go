@@ -22,11 +22,12 @@
 // tables and CLI flags round-trip.
 //
 // Parse resolves a spec against the registry and returns a *Scheme; its
-// Build method constructs the (buffer.Manager, sched.Scheduler) pair
-// for a concrete link described by a Config. Every layer of the
-// repository — experiment sweeps, the multi-hop network package, and
-// the CLIs — builds its data plane through this one path, so adding a
-// scheme is a single registration visible everywhere at once.
+// NewLink method builds the (buffer.Manager, sched.Scheduler) pair for a
+// concrete link described by a Config and starts a *sched.Link on them.
+// Every layer of the repository that runs a spec — experiment runs, the
+// sizing cells, the topology engine, and the CLIs — gets its data plane
+// from that one call, so adding a scheme is a single registration
+// visible everywhere at once.
 package scheme
 
 import (
@@ -35,6 +36,8 @@ import (
 	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
+	"bufqos/internal/sim"
+	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
 
@@ -69,7 +72,7 @@ type Config struct {
 	// Zero defaults to 500 bytes, the paper's maximum packet size.
 	PacketSize units.Bytes
 	// Now is the simulation clock, required by time-stamping schedulers
-	// (WFQ, hybrid, RPQ, EDF, VC).
+	// (WFQ, hybrid, RPQ, EDF, VC). NewLink sets it to its simulator's.
 	Now func() float64
 	// Seed derives the RNG of randomized managers (RED) so runs stay
 	// reproducible.
@@ -135,6 +138,19 @@ func (s *Scheme) Build(cfg Config) (buffer.Manager, sched.Scheduler, error) {
 		return nil, nil, fmt.Errorf("scheme %s: %w", s.Spec(), err)
 	}
 	return mgr, sc, nil
+}
+
+// NewLink is the one path from a spec to a running link: it builds the
+// scheme's manager and scheduler for cfg on s's clock (cfg.Now is
+// overwritten) and wires them into a link of cfg.LinkRate reporting to
+// col, which may be nil.
+func (s *Scheme) NewLink(sm *sim.Simulator, cfg Config, col *stats.Collector) (*sched.Link, error) {
+	cfg.Now = sm.Now
+	mgr, sc, err := s.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sched.NewLink(sm, cfg.LinkRate, sc, mgr, col), nil
 }
 
 // SchedulerName returns the registry name of the scheme's scheduler

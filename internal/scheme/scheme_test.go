@@ -7,6 +7,7 @@ import (
 	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
+	"bufqos/internal/sim"
 	"bufqos/internal/units"
 )
 
@@ -249,6 +250,33 @@ func TestBuildIsStateless(t *testing.T) {
 	m1.Admit(0, 400)
 	if m2.Total() != 0 {
 		t.Error("second build shares state with the first")
+	}
+}
+
+// TestNewLink: the link runs at cfg's rate on its simulator's clock,
+// whatever cfg.Now said, and a Build failure comes back as the error.
+func TestNewLink(t *testing.T) {
+	cfg := testConfig()
+	cfg.Now = func() float64 {
+		t.Error("scheduler reads cfg.Now, not the simulator's clock")
+		return 0
+	}
+	sm := sim.New()
+	link, err := MustParse("wfq+threshold").NewLink(sm, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var departed float64
+	link.OnDepart = func(*packet.Packet) { departed = sm.Now() }
+	sm.At(1, func() { link.Receive(&packet.Packet{Flow: 0, Size: 500}) })
+	sm.RunUntil(2)
+	if want := 1 + 500*8/cfg.LinkRate.BitsPerSecond(); departed != want {
+		t.Errorf("packet departed at %v, want %v", departed, want)
+	}
+
+	cfg.Specs = []packet.FlowSpec{{TokenRate: -1}}
+	if _, err := MustParse("fifo+threshold").NewLink(sim.New(), cfg, nil); err == nil {
+		t.Error("negative token rate built a link")
 	}
 }
 

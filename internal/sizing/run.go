@@ -8,7 +8,6 @@ import (
 	"bufqos/internal/experiment"
 	"bufqos/internal/network"
 	"bufqos/internal/packet"
-	"bufqos/internal/sched"
 	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
@@ -16,14 +15,11 @@ import (
 	"bufqos/internal/units"
 )
 
-// tcpAckSize is the size of a pure acknowledgement (the closed-loop
-// engine's convention: 40 bytes, a TCP/IP header).
-const tcpAckSize units.Bytes = 40
-
 // Sweep runs every cell of cfg and returns the report. Cells are
 // independent simulations fanned over the experiment pool; each writes
 // its pre-assigned Report slot, so the result is bit-identical at any
-// Workers count. A cancelled ctx aborts unstarted cells and returns the
+// Workers count. A cancelled ctx aborts unstarted cells, interrupts
+// running ones between chunks of simulated time, and returns the
 // context error.
 func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	cells := cfg.cells()
@@ -37,7 +33,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		Cells:        make([]Cell, len(cells)),
 	}
 	err := experiment.ForEachJob(ctx, cfg.Workers, len(cells), nil, nil, func(i int) error {
-		cell, err := runCell(&cfg, cells[i], sim.DeriveSeed(cfg.seed(), i))
+		cell, err := runCell(ctx, &cfg, cells[i], sim.DeriveSeed(cfg.seed(), i))
 		if err != nil {
 			return fmt.Errorf("sizing: cell %d (n=%d %s %s): %w",
 				i, cells[i].Flows, cells[i].Rule.Name, cells[i].Scheme, err)
@@ -52,7 +48,7 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // runCell simulates one (n, rule, scheme) bottleneck and measures it.
-func runCell(cfg *Config, spec CellSpec, seed int64) (Cell, error) {
+func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell, error) {
 	if spec.Flows <= 0 {
 		return Cell{}, fmt.Errorf("non-positive flow count %d", spec.Flows)
 	}
@@ -87,20 +83,17 @@ func runCell(cfg *Config, spec CellSpec, seed int64) (Cell, error) {
 		return Cell{}, err
 	}
 	s := sim.New()
-	mgr, scheduler, err := sc.Build(scheme.Config{
+	col := stats.NewCollector(n, warmup)
+	link, err := sc.NewLink(s, scheme.Config{
 		Specs:      specs,
 		LinkRate:   c,
 		Buffer:     buffer,
 		PacketSize: segment,
-		Now:        s.Now,
 		Seed:       seed,
-	})
+	}, col)
 	if err != nil {
 		return Cell{}, err
 	}
-
-	col := stats.NewCollector(n, warmup)
-	link := sched.NewLink(s, c, scheduler, mgr, col)
 	delivery := network.NewDeliveryLight(s, n)
 	qdelay := stats.NewDelayTracker(0)
 
@@ -154,14 +147,16 @@ func runCell(cfg *Config, spec CellSpec, seed int64) (Cell, error) {
 				SegmentSize: segment,
 				PaceRate:    c,
 			}, link)
-			delivery.SetAcker(i, tcpAckSize, func(ap *packet.Packet) {
+			delivery.SetAcker(i, network.TCPAckSize, func(ap *packet.Packet) {
 				s.After(props[ap.Flow], func() { tcps[ap.Flow].OnAck(ap) })
 			})
 			s.At(rng.Float64()*spread, tcps[i].Start)
 		}
 	}
 
-	s.RunUntil(duration)
+	if err := experiment.RunUntilCtx(ctx, s, duration); err != nil {
+		return Cell{}, err
+	}
 
 	cell := Cell{
 		Flows:          n,

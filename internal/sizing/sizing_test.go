@@ -3,6 +3,7 @@ package sizing
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -124,6 +125,40 @@ func TestSweepWorkerBitIdentity(t *testing.T) {
 		} else if string(got) != string(want) {
 			t.Fatalf("workers=%d report diverges from workers=1", workers)
 		}
+	}
+}
+
+// cancelOnPoll is a context that reports cancellation from its n-th
+// Err poll on, so a test can cancel a cell at an exact point of its run
+// without timers.
+type cancelOnPoll struct {
+	context.Context
+	polls, n int
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepCancelsRunningCell pins that cancellation reaches a cell that
+// has already started: the pool polls once before the cell and the cell
+// once per chunk of simulated time, so the third poll is mid-run.
+func TestSweepCancelsRunningCell(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelOnPoll{Context: live, n: 3}
+	rep, err := Sweep(ctx, Config{
+		Workers: 1,
+		Cells:   []CellSpec{{Flows: 10, Rule: RuleSqrt, Scheme: "fifo+none"}},
+	})
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("Sweep = %v, %v; want no report and context.Canceled", rep, err)
+	}
+	if ctx.polls != 3 {
+		t.Errorf("context polled %d times, want 3: the cell ran on after cancellation", ctx.polls)
 	}
 }
 

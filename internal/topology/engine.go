@@ -105,10 +105,6 @@ const (
 	crossDrop
 )
 
-// tcpAckSize is the size of the acknowledgement packets a closed-loop
-// flow's receiver generates (a TCP/IP header with no payload).
-const tcpAckSize units.Bytes = 40
-
 // crossing is one packet handed between shards at a window barrier.
 type crossing struct {
 	p       *packet.Packet
@@ -376,14 +372,12 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			}
 			flows = locals
 		}
-		cfg.Now = es.s.Now
 		nflows := len(cfg.Specs)
 		col := stats.NewCollector(nflows, 0)
-		mgr, sc, err := l.scheme.Build(cfg)
+		lk, err := l.scheme.NewLink(es.s, cfg, col)
 		if err != nil {
 			return nil, fmt.Errorf("topology %s: link %s: %w", t.Name, l.Name, err)
 		}
-		lk := sched.NewLink(es.s, l.Rate, sc, mgr, col)
 		if opts.Metrics != nil {
 			lk.Instrument(opts.Metrics, l.Spec)
 		}
@@ -415,7 +409,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		route := t.Flows[fi].Route
 		last := e.links[route[len(route)-1]]
 		els := e.shards[last.shard]
-		els.delivery.SetAcker(fi, tcpAckSize, func(ap *packet.Packet) {
+		els.delivery.SetAcker(fi, network.TCPAckSize, func(ap *packet.Packet) {
 			e.sendFeedback(els, last, fi, ap, crossAck, e.ackDelay[fi])
 		})
 	}

@@ -52,8 +52,3 @@ func NewFlowTable(t *Topology) *FlowTable {
 	ft.RouteOff[len(t.Flows)] = int32(len(ft.RouteLink))
 	return ft
 }
-
-// Hops returns flow f's route length.
-func (ft *FlowTable) Hops(f int) int {
-	return int(ft.RouteOff[f+1] - ft.RouteOff[f])
-}

@@ -4,11 +4,11 @@
 // explicit multi-hop routes and (σ, ρ) envelopes, and a timeline of
 // events (flow churn, link rate changes, failures). The engine gates
 // every flow join at every traversed link through the paper's
-// admission regions (Prop. 2 / eqs. 5–8), instantiates one
-// network.Router per link through the scheme registry, drives the whole
-// scenario on the deterministic event kernel, and verifies afterwards
-// that the per-hop guarantees composed: admitted conformant flows see
-// zero conformant loss at every hop and deliver their reserved rate.
+// admission regions (Prop. 2 / eqs. 5–8), builds every link with
+// scheme.NewLink, drives the whole scenario on the deterministic event
+// kernel, and verifies afterwards that the per-hop guarantees composed:
+// admitted conformant flows see zero conformant loss at every hop and
+// deliver their reserved rate.
 //
 // The paper analyses one output port; this package is the "backbone
 // deployment" reading of its claim — if each port of a network runs the

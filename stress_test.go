@@ -54,7 +54,7 @@ func TestStressHundredFlowsLongRun(t *testing.T) {
 	}
 	res, err := experiment.Run(context.Background(), experiment.NewOptions(
 		experiment.WithFlows(flows),
-		experiment.WithScheme(experiment.FIFOThreshold),
+		experiment.WithSchemeSpec("fifo+threshold"),
 		experiment.WithLinkRate(linkRate),
 		experiment.WithBuffer(bufSize),
 		experiment.WithDuration(60),
