@@ -2,7 +2,7 @@
 # build + vet + full tests, then a short-mode race check of the
 # parallel sweep worker pool (including cancellation and shared-
 # registry metrics aggregation) so it stays race-clean.
-.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke
+.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke figs-smoke
 
 verify: build vet test race
 
@@ -190,6 +190,32 @@ sizing-smoke:
 		exit 1; \
 	fi; \
 	echo "sizing-smoke: ok (sha256 $$c1)"
+
+# Figure gate: all 13 figures on a reduced sweep must come out
+# byte-identical at worker counts 1 and 4 and equal to the committed
+# testdata/figures_quick.txt (generated before the figures became views
+# over shared runs, so it also pins that the sharing changes no number),
+# then every codified shape claim must hold. CI runs this on every push.
+figs-smoke:
+	@set -e; \
+	go build -o /tmp/bufqos-qsim ./cmd/qsim; \
+	go build -o /tmp/bufqos-qcheck ./cmd/qcheck; \
+	for w in 1 4; do \
+		/tmp/bufqos-qsim -fig all -runs 2 -duration 6 -warmup 0.6 \
+			-buffers 500,1000,2000 -workers $$w > /tmp/bufqos-figs-$$w.txt; \
+	done; \
+	c1=$$(sha256sum /tmp/bufqos-figs-1.txt | cut -d' ' -f1); \
+	c4=$$(sha256sum /tmp/bufqos-figs-4.txt | cut -d' ' -f1); \
+	if [ "$$c1" != "$$c4" ]; then \
+		echo "figs-smoke: worker-1 and worker-4 figures diverge"; \
+		diff /tmp/bufqos-figs-1.txt /tmp/bufqos-figs-4.txt; exit 1; \
+	fi; \
+	if ! cmp -s /tmp/bufqos-figs-1.txt testdata/figures_quick.txt; then \
+		echo "figs-smoke: figures differ from testdata/figures_quick.txt"; \
+		diff /tmp/bufqos-figs-1.txt testdata/figures_quick.txt; exit 1; \
+	fi; \
+	/tmp/bufqos-qcheck -quick; \
+	echo "figs-smoke: ok (sha256 $$c1)"
 
 # Documentation drift gate: the README scheme catalogue and CLI table,
 # the EXPERIMENTS.md oracle catalogue, and the EXPERIMENTS.md

@@ -55,13 +55,17 @@ func reportEdge(b *testing.B, fig experiment.Figure, label, unit string) {
 	b.ReportMetric(s.Points[len(s.Points)-1].Mean, name+"@max-"+unit)
 }
 
-func runFigure(b *testing.B, fn func(context.Context, *experiment.Options) (experiment.Figure, error)) experiment.Figure {
+// runFigure regenerates one figure per iteration, each from a fresh
+// figure set so every iteration simulates the figure's runs.
+func runFigure(b *testing.B, id string, o *experiment.Options) experiment.Figure {
 	b.Helper()
 	var fig experiment.Figure
-	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = fn(context.Background(), benchOpts())
+		figs, err := experiment.NewFigures(o)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if fig, err = figs.Figure(context.Background(), id); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,41 +116,33 @@ func benchWorkload(b *testing.B, flows []experiment.FlowConfig) {
 func BenchmarkFigure1Sequential(b *testing.B) {
 	o := benchOpts()
 	o.Workers = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure1(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runFigure(b, "fig1", o)
 }
 
 func BenchmarkFigure1Parallel(b *testing.B) {
 	o := benchOpts()
 	o.Workers = 0 // GOMAXPROCS
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure1(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runFigure(b, "fig1", o)
 }
 
 // --- Figures 1-3: threshold-based buffer management ---
 
 func BenchmarkFigure1(b *testing.B) {
-	fig := runFigure(b, experiment.Figure1)
+	fig := runFigure(b, "fig1", benchOpts())
 	reportEdge(b, fig, "FIFO", "util")
 	reportEdge(b, fig, "FIFO+thresholds", "util")
 	reportEdge(b, fig, "WFQ+thresholds", "util")
 }
 
 func BenchmarkFigure2(b *testing.B) {
-	fig := runFigure(b, experiment.Figure2)
+	fig := runFigure(b, "fig2", benchOpts())
 	reportEdge(b, fig, "FIFO", "loss")
 	reportEdge(b, fig, "FIFO+thresholds", "loss")
 	reportEdge(b, fig, "WFQ+thresholds", "loss")
 }
 
 func BenchmarkFigure3(b *testing.B) {
-	fig := runFigure(b, experiment.Figure3)
+	fig := runFigure(b, "fig3", benchOpts())
 	reportEdge(b, fig, "WFQ+thresholds flow6", "mbps")
 	reportEdge(b, fig, "WFQ+thresholds flow8", "mbps")
 	reportEdge(b, fig, "FIFO+thresholds flow6", "mbps")
@@ -156,26 +152,26 @@ func BenchmarkFigure3(b *testing.B) {
 // --- Figures 4-7: buffer sharing ---
 
 func BenchmarkFigure4(b *testing.B) {
-	fig := runFigure(b, experiment.Figure4)
+	fig := runFigure(b, "fig4", benchOpts())
 	reportEdge(b, fig, "FIFO+sharing", "util")
 	reportEdge(b, fig, "WFQ+sharing", "util")
 	reportEdge(b, fig, "FIFO", "util")
 }
 
 func BenchmarkFigure5(b *testing.B) {
-	fig := runFigure(b, experiment.Figure5)
+	fig := runFigure(b, "fig5", benchOpts())
 	reportEdge(b, fig, "FIFO+sharing", "loss")
 	reportEdge(b, fig, "WFQ+sharing", "loss")
 }
 
 func BenchmarkFigure6(b *testing.B) {
-	fig := runFigure(b, experiment.Figure6)
+	fig := runFigure(b, "fig6", benchOpts())
 	reportEdge(b, fig, "FIFO+sharing flow6", "mbps")
 	reportEdge(b, fig, "FIFO+sharing flow8", "mbps")
 }
 
 func BenchmarkFigure7(b *testing.B) {
-	fig := runFigure(b, experiment.Figure7)
+	fig := runFigure(b, "fig7", benchOpts())
 	reportEdge(b, fig, "FIFO+sharing", "loss")
 	reportEdge(b, fig, "WFQ+sharing", "loss")
 }
@@ -183,37 +179,37 @@ func BenchmarkFigure7(b *testing.B) {
 // --- Figures 8-13: hybrid systems ---
 
 func BenchmarkFigure8(b *testing.B) {
-	fig := runFigure(b, experiment.Figure8)
+	fig := runFigure(b, "fig8", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing", "util")
 	reportEdge(b, fig, "WFQ+sharing", "util")
 }
 
 func BenchmarkFigure9(b *testing.B) {
-	fig := runFigure(b, experiment.Figure9)
+	fig := runFigure(b, "fig9", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing", "loss")
 	reportEdge(b, fig, "WFQ+sharing", "loss")
 }
 
 func BenchmarkFigure10(b *testing.B) {
-	fig := runFigure(b, experiment.Figure10)
+	fig := runFigure(b, "fig10", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing flow6", "mbps")
 	reportEdge(b, fig, "hybrid+sharing flow8", "mbps")
 }
 
 func BenchmarkFigure11(b *testing.B) {
-	fig := runFigure(b, experiment.Figure11)
+	fig := runFigure(b, "fig11", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing", "util")
 	reportEdge(b, fig, "WFQ+sharing", "util")
 }
 
 func BenchmarkFigure12(b *testing.B) {
-	fig := runFigure(b, experiment.Figure12)
+	fig := runFigure(b, "fig12", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing", "loss")
 	reportEdge(b, fig, "WFQ+sharing", "loss")
 }
 
 func BenchmarkFigure13(b *testing.B) {
-	fig := runFigure(b, experiment.Figure13)
+	fig := runFigure(b, "fig13", benchOpts())
 	reportEdge(b, fig, "hybrid+sharing moderate", "mbps")
 	reportEdge(b, fig, "hybrid+sharing aggressive", "mbps")
 }

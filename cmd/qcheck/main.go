@@ -2,12 +2,17 @@
 // codified shape claim (see internal/report). It exits non-zero when
 // any claim fails — the repository's reproduction regression gate.
 //
-//	qcheck                 # full scale (5 runs × 20 s, slow)
-//	qcheck -quick          # 1 run × 4 s, coarse sweep (~1 min)
+//	qcheck                 # full scale (5 runs × 20 s, minutes)
+//	qcheck -quick          # 1 run × 6 s, 3-point sweeps (seconds)
+//
+// Figures that view the same runs share them, so each distinct
+// simulation runs once. Interrupting qcheck (Ctrl-C) reports the checks
+// of the figures already complete and exits 130.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +68,7 @@ func main() {
 	defer stop()
 
 	results, err := report.Run(ctx, opts, os.Stdout)
-	if err != nil {
+	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "qcheck: %v\n", err)
 		os.Exit(2)
 	}
@@ -74,6 +79,10 @@ func main() {
 		}
 	}
 	fmt.Printf("\n%d checks, %d failed\n", len(results), failed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qcheck: interrupted; checks of the completed figures above")
+		os.Exit(130)
+	}
 	if failed > 0 {
 		os.Exit(1)
 	}

@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"time"
 
 	"bufqos/internal/cli"
@@ -74,7 +73,7 @@ func main() {
 		opts.Oracles = strings.Split(*oracleList, ",")
 	}
 	if *progress {
-		opts.OnDone = progressPrinter(*n)
+		opts.OnDone = cli.Progress(*n, "cases")
 	}
 
 	// Ctrl-C stops cleanly: finished cases are still summarized.
@@ -92,23 +91,5 @@ func main() {
 	}
 	if len(sum.FailedCases()) > 0 {
 		os.Exit(1)
-	}
-}
-
-// progressPrinter returns an onDone callback that rewrites one stderr
-// line; it serializes concurrent worker callbacks with a mutex.
-func progressPrinter(total int) func(int) {
-	var mu sync.Mutex
-	done := 0
-	start := time.Now()
-	return func(int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		fmt.Fprintf(os.Stderr, "\rqfuzz: %d/%d cases (%s elapsed)   ",
-			done, total, time.Since(start).Round(time.Second))
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
 	}
 }

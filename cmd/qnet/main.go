@@ -31,7 +31,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"bufqos/internal/cli"
@@ -45,10 +44,6 @@ import (
 // the per-link per-flow result tables (topology.Options.SkipLinkFlows):
 // at 4M entries the tables alone would cost hundreds of megabytes.
 const skipLinkFlowsAbove = 4 << 20
-
-// maxWorkers clamps absurd -workers values: beyond a few times the CPU
-// count extra goroutines only add scheduling overhead.
-func maxWorkers() int { return 8 * runtime.GOMAXPROCS(0) }
 
 func main() {
 	var (
@@ -77,16 +72,10 @@ func main() {
 	if (*topoPath == "") == (*genSpec == "") {
 		cli.Fatalf("exactly one of -topology or -gen is required (or -list-schemes)")
 	}
-	if *workers < 0 {
-		cli.Fatalf("-workers must be >= 0 (got %d)", *workers)
-	}
 	if *shards < 0 {
 		cli.Fatalf("-shards must be >= 0 (got %d)", *shards)
 	}
-	if max := maxWorkers(); *workers > max {
-		fmt.Fprintf(os.Stderr, "qnet: clamping -workers %d to %d (8x GOMAXPROCS)\n", *workers, max)
-		*workers = max
-	}
+	*workers = cli.Workers(*workers)
 
 	var topo *topology.Topology
 	var err error
@@ -129,7 +118,7 @@ func main() {
 	}
 	var onDone func(int)
 	if *showProgres {
-		onDone = progressPrinter(*runs)
+		onDone = cli.Progress(*runs, "runs")
 	}
 
 	start := time.Now()
@@ -270,23 +259,4 @@ func writeCSV(path string, write func(io.Writer) error) {
 		cli.Fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// progressPrinter returns an onDone callback that rewrites one stderr
-// line. It arrives concurrently from pool workers, so it serializes
-// with a mutex.
-func progressPrinter(total int) func(int) {
-	var mu sync.Mutex
-	done := 0
-	start := time.Now()
-	return func(int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		fmt.Fprintf(os.Stderr, "\rqnet: %d/%d runs (%s elapsed)   ",
-			done, total, time.Since(start).Round(time.Second))
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
 }

@@ -9,7 +9,10 @@
 //
 // Each figure sweeps the total buffer size (or, for fig7, the headroom)
 // across the schemes the paper compares, averaging over independent
-// replications and reporting 95% confidence half-widths.
+// replications and reporting 95% confidence half-widths. Figures that
+// plot different quantities of the same experiment (1-3, 4-6, 8-10,
+// 11-13) share their runs: each distinct simulation runs once per
+// invocation.
 //
 // Interrupting qsim (Ctrl-C) cancels the in-flight sweep: runs stop
 // within about one run's simulated duration, and the partial figure
@@ -28,7 +31,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -39,10 +43,6 @@ import (
 	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
-
-// maxWorkers clamps absurd -workers values: beyond a few times the CPU
-// count extra goroutines only add scheduling overhead.
-func maxWorkers() int { return 8 * runtime.GOMAXPROCS(0) }
 
 func main() {
 	var (
@@ -69,13 +69,7 @@ func main() {
 		cli.Stdout("catalogue", scheme.WriteCatalogue)
 		return
 	}
-	if *workers < 0 {
-		cli.Fatalf("-workers must be >= 0 (got %d)", *workers)
-	}
-	if max := maxWorkers(); *workers > max {
-		fmt.Fprintf(os.Stderr, "qsim: clamping -workers %d to %d (8x GOMAXPROCS)\n", *workers, max)
-		*workers = max
-	}
+	*workers = cli.Workers(*workers)
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -107,13 +101,11 @@ func main() {
 		opts.Progress = progressPrinter()
 	}
 	if *buffers != "" {
-		for _, part := range strings.Split(*buffers, ",") {
-			var kb float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &kb); err != nil {
-				cli.Fatalf("bad -buffers entry %q: %v", part, err)
-			}
-			opts.BufferSizes = append(opts.BufferSizes, units.KiloBytes(kb))
+		sizes, err := parseBuffers(*buffers)
+		if err != nil {
+			cli.Fatalf("%v", err)
 		}
+		opts.BufferSizes = sizes
 	}
 
 	interrupted := false
@@ -134,17 +126,21 @@ func main() {
 		return
 	}
 
-	var ids []string
-	if *figFlag == "all" {
-		ids = experiment.FigureIDs()
-	} else {
+	known := experiment.FigureIDs()
+	ids := known
+	if *figFlag != "all" {
+		ids = nil
 		for _, id := range strings.Split(*figFlag, ",") {
 			id = strings.TrimSpace(id)
-			if _, ok := experiment.Figures[id]; !ok {
-				cli.Fatalf("unknown figure %q; known: %s", id, strings.Join(experiment.FigureIDs(), " "))
+			if !slices.Contains(known, id) {
+				cli.Fatalf("unknown figure %q; known: %s", id, strings.Join(known, " "))
 			}
 			ids = append(ids, id)
 		}
+	}
+	figs, err := experiment.NewFigures(opts)
+	if err != nil {
+		cli.Fatalf("%v", err)
 	}
 
 	if *csvDir != "" {
@@ -154,7 +150,7 @@ func main() {
 	}
 
 	for _, id := range ids {
-		fig, err := experiment.Figures[id](ctx, opts)
+		fig, err := figs.Figure(ctx, id)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			cli.Fatalf("%s: %v", id, err)
 		}
@@ -164,6 +160,19 @@ func main() {
 			return
 		}
 	}
+}
+
+// parseBuffers reads the -buffers list: comma-separated sizes in KB.
+func parseBuffers(list string) ([]units.Bytes, error) {
+	var sizes []units.Bytes
+	for _, part := range strings.Split(list, ",") {
+		kb, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -buffers entry %q: %v", part, err)
+		}
+		sizes = append(sizes, units.KiloBytes(kb))
+	}
+	return sizes, nil
 }
 
 // writeFigure emits one figure as a stdout table and, optionally, a CSV
@@ -183,9 +192,9 @@ func writeFigure(fig experiment.Figure, csvDir string) {
 	}
 }
 
-// progressPrinter returns a ProgressFunc that rewrites one stderr line,
-// throttled to 10 updates/s. The callback arrives concurrently from
-// pool workers, so it serializes with a mutex.
+// progressPrinter returns a ProgressFunc that rewrites one stderr line
+// with an ETA, throttled to 10 updates/s. The callback arrives
+// concurrently from pool workers, so it serializes with a mutex.
 func progressPrinter() experiment.ProgressFunc {
 	var mu sync.Mutex
 	var lastPrint time.Time
@@ -201,11 +210,7 @@ func progressPrinter() experiment.ProgressFunc {
 		if p.Remaining > 0 {
 			eta = fmt.Sprintf(", ETA %s", p.Remaining.Round(time.Second))
 		}
-		fmt.Fprintf(os.Stderr, "\rqsim: %d/%d runs (%s elapsed%s)   ",
-			p.Done, p.Total, p.Elapsed.Round(time.Second), eta)
-		if p.Done == p.Total {
-			fmt.Fprintln(os.Stderr)
-		}
+		cli.ProgressLine(p.Done, p.Total, "runs", p.Elapsed, eta)
 	}
 }
 
@@ -245,11 +250,7 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 	if err != nil && !interrupted {
 		cli.Fatalf("sweep: %v", err)
 	}
-	for _, fig := range []experiment.Figure{util, loss} {
-		if len(fig.Series) == 0 {
-			continue
-		}
-		writeFigure(fig, csvDir)
-	}
+	writeFigure(util, csvDir)
+	writeFigure(loss, csvDir)
 	return interrupted
 }

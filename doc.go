@@ -30,11 +30,13 @@
 // The experiment package is driven through a single Options struct built
 // with functional options and a context-aware entry point:
 //
-//	fig, err := experiment.Figure1(ctx, experiment.NewOptions(
+//	figs, err := experiment.NewFigures(experiment.NewOptions(
 //	    experiment.WithRuns(5),
 //	    experiment.WithMetrics(reg),      // nil registry = zero-cost
 //	    experiment.WithProgress(onTick),  // runs done/total + ETA
 //	))
+//	fig1, err := figs.Figure(ctx, "fig1") // simulates the four §3.2 schemes
+//	fig2, err := figs.Figure(ctx, "fig2") // another view of the same runs: free
 //
 // Cancelling ctx stops in-flight simulations promptly and returns the
 // partial figure. Schemes are selected by registry spec strings —

@@ -1,7 +1,8 @@
 // Package cli holds the few lines every cmd/* main would otherwise
 // repeat: the fatal-error exit, writing a result to a file (as JSON or
-// through a writer) or to standard output, and the CPU profile. Messages are prefixed with the
-// program's name, as the flag package's own are.
+// through a writer) or to standard output, the CPU profile, the -workers
+// check and the -progress line. Messages are prefixed with the program's
+// name, as the flag package's own are.
 package cli
 
 import (
@@ -10,7 +11,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
+	"sync"
+	"time"
 )
 
 // notef prints "<program>: message" on standard error.
@@ -92,5 +96,46 @@ func CPUProfile(path string) (stop func()) {
 			return
 		}
 		notef("CPU profile written to %s", path)
+	}
+}
+
+// Workers checks a -workers value: a negative one is fatal, and one
+// beyond 8x GOMAXPROCS — where extra goroutines only add scheduling
+// overhead — is clamped with a note. It returns the count to use.
+func Workers(n int) int {
+	if n < 0 {
+		Fatalf("-workers must be >= 0 (got %d)", n)
+	}
+	if max := 8 * runtime.GOMAXPROCS(0); n > max {
+		notef("clamping -workers %d to %d (8x GOMAXPROCS)", n, max)
+		return max
+	}
+	return n
+}
+
+// Progress returns a job-done callback for a pool of total jobs that
+// keeps one "<program>: done/total noun (elapsed)" line current on
+// standard error. The pool calls it from several goroutines at once, so
+// it serializes with a mutex.
+func Progress(total int, noun string) func(int) {
+	var mu sync.Mutex
+	done := 0
+	start := time.Now()
+	return func(int) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		ProgressLine(done, total, noun, time.Since(start), "")
+	}
+}
+
+// ProgressLine rewrites the progress line in place, note (e.g.
+// ", ETA 5s") following the elapsed time, and ends it once done reaches
+// total.
+func ProgressLine(done, total int, noun string, elapsed time.Duration, note string) {
+	fmt.Fprintf(os.Stderr, "\r%s: %d/%d %s (%s elapsed%s)   ",
+		filepath.Base(os.Args[0]), done, total, noun, elapsed.Round(time.Second), note)
+	if done == total {
+		fmt.Fprintln(os.Stderr)
 	}
 }

@@ -3,7 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strings"
 
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
@@ -25,117 +25,121 @@ type Figure struct {
 	Series []Series
 }
 
-// line pairs a label with an options builder and a metric extractor.
-type line struct {
-	label  string
-	cfg    func(x units.Bytes) *Options
+// curve is one plotted view of a scheme's runs: the series label is the
+// scheme's display label plus suffix.
+type curve struct {
+	suffix string
 	metric func(Result) float64
 }
 
-// sweepReady returns a defaulted copy of o (nil meaning all defaults)
-// suitable for the figure sweeps, leaving the caller's Options intact.
-func (o *Options) sweepReady() *Options {
-	var c Options
-	if o != nil {
-		c = *o
-	}
-	c.sweepDefaults()
-	return &c
+// headroomUse says which headroom a figure's runs are configured with.
+type headroomUse int
+
+const (
+	noHeadroom     headroomUse = iota // H = 0 (§3.2, fixed thresholds)
+	optionHeadroom                    // H = Options.Headroom, buffer swept
+	sweepHeadroom                     // Figure 7: H swept at B = Options.Fig7Buffer
+)
+
+// figureDecl declares one paper figure as a set of views over runs. In
+// the title, {H} and {B} stand for Options.Headroom and Fig7Buffer.
+type figureDecl struct {
+	id, title, ylabel string
+	table             int // the paper's workload: Table 1 or Table 2
+	specs             []string
+	headroom          headroomUse
+	curves            []curve
 }
 
-// runLines sweeps xs, replicating each point opts.Runs times. The
-// (line, x, replication) runs are independent — each owns its simulator
-// and a seed derived only from the replication index — so they fan out
-// onto opts.Workers goroutines, with every run's metric written into a
-// pre-assigned slot. The resulting Series are identical to a sequential
-// sweep for any worker count.
-//
-// Cancelling ctx stops the sweep within roughly one run's duration. The
-// returned Series are then partial but well formed: every point
-// summarizes only its completed replications (empty points have
-// Summary{}), and the error is ctx.Err(). opts.Progress, when set, is
-// notified after every completed run; opts.Metrics aggregates the
-// simulation metrics of all runs.
-func runLines(ctx context.Context, opts *Options, xs []units.Bytes, lines []line) ([]Series, error) {
-	if ctx == nil {
-		ctx = context.Background()
+var (
+	thresholdSpecs = []string{"fifo+threshold", "wfq+threshold", "fifo+none", "wfq+none"}
+	sharingSpecs   = []string{"fifo+sharing", "wfq+sharing"}
+	hybridSpecs    = []string{"hybrid+sharing", "wfq+sharing", "fifo+sharing"}
+
+	utilizationCurve = []curve{{"", func(r Result) float64 { return r.Utilization }}}
+	lossCurve        = []curve{{"", func(r Result) float64 { return r.ConformantLoss }}}
+	// Flows 6 and 8 of Table 1 differ 5× in reservation (0.4 vs 2 Mb/s).
+	flow68Curves = []curve{
+		{" flow6", func(r Result) float64 { return r.FlowThroughput[6].Mbits() }},
+		{" flow8", func(r Result) float64 { return r.FlowThroughput[8].Mbits() }},
 	}
-	nx, nr := len(xs), opts.Runs
-	series := make([]Series, len(lines))
-	for li, l := range lines {
-		series[li].Label = l.label
-		series[li].Points = make([]stats.Summary, nx)
-	}
-	vals := make([]float64, len(lines)*nx*nr)
-	done := make([]bool, len(vals))
-	tracker := newProgressTracker(opts.Progress, len(vals))
-	err := forEachJob(ctx, opts.Workers, len(vals), opts.Metrics, tracker.onDone, func(j int) error {
-		li, xi, r := j/(nx*nr), (j/nr)%nx, j%nr
-		l, x := lines[li], xs[xi]
-		rc := l.cfg(x)
-		rc.Duration = opts.Duration
-		rc.Warmup = opts.Warmup
-		rc.warmupSet = true
-		rc.Seed = opts.Seed + int64(r)
-		rc.seedSet = true
-		rc.Metrics = opts.Metrics
-		res, err := Run(ctx, rc)
-		if err != nil {
-			return fmt.Errorf("%s at %v run %d: %w", l.label, x, r, err)
-		}
-		vals[j] = l.metric(res)
-		done[j] = true
-		return nil
-	})
-	for li := range lines {
-		for xi := 0; xi < nx; xi++ {
-			base := (li*nx + xi) * nr
-			complete := make([]float64, 0, nr)
-			for r := 0; r < nr; r++ {
-				if done[base+r] {
-					complete = append(complete, vals[base+r])
-				}
-			}
-			series[li].Points[xi] = stats.Summarize(complete)
-		}
-	}
-	if err != nil {
-		return series, err
-	}
-	return series, nil
+)
+
+// figureTable is the paper's evaluation, §3.2–§4.2, in the paper's
+// order. Figures that plot different quantities of the same experiment
+// (1–3, 4–6, 8–10, 11–13) name the same runs; see Figures.
+var figureTable = []figureDecl{
+	{id: "fig1", title: "Aggregate throughput with threshold based buffer management",
+		ylabel: "link utilization", table: 1, specs: thresholdSpecs, curves: utilizationCurve},
+	{id: "fig2", title: "Loss for conformant flows with threshold based buffer management",
+		ylabel: "conformant loss ratio", table: 1, specs: thresholdSpecs, curves: lossCurve},
+	// Only WFQ+thresholds shares excess in the reservation ratio.
+	{id: "fig3", title: "Throughput for non-conformant flows with threshold based buffer management",
+		ylabel: "throughput (Mb/s)", table: 1, specs: thresholdSpecs, curves: flow68Curves},
+	// Includes the no-buffer-management baselines for comparison with
+	// Figure 1.
+	{id: "fig4", title: "Aggregate throughput with Buffer Sharing (H = {H})",
+		ylabel: "link utilization", table: 1, headroom: optionHeadroom,
+		specs: []string{"fifo+sharing", "wfq+sharing", "fifo+none", "wfq+none"}, curves: utilizationCurve},
+	{id: "fig5", title: "Loss for conformant flows in Buffer Sharing (H = {H})",
+		ylabel: "conformant loss ratio", table: 1, headroom: optionHeadroom,
+		specs: sharingSpecs, curves: lossCurve},
+	// With sharing, FIFO mimics WFQ's proportional split.
+	{id: "fig6", title: "Throughput for non-conformant flows with Buffer Sharing",
+		ylabel: "throughput (Mb/s)", table: 1, headroom: optionHeadroom,
+		specs: sharingSpecs, curves: flow68Curves},
+	{id: "fig7", title: "Effect of varying the headroom (B = {B})",
+		ylabel: "conformant loss ratio", table: 1, headroom: sweepHeadroom,
+		specs: sharingSpecs, curves: lossCurve},
+	{id: "fig8", title: "Hybrid System, Case 1: Aggregate throughput with Buffer Sharing",
+		ylabel: "link utilization", table: 1, headroom: optionHeadroom,
+		specs: hybridSpecs, curves: utilizationCurve},
+	{id: "fig9", title: "Hybrid System, Case 1: Loss for conformant flows with Buffer Sharing",
+		ylabel: "conformant loss ratio", table: 1, headroom: optionHeadroom,
+		specs: hybridSpecs, curves: lossCurve},
+	{id: "fig10", title: "Hybrid System, Case 1: Throughput for non-conformant flows with Buffer Sharing",
+		ylabel: "throughput (Mb/s)", table: 1, headroom: optionHeadroom,
+		specs: hybridSpecs, curves: flow68Curves},
+	{id: "fig11", title: "Hybrid System, Case 2: Aggregate throughput with Buffer Sharing",
+		ylabel: "link utilization", table: 2, headroom: optionHeadroom,
+		specs: hybridSpecs, curves: utilizationCurve},
+	{id: "fig12", title: "Hybrid System, Case 2: Loss for conformant and moderately conformant flows",
+		ylabel: "loss ratio (flows 0-19)", table: 2, headroom: optionHeadroom,
+		specs: hybridSpecs, curves: []curve{{"", lossOver(0, 20)}}},
+	// Mean per-flow throughput of Table 2's moderate (10–19) and
+	// aggressive (20–29) classes.
+	{id: "fig13", title: "Hybrid System, Case 2: Throughput for non-conformant flows with Buffer Sharing",
+		ylabel: "mean per-flow throughput (Mb/s)", table: 2, headroom: optionHeadroom,
+		specs:  hybridSpecs,
+		curves: []curve{{" moderate", meanThroughputMbps(10, 20)}, {" aggressive", meanThroughputMbps(20, 30)}}},
 }
 
-func mbAxis(xs []units.Bytes) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x.MB()
+// FigureIDs returns the known figure IDs in the paper's order.
+func FigureIDs() []string {
+	ids := make([]string, len(figureTable))
+	for i := range figureTable {
+		ids[i] = figureTable[i].id
 	}
-	return out
+	return ids
 }
 
-func utilization(r Result) float64    { return r.Utilization }
-func conformantLoss(r Result) float64 { return r.ConformantLoss }
-func flowThroughputMbps(id int) func(Result) float64 {
-	return func(r Result) float64 { return r.FlowThroughput[id].Mbits() }
-}
-
-// meanThroughputMbps averages the delivered Mb/s over a set of flows.
-func meanThroughputMbps(ids []int) func(Result) float64 {
+// meanThroughputMbps averages the delivered Mb/s over flows [lo, hi).
+func meanThroughputMbps(lo, hi int) func(Result) float64 {
 	return func(r Result) float64 {
 		sum := 0.0
-		for _, id := range ids {
+		for id := lo; id < hi; id++ {
 			sum += r.FlowThroughput[id].Mbits()
 		}
-		return sum / float64(len(ids))
+		return sum / float64(hi-lo)
 	}
 }
 
-// lossOver computes the byte-weighted loss ratio over a flow set from
-// per-flow loss and offered rates.
-func lossOver(ids []int) func(Result) float64 {
+// lossOver computes the byte-weighted loss ratio over flows [lo, hi)
+// from per-flow loss and offered rates.
+func lossOver(lo, hi int) func(Result) float64 {
 	return func(r Result) float64 {
 		var lost, offered float64
-		for _, id := range ids {
+		for id := lo; id < hi; id++ {
 			offered += r.OfferedRate[id].BitsPerSecond()
 			lost += r.FlowLoss[id] * r.OfferedRate[id].BitsPerSecond()
 		}
@@ -146,339 +150,202 @@ func lossOver(ids []int) func(Result) float64 {
 	}
 }
 
-// table1Cfg returns run options for the Table 1 workload; spec is a
-// scheme-registry spec string.
-func table1Cfg(spec string, buf, headroom units.Bytes) *Options {
-	return &Options{
-		Flows:      Table1Flows(),
-		SchemeSpec: spec,
-		Buffer:     buf,
-		Headroom:   headroom,
-		QueueOf:    Table1QueueOf(),
+// sweepReady returns a defaulted and validated copy of o (nil meaning
+// all defaults) for the sweeps, leaving the caller's Options intact.
+func (o *Options) sweepReady() (*Options, error) {
+	var c Options
+	if o != nil {
+		c = *o
 	}
+	c.sweepDefaults()
+	return &c, c.validateSweep()
 }
 
-func table2Cfg(spec string, buf, headroom units.Bytes) *Options {
-	return &Options{
-		Flows:      Table2Flows(),
-		SchemeSpec: spec,
-		Buffer:     buf,
-		Headroom:   headroom,
-		QueueOf:    Table2QueueOf(),
-	}
+// runSet holds every Result of one scheme over one swept axis: the run
+// at x index xi, replication r is res[xi*Runs+r], valid when ok says so
+// (a cancelled sweep leaves gaps).
+type runSet struct {
+	res []Result
+	ok  []bool
 }
 
-// Figure1 regenerates "Aggregate throughput with threshold based buffer
-// management": utilization vs total buffer for the four §3.2 schemes.
-func Figure1(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+threshold", "wfq+threshold", "fifo+none", "wfq+none"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, 0) },
-			metric: utilization,
-		})
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig1", Title: "Aggregate throughput with threshold based buffer management",
-		XLabel: "buffer (MB)", YLabel: "link utilization",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
+// axis is the swept quantity of a sweep: its values and how a value
+// configures a run.
+type axis struct {
+	label string
+	xs    []units.Bytes
+	at    func(x units.Bytes) (buffer, headroom units.Bytes)
 }
 
-// Figure2 regenerates "Loss for conformant flows with threshold based
-// buffer management".
-func Figure2(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+threshold", "wfq+threshold", "fifo+none", "wfq+none"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, 0) },
-			metric: conformantLoss,
-		})
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig2", Title: "Loss for conformant flows with threshold based buffer management",
-		XLabel: "buffer (MB)", YLabel: "conformant loss ratio",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
+func bufferAxis(o *Options, headroom units.Bytes) axis {
+	return axis{"buffer (MB)", o.BufferSizes, func(x units.Bytes) (units.Bytes, units.Bytes) { return x, headroom }}
 }
 
-// Figure3 regenerates "Throughput for non-conformant flows with
-// threshold based buffer management": flows 6 and 8 differ 5× in
-// reservation (0.4 vs 2 Mb/s); WFQ+thresholds shares excess in that
-// ratio, the others do not.
-func Figure3(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+threshold", "wfq+threshold", "fifo+none", "wfq+none"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		for _, flow := range []int{6, 8} {
-			flow := flow
-			lines = append(lines, line{
-				label:  fmt.Sprintf("%s flow%d", specLabel(spec), flow),
-				cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, 0) },
-				metric: flowThroughputMbps(flow),
-			})
+// runSweep simulates workload w under every spec at every point of ax,
+// o.Runs times each, and returns one runSet per spec. The (spec, x,
+// replication) runs are independent — each owns its simulator and a seed
+// derived only from the replication index — so they fan out onto
+// o.Workers goroutines, every Result landing in a pre-assigned slot: the
+// run sets are identical for any worker count, and every curve drawn
+// from a scheme reads the same runs.
+//
+// Cancelling ctx stops the sweep within roughly one run's duration; the
+// run sets are then partial and the error is ctx.Err(). o.Progress, when
+// set, is notified after every completed run; o.Metrics aggregates the
+// simulation metrics of all runs.
+func runSweep(ctx context.Context, o *Options, w *Workload, specs []string, ax axis) ([]runSet, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	nx, nr := len(ax.xs), o.Runs
+	sets := make([]runSet, len(specs))
+	for si := range sets {
+		sets[si] = runSet{make([]Result, nx*nr), make([]bool, nx*nr)}
+	}
+	total := len(specs) * nx * nr
+	tracker := newProgressTracker(o.Progress, total)
+	err := forEachJob(ctx, o.Workers, total, o.Metrics, tracker.onDone, func(j int) error {
+		si, slot, r := j/(nx*nr), j%(nx*nr), j%nr
+		x := ax.xs[slot/nr]
+		rc := &Options{
+			Flows:      w.Flows,
+			SchemeSpec: specs[si],
+			LinkRate:   w.LinkRate,
+			QueueOf:    w.QueueOf,
+			Duration:   o.Duration,
+			Warmup:     o.Warmup,
+			warmupSet:  true,
+			Seed:       o.Seed + int64(r),
+			seedSet:    true,
+			Metrics:    o.Metrics,
 		}
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig3", Title: "Throughput for non-conformant flows with threshold based buffer management",
-		XLabel: "buffer (MB)", YLabel: "throughput (Mb/s)",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure4 regenerates "Aggregate throughput with Buffer Sharing",
-// including the no-buffer-management baselines for comparison with
-// Figure 1.
-func Figure4(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+sharing", "wfq+sharing", "fifo+none", "wfq+none"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-			metric: utilization,
-		})
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig4", Title: "Aggregate throughput with Buffer Sharing (H = " + o.Headroom.String() + ")",
-		XLabel: "buffer (MB)", YLabel: "link utilization",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure5 regenerates "Loss for conformant flows in Buffer Sharing".
-func Figure5(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+sharing", "wfq+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-			metric: conformantLoss,
-		})
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig5", Title: "Loss for conformant flows in Buffer Sharing (H = " + o.Headroom.String() + ")",
-		XLabel: "buffer (MB)", YLabel: "conformant loss ratio",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure6 regenerates "Throughput for non-conformant flows with Buffer
-// Sharing": with sharing, FIFO mimics WFQ's proportional split between
-// flows 6 and 8.
-func Figure6(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"fifo+sharing", "wfq+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		for _, flow := range []int{6, 8} {
-			flow := flow
-			lines = append(lines, line{
-				label:  fmt.Sprintf("%s flow%d", specLabel(spec), flow),
-				cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-				metric: flowThroughputMbps(flow),
-			})
+		rc.Buffer, rc.Headroom = ax.at(x)
+		res, err := Run(ctx, rc)
+		if err != nil {
+			return fmt.Errorf("%s at %v run %d: %w", specLabel(specs[si]), x, r, err)
 		}
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig6", Title: "Throughput for non-conformant flows with Buffer Sharing",
-		XLabel: "buffer (MB)", YLabel: "throughput (Mb/s)",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure7 regenerates "Effect of varying the headroom in terms of loss
-// for conformant flows": buffer fixed at 1 MB, H swept.
-func Figure7(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	buf := o.Fig7Buffer
-	specs := []string{"fifo+sharing", "wfq+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(h units.Bytes) *Options { return table1Cfg(spec, buf, h) },
-			metric: conformantLoss,
-		})
-	}
-	series, err := runLines(ctx, o, o.Headrooms, lines)
-	return Figure{
-		ID: "fig7", Title: fmt.Sprintf("Effect of varying the headroom (B = %v)", buf),
-		XLabel: "headroom (MB)", YLabel: "conformant loss ratio",
-		Xs: mbAxis(o.Headrooms), Series: series,
-	}, err
-}
-
-// hybridFigure builds the three-metric × buffer-sweep comparisons of
-// §4.2 shared by Figures 8–10 (Case 1) and 11–13 (Case 2).
-func hybridFigure(ctx context.Context, o *Options, id, title, ylabel string,
-	cfgOf func(string, units.Bytes) *Options, metric func(Result) float64, extra []line) (Figure, error) {
-	specs := []string{"hybrid+sharing", "wfq+sharing", "fifo+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return cfgOf(spec, x) },
-			metric: metric,
-		})
-	}
-	lines = append(lines, extra...)
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: id, Title: title,
-		XLabel: "buffer (MB)", YLabel: ylabel,
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure8 regenerates "Hybrid System, Case 1: Aggregate throughput with
-// Buffer Sharing".
-func Figure8(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	return hybridFigure(ctx, o, "fig8", "Hybrid System, Case 1: Aggregate throughput with Buffer Sharing",
-		"link utilization",
-		func(spec string, x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-		utilization, nil)
-}
-
-// Figure9 regenerates "Hybrid System, Case 1: Loss for conformant flows
-// with Buffer Sharing".
-func Figure9(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	return hybridFigure(ctx, o, "fig9", "Hybrid System, Case 1: Loss for conformant flows with Buffer Sharing",
-		"conformant loss ratio",
-		func(spec string, x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-		conformantLoss, nil)
-}
-
-// Figure10 regenerates "Hybrid System, Case 1: Throughput for
-// non-conformant flows with Buffer Sharing" (flows 6 and 8).
-func Figure10(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	specs := []string{"hybrid+sharing", "wfq+sharing", "fifo+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		for _, flow := range []int{6, 8} {
-			flow := flow
-			lines = append(lines, line{
-				label:  fmt.Sprintf("%s flow%d", specLabel(spec), flow),
-				cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, o.Headroom) },
-				metric: flowThroughputMbps(flow),
-			})
-		}
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig10", Title: "Hybrid System, Case 1: Throughput for non-conformant flows with Buffer Sharing",
-		XLabel: "buffer (MB)", YLabel: "throughput (Mb/s)",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figure11 regenerates "Hybrid System, Case 2: Aggregate throughput
-// with Buffer Sharing" (the 30-flow Table 2 workload).
-func Figure11(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	return hybridFigure(ctx, o, "fig11", "Hybrid System, Case 2: Aggregate throughput with Buffer Sharing",
-		"link utilization",
-		func(spec string, x units.Bytes) *Options { return table2Cfg(spec, x, o.Headroom) },
-		utilization, nil)
-}
-
-// Figure12 regenerates "Hybrid System, Case 2: Loss for conformant and
-// moderately conformant flows with Buffer Sharing" (flows 0–19).
-func Figure12(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	ids := make([]int, 20)
-	for i := range ids {
-		ids[i] = i
-	}
-	return hybridFigure(ctx, o, "fig12", "Hybrid System, Case 2: Loss for conformant and moderately conformant flows",
-		"loss ratio (flows 0-19)",
-		func(spec string, x units.Bytes) *Options { return table2Cfg(spec, x, o.Headroom) },
-		lossOver(ids), nil)
-}
-
-// Figure13 regenerates "Hybrid System, Case 2: Throughput for
-// non-conformant flows with Buffer Sharing": mean per-flow throughput
-// of the moderate (10–19) and aggressive (20–29) classes.
-func Figure13(ctx context.Context, opts *Options) (Figure, error) {
-	o := opts.sweepReady()
-	moderate := make([]int, 10)
-	aggressive := make([]int, 10)
-	for i := 0; i < 10; i++ {
-		moderate[i] = 10 + i
-		aggressive[i] = 20 + i
-	}
-	specs := []string{"hybrid+sharing", "wfq+sharing", "fifo+sharing"}
-	var lines []line
-	for _, spec := range specs {
-		spec := spec
-		lines = append(lines,
-			line{
-				label:  specLabel(spec) + " moderate",
-				cfg:    func(x units.Bytes) *Options { return table2Cfg(spec, x, o.Headroom) },
-				metric: meanThroughputMbps(moderate),
-			},
-			line{
-				label:  specLabel(spec) + " aggressive",
-				cfg:    func(x units.Bytes) *Options { return table2Cfg(spec, x, o.Headroom) },
-				metric: meanThroughputMbps(aggressive),
-			},
-		)
-	}
-	series, err := runLines(ctx, o, o.BufferSizes, lines)
-	return Figure{
-		ID: "fig13", Title: "Hybrid System, Case 2: Throughput for non-conformant flows with Buffer Sharing",
-		XLabel: "buffer (MB)", YLabel: "mean per-flow throughput (Mb/s)",
-		Xs: mbAxis(o.BufferSizes), Series: series,
-	}, err
-}
-
-// Figures maps figure IDs to their runners.
-var Figures = map[string]func(context.Context, *Options) (Figure, error){
-	"fig1": Figure1, "fig2": Figure2, "fig3": Figure3,
-	"fig4": Figure4, "fig5": Figure5, "fig6": Figure6, "fig7": Figure7,
-	"fig8": Figure8, "fig9": Figure9, "fig10": Figure10,
-	"fig11": Figure11, "fig12": Figure12, "fig13": Figure13,
-}
-
-// FigureIDs returns the known figure IDs in order.
-func FigureIDs() []string {
-	ids := make([]string, 0, len(Figures))
-	for id := range Figures {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		var x, y int
-		fmt.Sscanf(ids[a], "fig%d", &x)
-		fmt.Sscanf(ids[b], "fig%d", &y)
-		return x < y
+		sets[si].res[slot], sets[si].ok[slot] = res, true
+		return nil
 	})
-	return ids
+	return sets, err
+}
+
+// view draws curves over the run sets of specs: one Series per (spec,
+// curve), each point summarizing the runs that completed, in
+// replication order.
+func view(specs []string, sets []runSet, curves []curve, nx int) []Series {
+	var series []Series
+	for si, spec := range specs {
+		set := sets[si]
+		nr := len(set.res) / nx
+		for _, c := range curves {
+			points := make([]stats.Summary, nx)
+			for xi := range points {
+				complete := make([]float64, 0, nr)
+				for slot := xi * nr; slot < (xi+1)*nr; slot++ {
+					if set.ok[slot] {
+						complete = append(complete, c.metric(set.res[slot]))
+					}
+				}
+				points[xi] = stats.Summarize(complete)
+			}
+			series = append(series, Series{Label: specLabel(spec) + c.suffix, Points: points})
+		}
+	}
+	return series
+}
+
+func mbAxis(xs []units.Bytes) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = x.MB()
+	}
+	return out
+}
+
+// Figures regenerates the paper's figures for one set of Options,
+// simulating every distinct run once: a figure's runs are remembered by
+// (workload table, scheme, headroom use), so after Figure 1 has paid for
+// its four schemes' runs, Figures 2 and 3 are free, and Figures 8–10
+// reuse the sharing runs of Figures 4–6. It is not safe for concurrent
+// use; each Figure call already spreads its runs over Options.Workers.
+type Figures struct {
+	o      *Options
+	tables map[int]*Workload
+	memo   map[runKey]runSet
+}
+
+type runKey struct {
+	table    int
+	spec     string
+	headroom headroomUse
+}
+
+// NewFigures validates opts (nil meaning the paper's full-scale setup)
+// and returns an empty figure set for it.
+func NewFigures(opts *Options) (*Figures, error) {
+	o, err := opts.sweepReady()
+	if err != nil {
+		return nil, err
+	}
+	return &Figures{
+		o: o,
+		tables: map[int]*Workload{
+			1: {Flows: Table1Flows(), QueueOf: Table1QueueOf()},
+			2: {Flows: Table2Flows(), QueueOf: Table2QueueOf()},
+		},
+		memo: map[runKey]runSet{},
+	}, nil
+}
+
+// Figure regenerates the figure called id ("fig1" … "fig13"), running
+// only the simulations no earlier call has completed. Cancelling ctx
+// returns the partial figure — every point summarizes only its completed
+// replications, empty points have Summary{} — together with ctx.Err(),
+// and remembers none of the interrupted runs.
+func (f *Figures) Figure(ctx context.Context, id string) (Figure, error) {
+	var d *figureDecl
+	for i := range figureTable {
+		if figureTable[i].id == id {
+			d = &figureTable[i]
+			break
+		}
+	}
+	if d == nil {
+		return Figure{}, fmt.Errorf("experiment: unknown figure %q", id)
+	}
+	o := f.o
+	var ax axis
+	switch d.headroom {
+	case noHeadroom:
+		ax = bufferAxis(o, 0)
+	case optionHeadroom:
+		ax = bufferAxis(o, o.Headroom)
+	case sweepHeadroom:
+		ax = axis{"headroom (MB)", o.Headrooms, func(x units.Bytes) (units.Bytes, units.Bytes) { return o.Fig7Buffer, x }}
+	}
+	key := func(spec string) runKey { return runKey{d.table, spec, d.headroom} }
+	var missing []string
+	for _, spec := range d.specs {
+		if _, ok := f.memo[key(spec)]; !ok {
+			missing = append(missing, spec)
+		}
+	}
+	ran, err := runSweep(ctx, o, f.tables[d.table], missing, ax)
+	sets := make([]runSet, len(d.specs))
+	for si, spec := range d.specs {
+		set, ok := f.memo[key(spec)]
+		if !ok {
+			set, ran = ran[0], ran[1:]
+			if err == nil {
+				f.memo[key(spec)] = set
+			}
+		}
+		sets[si] = set
+	}
+	title := strings.NewReplacer("{H}", o.Headroom.String(), "{B}", o.Fig7Buffer.String()).Replace(d.title)
+	return Figure{
+		ID: d.id, Title: title, XLabel: ax.label, YLabel: d.ylabel,
+		Xs: mbAxis(ax.xs), Series: view(d.specs, sets, d.curves, len(ax.xs)),
+	}, err
 }

@@ -2,9 +2,13 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"bufqos/internal/metrics"
 	"bufqos/internal/units"
 )
 
@@ -23,20 +27,47 @@ func tinyOpts() *Options {
 	return o
 }
 
+// figure regenerates one figure from a fresh figure set.
+func figure(t *testing.T, opts *Options, id string) Figure {
+	t.Helper()
+	figs, err := NewFigures(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := figs.Figure(context.Background(), id)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return fig
+}
+
 func TestFigureRegistryComplete(t *testing.T) {
 	ids := FigureIDs()
 	if len(ids) != 13 {
 		t.Fatalf("registry has %d figures, want 13", len(ids))
 	}
-	if ids[0] != "fig1" || ids[12] != "fig13" {
-		t.Errorf("IDs not in order: %v", ids)
+	for i, id := range ids {
+		if want := fmt.Sprintf("fig%d", i+1); id != want {
+			t.Errorf("IDs not in the paper's order: %v", ids)
+			break
+		}
+	}
+	figs, err := NewFigures(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := figs.Figure(context.Background(), "fig14"); err == nil {
+		t.Error("unknown figure id accepted")
 	}
 }
 
 func TestAllFiguresRunTiny(t *testing.T) {
-	opts := tinyOpts()
+	figs, err := NewFigures(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range FigureIDs() {
-		fig, err := Figures[id](context.Background(), opts)
+		fig, err := figs.Figure(context.Background(), id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -55,10 +86,7 @@ func TestAllFiguresRunTiny(t *testing.T) {
 }
 
 func TestFigure1SeriesLabels(t *testing.T) {
-	fig, err := Figure1(context.Background(), tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, tinyOpts(), "fig1")
 	for _, want := range []string{"FIFO", "WFQ", "FIFO+thresholds", "WFQ+thresholds"} {
 		if _, ok := fig.SeriesByLabel(want); !ok {
 			t.Errorf("figure 1 missing series %q", want)
@@ -71,10 +99,7 @@ func TestFigure1SeriesLabels(t *testing.T) {
 
 func TestFigure7SweepsHeadroom(t *testing.T) {
 	opts := tinyOpts()
-	fig, err := Figure7(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, opts, "fig7")
 	if len(fig.Xs) != len(opts.Headrooms) {
 		t.Errorf("figure 7 xs = %v, want one per headroom", fig.Xs)
 	}
@@ -84,10 +109,7 @@ func TestFigure7SweepsHeadroom(t *testing.T) {
 }
 
 func TestWriteTableFormat(t *testing.T) {
-	fig, err := Figure2(context.Background(), tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, tinyOpts(), "fig2")
 	var b strings.Builder
 	if err := WriteTable(&b, fig); err != nil {
 		t.Fatal(err)
@@ -104,10 +126,7 @@ func TestWriteTableFormat(t *testing.T) {
 }
 
 func TestWriteCSVFormat(t *testing.T) {
-	fig, err := Figure5(context.Background(), tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, tinyOpts(), "fig5")
 	var b strings.Builder
 	if err := WriteCSV(&b, fig); err != nil {
 		t.Fatal(err)
@@ -150,5 +169,189 @@ func TestSweepDefaults(t *testing.T) {
 	}
 	if len(o.Headrooms) != 11 {
 		t.Errorf("default headroom sweep = %v", o.Headrooms)
+	}
+}
+
+// runCount is the number of simulation runs a registry has seen.
+func runCount(reg *metrics.Registry) int64 {
+	return reg.Histogram("experiment.run_events", runEventBuckets).Count()
+}
+
+// TestFiguresRunEachSimulationOnce pins the memo: figures that view the
+// same runs pay for them once per figure set, a figure alone pays only
+// for its own schemes, and SweepWorkload draws both its figures from
+// one pass.
+func TestFiguresRunEachSimulationOnce(t *testing.T) {
+	opts := tinyOpts()
+	opts.Runs = 2
+	opts.Metrics = metrics.NewRegistry()
+	perScheme := int64(len(opts.BufferSizes) * opts.Runs)
+
+	figs, err := NewFigures(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [3]Figure
+	for i, id := range []string{"fig1", "fig2", "fig3"} {
+		if first[i], err = figs.Figure(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if got := runCount(opts.Metrics); got != 4*perScheme {
+			t.Errorf("after %s: %d runs, want the four schemes' %d", id, got, 4*perScheme)
+		}
+	}
+	// A memoised figure is the figure a fresh set computes.
+	alone := tinyOpts()
+	alone.Runs = opts.Runs
+	if fresh := figure(t, alone, "fig3"); !reflect.DeepEqual(first[2], fresh) {
+		t.Errorf("fig3 from shared runs differs from fig3 alone:\ngot  %+v\nwant %+v", first[2], fresh)
+	}
+
+	opts.Metrics = metrics.NewRegistry()
+	figure(t, opts, "fig5")
+	if got := runCount(opts.Metrics); got != 2*perScheme {
+		t.Errorf("fig5 alone: %d runs, want %d", got, 2*perScheme)
+	}
+
+	opts.Metrics = metrics.NewRegistry()
+	w := &Workload{Flows: Table1Flows(), QueueOf: Table1QueueOf()}
+	specs := []string{"fifo+threshold", "wfq+sharing", "fifo+none"}
+	util, loss, err := SweepWorkload(context.Background(), w, specs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runCount(opts.Metrics); got != 3*perScheme {
+		t.Errorf("SweepWorkload: %d runs, want %d", got, 3*perScheme)
+	}
+	if len(util.Series) != 3 || len(loss.Series) != 3 || util.Series[1].Label != "WFQ+sharing" {
+		t.Errorf("SweepWorkload series: util %+v loss %+v", util.Series, loss.Series)
+	}
+}
+
+// TestFigurePointsMatchDirectRun is the oracle that does not go through
+// the figure table, the sweep runner or the memo: a point of Figures 3
+// and 13 equals the metric of a run configured by hand.
+func TestFigurePointsMatchDirectRun(t *testing.T) {
+	opts := tinyOpts() // one replication: a point's mean is that run's value
+	figs, err := NewFigures(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the memo so the figures under test read shared runs.
+	for _, id := range []string{"fig1", "fig11"} {
+		if _, err := figs.Figure(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := func(flows []FlowConfig, queueOf []int, spec string, xi int, headroom units.Bytes) Result {
+		res, err := Run(context.Background(), NewOptions(
+			WithFlows(flows), WithQueues(queueOf), WithSchemeSpec(spec),
+			WithBuffer(opts.BufferSizes[xi]), WithHeadroom(headroom),
+			WithDuration(opts.Duration), WithWarmup(opts.Warmup), WithSeed(opts.Seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	point := func(id, label string, xi int) float64 {
+		fig, err := figs.Figure(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := fig.SeriesByLabel(label)
+		if !ok {
+			t.Fatalf("%s has no series %q", id, label)
+		}
+		return s.Points[xi].Mean
+	}
+
+	r3 := direct(Table1Flows(), Table1QueueOf(), "wfq+threshold", 1, 0)
+	if got, want := point("fig3", "WFQ+thresholds flow8", 1), r3.FlowThroughput[8].Mbits(); got != want {
+		t.Errorf("fig3 WFQ+thresholds flow8 at %v: %v, direct run %v", opts.BufferSizes[1], got, want)
+	}
+	r13 := direct(Table2Flows(), Table2QueueOf(), "hybrid+sharing", 0, opts.Headroom)
+	want := 0.0
+	for id := 20; id < 30; id++ {
+		want += r13.FlowThroughput[id].Mbits()
+	}
+	want /= 10
+	if got := point("fig13", "hybrid+sharing aggressive", 0); got != want {
+		t.Errorf("fig13 hybrid+sharing aggressive at %v: %v, direct run %v", opts.BufferSizes[0], got, want)
+	}
+}
+
+// TestSweepOptionsValidated: options no simulation can honour are an
+// error when a sweep starts, not a panic or an all-zero figure inside it.
+func TestSweepOptionsValidated(t *testing.T) {
+	kb := units.KiloBytes
+	cases := []struct {
+		name string
+		opts *Options
+		want string // substring naming the setting; "" = valid
+	}{
+		{"defaults", nil, ""},
+		{"explicit zero warmup", NewOptions(WithWarmup(0)), ""},
+		{"negative runs", &Options{Runs: -1}, "runs"},
+		{"negative duration", &Options{Duration: -3}, "duration"},
+		{"negative warmup", NewOptions(WithWarmup(-1)), "warmup"},
+		{"warmup beyond duration", NewOptions(WithDuration(1), WithWarmup(5)), "warmup"},
+		{"warmup equals duration", NewOptions(WithDuration(1), WithWarmup(1)), "warmup"},
+		{"zero buffer", &Options{BufferSizes: []units.Bytes{kb(500), 0}}, "buffers[1]"},
+		{"negative buffer", &Options{BufferSizes: []units.Bytes{kb(-500)}}, "buffers[0]"},
+		{"negative headroom entry", &Options{Headrooms: []units.Bytes{0, kb(-1)}}, "headrooms[1]"},
+		{"negative headroom", &Options{Headroom: kb(-1)}, "headroom"},
+	}
+	w := &Workload{Flows: Table1Flows()}
+	// Already cancelled, so a sweep given valid options returns before
+	// simulating anything.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range cases {
+		_, err := NewFigures(c.opts)
+		_, _, werr := SweepWorkload(ctx, w, nil, c.opts)
+		if c.want == "" {
+			if err != nil || !errors.Is(werr, context.Canceled) {
+				t.Errorf("%s: rejected: %v / %v", c.name, err, werr)
+			}
+			continue
+		}
+		for _, e := range []error{err, werr} {
+			if e == nil || !strings.Contains(e.Error(), c.want) {
+				t.Errorf("%s: error %v, want one naming %q", c.name, e, c.want)
+			}
+		}
+	}
+}
+
+// TestCancelledFigureIsNotRemembered: an interrupted figure is returned
+// partial with ctx.Err(), and asking again re-simulates it in full
+// rather than serving the gaps from the memo.
+func TestCancelledFigureIsNotRemembered(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := tinyOpts()
+	opts.Workers = 1
+	opts.Progress = func(p Progress) {
+		if p.Done == 3 {
+			cancel()
+		}
+	}
+	figs, err := NewFigures(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := figs.Figure(ctx, "fig2")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got error %v, want context.Canceled", err)
+	}
+	if n := partial.Series[3].Points[1].N; n != 0 {
+		t.Errorf("last point of the cancelled figure summarizes %d runs, want none", n)
+	}
+	again, err := figs.Figure(context.Background(), "fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := figure(t, tinyOpts(), "fig2"); !reflect.DeepEqual(again, want) {
+		t.Errorf("figure after a cancelled attempt:\ngot  %+v\nwant %+v", again, want)
 	}
 }

@@ -17,9 +17,7 @@ func sweepWithRegistry(t *testing.T, workers int) *metrics.Registry {
 	opts := tinyOpts()
 	opts.Workers = workers
 	opts.Metrics = reg
-	if _, err := Figure1(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
+	figure(t, opts, "fig1")
 	return reg
 }
 

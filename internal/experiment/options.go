@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -212,8 +213,36 @@ func (o *Options) sweepDefaults() {
 	}
 }
 
+// validateSweep rejects defaulted sweep options no simulation can
+// honour, naming the offending setting, so a bad flag is an error at the
+// start of a sweep rather than a panic or an all-zero figure inside it.
+func (o *Options) validateSweep() error {
+	switch {
+	case o.Runs < 0:
+		return fmt.Errorf("experiment: runs %d is negative", o.Runs)
+	case !(o.Duration > 0):
+		return fmt.Errorf("experiment: duration %v is not positive", o.Duration)
+	case !(o.Warmup >= 0 && o.Warmup < o.Duration):
+		return fmt.Errorf("experiment: warmup %v is outside [0, duration %v)", o.Warmup, o.Duration)
+	case o.Headroom < 0:
+		return fmt.Errorf("experiment: headroom %v is negative", o.Headroom)
+	}
+	for i, b := range o.BufferSizes {
+		if b <= 0 {
+			return fmt.Errorf("experiment: buffers[%d] = %v is not positive", i, b)
+		}
+	}
+	for i, h := range o.Headrooms {
+		if h < 0 {
+			return fmt.Errorf("experiment: headrooms[%d] = %v is negative", i, h)
+		}
+	}
+	return nil
+}
+
 // Progress reports how far a sweep has come. Done/Total count
-// individual simulation runs (line × point × replication).
+// individual simulation runs (scheme × point × replication), each
+// counted once however many curves are drawn from it.
 type Progress struct {
 	Done  int
 	Total int

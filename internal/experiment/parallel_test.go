@@ -12,19 +12,14 @@ import (
 	"bufqos/internal/units"
 )
 
-// table1Lines builds the Figure-1 line set over the Table 1 workload,
-// the reference workload for the equivalence tests.
-func table1Lines(metric func(Result) float64) []line {
-	var lines []line
-	for _, spec := range []string{"fifo+threshold", "wfq+threshold", "fifo+none", "wfq+none"} {
-		spec := spec
-		lines = append(lines, line{
-			label:  specLabel(spec),
-			cfg:    func(x units.Bytes) *Options { return table1Cfg(spec, x, 0) },
-			metric: metric,
-		})
-	}
-	return lines
+// table1Sweep runs the Figure-1 sweep — the Table 1 workload under the
+// four §3.2 schemes, the reference workload for the equivalence tests —
+// and draws its utilization curves.
+func table1Sweep(ctx context.Context, o *Options) ([]Series, error) {
+	w := &Workload{Flows: Table1Flows(), QueueOf: Table1QueueOf()}
+	ax := bufferAxis(o, 0)
+	sets, err := runSweep(ctx, o, w, thresholdSpecs, ax)
+	return view(thresholdSpecs, sets, utilizationCurve, len(ax.xs)), err
 }
 
 // TestParallelRunLinesMatchesSequential asserts that fanning the Table 1
@@ -42,13 +37,13 @@ func TestParallelRunLinesMatchesSequential(t *testing.T) {
 
 	seq := *opts
 	seq.Workers = 1
-	want, err := runLines(context.Background(), &seq, seq.BufferSizes, table1Lines(utilization))
+	want, err := table1Sweep(context.Background(), &seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := *opts
 	par.Workers = 8
-	got, err := runLines(context.Background(), &par, par.BufferSizes, table1Lines(utilization))
+	got, err := table1Sweep(context.Background(), &par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +179,12 @@ func TestSweepCancellationPartialResults(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	series, err := runLines(ctx, opts, opts.BufferSizes, table1Lines(utilization))
+	series, err := table1Sweep(ctx, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got error %v, want context.Canceled", err)
 	}
-	// A full sequential sweep is 4 lines × 3 points × 2 runs = 24 runs;
+	// A full sequential sweep is 4 schemes × 3 points × 2 runs = 24 runs;
 	// cancellation after ~3 must return long before that.
 	if elapsed > 15*time.Second {
 		t.Errorf("cancelled sweep took %v", elapsed)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bufqos/internal/scheme"
-	"bufqos/internal/units"
 )
 
 // ParseScheme resolves a scheme name through the registry. It accepts
@@ -21,19 +20,22 @@ func ParseScheme(name string) (*scheme.Scheme, error) {
 func SchemeSpecs() []string { return scheme.Specs() }
 
 // specLabel returns the registry display label of a spec; it panics on
-// an invalid spec, so it is reserved for compile-time-constant specs
-// (the figure definitions).
+// an invalid spec, so it is reserved for specs known to parse (the
+// figure table's constants, SweepWorkload's validated list).
 func specLabel(spec string) string { return scheme.MustParse(spec).String() }
 
 // SweepWorkload runs the Figure-1/Figure-2 style buffer sweep for an
 // arbitrary workload (e.g. one loaded from a JSON file): it returns a
 // utilization figure and a conformant-loss figure over opts.BufferSizes
-// for the given registry scheme specs. Empty specs defaults to the
-// workload's own Schemes list, then to the paper's §3.2 comparison.
-// Cancelling ctx returns the partial figures computed so far together
-// with ctx.Err().
+// for the given registry scheme specs, both drawn from one pass of
+// runs. Empty specs defaults to the workload's own Schemes list, then to
+// the paper's §3.2 comparison. Cancelling ctx returns the partial
+// figures computed so far together with ctx.Err().
 func SweepWorkload(ctx context.Context, w *Workload, specs []string, opts *Options) (util Figure, loss Figure, err error) {
-	o := opts.sweepReady()
+	o, err := opts.sweepReady()
+	if err != nil {
+		return Figure{}, Figure{}, err
+	}
 	if len(specs) == 0 {
 		specs = w.Schemes
 	}
@@ -42,53 +44,26 @@ func SweepWorkload(ctx context.Context, w *Workload, specs []string, opts *Optio
 	}
 	// Validate every spec up front: a typo should fail the sweep before
 	// any simulation time is spent.
-	labels := make([]string, len(specs))
-	for i, spec := range specs {
-		parsed, err := scheme.Parse(spec)
-		if err != nil {
+	for _, spec := range specs {
+		if _, err := scheme.Parse(spec); err != nil {
 			return Figure{}, Figure{}, err
 		}
-		labels[i] = parsed.String()
-	}
-	mkLines := func(metric func(Result) float64) []line {
-		var lines []line
-		for i, spec := range specs {
-			spec := spec
-			lines = append(lines, line{
-				label: labels[i],
-				cfg: func(x units.Bytes) *Options {
-					return &Options{
-						Flows:      w.Flows,
-						SchemeSpec: spec,
-						LinkRate:   w.LinkRate,
-						Buffer:     x,
-						Headroom:   o.Headroom,
-						QueueOf:    w.QueueOf,
-					}
-				},
-				metric: metric,
-			})
-		}
-		return lines
 	}
 	name := w.Name
 	if name == "" {
 		name = fmt.Sprintf("%d flows", len(w.Flows))
 	}
-	us, err := runLines(ctx, o, o.BufferSizes, mkLines(utilization))
+	ax := bufferAxis(o, o.Headroom)
+	sets, err := runSweep(ctx, o, w, specs, ax)
 	util = Figure{
 		ID: "sweep-util", Title: "Aggregate throughput — " + name,
-		XLabel: "buffer (MB)", YLabel: "link utilization",
-		Xs: mbAxis(o.BufferSizes), Series: us,
+		XLabel: ax.label, YLabel: "link utilization",
+		Xs: mbAxis(ax.xs), Series: view(specs, sets, utilizationCurve, len(ax.xs)),
 	}
-	if err != nil {
-		return util, Figure{}, err
-	}
-	ls, err := runLines(ctx, o, o.BufferSizes, mkLines(conformantLoss))
 	loss = Figure{
 		ID: "sweep-loss", Title: "Conformant loss — " + name,
-		XLabel: "buffer (MB)", YLabel: "conformant loss ratio",
-		Xs: mbAxis(o.BufferSizes), Series: ls,
+		XLabel: ax.label, YLabel: "conformant loss ratio",
+		Xs: mbAxis(ax.xs), Series: view(specs, sets, lossCurve, len(ax.xs)),
 	}
 	return util, loss, err
 }

@@ -19,6 +19,15 @@ type Assertion struct {
 	Err error
 }
 
+// Checkf returns nil when ok, else the formatted violation: the Err of
+// an Assertion whose guarantee is a single comparison.
+func Checkf(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
 // Failed reports whether the assertion was violated.
 func (a Assertion) Failed() bool { return a.Err != nil }
 

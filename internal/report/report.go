@@ -340,14 +340,20 @@ type Result struct {
 	Err   error
 }
 
-// Run regenerates each figure once and evaluates every check against
-// it, writing a line per check to w. Cancelling ctx aborts between (or
-// inside) figure regenerations.
+// Run regenerates the figures the checks consume, in the paper's order,
+// from one experiment.Figures set — so figures that view the same runs
+// simulate them once — and evaluates every check, writing a line per
+// check to w as soon as its figure is complete. An error (cancelling ctx
+// aborts inside a regeneration) comes with the results of the figures
+// completed before it.
 func Run(ctx context.Context, opts *experiment.Options, w io.Writer) ([]Result, error) {
-	checks := Checks()
-	// Group checks by figure so each figure is simulated once.
+	figs, err := experiment.NewFigures(opts)
+	if err != nil {
+		return nil, err
+	}
+	// Group checks by figure so each figure is requested once.
 	byFig := map[string][]Check{}
-	for _, c := range checks {
+	for _, c := range Checks() {
 		byFig[c.Figure] = append(byFig[c.Figure], c)
 	}
 	var results []Result
@@ -356,9 +362,9 @@ func Run(ctx context.Context, opts *experiment.Options, w io.Writer) ([]Result, 
 		if len(cs) == 0 {
 			continue
 		}
-		fig, err := experiment.Figures[id](ctx, opts)
+		fig, err := figs.Figure(ctx, id)
 		if err != nil {
-			return nil, fmt.Errorf("regenerating %s: %w", id, err)
+			return results, fmt.Errorf("regenerating %s: %w", id, err)
 		}
 		for _, c := range cs {
 			r := Result{Check: c, Err: c.Verify(fig)}

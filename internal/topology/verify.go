@@ -57,14 +57,14 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 			// (fifo/wfq + threshold/sharing) are held to the floor —
 			// taildrop and RED make no per-flow promise, which is
 			// exactly the GFR comparison's point.
-			if guaranteedRoute(t, f) && !fr.Left {
+			if t.GuaranteedRoute(f) && !fr.Left {
 				active := fr.LeaveAt - fr.JoinAt
-				want := units.Bytes(TCPGoodputFraction*float64(units.BytesAtRate(f.Spec.TokenRate, active))) - allowance(t, f)
+				want := units.Bytes(TCPGoodputFraction*float64(units.BytesAtRate(f.Spec.TokenRate, active))) - t.Allowance(f)
 				as = append(as, report.Assertion{
 					Name: "tcp-goodput-floor",
 					Detail: fmt.Sprintf("flow %s: goodput ≥ %.2g·ρ = %.2g·%v over %.3gs",
 						f.Name, TCPGoodputFraction, TCPGoodputFraction, f.Spec.TokenRate, active),
-					Err: check(fr.Goodput.Bytes >= want,
+					Err: report.Checkf(fr.Goodput.Bytes >= want,
 						"goodput %v (%v), want ≥ %v", fr.Goodput.Bytes, fr.GoodputRate, want),
 				})
 			}
@@ -89,20 +89,20 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 				Err:    err,
 			})
 		}
-		allow := allowance(t, f)
+		allow := t.Allowance(f)
 		as = append(as, report.Assertion{
 			Name:   "conservation",
 			Detail: fmt.Sprintf("flow %s: delivered ≥ offered − %v", f.Name, allow),
-			Err: check(fr.Delivered.Bytes >= fr.Offered.Bytes-allow,
+			Err: report.Checkf(fr.Delivered.Bytes >= fr.Offered.Bytes-allow,
 				"delivered %v of %v offered (allowance %v)", fr.Delivered.Bytes, fr.Offered.Bytes, allow),
 		})
-		if sustained(f) && !fr.Left {
+		if f.Sustained() && !fr.Left {
 			active := fr.LeaveAt - fr.JoinAt
 			want := units.BytesAtRate(f.Spec.TokenRate, active) - allow
 			as = append(as, report.Assertion{
 				Name:   "reserved-throughput",
 				Detail: fmt.Sprintf("flow %s: ≥ ρ = %v over %.3gs", f.Name, f.Spec.TokenRate, active),
-				Err: check(fr.Delivered.Bytes >= want,
+				Err: report.Checkf(fr.Delivered.Bytes >= want,
 					"delivered %v (%v), want ≥ %v", fr.Delivered.Bytes, fr.Throughput, want),
 			})
 		}
@@ -126,7 +126,7 @@ func VerifyMany(t *Topology, results []Result) []report.Assertion {
 	return as
 }
 
-// allowance bounds how many of a conformant flow's offered bytes may
+// Allowance bounds how many of a conformant flow's offered bytes may
 // legitimately be missing from delivery at the horizon: the bucket σ,
 // plus per hop the buffer that may still store its packets and the
 // bytes in flight on the propagation wire, plus one packet per hop in
@@ -136,7 +136,7 @@ func VerifyMany(t *Topology, results []Result) []report.Assertion {
 // arrival instant fl(departure + propagation) an unsharded After would
 // have used), so "in flight on the wire" means the same set of bytes —
 // and the same allowance — at every Options.Shards value.
-func allowance(t *Topology, f *Flow) units.Bytes {
+func (t *Topology) Allowance(f *Flow) units.Bytes {
 	a := f.Spec.BucketSize
 	for _, li := range f.Route {
 		l := &t.Links[li]
@@ -153,29 +153,39 @@ func allowance(t *Topology, f *Flow) units.Bytes {
 // ACK-clocking transients on short horizons.
 const TCPGoodputFraction = 0.5
 
-// guaranteedRoute reports whether every hop of the flow's forward
-// route runs a scheme the paper's per-flow protection claim covers
-// (fifo/wfq scheduling with threshold/sharing buffer management).
-func guaranteedRoute(t *Topology, f *Flow) bool {
+// Guaranteed reports whether the link (of a validated topology) runs a
+// scheme the paper's per-flow protection claim covers: a FIFO or WFQ
+// scheduler over the §3.2 threshold partition or its §3.3 sharing
+// variant, whose reserved thresholds are identical. An under-scaled
+// threshold manager (threshold?scale<1) still claims the guarantee —
+// that is precisely the defect the fuzz oracles exist to catch.
+func (l *Link) Guaranteed() bool {
+	switch l.scheme.SchedulerName() {
+	case "fifo", "wfq":
+	default:
+		return false
+	}
+	switch l.scheme.ManagerName() {
+	case "threshold", "sharing":
+		return true
+	}
+	return false
+}
+
+// GuaranteedRoute reports whether every hop of the flow's forward
+// route is a Guaranteed link.
+func (t *Topology) GuaranteedRoute(f *Flow) bool {
 	for _, li := range f.Route {
-		l := &t.Links[li]
-		switch l.scheme.SchedulerName() {
-		case "fifo", "wfq":
-		default:
-			return false
-		}
-		switch l.scheme.ManagerName() {
-		case "threshold", "sharing":
-		default:
+		if !t.Links[li].Guaranteed() {
 			return false
 		}
 	}
 	return true
 }
 
-// sustained reports whether the flow's source keeps its leaky bucket
+// Sustained reports whether the flow's source keeps its leaky bucket
 // busy for the whole run, making delivered-rate ≥ ρ a sound check.
-func sustained(f *Flow) bool {
+func (f *Flow) Sustained() bool {
 	switch f.Source {
 	case SourceGreedy:
 		return true
@@ -184,12 +194,4 @@ func sustained(f *Flow) bool {
 	default:
 		return false
 	}
-}
-
-// check returns nil when ok, else the formatted violation.
-func check(ok bool, format string, args ...any) error {
-	if ok {
-		return nil
-	}
-	return fmt.Errorf(format, args...)
 }

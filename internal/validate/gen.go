@@ -113,7 +113,7 @@ func Generate(seed int64, cfg GenConfig) (*Scenario, error) {
 func unif(rng *rand.Rand, lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
 
 // guaranteedSpecs is the scheme subset that carries the paper's
-// zero-conformant-loss guarantee; see linkGuaranteed in oracles.go.
+// zero-conformant-loss guarantee; see topology.(*Link).Guaranteed.
 // threshold is weighted up because it is the paper's headline scheme.
 var guaranteedSpecs = []string{
 	"fifo+threshold", "fifo+threshold", "wfq+threshold",

@@ -9,7 +9,6 @@ import (
 	"bufqos/internal/fluid"
 	"bufqos/internal/packet"
 	"bufqos/internal/report"
-	"bufqos/internal/scheme"
 	"bufqos/internal/topology"
 	"bufqos/internal/units"
 )
@@ -136,41 +135,6 @@ func OracleNames() []string {
 	return names
 }
 
-// linkGuaranteed reports whether a link's scheme carries the paper's
-// zero-conformant-loss guarantee: a FIFO or WFQ scheduler over the §3.2
-// threshold partition or its §3.3 sharing variant (whose reserved
-// thresholds are identical). Note that an under-scaled threshold
-// manager (threshold?scale<1) still claims the guarantee — that is
-// precisely the defect the oracles exist to catch.
-func linkGuaranteed(spec string) bool {
-	s, err := scheme.Parse(spec)
-	if err != nil {
-		return false
-	}
-	switch s.SchedulerName() {
-	case "fifo", "wfq":
-	default:
-		return false
-	}
-	switch s.ManagerName() {
-	case "threshold", "sharing":
-	default:
-		return false
-	}
-	return true
-}
-
-// routeGuaranteed reports whether every hop of the flow's route is a
-// guaranteed link.
-func routeGuaranteed(t *topology.Topology, f *topology.Flow) bool {
-	for _, li := range f.Route {
-		if !linkGuaranteed(t.Links[li].Spec) {
-			return false
-		}
-	}
-	return true
-}
-
 // assertable reports whether the flow is held to its guarantees in this
 // run: it must be admitted, shaped (no contract otherwise), and not
 // degraded by a link failure or rate cut.
@@ -187,7 +151,7 @@ func checkZeroConformantLoss(_ context.Context, c *Case) []report.Assertion {
 			continue
 		}
 		for _, li := range f.Route {
-			if !linkGuaranteed(t.Links[li].Spec) {
+			if !t.Links[li].Guaranteed() {
 				continue
 			}
 			lf := &c.Result.Links[li].Flows[fi]
@@ -240,7 +204,7 @@ func checkConservation(_ context.Context, c *Case) []report.Assertion {
 		as = append(as, report.Assertion{
 			Name:   "conservation",
 			Detail: fmt.Sprintf("flow %s end-to-end", t.Flows[fi].Name),
-			Err: check(fr.Delivered.Bytes <= fr.Offered.Bytes,
+			Err: report.Checkf(fr.Delivered.Bytes <= fr.Offered.Bytes,
 				"delivered %v exceeds offered %v", fr.Delivered.Bytes, fr.Offered.Bytes),
 		})
 	}
@@ -253,15 +217,15 @@ func checkReservedThroughput(_ context.Context, c *Case) []report.Assertion {
 	for fi := range t.Flows {
 		f := &t.Flows[fi]
 		fr := &c.Result.Flows[fi]
-		if !assertable(f, fr) || fr.Left || !sustainedSource(f) || !routeGuaranteed(t, f) {
+		if !assertable(f, fr) || fr.Left || !f.Sustained() || !t.GuaranteedRoute(f) {
 			continue
 		}
 		active := fr.LeaveAt - fr.JoinAt
-		want := units.BytesAtRate(f.Spec.TokenRate, active) - allowanceFor(t, f)
+		want := units.BytesAtRate(f.Spec.TokenRate, active) - t.Allowance(f)
 		as = append(as, report.Assertion{
 			Name:   "reserved-throughput",
 			Detail: fmt.Sprintf("flow %s: ≥ ρ = %v over %.3gs", f.Name, f.Spec.TokenRate, active),
-			Err: check(fr.Delivered.Bytes >= want,
+			Err: report.Checkf(fr.Delivered.Bytes >= want,
 				"delivered %v (%v), want ≥ %v", fr.Delivered.Bytes, fr.Throughput, want),
 		})
 	}
@@ -282,17 +246,17 @@ func checkTCPGoodputFloor(_ context.Context, c *Case) []report.Assertion {
 		if f.Source != topology.SourceTCP {
 			continue
 		}
-		if !fr.Admitted || fr.Degraded || fr.Left || !routeGuaranteed(t, f) {
+		if !fr.Admitted || fr.Degraded || fr.Left || !t.GuaranteedRoute(f) {
 			continue
 		}
 		active := fr.LeaveAt - fr.JoinAt
 		want := units.Bytes(topology.TCPGoodputFraction*
-			float64(units.BytesAtRate(f.Spec.TokenRate, active))) - allowanceFor(t, f)
+			float64(units.BytesAtRate(f.Spec.TokenRate, active))) - t.Allowance(f)
 		as = append(as, report.Assertion{
 			Name: "tcp-goodput-floor",
 			Detail: fmt.Sprintf("flow %s: goodput ≥ %.2g·ρ = %.2g·%v over %.3gs",
 				f.Name, topology.TCPGoodputFraction, topology.TCPGoodputFraction, f.Spec.TokenRate, active),
-			Err: check(fr.Goodput.Bytes >= want,
+			Err: report.Checkf(fr.Goodput.Bytes >= want,
 				"goodput %v (%v), want ≥ %v", fr.Goodput.Bytes, fr.GoodputRate, want),
 		})
 	}
@@ -310,7 +274,7 @@ func checkRejectedIdle(_ context.Context, c *Case) []report.Assertion {
 		as = append(as, report.Assertion{
 			Name:   "rejected-flow-idle",
 			Detail: fmt.Sprintf("flow %s", t.Flows[fi].Name),
-			Err: check(fr.Offered.Packets == 0 && fr.Delivered.Packets == 0,
+			Err: report.Checkf(fr.Offered.Packets == 0 && fr.Delivered.Packets == 0,
 				"non-admitted flow carried traffic: offered %d, delivered %d packets",
 				fr.Offered.Packets, fr.Delivered.Packets),
 		})
@@ -361,7 +325,7 @@ func checkMonotonicity(ctx context.Context, c *Case) []report.Assertion {
 	t := c.Scenario.Topo
 	applicable := false
 	for fi := range t.Flows {
-		if assertable(&t.Flows[fi], &c.Result.Flows[fi]) && routeGuaranteed(t, &t.Flows[fi]) {
+		if assertable(&t.Flows[fi], &c.Result.Flows[fi]) && t.GuaranteedRoute(&t.Flows[fi]) {
 			applicable = true
 			break
 		}
@@ -412,14 +376,14 @@ func checkMonotonicity(ctx context.Context, c *Case) []report.Assertion {
 		}
 		var lost int64
 		for _, li := range f.Route {
-			if linkGuaranteed(t.Links[li].Spec) {
+			if t.Links[li].Guaranteed() {
 				lost += vres.Links[li].Flows[fi].ConformantDropped.Packets
 			}
 		}
 		as = append(as, report.Assertion{
 			Name:   "admission-monotonicity",
 			Detail: fmt.Sprintf("flow %s with one extra admitted flow", f.Name),
-			Err: check(lost == 0,
+			Err: report.Checkf(lost == 0,
 				"gained %d conformant drops after adding an unrelated flow", lost),
 		})
 	}
@@ -463,13 +427,13 @@ func checkNecessity(_ context.Context, c *Case) []report.Assertion {
 		{
 			Name:   "threshold-necessity",
 			Detail: fmt.Sprintf("sufficiency: threshold B·ρ/R (ρ=%v, R=%v, B=%v) lossless", units.Rate(rho), l.Rate, l.Buffer),
-			Err: check(suff.Dropped[0] == 0,
+			Err: report.Checkf(suff.Dropped[0] == 0,
 				"fluid flow dropped %.0f bits at the paper threshold", suff.Dropped[0]),
 		},
 		{
 			Name:   "threshold-necessity",
 			Detail: "necessity: 0.9× the threshold drops against a greedy competitor",
-			Err: check(nec.Dropped[0] > 0,
+			Err: report.Checkf(nec.Dropped[0] > 0,
 				"no loss at 0.9× threshold: the bound would not be tight"),
 		},
 	}
@@ -514,7 +478,7 @@ func checkHybridSavings(_ context.Context, c *Case) []report.Assertion {
 				var sav units.Bytes
 				sav, err = core.BufferSavings(l.Rate, groups)
 				if err == nil {
-					err = check(sav >= 0, "negative savings %v: hybrid needs more than FIFO's %v", sav, fifoB)
+					err = report.Checkf(sav >= 0, "negative savings %v: hybrid needs more than FIFO's %v", sav, fifoB)
 				}
 			}
 		}
@@ -592,48 +556,16 @@ func checkDifferential(_ context.Context, c *Case) []report.Assertion {
 				Name: "sim-fluid-differential",
 				Detail: fmt.Sprintf("flow %s departures: packet %v vs fluid %v (tol %v)",
 					f.Name, lf.Departed.Bytes, fluidDep, tol),
-				Err: check(diff <= tol, "packet and fluid departures diverge by %v > %v", diff, tol),
+				Err: report.Checkf(diff <= tol, "packet and fluid departures diverge by %v > %v", diff, tol),
 			},
 			report.Assertion{
 				Name:   "sim-fluid-differential",
 				Detail: fmt.Sprintf("flow %s losslessness in both models", f.Name),
-				Err: check(lf.ConformantDropped.Packets == 0 && eng.Dropped[fi] == 0,
+				Err: report.Checkf(lf.ConformantDropped.Packets == 0 && eng.Dropped[fi] == 0,
 					"packet dropped %d conformant packets, fluid dropped %.0f bits",
 					lf.ConformantDropped.Packets, eng.Dropped[fi]),
 			},
 		)
 	}
 	return as
-}
-
-// sustainedSource mirrors topology.Verify's notion of a source that
-// keeps its bucket busy all run.
-func sustainedSource(f *topology.Flow) bool {
-	switch f.Source {
-	case topology.SourceGreedy:
-		return true
-	case topology.SourceCBR:
-		return f.AvgRate >= f.Spec.TokenRate
-	default:
-		return false
-	}
-}
-
-// allowanceFor mirrors topology.Verify's delivery allowance: one bucket
-// σ plus, per hop, the buffer, the wire, and one packet.
-func allowanceFor(t *topology.Topology, f *topology.Flow) units.Bytes {
-	a := f.Spec.BucketSize
-	for _, li := range f.Route {
-		l := &t.Links[li]
-		a += l.Buffer + units.BytesAtRate(l.Rate, l.PropDelay) + f.PacketSize
-	}
-	return a
-}
-
-// check returns nil when ok, else the formatted violation.
-func check(ok bool, format string, args ...any) error {
-	if ok {
-		return nil
-	}
-	return fmt.Errorf(format, args...)
 }
