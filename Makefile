@@ -1,7 +1,9 @@
 # Tier-1 verify path. CI and pre-commit both run `make verify`:
 # build + vet + full tests, then a short-mode race check of the
 # parallel sweep worker pool (including cancellation and shared-
-# registry metrics aggregation) so it stays race-clean.
+# registry metrics aggregation) and of the sharded engine's packet
+# hand-off (open loop, and closed loop with pooled packets crossing in
+# both directions) so they stay race-clean.
 .PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke figs-smoke
 
 verify: build vet test race
@@ -19,7 +21,12 @@ test:
 # keeps the one spec→link builder the only one: outside tests and bench/,
 # a scheme's Build may be called only by internal/scheme (NewLink) and by
 # topology.Validate's dry build, which makes no link; and no legacy.go
-# shim file may come back. CI runs this alongside `make verify`.
+# shim file may come back. It keeps the packet path allocation-free the
+# same way: outside tests, bench/ and internal/packet nothing may build a
+# packet.Packet literal (packets come from sim.Simulator.NewPacket), and
+# in internal/source and internal/sched every callback handed to the
+# simulator's At/After must be a stored one (a field named ...Fn), not a
+# method value made per event. CI runs this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -35,10 +42,21 @@ lint:
 	fi
 	@shims=$$(find . -name legacy.go); \
 	if [ -n "$$shims" ]; then echo "legacy shim files are not allowed:"; echo "$$shims"; exit 1; fi
+	@literals=$$(grep -rn --include='*.go' --exclude='*_test.go' 'packet\.Packet{' . \
+		| grep -v -e '^\./bench/' -e '^\./internal/packet/'); \
+	if [ -n "$$literals" ]; then \
+		echo "draw packets from the simulator's pool (NewPacket), not a literal:"; echo "$$literals"; exit 1; \
+	fi
+	@rearms=$$(grep -n -E 'sim\.(At|After)\(' internal/source/*.go internal/sched/*.go \
+		| grep -v -e '_test\.go:' | grep -v -E 'Fn\)( })?$$'); \
+	if [ -n "$$rearms" ]; then \
+		echo "re-arm with a callback stored at construction (a ...Fn field), not a per-event method value:"; \
+		echo "$$rearms"; exit 1; \
+	fi
 
 race:
 	go test -race -short -run 'TestParallel|TestPool|TestSweepCancel|TestMetricsDeterministic' ./internal/experiment
-	go test -race -run 'TestShardEquivalence|TestRunMergesDeterministically' ./internal/topology ./internal/shard
+	go test -race -run 'TestShardEquivalence|TestGFR3ShardedPoolStaysBounded|TestRunMergesDeterministically' ./internal/topology ./internal/shard
 	go test -race ./internal/qosd ./internal/core
 	go test -race ./internal/online
 	go test -race -run 'TestCompeteDeterministicAcrossWorkers' ./internal/validate
@@ -58,9 +76,14 @@ bench-json:
 
 # One fast iteration of the headline benchmarks: catches benchmarks
 # that no longer compile or crash without paying for full measurement.
+# Then one short run of the repository's benchmark (BENCHMARK.json,
+# bench/README.md) on its Table 1 workload: it exits non-zero unless the
+# repeated calls' result fingerprints agree and the shaped flows lose
+# nothing — those output checks are the point here, not the timing.
 # CI runs this on every push.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkTable1Workload$$|BenchmarkEndToEndSimulation' -benchtime 1x .
+	go run ./bench --workload link-fifo --seed 1 --seconds 2 --trace 0
 
 # Run every shipped topology scenario short with -check: fails if any
 # admitted conformant flow loses conformant traffic at any hop or

@@ -63,6 +63,13 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	if len(seq.Counters) == 0 {
 		t.Fatal("instrumented sweep registered no counters")
 	}
+	// The packet pool's instruments take part in the contract below:
+	// every run has its own kernel and pool, so the created total and
+	// the live high-water do not depend on which worker ran what.
+	if seq.Counters["sim.packets_created"] == 0 || seq.Gauges["sim.packets_live"].Max == 0 {
+		t.Errorf("pool metrics missing: created %d, live high-water %d",
+			seq.Counters["sim.packets_created"], seq.Gauges["sim.packets_live"].Max)
+	}
 
 	for name, v := range seq.Counters {
 		if !deterministic(name) {
@@ -116,6 +123,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	}
 	for _, name := range []string{
 		"sim.events_dispatched",
+		"sim.packets_created",
 		"buffer.accepts",
 		"sched.served_packets.FIFO+thresholds",
 		"experiment.run_events",
@@ -128,5 +136,15 @@ func TestRunMetricsPopulated(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("metric %s = %v, want > 0", name, v)
 		}
+	}
+	// The pool's leak detector: packets out at once never exceed what
+	// the 1 MB buffer, the wire and the six shaping queues can hold
+	// (2000 + 1 + the shaped flows' bursts), however many were offered;
+	// a missing release would count every packet of the run.
+	live := reg.Gauge("sim.packets_live").Max()
+	admitted, _ := reg.Value("buffer.accepts")
+	t.Logf("sim.packets_live high-water %d of %v admitted", live, admitted)
+	if live <= 0 || live > 4000 {
+		t.Errorf("sim.packets_live high-water %d, want within (0, 4000]", live)
 	}
 }

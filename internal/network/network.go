@@ -35,6 +35,9 @@ type Router struct {
 	next  []func(p *packet.Packet)
 	prop  float64
 	nhops []int64 // diagnostics: how many packets forwarded per flow
+	// arriveFn is r.arrive, bound once: the handler of every
+	// propagation-delay event the router schedules.
+	arriveFn func(p *packet.Packet)
 }
 
 // NewRouter builds a hop. col may be nil; prop is the propagation delay
@@ -52,6 +55,7 @@ func NewRouter(s *sim.Simulator, name string, rate units.Rate, scheduler sched.S
 	}
 	r.link = sched.NewLink(s, rate, scheduler, mgr, col)
 	r.link.OnDepart = r.forward
+	r.arriveFn = r.arrive
 	return r
 }
 
@@ -67,7 +71,8 @@ func (r *Router) Collector() *stats.Collector { return r.col }
 func (r *Router) Receive(p *packet.Packet) { r.link.Receive(p) }
 
 // SetRoute directs departed packets of flow to next. A nil next means
-// the flow terminates here.
+// the flow terminates here. A packet already propagating when the route
+// changes follows the new one.
 func (r *Router) SetRoute(flow int, next func(p *packet.Packet)) {
 	if flow >= len(r.next) {
 		if next == nil {
@@ -93,26 +98,33 @@ func (r *Router) Forwarded(flow int) int64 {
 	return r.nhops[flow]
 }
 
+// forward is the link's OnDepart hook, so the router owns every
+// departed packet: it hands it to the flow's next hop or, when the flow
+// terminates here, releases it.
 func (r *Router) forward(p *packet.Packet) {
-	if p.Flow >= len(r.next) {
-		return
-	}
-	next := r.next[p.Flow]
-	if next == nil {
+	if p.Flow >= len(r.next) || r.next[p.Flow] == nil {
+		r.sim.Release(p)
 		return
 	}
 	r.nhops[p.Flow]++
 	if r.prop == 0 {
 		// Forward within the same event: the packet arrives at the next
 		// hop the instant its last bit leaves this one.
-		p.Arrived = r.sim.Now()
-		next(p)
+		r.arrive(p)
 		return
 	}
-	r.sim.After(r.prop, func() {
-		p.Arrived = r.sim.Now()
-		next(p)
-	})
+	r.sim.AfterPacket(r.prop, r.arriveFn, p)
+}
+
+// arrive delivers p to its flow's next hop.
+func (r *Router) arrive(p *packet.Packet) {
+	next := r.next[p.Flow]
+	if next == nil { // un-routed while the packet was propagating
+		r.sim.Release(p)
+		return
+	}
+	p.Arrived = r.sim.Now()
+	next(p)
 }
 
 // Delivery records end-to-end completions at the far end of a path.
@@ -222,15 +234,14 @@ func (r *tcpEndpoint) receive(d *Delivery, p *packet.Packet) {
 		r.ooo.set(r.rcvNxt, p.Seq)
 	}
 	now := d.sim.Now()
-	ap := &packet.Packet{
-		Flow:    p.Flow,
-		Size:    r.ackSize,
-		Created: now,
-		Arrived: now,
-		Seq:     r.ackSeq,
-		Ack:     true,
-		AckSeq:  r.rcvNxt,
-	}
+	ap := d.sim.NewPacket()
+	ap.Flow = p.Flow
+	ap.Size = r.ackSize
+	ap.Created = now
+	ap.Arrived = now
+	ap.Seq = r.ackSeq
+	ap.Ack = true
+	ap.AckSeq = r.rcvNxt
 	r.ackSeq++
 	r.ack(ap)
 }
@@ -265,7 +276,9 @@ func NewDeliveryLight(s *sim.Simulator, nflows int) *Delivery {
 // NumFlows returns how many flows the delivery sink tracks.
 func (d *Delivery) NumFlows() int { return len(d.packets) }
 
-// Receive implements the forwarding signature: record the completion.
+// Receive implements the forwarding signature: record the completion,
+// acknowledge it when the flow is closed-loop, and release the packet —
+// delivery is where a data packet's life ends.
 // A packet whose flow ID is outside the sink's range panics with a
 // message naming the flow — a topology that forwards an unknown flow is
 // a wiring bug, and the bare index-out-of-range panic it used to cause
@@ -289,6 +302,7 @@ func (d *Delivery) Receive(p *packet.Packet) {
 			r.receive(d, p)
 		}
 	}
+	d.sim.Release(p)
 }
 
 // TCPAckSize is the size of a pure acknowledgement — a TCP/IP header
@@ -298,7 +312,8 @@ const TCPAckSize units.Bytes = 40
 // SetAcker registers flow as closed-loop: every delivered data segment
 // is answered with a cumulative acknowledgement packet of the given
 // size, handed to ack at delivery time. The caller routes the ACK back
-// towards the source (typically across the flow's reverse path delay).
+// towards the source (typically across the flow's reverse path delay)
+// and owns it: a source.Feedback releases the ACK it is handed.
 func (d *Delivery) SetAcker(flow int, ackSize units.Bytes, ack func(p *packet.Packet)) {
 	if d.tcp == nil {
 		d.tcp = make([]tcpEndpoint, len(d.packets))

@@ -15,6 +15,11 @@ import (
 // is a source.Sink), consults the buffer manager for admission, queues
 // admitted packets in the scheduler, and transmits them back-to-back at
 // the link rate. It is non-preemptive and work-conserving.
+//
+// A packet's life ends here unless a hook says otherwise: the link
+// releases a rejected packet, a pushed-out victim and a departed packet
+// to the simulator's pool when the matching OnDrop/OnDepart hook is
+// nil, and hands ownership to the hook when it is set.
 type Link struct {
 	sim   *sim.Simulator
 	rate  units.Rate
@@ -24,10 +29,17 @@ type Link struct {
 
 	busy bool
 	down bool
-	// OnDepart, if set, is called after each completed transmission.
-	// The fluid tests and the greedy feedback source use it.
+	// inFlight is the packet on the wire (nil when idle) and departFn
+	// the link's one departure callback, l.depart bound once: a
+	// transmission schedules a stored func, not a closure over p.
+	inFlight *packet.Packet
+	departFn func()
+	// OnDepart, if set, is called after each completed transmission and
+	// owns the packet from then on. The fluid tests and the greedy
+	// feedback source use it.
 	OnDepart func(p *packet.Packet)
-	// OnDrop, if set, is called for each rejected packet.
+	// OnDrop, if set, is called for each rejected or pushed-out packet
+	// and owns it from then on.
 	OnDrop func(p *packet.Packet)
 
 	mServed      *metrics.Counter // nil unless instrumented
@@ -73,21 +85,30 @@ func NewLink(s *sim.Simulator, rate units.Rate, sched Scheduler, mgr buffer.Mana
 		panic("link: nil scheduler or buffer manager")
 	}
 	l := &Link{sim: s, rate: rate, sched: sched, mgr: mgr, col: col}
+	l.departFn = l.depart
 	if pn, ok := sched.(PushoutNotifier); ok {
 		// Fields are read at pushout time, so counters registered by a
 		// later Instrument call and OnDrop hooks set after construction
 		// are honoured.
 		pn.SetOnPushout(func(p *packet.Packet) {
 			l.mPushouts.Inc()
-			if l.col != nil {
-				l.col.Dropped(p, l.sim.Now())
-			}
-			if l.OnDrop != nil {
-				l.OnDrop(p)
-			}
+			l.dropped(p)
 		})
 	}
 	return l
+}
+
+// dropped accounts one lost packet (rejected on arrival or pushed out
+// of the queue) and passes it to OnDrop, or releases it.
+func (l *Link) dropped(p *packet.Packet) {
+	if l.col != nil {
+		l.col.Dropped(p, l.sim.Now())
+	}
+	if l.OnDrop != nil {
+		l.OnDrop(p)
+		return
+	}
+	l.sim.Release(p)
 }
 
 // Rate returns the link rate.
@@ -138,12 +159,7 @@ func (l *Link) Receive(p *packet.Packet) {
 		l.col.Offered(p, l.sim.Now())
 	}
 	if !l.mgr.Admit(p.Flow, p.Size) {
-		if l.col != nil {
-			l.col.Dropped(p, l.sim.Now())
-		}
-		if l.OnDrop != nil {
-			l.OnDrop(p)
-		}
+		l.dropped(p)
 		return
 	}
 	l.sched.Enqueue(p)
@@ -164,16 +180,26 @@ func (l *Link) startNext() {
 		return
 	}
 	l.busy = true
-	l.sim.After(units.TransmissionTime(p.Size, l.rate), func() {
-		l.mgr.Release(p.Flow, p.Size)
-		l.mServed.Inc()
-		l.mServedBytes.Add(int64(p.Size))
-		if l.col != nil {
-			l.col.Departed(p, l.sim.Now())
-		}
-		if l.OnDepart != nil {
-			l.OnDepart(p)
-		}
-		l.startNext()
-	})
+	l.inFlight = p
+	l.sim.After(units.TransmissionTime(p.Size, l.rate), l.departFn)
+}
+
+// depart completes the in-flight transmission: free the buffer space,
+// account the departure, pass the packet to OnDepart (or release it),
+// and start on the next one.
+func (l *Link) depart() {
+	p := l.inFlight
+	l.inFlight = nil
+	l.mgr.Release(p.Flow, p.Size)
+	l.mServed.Inc()
+	l.mServedBytes.Add(int64(p.Size))
+	if l.col != nil {
+		l.col.Departed(p, l.sim.Now())
+	}
+	if l.OnDepart != nil {
+		l.OnDepart(p)
+	} else {
+		l.sim.Release(p)
+	}
+	l.startNext()
 }

@@ -15,6 +15,11 @@
 // the heap eagerly rather than lingering until popped, so a workload
 // that schedules and cancels heavily (shapers, churn) keeps the queue
 // exactly as large as its live event count.
+//
+// A simulator also owns the packet pool of everything that runs on its
+// clock (NewPacket, Release), and an event can carry a packet in its
+// arena slot (AfterPacket, AtStampedPacket), so a packet riding a delay
+// costs neither a heap object nor a closure.
 package sim
 
 import (
@@ -22,6 +27,7 @@ import (
 	"math"
 
 	"bufqos/internal/metrics"
+	"bufqos/internal/packet"
 )
 
 // node is one arena slot. The generation counter distinguishes a live
@@ -32,13 +38,28 @@ import (
 // caller supply it explicitly (the sharded topology engine stamps
 // cross-shard arrivals with their upstream departure time, so a merged
 // heap reproduces the order a single global kernel would have used).
+//
+// An event is either a plain callback (fn) or a packet-carrying one
+// (pfn called with p); exactly one of fn and pfn is set while the slot
+// is live.
 type node struct {
 	time  float64
 	sched float64
 	seq   uint64
 	fn    func()
+	pfn   func(*packet.Packet)
+	p     *packet.Packet
 	gen   uint32
 	pos   int32 // heap position, -1 free, posInBatch while batch-dispatching
+}
+
+// run executes a callback read out of a node before its slot was freed.
+func run(fn func(), pfn func(*packet.Packet), p *packet.Packet) {
+	if pfn != nil {
+		pfn(p)
+		return
+	}
+	fn()
 }
 
 // posInBatch marks a node that has been popped into the current
@@ -63,7 +84,8 @@ func (e Event) Time() float64 { return e.time }
 // that shares the current dispatch instant may be cancelled by an
 // earlier event of the same batch: its callback is nilled and the batch
 // loop skips it, preserving the exact semantics of one-at-a-time
-// dispatch.
+// dispatch. Cancelling a packet-carrying event does not release its
+// packet: the canceller is its owner again.
 func (e Event) Cancel() {
 	if e.s == nil {
 		return
@@ -73,8 +95,8 @@ func (e Event) Cancel() {
 		return
 	}
 	if n.pos == posInBatch {
-		if n.fn != nil {
-			n.fn = nil
+		if n.fn != nil || n.pfn != nil {
+			n.fn, n.pfn, n.p = nil, nil, nil
 			e.s.mCancelled.Inc()
 		}
 		return
@@ -107,12 +129,16 @@ type Simulator struct {
 	heap   []int32 // 4-ary min-heap of arena indices, ordered by (time, sched, seq)
 	batch  []int32 // scratch for RunUntilBatch: one instant's events
 
+	pool packet.Pool
+
 	// Metric handles, nil unless Instrument was called. Nil handles
 	// no-op, so the disabled path costs one branch per operation.
-	mScheduled  *metrics.Counter
-	mDispatched *metrics.Counter
-	mCancelled  *metrics.Counter
-	mHeapDepth  *metrics.Gauge
+	mScheduled      *metrics.Counter
+	mDispatched     *metrics.Counter
+	mCancelled      *metrics.Counter
+	mHeapDepth      *metrics.Gauge
+	mPacketsLive    *metrics.Gauge
+	mPacketsCreated *metrics.Counter
 }
 
 // New returns a simulator with its clock at time zero.
@@ -121,9 +147,12 @@ func New() *Simulator {
 }
 
 // Instrument registers the kernel's metrics with r: events scheduled,
-// dispatched, and cancelled (counters) and the event-heap depth
-// high-water (gauge). A nil registry leaves the kernel uninstrumented,
-// which is the free fast path.
+// dispatched, and cancelled (counters), the event-heap depth high-water
+// (gauge), and the packet pool: packets out at once (gauge
+// "sim.packets_live", whose high-water exceeding buffers plus packets
+// in flight means a release is missing) and packets carved from the
+// heap (counter "sim.packets_created"). A nil registry leaves the
+// kernel uninstrumented, which is the free fast path.
 func (s *Simulator) Instrument(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -132,6 +161,33 @@ func (s *Simulator) Instrument(r *metrics.Registry) {
 	s.mDispatched = r.Counter("sim.events_dispatched")
 	s.mCancelled = r.Counter("sim.events_cancelled")
 	s.mHeapDepth = r.Gauge("sim.heap_depth")
+	s.mPacketsLive = r.Gauge("sim.packets_live")
+	s.mPacketsCreated = r.Counter("sim.packets_created")
+}
+
+// NewPacket returns a zeroed packet from the simulator's pool. It is
+// the one way non-test code obtains a packet; packet.Packet documents
+// who releases it.
+func (s *Simulator) NewPacket() *packet.Packet {
+	if s.mPacketsLive == nil {
+		return s.pool.Get()
+	}
+	before := s.pool.Created()
+	p := s.pool.Get()
+	if grown := s.pool.Created() - before; grown > 0 {
+		s.mPacketsCreated.Add(grown)
+	}
+	s.mPacketsLive.Set(s.pool.Live())
+	return p
+}
+
+// Release returns p to the pool; the caller must be its last owner and
+// must not touch it again. Releasing a packet twice panics.
+func (s *Simulator) Release(p *packet.Packet) {
+	s.pool.Put(p)
+	if s.mPacketsLive != nil {
+		s.mPacketsLive.Set(s.pool.Live())
+	}
 }
 
 // Now returns the current simulated time in seconds.
@@ -145,25 +201,30 @@ func (s *Simulator) Steps() uint64 { return s.nsteps }
 // events leave the queue immediately, so the count is exact.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
-// At schedules fn to run at absolute time t. It panics if t is in the
-// past or not a finite number: such bugs would otherwise manifest as
-// silently reordered events.
-func (s *Simulator) At(t float64, fn func()) Event {
+// schedule is the one insertion path: it queues an arena slot due at t
+// with scheduling stamp sched, holding either fn or pfn with its packet.
+// It panics if t is in the past or not a finite number — such bugs would
+// otherwise manifest as silently reordered events — and if the stamp is
+// not finite or lies after t.
+func (s *Simulator) schedule(t, sched float64, fn func(), pfn func(*packet.Packet), p *packet.Packet) Event {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: non-finite event time %v", t))
 	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, s.now))
 	}
-	if fn == nil {
-		panic("sim: nil event callback")
+	if !(sched <= t) || math.IsInf(sched, -1) { // NaN fails the comparison too
+		if math.IsNaN(sched) || math.IsInf(sched, 0) {
+			panic(fmt.Sprintf("sim: non-finite scheduling stamp %v", sched))
+		}
+		panic(fmt.Sprintf("sim: scheduling stamp %v after event time %v", sched, t))
 	}
 	id := s.alloc()
 	n := &s.nodes[id]
 	n.time = t
-	n.sched = s.now
+	n.sched = sched
 	n.seq = s.seq
-	n.fn = fn
+	n.fn, n.pfn, n.p = fn, pfn, p
 	s.seq++
 	s.heap = append(s.heap, id)
 	n.pos = int32(len(s.heap) - 1)
@@ -175,6 +236,16 @@ func (s *Simulator) At(t float64, fn func()) Event {
 		s.mHeapDepth.Set(int64(len(s.heap)))
 	}
 	return Event{s: s, id: id, gen: n.gen, time: t}
+}
+
+// At schedules fn to run at absolute time t. It panics if t is in the
+// past or not a finite number: such bugs would otherwise manifest as
+// silently reordered events.
+func (s *Simulator) At(t float64, fn func()) Event {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	return s.schedule(t, s.now, fn, nil, nil)
 }
 
 // After schedules fn to run d seconds from now.
@@ -198,36 +269,30 @@ func (s *Simulator) After(d float64, fn func()) Event {
 // (time, sched, seq) order is identical to the historical (time, seq)
 // order — the stamp only discriminates when merging work from elsewhere.
 func (s *Simulator) AtStamped(t, sched float64, fn func()) Event {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: non-finite event time %v", t))
-	}
-	if math.IsNaN(sched) || math.IsInf(sched, 0) {
-		panic(fmt.Sprintf("sim: non-finite scheduling stamp %v", sched))
-	}
-	if sched > t {
-		panic(fmt.Sprintf("sim: scheduling stamp %v after event time %v", sched, t))
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	id := s.alloc()
-	n := &s.nodes[id]
-	n.time = t
-	n.sched = sched
-	n.seq = s.seq
-	n.fn = fn
-	s.seq++
-	s.heap = append(s.heap, id)
-	n.pos = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
-	if s.mScheduled != nil {
-		s.mScheduled.Inc()
-		s.mHeapDepth.Set(int64(len(s.heap)))
+	return s.schedule(t, sched, fn, nil, nil)
+}
+
+// AfterPacket schedules fn(p) to run d seconds from now, ordered exactly
+// as After would order it. The packet rides in the event's arena slot,
+// so a handler built once (per link, per flow) serves every packet with
+// no per-event closure. The event owns p until it fires.
+func (s *Simulator) AfterPacket(d float64, fn func(*packet.Packet), p *packet.Packet) Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return Event{s: s, id: id, gen: n.gen, time: t}
+	return s.AtStampedPacket(s.now+d, s.now, fn, p)
+}
+
+// AtStampedPacket is AtStamped for a packet-carrying event: fn(p) runs
+// at absolute time t, ordered by the explicit stamp sched.
+func (s *Simulator) AtStampedPacket(t, sched float64, fn func(*packet.Packet), p *packet.Packet) Event {
+	if fn == nil || p == nil {
+		panic("sim: nil packet event callback or packet")
+	}
+	return s.schedule(t, sched, nil, fn, p)
 }
 
 // Reserve pre-sizes the arena, heap, and free list for at least n
@@ -259,7 +324,7 @@ func (s *Simulator) Step() bool {
 	}
 	id := s.heap[0]
 	n := &s.nodes[id]
-	fn := n.fn
+	fn, pfn, p := n.fn, n.pfn, n.p
 	s.now = n.time
 	s.nsteps++
 	s.removeAt(0)
@@ -267,7 +332,7 @@ func (s *Simulator) Step() bool {
 	if s.mDispatched != nil {
 		s.mDispatched.Inc()
 	}
-	fn()
+	run(fn, pfn, p)
 	return true
 }
 
@@ -325,14 +390,14 @@ func (s *Simulator) dispatchBatches(t float64, exclusive bool) {
 			// Fast path: the instant holds a single event — the normal
 			// case in continuous time — so skip the batch bookkeeping.
 			n := &s.nodes[id]
-			fn := n.fn
+			fn, pfn, p := n.fn, n.pfn, n.p
 			s.now = bt
 			s.nsteps++
 			s.freeNode(id)
 			if mDispatched != nil {
 				mDispatched.Inc()
 			}
-			fn()
+			run(fn, pfn, p)
 			continue
 		}
 		// Gather the whole instant. New events scheduled at bt by the
@@ -355,16 +420,16 @@ func (s *Simulator) dispatchBatches(t float64, exclusive bool) {
 		s.now = bt
 		for _, id := range batch {
 			n := &s.nodes[id]
-			fn := n.fn
+			fn, pfn, p := n.fn, n.pfn, n.p
 			s.freeNode(id)
-			if fn == nil {
+			if fn == nil && pfn == nil {
 				continue // cancelled by an earlier event of this batch
 			}
 			s.nsteps++
 			if mDispatched != nil {
 				mDispatched.Inc()
 			}
-			fn()
+			run(fn, pfn, p)
 		}
 		s.batch = batch[:0] // hand the scratch back for the next instant
 	}
@@ -396,11 +461,11 @@ func (s *Simulator) alloc() int32 {
 }
 
 // freeNode retires an arena slot: the generation bump invalidates any
-// outstanding handles and the callback reference is dropped so the
-// arena never pins dead closures.
+// outstanding handles and the callback and packet references are
+// dropped so the arena never pins dead closures or recycled packets.
 func (s *Simulator) freeNode(id int32) {
 	n := &s.nodes[id]
-	n.fn = nil
+	n.fn, n.pfn, n.p = nil, nil, nil
 	n.gen++
 	n.pos = -1
 	s.free = append(s.free, id)

@@ -108,14 +108,15 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 	for i := range props {
 		props[i] = (rtt / 2) * (0.5 + rng.Float64())
 	}
+	deliver := func(p *packet.Packet) {
+		p.Arrived = s.Now()
+		delivery.Receive(p)
+	}
 	link.OnDepart = func(p *packet.Packet) {
 		if now := s.Now(); now >= warmup {
 			qdelay.Add(now - p.Arrived)
 		}
-		s.After(props[p.Flow], func() {
-			p.Arrived = s.Now()
-			delivery.Receive(p)
-		})
+		s.AfterPacket(props[p.Flow], deliver, p)
 	}
 	var tcps []*source.TCP
 	if spec.Open {
@@ -140,6 +141,8 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 		// the first starter pin the queue full and lock everyone out).
 		tcps = make([]*source.TCP, n)
 		link.OnDrop = func(p *packet.Packet) { tcps[p.Flow].OnDrop(p) }
+		ackArrived := func(ap *packet.Packet) { tcps[ap.Flow].OnAck(ap) }
+		sendAck := func(ap *packet.Packet) { s.AfterPacket(props[ap.Flow], ackArrived, ap) }
 		spread := 2 * rtt
 		for i := 0; i < n; i++ {
 			tcps[i] = source.NewTCP(s, source.TCPConfig{
@@ -147,9 +150,7 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 				SegmentSize: segment,
 				PaceRate:    c,
 			}, link)
-			delivery.SetAcker(i, network.TCPAckSize, func(ap *packet.Packet) {
-				s.After(props[ap.Flow], func() { tcps[ap.Flow].OnAck(ap) })
-			})
+			delivery.SetAcker(i, network.TCPAckSize, sendAck)
 			s.At(rng.Float64()*spread, tcps[i].Start)
 		}
 	}

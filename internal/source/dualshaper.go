@@ -22,8 +22,10 @@ type DualShaper struct {
 	sink Sink
 	tkn  *bucket // (σ, ρ)
 	peak *bucket // (MTU, P)
-	q    []*packet.Packet
+	q    pktQueue
 	busy bool
+	// releaseFn is d.release, bound once.
+	releaseFn func()
 }
 
 // NewDualShaper creates the regulator. spec must carry a positive
@@ -39,17 +41,19 @@ func NewDualShaper(s *sim.Simulator, spec packet.FlowSpec, mtu units.Bytes, sink
 	if mtu <= 0 {
 		panic(fmt.Sprintf("dual shaper: invalid MTU %v", mtu))
 	}
-	return &DualShaper{
+	d := &DualShaper{
 		spec: spec,
 		sim:  s,
 		sink: sink,
 		tkn:  newBucket(spec.TokenRate, spec.BucketSize),
 		peak: newBucket(spec.PeakRate, mtu),
 	}
+	d.releaseFn = d.release
+	return d
 }
 
 // Backlog returns the number of packets waiting in the shaping queue.
-func (d *DualShaper) Backlog() int { return len(d.q) }
+func (d *DualShaper) Backlog() int { return d.q.len() }
 
 // Receive implements Sink.
 func (d *DualShaper) Receive(p *packet.Packet) {
@@ -59,7 +63,7 @@ func (d *DualShaper) Receive(p *packet.Packet) {
 	if float64(p.Size) > d.peak.depth {
 		panic(fmt.Sprintf("dual shaper: packet %v larger than MTU %v", p.Size, units.Bytes(d.peak.depth)))
 	}
-	d.q = append(d.q, p)
+	d.q.push(p)
 	if !d.busy {
 		d.release()
 	}
@@ -69,23 +73,23 @@ func (d *DualShaper) release() {
 	now := d.sim.Now()
 	d.tkn.refill(now)
 	d.peak.refill(now)
-	head := d.q[0]
+	head := d.q.front()
 	wait := math.Max(d.tkn.timeUntil(float64(head.Size)), d.peak.timeUntil(float64(head.Size)))
 	if wait > 0 {
 		d.busy = true
-		d.sim.After(wait, d.release)
+		d.sim.After(wait, d.releaseFn)
 		return
 	}
 	d.tkn.take(float64(head.Size))
 	d.peak.take(float64(head.Size))
-	d.q = d.q[1:]
+	d.q.pop()
 	head.Conformant = true
 	head.Arrived = now
 	d.sink.Receive(head)
-	if len(d.q) > 0 {
-		next := math.Max(d.tkn.timeUntil(float64(d.q[0].Size)), d.peak.timeUntil(float64(d.q[0].Size)))
+	if d.q.len() > 0 {
+		size := float64(d.q.front().Size)
 		d.busy = true
-		d.sim.After(next, d.release)
+		d.sim.After(math.Max(d.tkn.timeUntil(size), d.peak.timeUntil(size)), d.releaseFn)
 		return
 	}
 	d.busy = false

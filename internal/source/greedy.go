@@ -50,13 +50,7 @@ func NewFeedbackGreedy(s *sim.Simulator, flow int, size units.Bytes, mgr buffer.
 func (g *FeedbackGreedy) Kick() {
 	for {
 		before := g.mgr.Occupancy(g.flow)
-		p := &packet.Packet{
-			Flow:    g.flow,
-			Size:    g.packetSize,
-			Created: g.sim.Now(),
-			Arrived: g.sim.Now(),
-			Seq:     g.seq,
-		}
+		p := newPacket(g.sim, g.flow, g.packetSize, g.seq)
 		g.seq++
 		g.sink.Receive(p)
 		if g.mgr.Occupancy(g.flow) == before {

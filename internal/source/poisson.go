@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"bufqos/internal/packet"
 	"bufqos/internal/sim"
 	"bufqos/internal/units"
 )
@@ -24,6 +23,7 @@ type Poisson struct {
 	sink    Sink
 	seq     uint64
 	stopped bool
+	emitFn  func() // p.emit, bound once
 }
 
 // NewPoisson creates a Poisson source with the given average rate.
@@ -34,7 +34,7 @@ func NewPoisson(s *sim.Simulator, rng *rand.Rand, flow int, size units.Bytes, ra
 	if rng == nil || sink == nil {
 		panic("poisson source: nil rng or sink")
 	}
-	return &Poisson{
+	p := &Poisson{
 		flow:       flow,
 		packetSize: size,
 		mean:       size.Bits() / rate.BitsPerSecond(),
@@ -42,11 +42,13 @@ func NewPoisson(s *sim.Simulator, rng *rand.Rand, flow int, size units.Bytes, ra
 		rng:        rng,
 		sink:       sink,
 	}
+	p.emitFn = p.emit
+	return p
 }
 
 // Start begins emission with a randomized first arrival.
 func (p *Poisson) Start() {
-	p.sim.After(sim.Exponential(p.rng, p.mean), p.emit)
+	p.sim.After(sim.Exponential(p.rng, p.mean), p.emitFn)
 }
 
 // Stop halts packet generation.
@@ -59,14 +61,7 @@ func (p *Poisson) emit() {
 	if p.stopped {
 		return
 	}
-	now := p.sim.Now()
-	p.sink.Receive(&packet.Packet{
-		Flow:    p.flow,
-		Size:    p.packetSize,
-		Created: now,
-		Arrived: now,
-		Seq:     p.seq,
-	})
+	p.sink.Receive(newPacket(p.sim, p.flow, p.packetSize, p.seq))
 	p.seq++
-	p.sim.After(sim.Exponential(p.rng, p.mean), p.emit)
+	p.sim.After(sim.Exponential(p.rng, p.mean), p.emitFn)
 }

@@ -56,6 +56,38 @@ func (b *bucket) take(want float64) {
 	b.tokens = math.Max(0, b.tokens-want)
 }
 
+// pktQueue is the shapers' unbounded FIFO shaping queue, in the shape
+// of sched.FIFO: a head index instead of re-slicing from the front, so
+// the backing array's capacity is reused rather than consumed, and each
+// consumed slot is cleared so the queue never pins a packet it has
+// handed on (which the pool may already have recycled).
+type pktQueue struct {
+	q    []*packet.Packet
+	head int
+}
+
+func (f *pktQueue) len() int { return len(f.q) - f.head }
+
+func (f *pktQueue) push(p *packet.Packet) { f.q = append(f.q, p) }
+
+// front returns the head packet; the queue must not be empty.
+func (f *pktQueue) front() *packet.Packet { return f.q[f.head] }
+
+// pop drops the head packet, rewinding when the queue empties and
+// compacting once the dead prefix dominates a standing backlog.
+func (f *pktQueue) pop() {
+	f.q[f.head] = nil
+	f.head++
+	switch {
+	case f.head == len(f.q):
+		f.q, f.head = f.q[:0], 0
+	case f.head > 64 && f.head*2 >= len(f.q):
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+}
+
 // Shaper is a leaky-bucket regulator: it delays packets so that its
 // output conforms to the (σ, ρ) profile. The paper uses shapers to make
 // flows 0–5 of Table 1 conformant ("their traffic regulated by a leaky
@@ -70,8 +102,11 @@ type Shaper struct {
 	sim  *sim.Simulator
 	sink Sink
 	bkt  *bucket
-	q    []*packet.Packet
+	q    pktQueue
 	busy bool // a release event is scheduled
+	// releaseFn is s.release, bound once: the shaper re-arms with it
+	// for every delayed packet.
+	releaseFn func()
 }
 
 // NewShaper creates a leaky-bucket shaper for the given profile. The
@@ -81,23 +116,25 @@ func NewShaper(s *sim.Simulator, spec packet.FlowSpec, sink Sink) *Shaper {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Shaper{
+	sh := &Shaper{
 		spec: spec,
 		sim:  s,
 		sink: sink,
 		bkt:  newBucket(spec.TokenRate, spec.BucketSize),
 	}
+	sh.releaseFn = sh.release
+	return sh
 }
 
 // Backlog returns the number of packets waiting in the shaping queue.
-func (s *Shaper) Backlog() int { return len(s.q) }
+func (s *Shaper) Backlog() int { return s.q.len() }
 
 // Receive implements Sink.
 func (s *Shaper) Receive(p *packet.Packet) {
 	if float64(p.Size) > s.bkt.depth {
 		panic(fmt.Sprintf("shaper: packet %v larger than bucket depth %v", p.Size, s.spec.BucketSize))
 	}
-	s.q = append(s.q, p)
+	s.q.push(p)
 	if !s.busy {
 		s.release()
 	}
@@ -108,21 +145,21 @@ func (s *Shaper) Receive(p *packet.Packet) {
 func (s *Shaper) release() {
 	now := s.sim.Now()
 	s.bkt.refill(now)
-	head := s.q[0]
+	head := s.q.front()
 	wait := s.bkt.timeUntil(float64(head.Size))
 	if wait > 0 {
 		s.busy = true
-		s.sim.After(wait, s.release)
+		s.sim.After(wait, s.releaseFn)
 		return
 	}
 	s.bkt.take(float64(head.Size))
-	s.q = s.q[1:]
+	s.q.pop()
 	head.Conformant = true
 	head.Arrived = now
 	s.sink.Receive(head)
-	if len(s.q) > 0 {
+	if s.q.len() > 0 {
 		s.busy = true
-		s.sim.After(s.bkt.timeUntil(float64(s.q[0].Size)), s.release)
+		s.sim.After(s.bkt.timeUntil(float64(s.q.front().Size)), s.releaseFn)
 		return
 	}
 	s.busy = false

@@ -25,6 +25,15 @@ type SinkFunc func(p *packet.Packet)
 // Receive implements Sink.
 func (f SinkFunc) Receive(p *packet.Packet) { f(p) }
 
+// newPacket draws a packet from s's pool for a source to emit: created,
+// and so far arrived, now.
+func newPacket(s *sim.Simulator, flow int, size units.Bytes, seq uint64) *packet.Packet {
+	p := s.NewPacket()
+	p.Flow, p.Size, p.Seq = flow, size, seq
+	p.Created, p.Arrived = s.Now(), s.Now()
+	return p
+}
+
 // Feedback is the reverse-direction surface of a closed-loop source:
 // the network calls OnAck with each acknowledgement arriving back from
 // the delivery endpoint and OnDrop with each of the flow's data packets
@@ -89,6 +98,10 @@ type OnOff struct {
 	// while the clock is strictly before it.
 	onUntil float64
 	stopped bool
+	// emitFn and beginOnFn are the method values the source re-arms
+	// itself with, bound once: a method value made at each After call
+	// is a heap object per event.
+	emitFn, beginOnFn func()
 }
 
 // NewOnOff creates an ON-OFF source delivering packets into sink. It
@@ -98,13 +111,15 @@ func NewOnOff(s *sim.Simulator, rng *rand.Rand, cfg OnOffConfig, sink Sink) *OnO
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &OnOff{cfg: cfg, sim: s, rng: rng, sink: sink}
+	o := &OnOff{cfg: cfg, sim: s, rng: rng, sink: sink}
+	o.emitFn, o.beginOnFn = o.emit, o.beginOn
+	return o
 }
 
 // Start begins the ON/OFF cycle. The source starts in the OFF state with
 // a randomized residual so that flows do not synchronize.
 func (o *OnOff) Start() {
-	o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOn)
+	o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOnFn)
 }
 
 // Stop halts packet generation after any already-scheduled event.
@@ -129,19 +144,13 @@ func (o *OnOff) emit() {
 	now := o.sim.Now()
 	if now >= o.onUntil {
 		// ON period over; schedule the next one after an OFF period.
-		o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOn)
+		o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOnFn)
 		return
 	}
-	p := &packet.Packet{
-		Flow:    o.cfg.Flow,
-		Size:    o.cfg.PacketSize,
-		Created: now,
-		Arrived: now,
-		Seq:     o.seq,
-	}
+	p := newPacket(o.sim, o.cfg.Flow, o.cfg.PacketSize, o.seq)
 	o.seq++
 	o.sink.Receive(p)
-	o.sim.After(units.TransmissionTime(o.cfg.PacketSize, o.cfg.PeakRate), o.emit)
+	o.sim.After(units.TransmissionTime(o.cfg.PacketSize, o.cfg.PeakRate), o.emitFn)
 }
 
 // CBR is a constant-bit-rate source: one packet every Size·8/Rate
@@ -156,6 +165,7 @@ type CBR struct {
 	sink    Sink
 	seq     uint64
 	stopped bool
+	emitFn  func() // c.emit, bound once
 }
 
 // NewCBR creates a CBR source delivering packets into sink.
@@ -163,11 +173,13 @@ func NewCBR(s *sim.Simulator, flow int, size units.Bytes, rate units.Rate, sink 
 	if size <= 0 || rate <= 0 {
 		panic(fmt.Sprintf("cbr source: invalid size %v or rate %v", size, rate))
 	}
-	return &CBR{Flow: flow, PacketSize: size, Rate: rate, sim: s, sink: sink}
+	c := &CBR{Flow: flow, PacketSize: size, Rate: rate, sim: s, sink: sink}
+	c.emitFn = c.emit
+	return c
 }
 
 // Start begins emission.
-func (c *CBR) Start() { c.sim.After(c.Offset, c.emit) }
+func (c *CBR) Start() { c.sim.After(c.Offset, c.emitFn) }
 
 // Stop halts packet generation.
 func (c *CBR) Stop() { c.stopped = true }
@@ -179,17 +191,10 @@ func (c *CBR) emit() {
 	if c.stopped {
 		return
 	}
-	now := c.sim.Now()
-	p := &packet.Packet{
-		Flow:    c.Flow,
-		Size:    c.PacketSize,
-		Created: now,
-		Arrived: now,
-		Seq:     c.seq,
-	}
+	p := newPacket(c.sim, c.Flow, c.PacketSize, c.seq)
 	c.seq++
 	c.sink.Receive(p)
-	c.sim.After(units.TransmissionTime(c.PacketSize, c.Rate), c.emit)
+	c.sim.After(units.TransmissionTime(c.PacketSize, c.Rate), c.emitFn)
 }
 
 // Saturating is a source that offers traffic at the given rate forever —

@@ -65,9 +65,8 @@ type TCP struct {
 	cwnd     float64 // congestion window, segments
 	ssthresh float64 // slow-start threshold, segments
 
-	dupAcks    int
-	inRecovery bool
-	recover    uint64 // NewReno: highest sequence outstanding at loss detection
+	dupAcks int
+	recover uint64 // NewReno: highest sequence outstanding at loss detection
 
 	// RTO state (RFC 6298). srtt < 0 means "no sample yet".
 	srtt, rttvar, rto float64
@@ -81,8 +80,18 @@ type TCP struct {
 	// sources fit in memory and stay fast (see internal/sizing).
 	sent sendRing
 
-	pumping bool
-	stopped bool
+	// The three flags sit together so the struct stays within the
+	// allocator's 256-byte class — there is one TCP per flow, and sizing
+	// cells build up to 10⁶ of them.
+	inRecovery bool
+	pumping    bool
+	stopped    bool
+	// stepFn and timeoutFn are t.step and t.onTimeout, bound once so
+	// pacing and every RTO re-arm schedule a stored callback. timeoutFn
+	// is bound when the timer is first armed, not in NewTCP: a sizing
+	// cell builds 10⁴–10⁶ senders before its clock starts, and a second
+	// heap object per sender there is a quarter of that set-up.
+	stepFn, timeoutFn func()
 
 	retransmits int64
 	timeouts    int64
@@ -95,7 +104,7 @@ func NewTCP(s *sim.Simulator, cfg TCPConfig, sink Sink) *TCP {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &TCP{
+	t := &TCP{
 		cfg:      cfg,
 		sim:      s,
 		sink:     sink,
@@ -104,6 +113,8 @@ func NewTCP(s *sim.Simulator, cfg TCPConfig, sink Sink) *TCP {
 		srtt:     -1,
 		rto:      tcpInitialRTO,
 	}
+	t.stepFn = t.step
+	return t
 }
 
 // sendRing is the per-segment send record of one TCP source: emission
@@ -203,12 +214,14 @@ func (t *TCP) Cwnd() float64 { return t.cwnd }
 // flight returns the number of outstanding segments.
 func (t *TCP) flight() float64 { return float64(t.nxt - t.una) }
 
-// OnAck implements Feedback: process one cumulative acknowledgement.
+// OnAck implements Feedback: process one cumulative acknowledgement
+// and release it.
 func (t *TCP) OnAck(p *packet.Packet) {
+	ack := p.AckSeq
+	t.sim.Release(p)
 	if t.stopped {
 		return
 	}
-	ack := p.AckSeq
 	switch {
 	case ack > t.una:
 		t.newAck(ack)
@@ -220,8 +233,9 @@ func (t *TCP) OnAck(p *packet.Packet) {
 
 // OnDrop implements Feedback: a buffer manager rejected one of the
 // flow's segments. TCP infers loss from the ACK stream alone, so this
-// only counts the notification.
+// only counts the notification and releases the dead segment.
 func (t *TCP) OnDrop(p *packet.Packet) {
+	t.sim.Release(p)
 	if t.stopped {
 		return
 	}
@@ -356,20 +370,16 @@ func (t *TCP) armTimer() {
 	if t.una == t.nxt {
 		return
 	}
-	t.rtoEv = t.sim.After(t.rto, t.onTimeout)
+	if t.timeoutFn == nil {
+		t.timeoutFn = t.onTimeout
+	}
+	t.rtoEv = t.sim.After(t.rto, t.timeoutFn)
 }
 
 // emit sends segment s into the sink.
 func (t *TCP) emit(s uint64) {
-	now := t.sim.Now()
-	t.sent.record(s, now)
-	t.sink.Receive(&packet.Packet{
-		Flow:    t.cfg.Flow,
-		Size:    t.cfg.SegmentSize,
-		Created: now,
-		Arrived: now,
-		Seq:     s,
-	})
+	t.sent.record(s, t.sim.Now())
+	t.sink.Receive(newPacket(t.sim, t.cfg.Flow, t.cfg.SegmentSize, s))
 }
 
 // retransmit re-emits segment s immediately (retransmissions are not
@@ -409,5 +419,5 @@ func (t *TCP) step() {
 	if wasIdle {
 		t.armTimer()
 	}
-	t.sim.After(units.TransmissionTime(t.cfg.SegmentSize, t.cfg.PaceRate), t.step)
+	t.sim.After(units.TransmissionTime(t.cfg.SegmentSize, t.cfg.PaceRate), t.stepFn)
 }

@@ -105,9 +105,14 @@ const (
 	crossDrop
 )
 
-// crossing is one packet handed between shards at a window barrier.
+// crossing is one packet handed between shards at a window barrier. It
+// travels by value: the sending shard copies the packet and releases
+// its own, and the receiving shard draws a fresh one from its pool at
+// the barrier (engine.inject), so no pool is ever touched by two
+// goroutines and each shard's pool stays balanced however lopsided the
+// traffic between them.
 type crossing struct {
-	p       *packet.Packet
+	pkt     packet.Packet
 	dstLink int32
 	// srcLink, kind, and flow (global id) break residual (Time, Sched)
 	// ties deterministically.
@@ -130,6 +135,10 @@ type engineLink struct {
 	// indexed like the data plane.
 	forwarded []int64
 	prop      float64
+	// arrive is the handler of every packet event that ends at this
+	// link: stamp the arrival and enqueue. Built once per link, it
+	// serves same-shard propagation and cross-shard injection alike.
+	arrive func(p *packet.Packet)
 }
 
 // engineShard is one shard's kernel and its per-window outbox.
@@ -137,6 +146,24 @@ type engineShard struct {
 	s        *sim.Simulator
 	delivery *network.Delivery
 	outbox   []shard.Item[crossing]
+	// deliver is the handler of a packet event that ends at the
+	// delivery sink, built once per shard.
+	deliver func(p *packet.Packet)
+}
+
+// cross queues p for the barrier exchange towards shard dst, due at
+// now+delay, and releases the local packet: from here on the copy in
+// the outbox is the packet.
+func (es *engineShard) cross(dst int, delay float64, p *packet.Packet, load crossing) {
+	now := es.s.Now()
+	load.pkt = *p
+	es.s.Release(p)
+	es.outbox = append(es.outbox, shard.Item[crossing]{
+		Dst:   dst,
+		Time:  now + delay,
+		Sched: now,
+		Load:  load,
+	})
 }
 
 // engine executes one scenario across 1..N shards with bit-identical
@@ -167,7 +194,10 @@ type engine struct {
 	// zero-filled for open-loop flows.
 	ackDelay  []float64
 	dropDelay []float64
-	res       *Result
+	// feedbackArrived is the one handler of every feedback packet event
+	// (deliverFeedback, bound once).
+	feedbackArrived func(p *packet.Packet)
+	res             *Result
 }
 
 // buildEdges derives the partitioner's input from route adjacency: one
@@ -269,6 +299,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 	}
 	e.plan = planAdmission(t, opts.Duration)
 	e.res.Rejections = e.plan.rejections
+	e.feedbackArrived = e.deliverFeedback
 
 	// Closed-loop bookkeeping: reverse-path delays per flow and per
 	// hop, and which links carry tcp flows (those need drop hooks).
@@ -328,10 +359,15 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			s.Instrument(opts.Metrics)
 		}
 		s.Reserve(4*ownedHops[i] + 256)
-		e.shards[i] = &engineShard{
+		es := &engineShard{
 			s:        s,
 			delivery: network.NewDeliveryLight(s, len(t.Flows)),
 		}
+		es.deliver = func(p *packet.Packet) {
+			p.Arrived = es.s.Now()
+			es.delivery.Receive(p)
+		}
+		e.shards[i] = es
 	}
 
 	specs := t.Specs()
@@ -390,6 +426,10 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			forwarded: make([]int64, nflows),
 			prop:      l.PropDelay,
 		}
+		el.arrive = func(p *packet.Packet) {
+			p.Arrived = es.s.Now()
+			lk.Receive(p)
+		}
 		lk.OnDepart = e.forwardFrom(el)
 		if hasTCP[li] {
 			lk.OnDrop = e.dropFrom(el)
@@ -410,7 +450,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		last := e.links[route[len(route)-1]]
 		els := e.shards[last.shard]
 		els.delivery.SetAcker(fi, network.TCPAckSize, func(ap *packet.Packet) {
-			e.sendFeedback(els, last, fi, ap, crossAck, e.ackDelay[fi])
+			e.sendFeedback(els, last, ap, crossAck, e.ackDelay[fi])
 		})
 	}
 
@@ -490,14 +530,10 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 		if idx >= ft.RouteOff[g+1] {
 			p.Flow = int(g)
 			if el.prop == 0 {
-				p.Arrived = es.s.Now()
-				es.delivery.Receive(p)
+				es.deliver(p)
 				return
 			}
-			es.s.After(el.prop, func() {
-				p.Arrived = es.s.Now()
-				es.delivery.Receive(p)
-			})
+			es.s.AfterPacket(el.prop, es.deliver, p)
 			return
 		}
 		p.Hop++
@@ -505,32 +541,25 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 		dst := e.links[ft.RouteLink[idx]]
 		if dst.shard == el.shard {
 			if el.prop == 0 {
-				p.Arrived = es.s.Now()
-				dst.link.Receive(p)
+				dst.arrive(p)
 				return
 			}
-			es.s.After(el.prop, func() {
-				p.Arrived = es.s.Now()
-				dst.link.Receive(p)
-			})
+			es.s.AfterPacket(el.prop, dst.arrive, p)
 			return
 		}
 		// The partitioner colocates zero-lookahead edges, so a crossing
 		// always has prop > 0 and lands at least one window ahead.
-		now := es.s.Now()
-		es.outbox = append(es.outbox, shard.Item[crossing]{
-			Dst:   dst.shard,
-			Time:  now + el.prop,
-			Sched: now,
-			Load:  crossing{p: p, dstLink: int32(dst.topoIdx), srcLink: int32(el.topoIdx), flow: g},
-		})
+		es.cross(dst.shard, el.prop, p,
+			crossing{dstLink: int32(dst.topoIdx), srcLink: int32(el.topoIdx), flow: g})
 	}
 }
 
 // dropFrom builds el's OnDrop hook: when a buffer manager rejects a
 // closed-loop flow's data segment, notify the source after the partial
-// reverse-path delay from the dropping hop. Open-loop flows sharing
-// the link are ignored (no feedback surface).
+// reverse-path delay from the dropping hop. The dropped packet itself
+// is the notification; it carries the global flow id from here on.
+// Open-loop flows sharing the link have no feedback surface: their
+// packet's life ends here.
 func (e *engine) dropFrom(el *engineLink) func(p *packet.Packet) {
 	es := e.shards[el.shard]
 	ft := e.ft
@@ -540,15 +569,17 @@ func (e *engine) dropFrom(el *engineLink) func(p *packet.Packet) {
 			g = el.flows[p.Flow]
 		}
 		if e.feedback[g] == nil {
+			es.s.Release(p)
 			return
 		}
-		e.sendFeedback(es, el, int(g), p, crossDrop, e.dropDelay[ft.RouteOff[g]+p.Hop])
+		p.Flow = int(g)
+		e.sendFeedback(es, el, p, crossDrop, e.dropDelay[ft.RouteOff[g]+p.Hop])
 	}
 }
 
 // sendFeedback routes one reverse-direction notification (ACK or drop)
-// generated on shard src at link from back to flow fi's source, after
-// the given propagation delay. Same shard: direct call (zero delay,
+// generated on shard src at link from back to the source of the flow p
+// names (p.Flow is the global id), after the given propagation delay. Same shard: direct call (zero delay,
 // matching the data path's same-event forwarding) or After; other
 // shard: an outbox item for the window barrier, stamped exactly like a
 // data crossing so the hand-off instant is bit-identical to the
@@ -556,42 +587,33 @@ func (e *engine) dropFrom(el *engineLink) func(p *packet.Packet) {
 // synchronization window, because the feedback edge's lookahead is
 // this delay (zero-delay feedback paths are colocated by the
 // partitioner).
-func (e *engine) sendFeedback(src *engineShard, from *engineLink, fi int, p *packet.Packet, kind crossingKind, delay float64) {
-	first := e.topo.Flows[fi].Route[0]
+func (e *engine) sendFeedback(src *engineShard, from *engineLink, p *packet.Packet, kind crossingKind, delay float64) {
+	first := e.topo.Flows[p.Flow].Route[0]
 	dst := e.part.Assign[first]
 	if e.shards[dst] == src {
 		if delay == 0 {
-			e.deliverFeedback(fi, kind, p)
+			e.deliverFeedback(p)
 			return
 		}
-		src.s.After(delay, func() { e.deliverFeedback(fi, kind, p) })
+		src.s.AfterPacket(delay, e.feedbackArrived, p)
 		return
 	}
-	now := src.s.Now()
-	src.outbox = append(src.outbox, shard.Item[crossing]{
-		Dst:   dst,
-		Time:  now + delay,
-		Sched: now,
-		Load: crossing{
-			p:       p,
-			dstLink: int32(first),
-			srcLink: int32(from.topoIdx),
-			kind:    kind,
-			flow:    int32(fi),
-		},
-	})
+	src.cross(dst, delay, p,
+		crossing{dstLink: int32(first), srcLink: int32(from.topoIdx), kind: kind, flow: int32(p.Flow)})
 }
 
-// deliverFeedback hands one notification to the flow's source (a
-// no-op for sources that stopped or never started).
-func (e *engine) deliverFeedback(fi int, kind crossingKind, p *packet.Packet) {
-	fb := e.feedback[fi]
-	if fb == nil {
-		return
-	}
-	if kind == crossAck {
+// deliverFeedback hands one notification — an acknowledgement, or a
+// dropped data packet — to the source of the flow it names, which
+// releases it. It runs on the source's shard; a source that never
+// started leaves the engine the last owner.
+func (e *engine) deliverFeedback(p *packet.Packet) {
+	fb := e.feedback[p.Flow]
+	switch {
+	case fb == nil:
+		e.shardOfFlow(p.Flow).s.Release(p)
+	case p.Ack:
 		fb.OnAck(p)
-	} else {
+	default:
 		fb.OnDrop(p)
 	}
 }
@@ -682,19 +704,18 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	}
 	inject := func(d int, items []shard.Item[crossing]) {
 		es := e.shards[d]
-		for _, it := range items {
-			switch load := it.Load; load.kind {
-			case crossData:
-				p, dst := load.p, e.links[load.dstLink]
-				es.s.AtStamped(it.Time, it.Sched, func() {
-					p.Arrived = es.s.Now()
-					dst.link.Receive(p)
-				})
-			default: // crossAck, crossDrop: feedback to the source
-				es.s.AtStamped(it.Time, it.Sched, func() {
-					e.deliverFeedback(int(load.flow), load.kind, load.p)
-				})
+		for i := range items {
+			it := &items[i]
+			// The packet joins the receiving shard's pool here, at the
+			// barrier. The copy came from a live packet, so the
+			// assignment leaves the fresh one marked live.
+			p := es.s.NewPacket()
+			*p = it.Load.pkt
+			fn := e.feedbackArrived // crossAck, crossDrop: feedback to the source
+			if it.Load.kind == crossData {
+				fn = e.links[it.Load.dstLink].arrive
 			}
+			es.s.AtStampedPacket(it.Time, it.Sched, fn, p)
 		}
 	}
 	tieLess := func(a, b crossing) bool {
@@ -707,7 +728,7 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		if a.flow != b.flow {
 			return a.flow < b.flow
 		}
-		return a.p.Seq < b.p.Seq
+		return a.pkt.Seq < b.pkt.Seq
 	}
 	st, err := shard.Run(ctx, cfg, runFn, inject, tieLess)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bufqos/internal/metrics"
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
@@ -188,6 +189,53 @@ func TestVerifyTCPGoodputFloor(t *testing.T) {
 	for _, a := range Verify(plain, &res2) {
 		if a.Name == "tcp-goodput-floor" {
 			t.Errorf("goodput floor asserted on a taildrop route: %s", a.Detail)
+		}
+	}
+}
+
+// TestGFR3ShardedPoolStaysBounded runs the shipped closed-loop scenario
+// at one and four shards with the registry on. Pooled packets cross the
+// barrier in both directions — data forward, ACKs and drop
+// notifications back — each leaving one shard's pool by value and
+// joining the next one's. The instrumented results equal the
+// uninstrumented single-shard one, and every pool's live high-water
+// stays a small fraction of the packets offered: a hand-off that forgot
+// a release, or pools that drifted out of balance, would count them all.
+// `make race` runs this under the race detector.
+func TestGFR3ShardedPoolStaysBounded(t *testing.T) {
+	topo, err := Load("../../topologies/gfr3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Duration: 3, Seed: 42}
+	base, err := Run(context.Background(), topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offered int64
+	for i := range base.Flows {
+		offered += base.Flows[i].Offered.Packets
+	}
+	for _, shards := range []int{1, 4} {
+		reg := metrics.NewRegistry()
+		o := opts
+		o.Shards, o.Metrics = shards, reg
+		res, err := Run(context.Background(), topo, o)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(base, res) {
+			t.Errorf("shards=%d with metrics: result differs from the plain single-shard run", shards)
+		}
+		live := reg.Gauge("sim.packets_live").Max()
+		created, _ := reg.Value("sim.packets_created")
+		t.Logf("shards=%d: %d packets offered, live high-water %d, created %v", shards, offered, live, created)
+		if live <= 0 || live > offered/10 {
+			t.Errorf("shards=%d: sim.packets_live high-water %d for %d offered packets, want within (0, %d]",
+				shards, live, offered, offered/10)
+		}
+		if int64(created) > offered/5 {
+			t.Errorf("shards=%d: %v packets created for %d offered: the pools are not recycling", shards, created, offered)
 		}
 	}
 }
