@@ -26,7 +26,9 @@ test:
 # packet.Packet literal (packets come from sim.Simulator.NewPacket), and
 # in internal/source and internal/sched every callback handed to the
 # simulator's At/After must be a stored one (a field named ...Fn), not a
-# method value made per event. CI runs this alongside `make verify`.
+# method value made per event — per-flow objects re-arm through
+# AtHandler with a receiver over themselves instead, which the rule does
+# not match. CI runs this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -50,7 +52,7 @@ lint:
 	@rearms=$$(grep -n -E 'sim\.(At|After)\(' internal/source/*.go internal/sched/*.go \
 		| grep -v -e '_test\.go:' | grep -v -E 'Fn\)( })?$$'); \
 	if [ -n "$$rearms" ]; then \
-		echo "re-arm with a callback stored at construction (a ...Fn field), not a per-event method value:"; \
+		echo "re-arm with AtHandler and a receiver over the object, or a callback stored at construction (a ...Fn field), not a per-event method value:"; \
 		echo "$$rearms"; exit 1; \
 	fi
 
@@ -76,14 +78,18 @@ bench-json:
 
 # One fast iteration of the headline benchmarks: catches benchmarks
 # that no longer compile or crash without paying for full measurement.
-# Then one short run of the repository's benchmark (BENCHMARK.json,
-# bench/README.md) on its Table 1 workload: it exits non-zero unless the
-# repeated calls' result fingerprints agree and the shaped flows lose
-# nothing — those output checks are the point here, not the timing.
-# CI runs this on every push.
+# Then short runs of the repository's benchmark (BENCHMARK.json,
+# bench/README.md) on its Table 1 workload, its closed-loop sizing cell
+# and its sharded network: each exits non-zero unless the repeated
+# calls' result fingerprints agree and the workload's output checks
+# hold (shaped flows lose nothing, utilization within bounds, the
+# sharded fingerprint equal to the single-shard one) — those checks are
+# the point here, not the timing. CI runs this on every push.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkTable1Workload$$|BenchmarkEndToEndSimulation' -benchtime 1x .
 	go run ./bench --workload link-fifo --seed 1 --seconds 2 --trace 0
+	go run ./bench --workload tcp-cell --seed 1 --seconds 2 --trace 0
+	go run ./bench --workload net-sharded --seed 1 --seconds 2 --trace 0
 
 # Run every shipped topology scenario short with -check: fails if any
 # admitted conformant flow loses conformant traffic at any hop or

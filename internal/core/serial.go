@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
@@ -31,6 +32,11 @@ func NewSerialAdmitter(d Discipline, rate units.Rate, buffer units.Bytes) *Seria
 	}
 	return &SerialAdmitter{discipline: d, rate: rate, buffer: buffer}
 }
+
+// Grow reserves room for n more admitted flows, so a planner that knows
+// the population it will admit (the topology engine, from each link's
+// flow count) fills the admitted set without regrowing it.
+func (a *SerialAdmitter) Grow(n int) { a.flows = slices.Grow(a.flows, n) }
 
 // NumFlows returns the number of admitted flows.
 func (a *SerialAdmitter) NumFlows() int { return len(a.flows) }

@@ -116,26 +116,37 @@ func NewPlane(o *Options) (*Plane, error) {
 	if cfg.Metrics != nil {
 		instrument(cfg.Metrics, s, link, sc.String())
 	}
+	// Sources, shapers and meters live in one slab per kind.
+	regulated := 0
+	for _, f := range cfg.Flows {
+		if f.Regulated() {
+			regulated++
+		}
+	}
+	srcs := make([]source.OnOff, len(cfg.Flows))
+	shapers := source.Shapers(regulated)
+	meters := make([]source.Meter, len(cfg.Flows)-regulated)
 	for i, f := range cfg.Flows {
 		rng := sim.NewRand(sim.DeriveSeed(cfg.Seed, i))
 		var sink source.Sink
 		if f.Regulated() {
-			sink = source.NewShaper(s, f.Spec, link)
+			sink = shapers[0].Init(s, f.Spec, link)
+			shapers = shapers[1:]
 		} else {
-			sink = source.NewMeter(s, f.Spec, link)
+			sink = meters[0].Init(s, f.Spec, link)
+			meters = meters[1:]
 		}
 		size := cfg.PacketSize
 		if f.PacketSize > 0 {
 			size = f.PacketSize
 		}
-		src := source.NewOnOff(s, rng, source.OnOffConfig{
+		srcs[i].Init(s, rng, source.OnOffConfig{
 			Flow:       i,
 			PacketSize: size,
 			PeakRate:   f.Spec.PeakRate,
 			AvgRate:    f.AvgRate,
 			MeanBurst:  f.MeanBurst,
-		}, sink)
-		src.Start()
+		}, sink).Start()
 	}
 	return &Plane{Sim: s, Link: link, cfg: cfg, col: col}, nil
 }

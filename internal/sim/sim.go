@@ -19,7 +19,10 @@
 // A simulator also owns the packet pool of everything that runs on its
 // clock (NewPacket, Release), and an event can carry a packet in its
 // arena slot (AfterPacket, AtStampedPacket), so a packet riding a delay
-// costs neither a heap object nor a closure.
+// costs neither a heap object nor a closure. An event can likewise carry
+// its receiver (AtHandler): per-flow objects built by the thousand in
+// one slab re-arm themselves through a pointer to their own element,
+// so building a flow costs no closure either.
 package sim
 
 import (
@@ -39,27 +42,57 @@ import (
 // cross-shard arrivals with their upstream departure time, so a merged
 // heap reproduces the order a single global kernel would have used).
 //
-// An event is either a plain callback (fn) or a packet-carrying one
-// (pfn called with p); exactly one of fn and pfn is set while the slot
-// is live.
+// What an event runs is h, set while the slot is live: an At/After
+// callback (funcHandler), a packet-carrying callback (packetFunc, called
+// with p), or an AtHandler receiver. One field for all three keeps the
+// node at 56 bytes: a word per form would make it 64, and a deep heap,
+// which reads a node per comparison, runs measurably slower on it
+// (BenchmarkSimKernelDeepQueue).
 type node struct {
 	time  float64
 	sched float64
 	seq   uint64
-	fn    func()
-	pfn   func(*packet.Packet)
+	h     Handler
 	p     *packet.Packet
 	gen   uint32
 	pos   int32 // heap position, -1 free, posInBatch while batch-dispatching
 }
 
-// run executes a callback read out of a node before its slot was freed.
-func run(fn func(), pfn func(*packet.Packet), p *packet.Packet) {
-	if pfn != nil {
-		pfn(p)
-		return
+// Handler is the receiver of an event scheduled with AtHandler. A
+// pointer-shaped implementation — a pointer to an element of a slab of
+// per-flow objects, or to a named type over that element, one per
+// action — converts to a Handler without allocating, so an object that
+// re-arms itself for the whole run costs nothing per event and nothing
+// at construction.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler carries an At/After callback and packetFunc a
+// packet-carrying one. A func value is pointer-shaped, so neither
+// conversion allocates.
+type (
+	funcHandler func()
+	packetFunc  func(*packet.Packet)
+)
+
+func (f funcHandler) Fire() { f() }
+
+// Fire is never called: run calls a packetFunc with its node's packet.
+func (f packetFunc) Fire() { panic("sim: packet event fired without its packet") }
+
+// run executes an event read out of a node before its slot was freed.
+// The two callback forms are called directly, saving the dynamic call
+// through Fire.
+func run(h Handler, p *packet.Packet) {
+	switch f := h.(type) {
+	case funcHandler:
+		f()
+	case packetFunc:
+		f(p)
+	default:
+		h.Fire()
 	}
-	fn()
 }
 
 // posInBatch marks a node that has been popped into the current
@@ -68,7 +101,8 @@ func run(fn func(), pfn func(*packet.Packet), p *packet.Packet) {
 const posInBatch int32 = -2
 
 // Event is a value handle to a scheduled callback. The zero Event is
-// inert; events are created through Simulator.At and Simulator.After.
+// inert; events are created through Simulator.At, After, AtHandler and
+// the packet-carrying forms.
 type Event struct {
 	s    *Simulator
 	id   int32
@@ -95,8 +129,8 @@ func (e Event) Cancel() {
 		return
 	}
 	if n.pos == posInBatch {
-		if n.fn != nil || n.pfn != nil {
-			n.fn, n.pfn, n.p = nil, nil, nil
+		if n.h != nil {
+			n.h, n.p = nil, nil
 			e.s.mCancelled.Inc()
 		}
 		return
@@ -202,11 +236,12 @@ func (s *Simulator) Steps() uint64 { return s.nsteps }
 func (s *Simulator) Pending() int { return len(s.heap) }
 
 // schedule is the one insertion path: it queues an arena slot due at t
-// with scheduling stamp sched, holding either fn or pfn with its packet.
+// with scheduling stamp sched, holding h and, for a packetFunc, its
+// packet.
 // It panics if t is in the past or not a finite number — such bugs would
 // otherwise manifest as silently reordered events — and if the stamp is
 // not finite or lies after t.
-func (s *Simulator) schedule(t, sched float64, fn func(), pfn func(*packet.Packet), p *packet.Packet) Event {
+func (s *Simulator) schedule(t, sched float64, h Handler, p *packet.Packet) Event {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: non-finite event time %v", t))
 	}
@@ -224,7 +259,7 @@ func (s *Simulator) schedule(t, sched float64, fn func(), pfn func(*packet.Packe
 	n.time = t
 	n.sched = sched
 	n.seq = s.seq
-	n.fn, n.pfn, n.p = fn, pfn, p
+	n.h, n.p = h, p
 	s.seq++
 	s.heap = append(s.heap, id)
 	n.pos = int32(len(s.heap) - 1)
@@ -245,7 +280,7 @@ func (s *Simulator) At(t float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return s.schedule(t, s.now, fn, nil, nil)
+	return s.schedule(t, s.now, funcHandler(fn), nil)
 }
 
 // After schedules fn to run d seconds from now.
@@ -272,7 +307,20 @@ func (s *Simulator) AtStamped(t, sched float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return s.schedule(t, sched, fn, nil, nil)
+	return s.schedule(t, sched, funcHandler(fn), nil)
+}
+
+// AtHandler schedules h.Fire() to run at absolute time t, ordered
+// exactly as At would order it. It is the one receiver-carrying form:
+// the event stores h itself, so an object that passes a pointer to
+// itself (or to a named type over itself, one per action) re-arms with
+// no closure, bound method value or allocation. A relative delay d is
+// AtHandler(Now()+d, h), the same time After(d, fn) computes.
+func (s *Simulator) AtHandler(t float64, h Handler) Event {
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	return s.schedule(t, s.now, h, nil)
 }
 
 // AfterPacket schedules fn(p) to run d seconds from now, ordered exactly
@@ -292,7 +340,7 @@ func (s *Simulator) AtStampedPacket(t, sched float64, fn func(*packet.Packet), p
 	if fn == nil || p == nil {
 		panic("sim: nil packet event callback or packet")
 	}
-	return s.schedule(t, sched, nil, fn, p)
+	return s.schedule(t, sched, packetFunc(fn), p)
 }
 
 // Reserve pre-sizes the arena, heap, and free list for at least n
@@ -324,7 +372,7 @@ func (s *Simulator) Step() bool {
 	}
 	id := s.heap[0]
 	n := &s.nodes[id]
-	fn, pfn, p := n.fn, n.pfn, n.p
+	h, p := n.h, n.p
 	s.now = n.time
 	s.nsteps++
 	s.removeAt(0)
@@ -332,7 +380,7 @@ func (s *Simulator) Step() bool {
 	if s.mDispatched != nil {
 		s.mDispatched.Inc()
 	}
-	run(fn, pfn, p)
+	run(h, p)
 	return true
 }
 
@@ -390,14 +438,14 @@ func (s *Simulator) dispatchBatches(t float64, exclusive bool) {
 			// Fast path: the instant holds a single event — the normal
 			// case in continuous time — so skip the batch bookkeeping.
 			n := &s.nodes[id]
-			fn, pfn, p := n.fn, n.pfn, n.p
+			h, p := n.h, n.p
 			s.now = bt
 			s.nsteps++
 			s.freeNode(id)
 			if mDispatched != nil {
 				mDispatched.Inc()
 			}
-			run(fn, pfn, p)
+			run(h, p)
 			continue
 		}
 		// Gather the whole instant. New events scheduled at bt by the
@@ -420,16 +468,16 @@ func (s *Simulator) dispatchBatches(t float64, exclusive bool) {
 		s.now = bt
 		for _, id := range batch {
 			n := &s.nodes[id]
-			fn, pfn, p := n.fn, n.pfn, n.p
+			h, p := n.h, n.p
 			s.freeNode(id)
-			if fn == nil && pfn == nil {
+			if h == nil {
 				continue // cancelled by an earlier event of this batch
 			}
 			s.nsteps++
 			if mDispatched != nil {
 				mDispatched.Inc()
 			}
-			run(fn, pfn, p)
+			run(h, p)
 		}
 		s.batch = batch[:0] // hand the scratch back for the next instant
 	}
@@ -465,7 +513,7 @@ func (s *Simulator) alloc() int32 {
 // dropped so the arena never pins dead closures or recycled packets.
 func (s *Simulator) freeNode(id int32) {
 	n := &s.nodes[id]
-	n.fn, n.pfn, n.p = nil, nil, nil
+	n.h, n.p = nil, nil
 	n.gen++
 	n.pos = -1
 	s.free = append(s.free, id)

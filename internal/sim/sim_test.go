@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventsFireInTimeOrder(t *testing.T) {
@@ -424,3 +425,74 @@ func TestRandDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeSize pins the event node at 56 bytes: every heap comparison
+// reads a node, and a 64-byte node measurably slows a deep heap
+// (BenchmarkSimKernelDeepQueue), so the three event forms share one
+// Handler field instead of each adding a word.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(node{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want 56", got)
+	}
+}
+
+// counter is a receiver-carrying event target, a per-flow object in
+// miniature: it re-arms itself through a pointer to itself.
+type counter struct {
+	s     *Simulator
+	fired []float64
+}
+
+func (c *counter) Fire() {
+	c.fired = append(c.fired, c.s.Now())
+	if len(c.fired) < 3 {
+		c.s.AtHandler(c.s.Now()+1, c)
+	}
+}
+
+// TestAtHandlerOrdersLikeAt interleaves receiver events with callbacks
+// at equal times: they run in insertion order, exactly as At would
+// order them, and a receiver event cancels like any other.
+func TestAtHandlerOrdersLikeAt(t *testing.T) {
+	s := New()
+	var order []string
+	c := &counter{s: s}
+	s.At(1, func() { order = append(order, "fn") })
+	s.AtHandler(1, c)
+	s.At(1, func() { order = append(order, "fn2") })
+	cancelled := &counter{s: s}
+	s.AtHandler(0.5, cancelled).Cancel()
+	s.RunUntil(10)
+	if len(order) != 2 || order[0] != "fn" || order[1] != "fn2" {
+		t.Errorf("callbacks ran as %v", order)
+	}
+	if want := []float64{1, 2, 3}; len(c.fired) != 3 || c.fired[0] != want[0] || c.fired[2] != want[2] {
+		t.Errorf("receiver fired at %v, want %v", c.fired, want)
+	}
+	if len(cancelled.fired) != 0 {
+		t.Errorf("cancelled receiver fired at %v", cancelled.fired)
+	}
+}
+
+// TestAtHandlerWithoutAllocating: scheduling and dispatching a
+// pointer-shaped receiver allocates nothing once the arena is warm.
+func TestAtHandlerWithoutAllocating(t *testing.T) {
+	s := New()
+	s.Reserve(16)
+	h := handlerFunc{n: new(int)}
+	if a := testing.AllocsPerRun(1000, func() {
+		s.AtHandler(s.Now()+1, h)
+		s.Step()
+	}); a != 0 {
+		t.Errorf("%v allocations per receiver event, want 0", a)
+	}
+}
+
+// handlerFunc is a pointer-shaped Handler (a struct of one pointer)
+// that only counts.
+type handlerFunc struct{ n *int }
+
+func (h handlerFunc) Fire() { *h.n++ }

@@ -118,13 +118,15 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 		}
 		s.AfterPacket(props[p.Flow], deliver, p)
 	}
-	var tcps []*source.TCP
+	// Sources live in one slab per kind, addressed by flow index.
+	var tcps []source.TCP
 	if spec.Open {
 		// Open-loop population: on-off sources matching the declared
 		// (σ,ρ,peak) profiles in the paper's parameterization.
-		for i := 0; i < n; i++ {
+		onoffs := make([]source.OnOff, n)
+		for i := range onoffs {
 			srcRng := sim.NewRand(sim.DeriveSeed(seed, i))
-			source.NewOnOff(s, srcRng, source.OnOffConfig{
+			onoffs[i].Init(s, srcRng, source.OnOffConfig{
 				Flow:       i,
 				PacketSize: segment,
 				PeakRate:   peak,
@@ -139,19 +141,19 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 		// the slow-start bursts across event times, short enough that
 		// every flow joins the opening contention (a long stagger lets
 		// the first starter pin the queue full and lock everyone out).
-		tcps = make([]*source.TCP, n)
+		tcps = source.TCPs(n)
 		link.OnDrop = func(p *packet.Packet) { tcps[p.Flow].OnDrop(p) }
 		ackArrived := func(ap *packet.Packet) { tcps[ap.Flow].OnAck(ap) }
 		sendAck := func(ap *packet.Packet) { s.AfterPacket(props[ap.Flow], ackArrived, ap) }
 		spread := 2 * rtt
-		for i := 0; i < n; i++ {
-			tcps[i] = source.NewTCP(s, source.TCPConfig{
+		for i := range tcps {
+			tcps[i].Init(s, source.TCPConfig{
 				Flow:        i,
 				SegmentSize: segment,
 				PaceRate:    c,
 			}, link)
 			delivery.SetAcker(i, network.TCPAckSize, sendAck)
-			s.At(rng.Float64()*spread, tcps[i].Start)
+			s.AtHandler(rng.Float64()*spread, (*tcpStart)(&tcps[i]))
 		}
 	}
 
@@ -183,12 +185,18 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 			goodput[i] = float64(col.Flow(i).Departed.Total().Bytes)
 		}
 	} else {
-		for i, t := range tcps {
+		for i := range tcps {
 			goodput[i] = float64(delivery.Goodput(i).Bytes)
-			cell.Retransmits += t.Retransmits()
-			cell.Timeouts += t.Timeouts()
+			cell.Retransmits += tcps[i].Retransmits()
+			cell.Timeouts += tcps[i].Timeouts()
 		}
 	}
 	cell.Fairness = jain(goodput)
 	return cell, nil
 }
+
+// tcpStart is a sender's start action as an event receiver over its
+// slab element, so the staggered starts cost no closure per flow.
+type tcpStart source.TCP
+
+func (t *tcpStart) Fire() { (*source.TCP)(t).Start() }

@@ -213,6 +213,56 @@ func TestSweepMemoryCeiling(t *testing.T) {
 	}
 }
 
+// cellBuild builds one closed-loop cell of n flows at a 1 ns horizon —
+// construction and nothing else — and returns its mallocs and bytes.
+func cellBuild(t *testing.T, n int) (mallocs, bytes uint64) {
+	t.Helper()
+	cfg := Config{Duration: 1e-9}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := runCell(context.Background(), &cfg, CellSpec{Flows: n, Rule: RuleSqrt, Scheme: "fifo+threshold"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestClosedCellBuildsInConstantAllocations is construction's gate for
+// the closed-loop cell: every per-flow object lives in one slab per
+// kind and every start event carries its sender, so doubling the
+// population adds no more than a few mallocs (slab and map regrowth
+// steps), where a heap object per flow would add 10⁴.
+func TestClosedCellBuildsInConstantAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
+	}
+	m1, _ := cellBuild(t, 10000)
+	m2, _ := cellBuild(t, 20000)
+	t.Logf("cell build: %d mallocs at n=10⁴, %d at n=2·10⁴", m1, m2)
+	if m2 > m1+32 {
+		t.Errorf("building 2·10⁴ flows costs %d mallocs against %d for 10⁴: per-flow state is no longer in slabs", m2, m1)
+	}
+}
+
+// TestClosedCellBytesPerFlow is the per-flow memory ceiling beside
+// TestSweepMemoryCeiling: building a closed-loop cell — sender (240 B,
+// see internal/source's TestTCPSize), its first send ring, receiver,
+// collector and propagation entries — allocates under 1.25 KB per flow
+// (about 1 KB at the time of writing).
+func TestClosedCellBytesPerFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
+	}
+	const n, ceiling = 20000, 1280
+	_, bytes := cellBuild(t, n)
+	perFlow := bytes / n
+	t.Logf("cell build: %d bytes per flow", perFlow)
+	if perFlow > ceiling {
+		t.Errorf("building a closed-loop cell allocates %d bytes per flow, ceiling %d", perFlow, ceiling)
+	}
+}
+
 // BenchmarkSmallCell measures the full single-link closed-loop path at
 // small n — the "no slower at small n" half of the flow-state
 // refactor's contract (the ring microbenchmarks in internal/source and

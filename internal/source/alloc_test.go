@@ -2,6 +2,7 @@ package source
 
 import (
 	"testing"
+	"unsafe"
 
 	"bufqos/internal/packet"
 	"bufqos/internal/sim"
@@ -132,5 +133,57 @@ func TestShaperQueueReusesItsCapacity(t *testing.T) {
 		if p != nil {
 			t.Fatalf("slot %d beyond the queue's end still points at a packet", i)
 		}
+	}
+}
+
+// TestSlabsBuildInConstantAllocations is construction's gate: a slab of
+// senders or shapers is a fixed handful of allocations at any size
+// (the elements, and the carved first send ring or shaping queue), and
+// initializing and starting an element allocates nothing — its events
+// carry the element itself, so no per-flow callback is built.
+func TestSlabsBuildInConstantAllocations(t *testing.T) {
+	for _, n := range []int{1, 1000} {
+		if a := testing.AllocsPerRun(10, func() { _ = TCPs(n) }); a != 3 {
+			t.Errorf("TCPs(%d): %v allocations, want 3", n, a)
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = Shapers(n) }); a != 2 {
+			t.Errorf("Shapers(%d): %v allocations, want 2", n, a)
+		}
+	}
+	s := sim.New()
+	s.Reserve(1 << 12)
+	var count int
+	sink := releasingSink(s, &count)
+	spec := packet.FlowSpec{PeakRate: units.MbitsPerSecond(40), TokenRate: units.MbitsPerSecond(4), BucketSize: units.KiloBytes(10)}
+	tcps, shapers := TCPs(100), Shapers(100)
+	onoffs, cbrs := make([]OnOff, 100), make([]CBR, 100)
+	rng := sim.NewRand(1)
+	i := 0
+	allocs := testing.AllocsPerRun(99, func() {
+		tcps[i].Init(s, TCPConfig{Flow: i, SegmentSize: 500, PaceRate: units.MbitsPerSecond(48)}, sink).Start()
+		sh := shapers[i].Init(s, spec, sink)
+		onoffs[i].Init(s, rng, OnOffConfig{
+			Flow: i, PacketSize: 500,
+			PeakRate: units.MbitsPerSecond(40), AvgRate: units.MbitsPerSecond(16), MeanBurst: units.KiloBytes(25),
+		}, sh).Start()
+		cbrs[i].Init(s, i, 500, units.MbitsPerSecond(16), sh).Start()
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("initializing and starting slab elements: %v allocations per flow, want 0", allocs)
+	}
+}
+
+// TestTCPSize pins the sender's size. One TCP per flow sits in a sizing
+// cell's slab, up to 10⁶ of them, so each byte here is a megabyte
+// there; it must also stay within 256 bytes, the allocator size class a
+// lone NewTCP lands in (a field that pushed it past 256 once cost a
+// third more memory per sender). Update the number deliberately.
+func TestTCPSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(TCP{}); got != 240 {
+		t.Errorf("unsafe.Sizeof(TCP{}) = %d, want 240 (and never above 256)", got)
 	}
 }

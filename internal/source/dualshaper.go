@@ -20,13 +20,17 @@ type DualShaper struct {
 	spec packet.FlowSpec
 	sim  *sim.Simulator
 	sink Sink
-	tkn  *bucket // (σ, ρ)
-	peak *bucket // (MTU, P)
+	tkn  bucket // (σ, ρ)
+	peak bucket // (MTU, P)
 	q    pktQueue
 	busy bool
-	// releaseFn is d.release, bound once.
-	releaseFn func()
 }
+
+// dualShaperRelease is a DualShaper's release action as an event
+// receiver.
+type dualShaperRelease DualShaper
+
+func (d *dualShaperRelease) Fire() { (*DualShaper)(d).release() }
 
 // NewDualShaper creates the regulator. spec must carry a positive
 // PeakRate; mtu bounds the packet size (and sets the peak bucket's
@@ -41,15 +45,13 @@ func NewDualShaper(s *sim.Simulator, spec packet.FlowSpec, mtu units.Bytes, sink
 	if mtu <= 0 {
 		panic(fmt.Sprintf("dual shaper: invalid MTU %v", mtu))
 	}
-	d := &DualShaper{
+	return &DualShaper{
 		spec: spec,
 		sim:  s,
 		sink: sink,
 		tkn:  newBucket(spec.TokenRate, spec.BucketSize),
 		peak: newBucket(spec.PeakRate, mtu),
 	}
-	d.releaseFn = d.release
-	return d
 }
 
 // Backlog returns the number of packets waiting in the shaping queue.
@@ -77,7 +79,7 @@ func (d *DualShaper) release() {
 	wait := math.Max(d.tkn.timeUntil(float64(head.Size)), d.peak.timeUntil(float64(head.Size)))
 	if wait > 0 {
 		d.busy = true
-		d.sim.After(wait, d.releaseFn)
+		d.sim.AtHandler(now+wait, (*dualShaperRelease)(d))
 		return
 	}
 	d.tkn.take(float64(head.Size))
@@ -89,7 +91,7 @@ func (d *DualShaper) release() {
 	if d.q.len() > 0 {
 		size := float64(d.q.front().Size)
 		d.busy = true
-		d.sim.After(math.Max(d.tkn.timeUntil(size), d.peak.timeUntil(size)), d.releaseFn)
+		d.sim.AtHandler(now+math.Max(d.tkn.timeUntil(size), d.peak.timeUntil(size)), (*dualShaperRelease)(d))
 		return
 	}
 	d.busy = false

@@ -23,8 +23,12 @@ type Poisson struct {
 	sink    Sink
 	seq     uint64
 	stopped bool
-	emitFn  func() // p.emit, bound once
 }
+
+// poissonEmit is a Poisson source's emit action as an event receiver.
+type poissonEmit Poisson
+
+func (p *poissonEmit) Fire() { (*Poisson)(p).emit() }
 
 // NewPoisson creates a Poisson source with the given average rate.
 func NewPoisson(s *sim.Simulator, rng *rand.Rand, flow int, size units.Bytes, rate units.Rate, sink Sink) *Poisson {
@@ -34,7 +38,7 @@ func NewPoisson(s *sim.Simulator, rng *rand.Rand, flow int, size units.Bytes, ra
 	if rng == nil || sink == nil {
 		panic("poisson source: nil rng or sink")
 	}
-	p := &Poisson{
+	return &Poisson{
 		flow:       flow,
 		packetSize: size,
 		mean:       size.Bits() / rate.BitsPerSecond(),
@@ -42,14 +46,10 @@ func NewPoisson(s *sim.Simulator, rng *rand.Rand, flow int, size units.Bytes, ra
 		rng:        rng,
 		sink:       sink,
 	}
-	p.emitFn = p.emit
-	return p
 }
 
 // Start begins emission with a randomized first arrival.
-func (p *Poisson) Start() {
-	p.sim.After(sim.Exponential(p.rng, p.mean), p.emitFn)
-}
+func (p *Poisson) Start() { p.next() }
 
 // Stop halts packet generation.
 func (p *Poisson) Stop() { p.stopped = true }
@@ -63,5 +63,10 @@ func (p *Poisson) emit() {
 	}
 	p.sink.Receive(newPacket(p.sim, p.flow, p.packetSize, p.seq))
 	p.seq++
-	p.sim.After(sim.Exponential(p.rng, p.mean), p.emitFn)
+	p.next()
+}
+
+// next schedules the following emission an exponential gap from now.
+func (p *Poisson) next() {
+	p.sim.AtHandler(p.sim.Now()+sim.Exponential(p.rng, p.mean), (*poissonEmit)(p))
 }

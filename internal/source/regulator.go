@@ -18,8 +18,8 @@ type bucket struct {
 	last   float64    // time of last refill
 }
 
-func newBucket(rate units.Rate, depth units.Bytes) *bucket {
-	return &bucket{rate: rate, depth: float64(depth), tokens: float64(depth)}
+func newBucket(rate units.Rate, depth units.Bytes) bucket {
+	return bucket{rate: rate, depth: float64(depth), tokens: float64(depth)}
 }
 
 // refill advances the bucket to time now.
@@ -101,29 +101,54 @@ type Shaper struct {
 	spec packet.FlowSpec
 	sim  *sim.Simulator
 	sink Sink
-	bkt  *bucket
+	bkt  bucket
 	q    pktQueue
 	busy bool // a release event is scheduled
-	// releaseFn is s.release, bound once: the shaper re-arms with it
-	// for every delayed packet.
-	releaseFn func()
+}
+
+// shaperRelease is a Shaper's release action as an event receiver.
+type shaperRelease Shaper
+
+func (s *shaperRelease) Fire() { (*Shaper)(s).release() }
+
+// shaperQueueCap is the shaping-queue capacity Shapers carves for each
+// shaper: enough for a conformant source, whose packets rarely wait
+// behind another. A longer backlog grows the queue on its own array.
+const shaperQueueCap = 2
+
+// Shapers returns n zeroed shapers in one allocation, each with its
+// first shaperQueueCap queue slots carved from one shared array, for a
+// builder to Init element by element.
+func Shapers(n int) []Shaper {
+	sh := make([]Shaper, n)
+	q := make([]*packet.Packet, n*shaperQueueCap)
+	for i := range sh {
+		sh[i].q.q = q[i*shaperQueueCap : i*shaperQueueCap : (i+1)*shaperQueueCap]
+	}
+	return sh
 }
 
 // NewShaper creates a leaky-bucket shaper for the given profile. The
 // bucket must be at least one packet deep or nothing can ever pass; the
 // caller's specs come from experiment tables, so violations panic.
 func NewShaper(s *sim.Simulator, spec packet.FlowSpec, sink Sink) *Shaper {
+	return Shapers(1)[0].Init(s, spec, sink)
+}
+
+// Init sets s up in place exactly as NewShaper would, keeping the queue
+// storage Shapers carved for it, and returns it.
+func (s *Shaper) Init(sm *sim.Simulator, spec packet.FlowSpec, sink Sink) *Shaper {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	sh := &Shaper{
+	*s = Shaper{
 		spec: spec,
-		sim:  s,
+		sim:  sm,
 		sink: sink,
 		bkt:  newBucket(spec.TokenRate, spec.BucketSize),
+		q:    pktQueue{q: s.q.q[:0]},
 	}
-	sh.releaseFn = sh.release
-	return sh
+	return s
 }
 
 // Backlog returns the number of packets waiting in the shaping queue.
@@ -149,7 +174,7 @@ func (s *Shaper) release() {
 	wait := s.bkt.timeUntil(float64(head.Size))
 	if wait > 0 {
 		s.busy = true
-		s.sim.After(wait, s.releaseFn)
+		s.sim.AtHandler(now+wait, (*shaperRelease)(s))
 		return
 	}
 	s.bkt.take(float64(head.Size))
@@ -159,7 +184,7 @@ func (s *Shaper) release() {
 	s.sink.Receive(head)
 	if s.q.len() > 0 {
 		s.busy = true
-		s.sim.After(s.bkt.timeUntil(float64(s.q.front().Size)), s.releaseFn)
+		s.sim.AtHandler(now+s.bkt.timeUntil(float64(s.q.front().Size)), (*shaperRelease)(s))
 		return
 	}
 	s.busy = false
@@ -173,7 +198,7 @@ type Meter struct {
 	spec packet.FlowSpec
 	sim  *sim.Simulator
 	sink Sink
-	bkt  *bucket
+	bkt  bucket
 	// Green and Red count marked bytes, for conformance accounting.
 	Green units.Bytes
 	Red   units.Bytes
@@ -181,10 +206,17 @@ type Meter struct {
 
 // NewMeter creates a coloring meter for the given profile.
 func NewMeter(s *sim.Simulator, spec packet.FlowSpec, sink Sink) *Meter {
+	return new(Meter).Init(s, spec, sink)
+}
+
+// Init sets m up in place exactly as NewMeter would and returns it, for
+// builders that allocate their meters as one []Meter.
+func (m *Meter) Init(s *sim.Simulator, spec packet.FlowSpec, sink Sink) *Meter {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Meter{spec: spec, sim: s, sink: sink, bkt: newBucket(spec.TokenRate, spec.BucketSize)}
+	*m = Meter{spec: spec, sim: s, sink: sink, bkt: newBucket(spec.TokenRate, spec.BucketSize)}
+	return m
 }
 
 // BurstPotential returns the flow's current burst potential σ(t) — the

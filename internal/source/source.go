@@ -98,35 +98,51 @@ type OnOff struct {
 	// while the clock is strictly before it.
 	onUntil float64
 	stopped bool
-	// emitFn and beginOnFn are the method values the source re-arms
-	// itself with, bound once: a method value made at each After call
-	// is a heap object per event.
-	emitFn, beginOnFn func()
 }
+
+// onOffEmit and onOffBeginOn are an OnOff's two re-arm actions as
+// event receivers (sim.Handler): converting the source's own pointer to
+// one of them allocates nothing, so the source needs no stored callback.
+type (
+	onOffEmit    OnOff
+	onOffBeginOn OnOff
+)
+
+func (o *onOffEmit) Fire()    { (*OnOff)(o).emit() }
+func (o *onOffBeginOn) Fire() { (*OnOff)(o).beginOn() }
 
 // NewOnOff creates an ON-OFF source delivering packets into sink. It
 // panics on an invalid configuration: source parameters come from static
 // experiment tables, so a bad value is a programming error.
 func NewOnOff(s *sim.Simulator, rng *rand.Rand, cfg OnOffConfig, sink Sink) *OnOff {
+	return new(OnOff).Init(s, rng, cfg, sink)
+}
+
+// Init sets o up in place exactly as NewOnOff would and returns it. A
+// builder of many flows allocates one []OnOff and initializes each
+// element, so the sources cost one allocation between them.
+func (o *OnOff) Init(s *sim.Simulator, rng *rand.Rand, cfg OnOffConfig, sink Sink) *OnOff {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	o := &OnOff{cfg: cfg, sim: s, rng: rng, sink: sink}
-	o.emitFn, o.beginOnFn = o.emit, o.beginOn
+	*o = OnOff{cfg: cfg, sim: s, rng: rng, sink: sink}
 	return o
 }
 
 // Start begins the ON/OFF cycle. The source starts in the OFF state with
 // a randomized residual so that flows do not synchronize.
-func (o *OnOff) Start() {
-	o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOnFn)
-}
+func (o *OnOff) Start() { o.offPeriod() }
 
 // Stop halts packet generation after any already-scheduled event.
 func (o *OnOff) Stop() { o.stopped = true }
 
 // Seq returns the number of packets generated so far.
 func (o *OnOff) Seq() uint64 { return o.seq }
+
+// offPeriod schedules the next ON period after an exponential OFF one.
+func (o *OnOff) offPeriod() {
+	o.sim.AtHandler(o.sim.Now()+sim.Exponential(o.rng, o.cfg.MeanOff()), (*onOffBeginOn)(o))
+}
 
 func (o *OnOff) beginOn() {
 	if o.stopped {
@@ -143,14 +159,13 @@ func (o *OnOff) emit() {
 	}
 	now := o.sim.Now()
 	if now >= o.onUntil {
-		// ON period over; schedule the next one after an OFF period.
-		o.sim.After(sim.Exponential(o.rng, o.cfg.MeanOff()), o.beginOnFn)
+		o.offPeriod() // ON period over
 		return
 	}
 	p := newPacket(o.sim, o.cfg.Flow, o.cfg.PacketSize, o.seq)
 	o.seq++
 	o.sink.Receive(p)
-	o.sim.After(units.TransmissionTime(o.cfg.PacketSize, o.cfg.PeakRate), o.emitFn)
+	o.sim.AtHandler(o.sim.Now()+units.TransmissionTime(o.cfg.PacketSize, o.cfg.PeakRate), (*onOffEmit)(o))
 }
 
 // CBR is a constant-bit-rate source: one packet every Size·8/Rate
@@ -165,21 +180,30 @@ type CBR struct {
 	sink    Sink
 	seq     uint64
 	stopped bool
-	emitFn  func() // c.emit, bound once
 }
 
 // NewCBR creates a CBR source delivering packets into sink.
 func NewCBR(s *sim.Simulator, flow int, size units.Bytes, rate units.Rate, sink Sink) *CBR {
+	return new(CBR).Init(s, flow, size, rate, sink)
+}
+
+// Init sets c up in place exactly as NewCBR would and returns it, for
+// builders that allocate their CBR sources as one []CBR.
+func (c *CBR) Init(s *sim.Simulator, flow int, size units.Bytes, rate units.Rate, sink Sink) *CBR {
 	if size <= 0 || rate <= 0 {
 		panic(fmt.Sprintf("cbr source: invalid size %v or rate %v", size, rate))
 	}
-	c := &CBR{Flow: flow, PacketSize: size, Rate: rate, sim: s, sink: sink}
-	c.emitFn = c.emit
+	*c = CBR{Flow: flow, PacketSize: size, Rate: rate, sim: s, sink: sink}
 	return c
 }
 
+// cbrEmit is a CBR's emit action as an event receiver.
+type cbrEmit CBR
+
+func (c *cbrEmit) Fire() { (*CBR)(c).emit() }
+
 // Start begins emission.
-func (c *CBR) Start() { c.sim.After(c.Offset, c.emitFn) }
+func (c *CBR) Start() { c.sim.AtHandler(c.sim.Now()+c.Offset, (*cbrEmit)(c)) }
 
 // Stop halts packet generation.
 func (c *CBR) Stop() { c.stopped = true }
@@ -194,7 +218,7 @@ func (c *CBR) emit() {
 	p := newPacket(c.sim, c.Flow, c.PacketSize, c.seq)
 	c.seq++
 	c.sink.Receive(p)
-	c.sim.After(units.TransmissionTime(c.PacketSize, c.Rate), c.emitFn)
+	c.sim.AtHandler(c.sim.Now()+units.TransmissionTime(c.PacketSize, c.Rate), (*cbrEmit)(c))
 }
 
 // Saturating is a source that offers traffic at the given rate forever —
@@ -202,11 +226,13 @@ func (c *CBR) emit() {
 // to occupy its full buffer share. Offering at (or above) the link rate
 // keeps the flow's queue pegged at its admission threshold.
 type Saturating struct {
-	*CBR
+	CBR
 }
 
 // NewSaturating creates a greedy source offering at rate (typically the
 // link rate) into sink.
 func NewSaturating(s *sim.Simulator, flow int, size units.Bytes, rate units.Rate, sink Sink) *Saturating {
-	return &Saturating{CBR: NewCBR(s, flow, size, rate, sink)}
+	g := new(Saturating)
+	g.CBR.Init(s, flow, size, rate, sink)
+	return g
 }

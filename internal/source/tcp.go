@@ -80,31 +80,64 @@ type TCP struct {
 	// sources fit in memory and stay fast (see internal/sizing).
 	sent sendRing
 
-	// The three flags sit together so the struct stays within the
-	// allocator's 256-byte class — there is one TCP per flow, and sizing
-	// cells build up to 10⁶ of them.
+	// The three flags sit together so the struct packs without padding:
+	// there is one TCP per flow, a sizing cell holds up to 10⁶ of them
+	// in one slab, and every byte here is a megabyte there.
 	inRecovery bool
 	pumping    bool
 	stopped    bool
-	// stepFn and timeoutFn are t.step and t.onTimeout, bound once so
-	// pacing and every RTO re-arm schedule a stored callback. timeoutFn
-	// is bound when the timer is first armed, not in NewTCP: a sizing
-	// cell builds 10⁴–10⁶ senders before its clock starts, and a second
-	// heap object per sender there is a quarter of that set-up.
-	stepFn, timeoutFn func()
 
 	retransmits int64
 	timeouts    int64
 	dropsSeen   int64
 }
 
+// Pacing and the retransmission timer schedule the sender itself as
+// the event's receiver, through one named type per action over the
+// same struct: converting t to either allocates nothing, where a
+// stored method value would be one heap object per sender per action,
+// built before a 10⁴–10⁶-sender cell's clock even starts.
+type (
+	tcpStep    TCP
+	tcpTimeout TCP
+)
+
+func (t *tcpStep) Fire()    { (*TCP)(t).step() }
+func (t *tcpTimeout) Fire() { (*TCP)(t).onTimeout() }
+
+// tcpRingCap is the send-ring size a sender starts with, the first
+// size sendRing.grow picks; TCPs carves it for each sender.
+const tcpRingCap = 16
+
+// TCPs returns n zeroed senders in one allocation, each with its first
+// tcpRingCap-slot send ring carved from two shared arrays, for a
+// builder to Init element by element. A ring outgrowing its carve moves
+// to arrays of its own.
+func TCPs(n int) []TCP {
+	ts := make([]TCP, n)
+	times := make([]float64, n*tcpRingCap)
+	retx := make([]bool, n*tcpRingCap)
+	for i := range ts {
+		lo, hi := i*tcpRingCap, (i+1)*tcpRingCap
+		ts[i].sent.time = times[lo:hi:hi]
+		ts[i].sent.retx = retx[lo:hi:hi]
+	}
+	return ts
+}
+
 // NewTCP creates a TCP source delivering segments into sink. It panics
 // on an invalid configuration, like the other sources.
 func NewTCP(s *sim.Simulator, cfg TCPConfig, sink Sink) *TCP {
+	return TCPs(1)[0].Init(s, cfg, sink)
+}
+
+// Init sets t up in place exactly as NewTCP would, keeping the send
+// ring TCPs carved for it, and returns it.
+func (t *TCP) Init(s *sim.Simulator, cfg TCPConfig, sink Sink) *TCP {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	t := &TCP{
+	*t = TCP{
 		cfg:      cfg,
 		sim:      s,
 		sink:     sink,
@@ -112,8 +145,8 @@ func NewTCP(s *sim.Simulator, cfg TCPConfig, sink Sink) *TCP {
 		ssthresh: 1 << 30, // effectively unbounded until the first loss
 		srtt:     -1,
 		rto:      tcpInitialRTO,
+		sent:     sendRing{time: t.sent.time, retx: t.sent.retx},
 	}
-	t.stepFn = t.step
 	return t
 }
 
@@ -172,7 +205,7 @@ func (r *sendRing) advance(ack uint64) {
 // grow doubles the ring until it covers need slots, re-homing the live
 // span's records under the new mask.
 func (r *sendRing) grow(need uint64) {
-	size := uint64(16)
+	size := uint64(tcpRingCap)
 	for size < need {
 		size *= 2
 	}
@@ -370,10 +403,7 @@ func (t *TCP) armTimer() {
 	if t.una == t.nxt {
 		return
 	}
-	if t.timeoutFn == nil {
-		t.timeoutFn = t.onTimeout
-	}
-	t.rtoEv = t.sim.After(t.rto, t.timeoutFn)
+	t.rtoEv = t.sim.AtHandler(t.sim.Now()+t.rto, (*tcpTimeout)(t))
 }
 
 // emit sends segment s into the sink.
@@ -419,5 +449,5 @@ func (t *TCP) step() {
 	if wasIdle {
 		t.armTimer()
 	}
-	t.sim.After(units.TransmissionTime(t.cfg.SegmentSize, t.cfg.PaceRate), t.stepFn)
+	t.sim.AtHandler(t.sim.Now()+units.TransmissionTime(t.cfg.SegmentSize, t.cfg.PaceRate), (*tcpStep)(t))
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bufqos/internal/packet"
@@ -54,5 +55,36 @@ func TestEngineForwardsWithoutAllocating(t *testing.T) {
 	}
 	if got := e.res.Links[0].Totals.Dropped.Packets; got == 0 {
 		t.Error("first hop rejected nothing: the drop path was not in the measurement")
+	}
+}
+
+// TestEngineBuildsInConstantAllocations is construction's gate for the
+// topology engine: each flow's entry, sources and shaper sit in one
+// slab per kind and its scenario events carry its slab element, so
+// doubling the flows on the same 80-link network adds no more than a
+// few mallocs to newEngine, where a heap object per flow would add
+// thousands. What remains is per link and per shard.
+func TestEngineBuildsInConstantAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
+	}
+	build := func(flows int) uint64 {
+		topo, err := Generate(fmt.Sprintf("random?links=80,flows=%d,seed=1", flows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := newEngine(topo, Options{Duration: 1, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	m1, m2 := build(8000), build(16000)
+	t.Logf("newEngine: %d mallocs at 8000 flows, %d at 16000", m1, m2)
+	if m2 > m1+32 {
+		t.Errorf("newEngine at 16000 flows costs %d mallocs against %d at 8000: per-flow state is no longer in slabs", m2, m1)
 	}
 }

@@ -36,8 +36,8 @@ type admissionPlan struct {
 }
 
 // planAdmission replays the scenario's join/leave sequence through the
-// paper's admission regions.
-func planAdmission(t *Topology, duration float64) *admissionPlan {
+// paper's admission regions. ft sizes each link's admitted set.
+func planAdmission(t *Topology, ft *FlowTable, duration float64) *admissionPlan {
 	p := &admissionPlan{
 		admitted: make([]bool, len(t.Flows)),
 		joinAt:   make([]float64, len(t.Flows)),
@@ -51,6 +51,7 @@ func planAdmission(t *Topology, duration float64) *admissionPlan {
 	for li := range t.Links {
 		l := &t.Links[li]
 		ctrl[li] = core.NewSerialAdmitter(discipline(l), l.Rate, l.Buffer)
+		ctrl[li].Grow(len(ft.LinkFlows[li]))
 	}
 	join := func(fi int, at float64) {
 		f := &t.Flows[fi]
@@ -149,6 +150,54 @@ type engineShard struct {
 	// deliver is the handler of a packet event that ends at the
 	// delivery sink, built once per shard.
 	deliver func(p *packet.Packet)
+	// ack is the acker of every closed-loop flow delivering on this
+	// shard: it sends the acknowledgement home along the reverse path
+	// of the flow it names. Built once per shard.
+	ack func(ap *packet.Packet)
+}
+
+// engineFlow is one flow's slab element: the entry into its first hop
+// that every emitted packet passes (offered counter, then the hop-0
+// localizer), the receiver of its start and leave events, and the
+// indices of its source and shaper in the engine's per-kind slabs.
+// Elements are addressed by flow index in one []engineFlow, so a flow
+// costs no heap object of its own: a pointer to its element is its
+// sink, and named types over the element are its event receivers.
+type engineFlow struct {
+	e       *engine
+	link    *sched.Link
+	offered *stats.Counter
+	src     stopper // nil until started
+	entryID int
+	fi      int32
+	class   int32
+	slot    int32 // index into the slab of the flow's source kind
+	shaper  int32 // index into engine.shapers, -1 when unshaped
+}
+
+// Receive implements source.Sink: count the packet as offered and hand
+// it to the first hop under its data-plane id.
+func (f *engineFlow) Receive(p *packet.Packet) {
+	f.offered.Add(p.Size)
+	p.Hop = 0
+	p.Flow = f.entryID
+	p.Class = f.class
+	f.link.Receive(p)
+}
+
+// flowStart and flowLeave are a flow's join and leave actions as event
+// receivers over its engineFlow element.
+type (
+	flowStart engineFlow
+	flowLeave engineFlow
+)
+
+func (f *flowStart) Fire() { f.e.startSource((*engineFlow)(f)) }
+
+func (f *flowLeave) Fire() {
+	if f.src != nil {
+		f.src.Stop()
+	}
 }
 
 // cross queues p for the barrier exchange towards shard dst, due at
@@ -182,7 +231,14 @@ type engine struct {
 	// id a packet must carry at that hop (link-local, or global for
 	// unmapped links).
 	hopEntry []int32
-	sources  []stopper
+	flows    []engineFlow
+	// The per-kind slabs every flow's source and shaper are carved
+	// from, one allocation per kind, sized by the admitted flows of that
+	// kind. Greedy flows are CBR sources offering at their feed rate.
+	onoffs  []source.OnOff
+	cbrs    []source.CBR
+	tcpSrcs []source.TCP
+	shapers []source.Shaper
 	// feedback holds each closed-loop flow's reverse-direction surface
 	// (nil for open-loop flows and until the source starts); tcps keeps
 	// the concrete senders for retransmission statistics.
@@ -286,10 +342,10 @@ func reverseDelay(t *Topology, f *Flow, h int) float64 {
 // including) starting the clock.
 func newEngine(t *Topology, opts Options) (*engine, error) {
 	e := &engine{
-		topo:    t,
-		opts:    opts,
-		ft:      NewFlowTable(t),
-		sources: make([]stopper, len(t.Flows)),
+		topo:  t,
+		opts:  opts,
+		ft:    NewFlowTable(t),
+		flows: make([]engineFlow, len(t.Flows)),
 		res: &Result{
 			Topology: t.Name,
 			Duration: opts.Duration,
@@ -297,7 +353,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			Flows:    make([]FlowResult, len(t.Flows)),
 		},
 	}
-	e.plan = planAdmission(t, opts.Duration)
+	e.plan = planAdmission(t, e.ft, opts.Duration)
 	e.res.Rejections = e.plan.rejections
 	e.feedbackArrived = e.deliverFeedback
 
@@ -366,6 +422,10 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		es.deliver = func(p *packet.Packet) {
 			p.Arrived = es.s.Now()
 			es.delivery.Receive(p)
+		}
+		es.ack = func(ap *packet.Packet) {
+			route := t.Flows[ap.Flow].Route
+			e.sendFeedback(es, e.links[route[len(route)-1]], ap, crossAck, e.ackDelay[ap.Flow])
 		}
 		e.shards[i] = es
 	}
@@ -445,13 +505,9 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		if t.Flows[fi].Source != SourceTCP || !e.plan.admitted[fi] {
 			continue
 		}
-		fi := fi
 		route := t.Flows[fi].Route
-		last := e.links[route[len(route)-1]]
-		els := e.shards[last.shard]
-		els.delivery.SetAcker(fi, network.TCPAckSize, func(ap *packet.Packet) {
-			e.sendFeedback(els, last, ap, crossAck, e.ackDelay[fi])
-		})
+		els := e.shards[e.links[route[len(route)-1]].shard]
+		els.delivery.SetAcker(fi, network.TCPAckSize, els.ack)
 	}
 
 	// Data-plane flow ids per route hop.
@@ -466,13 +522,13 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		}
 	}
 
+	e.buildFlows()
+
 	// Schedule the scenario in the plan's decision order, each action on
 	// the shard owning its flow's first link (sources) or its link.
 	for fi := range t.Flows {
 		if _, has := t.JoinTime(fi); !has && e.plan.admitted[fi] {
-			fi := fi
-			es := e.shardOfFlow(fi)
-			es.s.At(0, func() { e.startSource(fi) })
+			e.shardOfFlow(fi).s.AtHandler(0, (*flowStart)(&e.flows[fi]))
 		}
 	}
 	for i := range t.Events {
@@ -482,18 +538,12 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			if !e.plan.admitted[ev.flow] {
 				continue
 			}
-			es := e.shardOfFlow(ev.flow)
-			es.s.At(ev.At, func() { e.startSource(ev.flow) })
+			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, (*flowStart)(&e.flows[ev.flow]))
 		case EventLeave:
 			if !e.plan.admitted[ev.flow] {
 				continue
 			}
-			es := e.shardOfFlow(ev.flow)
-			es.s.At(ev.At, func() {
-				if src := e.sources[ev.flow]; src != nil {
-					src.Stop()
-				}
-			})
+			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, (*flowLeave)(&e.flows[ev.flow]))
 		case EventRate:
 			el := e.links[ev.link]
 			e.shards[el.shard].s.At(ev.At, func() { el.link.SetRate(ev.Rate) })
@@ -618,24 +668,59 @@ func (e *engine) deliverFeedback(p *packet.Packet) {
 	}
 }
 
-// startSource assembles one admitted flow's generator chain into its
-// first hop: source → (shaper) → offered counter → hop-0 localizer →
-// link.
-func (e *engine) startSource(fi int) {
+// buildFlows fills every flow's engineFlow element and sizes the
+// per-kind slabs from the admitted flows, assigning each its slot in
+// flow order. Nothing is initialized until the flow starts.
+func (e *engine) buildFlows() {
+	t := e.topo
+	var nOnOff, nCBR, nTCP, nShaped int32
+	for fi := range t.Flows {
+		f := &t.Flows[fi]
+		ef := &e.flows[fi]
+		*ef = engineFlow{
+			e:       e,
+			link:    e.links[f.Route[0]].link,
+			offered: &e.res.Flows[fi].Offered,
+			entryID: int(e.hopEntry[e.ft.RouteOff[fi]]),
+			fi:      int32(fi),
+			class:   int32(f.Class),
+			shaper:  -1,
+		}
+		if !e.plan.admitted[fi] {
+			continue
+		}
+		if f.Shaped {
+			ef.shaper = nShaped
+			nShaped++
+		}
+		switch f.Source {
+		case SourceTCP:
+			ef.slot = nTCP
+			nTCP++
+		case SourceGreedy, SourceCBR:
+			ef.slot = nCBR
+			nCBR++
+		default:
+			ef.slot = nOnOff
+			nOnOff++
+		}
+	}
+	e.onoffs = make([]source.OnOff, nOnOff)
+	e.cbrs = make([]source.CBR, nCBR)
+	e.tcpSrcs = source.TCPs(int(nTCP))
+	e.shapers = source.Shapers(int(nShaped))
+}
+
+// startSource initializes one admitted flow's generator chain in its
+// slab elements and starts it: source → (shaper) → the flow's entry
+// (offered counter, hop-0 localizer) → link.
+func (e *engine) startSource(ef *engineFlow) {
+	fi := int(ef.fi)
 	f := &e.topo.Flows[fi]
-	el := e.links[f.Route[0]]
-	es := e.shards[el.shard]
-	entryID := int(e.hopEntry[e.ft.RouteOff[fi]])
-	class := int32(f.Class)
-	localize := source.SinkFunc(func(p *packet.Packet) {
-		p.Hop = 0
-		p.Flow = entryID
-		p.Class = class
-		el.link.Receive(p)
-	})
-	entry := source.Sink(countingSink{inner: localize, count: &e.res.Flows[fi].Offered})
+	es := e.shardOfFlow(fi)
+	entry := source.Sink(ef)
 	if f.Shaped {
-		entry = source.NewShaper(es.s, f.Spec, entry)
+		entry = e.shapers[ef.shaper].Init(es.s, f.Spec, entry)
 	}
 	var src stopper
 	switch f.Source {
@@ -647,7 +732,7 @@ func (e *engine) startSource(fi int) {
 		if pace <= 0 {
 			pace = e.topo.Links[f.Route[0]].Rate
 		}
-		tcp := source.NewTCP(es.s, source.TCPConfig{
+		tcp := e.tcpSrcs[ef.slot].Init(es.s, source.TCPConfig{
 			Flow:        fi,
 			SegmentSize: f.PacketSize,
 			PaceRate:    pace,
@@ -663,12 +748,12 @@ func (e *engine) startSource(fi int) {
 		if feed <= 0 {
 			feed = e.topo.Links[f.Route[0]].Rate
 		}
-		src = source.NewSaturating(es.s, fi, f.PacketSize, feed, entry)
+		src = e.cbrs[ef.slot].Init(es.s, fi, f.PacketSize, feed, entry)
 	case SourceCBR:
-		src = source.NewCBR(es.s, fi, f.PacketSize, f.AvgRate, entry)
+		src = e.cbrs[ef.slot].Init(es.s, fi, f.PacketSize, f.AvgRate, entry)
 	default: // SourceOnOff, enforced by Validate
 		rng := sim.NewRand(sim.DeriveSeed(e.opts.Seed, fi))
-		src = source.NewOnOff(es.s, rng, source.OnOffConfig{
+		src = e.onoffs[ef.slot].Init(es.s, rng, source.OnOffConfig{
 			Flow:       fi,
 			PacketSize: f.PacketSize,
 			PeakRate:   f.Spec.PeakRate,
@@ -676,7 +761,7 @@ func (e *engine) startSource(fi int) {
 			MeanBurst:  f.MeanBurst,
 		}, entry)
 	}
-	e.sources[fi] = src
+	ef.src = src
 	src.Start()
 }
 

@@ -35,9 +35,34 @@ func NewFlowTable(t *Topology) *FlowTable {
 	}
 	ft.RouteLink = make([]int32, 0, hops)
 	ft.RouteLocal = make([]int32, 0, hops)
+	// Count each link's flows first and carve every LinkFlows list from
+	// one array, so the index costs the same handful of allocations at
+	// any flow count.
+	seen := make([]int32, len(t.Links)) // last flow counted/appended per link, +1
+	count := make([]int32, len(t.Links))
+	for fi := range t.Flows {
+		for _, li := range t.Flows[fi].Route {
+			if seen[li] != int32(fi)+1 {
+				count[li]++
+				seen[li] = int32(fi) + 1
+			}
+		}
+	}
+	total := int32(0)
+	for _, c := range count {
+		total += c
+	}
+	all := make([]int32, total)
+	off := int32(0)
+	for li, c := range count {
+		if c > 0 {
+			ft.LinkFlows[li] = all[off : off : off+c]
+		}
+		off += c
+	}
+	clear(seen)
 	// Iterating flows in id order makes every LinkFlows list ascending
 	// without a sort.
-	seen := make([]int32, len(t.Links)) // last flow appended per link, +1
 	for fi := range t.Flows {
 		ft.RouteOff[fi] = int32(len(ft.RouteLink))
 		for _, li := range t.Flows[fi].Route {

@@ -7,8 +7,6 @@ import (
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
 	"bufqos/internal/metrics"
-	"bufqos/internal/packet"
-	"bufqos/internal/source"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
@@ -180,18 +178,6 @@ func degradedLinks(t *Topology) []bool {
 type stopper interface {
 	Start()
 	Stop()
-}
-
-// countingSink tallies a flow's offered traffic on its way into the
-// first hop.
-type countingSink struct {
-	inner source.Sink
-	count *stats.Counter
-}
-
-func (c countingSink) Receive(p *packet.Packet) {
-	c.count.Add(p.Size)
-	c.inner.Receive(p)
 }
 
 // Run executes one scenario and returns its measurements. ctx cancels

@@ -19,6 +19,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bufqos/internal/packet"
@@ -155,7 +156,17 @@ type Topology struct {
 	// Events is the timeline, sorted by time (ties keep file order, so
 	// a leave releasing capacity can precede a join reusing it).
 	Events []Event
+
+	// joinAt is each flow's join-event time, or noJoin, filled by a
+	// successful Validate so JoinTime is O(1) for Validate itself, the
+	// admission planner and the engine. Nil on a topology never
+	// validated, or whose last Validate failed.
+	joinAt []float64
 }
+
+// noJoin marks a flow without a join event in Topology.joinAt (event
+// times are validated non-negative).
+const noJoin = -1
 
 // LinkIndex returns the index of the named link, or -1.
 func (t *Topology) LinkIndex(name string) int {
@@ -167,7 +178,8 @@ func (t *Topology) LinkIndex(name string) int {
 	return -1
 }
 
-// FlowIndex returns the index of the named flow, or -1.
+// FlowIndex returns the index of the named flow, or -1. It scans the
+// flows; Validate resolves names through a map instead.
 func (t *Topology) FlowIndex(name string) int {
 	for i := range t.Flows {
 		if t.Flows[i].Name == name {
@@ -190,8 +202,16 @@ func (t *Topology) Specs() []packet.FlowSpec {
 // JoinTime returns when flow id joins: its join event's time, or 0 when
 // the timeline has none (flows join at the start by default). The
 // second result is false when the flow never joins (a leave without a
-// join is rejected by Validate, so this means "no events at all").
+// join is rejected by Validate, so this means "no events at all"). On a
+// validated topology it reads the table Validate built; otherwise it
+// scans the timeline.
 func (t *Topology) JoinTime(id int) (float64, bool) {
+	if len(t.joinAt) == len(t.Flows) {
+		if at := t.joinAt[id]; at != noJoin {
+			return at, true
+		}
+		return 0, false
+	}
 	for _, ev := range t.Events {
 		if ev.Kind == EventJoin && ev.flow == id {
 			return ev.At, true
@@ -240,6 +260,7 @@ func (l *Link) schemeConfig(specs []packet.FlowSpec, classes []int, seed int64) 
 // defaults (link names, source parameters). A Topology must be
 // validated before Run.
 func (t *Topology) Validate() error {
+	t.joinAt = nil // rebuilt below once the timeline checks out
 	if len(t.Links) == 0 {
 		return fmt.Errorf("topology %s: no links", t.Name)
 	}
@@ -284,21 +305,32 @@ func (t *Topology) Validate() error {
 		}
 		byEdge[edge] = i
 	}
+	// Names resolve through maps built in the same pass as the
+	// duplicate checks, so a scenario validates in O(flows + events).
+	// A name is a duplicate at the first index whose name an earlier
+	// entry already holds — for flows, with every earlier default
+	// ("flowN") applied and every later one not yet, as a scan would
+	// see it.
+	linkByName := make(map[string]int, len(t.Links))
 	for i := range t.Links {
-		if j := t.LinkIndex(t.Links[i].Name); j != i {
-			return fmt.Errorf("duplicate link name %s", t.Links[i].Name)
+		name := t.Links[i].Name
+		if _, dup := linkByName[name]; dup {
+			return fmt.Errorf("duplicate link name %s", name)
 		}
+		linkByName[name] = i
 	}
 
+	flowByName := make(map[string]int, len(t.Flows))
 	for i := range t.Flows {
 		f := &t.Flows[i]
 		f.ID = i
 		if f.Name == "" {
-			f.Name = fmt.Sprintf("flow%d", i)
+			f.Name = "flow" + strconv.Itoa(i)
 		}
-		if j := t.FlowIndex(f.Name); j != i {
+		if _, dup := flowByName[f.Name]; dup {
 			return fmt.Errorf("duplicate flow name %s", f.Name)
 		}
+		flowByName[f.Name] = i
 		if err := f.Spec.Validate(); err != nil {
 			return fmt.Errorf("flow %s: %w", f.Name, err)
 		}
@@ -398,15 +430,17 @@ func (t *Topology) Validate() error {
 		}
 		switch ev.Kind {
 		case EventJoin, EventLeave:
-			ev.flow = t.FlowIndex(ev.Flow)
-			if ev.flow < 0 {
+			fi, ok := flowByName[ev.Flow]
+			if !ok {
 				return fmt.Errorf("event %d: unknown flow %q", i, ev.Flow)
 			}
+			ev.flow = fi
 		case EventRate, EventFail, EventRecover:
-			ev.link = t.LinkIndex(ev.Link)
-			if ev.link < 0 {
+			li, ok := linkByName[ev.Link]
+			if !ok {
 				return fmt.Errorf("event %d: unknown link %q", i, ev.Link)
 			}
+			ev.link = li
 			if ev.Kind == EventRate && ev.Rate <= 0 {
 				return fmt.Errorf("event %d: non-positive rate %v for link %s", i, ev.Rate, ev.Link)
 			}
@@ -415,12 +449,22 @@ func (t *Topology) Validate() error {
 		}
 	}
 	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].At < t.Events[j].At })
+	// The join-time table: each flow's first join event in timeline
+	// order (a second one is rejected below). It is published only once
+	// the whole timeline checks out.
+	joinAt := make([]float64, len(t.Flows))
+	for i := range joinAt {
+		joinAt[i] = noJoin
+	}
+	for i := len(t.Events) - 1; i >= 0; i-- {
+		if ev := &t.Events[i]; ev.Kind == EventJoin {
+			joinAt[ev.flow] = ev.At
+		}
+	}
 	// A flow with no join event joins implicitly at t=0.
 	joined := make([]bool, len(t.Flows))
 	for i := range joined {
-		if _, has := t.JoinTime(i); !has {
-			joined[i] = true
-		}
+		joined[i] = joinAt[i] == noJoin
 	}
 	hasJoin := make([]bool, len(t.Flows))
 	left := make([]bool, len(t.Flows))
@@ -442,5 +486,6 @@ func (t *Topology) Validate() error {
 			left[ev.flow] = true
 		}
 	}
+	t.joinAt = joinAt
 	return nil
 }

@@ -2,9 +2,12 @@ package topology
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bufqos/internal/core"
 	"bufqos/internal/packet"
@@ -410,5 +413,137 @@ func TestTablesAndCSV(t *testing.T) {
 	}
 	if lines := strings.Count(strings.TrimSpace(sb.String()), "\n"); lines != 3*2*2 {
 		t.Errorf("link CSV has %d data rows, want 12", lines)
+	}
+}
+
+// TestValidateNameSemantics pins how Validate resolves names, with the
+// exact error text: a flow name is a duplicate at the first index whose
+// name an earlier flow already holds, with every earlier flow's default
+// ("flowN") applied and no later one yet, so an explicit name colliding
+// with a defaulted one is reported wherever the second of the two sits.
+func TestValidateNameSemantics(t *testing.T) {
+	spec := packet.FlowSpec{TokenRate: units.MbitsPerSecond(2), BucketSize: units.KiloBytes(50)}
+	flow := func(name string) Flow {
+		return Flow{Name: name, Spec: spec, RouteNodes: []string{"a", "b"}, Source: SourceCBR}
+	}
+	base := func(names ...string) *Topology {
+		topo := &Topology{
+			Name: "names",
+			Links: []Link{
+				{From: "a", To: "b", Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(1)},
+				{From: "b", To: "c", Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(1)},
+			},
+		}
+		for _, n := range names {
+			topo.Flows = append(topo.Flows, flow(n))
+		}
+		return topo
+	}
+	cases := []struct {
+		name string
+		topo *Topology
+		want string
+	}{
+		{"duplicate explicit name", base("x", "y", "x"), "duplicate flow name x"},
+		{"explicit name before its default", base("flow2", "", ""), "duplicate flow name flow2"},
+		{"explicit name after its default", base("", "", "flow1", "z"), "duplicate flow name flow1"},
+		{"defaulted flow5 against an explicit one", base("", "", "", "", "", "", "flow5"), "duplicate flow name flow5"},
+		{"duplicate link name", func() *Topology {
+			topo := base("f")
+			topo.Links[0].Name, topo.Links[1].Name = "l", "l"
+			return topo
+		}(), "duplicate link name l"},
+		{"link name equal to a default", func() *Topology {
+			topo := base("f")
+			topo.Links[1].Name = "a->b"
+			return topo
+		}(), "duplicate link name a->b"},
+		{"event naming an unknown flow", func() *Topology {
+			topo := base("f", "g")
+			topo.Events = []Event{{At: 1, Kind: EventJoin, Flow: "g"}, {At: 2, Kind: EventLeave, Flow: "h"}}
+			return topo
+		}(), `event 1: unknown flow "h"`},
+		{"event naming an unknown link", func() *Topology {
+			topo := base("f")
+			topo.Events = []Event{{At: 1, Kind: EventFail, Link: "b->a"}}
+			return topo
+		}(), `event 0: unknown link "b->a"`},
+		{"flow with two join events", func() *Topology {
+			topo := base("f", "g")
+			topo.Events = []Event{
+				{At: 3, Kind: EventJoin, Flow: "f"},
+				{At: 1, Kind: EventJoin, Flow: "g"},
+				{At: 2, Kind: EventJoin, Flow: "f"},
+			}
+			return topo
+		}(), "event 2: flow f joins twice"},
+	}
+	for _, tc := range cases {
+		err := tc.topo.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+		if tc.topo.joinAt != nil {
+			t.Errorf("%s: a failed Validate left a join-time table behind", tc.name)
+		}
+	}
+
+	// Names that do not collide resolve, and the join-time table agrees
+	// with a scan of the timeline on a copy that has none.
+	topo := base("", "flow0x", "", "late")
+	topo.Events = []Event{
+		{At: 4, Kind: EventLeave, Flow: "flow0"},
+		{At: 2, Kind: EventJoin, Flow: "late"},
+		{At: 1, Kind: EventFail, Link: "b->c"},
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{topo.Flows[0].Name, topo.Flows[2].Name}; !reflect.DeepEqual(got, []string{"flow0", "flow2"}) {
+		t.Errorf("defaulted names %v, want [flow0 flow2]", got)
+	}
+	scan := *topo
+	scan.joinAt = nil
+	for fi := range topo.Flows {
+		at, has := topo.JoinTime(fi)
+		wantAt, wantHas := scan.JoinTime(fi)
+		if at != wantAt || has != wantHas {
+			t.Errorf("flow %d: JoinTime = (%v, %v) from the table, (%v, %v) from a scan", fi, at, has, wantAt, wantHas)
+		}
+	}
+	if at, has := topo.JoinTime(3); at != 2 || !has {
+		t.Errorf("JoinTime(late) = (%v, %v), want (2, true)", at, has)
+	}
+}
+
+// TestValidateScalesLinearly guards set-up against quadratic name
+// resolution: validating 4× the flows on the same generated network
+// must cost well under the 16× a per-flow scan of the flows pays. Only
+// the ratio is checked (linear is about 4×), never an absolute time;
+// each size keeps its fastest of three runs.
+func TestValidateScalesLinearly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and validates 50k flows; skipped in -short")
+	}
+	fastest := func(flows int) time.Duration {
+		topo, err := Generate(fmt.Sprintf("random?links=80,flows=%d,seed=1", flows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			if err := topo.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := fastest(10000), fastest(40000)
+	ratio := float64(large) / float64(small)
+	t.Logf("Validate: %v at 10k flows, %v at 40k: ratio %.1f", small, large, ratio)
+	if ratio >= 8 {
+		t.Errorf("Validate at 4× the flows costs %.1f× the time, want under 8×: name resolution is no longer linear", ratio)
 	}
 }
