@@ -28,7 +28,12 @@ test:
 # simulator's At/After must be a stored one (a field named ...Fn), not a
 # method value made per event — per-flow objects re-arm through
 # AtHandler with a receiver over themselves instead, which the rule does
-# not match. CI runs this alongside `make verify`.
+# not match. And it keeps one flow builder: outside tests, bench/,
+# internal/source and the flow layer (internal/network/flows.go) no code
+# may carve a slab of sources or regulators (source.TCPs, source.Shapers,
+# make([]source.OnOff|CBR|TCP|Shaper|Meter, ...)) — runners describe
+# their flows to network.NewFlows instead. CI runs this alongside
+# `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -54,6 +59,12 @@ lint:
 	if [ -n "$$rearms" ]; then \
 		echo "re-arm with AtHandler and a receiver over the object, or a callback stored at construction (a ...Fn field), not a per-event method value:"; \
 		echo "$$rearms"; exit 1; \
+	fi
+	@slabs=$$(grep -rn -E --include='*.go' --exclude='*_test.go' \
+			'source\.(TCPs|Shapers)\(|make\(\[\]source\.(OnOff|CBR|TCP|Shaper|Meter)\b' . \
+		| grep -v -e '^\./bench/' -e '^\./internal/source/' -e '^\./internal/network/flows\.go:'); \
+	if [ -n "$$slabs" ]; then \
+		echo "wire flows through network.NewFlows, not a source slab of your own:"; echo "$$slabs"; exit 1; \
 	fi
 
 race:

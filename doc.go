@@ -13,6 +13,8 @@
 //   - internal/scheme    — the scheme registry: spec strings → (manager,
 //     scheduler) builders shared by experiments, the network, and CLIs
 //   - internal/source    — ON-OFF sources, leaky-bucket shaper, meter
+//   - internal/network   — the one per-flow wiring layer (source,
+//     regulator, TCP feedback) and the end-to-end delivery sink
 //   - internal/fluid     — fluid-model verification of Propositions 1–2
 //   - internal/topology  — declarative multi-hop scenarios: links, routed
 //     flows, event timelines, per-hop admission and verification

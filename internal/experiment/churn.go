@@ -133,7 +133,9 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 
 	var res ChurnResult
 	active := make([]*packet.FlowSpec, cfg.MaxFlows) // nil = free slot
-	sources := make([]*source.OnOff, cfg.MaxFlows)
+	// shapers holds each slot's latest shaper, kept after its flow
+	// leaves: it drains trailing packets under the slot's flow id.
+	shapers := make([]*source.Shaper, cfg.MaxFlows)
 
 	// Time-average active count via area accumulation.
 	var activeArea float64
@@ -159,18 +161,6 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 		}
 	}
 
-	freeSlot := func() int {
-		for i, spec := range active {
-			// A slot is reusable only once the previous occupant's
-			// packets have fully drained, so flows never inherit
-			// phantom occupancy (or each other's statistics).
-			if spec == nil && mgr.Occupancy(i) == 0 {
-				return i
-			}
-		}
-		return -1
-	}
-
 	var arrive func()
 	arrive = func() {
 		// Schedule the next arrival first (Poisson process).
@@ -178,7 +168,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 
 		tpl := cfg.Templates[rng.Intn(len(cfg.Templates))]
 		res.Requests++
-		slot := freeSlot()
+		slot := freeSlot(active, shapers, mgr)
 		verdict := core.BufferLimited // treat slot exhaustion as buffer pressure
 		if slot >= 0 {
 			verdict = admission.Admit(tpl.Spec)
@@ -205,16 +195,15 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 		srcRng := sim.NewRand(sim.DeriveSeed(cfg.Seed, srcRngSeq))
 		// All churn traffic is shaped (conformant): the experiment
 		// measures whether guarantees survive population changes.
-		sink := source.NewShaper(s, spec, link)
+		shapers[slot] = source.NewShaper(s, spec, link)
 		src := source.NewOnOff(s, srcRng, source.OnOffConfig{
 			Flow:       slot,
 			PacketSize: cfg.PacketSize,
 			PeakRate:   spec.PeakRate,
 			AvgRate:    tpl.AvgRate,
 			MeanBurst:  tpl.MeanBurst,
-		}, sink)
+		}, shapers[slot])
 		src.Start()
-		sources[slot] = src
 
 		// Departure after an exponential holding time.
 		s.After(sim.Exponential(rng, cfg.MeanHold), func() {
@@ -222,7 +211,6 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 			admission.Release(spec)
 			accumulate()
 			active[slot] = nil
-			sources[slot] = nil
 			activeCount--
 			recompute()
 		})
@@ -240,4 +228,19 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 	}
 	res.MeanActive = activeArea / cfg.Duration
 	return res, nil
+}
+
+// freeSlot returns the first slot a new churn flow may take, or -1. A
+// slot is reusable only once the previous occupant's packets have fully
+// drained — from the link's buffer and from its shaper, which keeps
+// releasing its backlog under the slot's flow id after the source stops
+// — so flows never inherit phantom occupancy (or each other's
+// statistics).
+func freeSlot(active []*packet.FlowSpec, shapers []*source.Shaper, mgr buffer.Manager) int {
+	for i, spec := range active {
+		if spec == nil && mgr.Occupancy(i) == 0 && (shapers[i] == nil || shapers[i].Backlog() == 0) {
+			return i
+		}
+	}
+	return -1
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
+	"bufqos/internal/sim"
+	"bufqos/internal/source"
 	"bufqos/internal/units"
 )
 
@@ -145,5 +148,33 @@ func TestChurnUtilizationTracksCarriedLoad(t *testing.T) {
 	}
 	if res.Utilization < expected*0.5 || res.Utilization > expected*1.5+0.05 {
 		t.Errorf("utilization %v vs Erlang estimate %v", res.Utilization, expected)
+	}
+}
+
+// TestChurnSlotWaitsForItsShaperToDrain: a slot whose flow has left is
+// not reused while that flow's shaper still holds packets, even when the
+// link's buffer holds none of them: the shaper keeps releasing its
+// backlog under the slot's flow id, and a new occupant would inherit
+// those packets, its threshold and its statistics.
+func TestChurnSlotWaitsForItsShaperToDrain(t *testing.T) {
+	s := sim.New()
+	mgr := buffer.NewFixedThreshold(units.MegaBytes(1), make([]units.Bytes, 2))
+	sh := source.NewShaper(s, packet.FlowSpec{TokenRate: units.Mbps, BucketSize: 500}, source.NewRecorder(s))
+	for i := 0; i < 3; i++ {
+		p := s.NewPacket()
+		p.Size = 500
+		sh.Receive(p) // the first passes, the others wait for tokens
+	}
+	active := make([]*packet.FlowSpec, 2) // both flows have left
+	shapers := []*source.Shaper{sh, nil}
+	if sh.Backlog() == 0 || mgr.Occupancy(0) != 0 {
+		t.Fatalf("set-up: shaper backlog %d, buffer occupancy %v", sh.Backlog(), mgr.Occupancy(0))
+	}
+	if got := freeSlot(active, shapers, mgr); got != 1 {
+		t.Errorf("with slot 0's shaper backlogged, freeSlot = %d, want 1", got)
+	}
+	s.Run(0)
+	if got := freeSlot(active, shapers, mgr); got != 0 {
+		t.Errorf("with slot 0's shaper drained, freeSlot = %d, want 0", got)
 	}
 }

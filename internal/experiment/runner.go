@@ -6,10 +6,10 @@ import (
 
 	"bufqos/internal/buffer"
 	"bufqos/internal/metrics"
+	"bufqos/internal/network"
 	"bufqos/internal/sched"
 	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
-	"bufqos/internal/source"
 	"bufqos/internal/stats"
 	"bufqos/internal/trace"
 	"bufqos/internal/units"
@@ -116,37 +116,30 @@ func NewPlane(o *Options) (*Plane, error) {
 	if cfg.Metrics != nil {
 		instrument(cfg.Metrics, s, link, sc.String())
 	}
-	// Sources, shapers and meters live in one slab per kind.
-	regulated := 0
-	for _, f := range cfg.Flows {
+	// Every flow is an on-off source behind its shaper (regulated
+	// flows) or its meter.
+	chains := make([]network.Flow, len(cfg.Flows))
+	for i, f := range cfg.Flows {
+		chains[i] = network.Flow{
+			Sim:        s,
+			Entry:      link,
+			Spec:       f.Spec,
+			PacketSize: cfg.PacketSize,
+			Rate:       f.AvgRate,
+			MeanBurst:  f.MeanBurst,
+			Source:     network.SourceOnOff,
+			Regulator:  network.RegulatorMeter,
+		}
+		if f.PacketSize > 0 {
+			chains[i].PacketSize = f.PacketSize
+		}
 		if f.Regulated() {
-			regulated++
+			chains[i].Regulator = network.RegulatorShaper
 		}
 	}
-	srcs := make([]source.OnOff, len(cfg.Flows))
-	shapers := source.Shapers(regulated)
-	meters := make([]source.Meter, len(cfg.Flows)-regulated)
-	for i, f := range cfg.Flows {
-		rng := sim.NewRand(sim.DeriveSeed(cfg.Seed, i))
-		var sink source.Sink
-		if f.Regulated() {
-			sink = shapers[0].Init(s, f.Spec, link)
-			shapers = shapers[1:]
-		} else {
-			sink = meters[0].Init(s, f.Spec, link)
-			meters = meters[1:]
-		}
-		size := cfg.PacketSize
-		if f.PacketSize > 0 {
-			size = f.PacketSize
-		}
-		srcs[i].Init(s, rng, source.OnOffConfig{
-			Flow:       i,
-			PacketSize: size,
-			PeakRate:   f.Spec.PeakRate,
-			AvgRate:    f.AvgRate,
-			MeanBurst:  f.MeanBurst,
-		}, sink).Start()
+	flows := network.NewFlows(chains, cfg.Seed)
+	for i := range chains {
+		flows.Start(i).Fire()
 	}
 	return &Plane{Sim: s, Link: link, cfg: cfg, col: col}, nil
 }

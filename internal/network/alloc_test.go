@@ -3,9 +3,7 @@ package network
 import (
 	"testing"
 
-	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
-	"bufqos/internal/sched"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
 	"bufqos/internal/units"
@@ -45,25 +43,27 @@ func TestDeliveryReceivesWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestTCPRoundTripWithoutAllocating wires one NewReno sender through a
-// lossless pipe to a delivery endpoint and back the way the engines do —
-// a stored handler per direction, the packet riding in the event — and
-// requires a steady-state segment round trip (emission, pacing and RTO
-// re-arm, propagation, reassembly, ACK, window update) to allocate
-// nothing.
+// TestTCPRoundTripWithoutAllocating wires one NewReno sender through
+// the flow layer and a lossless pipe to a delivery endpoint and back the
+// way the engines do — a stored handler per direction, the packet
+// riding in the event — and requires a steady-state segment round trip
+// (emission, pacing and RTO re-arm, propagation, reassembly, ACK,
+// feedback dispatch, window update) to allocate nothing.
 func TestTCPRoundTripWithoutAllocating(t *testing.T) {
 	s := sim.New()
 	d := NewDeliveryLight(s, 1)
 	const oneWay = 0.005
-	deliver := func(p *packet.Packet) {
-		p.Arrived = s.Now()
-		d.Receive(p)
-	}
-	snd := source.NewTCP(s, source.TCPConfig{Flow: 0, SegmentSize: 1500, PaceRate: units.MbitsPerSecond(100)},
-		source.SinkFunc(func(p *packet.Packet) { s.AfterPacket(oneWay, deliver, p) }))
-	ackArrived := func(ap *packet.Packet) { snd.OnAck(ap) }
-	d.SetAcker(0, TCPAckSize, func(ap *packet.Packet) { s.AfterPacket(oneWay, ackArrived, ap) })
-	snd.Start()
+	deliver := d.Receive
+	flows := NewFlows([]Flow{{
+		Sim:        s,
+		Entry:      source.SinkFunc(func(p *packet.Packet) { s.AfterPacket(oneWay, deliver, p) }),
+		PacketSize: 1500,
+		Rate:       units.MbitsPerSecond(100),
+		Source:     SourceTCP,
+	}}, 1)
+	feedback := flows.Feedback
+	d.SetAcker(0, TCPAckSize, func(ap *packet.Packet) { s.AfterPacket(oneWay, feedback, ap) })
+	flows.Start(0).Fire()
 	// Slow start doubles the window each RTT; run until the pacing rate,
 	// not the window, limits the sender, so the send ring has stopped
 	// growing.
@@ -76,30 +76,7 @@ func TestTCPRoundTripWithoutAllocating(t *testing.T) {
 	if d.Packets(0) == before {
 		t.Error("no segment delivered while measuring")
 	}
-	if snd.Retransmits() != 0 {
-		t.Errorf("%d retransmissions on a lossless pipe", snd.Retransmits())
-	}
-}
-
-// TestRouterForwardsWithoutAllocating: a departed packet crosses the
-// router's propagation delay in the event itself.
-func TestRouterForwardsWithoutAllocating(t *testing.T) {
-	s := sim.New()
-	r := NewRouter(s, "r", units.MbitsPerSecond(48), sched.NewFIFO(), buffer.NewTailDrop(units.KiloBytes(50), 1), nil, 0.001)
-	d := NewDeliveryLight(s, 1)
-	r.SetRoute(0, d.Receive)
-	hop := func() {
-		p := s.NewPacket()
-		p.Size, p.Created = 500, s.Now()
-		r.Receive(p)
-		for s.Step() {
-		}
-	}
-	hop()
-	if allocs := testing.AllocsPerRun(1000, hop); allocs != 0 {
-		t.Errorf("forwarding allocates %v/op in steady state, want 0", allocs)
-	}
-	if d.Packets(0) != 1002 {
-		t.Errorf("delivered %d packets, want 1002", d.Packets(0))
+	if r := flows.TCP(0).Retransmits(); r != 0 {
+		t.Errorf("%d retransmissions on a lossless pipe", r)
 	}
 }

@@ -2,150 +2,30 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"bufqos/internal/buffer"
-	"bufqos/internal/core"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
-	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
-
-func fifoRouter(s *sim.Simulator, name string, rate units.Rate, buf units.Bytes, nflows int, prop float64) *Router {
-	return NewRouter(s, name, rate, sched.NewFIFO(),
-		buffer.NewTailDrop(buf, nflows), stats.NewCollector(nflows, 0), prop)
-}
-
-func TestPathDeliversEndToEnd(t *testing.T) {
-	s := sim.New()
-	r1 := fifoRouter(s, "r1", units.MbitsPerSecond(48), units.MegaBytes(1), 1, 0)
-	r2 := fifoRouter(s, "r2", units.MbitsPerSecond(48), units.MegaBytes(1), 1, 0)
-	path := NewPath(s, []*Router{r1, r2}, 1)
-
-	src := source.NewCBR(s, 0, 500, units.MbitsPerSecond(8), path.Head())
-	src.Start()
-	s.RunUntil(2)
-	src.Stop()
-	s.Run(0) // drain in-flight packets
-
-	sent := int64(src.Seq())
-	if got := path.Delivery.Packets(0); got != sent {
-		t.Errorf("delivered %d of %d packets end-to-end", got, sent)
-	}
-	// Both hops saw every packet.
-	for _, r := range path.Routers {
-		if got := r.Collector().Flow(0).Departed.Total().Packets; got != sent {
-			t.Errorf("%s departed %d, want %d", r.Name, got, sent)
-		}
-	}
-}
-
-func TestEndToEndDelayIsSumOfHops(t *testing.T) {
-	// Uncontended 2-hop path: end-to-end delay is exactly two
-	// transmission times plus the propagation delays.
-	s := sim.New()
-	rate := units.MbitsPerSecond(8)
-	const prop = 0.003
-	r1 := fifoRouter(s, "r1", rate, units.MegaBytes(1), 1, prop)
-	r2 := fifoRouter(s, "r2", rate, units.MegaBytes(1), 1, prop)
-	path := NewPath(s, []*Router{r1, r2}, 1)
-
-	// One isolated packet.
-	p := &packet.Packet{Flow: 0, Size: 500, Created: 0, Arrived: 0}
-	path.Head().Receive(p)
-	s.Run(0)
-
-	want := 2*units.TransmissionTime(500, rate) + 2*prop
-	got := path.Delivery.Delay(0).Max()
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("end-to-end delay %v, want %v", got, want)
-	}
-}
-
-func TestBottleneckDropsAtSecondHop(t *testing.T) {
-	// Hop 1 fast, hop 2 half the rate with a small buffer: losses occur
-	// only at hop 2.
-	s := sim.New()
-	r1 := fifoRouter(s, "fast", units.MbitsPerSecond(48), units.MegaBytes(1), 1, 0)
-	r2 := fifoRouter(s, "slow", units.MbitsPerSecond(24), units.KiloBytes(20), 1, 0)
-	path := NewPath(s, []*Router{r1, r2}, 1)
-	src := source.NewCBR(s, 0, 500, units.MbitsPerSecond(40), path.Head())
-	src.Start()
-	s.RunUntil(2)
-
-	if d := r1.Collector().Flow(0).Dropped.Total().Packets; d != 0 {
-		t.Errorf("fast hop dropped %d packets", d)
-	}
-	if d := r2.Collector().Flow(0).Dropped.Total().Packets; d == 0 {
-		t.Error("bottleneck hop dropped nothing despite 40 Mb/s into 24 Mb/s")
-	}
-	// Delivered rate caps at the bottleneck.
-	thr := path.Delivery.Throughput(0)
-	if thr.BitsPerSecond() > 24e6*1.02 {
-		t.Errorf("delivered %v above bottleneck rate", thr)
-	}
-}
-
-func TestPerHopThresholdsProtectAcrossHops(t *testing.T) {
-	// The backbone story: a conformant flow crosses two hops, each with
-	// threshold buffer management; a local aggressor at EACH hop cannot
-	// starve it. Flow 0 is the end-to-end conformant flow; flows 1 and 2
-	// are hop-local aggressors (flow 1 at hop 1, flow 2 at hop 2).
-	s := sim.New()
-	linkRate := units.MbitsPerSecond(48)
-	rho := units.MbitsPerSecond(8)
-	bufSize := units.KiloBytes(500)
-
-	mkRouter := func(name string) *Router {
-		th := core.PeakRateThreshold(rho, linkRate, bufSize)
-		// Flow 0 gets its Prop-1 share (+1 MTU); local aggressors split
-		// the rest.
-		rest := (bufSize - th - 500) / 2
-		mgr := buffer.NewFixedThreshold(bufSize, []units.Bytes{th + 500, rest, rest})
-		return NewRouter(s, name, linkRate, sched.NewFIFO(), mgr, stats.NewCollector(3, 0.5), 0)
-	}
-	r1 := mkRouter("hop1")
-	r2 := mkRouter("hop2")
-	path := NewPath(s, []*Router{r1, r2}, 1) // only flow 0 is routed through
-
-	victim := source.NewCBR(s, 0, 500, rho, path.Head())
-	victim.Start()
-	agg1 := source.NewSaturating(s, 1, 500, linkRate, r1)
-	agg1.Start()
-	agg2 := source.NewSaturating(s, 2, 500, linkRate, r2)
-	agg2.Start()
-
-	const dur = 10.0
-	s.RunUntil(dur)
-
-	thr := path.Delivery.Throughput(0)
-	if thr.BitsPerSecond() < rho.BitsPerSecond()*0.93 {
-		t.Errorf("end-to-end conformant throughput %v, want ≈ %v", thr, rho)
-	}
-	for _, r := range []*Router{r1, r2} {
-		if d := r.Collector().Flow(0).Dropped.Total().Packets; d != 0 {
-			t.Errorf("%s dropped %d conformant packets", r.Name, d)
-		}
-	}
-}
 
 func TestFIFOHopPreservesLongRunConformance(t *testing.T) {
 	// A (σ, ρ)-shaped flow that crosses an uncontended FIFO hop stays
 	// (σ + ρ·Dmax, ρ)-conformant at the hop's output: FIFO adds at most
-	// its maximum delay of burstiness.
+	// its maximum delay of burstiness. Composing hops, as the topology
+	// engine does, relies on it.
 	s := sim.New()
 	linkRate := units.MbitsPerSecond(48)
 	spec := packet.FlowSpec{TokenRate: units.MbitsPerSecond(4), BucketSize: units.KiloBytes(30)}
-	r1 := fifoRouter(s, "hop", linkRate, units.KiloBytes(200), 1, 0)
+	hop := sched.NewLink(s, linkRate, sched.NewFIFO(), buffer.NewTailDrop(units.KiloBytes(200), 1), nil)
 	rec := source.NewRecorder(s)
-	r1.SetRoute(0, rec.Receive)
+	hop.OnDepart = rec.Receive
 
-	sh := source.NewShaper(s, spec, r1)
+	sh := source.NewShaper(s, spec, hop)
 	feed := source.NewCBR(s, 0, 500, units.MbitsPerSecond(16), sh)
 	feed.Start()
 	s.RunUntil(10)
@@ -161,75 +41,17 @@ func TestFIFOHopPreservesLongRunConformance(t *testing.T) {
 	}
 }
 
-func TestRouterValidation(t *testing.T) {
-	s := sim.New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative propagation did not panic")
-		}
-	}()
-	NewRouter(s, "bad", units.Mbps, sched.NewFIFO(), buffer.NewTailDrop(1000, 1), nil, -1)
-}
-
-func TestEmptyPathPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty path did not panic")
-		}
-	}()
-	NewPath(sim.New(), nil, 1)
-}
-
-func TestSetRouteNilTerminates(t *testing.T) {
-	s := sim.New()
-	r := fifoRouter(s, "r", units.MbitsPerSecond(8), units.KiloBytes(50), 1, 0)
-	forwarded := 0
-	r.SetRoute(0, func(*packet.Packet) { forwarded++ })
-	r.SetRoute(0, nil) // un-route
-	r.Receive(&packet.Packet{Flow: 0, Size: 500})
-	s.Run(0)
-	if forwarded != 0 {
-		t.Error("nil route still forwarded")
-	}
-}
-
 func TestDeliveryThroughputZeroTime(t *testing.T) {
 	s := sim.New()
-	d := NewDelivery(s, 1)
+	d := NewDeliveryLight(s, 1)
 	if d.Throughput(0) != 0 {
 		t.Error("throughput at t=0 should be 0")
 	}
 }
 
-func TestForwardedCountsPerFlow(t *testing.T) {
-	// Forwarded counts only packets handed to a next hop: flow 0 is
-	// routed onward, flow 1 terminates at the router, flow 2 never sends.
-	s := sim.New()
-	r := fifoRouter(s, "r", units.MbitsPerSecond(48), units.MegaBytes(1), 3, 0)
-	d := NewDelivery(s, 3)
-	r.SetRoute(0, d.Receive)
-	for i := 0; i < 5; i++ {
-		r.Receive(&packet.Packet{Flow: 0, Size: 500})
-	}
-	r.Receive(&packet.Packet{Flow: 1, Size: 500})
-	s.Run(0)
-	if got := r.Forwarded(0); got != 5 {
-		t.Errorf("flow 0: forwarded %d, want 5", got)
-	}
-	if got := r.Forwarded(1); got != 0 {
-		t.Errorf("flow 1 terminates here; forwarded %d, want 0", got)
-	}
-	if got := r.Forwarded(2); got != 0 {
-		t.Errorf("flow 2 never sent; forwarded %d, want 0", got)
-	}
-	if got := d.Packets(0); got != 5 {
-		t.Errorf("delivery saw %d packets of flow 0, want 5", got)
-	}
-}
-
 func TestDeliveryUnknownFlowPanicsWithFlowID(t *testing.T) {
 	s := sim.New()
-	d := NewDelivery(s, 2)
+	d := NewDeliveryLight(s, 2)
 	if d.NumFlows() != 2 {
 		t.Fatalf("NumFlows = %d, want 2", d.NumFlows())
 	}

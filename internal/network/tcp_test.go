@@ -3,9 +3,7 @@ package network
 import (
 	"testing"
 
-	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
-	"bufqos/internal/sched"
 	"bufqos/internal/sim"
 )
 
@@ -50,21 +48,5 @@ func TestDeliveryAckerReordersAndCounts(t *testing.T) {
 	// Unregistered flows report zero goodput.
 	if g := d.Goodput(0); g.Packets != 0 {
 		t.Errorf("flow 0 goodput %+v", g)
-	}
-}
-
-func TestRouterSliceRoutes(t *testing.T) {
-	// Forwarded and forward must tolerate flow IDs beyond any SetRoute
-	// call (the slice conversion's out-of-range path).
-	s := sim.New()
-	r := NewRouter(s, "r", 1e9, sched.NewFIFO(), buffer.NewTailDrop(1000, 1), nil, 0)
-	if got := r.Forwarded(99); got != 0 {
-		t.Errorf("Forwarded(99)=%d before any route", got)
-	}
-	r.SetRoute(3, func(*packet.Packet) {})
-	r.SetRoute(3, nil)  // un-route
-	r.SetRoute(99, nil) // no-op beyond current length
-	if got := r.Forwarded(3); got != 0 {
-		t.Errorf("Forwarded(3)=%d", got)
 	}
 }

@@ -23,13 +23,13 @@ import (
 //     installed. An installed hook takes ownership: it may forward the
 //     packet, hand it back to a Receive, or keep it.
 //   - network.Delivery.Receive releases the data packet after
-//     accounting and ACK generation; network.Router releases a packet
-//     whose flow has no next hop.
-//   - a source.Feedback (source.TCP.OnAck and OnDrop) releases the
-//     notification it was handed before returning.
-//   - the topology engine releases feedback for a flow with no live
-//     source (open-loop, not yet started), and the copy it leaves
-//     behind when a packet crosses to another shard by value.
+//     accounting and ACK generation.
+//   - source.TCP.OnAck and OnDrop release the notification they were
+//     handed before returning; network.Flows.Feedback releases one
+//     naming a flow that has no sender.
+//   - the topology engine releases a dropped packet of an open-loop
+//     flow, and the copy it leaves behind when a packet crosses to
+//     another shard by value.
 //
 // Never releasing is always safe: the packet falls back to the garbage
 // collector, which is what recorders, test sinks and hooks that keep

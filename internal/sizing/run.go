@@ -10,7 +10,6 @@ import (
 	"bufqos/internal/packet"
 	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
-	"bufqos/internal/source"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
@@ -108,52 +107,51 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 	for i := range props {
 		props[i] = (rtt / 2) * (0.5 + rng.Float64())
 	}
-	deliver := func(p *packet.Packet) {
-		p.Arrived = s.Now()
-		delivery.Receive(p)
-	}
+	deliver := delivery.Receive
 	link.OnDepart = func(p *packet.Packet) {
 		if now := s.Now(); now >= warmup {
 			qdelay.Add(now - p.Arrived)
 		}
 		s.AfterPacket(props[p.Flow], deliver, p)
 	}
-	// Sources live in one slab per kind, addressed by flow index.
-	var tcps []source.TCP
+	// Open-loop population: on-off sources matching the declared
+	// (σ,ρ,peak) profiles in the paper's parameterization. Closed-loop
+	// population: NewReno senders paced at link speed.
+	kind, rate := network.SourceOnOff, rho
+	if !spec.Open {
+		kind, rate = network.SourceTCP, c
+	}
+	chains := make([]network.Flow, n)
+	for i := range chains {
+		chains[i] = network.Flow{
+			Sim:        s,
+			Entry:      link,
+			Spec:       specs[i],
+			PacketSize: segment,
+			Rate:       rate,
+			MeanBurst:  2 * segment,
+			Source:     kind,
+		}
+	}
+	flows := network.NewFlows(chains, seed)
 	if spec.Open {
-		// Open-loop population: on-off sources matching the declared
-		// (σ,ρ,peak) profiles in the paper's parameterization.
-		onoffs := make([]source.OnOff, n)
-		for i := range onoffs {
-			srcRng := sim.NewRand(sim.DeriveSeed(seed, i))
-			onoffs[i].Init(s, srcRng, source.OnOffConfig{
-				Flow:       i,
-				PacketSize: segment,
-				PeakRate:   peak,
-				AvgRate:    rho,
-				MeanBurst:  2 * segment,
-			}, link).Start()
+		for i := range chains {
+			flows.Start(i).Fire()
 		}
 	} else {
-		// Closed-loop population: NewReno senders paced at link speed,
-		// ACKed from the far end across the reverse propagation delay.
-		// Starts are staggered over two RTTs — enough jitter to split
-		// the slow-start bursts across event times, short enough that
-		// every flow joins the opening contention (a long stagger lets
-		// the first starter pin the queue full and lock everyone out).
-		tcps = source.TCPs(n)
-		link.OnDrop = func(p *packet.Packet) { tcps[p.Flow].OnDrop(p) }
-		ackArrived := func(ap *packet.Packet) { tcps[ap.Flow].OnAck(ap) }
-		sendAck := func(ap *packet.Packet) { s.AfterPacket(props[ap.Flow], ackArrived, ap) }
+		// The senders are ACKed from the far end across the reverse
+		// propagation delay. Starts are staggered over two RTTs — enough
+		// jitter to split the slow-start bursts across event times, short
+		// enough that every flow joins the opening contention (a long
+		// stagger lets the first starter pin the queue full and lock
+		// everyone out).
+		feedback := flows.Feedback
+		link.OnDrop = feedback
+		sendAck := func(ap *packet.Packet) { s.AfterPacket(props[ap.Flow], feedback, ap) }
 		spread := 2 * rtt
-		for i := range tcps {
-			tcps[i].Init(s, source.TCPConfig{
-				Flow:        i,
-				SegmentSize: segment,
-				PaceRate:    c,
-			}, link)
+		for i := range chains {
 			delivery.SetAcker(i, network.TCPAckSize, sendAck)
-			s.AtHandler(rng.Float64()*spread, (*tcpStart)(&tcps[i]))
+			s.AtHandler(rng.Float64()*spread, flows.Start(i))
 		}
 	}
 
@@ -185,18 +183,13 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 			goodput[i] = float64(col.Flow(i).Departed.Total().Bytes)
 		}
 	} else {
-		for i := range tcps {
+		for i := 0; i < n; i++ {
+			tcp := flows.TCP(i)
 			goodput[i] = float64(delivery.Goodput(i).Bytes)
-			cell.Retransmits += tcps[i].Retransmits()
-			cell.Timeouts += tcps[i].Timeouts()
+			cell.Retransmits += tcp.Retransmits()
+			cell.Timeouts += tcp.Timeouts()
 		}
 	}
 	cell.Fairness = jain(goodput)
 	return cell, nil
 }
-
-// tcpStart is a sender's start action as an event receiver over its
-// slab element, so the staggered starts cost no closure per flow.
-type tcpStart source.TCP
-
-func (t *tcpStart) Fire() { (*source.TCP)(t).Start() }

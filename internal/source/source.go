@@ -34,18 +34,6 @@ func newPacket(s *sim.Simulator, flow int, size units.Bytes, seq uint64) *packet
 	return p
 }
 
-// Feedback is the reverse-direction surface of a closed-loop source:
-// the network calls OnAck with each acknowledgement arriving back from
-// the delivery endpoint and OnDrop with each of the flow's data packets
-// a buffer manager rejected. Both are invoked on the source's own event
-// kernel at the (propagation-delayed) time the notification reaches the
-// sender, so a Feedback implementation re-clocks itself with ordinary
-// sim scheduling. Open-loop sources simply do not implement it.
-type Feedback interface {
-	OnAck(p *packet.Packet)
-	OnDrop(p *packet.Packet)
-}
-
 // OnOffConfig describes a Markov-modulated ON-OFF source. While ON, the
 // source emits back-to-back maximum-size packets at PeakRate; ON and OFF
 // holding times are exponential. The configuration is given in the

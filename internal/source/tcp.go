@@ -47,9 +47,12 @@ func (c TCPConfig) Validate() error {
 // avoidance, fast retransmit / fast recovery on three duplicate
 // acknowledgements (with NewReno partial-ack retransmission), and an
 // RFC 6298 retransmission timer with Karn's algorithm and exponential
-// backoff. It emits data segments into its sink and receives
-// acknowledgements through the Feedback interface; everything is
-// re-clocked on the sim kernel, so a run is deterministic.
+// backoff. It emits data segments into its sink; the network calls
+// OnAck with each acknowledgement arriving back from the delivery
+// endpoint and OnDrop with each of its segments a buffer manager
+// rejected, both on the sender's own kernel at the (propagation-delayed)
+// time the notification reaches it. Everything is re-clocked on the sim
+// kernel, so a run is deterministic.
 //
 // Sequence numbers count segments: Seq s is the s-th segment of the
 // flow, and a cumulative ACK carrying AckSeq a acknowledges every
@@ -247,8 +250,7 @@ func (t *TCP) Cwnd() float64 { return t.cwnd }
 // flight returns the number of outstanding segments.
 func (t *TCP) flight() float64 { return float64(t.nxt - t.una) }
 
-// OnAck implements Feedback: process one cumulative acknowledgement
-// and release it.
+// OnAck processes one cumulative acknowledgement and releases it.
 func (t *TCP) OnAck(p *packet.Packet) {
 	ack := p.AckSeq
 	t.sim.Release(p)
@@ -264,8 +266,8 @@ func (t *TCP) OnAck(p *packet.Packet) {
 	t.pump()
 }
 
-// OnDrop implements Feedback: a buffer manager rejected one of the
-// flow's segments. TCP infers loss from the ACK stream alone, so this
+// OnDrop is told that a buffer manager rejected one of the flow's
+// segments. TCP infers loss from the ACK stream alone, so this
 // only counts the notification and releases the dead segment.
 func (t *TCP) OnDrop(p *packet.Packet) {
 	t.sim.Release(p)

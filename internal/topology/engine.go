@@ -13,7 +13,6 @@ import (
 	"bufqos/internal/scheme"
 	"bufqos/internal/shard"
 	"bufqos/internal/sim"
-	"bufqos/internal/source"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
@@ -156,23 +155,16 @@ type engineShard struct {
 	ack func(ap *packet.Packet)
 }
 
-// engineFlow is one flow's slab element: the entry into its first hop
-// that every emitted packet passes (offered counter, then the hop-0
-// localizer), the receiver of its start and leave events, and the
-// indices of its source and shaper in the engine's per-kind slabs.
-// Elements are addressed by flow index in one []engineFlow, so a flow
-// costs no heap object of its own: a pointer to its element is its
-// sink, and named types over the element are its event receivers.
+// engineFlow is one flow's entry into its first hop, which every
+// packet the flow emits passes: the offered counter, then the hop-0
+// localizer. Entries are addressed by flow index in one []engineFlow,
+// so a pointer to an element is the flow's sink at no heap object of
+// its own.
 type engineFlow struct {
-	e       *engine
 	link    *sched.Link
 	offered *stats.Counter
-	src     stopper // nil until started
 	entryID int
-	fi      int32
 	class   int32
-	slot    int32 // index into the slab of the flow's source kind
-	shaper  int32 // index into engine.shapers, -1 when unshaped
 }
 
 // Receive implements source.Sink: count the packet as offered and hand
@@ -185,19 +177,13 @@ func (f *engineFlow) Receive(p *packet.Packet) {
 	f.link.Receive(p)
 }
 
-// flowStart and flowLeave are a flow's join and leave actions as event
-// receivers over its engineFlow element.
-type (
-	flowStart engineFlow
-	flowLeave engineFlow
-)
-
-func (f *flowStart) Fire() { f.e.startSource((*engineFlow)(f)) }
-
-func (f *flowLeave) Fire() {
-	if f.src != nil {
-		f.src.Stop()
-	}
+// generators maps each declared source kind to the generator that runs
+// it: a greedy flow is a CBR source offering at its feed rate.
+var generators = map[SourceKind]network.Source{
+	SourceOnOff:  network.SourceOnOff,
+	SourceGreedy: network.SourceCBR,
+	SourceCBR:    network.SourceCBR,
+	SourceTCP:    network.SourceTCP,
 }
 
 // cross queues p for the barrier exchange towards shard dst, due at
@@ -231,19 +217,10 @@ type engine struct {
 	// id a packet must carry at that hop (link-local, or global for
 	// unmapped links).
 	hopEntry []int32
-	flows    []engineFlow
-	// The per-kind slabs every flow's source and shaper are carved
-	// from, one allocation per kind, sized by the admitted flows of that
-	// kind. Greedy flows are CBR sources offering at their feed rate.
-	onoffs  []source.OnOff
-	cbrs    []source.CBR
-	tcpSrcs []source.TCP
-	shapers []source.Shaper
-	// feedback holds each closed-loop flow's reverse-direction surface
-	// (nil for open-loop flows and until the source starts); tcps keeps
-	// the concrete senders for retransmission statistics.
-	feedback []source.Feedback
-	tcps     []*source.TCP
+	entries  []engineFlow
+	// flows wires every admitted flow's source and shaper into its
+	// entry, and carries feedback back to tcp senders.
+	flows *network.Flows
 	// ackDelay is each flow's full reverse-path propagation delay;
 	// dropDelay, aligned with FlowTable.RouteLink, is the partial
 	// reverse delay from that hop's entry back to the source. Both are
@@ -251,7 +228,7 @@ type engine struct {
 	ackDelay  []float64
 	dropDelay []float64
 	// feedbackArrived is the one handler of every feedback packet event
-	// (deliverFeedback, bound once).
+	// (flows.Feedback, bound once).
 	feedbackArrived func(p *packet.Packet)
 	res             *Result
 }
@@ -342,10 +319,10 @@ func reverseDelay(t *Topology, f *Flow, h int) float64 {
 // including) starting the clock.
 func newEngine(t *Topology, opts Options) (*engine, error) {
 	e := &engine{
-		topo:  t,
-		opts:  opts,
-		ft:    NewFlowTable(t),
-		flows: make([]engineFlow, len(t.Flows)),
+		topo:    t,
+		opts:    opts,
+		ft:      NewFlowTable(t),
+		entries: make([]engineFlow, len(t.Flows)),
 		res: &Result{
 			Topology: t.Name,
 			Duration: opts.Duration,
@@ -355,12 +332,9 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 	}
 	e.plan = planAdmission(t, e.ft, opts.Duration)
 	e.res.Rejections = e.plan.rejections
-	e.feedbackArrived = e.deliverFeedback
 
 	// Closed-loop bookkeeping: reverse-path delays per flow and per
 	// hop, and which links carry tcp flows (those need drop hooks).
-	e.feedback = make([]source.Feedback, len(t.Flows))
-	e.tcps = make([]*source.TCP, len(t.Flows))
 	e.ackDelay = make([]float64, len(t.Flows))
 	e.dropDelay = make([]float64, len(e.ft.RouteLink))
 	hasTCP := make([]bool, len(t.Links))
@@ -419,10 +393,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			s:        s,
 			delivery: network.NewDeliveryLight(s, len(t.Flows)),
 		}
-		es.deliver = func(p *packet.Packet) {
-			p.Arrived = es.s.Now()
-			es.delivery.Receive(p)
-		}
+		es.deliver = es.delivery.Receive
 		es.ack = func(ap *packet.Packet) {
 			route := t.Flows[ap.Flow].Route
 			e.sendFeedback(es, e.links[route[len(route)-1]], ap, crossAck, e.ackDelay[ap.Flow])
@@ -522,13 +493,54 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		}
 	}
 
-	e.buildFlows()
+	// Every flow's entry, and every admitted flow's chain into it: its
+	// source, behind its shaper when the flow is shaped, on the shard of
+	// its first link. A rejected flow keeps the zero chain: no source.
+	chains := make([]network.Flow, len(t.Flows))
+	for fi := range t.Flows {
+		f := &t.Flows[fi]
+		e.entries[fi] = engineFlow{
+			link:    e.links[f.Route[0]].link,
+			offered: &e.res.Flows[fi].Offered,
+			entryID: int(e.hopEntry[e.ft.RouteOff[fi]]),
+			class:   int32(f.Class),
+		}
+		if !e.plan.admitted[fi] {
+			continue
+		}
+		c := &chains[fi]
+		*c = network.Flow{
+			Sim:        e.shardOfFlow(fi).s,
+			Entry:      &e.entries[fi],
+			Spec:       f.Spec,
+			PacketSize: f.PacketSize,
+			Rate:       f.AvgRate,
+			MeanBurst:  f.MeanBurst,
+			Source:     generators[f.Source],
+		}
+		if f.Shaped {
+			c.Regulator = network.RegulatorShaper
+		}
+		if f.Source == SourceGreedy || f.Source == SourceTCP {
+			// A greedy source saturates its shaper, and a tcp sender is
+			// paced, at the peak rate (or the first link's rate when no
+			// peak is declared): the shaper's (σ, ρ) envelope, or the
+			// congestion window clocked by returning ACKs, does the real
+			// rate control.
+			c.Rate = f.Spec.PeakRate
+			if c.Rate <= 0 {
+				c.Rate = t.Links[f.Route[0]].Rate
+			}
+		}
+	}
+	e.flows = network.NewFlows(chains, opts.Seed)
+	e.feedbackArrived = e.flows.Feedback
 
 	// Schedule the scenario in the plan's decision order, each action on
 	// the shard owning its flow's first link (sources) or its link.
 	for fi := range t.Flows {
 		if _, has := t.JoinTime(fi); !has && e.plan.admitted[fi] {
-			e.shardOfFlow(fi).s.AtHandler(0, (*flowStart)(&e.flows[fi]))
+			e.shardOfFlow(fi).s.AtHandler(0, e.flows.Start(fi))
 		}
 	}
 	for i := range t.Events {
@@ -538,12 +550,12 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			if !e.plan.admitted[ev.flow] {
 				continue
 			}
-			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, (*flowStart)(&e.flows[ev.flow]))
+			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, e.flows.Start(ev.flow))
 		case EventLeave:
 			if !e.plan.admitted[ev.flow] {
 				continue
 			}
-			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, (*flowLeave)(&e.flows[ev.flow]))
+			e.shardOfFlow(ev.flow).s.AtHandler(ev.At, e.flows.Stop(ev.flow))
 		case EventRate:
 			el := e.links[ev.link]
 			e.shards[el.shard].s.At(ev.At, func() { el.link.SetRate(ev.Rate) })
@@ -618,7 +630,7 @@ func (e *engine) dropFrom(el *engineLink) func(p *packet.Packet) {
 		if el.flows != nil {
 			g = el.flows[p.Flow]
 		}
-		if e.feedback[g] == nil {
+		if e.flows.TCP(int(g)) == nil {
 			es.s.Release(p)
 			return
 		}
@@ -642,7 +654,7 @@ func (e *engine) sendFeedback(src *engineShard, from *engineLink, p *packet.Pack
 	dst := e.part.Assign[first]
 	if e.shards[dst] == src {
 		if delay == 0 {
-			e.deliverFeedback(p)
+			e.flows.Feedback(p)
 			return
 		}
 		src.s.AfterPacket(delay, e.feedbackArrived, p)
@@ -650,119 +662,6 @@ func (e *engine) sendFeedback(src *engineShard, from *engineLink, p *packet.Pack
 	}
 	src.cross(dst, delay, p,
 		crossing{dstLink: int32(first), srcLink: int32(from.topoIdx), kind: kind, flow: int32(p.Flow)})
-}
-
-// deliverFeedback hands one notification — an acknowledgement, or a
-// dropped data packet — to the source of the flow it names, which
-// releases it. It runs on the source's shard; a source that never
-// started leaves the engine the last owner.
-func (e *engine) deliverFeedback(p *packet.Packet) {
-	fb := e.feedback[p.Flow]
-	switch {
-	case fb == nil:
-		e.shardOfFlow(p.Flow).s.Release(p)
-	case p.Ack:
-		fb.OnAck(p)
-	default:
-		fb.OnDrop(p)
-	}
-}
-
-// buildFlows fills every flow's engineFlow element and sizes the
-// per-kind slabs from the admitted flows, assigning each its slot in
-// flow order. Nothing is initialized until the flow starts.
-func (e *engine) buildFlows() {
-	t := e.topo
-	var nOnOff, nCBR, nTCP, nShaped int32
-	for fi := range t.Flows {
-		f := &t.Flows[fi]
-		ef := &e.flows[fi]
-		*ef = engineFlow{
-			e:       e,
-			link:    e.links[f.Route[0]].link,
-			offered: &e.res.Flows[fi].Offered,
-			entryID: int(e.hopEntry[e.ft.RouteOff[fi]]),
-			fi:      int32(fi),
-			class:   int32(f.Class),
-			shaper:  -1,
-		}
-		if !e.plan.admitted[fi] {
-			continue
-		}
-		if f.Shaped {
-			ef.shaper = nShaped
-			nShaped++
-		}
-		switch f.Source {
-		case SourceTCP:
-			ef.slot = nTCP
-			nTCP++
-		case SourceGreedy, SourceCBR:
-			ef.slot = nCBR
-			nCBR++
-		default:
-			ef.slot = nOnOff
-			nOnOff++
-		}
-	}
-	e.onoffs = make([]source.OnOff, nOnOff)
-	e.cbrs = make([]source.CBR, nCBR)
-	e.tcpSrcs = source.TCPs(int(nTCP))
-	e.shapers = source.Shapers(int(nShaped))
-}
-
-// startSource initializes one admitted flow's generator chain in its
-// slab elements and starts it: source → (shaper) → the flow's entry
-// (offered counter, hop-0 localizer) → link.
-func (e *engine) startSource(ef *engineFlow) {
-	fi := int(ef.fi)
-	f := &e.topo.Flows[fi]
-	es := e.shardOfFlow(fi)
-	entry := source.Sink(ef)
-	if f.Shaped {
-		entry = e.shapers[ef.shaper].Init(es.s, f.Spec, entry)
-	}
-	var src stopper
-	switch f.Source {
-	case SourceTCP:
-		// Pace emissions at the peak rate (or the first link's rate):
-		// the congestion window, clocked by returning ACKs, does the
-		// real rate control.
-		pace := f.Spec.PeakRate
-		if pace <= 0 {
-			pace = e.topo.Links[f.Route[0]].Rate
-		}
-		tcp := e.tcpSrcs[ef.slot].Init(es.s, source.TCPConfig{
-			Flow:        fi,
-			SegmentSize: f.PacketSize,
-			PaceRate:    pace,
-		}, entry)
-		e.feedback[fi] = tcp
-		e.tcps[fi] = tcp
-		src = tcp
-	case SourceGreedy:
-		// Saturate the shaper at the peak rate (or the first link's rate
-		// when no peak is declared): the shaper output then follows the
-		// (σ, ρ) envelope exactly.
-		feed := f.Spec.PeakRate
-		if feed <= 0 {
-			feed = e.topo.Links[f.Route[0]].Rate
-		}
-		src = e.cbrs[ef.slot].Init(es.s, fi, f.PacketSize, feed, entry)
-	case SourceCBR:
-		src = e.cbrs[ef.slot].Init(es.s, fi, f.PacketSize, f.AvgRate, entry)
-	default: // SourceOnOff, enforced by Validate
-		rng := sim.NewRand(sim.DeriveSeed(e.opts.Seed, fi))
-		src = e.onoffs[ef.slot].Init(es.s, rng, source.OnOffConfig{
-			Flow:       fi,
-			PacketSize: f.PacketSize,
-			PeakRate:   f.Spec.PeakRate,
-			AvgRate:    f.AvgRate,
-			MeanBurst:  f.MeanBurst,
-		}, entry)
-	}
-	ef.src = src
-	src.Start()
 }
 
 // run drives the shards through the conservative window schedule and
@@ -895,7 +794,7 @@ func (e *engine) collect() {
 		if active > 0 {
 			fr.Throughput = units.Rate(fr.Delivered.Bytes.Bits() / active)
 		}
-		if tcp := e.tcps[fi]; tcp != nil {
+		if tcp := e.flows.TCP(fi); tcp != nil {
 			fr.Goodput = d.Goodput(fi)
 			if active > 0 {
 				fr.GoodputRate = units.Rate(fr.Goodput.Bytes.Bits() / active)

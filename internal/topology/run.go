@@ -174,12 +174,6 @@ func degradedLinks(t *Topology) []bool {
 	return deg
 }
 
-// stopper is the common surface of the traffic sources.
-type stopper interface {
-	Start()
-	Stop()
-}
-
 // Run executes one scenario and returns its measurements. ctx cancels
 // a run between synchronization windows; results are bit-identical
 // with and without a cancellable context, across any worker count when
