@@ -4,7 +4,7 @@
 # registry metrics aggregation) and of the sharded engine's packet
 # hand-off (open loop, and closed loop with pooled packets crossing in
 # both directions) so they stay race-clean.
-.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke figs-smoke
+.PHONY: verify build vet test race lint bench bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke comp-smoke sizing-smoke figs-smoke
 
 verify: build vet test race
 
@@ -75,17 +75,11 @@ race:
 	go test -race -run 'TestCompeteDeterministicAcrossWorkers' ./internal/validate
 	go test -race -short ./internal/sizing
 
-# Record a benchmark baseline, e.g. `make bench > results/bench-$(date +%F).txt`.
+# Record a performance baseline with the repository's benchmark
+# (BENCHMARK.json, bench/README.md): every workload, its gated
+# end-to-end metrics and per-layer probes, written to bench/out/.
 bench:
-	go test -bench . -benchmem
-
-# Regenerate the committed sharded-execution benchmark: one
-# 1000-link / 100k-flow scenario swept over -shards 1/2/4/8, with
-# bit-identity between all shard counts asserted. The JSON notes the
-# host core count — compare speedups only across equal-core hosts.
-bench-json:
-	go run ./cmd/qnet -gen 'random?links=1000,flows=100000,seed=1' \
-		-duration 0.1 -bench-json BENCH_topology.json
+	go run ./bench
 
 # One fast iteration of the headline benchmarks: catches benchmarks
 # that no longer compile or crash without paying for full measurement.
@@ -149,23 +143,6 @@ qosd-smoke:
 		|| { kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "qosd-smoke: ok (clean drain)"
-
-# Regenerate the committed control-plane benchmark: qload vs qosd on a
-# generated 1000-link topology, two passes asserted bit-identical, the
-# snapshot round-tripped, decisions/sec + latency percentiles recorded.
-bench-qosd:
-	@set -e; \
-	go build -o /tmp/bufqos-qosd ./cmd/qosd; \
-	go build -o /tmp/bufqos-qload ./cmd/qload; \
-	rm -f /tmp/bufqos-qosd.addr; \
-	/tmp/bufqos-qosd -gen 'random?links=1000,flows=10000,seed=1' \
-		-addr 127.0.0.1:0 -addr-file /tmp/bufqos-qosd.addr & pid=$$!; \
-	for i in $$(seq 100); do [ -s /tmp/bufqos-qosd.addr ] && break; sleep 0.1; done; \
-	/tmp/bufqos-qload -addr $$(cat /tmp/bufqos-qosd.addr) -clients 8 -ops 1000000 \
-		-seed 1 -batch 1024 -join-frac 0.90 -leave-frac 0.06 -max-active 20000 \
-		-passes 2 -check-snapshot -out BENCH_qosd.json \
-		|| { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid
 
 # Bounded property-fuzzing campaign: 50 seeded scenarios, 2 s horizon,
 # every invariant oracle. Fails (and writes shrunk reproducers to

@@ -323,19 +323,6 @@ func BenchmarkWFQEnqueueDequeue(b *testing.B) {
 	}
 }
 
-// BenchmarkFIFOEnqueueDequeue is the FIFO counterpart.
-func BenchmarkFIFOEnqueueDequeue(b *testing.B) {
-	f := sched.NewFIFO()
-	p := &packet.Packet{Flow: 0, Size: 500}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Enqueue(p)
-		if f.Len() > 64 {
-			f.Dequeue()
-		}
-	}
-}
-
 // BenchmarkEndToEndSimulation measures simulator throughput on the full
 // Table 1 workload (packets simulated per wall-second is the inverse of
 // ns/op divided by the packet count).

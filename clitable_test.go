@@ -10,9 +10,10 @@ import (
 
 // TestReadmeCLITable pins the README's command-line table to the cmd/
 // tree: every command directory must have a row between the cli-table
-// markers, and every row must name an existing command — so adding,
-// renaming, or deleting a CLI without updating the docs fails the
-// build.
+// markers, every row must name an existing command, and every `-flag`
+// in a row's key-flags cell must be declared by that command's main.go
+// — so adding, renaming, or deleting a CLI or an advertised flag
+// without updating the docs fails the build.
 func TestReadmeCLITable(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -52,11 +53,25 @@ func TestReadmeCLITable(t *testing.T) {
 		}
 	}
 
-	// And each table row names a real command.
-	rowRe := regexp.MustCompile("\\| `cmd/([a-z0-9_]+)` \\|")
-	for _, m := range rowRe.FindAllStringSubmatch(table, -1) {
-		if _, err := os.Stat("cmd/" + m[1] + "/main.go"); err != nil {
+	// And each table row names a real command that declares every flag
+	// the row's key-flags cell (its third cell) lists.
+	rowRe := regexp.MustCompile("(?m)^\\| `cmd/([a-z0-9_]+)` \\|[^|]*\\|([^|]*)\\|")
+	flagRe := regexp.MustCompile("`-([a-z0-9-]+)`")
+	rows := rowRe.FindAllStringSubmatch(table, -1)
+	if len(rows) != len(cmds) {
+		t.Errorf("README CLI table: parsed %d rows for %d commands", len(rows), len(cmds))
+	}
+	for _, m := range rows {
+		src, err := os.ReadFile("cmd/" + m[1] + "/main.go")
+		if err != nil {
 			t.Errorf("README CLI table row for cmd/%s does not match a command: %v", m[1], err)
+			continue
+		}
+		for _, f := range flagRe.FindAllStringSubmatch(m[2], -1) {
+			decl := regexp.MustCompile(`flag\.[A-Z][A-Za-z0-9]*\("` + regexp.QuoteMeta(f[1]) + `"`)
+			if !decl.Match(src) {
+				t.Errorf("README CLI table lists -%s for cmd/%s, which its main.go does not declare", f[1], m[1])
+			}
 		}
 	}
 }

@@ -1,12 +1,14 @@
 // Command qload drives a running qosd daemon with a deterministic,
 // seeded stream of join / leave / reroute requests from N concurrent
-// clients and reports the daemon's decision throughput and request
-// latency percentiles.
+// clients and prints one summary line: the decision count, how many
+// joins were admitted, and a checksum over every decision. It is a
+// correctness client; the daemon's throughput and latency are measured
+// by the repository's benchmark (`go run ./bench`, workloads adm-*).
 //
 // Usage:
 //
-//	qload -addr 127.0.0.1:8080 -clients 8 -ops 1000000 -out BENCH_qosd.json
-//	qload -addr $(cat /tmp/qosd.addr) -ops 5000 -check-snapshot
+//	qload -addr 127.0.0.1:8080 -clients 8 -ops 1000000 -passes 2
+//	qload -addr $(cat qosd.addr) -ops 5000 -check-snapshot
 //
 // Determinism: the daemon's links are partitioned across clients
 // (link i belongs to client i mod N), every client routes its flows
@@ -21,6 +23,9 @@
 // -check-snapshot additionally round-trips the daemon's state at the
 // end: GET /v1/snapshot, POST it back to /v1/restore, GET again, and
 // require byte-identical documents.
+//
+// qload exits 1 when the two passes' checksums differ or the snapshot
+// round trip fails.
 package main
 
 import (
@@ -32,11 +37,8 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"bufqos/internal/cli"
 	"bufqos/internal/packet"
@@ -53,15 +55,16 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base seed for the operation streams")
 		batch    = flag.Int("batch", 64, "joins per /v1/batch request")
 		passes   = flag.Int("passes", 1, "replay passes; 2 resets the daemon and checks checksum equality")
-		out      = flag.String("out", "", "write a benchmark JSON to this file")
 		maxAct   = flag.Int("max-active", 4096, "per-client cap on concurrently joined flows")
 		joinFrac = flag.Float64("join-frac", 0.60, "fraction of operations that are joins")
 		leaveFrc = flag.Float64("leave-frac", 0.25, "fraction of operations that are leaves (the rest reroute)")
 		checkSnp = flag.Bool("check-snapshot", false, "after the replay, require snapshot -> restore -> snapshot to be byte-identical")
 	)
 	flag.Parse()
-	if *clients <= 0 || *ops <= 0 || *batch <= 0 || *passes < 1 || *passes > 2 {
-		cli.Fatalf("need -clients > 0, -ops > 0, -batch > 0, -passes 1 or 2")
+	// Every client must run at least one operation, or a pass that sends
+	// nothing would "agree" with its replay.
+	if *clients <= 0 || *ops < *clients || *batch <= 0 || *passes < 1 || *passes > 2 {
+		cli.Fatalf("need -clients > 0, -ops >= -clients, -batch > 0, -passes 1 or 2")
 	}
 	if *joinFrac < 0 || *leaveFrc < 0 || *joinFrac+*leaveFrc > 1 {
 		cli.Fatalf("need -join-frac >= 0, -leave-frac >= 0, and their sum <= 1")
@@ -93,12 +96,11 @@ func main() {
 	// Every pass starts from an empty daemon so replays of the same
 	// seed always see the same admission state.
 	resetDaemon(hc, base)
-	var first, second passResult
-	first = runPass(hc, base, names, cfg)
+	first := runPass(hc, base, names, cfg)
 	identical := true
 	if *passes == 2 {
 		resetDaemon(hc, base)
-		second = runPass(hc, base, names, cfg)
+		second := runPass(hc, base, names, cfg)
 		identical = first.checksum == second.checksum
 		if !identical {
 			fmt.Fprintf(os.Stderr, "qload: PASS MISMATCH: %016x vs %016x\n", first.checksum, second.checksum)
@@ -112,19 +114,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qload: snapshot -> restore -> snapshot byte-identical")
 	}
 
-	report := benchReport(health.Topology, len(links), cfg, *passes, identical, first)
-	enc := json.NewEncoder(os.Stderr)
-	enc.SetIndent("", "  ")
-	enc.Encode(report) //nolint:errcheck
-	if *out != "" {
-		b, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			cli.Fatalf("%v", err)
-		}
-		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			cli.Fatalf("%v", err)
-		}
-	}
+	fmt.Printf("qload: %d decisions, %d admitted, checksum %016x\n", first.decisions, first.admitted, first.checksum)
 	if !identical {
 		os.Exit(1)
 	}
@@ -138,13 +128,21 @@ type loadConfig struct {
 	joinFrac, leaveFrac            float64
 }
 
+// clientOps is how many of cfg.ops client c runs: an equal share, and
+// one more for each of the first ops%clients clients, so the shares add
+// up to ops.
+func (cfg loadConfig) clientOps(c int) int {
+	n := cfg.ops / cfg.clients
+	if c < cfg.ops%cfg.clients {
+		n++
+	}
+	return n
+}
+
 // passResult aggregates one full replay.
 type passResult struct {
-	decisions, joins, leaves, reroutes int
-	admitted, rejBW, rejBuf            int
-	elapsed                            time.Duration
-	latencies                          []float64 // per HTTP request, seconds
-	checksum                           uint64
+	decisions, admitted int
+	checksum            uint64
 }
 
 // specTemplates are the reservation profiles the generator draws from.
@@ -165,7 +163,6 @@ func specTemplates() []packet.FlowSpec {
 
 func runPass(hc *http.Client, base string, links []string, cfg loadConfig) passResult {
 	results := make([]passResult, cfg.clients)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
@@ -175,19 +172,12 @@ func runPass(hc *http.Client, base string, links []string, cfg loadConfig) passR
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
-	total := passResult{elapsed: elapsed}
+	var total passResult
 	h := fnv.New64a()
 	for c, r := range results {
 		total.decisions += r.decisions
-		total.joins += r.joins
-		total.leaves += r.leaves
-		total.reroutes += r.reroutes
 		total.admitted += r.admitted
-		total.rejBW += r.rejBW
-		total.rejBuf += r.rejBuf
-		total.latencies = append(total.latencies, r.latencies...)
 		fmt.Fprintf(h, "%d:%016x;", c, r.checksum)
 	}
 	total.checksum = h.Sum64()
@@ -251,7 +241,7 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 			return
 		}
 		var resp qosd.BatchResponse
-		code := post(hc, base+"/v1/batch", qosd.BatchRequest{Ops: pending}, &resp, &res.latencies)
+		code := post(hc, base+"/v1/batch", qosd.BatchRequest{Ops: pending}, &resp)
 		if code != 200 || len(resp.Decisions) != len(pending) {
 			cli.Fatalf("client %d: batch: code %d, %d decisions for %d ops", c, code, len(resp.Decisions), len(pending))
 		}
@@ -266,10 +256,6 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 				if d.Admitted {
 					res.admitted++
 					active = append(active, d.Flow)
-				} else if d.Reason == "bandwidth-limited" {
-					res.rejBW++
-				} else {
-					res.rejBuf++
 				}
 			case "leave":
 				sum('L', d.Flow, d.Admitted, "", "")
@@ -286,13 +272,12 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 		}
 	}
 
-	for op := 0; op < cfg.ops/cfg.clients; op++ {
+	for op := 0; op < cfg.clientOps(c); op++ {
 		p := rng.Float64()
 		switch {
 		case (p < cfg.joinFrac || len(active) == 0 && len(pending) == 0) && len(active) < cfg.maxActive:
 			name := "c" + strconv.Itoa(c) + "-" + strconv.Itoa(nameSeq)
 			nameSeq++
-			res.joins++
 			queue(qosd.BatchOp{Op: "join", Flow: name, Links: pickRoute(), Spec: &specs[rng.Intn(len(specs))]})
 		case p < cfg.joinFrac+cfg.leaveFrac || len(active) == 0:
 			if len(active) == 0 {
@@ -307,10 +292,8 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 			name := active[i]
 			active[i] = active[len(active)-1]
 			active = active[:len(active)-1]
-			res.leaves++
 			queue(qosd.BatchOp{Op: "leave", Flow: name})
 		default:
-			res.reroutes++
 			queue(qosd.BatchOp{Op: "reroute", Flow: active[rng.Intn(len(active))], Links: pickRoute()})
 		}
 	}
@@ -319,74 +302,11 @@ func runClient(hc *http.Client, base string, links []string, c int, cfg loadConf
 	return res
 }
 
-// benchRow is the committed benchmark document (BENCH_qosd.json).
-type benchRow struct {
-	Topology         string  `json:"topology"`
-	Links            int     `json:"links"`
-	Clients          int     `json:"clients"`
-	Seed             int64   `json:"seed"`
-	Batch            int     `json:"batch"`
-	HostCores        int     `json:"host_cores"`
-	JoinFrac         float64 `json:"join_frac"`
-	LeaveFrac        float64 `json:"leave_frac"`
-	Decisions        int     `json:"decisions"`
-	Joins            int     `json:"joins"`
-	Leaves           int     `json:"leaves"`
-	Reroutes         int     `json:"reroutes"`
-	Admitted         int     `json:"admitted"`
-	RejectedBW       int     `json:"rejected_bandwidth"`
-	RejectedBuf      int     `json:"rejected_buffer"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	AdmissionsPerSec float64 `json:"admissions_per_sec"`
-	P50Micros        float64 `json:"latency_p50_usec"`
-	P99Micros        float64 `json:"latency_p99_usec"`
-	P999Micros       float64 `json:"latency_p999_usec"`
-	Checksum         string  `json:"checksum"`
-	Passes           int     `json:"passes"`
-	Identical        bool    `json:"identical"`
-}
-
-func benchReport(topo string, links int, cfg loadConfig, passes int, identical bool, r passResult) benchRow {
-	sort.Float64s(r.latencies)
-	pct := func(q float64) float64 {
-		if len(r.latencies) == 0 {
-			return 0
-		}
-		return r.latencies[int(q*float64(len(r.latencies)-1))] * 1e6
-	}
-	return benchRow{
-		Topology:         topo,
-		Links:            links,
-		Clients:          cfg.clients,
-		Seed:             cfg.seed,
-		Batch:            cfg.batch,
-		HostCores:        runtime.GOMAXPROCS(0),
-		JoinFrac:         cfg.joinFrac,
-		LeaveFrac:        cfg.leaveFrac,
-		Decisions:        r.decisions,
-		Joins:            r.joins,
-		Leaves:           r.leaves,
-		Reroutes:         r.reroutes,
-		Admitted:         r.admitted,
-		RejectedBW:       r.rejBW,
-		RejectedBuf:      r.rejBuf,
-		WallSeconds:      r.elapsed.Seconds(),
-		AdmissionsPerSec: float64(r.decisions) / r.elapsed.Seconds(),
-		P50Micros:        pct(0.50),
-		P99Micros:        pct(0.99),
-		P999Micros:       pct(0.999),
-		Checksum:         fmt.Sprintf("%016x", r.checksum),
-		Passes:           passes,
-		Identical:        identical,
-	}
-}
-
 // resetDaemon clears the daemon's flow table by restoring an empty
 // snapshot.
 func resetDaemon(hc *http.Client, base string) {
 	var rr qosd.RestoreResponse
-	var lat []float64
-	if code := post(hc, base+"/v1/restore", qosd.Snapshot{}, &rr, &lat); code != 200 {
+	if code := post(hc, base+"/v1/restore", qosd.Snapshot{}, &rr); code != 200 {
 		cli.Fatalf("reset: code %d", code)
 	}
 }
@@ -415,12 +335,11 @@ func checkSnapshotRoundTrip(hc *http.Client, base string) error {
 	return nil
 }
 
-func post(hc *http.Client, url string, body, out any, lats *[]float64) int {
+func post(hc *http.Client, url string, body, out any) int {
 	b, err := json.Marshal(body)
 	if err != nil {
 		cli.Fatalf("%v", err)
 	}
-	start := time.Now()
 	resp, err := hc.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
 		cli.Fatalf("POST %s: %v", url, err)
@@ -432,7 +351,6 @@ func post(hc *http.Client, url string, body, out any, lats *[]float64) int {
 		}
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	*lats = append(*lats, time.Since(start).Seconds())
 	return resp.StatusCode
 }
 

@@ -11,12 +11,12 @@
 //	qnet -topology topologies/tandem3.json
 //	qnet -topology topologies/churn.json -runs 5 -workers 4 -check
 //	qnet -topology topologies/parkinglot.json -csv out/ -metrics m.json
-//	qnet -gen "random?links=1000,flows=100000" -shards 8 -events-per-sec
-//	qnet -gen "fattree?flows=512" -bench-json BENCH_topology.json
+//	qnet -gen "random?links=1000,flows=100000" -shards 8
 //	qnet -list-schemes
 //
 // Results are bit-identical for a given seed at any -workers count and
-// any -shards count.
+// any -shards count. Wall-clock throughput and the sharding speed-up are
+// measured by the repository's benchmark, `go run ./bench`.
 package main
 
 import (
@@ -28,10 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"reflect"
-	"runtime"
 	"strings"
-	"time"
 
 	"bufqos/internal/cli"
 	"bufqos/internal/metrics"
@@ -60,8 +57,6 @@ func main() {
 		listSchemes = flag.Bool("list-schemes", false, "print the scheme registry catalogue and exit")
 		showProgres = flag.Bool("progress", false, "report run progress on stderr")
 		pprofOut    = flag.String("pprof", "", "write a CPU profile of the runs to this file")
-		showRate    = flag.Bool("events-per-sec", false, "report total kernel events and wall-clock throughput on stderr")
-		benchJSON   = flag.String("bench-json", "", "sweep shard counts 1/2/4/8, check bit-identity, write an events/sec benchmark JSON to this file, and exit")
 	)
 	flag.Parse()
 
@@ -104,13 +99,6 @@ func main() {
 
 	defer cli.CPUProfile(*pprofOut)()
 
-	if *benchJSON != "" {
-		if err := runBench(ctx, topo, opts, *benchJSON); err != nil {
-			cli.Fatalf("%v", err)
-		}
-		return
-	}
-
 	var reg *metrics.Registry
 	if *metricsOut != "" {
 		reg = metrics.NewRegistry()
@@ -121,9 +109,7 @@ func main() {
 		onDone = cli.Progress(*runs, "runs")
 	}
 
-	start := time.Now()
 	results, err := topology.RunMany(ctx, topo, opts, *runs, *workers, onDone)
-	wall := time.Since(start)
 	if reg != nil {
 		// Before the error check: an interrupted run keeps its telemetry.
 		cli.Report("metrics", *metricsOut, reg.Snapshot().WriteJSON)
@@ -134,14 +120,6 @@ func main() {
 			os.Exit(130)
 		}
 		cli.Fatalf("%v", err)
-	}
-	if *showRate {
-		var events uint64
-		for i := range results {
-			events += results[i].Events
-		}
-		fmt.Fprintf(os.Stderr, "qnet: %d events in %v (%.4g events/sec, %d shards)\n",
-			events, wall.Round(time.Millisecond), float64(events)/wall.Seconds(), *shards)
 	}
 
 	if err := topology.WriteFlowTable(os.Stdout, topo, results); err != nil {
@@ -178,80 +156,6 @@ func main() {
 		}
 		fmt.Printf("all %d assertions passed\n", len(as))
 	}
-}
-
-// benchRun is one row of the -bench-json report.
-type benchRun struct {
-	Shards       int     `json:"shards"`
-	Events       uint64  `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// benchReport is the -bench-json output: one scenario swept over shard
-// counts, with bit-identity against the single-shard run asserted.
-// HostCores records the machine the numbers were taken on — a speedup
-// near 1.0 on a single-core host is the expected honest result, not a
-// failure of the engine.
-type benchReport struct {
-	Topology  string     `json:"topology"`
-	Links     int        `json:"links"`
-	Flows     int        `json:"flows"`
-	Duration  float64    `json:"duration"`
-	Seed      int64      `json:"seed"`
-	HostCores int        `json:"host_cores"`
-	Identical bool       `json:"identical"`
-	Runs      []benchRun `json:"runs"`
-}
-
-// runBench sweeps shard counts 1, 2, 4, 8 over one run of the scenario,
-// verifies every sharded Result is bit-identical to the single-shard
-// one, and writes the wall-clock numbers as JSON.
-func runBench(ctx context.Context, topo *topology.Topology, opts topology.Options, path string) error {
-	rep := benchReport{
-		Topology:  topo.Name,
-		Links:     len(topo.Links),
-		Flows:     len(topo.Flows),
-		Duration:  opts.Duration,
-		Seed:      opts.Seed,
-		HostCores: runtime.NumCPU(),
-		Identical: true,
-	}
-	var base topology.Result
-	var baseWall float64
-	for _, shards := range []int{1, 2, 4, 8} {
-		o := opts
-		o.Shards = shards
-		start := time.Now()
-		res, err := topology.Run(ctx, topo, o)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			return fmt.Errorf("bench shards=%d: %w", shards, err)
-		}
-		if shards == 1 {
-			base, baseWall = res, wall
-		} else if !reflect.DeepEqual(base, res) {
-			rep.Identical = false
-		}
-		rep.Runs = append(rep.Runs, benchRun{
-			Shards:       shards,
-			Events:       res.Events,
-			WallSeconds:  wall,
-			EventsPerSec: float64(res.Events) / wall,
-			Speedup:      baseWall / wall,
-		})
-		fmt.Fprintf(os.Stderr, "qnet: bench shards=%d: %d events in %.3fs (%.4g events/sec)\n",
-			shards, res.Events, wall, float64(res.Events)/wall)
-	}
-	if !rep.Identical {
-		return fmt.Errorf("bench: sharded results diverge from shards=1 — determinism bug")
-	}
-	if err := cli.WriteJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "qnet: benchmark written to %s\n", path)
-	return nil
 }
 
 func writeCSV(path string, write func(io.Writer) error) {

@@ -52,9 +52,10 @@
 // (property-based invariant fuzzing), cmd/qcomp (competitive-analysis
 // sweeps), cmd/qsize (buffer-sizing sweeps), cmd/qosplan (closed-form
 // analysis), cmd/qosd (the admission-control daemon), cmd/qload (its
-// load generator); the README's CLI table summarizes flags and use
-// cases.
+// deterministic correctness client); the README's CLI table summarizes
+// flags and use cases.
 // Runnable walkthroughs are in examples/. The benchmarks in
 // bench_test.go regenerate each table and figure at reduced scale; see
-// EXPERIMENTS.md for paper-vs-measured results.
+// EXPERIMENTS.md for paper-vs-measured results. The performance record
+// is the repository's benchmark, `go run ./bench`.
 package bufqos

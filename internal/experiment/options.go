@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 // package: it describes one simulation run (flows, scheme, buffer,
 // duration, seed) and how sweeps over such runs execute (replications,
 // swept axes, worker count) and are observed (metrics registry,
-// progress callbacks, trace sampling).
+// progress callbacks).
 //
 // Build an Options with NewOptions and functional options:
 //
@@ -89,12 +88,6 @@ type Options struct {
 	// sweep with completion counts and an ETA. It may be called
 	// concurrently from pool workers.
 	Progress ProgressFunc
-	// TraceInterval/TraceWriter enable the periodic snapshot hook: a
-	// single Run (not sweeps) samples its metrics every TraceInterval
-	// simulated seconds and writes the series as CSV to TraceWriter
-	// when the run completes. Requires Metrics.
-	TraceInterval float64
-	TraceWriter   io.Writer
 
 	// warmupSet / seedSet mark explicit zeros; only WithWarmup/WithSeed
 	// set them.

@@ -11,7 +11,6 @@ import (
 	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
 	"bufqos/internal/stats"
-	"bufqos/internal/trace"
 	"bufqos/internal/units"
 )
 
@@ -147,33 +146,16 @@ func NewPlane(o *Options) (*Plane, error) {
 // Run executes one simulation and returns its measurements. The context
 // cancels a run mid-flight (Run then returns ctx.Err()); o is read-only
 // and may be shared across concurrent Runs. When o.Metrics is set, the
-// kernel, buffer manager, and scheduler publish counters into it, and
-// o.TraceInterval/TraceWriter additionally sample those metrics
-// periodically, flushing the series as CSV even on a cancelled run.
+// kernel, buffer manager, and scheduler publish counters into it.
 func Run(ctx context.Context, o *Options) (Result, error) {
 	p, err := NewPlane(o)
 	if err != nil {
 		return Result{}, err
 	}
 	cfg, s := &p.cfg, p.Sim
-
-	// The metrics sampler starts after instrumentation so every column
-	// name already exists in the registry.
-	var sampler *trace.Sampler
-	if cfg.Metrics != nil && cfg.TraceInterval > 0 && cfg.TraceWriter != nil {
-		sampler = trace.NewMetricsSampler(s, cfg.TraceInterval, cfg.Metrics, cfg.Metrics.Names())
-		sampler.Start()
-	}
 	runErr := RunUntilCtx(ctx, s, cfg.Duration)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Histogram("experiment.run_events", runEventBuckets).Observe(float64(s.Steps()))
-	}
-	if sampler != nil {
-		// Flush the series even for a cancelled run: a partial trace is
-		// exactly what an interrupted experiment wants to keep.
-		if err := sampler.WriteCSV(cfg.TraceWriter); err != nil && runErr == nil {
-			runErr = fmt.Errorf("experiment: writing trace: %w", err)
-		}
 	}
 	if runErr != nil {
 		return Result{}, runErr

@@ -168,27 +168,6 @@ type Topology struct {
 // times are validated non-negative).
 const noJoin = -1
 
-// LinkIndex returns the index of the named link, or -1.
-func (t *Topology) LinkIndex(name string) int {
-	for i := range t.Links {
-		if t.Links[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// FlowIndex returns the index of the named flow, or -1. It scans the
-// flows; Validate resolves names through a map instead.
-func (t *Topology) FlowIndex(name string) int {
-	for i := range t.Flows {
-		if t.Flows[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Specs returns the declared profiles of all flows, in ID order — the
 // global flow population every link's buffer manager is built for.
 func (t *Topology) Specs() []packet.FlowSpec {

@@ -1,9 +1,9 @@
 // Package trace provides observation helpers for simulations: a
 // periodic sampler that turns instantaneous state (queue occupancies,
-// sharing-pool levels) into time series, and a per-packet event log.
-// The paper's Example 1 dynamics — the greedy flow pinning its share
-// while the conformant flow's occupancy converges — are directly
-// visible through these.
+// sharing-pool levels, registry metrics) into time series. The paper's
+// Example 1 dynamics — the greedy flow pinning its share while the
+// conformant flow's occupancy converges — are directly visible through
+// it.
 package trace
 
 import (
@@ -11,9 +11,7 @@ import (
 	"io"
 	"strings"
 
-	"bufqos/internal/packet"
 	"bufqos/internal/sim"
-	"bufqos/internal/source"
 )
 
 // Sampler periodically evaluates a probe function and stores the
@@ -94,102 +92,6 @@ func (sa *Sampler) WriteCSV(w io.Writer) error {
 			parts = append(parts, fmt.Sprintf("%g", v))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EventKind classifies packet-log entries.
-type EventKind uint8
-
-const (
-	// EventOffered marks a packet reaching the stage the Tee wraps.
-	EventOffered EventKind = iota
-	// EventDeparted marks a completed transmission (via DepartHook).
-	EventDeparted
-	// EventDropped marks a rejection (via DropHook).
-	EventDropped
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventOffered:
-		return "offered"
-	case EventDeparted:
-		return "departed"
-	case EventDropped:
-		return "dropped"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one packet-log record.
-type Event struct {
-	Time float64
-	Kind EventKind
-	Flow int
-	Seq  uint64
-	Size int64
-}
-
-// Log accumulates packet events, optionally bounded to the most recent
-// max entries (0 = unbounded).
-type Log struct {
-	sim    *sim.Simulator
-	max    int
-	events []Event
-}
-
-// NewLog creates a packet log. max bounds retained events (0 keeps
-// everything).
-func NewLog(s *sim.Simulator, max int) *Log {
-	if max < 0 {
-		panic("trace: negative log bound")
-	}
-	return &Log{sim: s, max: max}
-}
-
-func (l *Log) add(kind EventKind, p *packet.Packet) {
-	l.events = append(l.events, Event{
-		Time: l.sim.Now(), Kind: kind, Flow: p.Flow, Seq: p.Seq, Size: int64(p.Size),
-	})
-	if l.max > 0 && len(l.events) > l.max {
-		l.events = l.events[len(l.events)-l.max:]
-	}
-}
-
-// Events returns the retained records.
-func (l *Log) Events() []Event { return l.events }
-
-// Tee wraps a sink, logging every packet as EventOffered before
-// forwarding it.
-func (l *Log) Tee(next source.Sink) source.Sink {
-	return source.SinkFunc(func(p *packet.Packet) {
-		l.add(EventOffered, p)
-		next.Receive(p)
-	})
-}
-
-// DepartHook returns a function for sched.Link.OnDepart.
-func (l *Log) DepartHook() func(*packet.Packet) {
-	return func(p *packet.Packet) { l.add(EventDeparted, p) }
-}
-
-// DropHook returns a function for sched.Link.OnDrop.
-func (l *Log) DropHook() func(*packet.Packet) {
-	return func(p *packet.Packet) { l.add(EventDropped, p) }
-}
-
-// WriteCSV emits "time,kind,flow,seq,size" rows.
-func (l *Log) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time,kind,flow,seq,size"); err != nil {
-		return err
-	}
-	for _, e := range l.events {
-		if _, err := fmt.Fprintf(w, "%g,%s,%d,%d,%d\n", e.Time, e.Kind, e.Flow, e.Seq, e.Size); err != nil {
 			return err
 		}
 	}

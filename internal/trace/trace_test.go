@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bufqos/internal/buffer"
-	"bufqos/internal/packet"
 	"bufqos/internal/sched"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
@@ -95,68 +94,6 @@ func TestSamplerValidation(t *testing.T) {
 		}
 	}()
 	sa.Start()
-}
-
-func TestLogRecordsLifecycle(t *testing.T) {
-	s := sim.New()
-	log := NewLog(s, 0)
-	mgr := buffer.NewTailDrop(600, 1)
-	link := sched.NewLink(s, units.MbitsPerSecond(8), sched.NewFIFO(), mgr, nil)
-	link.OnDepart = log.DepartHook()
-	link.OnDrop = log.DropHook()
-	sink := log.Tee(link)
-
-	sink.Receive(&packet.Packet{Flow: 0, Size: 500, Seq: 1})
-	sink.Receive(&packet.Packet{Flow: 0, Size: 500, Seq: 2}) // dropped: buffer 600
-	s.Run(0)
-
-	events := log.Events()
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4 (2 offered, 1 drop, 1 depart)", len(events))
-	}
-	counts := map[EventKind]int{}
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	if counts[EventOffered] != 2 || counts[EventDropped] != 1 || counts[EventDeparted] != 1 {
-		t.Errorf("event mix = %v", counts)
-	}
-}
-
-func TestLogBounded(t *testing.T) {
-	s := sim.New()
-	log := NewLog(s, 3)
-	for i := 0; i < 10; i++ {
-		log.add(EventOffered, &packet.Packet{Flow: 0, Seq: uint64(i), Size: 100})
-	}
-	ev := log.Events()
-	if len(ev) != 3 {
-		t.Fatalf("bounded log kept %d events", len(ev))
-	}
-	if ev[0].Seq != 7 || ev[2].Seq != 9 {
-		t.Errorf("kept wrong tail: %v", ev)
-	}
-}
-
-func TestLogCSV(t *testing.T) {
-	s := sim.New()
-	log := NewLog(s, 0)
-	log.add(EventDropped, &packet.Packet{Flow: 2, Seq: 5, Size: 500})
-	var b strings.Builder
-	if err := log.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "time,kind,flow,seq,size") || !strings.Contains(out, "dropped,2,5,500") {
-		t.Errorf("csv output:\n%s", out)
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if EventOffered.String() != "offered" || EventDeparted.String() != "departed" ||
-		EventDropped.String() != "dropped" || !strings.Contains(EventKind(9).String(), "9") {
-		t.Error("event kind strings wrong")
-	}
 }
 
 func TestSamplerObservesExample1Convergence(t *testing.T) {
