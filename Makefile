@@ -32,8 +32,11 @@ test:
 # internal/source and the flow layer (internal/network/flows.go) no code
 # may carve a slab of sources or regulators (source.TCPs, source.Shapers,
 # make([]source.OnOff|CBR|TCP|Shaper|Meter, ...)) — runners describe
-# their flows to network.NewFlows instead. CI runs this alongside
-# `make verify`.
+# their flows to network.NewFlows instead. And it keeps one admission
+# layer: outside tests, every Admit(flow int, size units.Bytes) bool —
+# any buffer policy, combined queue/managers included — lives in
+# internal/buffer and keeps its books in the shared accounting. CI runs
+# this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -65,6 +68,11 @@ lint:
 		| grep -v -e '^\./bench/' -e '^\./internal/source/' -e '^\./internal/network/flows\.go:'); \
 	if [ -n "$$slabs" ]; then \
 		echo "wire flows through network.NewFlows, not a source slab of your own:"; echo "$$slabs"; exit 1; \
+	fi
+	@admits=$$(grep -rnF --include='*.go' --exclude='*_test.go' ') Admit(flow int, size units.Bytes) bool' . \
+		| grep -v -e '^\./internal/buffer/'); \
+	if [ -n "$$admits" ]; then \
+		echo "admission policies live in internal/buffer, on its shared accounting:"; echo "$$admits"; exit 1; \
 	fi
 
 race:

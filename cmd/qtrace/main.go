@@ -111,22 +111,17 @@ func main() {
 				err, strings.Join(scheme.Specs(), ", "))
 		}
 		s = p.Sim
-		// Occupancy columns for every flow; sharing-family managers
-		// additionally expose their holes/headroom pool levels.
+		// Occupancy columns for every flow; the sharing managers (plain
+		// and adaptive) additionally expose their holes/headroom pool
+		// levels.
 		mgr := p.Link.Manager()
 		labels = occupancyLabels(len(flows))
-		switch m := mgr.(type) {
-		case *buffer.Sharing:
+		if m, ok := mgr.(*buffer.Sharing); ok {
 			labels = append(labels, "holes", "headroom")
 			probe = occupancyProbe(mgr, len(flows), func() []float64 {
 				return []float64{float64(m.Holes()), float64(m.Headroom())}
 			})
-		case *buffer.AdaptiveSharing:
-			labels = append(labels, "holes", "headroom")
-			probe = occupancyProbe(mgr, len(flows), func() []float64 {
-				return []float64{float64(m.Holes()), float64(m.Headroom())}
-			})
-		default:
+		} else {
 			probe = occupancyProbe(mgr, len(flows), nil)
 		}
 	}

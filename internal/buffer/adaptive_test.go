@@ -8,7 +8,7 @@ import (
 )
 
 // adaptive flow 0, non-adaptive flow 1, no reservations, all holes.
-func newAdaptive(frac float64) *AdaptiveSharing {
+func newAdaptive(frac float64) *Sharing {
 	return NewAdaptiveSharing(10000, []units.Bytes{0, 0}, []bool{true, false}, 0, frac)
 }
 

@@ -1,5 +1,6 @@
-// Package buffer implements the buffer-management (packet admission)
-// schemes studied in the paper:
+// Package buffer is the admission layer: every packet-admission policy
+// of the repository lives here and keeps its books in one shared
+// accounting. The buffer managers studied in the paper:
 //
 //   - TailDrop: a shared buffer with no per-flow control, the paper's
 //     "no buffer management" baseline (§3.1).
@@ -7,15 +8,32 @@
 //     occupy at most its threshold σᵢ + ρᵢ·B/R.
 //   - Sharing: the §3.3 extension that lets active flows borrow unused
 //     buffer space ("holes") while a reserved "headroom" protects flows
-//     that are within their thresholds.
+//     that are within their thresholds. NewAdaptiveSharing builds the
+//     §5 variant on the same manager: flows that do not adapt to loss
+//     may borrow only a fraction of the holes.
 //   - DynamicThreshold: the Choudhury–Hahne scheme [1] the paper
 //     compares its sharing rule against.
 //   - RED: Random Early Detection, one of the O(1) schemes cited in the
 //     introduction, included as an additional baseline.
+//   - Partitioned: the §4 hybrid architecture's per-queue managers.
 //
-// All managers account occupancy in bytes and make O(1) admission
-// decisions from the flow's own occupancy plus global counters — the
-// property that makes the approach scalable.
+// The combined queue/managers push packets that are already queued out
+// of the buffer, which no manager/scheduler split can express, so each
+// is also the link's scheduler (internal/sched's Scheduler and
+// PushoutNotifier, satisfied structurally):
+//
+//   - PushoutFIFO: the protective pushout policy of reference [2].
+//   - ClassGreedy and ClassSeg: the preemptive greedy and
+//     class-segregation policies of the shared-buffer value model
+//     (arXiv:1103.6049).
+//   - MultiQueue: longest-queue-first and its semi-greedy refinement in
+//     the multi-queue switch model (arXiv:1007.1535).
+//
+// Every policy accounts occupancy in bytes and decides from the flow's
+// own occupancy plus global counters. An admission passes through the
+// accounting's add, a rejection through dropped, and a departure or a
+// pushed-out victim through remove, so every policy reports the same
+// buffer.* metrics when instrumented.
 package buffer
 
 import (
@@ -134,6 +152,10 @@ func (a *accounting) remove(flow int, size units.Bytes) {
 	}
 }
 
+// Release implements Manager for every policy whose departures only
+// free space.
+func (a *accounting) Release(flow int, size units.Bytes) { a.remove(flow, size) }
+
 // Occupancy implements Manager.
 func (a *accounting) Occupancy(flow int) units.Bytes { return a.occ[flow] }
 
@@ -169,9 +191,6 @@ func (t *TailDrop) Admit(flow int, size units.Bytes) bool {
 	return true
 }
 
-// Release implements Manager.
-func (t *TailDrop) Release(flow int, size units.Bytes) { t.remove(flow, size) }
-
 // Unlimited admits everything; it exists for tests and for measuring
 // offered load.
 type Unlimited struct {
@@ -190,9 +209,6 @@ func (u *Unlimited) Admit(flow int, size units.Bytes) bool {
 	u.add(flow, size)
 	return true
 }
-
-// Release implements Manager.
-func (u *Unlimited) Release(flow int, size units.Bytes) { u.remove(flow, size) }
 
 // FixedThreshold is the paper's §2 scheme: the buffer is logically
 // partitioned by per-flow occupancy thresholds. A packet of flow i is
@@ -243,6 +259,3 @@ func (m *FixedThreshold) Admit(flow int, size units.Bytes) bool {
 	m.add(flow, size)
 	return true
 }
-
-// Release implements Manager.
-func (m *FixedThreshold) Release(flow int, size units.Bytes) { m.remove(flow, size) }

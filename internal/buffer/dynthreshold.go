@@ -46,6 +46,3 @@ func (m *DynamicThreshold) Admit(flow int, size units.Bytes) bool {
 	m.add(flow, size)
 	return true
 }
-
-// Release implements Manager.
-func (m *DynamicThreshold) Release(flow int, size units.Bytes) { m.remove(flow, size) }

@@ -81,6 +81,3 @@ func (m *RED) Admit(flow int, size units.Bytes) bool {
 	m.add(flow, size)
 	return true
 }
-
-// Release implements Manager.
-func (m *RED) Release(flow int, size units.Bytes) { m.remove(flow, size) }

@@ -30,12 +30,19 @@ import (
 //	headroom += packetlength;
 //	holes    += MAX(headroom - H, 0);
 //	headroom  = MIN(headroom, H);
+//
+// NewAdaptiveSharing restricts the above-threshold rule further for
+// flows that do not adapt to loss.
 type Sharing struct {
 	accounting
 	thresholds []units.Bytes
 	maxHead    units.Bytes // H
 	headroom   units.Bytes
 	holes      units.Bytes
+	// adaptive marks the flows that respond to loss (nil: every flow);
+	// the others may grow their excess only up to frac of the holes.
+	adaptive []bool
+	frac     float64
 
 	gHoles    *metrics.Gauge // nil unless instrumented
 	gHeadroom *metrics.Gauge
@@ -60,6 +67,31 @@ func NewSharing(capacity units.Bytes, thresholds []units.Bytes, h units.Bytes) *
 	}
 	m.headroom = min(capacity, h)
 	m.holes = capacity - m.headroom
+	return m
+}
+
+// NewAdaptiveSharing builds the bandwidth-sharing variant sketched in
+// the paper's conclusion (§5): "allowing adaptive flows to share
+// buffers with reserved flows, while non-adaptive ones would be
+// prevented from doing so ... without entirely shutting off
+// non-adaptive flows from accessing idle resources." Pools and
+// departures work as in NewSharing. Above its threshold, a flow marked
+// adaptive[i] (TCP-like, responding to loss) may grow its excess up to
+// the remaining holes; any other flow only up to nonAdaptiveFraction ∈
+// [0, 1] of them. A nil adaptive marks every flow adaptive. With
+// fraction 1 the manager is plain Sharing; with 0 non-adaptive flows
+// are locked out of idle buffer space.
+func NewAdaptiveSharing(capacity units.Bytes, thresholds []units.Bytes, adaptive []bool,
+	h units.Bytes, nonAdaptiveFraction float64) *Sharing {
+	if adaptive != nil && len(adaptive) != len(thresholds) {
+		panic(fmt.Sprintf("buffer: %d adaptive flags for %d thresholds", len(adaptive), len(thresholds)))
+	}
+	if nonAdaptiveFraction < 0 || nonAdaptiveFraction > 1 {
+		panic(fmt.Sprintf("buffer: non-adaptive fraction %v outside [0,1]", nonAdaptiveFraction))
+	}
+	m := NewSharing(capacity, thresholds, h)
+	m.adaptive = append([]bool(nil), adaptive...)
+	m.frac = nonAdaptiveFraction
 	return m
 }
 
@@ -112,8 +144,12 @@ func (m *Sharing) Admit(flow int, size units.Bytes) bool {
 		return true
 	}
 	// Above threshold: only holes, and the flow's excess occupancy must
-	// not outgrow what is left.
-	if size > m.holes || m.occ[flow]+size-m.thresholds[flow] > m.holes {
+	// not outgrow what is left (a non-adaptive flow: its fraction of it).
+	limit := m.holes
+	if m.adaptive != nil && !m.adaptive[flow] {
+		limit = units.Bytes(float64(m.holes) * m.frac)
+	}
+	if size > m.holes || m.occ[flow]+size-m.thresholds[flow] > limit {
 		m.dropped(flow, size)
 		return false
 	}

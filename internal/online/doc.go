@@ -25,7 +25,7 @@
 //     2 − 1/m at B = 1, and the paper's headline result is an optimal
 //     e/(e−1) ≈ 1.582 lower bound as B grows.
 //
-// Three layers:
+// Two layers:
 //
 //   - The abstract model (Instance, Policy, Run): discrete time steps,
 //     unit packets, exact replayable JSON instances.
@@ -33,10 +33,12 @@
 //     matching of packets to transmission slots on a time-expanded
 //     graph, and an exponential enumeration used to verify it on tiny
 //     instances.
-//   - Simulator adapters (ClassGreedy, ClassSeg, MultiQueue): the same
-//     policies restated over byte-sized packet.Packet queues so the
-//     scheme registry can run them on any simulated link, alongside
-//     the paper's own protective PushoutFIFO.
+//
+// The same policies restated over byte-sized packet queues, which the
+// scheme registry runs on simulated links (cgreedy, classseg, lqf,
+// semigreedy), are admission policies and live in internal/buffer
+// (ClassGreedy, ClassSeg, MultiQueue) beside the paper's protective
+// PushoutFIFO.
 //
 // Adversarial arrival generators (the papers' lower-bound
 // constructions plus a seeded hill-climbing search) live in

@@ -48,8 +48,8 @@ type Link struct {
 }
 
 // PushoutNotifier is implemented by combined queue/manager types that
-// evict already-queued packets (PushoutFIFO and the online class
-// policies). NewLink registers a callback with such schedulers so
+// evict already-queued packets (internal/buffer's PushoutFIFO,
+// ClassGreedy and ClassSeg). NewLink registers a callback with such schedulers so
 // every victim is counted as a drop — in the statistics collector, the
 // pushout counter, and the OnDrop hook — keeping packet conservation
 // (offered = departed + dropped + queued) intact.

@@ -276,7 +276,7 @@ func TestLinkCountsPushoutsAsDrops(t *testing.T) {
 	col := stats.NewCollector(2, 0)
 	// Two flows share a 2000-byte buffer; flow 1 is guaranteed the
 	// whole of it, flow 0 nothing — so flow 1 arrivals push out flow 0.
-	po := NewPushoutFIFO(2000, []units.Bytes{0, 2000})
+	po := buffer.NewPushoutFIFO(2000, []units.Bytes{0, 2000})
 	link := NewLink(s, units.MbitsPerSecond(8), po, po, col)
 	reg := metrics.NewRegistry()
 	link.Instrument(reg, "pushout")

@@ -3,7 +3,9 @@
 // virtual-time tracking, and the §4 hybrid architecture (a small WFQ
 // serving k FIFO queues). It also provides the Link server that drains
 // a scheduler at the link rate and drives buffer management and
-// statistics.
+// statistics. Policies that are both queue and buffer manager (pushout
+// and the class policies) live with the other admission policies in
+// internal/buffer and plug into a Link as both.
 package sched
 
 import (

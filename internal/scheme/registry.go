@@ -343,7 +343,7 @@ var managers = []*managerDef{
 			if err != nil {
 				return nil, err
 			}
-			return buffer.NewAdaptiveSharing(cfg.Buffer, th, cfg.adaptive(), cfg.headroom(p), fraction), nil
+			return buffer.NewAdaptiveSharing(cfg.Buffer, th, cfg.Adaptive, cfg.headroom(p), fraction), nil
 		},
 	},
 }

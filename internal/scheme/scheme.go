@@ -89,17 +89,6 @@ func (c *Config) packetSize() units.Bytes {
 	return DefaultPacketSize
 }
 
-func (c *Config) adaptive() []bool {
-	if c.Adaptive != nil {
-		return c.Adaptive
-	}
-	all := make([]bool, len(c.Specs))
-	for i := range all {
-		all[i] = true
-	}
-	return all
-}
-
 // headroom resolves the sharing headroom: the spec-level parameter (a
 // fraction of B) wins over the Config field.
 func (c *Config) headroom(p params) units.Bytes {

@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"bufqos/internal/packet"
 )
 
 // TestStampedOrdering checks that equal-time events order by their
@@ -12,10 +14,16 @@ import (
 func TestStampedOrdering(t *testing.T) {
 	s := New()
 	var got []string
-	s.At(5, func() { got = append(got, "local") })        // sched = 0
-	s.AtStamped(5, 3, func() { got = append(got, "b") })  // later stamp
-	s.AtStamped(5, 1, func() { got = append(got, "a") })  // earliest stamp... after "local"?
-	s.AtStamped(5, 3, func() { got = append(got, "b2") }) // stamp tie → insertion order
+	note := func(p *packet.Packet) { got = append(got, []string{"a", "b", "b2"}[p.Seq]) }
+	stamped := func(sched float64, label uint64) {
+		p := s.NewPacket()
+		p.Seq = label
+		s.AtStampedPacket(5, sched, note, p)
+	}
+	s.At(5, func() { got = append(got, "local") }) // sched = 0
+	stamped(3, 1)                                  // later stamp
+	stamped(1, 0)                                  // earliest stamp... after "local"?
+	stamped(3, 2)                                  // stamp tie → insertion order
 	s.RunUntil(10)
 	want := []string{"local", "a", "b", "b2"}
 	if !reflect.DeepEqual(got, want) {
@@ -49,10 +57,11 @@ func TestStampedMatchesLocalOrder(t *testing.T) {
 // TestAtStampedValidation checks the argument panics.
 func TestAtStampedValidation(t *testing.T) {
 	s := New()
+	handler := func(*packet.Packet) {}
 	for name, fn := range map[string]func(){
-		"stamp after fire time": func() { s.AtStamped(1, 2, func() {}) },
-		"nan stamp":             func() { s.AtStamped(1, nan(), func() {}) },
-		"past event":            func() { s.RunUntil(5); s.AtStamped(1, 1, func() {}) },
+		"stamp after fire time": func() { s.AtStampedPacket(1, 2, handler, s.NewPacket()) },
+		"nan stamp":             func() { s.AtStampedPacket(1, nan(), handler, s.NewPacket()) },
+		"past event":            func() { s.RunUntil(5); s.AtStampedPacket(1, 1, handler, s.NewPacket()) },
 	} {
 		func() {
 			defer func() {
@@ -69,9 +78,9 @@ func nan() float64 { return 0.0 / zero }
 
 var zero = 0.0
 
-// TestBatchCancelSameTime checks the batch dispatcher honours a cancel
-// issued by an earlier event of the same instant: the cancelled
-// callback must not fire, exactly as with one-at-a-time dispatch.
+// TestBatchCancelSameTime checks the dispatcher honours a cancel issued
+// by an earlier event of the same instant: the cancelled callback must
+// not fire.
 func TestBatchCancelSameTime(t *testing.T) {
 	s := New()
 	fired := false
@@ -92,8 +101,8 @@ func TestBatchCancelSameTime(t *testing.T) {
 	}
 }
 
-// TestBatchCancelTwice checks double-cancelling an in-batch event stays
-// a no-op (and is counted once).
+// TestBatchCancelTwice checks double-cancelling an event of the
+// instant being dispatched stays a no-op.
 func TestBatchCancelTwice(t *testing.T) {
 	s := New()
 	var victim Event
@@ -149,8 +158,8 @@ func TestReserve(t *testing.T) {
 }
 
 // TestBatchReentrantCallback checks a callback scheduling more work at
-// the same instant: the new event belongs to the next batch and still
-// fires within the same RunUntil.
+// the same instant: the new event runs after the instant's earlier
+// events and still fires within the same RunUntil.
 func TestBatchReentrantCallback(t *testing.T) {
 	s := New()
 	var got []string

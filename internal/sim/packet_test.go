@@ -11,7 +11,7 @@ import (
 // TestPacketEventsOrderLikePlainEvents: a packet-carrying event takes
 // exactly the heap position the plain call would have taken — After and
 // AfterPacket interleave in scheduling order at one instant, and the
-// stamped twin sorts by its stamp like AtStamped.
+// stamped form sorts by its stamp before insertion order.
 func TestPacketEventsOrderLikePlainEvents(t *testing.T) {
 	s := New()
 	var got []uint64
@@ -24,7 +24,7 @@ func TestPacketEventsOrderLikePlainEvents(t *testing.T) {
 	s.AfterPacket(5, note, pkt(0))
 	s.After(5, func() { got = append(got, 1) })
 	s.AtStampedPacket(5, 3, note, pkt(4))
-	s.AtStamped(5, 1, func() { got = append(got, 3) })
+	s.AtStampedPacket(5, 1, note, pkt(3))
 	s.AfterPacket(5, note, pkt(2))
 	s.AtStampedPacket(5, 3, note, pkt(5))
 	s.RunUntil(10)
@@ -33,8 +33,8 @@ func TestPacketEventsOrderLikePlainEvents(t *testing.T) {
 	}
 }
 
-// TestPacketEventCancel: cancelling a packet event — from the heap or
-// from inside its own dispatch batch — keeps the handler from running,
+// TestPacketEventCancel: cancelling a packet event — ahead of time or
+// from an earlier event of its own instant — keeps the handler from running,
 // and the slot's next occupant does not inherit the packet.
 func TestPacketEventCancel(t *testing.T) {
 	s := New()

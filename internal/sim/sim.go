@@ -37,7 +37,7 @@ import (
 // occupant from a recycled slot, so stale Event handles stay inert.
 //
 // sched is the simulated time at which the event was scheduled. For
-// At/After it is the kernel's clock at the call; AtStamped lets a
+// At/After it is the kernel's clock at the call; AtStampedPacket lets a
 // caller supply it explicitly (the sharded topology engine stamps
 // cross-shard arrivals with their upstream departure time, so a merged
 // heap reproduces the order a single global kernel would have used).
@@ -55,7 +55,7 @@ type node struct {
 	h     Handler
 	p     *packet.Packet
 	gen   uint32
-	pos   int32 // heap position, -1 free, posInBatch while batch-dispatching
+	pos   int32 // heap position, -1 free
 }
 
 // Handler is the receiver of an event scheduled with AtHandler. A
@@ -95,11 +95,6 @@ func run(h Handler, p *packet.Packet) {
 	}
 }
 
-// posInBatch marks a node that has been popped into the current
-// dispatch batch but has not executed yet. Cancelling such a node nils
-// its callback instead of freeing the slot (the batch loop owns it).
-const posInBatch int32 = -2
-
 // Event is a value handle to a scheduled callback. The zero Event is
 // inert; events are created through Simulator.At, After, AtHandler and
 // the packet-carrying forms.
@@ -114,28 +109,15 @@ type Event struct {
 func (e Event) Time() float64 { return e.time }
 
 // Cancel removes a pending event from the queue. Cancelling an event
-// that already fired (or was already cancelled) is a no-op. An event
-// that shares the current dispatch instant may be cancelled by an
-// earlier event of the same batch: its callback is nilled and the batch
-// loop skips it, preserving the exact semantics of one-at-a-time
-// dispatch. Cancelling a packet-carrying event does not release its
-// packet: the canceller is its owner again.
+// that already fired (or was already cancelled) is a no-op. Cancelling
+// a packet-carrying event does not release its packet: the canceller is
+// its owner again.
 func (e Event) Cancel() {
 	if e.s == nil {
 		return
 	}
 	n := &e.s.nodes[e.id]
-	if n.gen != e.gen {
-		return
-	}
-	if n.pos == posInBatch {
-		if n.h != nil {
-			n.h, n.p = nil, nil
-			e.s.mCancelled.Inc()
-		}
-		return
-	}
-	if n.pos < 0 {
+	if n.gen != e.gen || n.pos < 0 {
 		return
 	}
 	e.s.removeAt(int(n.pos))
@@ -161,7 +143,6 @@ type Simulator struct {
 	nodes  []node
 	free   []int32
 	heap   []int32 // 4-ary min-heap of arena indices, ordered by (time, sched, seq)
-	batch  []int32 // scratch for RunUntilBatch: one instant's events
 
 	pool packet.Pool
 
@@ -291,25 +272,6 @@ func (s *Simulator) After(d float64, fn func()) Event {
 	return s.At(s.now+d, fn)
 }
 
-// AtStamped schedules fn to run at absolute time t carrying an explicit
-// scheduling stamp. Same-time events order by (sched, insertion), so an
-// event injected from another simulator (a cross-shard arrival) can
-// reproduce the position it would have had in a single global kernel:
-// stamp it with the time its producing event executed. sched must not
-// exceed t, and t obeys the same bounds as At.
-//
-// For events created by At/After, sched is the kernel clock at the
-// call. Since the clock never runs backwards, a later insertion always
-// has an equal-or-later stamp, so for purely local workloads the
-// (time, sched, seq) order is identical to the historical (time, seq)
-// order — the stamp only discriminates when merging work from elsewhere.
-func (s *Simulator) AtStamped(t, sched float64, fn func()) Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	return s.schedule(t, sched, funcHandler(fn), nil)
-}
-
 // AtHandler schedules h.Fire() to run at absolute time t, ordered
 // exactly as At would order it. It is the one receiver-carrying form:
 // the event stores h itself, so an object that passes a pointer to
@@ -334,8 +296,18 @@ func (s *Simulator) AfterPacket(d float64, fn func(*packet.Packet), p *packet.Pa
 	return s.AtStampedPacket(s.now+d, s.now, fn, p)
 }
 
-// AtStampedPacket is AtStamped for a packet-carrying event: fn(p) runs
-// at absolute time t, ordered by the explicit stamp sched.
+// AtStampedPacket schedules fn(p) to run at absolute time t carrying an
+// explicit scheduling stamp. Same-time events order by (sched,
+// insertion), so a packet injected from another simulator (a
+// cross-shard arrival) can reproduce the position it would have had in
+// a single global kernel: stamp it with the time its producing event
+// executed. sched must not exceed t, and t obeys the same bounds as At.
+//
+// For every other event, sched is the kernel clock at the call. Since
+// the clock never runs backwards, a later insertion always has an
+// equal-or-later stamp, so for purely local workloads the (time, sched,
+// seq) order is identical to the historical (time, seq) order — the
+// stamp only discriminates when merging work from elsewhere.
 func (s *Simulator) AtStampedPacket(t, sched float64, fn func(*packet.Packet), p *packet.Packet) Event {
 	if fn == nil || p == nil {
 		panic("sim: nil packet event callback or packet")
@@ -370,17 +342,7 @@ func (s *Simulator) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	id := s.heap[0]
-	n := &s.nodes[id]
-	h, p := n.h, n.p
-	s.now = n.time
-	s.nsteps++
-	s.removeAt(0)
-	s.freeNode(id)
-	if s.mDispatched != nil {
-		s.mDispatched.Inc()
-	}
-	run(h, p)
+	s.runNext()
 	return true
 }
 
@@ -392,7 +354,8 @@ func (s *Simulator) RunUntil(t float64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now %v)", t, s.now))
 	}
-	s.RunUntilBatch(t)
+	s.runTo(t, false)
+	s.now = t
 }
 
 // RunBefore executes events in order while they are strictly earlier
@@ -405,82 +368,34 @@ func (s *Simulator) RunBefore(t float64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: RunBefore(%v) is in the past (now %v)", t, s.now))
 	}
-	s.dispatchBatches(t, true)
+	s.runTo(t, true)
 }
 
-// RunUntilBatch is RunUntil's engine: it drains events in batches of
-// identical timestamps, re-reading the heap root only between instants,
-// and sets the clock to exactly t when done. Cancellations within a
-// batch are honoured (the cancelled callback is skipped), so semantics
-// match one-at-a-time dispatch exactly.
-func (s *Simulator) RunUntilBatch(t float64) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: RunUntilBatch(%v) is in the past (now %v)", t, s.now))
-	}
-	s.dispatchBatches(t, false)
-	s.now = t
-}
-
-// dispatchBatches pops and executes events up to t — strictly before t
-// when exclusive — one instant at a time. All events of one instant are
-// popped before any executes, so the heap is touched once per pop
-// rather than once per pop-and-reinspect cycle in the caller's loop.
-func (s *Simulator) dispatchBatches(t float64, exclusive bool) {
-	mDispatched := s.mDispatched
+// runTo is the one dispatch loop: it runs events in (time, sched, seq)
+// order up to t — strictly before t when exclusive.
+func (s *Simulator) runTo(t float64, exclusive bool) {
 	for len(s.heap) > 0 {
-		id := s.heap[0]
-		bt := s.nodes[id].time
-		if bt > t || (exclusive && bt == t) {
+		if next := s.nodes[s.heap[0]].time; next > t || (exclusive && next == t) {
 			return
 		}
-		s.removeAt(0)
-		if len(s.heap) == 0 || s.nodes[s.heap[0]].time != bt {
-			// Fast path: the instant holds a single event — the normal
-			// case in continuous time — so skip the batch bookkeeping.
-			n := &s.nodes[id]
-			h, p := n.h, n.p
-			s.now = bt
-			s.nsteps++
-			s.freeNode(id)
-			if mDispatched != nil {
-				mDispatched.Inc()
-			}
-			run(h, p)
-			continue
-		}
-		// Gather the whole instant. New events scheduled at bt by the
-		// batch's own callbacks are picked up by the next iteration, in
-		// seq order after this batch — exactly as serial dispatch would.
-		batch := s.batch[:0]
-		s.batch = nil // re-entrant callbacks get fresh scratch
-		s.nodes[id].pos = posInBatch
-		batch = append(batch, id)
-		for len(s.heap) > 0 {
-			id := s.heap[0]
-			n := &s.nodes[id]
-			if n.time != bt {
-				break
-			}
-			s.removeAt(0)
-			n.pos = posInBatch
-			batch = append(batch, id)
-		}
-		s.now = bt
-		for _, id := range batch {
-			n := &s.nodes[id]
-			h, p := n.h, n.p
-			s.freeNode(id)
-			if h == nil {
-				continue // cancelled by an earlier event of this batch
-			}
-			s.nsteps++
-			if mDispatched != nil {
-				mDispatched.Inc()
-			}
-			run(h, p)
-		}
-		s.batch = batch[:0] // hand the scratch back for the next instant
+		s.runNext()
 	}
+}
+
+// runNext pops the earliest event, frees its slot and runs it, so the
+// callback may reuse the slot.
+func (s *Simulator) runNext() {
+	id := s.heap[0]
+	n := &s.nodes[id]
+	h, p := n.h, n.p
+	s.now = n.time
+	s.nsteps++
+	s.removeAt(0)
+	s.freeNode(id)
+	if s.mDispatched != nil {
+		s.mDispatched.Inc()
+	}
+	run(h, p)
 }
 
 // Run executes events until the queue drains. It panics after maxSteps
@@ -522,7 +437,8 @@ func (s *Simulator) freeNode(id int32) {
 // less orders arena indices by (time, sched, seq). For events scheduled
 // through At/After the sched stamp is nondecreasing in seq (the clock
 // never runs backwards), so this order coincides with the historical
-// (time, seq) order; the stamp only matters for AtStamped injections.
+// (time, seq) order; the stamp only matters for AtStampedPacket
+// injections.
 func (s *Simulator) less(a, b int32) bool {
 	na, nb := &s.nodes[a], &s.nodes[b]
 	if na.time != nb.time {

@@ -35,9 +35,6 @@ func TestSourcesEmitWithoutAllocating(t *testing.T) {
 		"cbr": func(s *sim.Simulator, sink Sink) {
 			NewCBR(s, 0, 500, units.MbitsPerSecond(16), sink).Start()
 		},
-		"poisson": func(s *sim.Simulator, sink Sink) {
-			NewPoisson(s, sim.NewRand(1), 0, 500, units.MbitsPerSecond(16), sink).Start()
-		},
 	}
 	for name, start := range starts {
 		s := sim.New()
@@ -73,9 +70,8 @@ func burst(s *sim.Simulator, reg Sink, n int) {
 func TestRegulatorsPassPacketsWithoutAllocating(t *testing.T) {
 	spec := packet.FlowSpec{PeakRate: units.MbitsPerSecond(16), TokenRate: units.MbitsPerSecond(8), BucketSize: 500}
 	regs := map[string]func(s *sim.Simulator, sink Sink) Sink{
-		"shaper":     func(s *sim.Simulator, sink Sink) Sink { return NewShaper(s, spec, sink) },
-		"dualshaper": func(s *sim.Simulator, sink Sink) Sink { return NewDualShaper(s, spec, 500, sink) },
-		"meter":      func(s *sim.Simulator, sink Sink) Sink { return NewMeter(s, spec, sink) },
+		"shaper": func(s *sim.Simulator, sink Sink) Sink { return NewShaper(s, spec, sink) },
+		"meter":  func(s *sim.Simulator, sink Sink) Sink { return NewMeter(s, spec, sink) },
 	}
 	for name, build := range regs {
 		s := sim.New()
