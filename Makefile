@@ -35,8 +35,12 @@ test:
 # their flows to network.NewFlows instead. And it keeps one admission
 # layer: outside tests, every Admit(flow int, size units.Bytes) bool —
 # any buffer policy, combined queue/managers included — lives in
-# internal/buffer and keeps its books in the shared accounting. CI runs
-# this alongside `make verify`.
+# internal/buffer and keeps its books in the shared accounting. And it
+# keeps the packet path's priority queues typed and flat: non-test code
+# in internal/sim, internal/sched and internal/buffer may not import
+# container/heap, whose interface calls and boxed Push/Pop the kernel,
+# WFQ, EDF and Virtual Clock no longer pay. CI runs this alongside
+# `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -73,6 +77,11 @@ lint:
 		| grep -v -e '^\./internal/buffer/'); \
 	if [ -n "$$admits" ]; then \
 		echo "admission policies live in internal/buffer, on its shared accounting:"; echo "$$admits"; exit 1; \
+	fi
+	@heaps=$$(grep -rln --include='*.go' --exclude='*_test.go' '"container/heap"' \
+			internal/sim internal/sched internal/buffer); \
+	if [ -n "$$heaps" ]; then \
+		echo "packet-path priority queues are typed flat heaps, not container/heap:"; echo "$$heaps"; exit 1; \
 	fi
 
 race:

@@ -17,18 +17,16 @@ import (
 // Weights set per-flow quanta proportionally; the smallest weight gets
 // one MTU per round so every backlogged flow can always send.
 type DRR struct {
-	flows   []drrFlow
-	active  []int // round-robin list of backlogged flow indices
-	cursor  int
-	len     int
-	backlog units.Bytes
+	flows  []drrFlow
+	active []int // round-robin list of backlogged flow indices
+	cursor int
+	flowQueues
 }
 
 type drrFlow struct {
 	quantum float64
 	deficit float64
-	q       []*packet.Packet
-	head    int
+	q       flowQueue
 	active  bool
 }
 
@@ -51,7 +49,7 @@ func NewDRR(weights []units.Rate, mtu units.Bytes) *DRR {
 			minW = w
 		}
 	}
-	d := &DRR{flows: make([]drrFlow, len(weights))}
+	d := &DRR{flows: make([]drrFlow, len(weights)), flowQueues: newFlowQueues()}
 	for i, w := range weights {
 		d.flows[i].quantum = float64(mtu) * w.BitsPerSecond() / minW.BitsPerSecond()
 	}
@@ -61,9 +59,7 @@ func NewDRR(weights []units.Rate, mtu units.Bytes) *DRR {
 // Enqueue implements Scheduler.
 func (d *DRR) Enqueue(p *packet.Packet) {
 	f := &d.flows[p.Flow]
-	f.q = append(f.q, p)
-	d.len++
-	d.backlog += p.Size
+	d.push(&f.q, p, 0)
 	if !f.active {
 		f.active = true
 		f.deficit = 0
@@ -80,14 +76,8 @@ func (d *DRR) Dequeue() *packet.Packet {
 		if d.cursor >= len(d.active) {
 			d.cursor = 0
 		}
-		idx := d.active[d.cursor]
-		f := &d.flows[idx]
-		if f.head >= len(f.q) {
-			// Emptied earlier in the round: retire from the list.
-			d.retire(idx)
-			continue
-		}
-		head := f.q[f.head]
+		f := &d.flows[d.active[d.cursor]]
+		head := d.front(&f.q).p
 		if f.deficit < float64(head.Size) {
 			// New visit: grant the quantum and move on if still short.
 			f.deficit += f.quantum
@@ -97,47 +87,17 @@ func (d *DRR) Dequeue() *packet.Packet {
 			}
 		}
 		f.deficit -= float64(head.Size)
-		f.q[f.head] = nil
-		f.head++
-		if f.head > 64 && f.head*2 >= len(f.q) {
-			n := copy(f.q, f.q[f.head:])
-			f.q = f.q[:n]
-			f.head = 0
-		}
-		d.len--
-		d.backlog -= head.Size
+		d.pop(&f.q)
 		switch {
-		case f.head >= len(f.q):
-			d.retire(idx)
-		case f.deficit < float64(f.q[f.head].Size):
+		case f.q.n == 0:
+			// Emptied: retire the flow from the round. The cursor now
+			// names its successor.
+			f.active = false
+			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
+		case f.deficit < float64(d.front(&f.q).p.Size):
 			// Deficit exhausted: this flow's turn in the round is over.
 			d.cursor++
 		}
 		return head
 	}
 }
-
-// retire removes a flow from the active list, keeping cursor position
-// consistent.
-func (d *DRR) retire(idx int) {
-	f := &d.flows[idx]
-	f.active = false
-	f.deficit = 0
-	f.q = f.q[:0]
-	f.head = 0
-	for i, a := range d.active {
-		if a == idx {
-			d.active = append(d.active[:i], d.active[i+1:]...)
-			if i < d.cursor {
-				d.cursor--
-			}
-			break
-		}
-	}
-}
-
-// Len implements Scheduler.
-func (d *DRR) Len() int { return d.len }
-
-// Backlog implements Scheduler.
-func (d *DRR) Backlog() units.Bytes { return d.backlog }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"bufqos/internal/packet"
@@ -22,16 +21,39 @@ import (
 type EDF struct {
 	budgets []float64
 	nowFn   func() float64
-	heap    edfHeap
+	tagQueue
+}
+
+// tagQueue serves queued packets in (tag, arrival) order: the half of
+// EDF and Virtual Clock that does not depend on how a packet is tagged.
+// The order is total, so no tie is left to the heap's arrangement.
+type tagQueue struct {
+	heap    tagHeap
 	seq     uint64
 	backlog units.Bytes
 }
 
-type edfItem struct {
-	p        *packet.Packet
-	deadline float64
-	seq      uint64
+func (q *tagQueue) push(p *packet.Packet, tag float64) {
+	q.heap.push(tagged{tag: tag, seq: q.seq, p: p})
+	q.seq++
+	q.backlog += p.Size
 }
+
+// Dequeue implements Scheduler.
+func (q *tagQueue) Dequeue() *packet.Packet {
+	if len(q.heap.e) == 0 {
+		return nil
+	}
+	p := q.heap.pop().p
+	q.backlog -= p.Size
+	return p
+}
+
+// Len implements Scheduler.
+func (q *tagQueue) Len() int { return len(q.heap.e) }
+
+// Backlog implements Scheduler.
+func (q *tagQueue) Backlog() units.Bytes { return q.backlog }
 
 // NewEDF builds an EDF scheduler. budgets[i] is flow i's per-hop delay
 // budget in seconds; now is the clock.
@@ -52,46 +74,7 @@ func NewEDF(now func() float64, budgets []float64) *EDF {
 
 // Enqueue implements Scheduler.
 func (e *EDF) Enqueue(p *packet.Packet) {
-	item := edfItem{p: p, deadline: e.nowFn() + e.budgets[p.Flow], seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, item)
-	e.backlog += p.Size
-}
-
-// Dequeue implements Scheduler.
-func (e *EDF) Dequeue() *packet.Packet {
-	if len(e.heap) == 0 {
-		return nil
-	}
-	item := heap.Pop(&e.heap).(edfItem)
-	e.backlog -= item.p.Size
-	return item.p
-}
-
-// Len implements Scheduler.
-func (e *EDF) Len() int { return len(e.heap) }
-
-// Backlog implements Scheduler.
-func (e *EDF) Backlog() units.Bytes { return e.backlog }
-
-type edfHeap []edfItem
-
-func (h edfHeap) Len() int { return len(h) }
-func (h edfHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
-	}
-	return h[i].seq < h[j].seq
-}
-func (h edfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *edfHeap) Push(x any)   { *h = append(*h, x.(edfItem)) }
-func (h *edfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	old[n-1].p = nil
-	*h = old[:n-1]
-	return item
+	e.push(p, e.nowFn()+e.budgets[p.Flow])
 }
 
 // VirtualClock implements the Virtual Clock discipline (the ancestor of
@@ -102,12 +85,10 @@ func (h *edfHeap) Pop() any {
 // weakness — flows that idle can be punished later — is part of why
 // fair-queueing variants exist.
 type VirtualClock struct {
-	rates   []float64 // bits/s
-	clocks  []float64
-	nowFn   func() float64
-	heap    edfHeap // reuse: (stamp, seq) ordering
-	seq     uint64
-	backlog units.Bytes
+	rates  []float64 // bits/s
+	clocks []float64
+	nowFn  func() float64
+	tagQueue
 }
 
 // NewVirtualClock builds a Virtual Clock scheduler with per-flow
@@ -136,23 +117,5 @@ func (v *VirtualClock) Enqueue(p *packet.Packet) {
 		v.clocks[p.Flow] = now
 	}
 	v.clocks[p.Flow] += p.Size.Bits() / v.rates[p.Flow]
-	heap.Push(&v.heap, edfItem{p: p, deadline: v.clocks[p.Flow], seq: v.seq})
-	v.seq++
-	v.backlog += p.Size
+	v.push(p, v.clocks[p.Flow])
 }
-
-// Dequeue implements Scheduler.
-func (v *VirtualClock) Dequeue() *packet.Packet {
-	if len(v.heap) == 0 {
-		return nil
-	}
-	item := heap.Pop(&v.heap).(edfItem)
-	v.backlog -= item.p.Size
-	return item.p
-}
-
-// Len implements Scheduler.
-func (v *VirtualClock) Len() int { return len(v.heap) }
-
-// Backlog implements Scheduler.
-func (v *VirtualClock) Backlog() units.Bytes { return v.backlog }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bufqos/internal/packet"
-	"bufqos/internal/units"
 )
 
 // RPQ is a Rotating-Priority-Queues scheduler in the spirit of Wrege &
@@ -22,18 +21,16 @@ import (
 // due queue, preserving arrival order. Service takes from the due queue
 // first and, when it is empty, from the earliest non-empty future slot
 // (work conservation). All operations are O(1) per packet plus O(1)
-// amortized per rotation.
+// amortized per rotation; the FIFOs are lists in one flowQueues pool.
 type RPQ struct {
 	classes  []int
 	interval float64
 	nowFn    func() float64
 
-	due   *FIFO
-	ring  []*FIFO // ring[(epoch+c) % P] holds packets due in that epoch
+	due   flowQueue
+	ring  []flowQueue // ring[(epoch+c) % P] holds packets due in that epoch
 	epoch int64
-
-	len     int
-	backlog units.Bytes
+	flowQueues
 }
 
 // NewRPQ builds an RPQ scheduler. classes[i] is flow i's delay class,
@@ -54,17 +51,13 @@ func NewRPQ(numClasses int, interval float64, now func() float64, classes []int)
 			panic(fmt.Sprintf("rpq: flow %d has class %d outside [0,%d)", f, c, numClasses))
 		}
 	}
-	r := &RPQ{
-		classes:  append([]int(nil), classes...),
-		interval: interval,
-		nowFn:    now,
-		due:      NewFIFO(),
-		ring:     make([]*FIFO, numClasses),
+	return &RPQ{
+		classes:    append([]int(nil), classes...),
+		interval:   interval,
+		nowFn:      now,
+		ring:       make([]flowQueue, numClasses),
+		flowQueues: newFlowQueues(),
 	}
-	for i := range r.ring {
-		r.ring[i] = NewFIFO()
-	}
-	return r
 }
 
 // Epoch returns the current rotation epoch (after advancing the clock).
@@ -79,9 +72,8 @@ func (r *RPQ) advance() {
 	target := int64(r.nowFn() / r.interval)
 	for r.epoch < target {
 		r.epoch++
-		slot := r.ring[int(r.epoch)%len(r.ring)]
-		for p := slot.Dequeue(); p != nil; p = slot.Dequeue() {
-			r.due.Enqueue(p)
+		for slot := &r.ring[int(r.epoch)%len(r.ring)]; slot.n > 0; {
+			r.push(&r.due, r.pop(slot), 0)
 		}
 	}
 }
@@ -89,37 +81,23 @@ func (r *RPQ) advance() {
 // Enqueue implements Scheduler.
 func (r *RPQ) Enqueue(p *packet.Packet) {
 	r.advance()
-	c := r.classes[p.Flow]
-	r.len++
-	r.backlog += p.Size
-	if c == 0 {
-		r.due.Enqueue(p)
-		return
+	q := &r.due
+	if c := r.classes[p.Flow]; c > 0 {
+		q = &r.ring[int(r.epoch+int64(c))%len(r.ring)]
 	}
-	r.ring[int(r.epoch+int64(c))%len(r.ring)].Enqueue(p)
+	r.push(q, p, 0)
 }
 
 // Dequeue implements Scheduler.
 func (r *RPQ) Dequeue() *packet.Packet {
 	r.advance()
-	if p := r.due.Dequeue(); p != nil {
-		r.len--
-		r.backlog -= p.Size
-		return p
-	}
+	q := &r.due
 	// Work conservation: pull from the earliest future epoch.
-	for d := 1; d <= len(r.ring); d++ {
-		if p := r.ring[int(r.epoch+int64(d))%len(r.ring)].Dequeue(); p != nil {
-			r.len--
-			r.backlog -= p.Size
-			return p
-		}
+	for d := 1; q.n == 0 && d <= len(r.ring); d++ {
+		q = &r.ring[int(r.epoch+int64(d))%len(r.ring)]
 	}
-	return nil
+	if q.n == 0 {
+		return nil
+	}
+	return r.pop(q)
 }
-
-// Len implements Scheduler.
-func (r *RPQ) Len() int { return r.len }
-
-// Backlog implements Scheduler.
-func (r *RPQ) Backlog() units.Bytes { return r.backlog }

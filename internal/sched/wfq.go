@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"bufqos/internal/metrics"
@@ -24,17 +23,20 @@ import (
 //
 // Weights are expressed in rate units (bits/s); the paper sets φᵢ to the
 // flow's reserved token rate ρᵢ.
+//
+// Both sorted structures are tagHeaps, whose sifts resolve equal finish
+// tags as container/heap's do; the per-flow queues are flowQueues, so
+// neither a flow nor a queued packet costs an allocation.
 type WFQ struct {
-	rate    units.Rate
-	flows   []wfqFlow
-	ready   readyHeap // non-empty packet queues, keyed by head finish tag
-	gps     gpsHeap   // GPS-backlogged flows, keyed by last finish tag
-	v       float64   // GPS virtual time
-	lastT   float64   // real time of the last virtual-time update
-	sumPhi  float64   // Σφ over GPS-backlogged flows
-	nowFn   func() float64
-	len     int
-	backlog units.Bytes
+	rate   units.Rate
+	flows  []wfqFlow
+	ready  tagHeap // flows with queued packets, keyed by head finish tag
+	gps    tagHeap // GPS-backlogged flows, keyed by last finish tag
+	v      float64 // GPS virtual time
+	lastT  float64 // real time of the last virtual-time update
+	sumPhi float64 // Σφ over GPS-backlogged flows
+	nowFn  func() float64
+	flowQueues
 
 	mAdvances *metrics.Counter // nil unless instrumented
 }
@@ -51,16 +53,8 @@ func (w *WFQ) Instrument(r *metrics.Registry) {
 
 type wfqFlow struct {
 	phi        float64 // weight in bits/s
-	q          []taggedPacket
-	qhead      int
 	lastFinish float64 // finish tag of the flow's most recent arrival
-	readyIdx   int     // index in ready heap, -1 if absent
-	gpsIdx     int     // index in gps heap, -1 if absent
-}
-
-type taggedPacket struct {
-	p      *packet.Packet
-	finish float64
+	q          flowQueue
 }
 
 // NewWFQ returns a WFQ scheduler for a link of the given rate. now is
@@ -76,12 +70,14 @@ func NewWFQ(rate units.Rate, now func() float64, weights []units.Rate) *WFQ {
 	if len(weights) == 0 {
 		panic("wfq: no flows")
 	}
-	w := &WFQ{rate: rate, nowFn: now, flows: make([]wfqFlow, len(weights))}
+	w := &WFQ{rate: rate, nowFn: now, flows: make([]wfqFlow, len(weights)), flowQueues: newFlowQueues(),
+		gps: tagHeap{pos: make([]int32, len(weights))}}
 	for i, phi := range weights {
 		if phi <= 0 {
 			panic(fmt.Sprintf("wfq: flow %d has non-positive weight %v", i, phi))
 		}
-		w.flows[i] = wfqFlow{phi: phi.BitsPerSecond(), readyIdx: -1, gpsIdx: -1}
+		w.flows[i].phi = phi.BitsPerSecond()
+		w.gps.pos[i] = -1
 	}
 	return w
 }
@@ -103,11 +99,11 @@ func (w *WFQ) advance(t float64) {
 		w.mAdvances.Inc()
 	}
 	for w.lastT < t {
-		if len(w.gps) == 0 {
+		if len(w.gps.e) == 0 {
 			w.lastT = t
 			return
 		}
-		f := w.gps[0]
+		f := &w.flows[w.gps.e[0].item]
 		// Real time needed for V to reach the next GPS flow-departure.
 		dt := (f.lastFinish - w.v) * w.sumPhi / w.rate.BitsPerSecond()
 		if w.lastT+dt > t {
@@ -118,11 +114,11 @@ func (w *WFQ) advance(t float64) {
 		w.v = f.lastFinish
 		w.lastT += dt
 		// The flow's GPS backlog clears exactly now.
-		heap.Pop(&w.gps)
+		w.gps.pop()
 		w.sumPhi -= f.phi
 	}
 	// System idle in GPS (gps heap may still be empty): nothing to do.
-	if len(w.gps) == 0 && w.len == 0 {
+	if len(w.gps.e) == 0 && w.len == 0 {
 		// Both systems idle: rebase virtual time so tags do not grow
 		// without bound over long runs.
 		w.v = 0
@@ -143,111 +139,42 @@ func (w *WFQ) Enqueue(p *packet.Packet) {
 	}
 	finish := start + p.Size.Bits()/f.phi
 
-	wasGPSIdle := f.gpsIdx < 0
 	f.lastFinish = finish
-	f.q = append(f.q, taggedPacket{p: p, finish: finish})
-	w.len++
-	w.backlog += p.Size
+	w.push(&f.q, p, finish)
 
-	if wasGPSIdle {
-		heap.Push(&w.gps, f)
+	if i := w.gps.pos[p.Flow]; i < 0 {
+		w.gps.push(tagged{tag: finish, item: int32(p.Flow)})
 		w.sumPhi += f.phi
 	} else {
-		heap.Fix(&w.gps, f.gpsIdx)
+		// The flow's key only grew, so it can only sink (container/heap's
+		// Fix would try the upward sift and stop at the first compare).
+		w.gps.e[i].tag = finish
+		w.gps.down(int(i), w.gps.e[i])
 	}
-	if f.readyIdx < 0 {
-		heap.Push(&w.ready, f)
+	if f.q.n == 1 {
+		w.ready.push(tagged{tag: finish, item: int32(p.Flow)})
 	}
-	// Head tag unchanged if the flow already had packets, so no Fix is
-	// needed for the ready heap in that case.
+	// Head tag unchanged if the flow already had packets, so the ready
+	// heap needs no fix in that case.
 }
 
 // Dequeue implements Scheduler.
 func (w *WFQ) Dequeue() *packet.Packet {
-	if len(w.ready) == 0 {
+	if len(w.ready.e) == 0 {
 		return nil
 	}
 	w.advance(w.nowFn())
-	f := w.ready[0]
-	tp := f.q[f.qhead]
-	f.q[f.qhead].p = nil
-	f.qhead++
-	if f.qhead > 64 && f.qhead*2 >= len(f.q) {
-		n := copy(f.q, f.q[f.qhead:])
-		f.q = f.q[:n]
-		f.qhead = 0
-	}
-	w.len--
-	w.backlog -= tp.p.Size
-	if f.qhead >= len(f.q) {
-		heap.Pop(&w.ready)
+	f := &w.flows[w.ready.e[0].item]
+	p := w.pop(&f.q)
+	if f.q.n == 0 {
+		w.ready.pop()
 	} else {
-		heap.Fix(&w.ready, 0)
+		// Only the root's head ever leaves, so only the root's tag changes.
+		w.ready.e[0].tag = w.front(&f.q).tag
+		w.ready.down(0, w.ready.e[0])
 	}
-	return tp.p
+	return p
 }
-
-// Len implements Scheduler.
-func (w *WFQ) Len() int { return w.len }
-
-// Backlog implements Scheduler.
-func (w *WFQ) Backlog() units.Bytes { return w.backlog }
 
 // FlowBacklog returns the queued packets of one flow.
-func (w *WFQ) FlowBacklog(flow int) int {
-	f := &w.flows[flow]
-	return len(f.q) - f.qhead
-}
-
-// readyHeap orders flows by head-packet finish tag.
-type readyHeap []*wfqFlow
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	return h[i].q[h[i].qhead].finish < h[j].q[h[j].qhead].finish
-}
-func (h readyHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].readyIdx = i
-	h[j].readyIdx = j
-}
-func (h *readyHeap) Push(x any) {
-	f := x.(*wfqFlow)
-	f.readyIdx = len(*h)
-	*h = append(*h, f)
-}
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	f.readyIdx = -1
-	*h = old[:n-1]
-	return f
-}
-
-// gpsHeap orders GPS-backlogged flows by their last (largest) finish tag,
-// i.e. the virtual time at which their GPS backlog clears.
-type gpsHeap []*wfqFlow
-
-func (h gpsHeap) Len() int           { return len(h) }
-func (h gpsHeap) Less(i, j int) bool { return h[i].lastFinish < h[j].lastFinish }
-func (h gpsHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].gpsIdx = i
-	h[j].gpsIdx = j
-}
-func (h *gpsHeap) Push(x any) {
-	f := x.(*wfqFlow)
-	f.gpsIdx = len(*h)
-	*h = append(*h, f)
-}
-func (h *gpsHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	f.gpsIdx = -1
-	*h = old[:n-1]
-	return f
-}
+func (w *WFQ) FlowBacklog(flow int) int { return int(w.flows[flow].q.n) }

@@ -8,13 +8,17 @@
 // simulation deterministic for a fixed seed.
 //
 // The implementation is allocation-free in steady state. Event payloads
-// live in an index-managed arena with a free-list, the priority queue is
-// a 4-ary heap of arena indices (shallower than a binary heap, so fewer
-// cache-missing comparisons per sift), and At/After hand out value
-// handles instead of heap pointers. Cancelled events are removed from
-// the heap eagerly rather than lingering until popped, so a workload
-// that schedules and cancels heavily (shapers, churn) keeps the queue
-// exactly as large as its live event count.
+// live in an index-managed arena with a free-list, and At/After hand out
+// value handles instead of heap pointers. The priority queue is a 4-ary
+// heap (shallower than a binary heap) whose entries carry their own
+// ordering key — time, stamp, sequence number — beside the arena index,
+// so a sift compares contiguous entries instead of chasing an index per
+// comparison into the arena. Popping is bottom-up: the hole at the root
+// descends along the smallest child to a leaf and the last entry, which
+// almost always belongs near the bottom, fills it and sifts up. Cancelled
+// events are removed from the heap eagerly rather than lingering until
+// popped, so a workload that schedules and cancels heavily (shapers,
+// churn) keeps the queue exactly as large as its live event count.
 //
 // A simulator also owns the packet pool of everything that runs on its
 // clock (NewPacket, Release), and an event can carry a packet in its
@@ -33,29 +37,35 @@ import (
 	"bufqos/internal/packet"
 )
 
-// node is one arena slot. The generation counter distinguishes a live
-// occupant from a recycled slot, so stale Event handles stay inert.
+// entry is one slot of the event heap: the event's ordering key and the
+// arena slot holding what it runs. At 32 bytes, a node's four children
+// span two or three cache lines, and a sift reads nothing else.
 //
 // sched is the simulated time at which the event was scheduled. For
 // At/After it is the kernel's clock at the call; AtStampedPacket lets a
 // caller supply it explicitly (the sharded topology engine stamps
 // cross-shard arrivals with their upstream departure time, so a merged
 // heap reproduces the order a single global kernel would have used).
+type entry struct {
+	time  float64
+	sched float64
+	seq   uint64
+	id    int32 // arena slot
+}
+
+// node is one arena slot. The generation counter distinguishes a live
+// occupant from a recycled slot, so stale Event handles stay inert, and
+// pos, the slot's heap position, lets Cancel remove it in place.
 //
 // What an event runs is h, set while the slot is live: an At/After
 // callback (funcHandler), a packet-carrying callback (packetFunc, called
 // with p), or an AtHandler receiver. One field for all three keeps the
-// node at 56 bytes: a word per form would make it 64, and a deep heap,
-// which reads a node per comparison, runs measurably slower on it
-// (BenchmarkSimKernelDeepQueue).
+// node at 32 bytes.
 type node struct {
-	time  float64
-	sched float64
-	seq   uint64
-	h     Handler
-	p     *packet.Packet
-	gen   uint32
-	pos   int32 // heap position, -1 free
+	h   Handler
+	p   *packet.Packet
+	gen uint32
+	pos int32 // heap position, -1 free
 }
 
 // Handler is the receiver of an event scheduled with AtHandler. A
@@ -142,7 +152,7 @@ type Simulator struct {
 	nsteps uint64
 	nodes  []node
 	free   []int32
-	heap   []int32 // 4-ary min-heap of arena indices, ordered by (time, sched, seq)
+	heap   []entry // 4-ary min-heap ordered by (time, sched, seq)
 
 	pool packet.Pool
 
@@ -237,14 +247,10 @@ func (s *Simulator) schedule(t, sched float64, h Handler, p *packet.Packet) Even
 	}
 	id := s.alloc()
 	n := &s.nodes[id]
-	n.time = t
-	n.sched = sched
-	n.seq = s.seq
 	n.h, n.p = h, p
+	s.heap = append(s.heap, entry{})
+	s.siftUp(len(s.heap)-1, entry{time: t, sched: sched, seq: s.seq, id: id})
 	s.seq++
-	s.heap = append(s.heap, id)
-	n.pos = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
 	// Gauge.Set is not inlinable (CAS loop), so gate the pair on one
 	// predictable branch instead of paying a call on the disabled path.
 	if s.mScheduled != nil {
@@ -325,7 +331,7 @@ func (s *Simulator) Reserve(n int) {
 		s.nodes = nodes
 	}
 	if cap(s.heap) < n {
-		heap := make([]int32, len(s.heap), n)
+		heap := make([]entry, len(s.heap), n)
 		copy(heap, s.heap)
 		s.heap = heap
 	}
@@ -375,7 +381,7 @@ func (s *Simulator) RunBefore(t float64) {
 // order up to t — strictly before t when exclusive.
 func (s *Simulator) runTo(t float64, exclusive bool) {
 	for len(s.heap) > 0 {
-		if next := s.nodes[s.heap[0]].time; next > t || (exclusive && next == t) {
+		if next := s.heap[0].time; next > t || (exclusive && next == t) {
 			return
 		}
 		s.runNext()
@@ -385,10 +391,10 @@ func (s *Simulator) runTo(t float64, exclusive bool) {
 // runNext pops the earliest event, frees its slot and runs it, so the
 // callback may reuse the slot.
 func (s *Simulator) runNext() {
-	id := s.heap[0]
+	id := s.heap[0].id
 	n := &s.nodes[id]
 	h, p := n.h, n.p
-	s.now = n.time
+	s.now = s.heap[0].time
 	s.nsteps++
 	s.removeAt(0)
 	s.freeNode(id)
@@ -434,23 +440,27 @@ func (s *Simulator) freeNode(id int32) {
 	s.free = append(s.free, id)
 }
 
-// less orders arena indices by (time, sched, seq). For events scheduled
+// before orders entries by (time, sched, seq). For events scheduled
 // through At/After the sched stamp is nondecreasing in seq (the clock
 // never runs backwards), so this order coincides with the historical
 // (time, seq) order; the stamp only matters for AtStampedPacket
-// injections.
-func (s *Simulator) less(a, b int32) bool {
-	na, nb := &s.nodes[a], &s.nodes[b]
-	if na.time != nb.time {
-		return na.time < nb.time
+// injections. seq is unique, so the order is total and the dispatch
+// sequence does not depend on how the heap is arranged.
+func (a *entry) before(b *entry) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	if na.sched != nb.sched {
-		return na.sched < nb.sched
+	if a.sched != b.sched {
+		return a.sched < b.sched
 	}
-	return na.seq < nb.seq
+	return a.seq < b.seq
 }
 
-// removeAt deletes the heap entry at position i, restoring heap order.
+// removeAt deletes the heap entry at position i, bottom-up: the hole at
+// i descends along the smallest child to a leaf, then the last entry
+// fills it and sifts up. Against a top-down sift this saves the compare
+// with the last entry at every level, and that entry, drawn from the
+// bottom, rarely climbs far.
 func (s *Simulator) removeAt(i int) {
 	last := len(s.heap) - 1
 	moved := s.heap[last]
@@ -458,56 +468,42 @@ func (s *Simulator) removeAt(i int) {
 	if i == last {
 		return
 	}
-	s.heap[i] = moved
-	s.nodes[moved].pos = int32(i)
-	if !s.siftDown(i) {
-		s.siftUp(i)
-	}
-}
-
-func (s *Simulator) siftUp(i int) {
-	id := s.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s.less(id, s.heap[parent]) {
-			break
-		}
-		s.heap[i] = s.heap[parent]
-		s.nodes[s.heap[i]].pos = int32(i)
-		i = parent
-	}
-	s.heap[i] = id
-	s.nodes[id].pos = int32(i)
-}
-
-// siftDown restores heap order below i and reports whether i moved.
-func (s *Simulator) siftDown(i int) bool {
-	id := s.heap[i]
-	start := i
-	n := len(s.heap)
+	h := s.heap
 	for {
 		first := 4*i + 1
-		if first >= n {
+		if first >= last {
 			break
 		}
 		best := first
 		end := first + 4
-		if end > n {
-			end = n
+		if end > last {
+			end = last
 		}
 		for c := first + 1; c < end; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !s.less(s.heap[best], id) {
-			break
-		}
-		s.heap[i] = s.heap[best]
-		s.nodes[s.heap[i]].pos = int32(i)
+		h[i] = h[best]
+		s.nodes[h[i].id].pos = int32(i)
 		i = best
 	}
-	s.heap[i] = id
-	s.nodes[id].pos = int32(i)
-	return i != start
+	s.siftUp(i, moved)
+}
+
+// siftUp places e in the hole at i or, moving the parents it precedes
+// down, above it, recording every moved entry's position in its node.
+func (s *Simulator) siftUp(i int, e entry) {
+	h := s.heap
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		s.nodes[h[i].id].pos = int32(i)
+		i = parent
+	}
+	h[i] = e
+	s.nodes[e.id].pos = int32(i)
 }

@@ -426,16 +426,19 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins the event node at 56 bytes: every heap comparison
-// reads a node, and a 64-byte node measurably slows a deep heap
-// (BenchmarkSimKernelDeepQueue), so the three event forms share one
-// Handler field instead of each adding a word.
+// TestNodeSize pins the heap entry and the arena node at 32 bytes each:
+// a sift reads only entries, so a 4-ary node's children stay within
+// three cache lines, and the three event forms share one Handler field
+// so the node, touched once per move to record a position, stays small.
 func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(node{}); got != 56 {
-		t.Errorf("unsafe.Sizeof(node{}) = %d, want 56", got)
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(node{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want 32", got)
 	}
 }
 
