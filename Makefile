@@ -39,8 +39,11 @@ test:
 # keeps the packet path's priority queues typed and flat: non-test code
 # in internal/sim, internal/sched and internal/buffer may not import
 # container/heap, whose interface calls and boxed Push/Pop the kernel,
-# WFQ, EDF and Virtual Clock no longer pay. CI runs this alongside
-# `make verify`.
+# WFQ, EDF and Virtual Clock no longer pay. And it keeps one random
+# source: outside tests and internal/sim no code may call rand.New or
+# rand.NewSource — every stream comes from sim.NewRand or a sim.Rand
+# slab element, math/rand's sequence with a division-free seed. CI runs
+# this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -82,6 +85,11 @@ lint:
 			internal/sim internal/sched internal/buffer); \
 	if [ -n "$$heaps" ]; then \
 		echo "packet-path priority queues are typed flat heaps, not container/heap:"; echo "$$heaps"; exit 1; \
+	fi
+	@streams=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'rand\.(New|NewSource)\(' . \
+		| grep -v -e '^\./internal/sim/' | grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//'); \
+	if [ -n "$$streams" ]; then \
+		echo "draw random streams from sim.NewRand or a sim.Rand, not rand.New/rand.NewSource:"; echo "$$streams"; exit 1; \
 	fi
 
 race:

@@ -72,12 +72,14 @@ type generator interface {
 // regulator, sized from the flows of that kind, each element set up in
 // place by its Init when its flow starts. It is the one place that
 // turns a flow description into running sources, and it builds them in
-// a constant number of allocations however many flows there are (an
-// on-off source's random stream is drawn when it starts).
+// a constant number of allocations however many flows there are: an
+// on-off source's random stream is an element of the rngs slab beside
+// it, seeded in place when the flow starts.
 type Flows struct {
 	flows   []Flow
 	seed    int64
 	onoffs  []source.OnOff
+	rngs    []sim.Rand // rngs[k] is onoffs[k]'s stream
 	cbrs    []source.CBR
 	tcps    []source.TCP
 	shapers []source.Shaper
@@ -101,6 +103,7 @@ func NewFlows(flows []Flow, seed int64) *Flows {
 		regulators[f.Regulator]++
 	}
 	fl.onoffs = make([]source.OnOff, sources[SourceOnOff])
+	fl.rngs = make([]sim.Rand, sources[SourceOnOff])
 	fl.cbrs = make([]source.CBR, sources[SourceCBR])
 	fl.tcps = source.TCPs(int(sources[SourceTCP]))
 	fl.shapers = source.Shapers(int(regulators[RegulatorShaper]))
@@ -143,7 +146,7 @@ func (f *Flow) start() {
 	}
 	switch f.Source {
 	case SourceOnOff:
-		f.src = fl.onoffs[f.slot].Init(f.Sim, sim.NewRand(sim.DeriveSeed(fl.seed, i)), source.OnOffConfig{
+		f.src = fl.onoffs[f.slot].Init(f.Sim, fl.rngs[f.slot].Init(sim.DeriveSeed(fl.seed, i)), source.OnOffConfig{
 			Flow:       i,
 			PacketSize: f.PacketSize,
 			PeakRate:   f.Spec.PeakRate,

@@ -101,7 +101,9 @@ func TestFlowsFeedbackReachesTheSender(t *testing.T) {
 }
 
 // TestNewFlowsBuildsInConstantAllocations: the layer's slabs are one
-// allocation per kind whatever the flow count.
+// allocation per kind whatever the flow count, and starting an on-off
+// flow — seeding its random stream in the slab included — allocates
+// nothing.
 func TestNewFlowsBuildsInConstantAllocations(t *testing.T) {
 	build := func(n int) float64 {
 		chains := make([]Flow, n)
@@ -112,5 +114,24 @@ func TestNewFlowsBuildsInConstantAllocations(t *testing.T) {
 	}
 	if small, large := build(100), build(10000); large != small {
 		t.Errorf("NewFlows costs %v allocations at 100 flows and %v at 10⁴", small, large)
+	}
+
+	const n = 1000
+	s := sim.New()
+	s.Reserve(2 * n) // AllocsPerRun starts every flow twice
+	rec := source.NewRecorder(s)
+	spec := packet.FlowSpec{PeakRate: units.MbitsPerSecond(16), TokenRate: units.MbitsPerSecond(2), BucketSize: units.KiloBytes(10)}
+	chains := make([]Flow, n)
+	for i := range chains {
+		chains[i] = Flow{Sim: s, Entry: rec, Spec: spec, PacketSize: 500, Rate: units.MbitsPerSecond(2),
+			MeanBurst: units.KiloBytes(20), Source: SourceOnOff, Regulator: Regulator(i % 3)}
+	}
+	flows := NewFlows(chains, 1)
+	if got := testing.AllocsPerRun(1, func() {
+		for i := range n {
+			flows.Start(i).Fire()
+		}
+	}); got != 0 {
+		t.Errorf("starting %d on-off flows allocates %v times, want 0", n, got)
 	}
 }

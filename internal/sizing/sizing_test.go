@@ -213,15 +213,16 @@ func TestSweepMemoryCeiling(t *testing.T) {
 	}
 }
 
-// cellBuild builds one closed-loop cell of n flows at a 1 ns horizon —
-// construction and nothing else — and returns its mallocs and bytes.
-func cellBuild(t *testing.T, n int) (mallocs, bytes uint64) {
+// cellBuild builds one cell of n flows — closed-loop, or open-loop
+// on-off when open is set — at a 1 ns horizon, construction and nothing
+// else, and returns its mallocs and bytes.
+func cellBuild(t *testing.T, n int, open bool) (mallocs, bytes uint64) {
 	t.Helper()
 	cfg := Config{Duration: 1e-9}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := runCell(context.Background(), &cfg, CellSpec{Flows: n, Rule: RuleSqrt, Scheme: "fifo+threshold"}, 1); err != nil {
+	if _, err := runCell(context.Background(), &cfg, CellSpec{Flows: n, Rule: RuleSqrt, Scheme: "fifo+threshold", Open: open}, 1); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -237,11 +238,27 @@ func TestClosedCellBuildsInConstantAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
 	}
-	m1, _ := cellBuild(t, 10000)
-	m2, _ := cellBuild(t, 20000)
+	m1, _ := cellBuild(t, 10000, false)
+	m2, _ := cellBuild(t, 20000, false)
 	t.Logf("cell build: %d mallocs at n=10⁴, %d at n=2·10⁴", m1, m2)
 	if m2 > m1+32 {
 		t.Errorf("building 2·10⁴ flows costs %d mallocs against %d for 10⁴: per-flow state is no longer in slabs", m2, m1)
+	}
+}
+
+// TestOpenCellBuildsInConstantAllocations is the open-loop twin: every
+// on-off source and its random stream live in the flow layer's slabs and
+// are seeded in place when the flow starts, so doubling 10⁴ on-off flows
+// adds no more than a few mallocs, where a stream per flow would add 2·10⁴.
+func TestOpenCellBuildsInConstantAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
+	}
+	m1, _ := cellBuild(t, 10000, true)
+	m2, _ := cellBuild(t, 20000, true)
+	t.Logf("open cell build: %d mallocs at n=10⁴, %d at n=2·10⁴", m1, m2)
+	if m2 > m1+32 {
+		t.Errorf("building 2·10⁴ on-off flows costs %d mallocs against %d for 10⁴: per-flow state is no longer in slabs", m2, m1)
 	}
 }
 
@@ -255,7 +272,7 @@ func TestClosedCellBytesPerFlow(t *testing.T) {
 		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
 	}
 	const n, ceiling = 20000, 1280
-	_, bytes := cellBuild(t, n)
+	_, bytes := cellBuild(t, n, false)
 	perFlow := bytes / n
 	t.Logf("cell build: %d bytes per flow", perFlow)
 	if perFlow > ceiling {
