@@ -179,9 +179,16 @@ fuzz-smoke:
 # The long campaign for the nightly schedule: more cases and a second
 # sweep with deliberately weakened thresholds that MUST fail (the
 # necessity direction of Proposition 1): its reproducers land in a
-# throwaway directory and the expected non-zero exit is inverted.
+# throwaway directory and the expected non-zero exit is inverted. Then
+# every native Go fuzz target runs for 60 s: the workload
+# parser, the random source against math/rand, and the admission
+# daemon's decision-body scanner against encoding/json. A failing input
+# is written under the package's testdata/fuzz/.
 fuzz-nightly:
 	go run ./cmd/qfuzz -n 500 -duration 2s -seed 1 -out testdata/repros
+	go test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 60s ./internal/experiment
+	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
 	@echo "== broken-threshold sweep (must fail)"; \
 	if go run ./cmd/qfuzz -n 10 -duration 2s -seed 1 -threshold-scale 0.9 \
 		-out /tmp/bufqos-broken-repros >/dev/null; then \

@@ -40,6 +40,12 @@ import (
 	"bufqos/internal/topology"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so idle or slow clients cannot hold connections
+// open indefinitely. Decision bodies are bounded by size in
+// internal/qosd.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		topoPath  = flag.String("topology", "", "JSON scenario file (required unless -gen)")
@@ -96,7 +102,7 @@ func main() {
 
 	defer cli.CPUProfile(*pprofOut)()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bufqos/internal/packet"
@@ -126,22 +126,22 @@ func (a *ShardedAdmitter) Snapshot() []AdmissionSnapshot {
 	return out
 }
 
+// shortRoute is the longest route the admitter orders on the stack,
+// without allocating; qosd routes are one to three links.
+const shortRoute = 8
+
 // lockOrder returns the distinct link indices of one or two routes in
-// ascending order — the canonical acquisition order.
-func lockOrder(route, extra []int) []int {
-	order := make([]int, 0, len(route)+len(extra))
-	order = append(order, route...)
-	order = append(order, extra...)
-	sort.Ints(order)
-	// Deduplicate in place (a route may share links with the other).
-	w := 0
-	for i, li := range order {
-		if i == 0 || li != order[w-1] {
-			order[w] = li
-			w++
-		}
+// ascending order — the canonical acquisition order — in buf when they
+// fit. slices.Sort insertion-sorts a slice this short.
+func lockOrder(buf *[2 * shortRoute]int, route, extra []int) []int {
+	order := buf[:0]
+	if n := len(route) + len(extra); n > len(buf) {
+		order = make([]int, 0, n)
 	}
-	return order[:w]
+	order = append(append(order, route...), extra...)
+	slices.Sort(order)
+	// Deduplicate in place (a route may share links with the other).
+	return slices.Compact(order)
 }
 
 func (a *ShardedAdmitter) lockAll(order []int) {
@@ -162,7 +162,8 @@ func (a *ShardedAdmitter) unlockAll(order []int) {
 // the paper's reason taxonomy; on success it returns (-1, Accepted).
 // Route entries must be distinct links.
 func (a *ShardedAdmitter) AdmitRoute(route []int, spec packet.FlowSpec) (int, RejectReason) {
-	order := lockOrder(route, nil)
+	var buf [2 * shortRoute]int
+	order := lockOrder(&buf, route, nil)
 	a.lockAll(order)
 	defer a.unlockAll(order)
 	for _, li := range route {
@@ -179,7 +180,8 @@ func (a *ShardedAdmitter) AdmitRoute(route []int, spec packet.FlowSpec) (int, Re
 // ReleaseRoute releases spec on every link of route, returning true
 // when every link held it. Like Release, it is idempotent per link.
 func (a *ShardedAdmitter) ReleaseRoute(route []int, spec packet.FlowSpec) bool {
-	order := lockOrder(route, nil)
+	var buf [2 * shortRoute]int
+	order := lockOrder(&buf, route, nil)
 	a.lockAll(order)
 	defer a.unlockAll(order)
 	all := true
@@ -197,19 +199,12 @@ func (a *ShardedAdmitter) ReleaseRoute(route []int, spec packet.FlowSpec) bool {
 // and the first refusing new link (in new-route order) is returned; on
 // success it returns (-1, Accepted).
 func (a *ShardedAdmitter) Reroute(old, new []int, spec packet.FlowSpec) (int, RejectReason) {
-	onOld := make(map[int]bool, len(old))
-	for _, li := range old {
-		onOld[li] = true
-	}
-	onNew := make(map[int]bool, len(new))
-	for _, li := range new {
-		onNew[li] = true
-	}
-	order := lockOrder(old, new)
+	var buf [2 * shortRoute]int
+	order := lockOrder(&buf, old, new)
 	a.lockAll(order)
 	defer a.unlockAll(order)
 	for _, li := range new {
-		if onOld[li] {
+		if slices.Contains(old, li) {
 			continue
 		}
 		if r := a.shards[li].checkLocked(spec); r != Accepted {
@@ -217,12 +212,12 @@ func (a *ShardedAdmitter) Reroute(old, new []int, spec packet.FlowSpec) (int, Re
 		}
 	}
 	for _, li := range new {
-		if !onOld[li] {
+		if !slices.Contains(old, li) {
 			a.shards[li].admitLocked(spec)
 		}
 	}
 	for _, li := range old {
-		if !onNew[li] {
+		if !slices.Contains(new, li) {
 			a.shards[li].releaseLocked(spec)
 		}
 	}

@@ -275,3 +275,32 @@ func TestShardedRouteRace(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteOpsWithoutAllocating: admitting, rerouting and releasing on
+// routes of one to three links order and search them on the stack.
+func TestRouteOpsWithoutAllocating(t *testing.T) {
+	links := make([]LinkConfig, 6)
+	for i := range links {
+		links[i] = LinkConfig{DisciplineFIFO, units.MbitsPerSecond(48), units.MegaBytes(1)}
+	}
+	sa := NewShardedAdmitter(links)
+	s := spec(10, 1)
+	for _, c := range []struct{ route, next []int }{
+		{[]int{2}, []int{4}},
+		{[]int{3, 0}, []int{0, 5}},
+		{[]int{1, 5, 2}, []int{2, 4, 3}},
+	} {
+		ok := true
+		allocs := testing.AllocsPerRun(100, func() {
+			_, r1 := sa.AdmitRoute(c.route, s)
+			_, r2 := sa.Reroute(c.route, c.next, s)
+			ok = ok && r1 == Accepted && r2 == Accepted && sa.ReleaseRoute(c.next, s)
+		})
+		if !ok {
+			t.Fatalf("route %v -> %v: an operation was refused", c.route, c.next)
+		}
+		if allocs != 0 {
+			t.Errorf("route %v -> %v: %v allocations per admit+reroute+release, want 0", c.route, c.next, allocs)
+		}
+	}
+}

@@ -127,6 +127,14 @@ func TestNewFlowsBuildsInConstantAllocations(t *testing.T) {
 			MeanBurst: units.KiloBytes(20), Source: SourceOnOff, Regulator: Regulator(i % 3)}
 	}
 	flows := NewFlows(chains, 1)
+	// Go fills a type assertion's call-site cache at random, on about
+	// one miss in 1024, with one small allocation; sim.Rand.Init makes
+	// such an assertion (math/rand.New's, inlined). Filling the cache
+	// first keeps that one-time allocation out of the count below.
+	var warm sim.Rand
+	for i := range 1 << 14 {
+		warm.Init(int64(i))
+	}
 	if got := testing.AllocsPerRun(1, func() {
 		for i := range n {
 			flows.Start(i).Fire()

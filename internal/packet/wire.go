@@ -1,22 +1,14 @@
 package packet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
-	"bufqos/internal/units"
+	"bufqos/internal/jsonscan"
 )
 
-// flowSpecWire is FlowSpec's JSON form. The fields ride the units wire
-// encodings ("48Mbit/s", "100KB"), so one (σ, ρ, peak) contract is
-// spelled identically in topology files, qosd request bodies, and
-// daemon snapshots.
-type flowSpecWire struct {
-	Peak   units.Rate  `json:"peak,omitempty"`
-	Token  units.Rate  `json:"token"`
-	Bucket units.Bytes `json:"bucket"`
-}
+// FlowSpec's JSON form rides the units wire encodings ("48Mbit/s",
+// "100KB"), so one (σ, ρ, peak) contract is spelled identically in
+// topology files, qosd request bodies, and daemon snapshots.
 
 // MarshalJSON encodes the contract as
 // {"peak":"6Mbit/s","token":"2Mbit/s","bucket":"60KB"}; a zero peak
@@ -45,130 +37,49 @@ func (s FlowSpec) MarshalJSON() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalJSON decodes the wire form. Unknown fields are rejected so
-// misspelled contracts fail loudly; semantic validation stays with
-// Validate, which callers run after decoding. A hand-rolled scanner
-// handles the common shape; anything it cannot prove well-formed
-// (escapes, nesting, unknown keys) is retried through the strict
-// reflection decoder, which also produces the precise error.
+// UnmarshalJSON decodes the wire form through ScanFlowSpec: the
+// document must be one spec (or null) and nothing else.
 func (s *FlowSpec) UnmarshalJSON(data []byte) error {
-	if w, ok := parseWireFast(data); ok {
-		s.PeakRate = w.Peak
-		s.TokenRate = w.Token
-		s.BucketSize = w.Bucket
-		return nil
+	var sc jsonscan.Scanner
+	sc.Reset(data)
+	spec, err := ScanFlowSpec(&sc)
+	if err == nil {
+		err = sc.End()
 	}
-	var w flowSpecWire
-	if err := strictUnmarshal(data, &w); err != nil {
+	if err != nil {
 		return fmt.Errorf("flow spec: %w", err)
 	}
-	s.PeakRate = w.Peak
-	s.TokenRate = w.Token
-	s.BucketSize = w.Bucket
+	*s = spec
 	return nil
 }
 
-// parseWireFast scans the flat {"key":value,...} shape directly,
-// reporting ok=false whenever the input is anything but that exact
-// shape — the slow path then owns the verdict.
-func parseWireFast(data []byte) (flowSpecWire, bool) {
-	var w flowSpecWire
-	i, n := 0, len(data)
-	skip := func() {
-		for i < n && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-			i++
-		}
+// ScanFlowSpec reads one spec at the scanner: the wire object, or null
+// for the zero spec. It accepts what encoding/json accepts decoding
+// into a struct of units.Rate "peak" and "token" and units.Bytes
+// "bucket" fields with unknown fields disallowed: keys match as struct
+// fields do, the last of a repeated key wins, and each value is a
+// string or number handed unchanged to its units decoder. Unknown keys
+// are rejected so misspelled contracts fail loudly; semantic validation
+// stays with Validate, which callers run after decoding.
+func ScanFlowSpec(sc *jsonscan.Scanner) (FlowSpec, error) {
+	var s FlowSpec
+	if sc.Null() {
+		return s, nil
 	}
-	skip()
-	if i+4 <= n && string(data[i:i+4]) == "null" {
-		i += 4
-		skip()
-		return w, i == n
-	}
-	if i >= n || data[i] != '{' {
-		return w, false
-	}
-	i++
-	skip()
-	if i < n && data[i] == '}' {
-		i++
-		skip()
-		return w, i == n
-	}
-	for {
-		skip()
-		if i >= n || data[i] != '"' {
-			return w, false
-		}
-		j := i + 1
-		for j < n && data[j] != '"' {
-			if data[j] == '\\' {
-				return w, false
-			}
-			j++
-		}
-		if j >= n {
-			return w, false
-		}
-		key := data[i+1 : j]
-		i = j + 1
-		skip()
-		if i >= n || data[i] != ':' {
-			return w, false
-		}
-		i++
-		skip()
-		start := i
-		if i < n && data[i] == '"' {
-			i++
-			for i < n && data[i] != '"' {
-				if data[i] == '\\' {
-					return w, false
-				}
-				i++
-			}
-			if i >= n {
-				return w, false
-			}
-			i++
-		} else {
-			for i < n && data[i] != ',' && data[i] != '}' && data[i] > ' ' {
-				i++
-			}
-		}
-		tok := data[start:i]
-		var err error
-		switch string(key) {
-		case "peak":
-			err = w.Peak.UnmarshalJSON(tok)
-		case "token":
-			err = w.Token.UnmarshalJSON(tok)
-		case "bucket":
-			err = w.Bucket.UnmarshalJSON(tok)
-		default:
-			return w, false
-		}
+	err := sc.Object(func(key []byte) error {
+		tok, err := sc.Scalar()
 		if err != nil {
-			return w, false
+			return err
 		}
-		skip()
-		if i < n && data[i] == ',' {
-			i++
-			continue
+		switch {
+		case jsonscan.Match(key, "peak"):
+			return s.PeakRate.UnmarshalJSON(tok)
+		case jsonscan.Match(key, "token"):
+			return s.TokenRate.UnmarshalJSON(tok)
+		case jsonscan.Match(key, "bucket"):
+			return s.BucketSize.UnmarshalJSON(tok)
 		}
-		if i < n && data[i] == '}' {
-			i++
-			break
-		}
-		return w, false
-	}
-	skip()
-	return w, i == n
-}
-
-// strictUnmarshal is json.Unmarshal with DisallowUnknownFields.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+		return fmt.Errorf("unknown field %q", string(key))
+	})
+	return s, err
 }

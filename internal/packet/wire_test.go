@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -58,9 +59,24 @@ func TestFlowSpecJSONForm(t *testing.T) {
 	}
 }
 
+// flowSpecWire is the reflection reference for FlowSpec's wire form:
+// what ScanFlowSpec must agree with.
+type flowSpecWire struct {
+	Peak   units.Rate  `json:"peak,omitempty"`
+	Token  units.Rate  `json:"token"`
+	Bucket units.Bytes `json:"bucket"`
+}
+
+// strictUnmarshal is json.Unmarshal with DisallowUnknownFields.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // TestFlowSpecFastParserAgreesWithStrict feeds the same documents to
-// the hand-rolled scanner's entry point and to the reflection decoder
-// and requires identical accept/reject verdicts and values.
+// the scanner's entry point and to the reflection decoder and requires
+// identical accept/reject verdicts and values.
 func TestFlowSpecFastParserAgreesWithStrict(t *testing.T) {
 	cases := []string{
 		`{"peak":"6Mbit/s","token":"2Mbit/s","bucket":"60KB"}`,
@@ -72,14 +88,27 @@ func TestFlowSpecFastParserAgreesWithStrict(t *testing.T) {
 		`null`,
 		`{"token":"2Mbit/s","bucket":"60KB","sigma":"1KB"}`, // unknown key
 		`{"token":"2Mbit/s"`,                                // truncated
-		`{"token":"2Mbit/s","bucket":"60\u004BB"}`,          // escape: slow path
+		`{"token":"2Mbit/s","bucket":"60\u004BB"}`,          // escape in a unit: refused
 		`{"token":"oops","bucket":"60KB"}`,                  // bad value
 		`[1,2]`,
 		`"2Mbit/s"`,
+		`{"TOKEN":"2Mbit/s","Bucket":"60KB","pEaK":"6Mbit/s"}`,   // case-folded keys
+		"{\"to\u212Aen\":\"2Mbit/s\",\"bucket\":\"60KB\"}",       // Kelvin sign folds to k
+		"{\"token\":\"2Mbit/s\",\"bucket\":\"60KB\",\"ſpec\":1}", // ſ folds to s: still unknown
+		`{"token":"1Mbit/s","bucket":"60KB","token":"2Mbit/s"}`,  // duplicate: last wins
+		`{"token":"2Mbit/s","bucket":"1KB","bucket":"60KB","peak":"6Mbit/s"}`,
+		`{"token":"2Mbit/s","bucket":"60KB","peak":null}`, // null member
+		`{"token":null,"bucket":"60KB"}`,
+		`{"token":"2mbps","bucket":" 60 kb "}`,
+		`{"token":"2Mbit/s","bucket":"60KB",}`,
+		`{"token":"2Mbit/s","bucket":{"x":1}}`,
+		`{"token":-0,"bucket":1e400}`,
 	}
 	for _, c := range cases {
+		// Straight to the scanner: qosd runs it on bytes encoding/json
+		// has not validated.
 		var fast FlowSpec
-		fastErr := json.Unmarshal([]byte(c), &fast)
+		fastErr := fast.UnmarshalJSON([]byte(c))
 		var slow flowSpecWire
 		slowErr := strictUnmarshal([]byte(c), &slow)
 		if (fastErr == nil) != (slowErr == nil) {

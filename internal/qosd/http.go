@@ -95,7 +95,9 @@ type apiError struct {
 //
 // Decisions are 200 whether admitted or rejected — a rejection is the
 // control plane working, not an error. 4xx is reserved for malformed
-// requests (400), unknown flows (404), and conflicts (409).
+// requests (400), unknown flows (404), conflicts (409) and decision
+// bodies over maxDecisionBody (413). A decision body is one JSON value:
+// anything after it but white space is malformed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", s.handleJoin)
@@ -113,7 +115,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// decode parses a strict JSON request body (unknown fields rejected).
+// decode parses a strict JSON request body (unknown fields rejected);
+// /v1/restore reads its snapshot with it. The decision endpoints read
+// theirs with readRequest.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -132,29 +136,36 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeErr maps service errors to status codes: ConflictError → 409,
-// NotFoundError → 404, anything else → 400.
+// NotFoundError → 404, a body over maxDecisionBody → 413, anything
+// else → 400.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	s.met.httpErrors.Inc()
 	code := http.StatusBadRequest
 	var conflict *ConflictError
 	var notFound *NotFoundError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &conflict):
 		code = http.StatusConflict
 	case errors.As(err, &notFound):
 		code = http.StatusNotFound
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	}
 	s.writeJSON(w, code, apiError{Error: err.Error()})
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req JoinRequest
-	if err := decode(r, &req); err != nil {
+	req, err := s.readRequest(w, r, joinBody)
+	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	d, err := s.Join(req.Flow, req.Links, req.Spec)
+	defer req.release()
+	o := &req.ops[0]
+	route, rerr := req.resolve(s, o)
+	d, err := s.join(string(o.flow), o.spec, route, rerr)
 	s.met.latencyJoin.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)
@@ -165,70 +176,82 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req BatchRequest
-	if err := decode(r, &req); err != nil {
+	req, err := s.readRequest(w, r, batchBody)
+	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	resp := BatchResponse{Decisions: make([]BatchResult, 0, len(req.Joins)+len(req.Ops))}
-	record := func(flow string, d Decision, err error) {
-		if err != nil {
-			resp.Decisions = append(resp.Decisions, BatchResult{Decision: Decision{Flow: flow}, Error: err.Error()})
-			return
-		}
-		resp.Decisions = append(resp.Decisions, BatchResult{Decision: d})
+	defer req.release()
+	joins, ops := req.opsOf(req.joins), req.opsOf(req.batch)
+	for i := range joins {
+		req.results = append(req.results, s.runOp(req, &joins[i], true))
 	}
-	for _, j := range req.Joins {
-		d, err := s.Join(j.Flow, j.Links, j.Spec)
-		record(j.Flow, d, err)
-	}
-	for _, op := range req.Ops {
-		switch op.Op {
-		case "", "join":
-			var spec packet.FlowSpec
-			if op.Spec != nil {
-				spec = *op.Spec
-			}
-			d, err := s.Join(op.Flow, op.Links, spec)
-			record(op.Flow, d, err)
-		case "leave":
-			err := s.Leave(op.Flow)
-			record(op.Flow, Decision{Flow: op.Flow, Admitted: err == nil}, err)
-		case "reroute":
-			d, err := s.Reroute(op.Flow, op.Links)
-			record(op.Flow, d, err)
-		default:
-			record(op.Flow, Decision{}, fmt.Errorf("unknown op %q", op.Op))
-		}
+	for i := range ops {
+		req.results = append(req.results, s.runOp(req, &ops[i], false))
 	}
 	s.met.latencyBatch.Observe(time.Since(start).Seconds())
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, BatchResponse{Decisions: req.results})
+}
+
+// runOp decides one batch entry — a "joins" entry when join is set —
+// and returns its answer. An entry's error does not stop the batch.
+func (s *Server) runOp(req *request, o *wireOp, join bool) BatchResult {
+	var (
+		name string
+		d    Decision
+		err  error
+	)
+	switch {
+	case join || string(o.op) == "" || string(o.op) == "join":
+		name = string(o.flow)
+		route, rerr := req.resolve(s, o)
+		d, err = s.join(name, o.spec, route, rerr)
+	case string(o.op) == "leave":
+		name, err = s.leave(o.flow)
+		d = Decision{Flow: name, Admitted: true}
+	case string(o.op) == "reroute":
+		route, rerr := req.resolve(s, o)
+		d, err = s.reroute(o.flow, route, rerr)
+	default:
+		err = fmt.Errorf("unknown op %q", string(o.op))
+	}
+	if err != nil {
+		if name == "" {
+			name = string(o.flow)
+		}
+		return BatchResult{Decision: Decision{Flow: name}, Error: err.Error()}
+	}
+	return BatchResult{Decision: d}
 }
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req LeaveRequest
-	if err := decode(r, &req); err != nil {
+	req, err := s.readRequest(w, r, leaveBody)
+	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	err := s.Leave(req.Flow)
+	defer req.release()
+	name, err := s.leave(req.ops[0].flow)
 	s.met.latencyLeave.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, Decision{Flow: req.Flow, Admitted: true})
+	s.writeJSON(w, http.StatusOK, Decision{Flow: name, Admitted: true})
 }
 
 func (s *Server) handleReroute(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req RerouteRequest
-	if err := decode(r, &req); err != nil {
+	req, err := s.readRequest(w, r, rerouteBody)
+	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	d, err := s.Reroute(req.Flow, req.Links)
+	defer req.release()
+	o := &req.ops[0]
+	route, rerr := req.resolve(s, o)
+	d, err := s.reroute(o.flow, route, rerr)
 	s.met.latencyReroute.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)

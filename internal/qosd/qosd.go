@@ -17,7 +17,9 @@
 package qosd
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -79,9 +81,24 @@ type Decision struct {
 // same name conflict on the table, not inside the shards; it becomes
 // active (pending=false) only after the route committed.
 type flowEntry struct {
+	name    string // the table key
 	spec    packet.FlowSpec
 	route   []int
+	hops    [inlineHops]int // route's storage when it fits
 	pending bool
+}
+
+// inlineHops is the longest route a flowEntry stores without a second
+// allocation.
+const inlineHops = 4
+
+// setRoute stores a copy of route.
+func (e *flowEntry) setRoute(route []int) {
+	if len(route) <= len(e.hops) {
+		e.route = append(e.hops[:0], route...)
+		return
+	}
+	e.route = append([]int(nil), route...)
 }
 
 // Server is the admission control plane for one topology. Its methods
@@ -164,43 +181,50 @@ func linkDiscipline(spec string) (core.Discipline, error) {
 // NumLinks reports the number of admission shards.
 func (s *Server) NumLinks() int { return s.adm.NumLinks() }
 
-// resolveRoute maps link names to admitter indices, rejecting unknown
-// and repeated links (a route traverses a link at most once).
-func (s *Server) resolveRoute(links []string) ([]int, error) {
+// resolveRoute appends the admitter index of each named link to dst,
+// rejecting an empty route, a link the topology does not have, and a
+// repeated link — a route crosses a link at most once. Looking a []byte
+// name up does not allocate.
+func resolveRoute[N string | []byte](s *Server, dst []int, links []N) ([]int, error) {
 	if len(links) == 0 {
-		return nil, fmt.Errorf("empty route")
+		return nil, errEmptyRoute
 	}
-	route := make([]int, len(links))
-	for i, name := range links {
-		li, ok := s.byName[name]
-		if !ok {
+	for _, name := range links {
+		li, ok := s.byName[string(name)]
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("unknown link %q", name)
+		case slices.Contains(dst, li):
+			return nil, fmt.Errorf("link %q repeated in route", name)
 		}
-		// Routes are short (a handful of hops), so a linear dup scan
-		// beats a set allocation on the admission hot path.
-		for _, prev := range route[:i] {
-			if prev == li {
-				return nil, fmt.Errorf("link %q repeated in route", name)
-			}
-		}
-		route[i] = li
+		dst = append(dst, li)
 	}
-	return route, nil
+	return dst, nil
 }
+
+var errEmptyRoute = errors.New("empty route")
 
 // Join admits one flow on every link of its route, atomically: either
 // all links book the (σ, ρ) reservation or none do. On rejection the
 // decision carries the first refusing link in route order.
 func (s *Server) Join(name string, links []string, spec packet.FlowSpec) (Decision, error) {
+	var buf [inlineHops]int
+	route, err := resolveRoute(s, buf[:0], links)
+	return s.join(name, spec, route, err)
+}
+
+// join decides a join over a route the caller resolved; routeErr, the
+// resolution's error, is reported after the name and spec checks. The
+// flow keeps a copy of route.
+func (s *Server) join(name string, spec packet.FlowSpec, route []int, routeErr error) (Decision, error) {
 	if name == "" {
 		return Decision{}, fmt.Errorf("missing flow name")
 	}
 	if err := spec.Validate(); err != nil {
 		return Decision{}, err
 	}
-	route, err := s.resolveRoute(links)
-	if err != nil {
-		return Decision{}, err
+	if routeErr != nil {
+		return Decision{}, routeErr
 	}
 
 	s.mu.Lock()
@@ -208,11 +232,12 @@ func (s *Server) Join(name string, links []string, spec packet.FlowSpec) (Decisi
 		s.mu.Unlock()
 		return Decision{}, &ConflictError{fmt.Sprintf("flow %q already joined", name)}
 	}
-	entry := &flowEntry{spec: spec, route: route, pending: true}
+	entry := &flowEntry{name: name, spec: spec, pending: true}
+	entry.setRoute(route)
 	s.flows[name] = entry
 	s.mu.Unlock()
 
-	refusing, reason := s.adm.AdmitRoute(route, spec)
+	refusing, reason := s.adm.AdmitRoute(entry.route, spec)
 
 	s.mu.Lock()
 	if reason != core.Accepted {
@@ -231,23 +256,30 @@ func (s *Server) Join(name string, links []string, spec packet.FlowSpec) (Decisi
 
 // Leave releases a flow's reservation on every link of its route.
 func (s *Server) Leave(name string) error {
+	_, err := s.leave([]byte(name))
+	return err
+}
+
+// leave releases the named flow and returns its name as the table
+// holds it, so the caller can answer without allocating one.
+func (s *Server) leave(name []byte) (string, error) {
 	s.mu.Lock()
-	entry, ok := s.flows[name]
+	entry, ok := s.flows[string(name)]
 	if !ok {
 		s.mu.Unlock()
-		return &NotFoundError{fmt.Sprintf("flow %q not joined", name)}
+		return "", &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
 	}
 	if entry.pending {
 		s.mu.Unlock()
-		return &ConflictError{fmt.Sprintf("flow %q has an operation in flight", name)}
+		return "", &ConflictError{fmt.Sprintf("flow %q has an operation in flight", entry.name)}
 	}
-	delete(s.flows, name)
+	delete(s.flows, entry.name)
 	n := len(s.flows)
 	s.mu.Unlock()
 
 	s.adm.ReleaseRoute(entry.route, entry.spec)
 	s.met.released(n)
-	return nil
+	return entry.name, nil
 }
 
 // Reroute atomically moves a flow to a new route: links on both routes
@@ -255,20 +287,28 @@ func (s *Server) Leave(name string) error {
 // links admit it — or, if any new link refuses, nothing changes and
 // the decision names the first refusing link.
 func (s *Server) Reroute(name string, links []string) (Decision, error) {
-	newRoute, err := s.resolveRoute(links)
-	if err != nil {
-		return Decision{}, err
+	var buf [inlineHops]int
+	route, err := resolveRoute(s, buf[:0], links)
+	return s.reroute([]byte(name), route, err)
+}
+
+// reroute moves the named flow to a route the caller resolved; a
+// resolution error, routeErr, comes before any lookup. The flow keeps
+// a copy of newRoute.
+func (s *Server) reroute(name []byte, newRoute []int, routeErr error) (Decision, error) {
+	if routeErr != nil {
+		return Decision{}, routeErr
 	}
 
 	s.mu.Lock()
-	entry, ok := s.flows[name]
+	entry, ok := s.flows[string(name)]
 	if !ok {
 		s.mu.Unlock()
-		return Decision{}, &NotFoundError{fmt.Sprintf("flow %q not joined", name)}
+		return Decision{}, &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
 	}
 	if entry.pending {
 		s.mu.Unlock()
-		return Decision{}, &ConflictError{fmt.Sprintf("flow %q has an operation in flight", name)}
+		return Decision{}, &ConflictError{fmt.Sprintf("flow %q has an operation in flight", entry.name)}
 	}
 	entry.pending = true
 	oldRoute, spec := entry.route, entry.spec
@@ -279,16 +319,16 @@ func (s *Server) Reroute(name string, links []string) (Decision, error) {
 	s.mu.Lock()
 	entry.pending = false
 	if reason == core.Accepted {
-		entry.route = newRoute
+		entry.setRoute(newRoute)
 	}
 	n := len(s.flows)
 	s.mu.Unlock()
 
 	s.met.rerouted(reason, n)
 	if reason != core.Accepted {
-		return Decision{Flow: name, Link: s.linkNames[refusing], Reason: reason.String()}, nil
+		return Decision{Flow: entry.name, Link: s.linkNames[refusing], Reason: reason.String()}, nil
 	}
-	return Decision{Flow: name, Admitted: true}, nil
+	return Decision{Flow: entry.name, Admitted: true}, nil
 }
 
 // NumFlows reports the number of active (committed) flows.
@@ -366,6 +406,7 @@ func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
 	recs := append([]FlowRecord(nil), snap.Flows...)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Flow < recs[j].Flow })
 	var rejected []Decision
+	var buf [inlineHops]int
 	for _, rec := range recs {
 		if rec.Flow == "" {
 			return nil, fmt.Errorf("snapshot flow with empty name")
@@ -376,7 +417,7 @@ func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
 		if err := rec.Spec.Validate(); err != nil {
 			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
 		}
-		route, err := s.resolveRoute(rec.Links)
+		route, err := resolveRoute(s, buf[:0], rec.Links)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
 		}
@@ -389,7 +430,9 @@ func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
 			})
 			continue
 		}
-		s.flows[rec.Flow] = &flowEntry{spec: rec.Spec, route: route}
+		entry := &flowEntry{name: rec.Flow, spec: rec.Spec}
+		entry.setRoute(route)
+		s.flows[rec.Flow] = entry
 	}
 	s.met.restored(len(s.flows))
 	return rejected, nil

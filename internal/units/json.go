@@ -1,6 +1,7 @@
 package units
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -27,37 +28,65 @@ func jsonScaled(v, scale float64, suffix string) string {
 }
 
 // unquote strips the quotes of a JSON string literal, reporting whether
-// data was one. encoding/json hands UnmarshalJSON the raw token, so a
-// plain strings.Trim suffices — escapes never appear in unit strings.
-func unquote(data []byte) (string, bool) {
-	s := string(data)
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		return s[1 : len(s)-1], true
+// data was one. encoding/json hands UnmarshalJSON the raw token, so
+// stripping the quotes suffices — escapes never appear in unit strings.
+func unquote(data []byte) ([]byte, bool) {
+	if len(data) >= 2 && data[0] == '"' && data[len(data)-1] == '"' {
+		return data[1 : len(data)-1], true
 	}
-	return s, false
+	return data, false
 }
 
-// parseSuffixed splits a "<number><suffix>" form against a suffix→scale
-// table, longest suffix first (the caller orders the table).
-func parseSuffixed(s string, suffixes []struct {
-	suf   string
+type suffix struct {
+	suf   string // lower case
 	scale float64
-}) (float64, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
+}
+
+// parseSuffixed splits a "<number><suffix>" form against a suffix table,
+// longest suffix first (the caller orders the table). Suffixes match
+// ASCII case-insensitively over the bytes, without allocating, and
+// surrounding space is ignored.
+func parseSuffixed(s []byte, suffixes []suffix) (float64, error) {
+	t := bytes.TrimSpace(s)
 	for _, e := range suffixes {
-		if rest, ok := strings.CutSuffix(t, e.suf); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		if n := len(t) - len(e.suf); n >= 0 && equalLower(t[n:], e.suf) {
+			v, err := strconv.ParseFloat(string(bytes.TrimSpace(t[:n])), 64)
 			if err != nil {
-				return 0, fmt.Errorf("units: bad value in %q: %w", s, err)
+				return 0, fmt.Errorf("units: bad value in %q: %w", string(s), lowerNum(err))
 			}
 			return v * e.scale, nil
 		}
 	}
-	v, err := strconv.ParseFloat(t, 64)
+	// ParseFloat ignores case, so t parses as its lower-case form would.
+	v, err := strconv.ParseFloat(string(t), 64)
 	if err != nil {
-		return 0, fmt.Errorf("units: %q has no recognized unit suffix", s)
+		return 0, fmt.Errorf("units: %q has no recognized unit suffix", string(s))
 	}
 	return v, nil
+}
+
+// equalLower reports whether s equals lower-case lower, ignoring the
+// case of the ASCII letters in s.
+func equalLower(s []byte, lower string) bool {
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerNum spells a strconv error's input in lower case, as the error
+// texts always have.
+func lowerNum(err error) error {
+	if ne, ok := err.(*strconv.NumError); ok {
+		return &strconv.NumError{Func: ne.Func, Num: strings.ToLower(ne.Num), Err: ne.Err}
+	}
+	return err
 }
 
 // MarshalJSON encodes the rate as a suffixed string, e.g. "48Mbit/s".
@@ -76,10 +105,7 @@ func (r Rate) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + strconv.FormatFloat(v, 'g', -1, 64) + `bit/s"`), nil
 }
 
-var rateSuffixes = []struct {
-	suf   string
-	scale float64
-}{
+var rateSuffixes = []suffix{
 	{"gbit/s", 1e9}, {"gb/s", 1e9}, {"gbps", 1e9},
 	{"mbit/s", 1e6}, {"mb/s", 1e6}, {"mbps", 1e6},
 	{"kbit/s", 1e3}, {"kb/s", 1e3}, {"kbps", 1e3},
@@ -91,9 +117,9 @@ var rateSuffixes = []struct {
 func (r *Rate) UnmarshalJSON(data []byte) error {
 	s, quoted := unquote(data)
 	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return fmt.Errorf("units: rate %s: %w", data, err)
+			return fmt.Errorf("units: rate %s: %w", string(data), err)
 		}
 		*r = Rate(v)
 		return nil
@@ -122,10 +148,7 @@ func (b Bytes) MarshalJSON() ([]byte, error) {
 	}
 }
 
-var bytesSuffixes = []struct {
-	suf   string
-	scale float64
-}{
+var bytesSuffixes = []suffix{
 	{"gb", 1e9}, {"mb", 1e6}, {"kb", 1e3}, {"b", 1},
 }
 
@@ -135,9 +158,9 @@ var bytesSuffixes = []struct {
 func (b *Bytes) UnmarshalJSON(data []byte) error {
 	s, quoted := unquote(data)
 	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return fmt.Errorf("units: size %s: %w", data, err)
+			return fmt.Errorf("units: size %s: %w", string(data), err)
 		}
 		*b = Bytes(v)
 		return nil
@@ -172,10 +195,7 @@ func (t Time) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + strconv.FormatFloat(v, 'g', -1, 64) + `s"`), nil
 }
 
-var timeSuffixes = []struct {
-	suf   string
-	scale float64
-}{
+var timeSuffixes = []suffix{
 	{"ns", 1e-9}, {"us", 1e-6}, {"µs", 1e-6}, {"ms", 1e-3}, {"s", 1},
 }
 
@@ -184,9 +204,9 @@ var timeSuffixes = []struct {
 func (t *Time) UnmarshalJSON(data []byte) error {
 	s, quoted := unquote(data)
 	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return fmt.Errorf("units: time %s: %w", data, err)
+			return fmt.Errorf("units: time %s: %w", string(data), err)
 		}
 		*t = Time(v)
 		return nil

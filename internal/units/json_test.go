@@ -2,7 +2,10 @@ package units
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -154,3 +157,75 @@ func TestTimeHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalWithoutAllocating: a quoted suffixed value parses over
+// the token's bytes.
+func TestUnmarshalWithoutAllocating(t *testing.T) {
+	rate, size, span := []byte(`"48Mbit/s"`), []byte(`" 1.5 MB "`), []byte(`"250US"`)
+	var (
+		r  Rate
+		b  Bytes
+		tm Time
+	)
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.UnmarshalJSON(rate) != nil || b.UnmarshalJSON(size) != nil || tm.UnmarshalJSON(span) != nil {
+			t.Fatal("unmarshal failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per Rate+Bytes+Time unmarshal, want 0", allocs)
+	}
+	if r != 48*Mbps || b != KiloBytes(1500) || tm != Time(250e-6) {
+		t.Errorf("decoded %v, %v, %v", r, b, tm)
+	}
+}
+
+// TestSuffixMatchAgreesWithToLower: the byte-wise suffix match gives
+// what matching the strings.ToLower and strings.TrimSpace form did — the
+// same value, or the same error text — except for a Kelvin sign, the
+// one non-ASCII rune whose lower case is an ASCII letter: it no longer
+// spells a k.
+func TestSuffixMatchAgreesWithToLower(t *testing.T) {
+	inputs := []string{
+		"48Mbit/s", "48 MBIT/S", " 48mb/s\t", "1.5Gbps", "2KBPS", "9600b/s", "9600bps", "bps", "-3bit/s",
+		"100KB", "1.5mb", "512B", " 7 gB ", "kb", "60\\u004BB", "1e3b", "0x1p4KB", "Inf", "NaNKB", "+5MB",
+		"5ms", "250US", "80ns", "1.5S", "3", "1e400s", "ms", "x", "", " ", "5 furlongs", "5\vs\f",
+		"250µs", "250µS", "250 µs", "\u00a05ms\u2003", "5\u0085KB", "5\u039cS", "5\u03bcs", "\uff15MB",
+		"\u00c0MB", "\xffMB", "5\xe2\xc2\xb5s", "5\xb5s", "5\u017f", "\u212a",
+	}
+	tables := map[string][]suffix{"rate": rateSuffixes, "size": bytesSuffixes, "time": timeSuffixes}
+	for name, table := range tables {
+		for _, in := range inputs {
+			v, err := parseSuffixed([]byte(in), table)
+			rv, rerr := parseToLower(in, table)
+			if fmt.Sprint(err) != fmt.Sprint(rerr) || (err == nil && !sameFloat(v, rv)) {
+				t.Errorf("%s %q: got (%v, %v), the ToLower form gives (%v, %v)", name, in, v, err, rv, rerr)
+			}
+		}
+	}
+	if v, err := parseSuffixed([]byte("60\u212aB"), bytesSuffixes); err == nil {
+		t.Errorf("60 Kelvin-sign B parsed as %v, want an error", v)
+	}
+}
+
+// parseToLower is the suffix match that lower-cased and trimmed the
+// string first.
+func parseToLower(s string, suffixes []suffix) (float64, error) {
+	t := strings.TrimSpace(strings.ToLower(s))
+	for _, e := range suffixes {
+		if rest, ok := strings.CutSuffix(t, e.suf); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			if err != nil {
+				return 0, fmt.Errorf("units: bad value in %q: %w", s, err)
+			}
+			return v * e.scale, nil
+		}
+	}
+	v, err := strconv.ParseFloat(t, 64)
+	if err != nil {
+		return 0, fmt.Errorf("units: %q has no recognized unit suffix", s)
+	}
+	return v, nil
+}
+
+func sameFloat(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
