@@ -42,8 +42,10 @@ test:
 # WFQ, EDF and Virtual Clock no longer pay. And it keeps one random
 # source: outside tests and internal/sim no code may call rand.New or
 # rand.NewSource — every stream comes from sim.NewRand or a sim.Rand
-# slab element, math/rand's sequence with a division-free seed. CI runs
-# this alongside `make verify`.
+# slab element, math/rand's sequence with a division-free seed. And it
+# keeps one implementation of each competitive policy: outside tests, the
+# only Arrive(a Arrival) bool is internal/online's adapter, which drives
+# internal/buffer's class policies. CI runs this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -80,6 +82,11 @@ lint:
 		| grep -v -e '^\./internal/buffer/'); \
 	if [ -n "$$admits" ]; then \
 		echo "admission policies live in internal/buffer, on its shared accounting:"; echo "$$admits"; exit 1; \
+	fi
+	@arrives=$$(grep -rnF --include='*.go' --exclude='*_test.go' ') Arrive(a Arrival) bool' . \
+		| grep -v -e '^\./internal/online/adapter\.go:'); \
+	if [ -n "$$arrives" ]; then \
+		echo "competitive policies are internal/buffer's, driven by internal/online/adapter.go:"; echo "$$arrives"; exit 1; \
 	fi
 	@heaps=$$(grep -rln --include='*.go' --exclude='*_test.go' '"container/heap"' \
 			internal/sim internal/sched internal/buffer); \
@@ -181,14 +188,17 @@ fuzz-smoke:
 # necessity direction of Proposition 1): its reproducers land in a
 # throwaway directory and the expected non-zero exit is inverted. Then
 # every native Go fuzz target runs for 60 s: the workload
-# parser, the random source against math/rand, and the admission
-# daemon's decision-body scanner against encoding/json. A failing input
-# is written under the package's testdata/fuzz/.
+# parser, the random source against math/rand, the admission daemon's
+# decision-body scanner against encoding/json, and the competitive-
+# analysis instance parser with every policy against the offline
+# optimum. A failing input is written under the package's
+# testdata/fuzz/.
 fuzz-nightly:
 	go run ./cmd/qfuzz -n 500 -duration 2s -seed 1 -out testdata/repros
 	go test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 60s ./internal/experiment
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
+	go test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 60s ./internal/online
 	@echo "== broken-threshold sweep (must fail)"; \
 	if go run ./cmd/qfuzz -n 10 -duration 2s -seed 1 -threshold-scale 0.9 \
 		-out /tmp/bufqos-broken-repros >/dev/null; then \

@@ -1,6 +1,7 @@
 // Command qcomp measures empirical competitive ratios: it sweeps the
-// online buffer-management policies of internal/online (value-aware
-// greedy, class-segregated preemption, the multi-queue LQF family)
+// policy registry of internal/online (value-aware greedy,
+// class-segregated preemption, the multi-queue LQF family — each the
+// internal/buffer policy the simulator runs, driven in unit steps)
 // against adversarial arrival generators (the papers' lower-bound
 // constructions, seeded random bursts, adaptive hill-climbing) and
 // compares each run to the exact offline optimum computed by the

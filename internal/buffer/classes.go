@@ -7,10 +7,12 @@ import (
 	"bufqos/internal/units"
 )
 
-// The class policies restate internal/online's abstract policies over
-// byte-sized packet queues so the scheme registry can run them on any
-// simulated link. Class is a flow property: classOf[flow] gives the
-// flow's service class, higher = more valuable.
+// The class policies are the competitive policies of the value and
+// multi-queue models over byte-sized packet queues. The scheme registry
+// runs them on simulated links, and internal/online drives the same
+// types with unit packets to measure them against the offline optimum.
+// Class is a flow property: classOf[flow] gives the flow's service
+// class, higher = more valuable.
 
 // checkClasses validates a flow→class map against the class count and
 // returns a copy.

@@ -28,17 +28,17 @@
 // Two layers:
 //
 //   - The abstract model (Instance, Policy, Run): discrete time steps,
-//     unit packets, exact replayable JSON instances.
+//     unit packets, exact replayable JSON instances. A policy is not
+//     restated here: Algo drives the internal/buffer combined
+//     queue/manager the scheme registry runs on simulated links
+//     (ClassGreedy for greedy and greedy-np, ClassSeg for cseg,
+//     MultiQueue for lqf and semigreedy), one 1-byte packet per
+//     arrival and one Dequeue per step. So the bounds qcomp certifies
+//     are those of the cgreedy, classseg, lqf and semigreedy schemes.
 //   - Exact offline optima (Opt, BruteForceOpt): a min-cost max-flow
 //     matching of packets to transmission slots on a time-expanded
 //     graph, and an exponential enumeration used to verify it on tiny
 //     instances.
-//
-// The same policies restated over byte-sized packet queues, which the
-// scheme registry runs on simulated links (cgreedy, classseg, lqf,
-// semigreedy), are admission policies and live in internal/buffer
-// (ClassGreedy, ClassSeg, MultiQueue) beside the paper's protective
-// PushoutFIFO.
 //
 // Adversarial arrival generators (the papers' lower-bound
 // constructions plus a seeded hill-climbing search) live in

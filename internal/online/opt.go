@@ -10,6 +10,28 @@ import (
 // exhausting memory. Solver-sized instances are far below this.
 const maxOptNodes = 4 << 20
 
+// checkSize refuses an instance whose time-expanded graph would exceed
+// maxOptNodes, or that has more than maxOptNodes queues (classes). Opt
+// builds that graph; Run steps through the same horizon and keeps state
+// per queue, so both refuse alike. Each factor is bounded before the
+// product is compared, so no input overflows.
+func (in *Instance) checkSize() error {
+	chains := 1
+	if in.Model == ModelMultiQueue {
+		chains = in.Queues
+	}
+	n := len(in.Arrivals)
+	fits := in.Queues <= maxOptNodes && n < maxOptNodes
+	if fits && n > 0 {
+		last := in.Arrivals[n-1].At
+		fits = last < maxOptNodes && in.horizon() <= maxOptNodes/(2*chains+1)
+	}
+	if !fits {
+		return fmt.Errorf("online: instance %s too large for exact solver (more than %d nodes)", in.Name, maxOptNodes)
+	}
+	return nil
+}
+
 // Opt returns the exact offline-optimal benefit for the instance: the
 // maximum total value any schedule can transmit, knowing the whole
 // arrival sequence in advance and obeying the same buffer discipline as
@@ -36,6 +58,9 @@ func Opt(in *Instance) (float64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, err
 	}
+	if err := in.checkSize(); err != nil {
+		return 0, err
+	}
 	if len(in.Arrivals) == 0 {
 		return 0, nil
 	}
@@ -44,9 +69,6 @@ func Opt(in *Instance) (float64, error) {
 		chains = in.Queues
 	}
 	T := in.horizon()
-	if n := (2*chains + 1) * T; n > maxOptNodes {
-		return 0, fmt.Errorf("online: instance %s too large for exact solver (%d nodes > %d)", in.Name, n, maxOptNodes)
-	}
 	// Node layout: 0 = source, 1 = sink, then per step t the block
 	// [slot(t), in(0,t), out(0,t), in(1,t), out(1,t), …].
 	block := 1 + 2*chains

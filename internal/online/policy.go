@@ -5,21 +5,6 @@ import (
 	"math"
 )
 
-// Algo is one running policy over an abstract instance. The harness
-// (or an adaptive adversary) drives it step by step: all of a step's
-// arrivals are offered in order, then Transmit is called once.
-type Algo interface {
-	// Arrive offers a unit packet; it reports whether the packet was
-	// kept (possibly after preempting a buffered one).
-	Arrive(a Arrival) bool
-	// Transmit removes and returns the packet the policy's service
-	// discipline sends this step; ok is false when every buffer is
-	// empty.
-	Transmit() (a Arrival, ok bool)
-	// Backlog returns the number of buffered packets.
-	Backlog() int
-}
-
 // Policy is one registered online buffer-management policy.
 type Policy struct {
 	// Name is the stable identifier used by qcomp -policies.
@@ -33,8 +18,9 @@ type Policy struct {
 	Bound float64
 	// Cite anchors the bound in the literature.
 	Cite string
-	// New builds a fresh run over the given geometry.
-	New func(queues, buffer int) Algo
+	// New builds a fresh run over the instance's geometry (and, for
+	// value-ranked policies, its values).
+	New func(in *Instance) *Algo
 }
 
 // Policies returns the policy registry in catalogue order.
@@ -46,9 +32,7 @@ func Policies() []Policy {
 			Doc:   "value-aware preemptive greedy: admit when room, else preempt the newest minimum-value packet if the arrival is worth more",
 			Bound: 2,
 			Cite:  "Kesselman et al., Buffer Overflow Management in QoS Switches (the baseline of arXiv:1103.6049)",
-			New: func(_, buffer int) Algo {
-				return &sharedGreedy{buffer: buffer, preemptive: true}
-			},
+			New:   valueGreedy,
 		},
 		{
 			Name:  "greedy-np",
@@ -56,9 +40,7 @@ func Policies() []Policy {
 			Doc:   "non-preemptive greedy: admit exactly when room; never evicts, so it is only Θ(α)-competitive on two-value (1, α) sequences",
 			Bound: 0,
 			Cite:  "two-value lower bound, arXiv:1103.6049 §1 related work",
-			New: func(_, buffer int) Algo {
-				return &sharedGreedy{buffer: buffer}
-			},
+			New:   nonPreemptiveGreedy,
 		},
 		{
 			Name:  "cseg",
@@ -66,9 +48,7 @@ func Policies() []Policy {
 			Doc:   "class-segregated greedy: per-class FIFO queues over the shared buffer, highest class served first, overflow preempts the newest packet of the lowest buffered class",
 			Bound: 2,
 			Cite:  "Al-Bawani & Souza, Buffer Overflow Management with Class Segregation (arXiv:1103.6049)",
-			New: func(queues, buffer int) Algo {
-				return newClassSegAlgo(queues, buffer)
-			},
+			New:   classSeg,
 		},
 		{
 			Name:  "lqf",
@@ -76,9 +56,7 @@ func Policies() []Policy {
 			Doc:   "longest queue first: admit when the packet's queue has room, serve the longest queue (ties to the lowest index)",
 			Bound: 2,
 			Cite:  "work-conserving bound, Azar & Richter (cited by arXiv:1007.1535); no deterministic policy beats 2−1/m at B=1",
-			New: func(queues, buffer int) Algo {
-				return newMultiQueueAlgo(queues, buffer, false)
-			},
+			New:   func(in *Instance) *Algo { return multiQueue(in, false) },
 		},
 		{
 			Name:  "semigreedy",
@@ -86,9 +64,7 @@ func Policies() []Policy {
 			Doc:   "semi-greedy LQF: serve the fullest queue that is above half capacity, otherwise the queue with the oldest head packet",
 			Bound: 2,
 			Cite:  "semi-greedy family, Azar & Richter (cited by arXiv:1007.1535)",
-			New: func(queues, buffer int) Algo {
-				return newMultiQueueAlgo(queues, buffer, true)
-			},
+			New:   func(in *Instance) *Algo { return multiQueue(in, true) },
 		},
 	}
 }
@@ -124,7 +100,10 @@ func Run(p Policy, in *Instance) (float64, error) {
 	if p.Model != in.Model {
 		return 0, fmt.Errorf("online: policy %s is a %s-model policy, instance %s is %s", p.Name, p.Model, in.Name, in.Model)
 	}
-	algo := p.New(in.Queues, in.Buffer)
+	if err := in.checkSize(); err != nil {
+		return 0, err
+	}
+	algo := p.New(in)
 	var benefit float64
 	i := 0
 	for t := 0; ; t++ {
@@ -173,171 +152,3 @@ func ratio(opt, alg float64) float64 {
 		return 1
 	}
 }
-
-// sharedGreedy is the single shared FIFO buffer of the value model,
-// with or without preemption.
-type sharedGreedy struct {
-	buffer     int
-	preemptive bool
-	q          []Arrival
-}
-
-// Arrive implements Algo.
-func (g *sharedGreedy) Arrive(a Arrival) bool {
-	if len(g.q) < g.buffer {
-		g.q = append(g.q, a)
-		return true
-	}
-	if !g.preemptive {
-		return false
-	}
-	// Preempt the newest minimum-value packet, but only for a strictly
-	// more valuable arrival.
-	min := -1
-	for i, b := range g.q {
-		if min < 0 || b.Value <= g.q[min].Value {
-			min = i
-		}
-	}
-	if min < 0 || g.q[min].Value >= a.Value {
-		return false
-	}
-	g.q = append(g.q[:min], g.q[min+1:]...)
-	g.q = append(g.q, a)
-	return true
-}
-
-// Transmit implements Algo (FIFO service).
-func (g *sharedGreedy) Transmit() (Arrival, bool) {
-	if len(g.q) == 0 {
-		return Arrival{}, false
-	}
-	a := g.q[0]
-	g.q = g.q[1:]
-	return a, true
-}
-
-// Backlog implements Algo.
-func (g *sharedGreedy) Backlog() int { return len(g.q) }
-
-// classSegAlgo segregates the shared buffer by class: one FIFO queue
-// per class, strict-priority service (highest class first), greedy
-// admission that preempts the newest packet of the lowest buffered
-// class when the shared buffer overflows with a higher-class arrival.
-type classSegAlgo struct {
-	buffer int
-	qs     [][]Arrival
-	total  int
-}
-
-func newClassSegAlgo(classes, buffer int) *classSegAlgo {
-	return &classSegAlgo{buffer: buffer, qs: make([][]Arrival, classes)}
-}
-
-// Arrive implements Algo.
-func (c *classSegAlgo) Arrive(a Arrival) bool {
-	if c.total < c.buffer {
-		c.qs[a.Queue] = append(c.qs[a.Queue], a)
-		c.total++
-		return true
-	}
-	// Preempt from the lowest nonempty class strictly below the
-	// arrival's class.
-	for cls := 0; cls < a.Queue; cls++ {
-		if n := len(c.qs[cls]); n > 0 {
-			c.qs[cls] = c.qs[cls][:n-1]
-			c.qs[a.Queue] = append(c.qs[a.Queue], a)
-			return true
-		}
-	}
-	return false
-}
-
-// Transmit implements Algo: strict priority, FIFO within a class.
-func (c *classSegAlgo) Transmit() (Arrival, bool) {
-	for cls := len(c.qs) - 1; cls >= 0; cls-- {
-		if len(c.qs[cls]) > 0 {
-			a := c.qs[cls][0]
-			c.qs[cls] = c.qs[cls][1:]
-			c.total--
-			return a, true
-		}
-	}
-	return Arrival{}, false
-}
-
-// Backlog implements Algo.
-func (c *classSegAlgo) Backlog() int { return c.total }
-
-// multiQueueAlgo is the multi-queue switch: per-queue B-slot buffers,
-// non-preemptive admission, one transmission per step from the queue
-// the service rule picks.
-type multiQueueAlgo struct {
-	buffer int
-	semi   bool
-	qs     [][]Arrival
-	total  int
-	// seq orders heads for the semi-greedy oldest-head rule; ties in
-	// At are broken by arrival order.
-	seq  int
-	seqs [][]int
-}
-
-func newMultiQueueAlgo(queues, buffer int, semi bool) *multiQueueAlgo {
-	return &multiQueueAlgo{
-		buffer: buffer,
-		semi:   semi,
-		qs:     make([][]Arrival, queues),
-		seqs:   make([][]int, queues),
-	}
-}
-
-// Arrive implements Algo.
-func (m *multiQueueAlgo) Arrive(a Arrival) bool {
-	if len(m.qs[a.Queue]) >= m.buffer {
-		return false
-	}
-	m.qs[a.Queue] = append(m.qs[a.Queue], a)
-	m.seqs[a.Queue] = append(m.seqs[a.Queue], m.seq)
-	m.seq++
-	m.total++
-	return true
-}
-
-// Transmit implements Algo.
-func (m *multiQueueAlgo) Transmit() (Arrival, bool) {
-	if m.total == 0 {
-		return Arrival{}, false
-	}
-	pick := -1
-	if m.semi {
-		// Serve the fullest queue strictly above half capacity…
-		for q := range m.qs {
-			if 2*len(m.qs[q]) > m.buffer && (pick < 0 || len(m.qs[q]) > len(m.qs[pick])) {
-				pick = q
-			}
-		}
-		// …otherwise the queue whose head packet has waited longest.
-		if pick < 0 {
-			for q := range m.qs {
-				if len(m.qs[q]) > 0 && (pick < 0 || m.seqs[q][0] < m.seqs[pick][0]) {
-					pick = q
-				}
-			}
-		}
-	} else {
-		for q := range m.qs {
-			if len(m.qs[q]) > 0 && (pick < 0 || len(m.qs[q]) > len(m.qs[pick])) {
-				pick = q
-			}
-		}
-	}
-	a := m.qs[pick][0]
-	m.qs[pick] = m.qs[pick][1:]
-	m.seqs[pick] = m.seqs[pick][1:]
-	m.total--
-	return a, true
-}
-
-// Backlog implements Algo.
-func (m *multiQueueAlgo) Backlog() int { return m.total }
