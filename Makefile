@@ -45,7 +45,11 @@ test:
 # slab element, math/rand's sequence with a division-free seed. And it
 # keeps one implementation of each competitive policy: outside tests, the
 # only Arrive(a Arrival) bool is internal/online's adapter, which drives
-# internal/buffer's class policies. CI runs this alongside `make verify`.
+# internal/buffer's class policies. And it keeps one admission book:
+# outside tests and bench/, only internal/core may declare a
+# Check(spec packet.FlowSpec) ... RejectReason method — the offline
+# engine's plan, the serial admitter and the daemon's shards all decide
+# through core.Region. CI runs this alongside `make verify`.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -87,6 +91,12 @@ lint:
 		| grep -v -e '^\./internal/online/adapter\.go:'); \
 	if [ -n "$$arrives" ]; then \
 		echo "competitive policies are internal/buffer's, driven by internal/online/adapter.go:"; echo "$$arrives"; exit 1; \
+	fi
+	@checks=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+			'\) Check\([[:alnum:]_]+ packet\.FlowSpec\) .*RejectReason' . \
+		| grep -v -e '^\./internal/core/' -e '^\./bench/'); \
+	if [ -n "$$checks" ]; then \
+		echo "admission regions are internal/core's: decide through core.Region, not a Check of your own:"; echo "$$checks"; exit 1; \
 	fi
 	@heaps=$$(grep -rln --include='*.go' --exclude='*_test.go' '"container/heap"' \
 			internal/sim internal/sched internal/buffer); \

@@ -57,9 +57,9 @@ func (d Discipline) String() string {
 // Admitter is the narrow admission-control surface of one link: answer
 // whether a flow fits the link's schedulability region, commit it,
 // release it, and export a consistent view of the admitted aggregate.
-// Two implementations exist: SerialAdmitter (single-goroutine, keeps
-// the admitted specs) and ShardedAdmitter link views (mutex-guarded,
-// safe for concurrent callers).
+// Two implementations exist, on the same book: SerialAdmitter
+// (single-goroutine) and ShardedAdmitter link views (a SerialAdmitter
+// behind a mutex, safe for concurrent callers).
 type Admitter interface {
 	// Check reports whether spec fits without admitting it.
 	Check(spec packet.FlowSpec) RejectReason
@@ -92,30 +92,80 @@ func (s AdmissionSnapshot) Utilization() float64 {
 	return s.SumRho.BitsPerSecond() / s.Rate.BitsPerSecond()
 }
 
-// checkRegion evaluates the paper's schedulability regions for a link
-// (d, rate, buffer) whose admitted aggregate is (sumRho bits/s,
-// sumSigma) against one additional spec. This is the single shared
-// implementation behind both admitters.
-func checkRegion(d Discipline, rate units.Rate, buffer units.Bytes,
-	sumRho float64, sumSigma units.Bytes, spec packet.FlowSpec) RejectReason {
+// LinkConfig declares one link's admission region: the discipline's
+// schedulability region plus the link's physical parameters.
+type LinkConfig struct {
+	Discipline Discipline
+	Rate       units.Rate
+	Buffer     units.Bytes
+}
+
+// Region is one link's admission book: the link (discipline, R, B) and
+// the aggregate (n, Σρ, Σσ) of the flows booked on it. It is the only
+// place the paper's schedulability regions (eqs. 5–8) are evaluated
+// and their sums kept; every admitter — the offline engine's plan, the
+// serial admitter and the daemon's shards — decides through it. A
+// Region does not know which flows it holds: a caller that must refuse
+// to release a flow it never admitted uses SerialAdmitter, which keeps
+// the admitted multiset beside it.
+type Region struct {
+	// agg is the link and its booked aggregate, in the form Snapshot
+	// exports.
+	agg AdmissionSnapshot
+}
+
+// NewRegion returns the empty book of a link.
+func NewRegion(link LinkConfig) Region {
+	if link.Rate <= 0 || link.Buffer <= 0 {
+		panic(fmt.Sprintf("core: invalid link rate %v or buffer %v", link.Rate, link.Buffer))
+	}
+	return Region{AdmissionSnapshot{Discipline: link.Discipline, Rate: link.Rate, Buffer: link.Buffer}}
+}
+
+// Check reports whether spec fits the region on top of the booked
+// aggregate.
+func (g *Region) Check(spec packet.FlowSpec) RejectReason {
 	if err := spec.Validate(); err != nil {
 		return BandwidthLimited
 	}
-	rho := sumRho + spec.TokenRate.BitsPerSecond()
-	sigma := float64(sumSigma + spec.BucketSize)
-	if rho > rate.BitsPerSecond() {
+	rate := g.agg.Rate.BitsPerSecond()
+	rho := (g.agg.SumRho + spec.TokenRate).BitsPerSecond()
+	sigma := float64(g.agg.SumSigma + spec.BucketSize)
+	if rho > rate {
 		return BandwidthLimited
 	}
-	switch d {
+	switch g.agg.Discipline {
 	case DisciplineWFQ:
-		if sigma > float64(buffer) {
+		if sigma > float64(g.agg.Buffer) {
 			return BufferLimited
 		}
 	case DisciplineFIFO:
 		// B ≥ (B/R)·Σρ + Σσ  ⇔  B·(1 − Σρ/R) ≥ Σσ.
-		if float64(buffer)*(1-rho/rate.BitsPerSecond()) < sigma {
+		if float64(g.agg.Buffer)*(1-rho/rate) < sigma {
 			return BufferLimited
 		}
 	}
 	return Accepted
 }
+
+// Add books spec without checking it.
+func (g *Region) Add(spec packet.FlowSpec) {
+	g.agg.NumFlows++
+	g.agg.SumRho += spec.TokenRate
+	g.agg.SumSigma += spec.BucketSize
+}
+
+// Remove unbooks spec, which must have been added. The sums are
+// subtracted, and reset to exactly zero when the link empties, whatever
+// floating-point residue the churn left behind.
+func (g *Region) Remove(spec packet.FlowSpec) {
+	g.agg.NumFlows--
+	g.agg.SumRho -= spec.TokenRate
+	g.agg.SumSigma -= spec.BucketSize
+	if g.agg.NumFlows == 0 {
+		g.agg.SumRho, g.agg.SumSigma = 0, 0
+	}
+}
+
+// Snapshot returns the booked aggregate.
+func (g *Region) Snapshot() AdmissionSnapshot { return g.agg }

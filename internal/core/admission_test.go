@@ -119,16 +119,6 @@ func TestAdmissionInvalidSpec(t *testing.T) {
 	}
 }
 
-func TestAdmissionFlowsCopy(t *testing.T) {
-	a := NewSerialAdmitter(DisciplineWFQ, units.MbitsPerSecond(48), units.KiloBytes(100))
-	a.Admit(spec(10, 1))
-	flows := a.Flows()
-	flows[0].BucketSize = 0
-	if a.Flows()[0].BucketSize == 0 {
-		t.Error("Flows() exposes internal state")
-	}
-}
-
 func TestRejectReasonStrings(t *testing.T) {
 	for _, c := range []struct {
 		r    RejectReason

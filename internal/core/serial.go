@@ -1,25 +1,20 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
 
-// SerialAdmitter tracks the admitted flow set of a link and answers
-// whether additional flows fit its schedulability region. It is the
+// SerialAdmitter is one link's admission book with its admitted
+// multiset: a Region plus a count per admitted spec, so Release can
+// refuse a spec that is not currently admitted in O(1). It is the
 // single-goroutine implementation of Admitter used by per-run
-// simulation code (the topology engine's admission plan, the churn
-// experiment); a concurrent control plane uses ShardedAdmitter instead.
+// simulation code (the churn experiment); a concurrent control plane
+// uses ShardedAdmitter, whose shards are SerialAdmitters behind a
+// mutex.
 type SerialAdmitter struct {
-	discipline Discipline
-	rate       units.Rate
-	buffer     units.Bytes
-	flows      []packet.FlowSpec
-	sumRho     float64 // bits/s
-	sumSigma   units.Bytes
+	region   Region
+	admitted map[packet.FlowSpec]int
 }
 
 var _ Admitter = (*SerialAdmitter)(nil)
@@ -27,91 +22,56 @@ var _ Admitter = (*SerialAdmitter)(nil)
 // NewSerialAdmitter returns an empty admitter for a link of the given
 // rate and total buffer.
 func NewSerialAdmitter(d Discipline, rate units.Rate, buffer units.Bytes) *SerialAdmitter {
-	if rate <= 0 || buffer <= 0 {
-		panic(fmt.Sprintf("core: invalid link rate %v or buffer %v", rate, buffer))
+	return &SerialAdmitter{
+		region:   NewRegion(LinkConfig{Discipline: d, Rate: rate, Buffer: buffer}),
+		admitted: make(map[packet.FlowSpec]int),
 	}
-	return &SerialAdmitter{discipline: d, rate: rate, buffer: buffer}
 }
 
-// Grow reserves room for n more admitted flows, so a planner that knows
-// the population it will admit (the topology engine, from each link's
-// flow count) fills the admitted set without regrowing it.
-func (a *SerialAdmitter) Grow(n int) { a.flows = slices.Grow(a.flows, n) }
-
 // NumFlows returns the number of admitted flows.
-func (a *SerialAdmitter) NumFlows() int { return len(a.flows) }
-
-// Discipline returns the schedulability region the admitter enforces.
-func (a *SerialAdmitter) Discipline() Discipline { return a.discipline }
-
-// Rate returns the link rate R the admitter was built for.
-func (a *SerialAdmitter) Rate() units.Rate { return a.rate }
-
-// Buffer returns the total buffer B the admitter was built for.
-func (a *SerialAdmitter) Buffer() units.Bytes { return a.buffer }
-
-// SumSigma returns Σσ over the admitted set.
-func (a *SerialAdmitter) SumSigma() units.Bytes { return a.sumSigma }
+func (a *SerialAdmitter) NumFlows() int { return a.region.agg.NumFlows }
 
 // Utilization returns the reserved utilization u = Σρ/R of the admitted
 // set.
-func (a *SerialAdmitter) Utilization() float64 {
-	return a.sumRho / a.rate.BitsPerSecond()
-}
+func (a *SerialAdmitter) Utilization() float64 { return a.region.agg.Utilization() }
 
 // Check reports whether spec fits without admitting it.
-func (a *SerialAdmitter) Check(spec packet.FlowSpec) RejectReason {
-	return checkRegion(a.discipline, a.rate, a.buffer, a.sumRho, a.sumSigma, spec)
-}
+func (a *SerialAdmitter) Check(spec packet.FlowSpec) RejectReason { return a.region.Check(spec) }
 
 // Admit adds spec to the admitted set when it fits, returning the
 // decision.
 func (a *SerialAdmitter) Admit(spec packet.FlowSpec) RejectReason {
-	r := a.Check(spec)
-	if r != Accepted {
-		return r
+	r := a.region.Check(spec)
+	if r == Accepted {
+		a.add(spec)
 	}
-	a.flows = append(a.flows, spec)
-	a.sumRho += spec.TokenRate.BitsPerSecond()
-	a.sumSigma += spec.BucketSize
-	return Accepted
+	return r
 }
 
-// Release removes a previously admitted flow matching spec; it returns
-// false when no matching flow is found. Release is fully idempotent: a
-// double release or a release of a never-admitted spec leaves the
-// aggregate (Σρ, Σσ) untouched. After a successful release the sums are
-// recomputed from the surviving set, so long admit/release churn never
-// accumulates floating-point drift in Σρ — Utilization() is exactly the
-// fold over the flows currently admitted.
+// add books spec unchecked.
+func (a *SerialAdmitter) add(spec packet.FlowSpec) {
+	a.admitted[spec]++
+	a.region.Add(spec)
+}
+
+// Release removes one admitted instance of spec; it returns false when
+// none is admitted. Release is fully idempotent: a double release or a
+// release of a never-admitted spec leaves the aggregate (Σρ, Σσ)
+// untouched. The sums are subtracted, and are exactly zero again once
+// the link is empty (Region.Remove).
 func (a *SerialAdmitter) Release(spec packet.FlowSpec) bool {
-	for i, f := range a.flows {
-		if f == spec {
-			a.flows = append(a.flows[:i], a.flows[i+1:]...)
-			a.sumRho, a.sumSigma = 0, 0
-			for _, f := range a.flows {
-				a.sumRho += f.TokenRate.BitsPerSecond()
-				a.sumSigma += f.BucketSize
-			}
-			return true
-		}
+	n, ok := a.admitted[spec]
+	if !ok {
+		return false
 	}
-	return false
-}
-
-// Flows returns a copy of the admitted set.
-func (a *SerialAdmitter) Flows() []packet.FlowSpec {
-	return append([]packet.FlowSpec(nil), a.flows...)
+	if n == 1 {
+		delete(a.admitted, spec)
+	} else {
+		a.admitted[spec] = n - 1
+	}
+	a.region.Remove(spec)
+	return true
 }
 
 // Snapshot returns the admitted aggregate.
-func (a *SerialAdmitter) Snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Discipline: a.discipline,
-		Rate:       a.rate,
-		Buffer:     a.buffer,
-		NumFlows:   len(a.flows),
-		SumRho:     units.Rate(a.sumRho),
-		SumSigma:   a.sumSigma,
-	}
-}
+func (a *SerialAdmitter) Snapshot() AdmissionSnapshot { return a.region.Snapshot() }

@@ -1,77 +1,50 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
 	"bufqos/internal/packet"
-	"bufqos/internal/units"
 )
 
-// LinkConfig declares one link of a ShardedAdmitter: the discipline's
-// schedulability region plus the link's physical parameters.
-type LinkConfig struct {
-	Discipline Discipline
-	Rate       units.Rate
-	Buffer     units.Bytes
-}
-
-// admShard is one link's admission state: a mutex-guarded aggregate
-// plus a multiset of the admitted specs, so Release can refuse specs
-// that are not currently admitted (idempotency) in O(1).
+// admShard is one link's admission state: its SerialAdmitter — the
+// region and the admitted multiset — behind the link's mutex. It is
+// the Admitter view Link returns; route operations lock the shards
+// themselves and use the book directly.
 type admShard struct {
-	mu         sync.Mutex
-	discipline Discipline
-	rate       units.Rate
-	buffer     units.Bytes
-	nflows     int
-	sumRho     float64 // bits/s
-	sumSigma   units.Bytes
-	admitted   map[packet.FlowSpec]int
+	mu   sync.Mutex
+	book SerialAdmitter
 }
 
-func (s *admShard) checkLocked(spec packet.FlowSpec) RejectReason {
-	return checkRegion(s.discipline, s.rate, s.buffer, s.sumRho, s.sumSigma, spec)
+var _ Admitter = (*admShard)(nil)
+
+// Check reports whether spec fits without admitting it.
+func (s *admShard) Check(spec packet.FlowSpec) RejectReason {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.book.Check(spec)
 }
 
-func (s *admShard) admitLocked(spec packet.FlowSpec) {
-	s.admitted[spec]++
-	s.nflows++
-	s.sumRho += spec.TokenRate.BitsPerSecond()
-	s.sumSigma += spec.BucketSize
+// Admit adds spec to the admitted set when it fits.
+func (s *admShard) Admit(spec packet.FlowSpec) RejectReason {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.book.Admit(spec)
 }
 
-func (s *admShard) releaseLocked(spec packet.FlowSpec) bool {
-	n, ok := s.admitted[spec]
-	if !ok {
-		return false
-	}
-	if n == 1 {
-		delete(s.admitted, spec)
-	} else {
-		s.admitted[spec] = n - 1
-	}
-	s.nflows--
-	s.sumRho -= spec.TokenRate.BitsPerSecond()
-	s.sumSigma -= spec.BucketSize
-	if s.nflows == 0 {
-		// Reset exactly: an empty link has a zero aggregate, whatever
-		// floating-point residue the churn left behind.
-		s.sumRho, s.sumSigma = 0, 0
-	}
-	return true
+// Release removes one admitted instance of spec, refusing (and leaving
+// the aggregate untouched) when none is admitted.
+func (s *admShard) Release(spec packet.FlowSpec) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.book.Release(spec)
 }
 
-func (s *admShard) snapshotLocked() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Discipline: s.discipline,
-		Rate:       s.rate,
-		Buffer:     s.buffer,
-		NumFlows:   s.nflows,
-		SumRho:     units.Rate(s.sumRho),
-		SumSigma:   s.sumSigma,
-	}
+// Snapshot returns the link's admitted aggregate.
+func (s *admShard) Snapshot() AdmissionSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.book.Snapshot()
 }
 
 // ShardedAdmitter is the concurrent admission controller behind qosd:
@@ -93,15 +66,7 @@ func NewShardedAdmitter(links []LinkConfig) *ShardedAdmitter {
 	}
 	a := &ShardedAdmitter{shards: make([]*admShard, len(links))}
 	for i, l := range links {
-		if l.Rate <= 0 || l.Buffer <= 0 {
-			panic(fmt.Sprintf("core: link %d: invalid rate %v or buffer %v", i, l.Rate, l.Buffer))
-		}
-		a.shards[i] = &admShard{
-			discipline: l.Discipline,
-			rate:       l.Rate,
-			buffer:     l.Buffer,
-			admitted:   make(map[packet.FlowSpec]int),
-		}
+		a.shards[i] = &admShard{book: *NewSerialAdmitter(l.Discipline, l.Rate, l.Buffer)}
 	}
 	return a
 }
@@ -111,7 +76,7 @@ func (a *ShardedAdmitter) NumLinks() int { return len(a.shards) }
 
 // Link returns the Admitter view of one link. The view is safe for
 // concurrent use; single-link calls lock only that link's shard.
-func (a *ShardedAdmitter) Link(i int) Admitter { return linkView{a.shards[i]} }
+func (a *ShardedAdmitter) Link(i int) Admitter { return a.shards[i] }
 
 // Snapshot returns a consistent per-link snapshot of every shard.
 // Cross-link consistency is per shard only: a concurrent multi-link
@@ -119,9 +84,7 @@ func (a *ShardedAdmitter) Link(i int) Admitter { return linkView{a.shards[i]} }
 func (a *ShardedAdmitter) Snapshot() []AdmissionSnapshot {
 	out := make([]AdmissionSnapshot, len(a.shards))
 	for i, s := range a.shards {
-		s.mu.Lock()
-		out[i] = s.snapshotLocked()
-		s.mu.Unlock()
+		out[i] = s.Snapshot()
 	}
 	return out
 }
@@ -167,12 +130,12 @@ func (a *ShardedAdmitter) AdmitRoute(route []int, spec packet.FlowSpec) (int, Re
 	a.lockAll(order)
 	defer a.unlockAll(order)
 	for _, li := range route {
-		if r := a.shards[li].checkLocked(spec); r != Accepted {
+		if r := a.shards[li].book.Check(spec); r != Accepted {
 			return li, r
 		}
 	}
 	for _, li := range route {
-		a.shards[li].admitLocked(spec)
+		a.shards[li].book.add(spec)
 	}
 	return -1, Accepted
 }
@@ -186,7 +149,7 @@ func (a *ShardedAdmitter) ReleaseRoute(route []int, spec packet.FlowSpec) bool {
 	defer a.unlockAll(order)
 	all := true
 	for _, li := range route {
-		if !a.shards[li].releaseLocked(spec) {
+		if !a.shards[li].book.Release(spec) {
 			all = false
 		}
 	}
@@ -207,57 +170,19 @@ func (a *ShardedAdmitter) Reroute(old, new []int, spec packet.FlowSpec) (int, Re
 		if slices.Contains(old, li) {
 			continue
 		}
-		if r := a.shards[li].checkLocked(spec); r != Accepted {
+		if r := a.shards[li].book.Check(spec); r != Accepted {
 			return li, r
 		}
 	}
 	for _, li := range new {
 		if !slices.Contains(old, li) {
-			a.shards[li].admitLocked(spec)
+			a.shards[li].book.add(spec)
 		}
 	}
 	for _, li := range old {
 		if !slices.Contains(new, li) {
-			a.shards[li].releaseLocked(spec)
+			a.shards[li].book.Release(spec)
 		}
 	}
 	return -1, Accepted
-}
-
-// linkView adapts one shard to the Admitter interface.
-type linkView struct{ s *admShard }
-
-var _ Admitter = linkView{}
-
-// Check reports whether spec fits without admitting it.
-func (v linkView) Check(spec packet.FlowSpec) RejectReason {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.checkLocked(spec)
-}
-
-// Admit adds spec to the admitted set when it fits.
-func (v linkView) Admit(spec packet.FlowSpec) RejectReason {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	if r := v.s.checkLocked(spec); r != Accepted {
-		return r
-	}
-	v.s.admitLocked(spec)
-	return Accepted
-}
-
-// Release removes one admitted instance of spec, refusing (and leaving
-// the aggregate untouched) when none is admitted.
-func (v linkView) Release(spec packet.FlowSpec) bool {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.releaseLocked(spec)
-}
-
-// Snapshot returns the link's admitted aggregate.
-func (v linkView) Snapshot() AdmissionSnapshot {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.snapshotLocked()
 }

@@ -15,7 +15,7 @@ func twoLinks() *ShardedAdmitter {
 }
 
 func TestShardedLinkViewMatchesSerial(t *testing.T) {
-	// The same op sequence on a linkView and a SerialAdmitter must give
+	// The same op sequence on a link view and a SerialAdmitter must give
 	// identical decisions and aggregates.
 	sa := twoLinks()
 	view := sa.Link(0)

@@ -5,7 +5,12 @@
 //
 // Everything here is closed-form arithmetic over flow profiles — the
 // simulation packages consume these numbers; the benchmarks check them
-// against measured behaviour.
+// against measured behaviour. Admission against the regions is kept in
+// one per-link book, Region, whose sums are added on a join and
+// subtracted on a leave: the offline engine's plan keeps bare Regions,
+// SerialAdmitter adds the admitted multiset, and ShardedAdmitter puts
+// one SerialAdmitter behind each link's mutex, so every admitter
+// decides with the same arithmetic.
 package core
 
 import (

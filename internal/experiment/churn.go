@@ -105,6 +105,12 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 	if cfg.ArrivalRate <= 0 || cfg.MeanHold <= 0 || cfg.MaxFlows <= 0 {
 		return ChurnResult{}, fmt.Errorf("experiment: churn needs positive arrival rate, hold time, and slot count")
 	}
+	if cfg.Buffer <= 0 {
+		return ChurnResult{}, fmt.Errorf("experiment: churn needs a positive Buffer, got %v", cfg.Buffer)
+	}
+	if cfg.LinkRate < 0 {
+		return ChurnResult{}, fmt.Errorf("experiment: churn needs a positive LinkRate (0 for the default), got %v", cfg.LinkRate)
+	}
 	if cfg.LinkRate == 0 {
 		cfg.LinkRate = DefaultLinkRate
 	}

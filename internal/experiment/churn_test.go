@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"bufqos/internal/buffer"
@@ -121,15 +122,26 @@ func TestChurnDeterministic(t *testing.T) {
 }
 
 func TestChurnValidation(t *testing.T) {
-	bad := []ChurnConfig{
-		{},
-		{Templates: churnTemplates()},
-		{Templates: churnTemplates(), ArrivalRate: 1},
-		{Templates: churnTemplates(), ArrivalRate: 1, MeanHold: 1},
+	slots := func(c ChurnConfig) ChurnConfig {
+		c.Templates, c.ArrivalRate, c.MeanHold, c.MaxFlows = churnTemplates(), 1, 1, 4
+		return c
 	}
-	for i, cfg := range bad {
-		if _, err := RunChurn(context.Background(), cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	bad := []struct {
+		cfg  ChurnConfig
+		want string // a word the error must name; "" for any error
+	}{
+		{ChurnConfig{}, ""},
+		{ChurnConfig{Templates: churnTemplates()}, ""},
+		{ChurnConfig{Templates: churnTemplates(), ArrivalRate: 1}, ""},
+		{ChurnConfig{Templates: churnTemplates(), ArrivalRate: 1, MeanHold: 1}, ""},
+		{slots(ChurnConfig{}), "Buffer"},
+		{slots(ChurnConfig{Buffer: -5}), "Buffer"},
+		{slots(ChurnConfig{Buffer: units.MegaBytes(1), LinkRate: -1}), "LinkRate"},
+	}
+	for i, c := range bad {
+		_, err := RunChurn(context.Background(), c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("config %d (%+v): error %v, want one naming %q", i, c.cfg, err, c.want)
 		}
 	}
 }

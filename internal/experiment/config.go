@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"bufqos/internal/jsonscan"
 	"bufqos/internal/packet"
 	"bufqos/internal/scheme"
 	"bufqos/internal/units"
@@ -64,10 +65,8 @@ type Workload struct {
 //	  ]
 //	}
 func ParseWorkload(r io.Reader) (*Workload, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var w workloadJSON
-	if err := dec.Decode(&w); err != nil {
+	if err := jsonscan.Decode(r, &w); err != nil {
 		return nil, fmt.Errorf("experiment: parsing workload: %w", err)
 	}
 	if len(w.Flows) == 0 {

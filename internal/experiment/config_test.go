@@ -74,6 +74,8 @@ func TestParseWorkloadErrors(t *testing.T) {
 		  "flows": [{"peak_mbps": 1, "avg_mbps": 1, "token_mbps": 1, "bucket_kb": 1}]}`, // bad scheme spec
 		`{"schemes": ["fifo+"],
 		  "flows": [{"peak_mbps": 1, "avg_mbps": 1, "token_mbps": 1, "bucket_kb": 1}]}`, // malformed spec
+		sampleWorkload + ` ]]] garbage`, // data after the workload
+		sampleWorkload + sampleWorkload, // two workloads
 	}
 	for i, c := range cases {
 		if _, err := ParseWorkload(strings.NewReader(c)); err == nil {

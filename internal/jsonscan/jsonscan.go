@@ -11,13 +11,39 @@
 // the way struct fields are matched, and String unescapes as
 // encoding/json does, turning invalid UTF-8 and unpaired surrogates
 // into U+FFFD.
+//
+// Decode holds documents read once — scenario, workload and instance
+// files and the daemon's snapshots — to the same strictness through
+// encoding/json itself.
 package jsonscan
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"unicode/utf16"
 	"unicode/utf8"
 )
+
+// Decode reads one JSON value from r into v as encoding/json does,
+// with unknown object members rejected, and fails unless nothing but
+// white space follows the value.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, new(*json.SyntaxError)):
+		return errors.New("data after the top-level value")
+	default:
+		return err
+	}
+}
 
 // Scanner reads one JSON text. The zero value is ready for Reset.
 type Scanner struct {

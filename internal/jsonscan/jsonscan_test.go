@@ -3,6 +3,7 @@ package jsonscan
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +75,32 @@ func TestMatchIsEncodingJSONFieldMatch(t *testing.T) {
 			if got := Match([]byte(key), name); got != want {
 				t.Errorf("Match(%q, %q) = %v, encoding/json %v", key, name, got, want)
 			}
+		}
+	}
+}
+
+// TestDecodeIsStrict: Decode takes exactly one value, refuses unknown
+// members, and refuses anything but white space after the value.
+func TestDecodeIsStrict(t *testing.T) {
+	type doc struct{ A int }
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{`{"a":1}`, true},
+		{" {\"A\":1} \n\t", true},
+		{`{"a":1,"b":2}`, false},
+		{`{"a":1} {"a":2}`, false},
+		{`{"a":1} not json`, false},
+		{`{"a":1}]`, false},
+		{`{"a":1`, false},
+		{``, false},
+	} {
+		var d doc
+		if err := Decode(strings.NewReader(c.in), &d); (err == nil) != c.ok {
+			t.Errorf("Decode(%q) = %v, want ok=%v", c.in, err, c.ok)
+		} else if c.ok && d.A != 1 {
+			t.Errorf("Decode(%q) decoded %+v", c.in, d)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"bufqos/internal/jsonscan"
 )
 
 // Model selects the buffer discipline an instance (and a policy) is
@@ -134,13 +136,12 @@ func Save(path string, in *Instance) error {
 	return f.Close()
 }
 
-// Parse reads and validates an instance from r. Unknown fields are
-// rejected so typos in hand-written files surface immediately.
+// Parse reads and validates an instance from r. Unknown fields and
+// data after the instance are rejected so typos in hand-written files
+// surface immediately.
 func Parse(r io.Reader) (*Instance, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var in Instance
-	if err := dec.Decode(&in); err != nil {
+	if err := jsonscan.Decode(r, &in); err != nil {
 		return nil, fmt.Errorf("online: %w", err)
 	}
 	if err := in.Validate(); err != nil {

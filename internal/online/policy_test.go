@@ -213,4 +213,9 @@ func TestInstanceRoundTrip(t *testing.T) {
 	if _, err := Parse(strings.NewReader(`{"model":"shared","queues":1,"buffer":1,"bogus":true}`)); err == nil {
 		t.Fatal("Parse accepted an unknown field")
 	}
+	for _, tail := range []string{` {"model":"shared"}`, ` trailing`, `]`} {
+		if _, err := Parse(strings.NewReader(buf.String() + tail)); err == nil {
+			t.Errorf("Parse accepted an instance followed by %q", tail)
+		}
+	}
 }

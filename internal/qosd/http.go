@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"bufqos/internal/jsonscan"
 	"bufqos/internal/packet"
 )
 
@@ -113,18 +114,6 @@ func (s *Server) Handler() http.Handler {
 		s.met.httpRequests.Inc()
 		mux.ServeHTTP(w, r)
 	})
-}
-
-// decode parses a strict JSON request body (unknown fields rejected);
-// /v1/restore reads its snapshot with it. The decision endpoints read
-// theirs with readRequest.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
 }
 
 // writeJSON emits compact JSON: decisions are the hot path and the
@@ -269,9 +258,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+	// The snapshot is read as strictly as a decision body (readRequest):
+	// unknown fields and trailing data are refused.
 	var snap Snapshot
-	if err := decode(r, &snap); err != nil {
-		s.writeErr(w, err)
+	if err := jsonscan.Decode(r.Body, &snap); err != nil {
+		s.writeErr(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	rejected, err := s.Restore(snap)

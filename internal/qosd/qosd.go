@@ -26,7 +26,6 @@ import (
 	"bufqos/internal/core"
 	"bufqos/internal/metrics"
 	"bufqos/internal/packet"
-	"bufqos/internal/scheme"
 	"bufqos/internal/topology"
 	"bufqos/internal/units"
 )
@@ -105,11 +104,10 @@ func (e *flowEntry) setRoute(route []int) {
 // are safe for concurrent use; the HTTP layer in http.go is a thin
 // JSON shim over them.
 type Server struct {
-	topoName    string
-	linkNames   []string
-	disciplines []core.Discipline
-	byName      map[string]int
-	adm         *core.ShardedAdmitter
+	topoName  string
+	linkNames []string
+	byName    map[string]int
+	adm       *core.ShardedAdmitter
 
 	mu    sync.Mutex
 	flows map[string]*flowEntry
@@ -126,11 +124,10 @@ func New(t *topology.Topology, reg *metrics.Registry) (*Server, error) {
 		return nil, fmt.Errorf("qosd: topology %s has no links", t.Name)
 	}
 	s := &Server{
-		topoName:    t.Name,
-		linkNames:   make([]string, len(t.Links)),
-		disciplines: make([]core.Discipline, len(t.Links)),
-		byName:      make(map[string]int, len(t.Links)),
-		flows:       make(map[string]*flowEntry),
+		topoName:  t.Name,
+		linkNames: make([]string, len(t.Links)),
+		byName:    make(map[string]int, len(t.Links)),
+		flows:     make(map[string]*flowEntry),
 	}
 	cfgs := make([]core.LinkConfig, len(t.Links))
 	for i := range t.Links {
@@ -145,37 +142,17 @@ func New(t *topology.Topology, reg *metrics.Registry) (*Server, error) {
 		if l.Rate <= 0 || l.Buffer <= 0 {
 			return nil, fmt.Errorf("qosd: link %s: non-positive rate or buffer", name)
 		}
-		d, err := linkDiscipline(l.Spec)
+		cfg, err := l.Admission()
 		if err != nil {
 			return nil, fmt.Errorf("qosd: link %s: %w", name, err)
 		}
 		s.linkNames[i] = name
-		s.disciplines[i] = d
 		s.byName[name] = i
-		cfgs[i] = core.LinkConfig{Discipline: d, Rate: l.Rate, Buffer: l.Buffer}
+		cfgs[i] = cfg
 	}
 	s.adm = core.NewShardedAdmitter(cfgs)
 	s.met.init(reg)
 	return s, nil
-}
-
-// linkDiscipline maps a link's scheme spec to the admission region it
-// can guarantee, mirroring the offline engine: WFQ gets eqs. (5)-(6),
-// everything else is held to the conservative FIFO region,
-// eqs. (7)-(8). An empty spec means the Validate default
-// ("fifo+threshold").
-func linkDiscipline(spec string) (core.Discipline, error) {
-	if spec == "" {
-		return core.DisciplineFIFO, nil
-	}
-	sc, err := scheme.Parse(spec)
-	if err != nil {
-		return 0, err
-	}
-	if sc.SchedulerName() == "wfq" {
-		return core.DisciplineWFQ, nil
-	}
-	return core.DisciplineFIFO, nil
 }
 
 // NumLinks reports the number of admission shards.

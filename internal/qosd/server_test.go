@@ -154,7 +154,7 @@ func TestJoinRejectionNamesFirstRefusingLink(t *testing.T) {
 	}
 
 	// The same sequence against the serial admitter must agree on both
-	// the count and the reason (qnet and qosd share checkRegion).
+	// the count and the reason (qnet and qosd share core.Region).
 	serial := core.NewSerialAdmitter(core.DisciplineFIFO, units.MbitsPerSecond(48), units.KiloBytes(600))
 	var want core.RejectReason
 	for {
@@ -319,6 +319,27 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if l.Flows != 0 || l.SumSigma != 0 {
 			t.Errorf("link %s not empty after reset: %+v", l.Name, l)
 		}
+	}
+}
+
+// TestRestoreRejectsTrailingData: /v1/restore reads its snapshot as
+// strictly as the decision bodies: data after it is a 400 and restores
+// nothing.
+func TestRestoreRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t)
+	snap := `{"topology":"qosd-test","flows":[{"flow":"f","links":["a->b"],"spec":{"peak":"10Mbps","token":"2Mbps","bucket":"60KB"}}]}`
+	var rr RestoreResponse
+	if code := post(t, ts, "/v1/restore", snap, &rr); code != http.StatusOK || rr.Restored != 1 {
+		t.Fatalf("restore: status %d, %+v", code, rr)
+	}
+	for _, tail := range []string{` {"topology":"qosd-test"}`, ` garbage`, `]`} {
+		var apiErr apiError
+		if code := post(t, ts, "/v1/restore", `{"topology":"qosd-test"}`+tail, &apiErr); code != http.StatusBadRequest || apiErr.Error == "" {
+			t.Errorf("restore + %q: status %d, error %q, want 400 with an error", tail, code, apiErr.Error)
+		}
+	}
+	if n := s.NumFlows(); n != 1 {
+		t.Errorf("%d flows after refused restores, want the 1 restored before them", n)
 	}
 }
 

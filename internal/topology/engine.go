@@ -35,8 +35,9 @@ type admissionPlan struct {
 }
 
 // planAdmission replays the scenario's join/leave sequence through the
-// paper's admission regions. ft sizes each link's admitted set.
-func planAdmission(t *Topology, ft *FlowTable, duration float64) *admissionPlan {
+// paper's admission regions. It books the sums alone: it knows which
+// flows it admitted, so a leave unbooks exactly what a join booked.
+func planAdmission(t *Topology, duration float64) (*admissionPlan, error) {
 	p := &admissionPlan{
 		admitted: make([]bool, len(t.Flows)),
 		joinAt:   make([]float64, len(t.Flows)),
@@ -46,17 +47,19 @@ func planAdmission(t *Topology, ft *FlowTable, duration float64) *admissionPlan 
 	for fi := range p.leaveAt {
 		p.leaveAt[fi] = duration
 	}
-	ctrl := make([]*core.SerialAdmitter, len(t.Links))
+	regions := make([]core.Region, len(t.Links))
 	for li := range t.Links {
-		l := &t.Links[li]
-		ctrl[li] = core.NewSerialAdmitter(discipline(l), l.Rate, l.Buffer)
-		ctrl[li].Grow(len(ft.LinkFlows[li]))
+		cfg, err := t.Links[li].Admission()
+		if err != nil {
+			return nil, fmt.Errorf("topology %s: link %s: %w", t.Name, t.Links[li].Name, err)
+		}
+		regions[li] = core.NewRegion(cfg)
 	}
 	join := func(fi int, at float64) {
 		f := &t.Flows[fi]
 		p.joinAt[fi] = at
 		for _, li := range f.Route {
-			if reason := ctrl[li].Check(f.Spec); reason != core.Accepted {
+			if reason := regions[li].Check(f.Spec); reason != core.Accepted {
 				p.rejections = append(p.rejections, Rejection{
 					Flow:   f.Name,
 					Link:   t.Links[li].Name,
@@ -67,7 +70,7 @@ func planAdmission(t *Topology, ft *FlowTable, duration float64) *admissionPlan 
 			}
 		}
 		for _, li := range f.Route {
-			ctrl[li].Admit(f.Spec)
+			regions[li].Add(f.Spec)
 		}
 		p.admitted[fi] = true
 	}
@@ -87,11 +90,11 @@ func planAdmission(t *Topology, ft *FlowTable, duration float64) *admissionPlan 
 				continue
 			}
 			for _, li := range t.Flows[ev.flow].Route {
-				ctrl[li].Release(t.Flows[ev.flow].Spec)
+				regions[li].Remove(t.Flows[ev.flow].Spec)
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 // crossingKind distinguishes what a shard hand-off carries: a data
@@ -330,7 +333,11 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			Flows:    make([]FlowResult, len(t.Flows)),
 		},
 	}
-	e.plan = planAdmission(t, e.ft, opts.Duration)
+	plan, err := planAdmission(t, opts.Duration)
+	if err != nil {
+		return nil, err
+	}
+	e.plan = plan
 	e.res.Rejections = e.plan.rejections
 
 	// Closed-loop bookkeeping: reverse-path delays per flow and per

@@ -1,11 +1,11 @@
 package topology
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
+	"bufqos/internal/jsonscan"
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
@@ -76,13 +76,12 @@ type jsonEvent struct {
 	Rate     units.Rate `json:"rate,omitempty"`
 }
 
-// Parse reads and validates a JSON scenario. Unknown fields are
-// rejected so typos in hand-written files surface immediately.
+// Parse reads and validates a JSON scenario. Unknown fields and data
+// after the scenario are rejected so typos in hand-written files
+// surface immediately.
 func Parse(r io.Reader) (*Topology, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var jt jsonTopology
-	if err := dec.Decode(&jt); err != nil {
+	if err := jsonscan.Decode(r, &jt); err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
 	t := &Topology{Name: jt.Name, Description: jt.Description}

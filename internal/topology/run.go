@@ -1,12 +1,14 @@
 package topology
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
 	"bufqos/internal/metrics"
+	"bufqos/internal/scheme"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
@@ -145,16 +147,29 @@ type Result struct {
 	Events uint64
 }
 
-// discipline maps a link's scheduler to the admission region it can
-// guarantee: WFQ gets eqs. (5)-(6); everything else is held to the
-// FIFO region, eqs. (7)-(8), which is the conservative choice — any
-// flow set schedulable under FIFO thresholds is schedulable under the
-// stronger schedulers too (B_FIFO ≥ B_WFQ for the same set).
-func discipline(l *Link) core.Discipline {
-	if l.scheme.SchedulerName() == "wfq" {
-		return core.DisciplineWFQ
+// Admission maps the link's scheme to the admission region its
+// scheduler can guarantee: WFQ gets eqs. (5)-(6); everything else is
+// held to the FIFO region, eqs. (7)-(8), which is the conservative
+// choice — any flow set schedulable under FIFO thresholds is
+// schedulable under the stronger schedulers too (B_FIFO ≥ B_WFQ for
+// the same set). It is the one such map: the offline engine's plan and
+// the admission daemon both take their regions from it. A link that
+// was not validated (the daemon ignores the scenario's flows, so it
+// never validates) has its Spec parsed here, an empty one meaning
+// Validate's default.
+func (l *Link) Admission() (core.LinkConfig, error) {
+	sc := l.scheme
+	if sc == nil {
+		var err error
+		if sc, err = scheme.Parse(cmp.Or(l.Spec, defaultSpec)); err != nil {
+			return core.LinkConfig{}, err
+		}
 	}
-	return core.DisciplineFIFO
+	d := core.DisciplineFIFO
+	if sc.SchedulerName() == "wfq" {
+		d = core.DisciplineWFQ
+	}
+	return core.LinkConfig{Discipline: d, Rate: l.Rate, Buffer: l.Buffer}, nil
 }
 
 // degradedLinks marks links whose declared capacity is violated during

@@ -44,7 +44,8 @@ type Link struct {
 	Headroom units.Bytes
 	// PropDelay is the propagation delay towards To, in seconds.
 	PropDelay float64
-	// Spec is the scheme-registry spec, e.g. "fifo+threshold".
+	// Spec is the scheme-registry spec, e.g. "wfq+sharing"; Validate
+	// fills an empty one with defaultSpec.
 	Spec string
 	// Queues optionally maps flow IDs to hybrid queues (required by
 	// hybrid specs, ignored otherwise).
@@ -52,6 +53,10 @@ type Link struct {
 
 	scheme *scheme.Scheme
 }
+
+// defaultSpec is the scheme of a link that declares none: the paper's
+// FIFO with per-flow thresholds.
+const defaultSpec = "fifo+threshold"
 
 // SourceKind selects how a flow generates traffic.
 type SourceKind string
@@ -271,7 +276,7 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("link %s: negative propagation delay %v", l.Name, l.PropDelay)
 		}
 		if l.Spec == "" {
-			l.Spec = "fifo+threshold"
+			l.Spec = defaultSpec
 		}
 		sc, err := scheme.Parse(l.Spec)
 		if err != nil {

@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +143,23 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse(strings.NewReader(`{"name":"x","links":[{"from":"a","to":"b","rate_mbsp":48}]}`))
 	if err == nil || !strings.Contains(err.Error(), "rate_mbsp") {
 		t.Errorf("typo field not rejected: %v", err)
+	}
+}
+
+// TestParseRejectsTrailingData: a shipped scenario followed by a second
+// value or by garbage is refused, not read up to its first value.
+func TestParseRejectsTrailingData(t *testing.T) {
+	data, err := os.ReadFile("../../topologies/tandem3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(bytes.NewReader(data)); err != nil {
+		t.Fatalf("tandem3.json: %v", err)
+	}
+	for _, tail := range []string{`{"name":"second"} not json at all`, `{"name":"second"}`, ` x`} {
+		if _, err := Parse(bytes.NewReader(append(data, tail...))); err == nil {
+			t.Errorf("tandem3.json + %q parsed", tail)
+		}
 	}
 }
 
