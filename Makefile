@@ -123,8 +123,10 @@ race:
 bench:
 	go run ./bench
 
-# One fast iteration of the headline benchmarks: catches benchmarks
-# that no longer compile or crash without paying for full measurement.
+# One fast iteration of every root benchmark (Table 1 traffic, the
+# Figure 1 sweep sequential and parallel, the end-to-end Table 1 run
+# with and without metrics): catches benchmarks that no longer compile
+# or crash without paying for full measurement.
 # Then short runs of the repository's benchmark (BENCHMARK.json,
 # bench/README.md) on its Table 1 workload, its closed-loop sizing cell
 # and its sharded network: each exits non-zero unless the repeated
@@ -133,7 +135,7 @@ bench:
 # sharded fingerprint equal to the single-shard one) — those checks are
 # the point here, not the timing. CI runs this on every push.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkTable1Workload$$|BenchmarkEndToEndSimulation' -benchtime 1x .
+	go test -run '^$$' -bench . -benchtime 1x .
 	go run ./bench --workload link-fifo --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload tcp-cell --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload net-sharded --seed 1 --seconds 2 --trace 0

@@ -54,8 +54,11 @@
 // analysis), cmd/qosd (the admission-control daemon), cmd/qload (its
 // deterministic correctness client); the README's CLI table summarizes
 // flags and use cases.
-// Runnable walkthroughs are in examples/. The benchmarks in
-// bench_test.go regenerate each table and figure at reduced scale; see
+// Runnable walkthroughs are in examples/. `make figs-smoke` regenerates
+// every figure at reduced scale and `cmd/qcheck` checks its shape; see
 // EXPERIMENTS.md for paper-vs-measured results. The performance record
-// is the repository's benchmark, `go run ./bench`.
+// is the repository's benchmark, `go run ./bench`; bench_test.go keeps
+// only the end-to-end timings (Table 1 traffic, the Figure 1 sweep
+// sequential and parallel, a full Table 1 run with and without
+// metrics).
 package bufqos

@@ -231,3 +231,16 @@ func TestPropertyAccountingConsistent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAdmitDynamicThreshold measures the Choudhury–Hahne
+// baseline's per-packet admission, beside bench's
+// buffer.*_admit_release_ns for the paper's schemes and RED.
+func BenchmarkAdmitDynamicThreshold(b *testing.B) {
+	m := NewDynamicThreshold(units.MegaBytes(1), 9, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Admit(i%9, 500) {
+			m.Release(i%9, 500)
+		}
+	}
+}

@@ -208,3 +208,21 @@ func TestPropertyThresholdLowerBound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkThresholdComputation measures the admission-time threshold
+// math for the 30 flows of the paper's Table 2 on its 48 Mb/s link.
+func BenchmarkThresholdComputation(b *testing.B) {
+	var specs []packet.FlowSpec
+	for _, c := range []struct{ peakMbps, sigmaKB, rhoMbps float64 }{{8, 15, 0.6}, {24, 30, 2.4}, {8, 35, 0.3}} {
+		for i := 0; i < 10; i++ {
+			s := spec(c.sigmaKB, c.rhoMbps)
+			s.PeakRate = units.MbitsPerSecond(c.peakMbps)
+			specs = append(specs, s)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := Thresholds(specs, units.MbitsPerSecond(48), units.MegaBytes(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

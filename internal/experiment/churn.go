@@ -78,7 +78,7 @@ func SweepChurn(ctx context.Context, base ChurnConfig, arrivalRates []float64, r
 	for i := range out {
 		out[i] = make([]ChurnResult, runs)
 	}
-	err := forEachJob(ctx, workers, len(arrivalRates)*runs, base.Metrics, nil, func(j int) error {
+	err := ForEachJob(ctx, workers, len(arrivalRates)*runs, base.Metrics, nil, func(j int) error {
 		i, r := j/runs, j%runs
 		cfg := base
 		cfg.ArrivalRate = arrivalRates[i]

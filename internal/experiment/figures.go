@@ -204,7 +204,7 @@ func runSweep(ctx context.Context, o *Options, w *Workload, specs []string, ax a
 	}
 	total := len(specs) * nx * nr
 	tracker := newProgressTracker(o.Progress, total)
-	err := forEachJob(ctx, o.Workers, total, o.Metrics, tracker.onDone, func(j int) error {
+	err := ForEachJob(ctx, o.Workers, total, o.Metrics, tracker.onDone, func(j int) error {
 		si, slot, r := j/(nx*nr), j%(nx*nr), j%nr
 		x := ax.xs[slot/nr]
 		rc := &Options{

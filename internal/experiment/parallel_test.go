@@ -83,13 +83,13 @@ func TestParallelChurnSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelErrorDeterministic checks forEachJob reports the earliest
+// TestParallelErrorDeterministic checks ForEachJob reports the earliest
 // failing job regardless of scheduling, and skips work after a failure.
 func TestParallelErrorDeterministic(t *testing.T) {
 	errA := errors.New("job 2 failed")
 	errB := errors.New("job 7 failed")
 	for _, workers := range []int{1, 4} {
-		err := forEachJob(context.Background(), workers, 10, nil, nil, func(i int) error {
+		err := ForEachJob(context.Background(), workers, 10, nil, nil, func(i int) error {
 			switch i {
 			case 2:
 				return errA
@@ -103,7 +103,7 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		}
 	}
 	var ran atomic.Int64
-	if err := forEachJob(context.Background(), 4, 100, nil, nil, func(i int) error {
+	if err := ForEachJob(context.Background(), 4, 100, nil, nil, func(i int) error {
 		ran.Add(1)
 		return errA
 	}); err == nil {
@@ -125,7 +125,7 @@ func TestPoolCancellation(t *testing.T) {
 	const n = 64
 	done := make([]bool, n)
 	var completed atomic.Int64
-	err := forEachJob(ctx, 4, n, nil, nil, func(i int) error {
+	err := ForEachJob(ctx, 4, n, nil, nil, func(i int) error {
 		if completed.Add(1) == 8 {
 			cancel() // cancel once a handful of jobs have finished
 		}

@@ -16,7 +16,7 @@ import (
 // microseconds (first jobs) to the whole sweep duration (last jobs).
 var queueWaitBuckets = metrics.ExpBuckets(0.001, 2, 24)
 
-// forEachJob runs fn(i) for every i in [0, n), fanning the calls onto
+// ForEachJob runs fn(i) for every i in [0, n), fanning the calls onto
 // up to workers goroutines (0 means GOMAXPROCS; 1 forces the inline
 // sequential path). Jobs must be independent: callers pre-size result
 // slots indexed by i so the output is identical for any worker count.
@@ -25,7 +25,7 @@ var queueWaitBuckets = metrics.ExpBuckets(0.001, 2, 24)
 // scheduling; once a job fails, unstarted jobs are skipped.
 //
 // A cancelled ctx stops workers from picking up further jobs — in-flight
-// fn calls finish (fn may also observe ctx itself) — and forEachJob
+// fn calls finish (fn may also observe ctx itself) — and ForEachJob
 // returns ctx.Err(). Completed jobs' results remain valid; callers that
 // track per-job completion can salvage them.
 //
@@ -35,15 +35,7 @@ var queueWaitBuckets = metrics.ExpBuckets(0.001, 2, 24)
 // and a "pool.queue_wait_seconds" histogram of how long each job sat
 // queued before a worker picked it up. These execution metrics depend
 // on the worker count by nature, unlike the simulation metrics.
-// ForEachJob exposes the sweep worker pool to the other run drivers in
-// this repository (the topology engine, cmd/qnet): same contract as
-// forEachJob, including the identical-output-for-any-worker-count
-// guarantee when callers write results into pre-assigned slots.
 func ForEachJob(ctx context.Context, workers, n int, reg *metrics.Registry, onDone func(i int), fn func(i int) error) error {
-	return forEachJob(ctx, workers, n, reg, onDone, fn)
-}
-
-func forEachJob(ctx context.Context, workers, n int, reg *metrics.Registry, onDone func(i int), fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -359,3 +359,13 @@ func TestPropertyProposition1(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkFluidEngine measures one step of the discretized fluid model
+// with a greedy competitor.
+func BenchmarkFluidEngine(b *testing.B) {
+	e := NewEngine(48e6, []float64{1.33e6, 6.67e6}, 1e-4)
+	e.SetGreedy(1)
+	rates := func(t float64) []float64 { return []float64{8e6, 0} }
+	b.ResetTimer()
+	e.Run(b.N, rates)
+}

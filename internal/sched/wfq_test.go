@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -227,5 +228,35 @@ func TestWFQSmallestFinishTagFirst(t *testing.T) {
 	w.Enqueue(mkPkt(0, 500, 200)) // high weight
 	if p := w.Dequeue(); p.Flow != 0 {
 		t.Errorf("first dequeue from flow %d, want high-weight flow 0", p.Flow)
+	}
+}
+
+// BenchmarkWFQEnqueueDequeue measures WFQ's per-packet cost as the flow
+// count grows: the log N term of the sorted queue, which the paper's
+// FIFO-plus-thresholds design avoids (compare bench's flat
+// buffer.threshold_admit_release_ns; its sched.wfq_enq_deq_ns_1k is the
+// 1000-flow point).
+func BenchmarkWFQEnqueueDequeue(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("flows-%d", n), func(b *testing.B) {
+			weights := make([]units.Rate, n)
+			for i := range weights {
+				weights[i] = units.Mbps
+			}
+			now := 0.0
+			w := NewWFQ(units.Rate(float64(n)*2e6), func() float64 { return now }, weights)
+			pkts := make([]*packet.Packet, n)
+			for i := range pkts {
+				pkts[i] = &packet.Packet{Flow: i, Size: 500}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Enqueue(pkts[i%n])
+				now += 1e-7
+				if w.Len() > n {
+					w.Dequeue()
+				}
+			}
+		})
 	}
 }

@@ -342,13 +342,13 @@ func TestLinkFailurePartialPathStats(t *testing.T) {
 }
 
 func TestVerifyFlagsConformantLoss(t *testing.T) {
-	// No buffer management on a slow first hop: the aggressive flow's
-	// 40 Mb/s bursts overload the 24 Mb/s link, tail-drop hits the
-	// conformant flow too, and Verify must catch it. The declared
-	// profiles (Σρ = 6 Mb/s, Σσ = 100 KB) still pass admission —
-	// exactly the paper's Figure 2 failure mode.
+	// Thresholds at a tenth of Proposition 1's on a slow first hop: the
+	// aggressive flow's 40 Mb/s bursts overload the 24 Mb/s link, the
+	// conformant flow overruns its shrunken share, and Verify must catch
+	// it, since the hop still claims the guarantee. The declared
+	// profiles (Σρ = 6 Mb/s, Σσ = 100 KB) still pass admission.
 	topo := twoHop(t)
-	topo.Links[0].Spec = "fifo+none"
+	topo.Links[0].Spec = "fifo+threshold?scale=0.1"
 	topo.Links[0].Rate = units.MbitsPerSecond(24)
 	topo.Links[0].Buffer = units.KiloBytes(150)
 	topo.Flows[1].AvgRate = units.MbitsPerSecond(20)
@@ -361,12 +361,44 @@ func TestVerifyFlagsConformantLoss(t *testing.T) {
 	}
 	failed := 0
 	for _, a := range Verify(topo, &res) {
-		if a.Failed() {
+		if a.Failed() && a.Name == "zero-conformant-loss" {
 			failed++
 		}
 	}
 	if failed == 0 {
-		t.Error("tail-drop with a 30 KB buffer under 30 Mb/s aggression produced no violation")
+		t.Error("a tenth of the threshold under 30 Mb/s aggression produced no violation")
+	}
+}
+
+// TestVerifyAssertsOnlyWhatThePaperPromises replays qfuzz's campaign
+// seed 1, case 239: one wfq+none link whose shaped flows lose
+// conformant packets to a CBR aggressor. No buffer management means no
+// per-flow promise (Link.Guaranteed), so Verify must assert neither
+// zero conformant loss at that hop nor reserved throughput on a route
+// through it.
+func TestVerifyAssertsOnlyWhatThePaperPromises(t *testing.T) {
+	topo, err := Load("testdata/wfq_none_fuzz_case.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), topo, Options{Duration: 2, Seed: -7761103899341316898})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost int64
+	for _, lf := range res.Links[0].Flows {
+		lost += lf.ConformantDropped.Packets
+	}
+	if lost == 0 {
+		t.Fatal("the wfq+none link lost no conformant packet; the scenario no longer tests anything")
+	}
+	for _, a := range Verify(topo, &res) {
+		if a.Failed() {
+			t.Errorf("%s (%s): %v", a.Name, a.Detail, a.Err)
+		}
+		if a.Name == "zero-conformant-loss" || a.Name == "reserved-throughput" {
+			t.Errorf("%s asserted for %s on a link that promises nothing", a.Name, a.Detail)
+		}
 	}
 }
 

@@ -11,15 +11,18 @@ import (
 // run and returns one assertion per guarantee:
 //
 //   - zero conformant loss: an admitted shaped flow loses no conformant
-//     packet at any link of its route (Prop. 2 per hop; admission kept
-//     every hop inside its schedulability region).
+//     packet at any Guaranteed link of its route (Props. 1–2 per hop;
+//     admission kept every hop inside its schedulability region). Other
+//     hops make no per-flow promise and are not asserted.
 //   - conservation: the flow delivers at least what it offered minus a
 //     burst-and-storage allowance — one bucket σ plus, per hop, the
 //     buffer that may still hold its bytes and the bits in flight on
 //     the wire.
 //   - reserved throughput: a sustained conformant flow (greedy, or CBR
-//     at ≥ ρ) delivers its reserved rate ρ over its active window, up
-//     to the same allowance.
+//     at ≥ ρ) on a GuaranteedRoute delivers its reserved rate ρ over its
+//     active window, up to the same allowance.
+//   - tcp goodput floor: an admitted TCP flow on a GuaranteedRoute
+//     achieves TCPGoodputFraction·ρ of goodput over its active window.
 //
 // Flows whose route crosses a failed or rate-cut link are Degraded:
 // the admission decision assumed the declared capacity, so their
@@ -74,8 +77,8 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 			continue // no conformance contract to verify
 		}
 		for _, li := range f.Route {
-			if res.Links[li].Flows == nil {
-				continue // run used Options.SkipLinkFlows; per-flow loss not attributable
+			if !t.Links[li].Guaranteed() || res.Links[li].Flows == nil {
+				continue // no per-flow promise, or Options.SkipLinkFlows left loss unattributed
 			}
 			lf := &res.Links[li].Flows[fi]
 			var err error
@@ -96,7 +99,7 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 			Err: report.Checkf(fr.Delivered.Bytes >= fr.Offered.Bytes-allow,
 				"delivered %v of %v offered (allowance %v)", fr.Delivered.Bytes, fr.Offered.Bytes, allow),
 		})
-		if f.Sustained() && !fr.Left {
+		if f.Sustained() && !fr.Left && t.GuaranteedRoute(f) {
 			active := fr.LeaveAt - fr.JoinAt
 			want := units.BytesAtRate(f.Spec.TokenRate, active) - allow
 			as = append(as, report.Assertion{

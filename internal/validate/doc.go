@@ -28,6 +28,10 @@
 // differential check that packet-level departures track the fluid
 // trajectory within a quantization envelope. Each oracle cites the
 // paper result it encodes; EXPERIMENTS.md lists the full catalogue.
+// The per-run guarantees (zero conformant loss, reserved throughput,
+// rejected flows idle, the TCP goodput floor) are topology.Verify's
+// assertions of that name, so qfuzz and `qnet -check` hold a run to
+// the same statement of each.
 //
 // Fuzz drives campaigns: cases fan out over the experiment worker
 // pool into pre-assigned result slots, so summaries are bit-identical

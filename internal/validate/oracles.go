@@ -53,7 +53,7 @@ func Oracles() []Oracle {
 			Name:     "zero-conformant-loss",
 			Citation: "Propositions 1–2, §2.1–2.2",
 			Doc:      "an admitted shaped flow loses no conformant packet at any threshold- or sharing-managed hop",
-			Check:    checkZeroConformantLoss,
+			Check:    verified("zero-conformant-loss"),
 		},
 		{
 			Name:     "conservation",
@@ -65,13 +65,13 @@ func Oracles() []Oracle {
 			Name:     "reserved-throughput",
 			Citation: "Proposition 2 corollary, §2.2",
 			Doc:      "a sustained conformant flow on a guaranteed route delivers its reserved rate ρ up to a burst-and-storage allowance",
-			Check:    checkReservedThroughput,
+			Check:    verified("reserved-throughput"),
 		},
 		{
 			Name:     "rejected-flow-idle",
 			Citation: "admission regions, eqs. (5)–(8), §2.3",
 			Doc:      "a flow refused by admission control carries no traffic",
-			Check:    checkRejectedIdle,
+			Check:    verified("rejected-flow-idle"),
 		},
 		{
 			Name:     "admission-monotonicity",
@@ -95,7 +95,7 @@ func Oracles() []Oracle {
 			Name:     "tcp-goodput-floor",
 			Citation: "GFR comparison (PAPERS.md: Goyal et al., rate guarantees to TCP); §3 thresholds under feedback",
 			Doc:      "an admitted closed-loop TCP flow on a guaranteed route achieves goodput ≥ ρ/2 over its active window",
-			Check:    checkTCPGoodputFloor,
+			Check:    verified("tcp-goodput-floor"),
 		},
 		{
 			Name:     "shard-equivalence",
@@ -135,39 +135,27 @@ func OracleNames() []string {
 	return names
 }
 
+// verified is the oracle for one of topology.Verify's per-run
+// guarantees: Verify's assertions of that name. qnet -check, bench's
+// network check and qfuzz thereby hold a run to one statement of each
+// guarantee, scoped to the hops and routes the paper promises.
+func verified(name string) func(context.Context, *Case) []report.Assertion {
+	return func(_ context.Context, c *Case) []report.Assertion {
+		var as []report.Assertion
+		for _, a := range topology.Verify(c.Scenario.Topo, c.Result) {
+			if a.Name == name {
+				as = append(as, a)
+			}
+		}
+		return as
+	}
+}
+
 // assertable reports whether the flow is held to its guarantees in this
 // run: it must be admitted, shaped (no contract otherwise), and not
 // degraded by a link failure or rate cut.
 func assertable(f *topology.Flow, fr *topology.FlowResult) bool {
 	return fr.Admitted && !fr.Degraded && f.Shaped
-}
-
-func checkZeroConformantLoss(_ context.Context, c *Case) []report.Assertion {
-	t := c.Scenario.Topo
-	var as []report.Assertion
-	for fi := range t.Flows {
-		f := &t.Flows[fi]
-		if !assertable(f, &c.Result.Flows[fi]) {
-			continue
-		}
-		for _, li := range f.Route {
-			if !t.Links[li].Guaranteed() {
-				continue
-			}
-			lf := &c.Result.Links[li].Flows[fi]
-			var err error
-			if lf.ConformantDropped.Packets != 0 {
-				err = fmt.Errorf("dropped %d conformant packets (%v)",
-					lf.ConformantDropped.Packets, lf.ConformantDropped.Bytes)
-			}
-			as = append(as, report.Assertion{
-				Name:   "zero-conformant-loss",
-				Detail: fmt.Sprintf("flow %s at link %s", f.Name, t.Links[li].Name),
-				Err:    err,
-			})
-		}
-	}
-	return as
 }
 
 func checkConservation(_ context.Context, c *Case) []report.Assertion {
@@ -206,77 +194,6 @@ func checkConservation(_ context.Context, c *Case) []report.Assertion {
 			Detail: fmt.Sprintf("flow %s end-to-end", t.Flows[fi].Name),
 			Err: report.Checkf(fr.Delivered.Bytes <= fr.Offered.Bytes,
 				"delivered %v exceeds offered %v", fr.Delivered.Bytes, fr.Offered.Bytes),
-		})
-	}
-	return as
-}
-
-func checkReservedThroughput(_ context.Context, c *Case) []report.Assertion {
-	t := c.Scenario.Topo
-	var as []report.Assertion
-	for fi := range t.Flows {
-		f := &t.Flows[fi]
-		fr := &c.Result.Flows[fi]
-		if !assertable(f, fr) || fr.Left || !f.Sustained() || !t.GuaranteedRoute(f) {
-			continue
-		}
-		active := fr.LeaveAt - fr.JoinAt
-		want := units.BytesAtRate(f.Spec.TokenRate, active) - t.Allowance(f)
-		as = append(as, report.Assertion{
-			Name:   "reserved-throughput",
-			Detail: fmt.Sprintf("flow %s: ≥ ρ = %v over %.3gs", f.Name, f.Spec.TokenRate, active),
-			Err: report.Checkf(fr.Delivered.Bytes >= want,
-				"delivered %v (%v), want ≥ %v", fr.Delivered.Bytes, fr.Throughput, want),
-		})
-	}
-	return as
-}
-
-// checkTCPGoodputFloor mirrors topology.Verify's closed-loop contract:
-// an admitted TCP flow on an all-guaranteed route must achieve goodput
-// of at least TCPGoodputFraction·ρ over its active window. Taildrop and
-// RED routes make no such promise, so the oracle skips them — which is
-// exactly what lets the nightly campaign use them as controls.
-func checkTCPGoodputFloor(_ context.Context, c *Case) []report.Assertion {
-	t := c.Scenario.Topo
-	var as []report.Assertion
-	for fi := range t.Flows {
-		f := &t.Flows[fi]
-		fr := &c.Result.Flows[fi]
-		if f.Source != topology.SourceTCP {
-			continue
-		}
-		if !fr.Admitted || fr.Degraded || fr.Left || !t.GuaranteedRoute(f) {
-			continue
-		}
-		active := fr.LeaveAt - fr.JoinAt
-		want := units.Bytes(topology.TCPGoodputFraction*
-			float64(units.BytesAtRate(f.Spec.TokenRate, active))) - t.Allowance(f)
-		as = append(as, report.Assertion{
-			Name: "tcp-goodput-floor",
-			Detail: fmt.Sprintf("flow %s: goodput ≥ %.2g·ρ = %.2g·%v over %.3gs",
-				f.Name, topology.TCPGoodputFraction, topology.TCPGoodputFraction, f.Spec.TokenRate, active),
-			Err: report.Checkf(fr.Goodput.Bytes >= want,
-				"goodput %v (%v), want ≥ %v", fr.Goodput.Bytes, fr.GoodputRate, want),
-		})
-	}
-	return as
-}
-
-func checkRejectedIdle(_ context.Context, c *Case) []report.Assertion {
-	t := c.Scenario.Topo
-	var as []report.Assertion
-	for fi := range t.Flows {
-		fr := &c.Result.Flows[fi]
-		if fr.Admitted {
-			continue
-		}
-		as = append(as, report.Assertion{
-			Name:   "rejected-flow-idle",
-			Detail: fmt.Sprintf("flow %s", t.Flows[fi].Name),
-			Err: report.Checkf(fr.Offered.Packets == 0 && fr.Delivered.Packets == 0,
-				"non-admitted flow carried traffic: offered %d, delivered %d packets",
-				fr.Offered.Packets, fr.Delivered.Packets),
 		})
 	}
 	return as
