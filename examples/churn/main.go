@@ -1,7 +1,8 @@
 // Churn: flows come and go. Video-call-sized reservations arrive as a
 // Poisson process at increasing intensities; the §2.3 FIFO+BM admission
-// region decides who gets in, per-flow thresholds are recomputed on
-// every population change, and we watch the Erlang-style trade-off:
+// region decides who gets in, each admitted flow gets its threshold
+// σ + ρB/R (its own reservation's, so no other flow's changes when the
+// population does), and we watch the Erlang-style trade-off:
 // blocking rises with load while every admitted flow keeps its
 // guarantee (zero conformant loss throughout).
 //
@@ -61,7 +62,7 @@ func main() {
 	}
 	tw.Flush()
 
-	fmt.Println("\nAdmission (eqs. 7-8) throttles intake as the region fills; thresholds are")
-	fmt.Println("recomputed on every arrival and departure, and no admitted flow ever loses")
-	fmt.Println("a conformant packet — the guarantee survives churn.")
+	fmt.Println("\nAdmission (eqs. 7-8) throttles intake as the region fills; a flow's threshold")
+	fmt.Println("σ + ρB/R depends on its own reservation only, so it is set once on arrival,")
+	fmt.Println("and no admitted flow ever loses a conformant packet — the guarantee survives churn.")
 }

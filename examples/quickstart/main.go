@@ -40,7 +40,7 @@ func main() {
 		victim := source.NewCBR(s, 0, 500, reserved, link)
 		victim.Start()
 		// Flow 1: greedy, offers the entire link rate.
-		greedy := source.NewSaturating(s, 1, 500, linkRate, link)
+		greedy := source.NewCBR(s, 1, 500, linkRate, link)
 		greedy.Start()
 
 		const dur = 10.0

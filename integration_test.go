@@ -162,7 +162,7 @@ func TestRemark1ExcessTrafficNotPenalized(t *testing.T) {
 		MeanBurst: units.KiloBytes(250),
 	}, meter)
 	src.Start()
-	comp := source.NewSaturating(s, 1, 500, units.MbitsPerSecond(40), link)
+	comp := source.NewCBR(s, 1, 500, units.MbitsPerSecond(40), link)
 	comp.Start()
 
 	const dur = 20.0

@@ -238,9 +238,8 @@ func NewFixedThreshold(capacity units.Bytes, thresholds []units.Bytes) *FixedThr
 // Threshold returns flow's occupancy threshold.
 func (m *FixedThreshold) Threshold(flow int) units.Bytes { return m.thresholds[flow] }
 
-// SetThreshold updates a flow's threshold at run time — used when the
-// flow population changes (admission/departure churn) and thresholds
-// are recomputed. Lowering a threshold below the flow's current
+// SetThreshold updates a flow's threshold at run time — used when a
+// flow id is (re)assigned to a newly admitted flow under churn. Lowering a threshold below the flow's current
 // occupancy is allowed: the flow simply admits nothing until it drains
 // below the new cap.
 func (m *FixedThreshold) SetThreshold(flow int, v units.Bytes) {

@@ -7,7 +7,6 @@ import (
 	"bufqos/internal/buffer"
 	"bufqos/internal/core"
 	"bufqos/internal/metrics"
-	"bufqos/internal/packet"
 	"bufqos/internal/sched"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
@@ -17,9 +16,11 @@ import (
 
 // ChurnConfig describes a dynamic-population experiment: flow requests
 // arrive as a Poisson process, pass admission control (the §2.3 FIFO+BM
-// region), hold for an exponential time, and depart. Thresholds are
-// recomputed whenever the population changes — the operational regime
-// the paper's §4 alludes to ("as flows come and go").
+// region), hold for an exponential time, and depart — the operational
+// regime the paper's §4 alludes to ("as flows come and go"). Each
+// admitted flow's threshold is its Prop. 2 minimum σᵢ + ρᵢ·B/R, which
+// depends only on its own spec, so a population change sets the
+// joining flow's threshold and leaves every other one as it was.
 type ChurnConfig struct {
 	// Template flows: each arrival draws one uniformly.
 	Templates []FlowConfig
@@ -138,7 +139,7 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 	srcRngSeq := 0
 
 	var res ChurnResult
-	active := make([]*packet.FlowSpec, cfg.MaxFlows) // nil = free slot
+	active := make([]bool, cfg.MaxFlows) // true while a flow holds the slot
 	// shapers holds each slot's latest shaper, kept after its flow
 	// leaves: it drains trailing packets under the slot's flow id.
 	shapers := make([]*source.Shaper, cfg.MaxFlows)
@@ -150,21 +151,6 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 	accumulate := func() {
 		activeArea += float64(activeCount) * (s.Now() - lastChange)
 		lastChange = s.Now()
-	}
-
-	// recompute refreshes every active flow's threshold after a
-	// population change: σᵢ + ρᵢ·B/R (no scale-up under churn; the
-	// thresholds are the Prop. 2 minima).
-	recompute := func() {
-		for i, spec := range active {
-			if spec == nil {
-				// Keep a departed slot's threshold until the slot is
-				// reused: its shaper may still be draining trailing
-				// packets, which must not be punished retroactively.
-				continue
-			}
-			mgr.SetThreshold(i, core.LeakyBucketThreshold(*spec, cfg.LinkRate, cfg.Buffer))
-		}
 	}
 
 	var arrive func()
@@ -193,9 +179,13 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 		res.Admitted++
 		spec := tpl.Spec
 		accumulate()
-		active[slot] = &spec
+		active[slot] = true
 		activeCount++
-		recompute()
+		// The slot's threshold is the Prop. 2 minimum σᵢ + ρᵢ·B/R (no
+		// scale-up under churn). A departed slot keeps its threshold
+		// until it is reused here: its shaper may still be draining
+		// trailing packets, which must not be punished retroactively.
+		mgr.SetThreshold(slot, core.LeakyBucketThreshold(spec, cfg.LinkRate, cfg.Buffer))
 
 		srcRngSeq++
 		srcRng := sim.NewRand(sim.DeriveSeed(cfg.Seed, srcRngSeq))
@@ -216,9 +206,8 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 			src.Stop()
 			admission.Release(spec)
 			accumulate()
-			active[slot] = nil
+			active[slot] = false
 			activeCount--
-			recompute()
 		})
 	}
 	s.After(sim.Exponential(rng, 1/cfg.ArrivalRate), arrive)
@@ -242,9 +231,9 @@ func RunChurn(ctx context.Context, cfg ChurnConfig) (ChurnResult, error) {
 // releasing its backlog under the slot's flow id after the source stops
 // — so flows never inherit phantom occupancy (or each other's
 // statistics).
-func freeSlot(active []*packet.FlowSpec, shapers []*source.Shaper, mgr buffer.Manager) int {
-	for i, spec := range active {
-		if spec == nil && mgr.Occupancy(i) == 0 && (shapers[i] == nil || shapers[i].Backlog() == 0) {
+func freeSlot(active []bool, shapers []*source.Shaper, mgr buffer.Manager) int {
+	for i, busy := range active {
+		if !busy && mgr.Occupancy(i) == 0 && (shapers[i] == nil || shapers[i].Backlog() == 0) {
 			return i
 		}
 	}

@@ -177,7 +177,7 @@ func TestChurnSlotWaitsForItsShaperToDrain(t *testing.T) {
 		p.Size = 500
 		sh.Receive(p) // the first passes, the others wait for tokens
 	}
-	active := make([]*packet.FlowSpec, 2) // both flows have left
+	active := make([]bool, 2) // both flows have left
 	shapers := []*source.Shaper{sh, nil}
 	if sh.Backlog() == 0 || mgr.Occupancy(0) != 0 {
 		t.Fatalf("set-up: shaper backlog %d, buffer occupancy %v", sh.Backlog(), mgr.Occupancy(0))

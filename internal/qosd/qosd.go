@@ -362,12 +362,32 @@ func (s *Server) SnapshotState() Snapshot {
 	return Snapshot{Topology: s.topoName, Links: s.linkStates(), Flows: flows}
 }
 
-// Restore replaces the daemon's state with a snapshot: every current
-// reservation is released, then the snapshot's flows are re-admitted
-// in name order. Flows the topology can no longer accommodate are
-// reported as rejections (the rest of the restore proceeds). Restore
-// refuses to run while any operation is in flight.
+// Restore replaces the daemon's state with a snapshot: every record is
+// checked first (name, duplicates, spec, route), then every current
+// reservation is released and the snapshot's flows are re-admitted in
+// name order, so a snapshot refused with an error leaves the state as
+// it was. Flows the topology can no longer accommodate are reported as
+// rejections (the rest of the restore proceeds). Restore refuses to run
+// while any operation is in flight.
 func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
+	recs := append([]FlowRecord(nil), snap.Flows...)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Flow < recs[j].Flow })
+	var buf [inlineHops]int
+	for i, rec := range recs {
+		if rec.Flow == "" {
+			return nil, fmt.Errorf("snapshot flow with empty name")
+		}
+		if i > 0 && recs[i-1].Flow == rec.Flow {
+			return nil, fmt.Errorf("snapshot names flow %q twice", rec.Flow)
+		}
+		if err := rec.Spec.Validate(); err != nil {
+			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
+		}
+		if _, err := resolveRoute(s, buf[:0], rec.Links); err != nil {
+			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, e := range s.flows {
@@ -379,25 +399,9 @@ func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
 		s.adm.ReleaseRoute(e.route, e.spec)
 		delete(s.flows, name)
 	}
-
-	recs := append([]FlowRecord(nil), snap.Flows...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Flow < recs[j].Flow })
 	var rejected []Decision
-	var buf [inlineHops]int
 	for _, rec := range recs {
-		if rec.Flow == "" {
-			return nil, fmt.Errorf("snapshot flow with empty name")
-		}
-		if _, dup := s.flows[rec.Flow]; dup {
-			return nil, fmt.Errorf("snapshot names flow %q twice", rec.Flow)
-		}
-		if err := rec.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
-		}
-		route, err := resolveRoute(s, buf[:0], rec.Links)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot flow %q: %w", rec.Flow, err)
-		}
+		route, _ := resolveRoute(s, buf[:0], rec.Links) // checked above
 		refusing, reason := s.adm.AdmitRoute(route, rec.Spec)
 		if reason != core.Accepted {
 			rejected = append(rejected, Decision{

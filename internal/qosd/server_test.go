@@ -322,6 +322,43 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRefusedRestoreKeepsState: a snapshot refused with an error —
+// here a bad record after a good one — answers 400 and leaves every
+// reservation as it was, rather than a half-restored table.
+func TestRefusedRestoreKeepsState(t *testing.T) {
+	s, ts := newTestServer(t)
+	for i := 0; i < 3; i++ {
+		var d Decision
+		call(t, ts, "POST", "/v1/join", JoinRequest{Flow: fmt.Sprintf("f%d", i), Links: []string{"a->b", "b->c"}, Spec: vidSpec()}, &d)
+		if !d.Admitted {
+			t.Fatalf("f%d refused", i)
+		}
+	}
+	var before Snapshot
+	call(t, ts, "GET", "/v1/snapshot", nil, &before)
+	good := FlowRecord{Flow: "g0", Links: []string{"a->b"}, Spec: vidSpec()}
+	for name, bad := range map[string]FlowRecord{
+		"unknown link": {Flow: "g1", Links: []string{"a->z"}, Spec: vidSpec()},
+		"empty route":  {Flow: "g1", Spec: vidSpec()},
+		"bad spec":     {Flow: "g1", Links: []string{"a->b"}},
+		"duplicate":    good,
+		"empty name":   {Links: []string{"a->b"}, Spec: vidSpec()},
+	} {
+		snap := Snapshot{Topology: "qosd-test", Flows: []FlowRecord{good, bad}}
+		var apiErr apiError
+		if code := call(t, ts, "POST", "/v1/restore", snap, &apiErr); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		var after Snapshot
+		call(t, ts, "GET", "/v1/snapshot", nil, &after)
+		b1, _ := json.Marshal(before)
+		b2, _ := json.Marshal(after)
+		if !bytes.Equal(b1, b2) || s.NumFlows() != 3 {
+			t.Errorf("%s: refused restore changed the state (%d flows):\n%s\nvs\n%s", name, s.NumFlows(), b1, b2)
+		}
+	}
+}
+
 // TestRestoreRejectsTrailingData: /v1/restore reads its snapshot as
 // strictly as the decision bodies: data after it is a 400 and restores
 // nothing.

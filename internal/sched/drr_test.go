@@ -37,7 +37,7 @@ func TestDRRWeightedSharesEndToEnd(t *testing.T) {
 	link := NewLink(s, rate, d, buffer.NewUnlimited(2), nil)
 	link.OnDepart = func(p *packet.Packet) { got[p.Flow] += p.Size }
 	for i := 0; i < 2; i++ {
-		src := source.NewSaturating(s, i, 500, rate, link)
+		src := source.NewCBR(s, i, 500, rate, link)
 		src.Start()
 	}
 	s.RunUntil(2)
@@ -54,7 +54,7 @@ func TestDRRWorkConserving(t *testing.T) {
 	var delivered units.Bytes
 	link := NewLink(s, rate, d, buffer.NewTailDrop(units.KiloBytes(50), 2), nil)
 	link.OnDepart = func(p *packet.Packet) { delivered += p.Size }
-	src := source.NewSaturating(s, 0, 500, 2*rate, link)
+	src := source.NewCBR(s, 0, 500, 2*rate, link)
 	src.Start()
 	const dur = 1.0
 	s.RunUntil(dur)

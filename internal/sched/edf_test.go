@@ -103,7 +103,7 @@ func TestEDFEndToEndMeetsTightDeadlines(t *testing.T) {
 	}
 	urgent := source.NewCBR(s, 0, 500, units.MbitsPerSecond(2), link)
 	urgent.Start()
-	bulk := source.NewSaturating(s, 1, 500, rate, link)
+	bulk := source.NewCBR(s, 1, 500, rate, link)
 	bulk.Start()
 	s.RunUntil(3)
 	if worst0 == 0 {
@@ -131,7 +131,7 @@ func TestVirtualClockGuaranteesRates(t *testing.T) {
 	}
 	src := source.NewCBR(s, 0, 500, units.MbitsPerSecond(8), link)
 	src.Start()
-	agg := source.NewSaturating(s, 1, 500, rate, link)
+	agg := source.NewCBR(s, 1, 500, rate, link)
 	agg.Start()
 	const dur = 2.0
 	s.RunUntil(dur)
@@ -183,7 +183,7 @@ func TestVirtualClockWorkConserving(t *testing.T) {
 	var delivered units.Bytes
 	link := NewLink(s, rate, vc, buffer.NewTailDrop(units.KiloBytes(50), 1), nil)
 	link.OnDepart = func(p *packet.Packet) { delivered += p.Size }
-	src := source.NewSaturating(s, 0, 500, 2*rate, link)
+	src := source.NewCBR(s, 0, 500, 2*rate, link)
 	src.Start()
 	const dur = 1.0
 	s.RunUntil(dur)

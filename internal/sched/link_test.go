@@ -18,7 +18,7 @@ func TestLinkTransmitsAtLinkRate(t *testing.T) {
 	rate := units.MbitsPerSecond(48)
 	col := stats.NewCollector(1, 0)
 	link := NewLink(s, rate, NewFIFO(), buffer.NewTailDrop(units.KiloBytes(100), 1), col)
-	src := source.NewSaturating(s, 0, 500, units.MbitsPerSecond(96), link)
+	src := source.NewCBR(s, 0, 500, units.MbitsPerSecond(96), link)
 	src.Start()
 	const dur = 1.0
 	s.RunUntil(dur)
@@ -157,7 +157,7 @@ func TestHybridEndToEndQueueRates(t *testing.T) {
 	})
 	link := NewLink(s, rate, h, mgr, col)
 	for i := 0; i < 2; i++ {
-		src := source.NewSaturating(s, i, 500, rate, link)
+		src := source.NewCBR(s, i, 500, rate, link)
 		src.Start()
 	}
 	const dur = 2.0

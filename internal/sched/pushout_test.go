@@ -117,7 +117,7 @@ func TestPushoutProtectsConformantEndToEnd(t *testing.T) {
 
 	victim := source.NewCBR(s, 0, 500, units.MbitsPerSecond(8), link)
 	victim.Start()
-	agg := source.NewSaturating(s, 1, 500, rate, link)
+	agg := source.NewCBR(s, 1, 500, rate, link)
 	agg.Start()
 	const dur = 10.0
 	s.RunUntil(dur)

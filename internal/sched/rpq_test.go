@@ -118,7 +118,7 @@ func TestRPQDelayClassEndToEnd(t *testing.T) {
 	}
 	urgent := source.NewCBR(s, 0, 500, units.MbitsPerSecond(2), link)
 	urgent.Start()
-	bulk := source.NewSaturating(s, 1, 500, rate, link)
+	bulk := source.NewCBR(s, 1, 500, rate, link)
 	bulk.Start()
 	s.RunUntil(3)
 	if worstUrgent == 0 || worstBulk == 0 {
@@ -147,7 +147,7 @@ func TestRPQWorkConservingUnderLoad(t *testing.T) {
 	var delivered units.Bytes
 	link := NewLink(s, rate, r, buffer.NewTailDrop(units.KiloBytes(50), 1), nil)
 	link.OnDepart = func(p *packet.Packet) { delivered += p.Size }
-	src := source.NewSaturating(s, 0, 500, 2*rate, link)
+	src := source.NewCBR(s, 0, 500, 2*rate, link)
 	src.Start()
 	const dur = 2.0
 	s.RunUntil(dur)

@@ -16,7 +16,7 @@ import (
 // occupancy drops below the target, immediately injects packets to top
 // it back up.
 //
-// Unlike Saturating (open-loop offering at the link rate), this source
+// Unlike a CBR offering at the link rate (open loop), this source
 // adapts perfectly: it never wastes offered packets and keeps the
 // occupancy pinned regardless of how fast the queue drains, which is
 // the exact adversary the propositions are proved against.

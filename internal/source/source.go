@@ -208,19 +208,3 @@ func (c *CBR) emit() {
 	c.sink.Receive(p)
 	c.sim.AtHandler(c.sim.Now()+units.TransmissionTime(c.PacketSize, c.Rate), (*cbrEmit)(c))
 }
-
-// Saturating is a source that offers traffic at the given rate forever —
-// the packetized analogue of the paper's "greedy" flow that always tries
-// to occupy its full buffer share. Offering at (or above) the link rate
-// keeps the flow's queue pegged at its admission threshold.
-type Saturating struct {
-	CBR
-}
-
-// NewSaturating creates a greedy source offering at rate (typically the
-// link rate) into sink.
-func NewSaturating(s *sim.Simulator, flow int, size units.Bytes, rate units.Rate, sink Sink) *Saturating {
-	g := new(Saturating)
-	g.CBR.Init(s, flow, size, rate, sink)
-	return g
-}

@@ -203,15 +203,17 @@ func TestCBRInvalidConfigPanics(t *testing.T) {
 	NewCBR(sim.New(), 0, 500, 0, SinkFunc(func(*packet.Packet) {}))
 }
 
-func TestSaturatingOffersAtRate(t *testing.T) {
+// TestCBROffersAtRate: a CBR at the link rate is the open-loop greedy
+// source the scheduler tests saturate links with.
+func TestCBROffersAtRate(t *testing.T) {
 	s := sim.New()
 	rec := NewRecorder(s)
-	src := NewSaturating(s, 8, 500, units.MbitsPerSecond(48), rec)
+	src := NewCBR(s, 8, 500, units.MbitsPerSecond(48), rec)
 	src.Start()
 	const dur = 1.0
 	s.RunUntil(dur)
 	rate := rec.TotalBytes().Bits() / dur
 	if math.Abs(rate-48e6)/48e6 > 0.01 {
-		t.Errorf("saturating source rate %.3g, want 48e6 ± 1%%", rate)
+		t.Errorf("cbr source rate %.3g, want 48e6 ± 1%%", rate)
 	}
 }

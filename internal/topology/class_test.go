@@ -60,6 +60,37 @@ func TestValidateRejectsNegativeClass(t *testing.T) {
 	}
 }
 
+// TestValidateChecksTheLinkItRuns: a class-aware link is built over the
+// flows traversing it, so a class its scheme cannot hold on a flow that
+// only uses another link is no error — Validate accepts the scenario
+// the engine runs, and both flows deliver.
+func TestValidateChecksTheLinkItRuns(t *testing.T) {
+	spec := packet.FlowSpec{TokenRate: units.MbitsPerSecond(2), BucketSize: units.KiloBytes(2)}
+	topo := &Topology{
+		Name: "class-elsewhere",
+		Links: []Link{
+			{From: "a", To: "b", Rate: units.MbitsPerSecond(10), Buffer: units.KiloBytes(16), Spec: "classseg?classes=2"},
+			{From: "b", To: "c", Rate: units.MbitsPerSecond(10), Buffer: units.KiloBytes(16)},
+		},
+		Flows: []Flow{
+			{Name: "gold", Spec: spec, RouteNodes: []string{"a", "b"}, Source: SourceCBR, Class: 1},
+			{Name: "far", Spec: spec, RouteNodes: []string{"b", "c"}, Source: SourceCBR, Class: 3},
+		},
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatalf("Validate rejects a scenario the engine runs: %v", err)
+	}
+	res, err := Run(context.Background(), topo, Options{Duration: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range res.Flows {
+		if fr.Delivered.Packets == 0 || fr.Delivered != fr.Offered {
+			t.Errorf("flow %s: delivered %+v of %+v", fr.Name, fr.Delivered, fr.Offered)
+		}
+	}
+}
+
 // TestClassSegLinkProtectsHighClass: on an overloaded classseg link,
 // the explicitly higher-class flow keeps (nearly) all its traffic while
 // the lower class absorbs the loss — the topology's class assignment

@@ -10,7 +10,6 @@ import (
 	"bufqos/internal/network"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
-	"bufqos/internal/scheme"
 	"bufqos/internal/shard"
 	"bufqos/internal/sim"
 	"bufqos/internal/stats"
@@ -134,10 +133,7 @@ type engineLink struct {
 	// Nil when the link runs with global ids (population-sensitive
 	// scheme, or no traversing flows).
 	flows []int32
-	// forwarded counts packets handed onward (next hop or delivery),
-	// indexed like the data plane.
-	forwarded []int64
-	prop      float64
+	prop  float64
 	// arrive is the handler of every packet event that ends at this
 	// link: stamp the arrival and enqueue. Built once per link, it
 	// serves same-shard propagation and cross-shard injection alike.
@@ -321,10 +317,13 @@ func reverseDelay(t *Topology, f *Flow, h int) float64 {
 // newEngine plans and wires one run. It does everything up to (not
 // including) starting the clock.
 func newEngine(t *Topology, opts Options) (*engine, error) {
+	if t.ft == nil {
+		return nil, fmt.Errorf("topology %s: not validated", t.Name)
+	}
 	e := &engine{
 		topo:    t,
 		opts:    opts,
-		ft:      NewFlowTable(t),
+		ft:      t.ft,
 		entries: make([]engineFlow, len(t.Flows)),
 		res: &Result{
 			Topology: t.Name,
@@ -415,37 +414,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		l := &t.Links[li]
 		sh := e.part.Assign[li]
 		es := e.shards[sh]
-		locals := e.ft.LinkFlows[li]
-		seed := sim.DeriveSeed(opts.Seed, linkSeedBase+li)
-		var cfg scheme.Config
-		var flows []int32
-		if l.scheme.PopulationSensitive() || len(locals) == 0 {
-			// Population-sensitive schemes (and links no flow traverses,
-			// whose builders reject an empty population) keep the global
-			// flow indexing.
-			cfg = l.schemeConfig(specs, classes, seed)
-		} else {
-			localSpecs := make([]packet.FlowSpec, len(locals))
-			var localClasses []int
-			if classes != nil {
-				localClasses = make([]int, len(locals))
-			}
-			for k, g := range locals {
-				localSpecs[k] = specs[g]
-				if localClasses != nil {
-					localClasses[k] = classes[g]
-				}
-			}
-			cfg = scheme.Config{
-				Specs:    localSpecs,
-				LinkRate: l.Rate,
-				Buffer:   l.Buffer,
-				Headroom: l.Headroom,
-				Classes:  localClasses,
-				Seed:     seed,
-			}
-			flows = locals
-		}
+		cfg, flows := t.linkConfig(li, specs, classes, sim.DeriveSeed(opts.Seed, linkSeedBase+li))
 		nflows := len(cfg.Specs)
 		col := stats.NewCollector(nflows, 0)
 		lk, err := l.scheme.NewLink(es.s, cfg, col)
@@ -456,13 +425,12 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			lk.Instrument(opts.Metrics, l.Spec)
 		}
 		el := &engineLink{
-			topoIdx:   li,
-			shard:     sh,
-			link:      lk,
-			col:       col,
-			flows:     flows,
-			forwarded: make([]int64, nflows),
-			prop:      l.PropDelay,
+			topoIdx: li,
+			shard:   sh,
+			link:    lk,
+			col:     col,
+			flows:   flows,
+			prop:    l.PropDelay,
 		}
 		el.arrive = func(p *packet.Packet) {
 			p.Arrived = es.s.Now()
@@ -590,7 +558,6 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 	es := e.shards[el.shard]
 	ft := e.ft
 	return func(p *packet.Packet) {
-		el.forwarded[p.Flow]++
 		g := int32(p.Flow)
 		if el.flows != nil {
 			g = el.flows[p.Flow]
@@ -766,7 +733,7 @@ func (e *engine) collect() {
 			addCounter(&lr.Totals.Dropped, fs.Dropped.Total())
 			addCounter(&lr.Totals.ConformantDropped, fs.Dropped.Conformant)
 			addCounter(&lr.Totals.Departed, fs.Departed.Total())
-			lr.Totals.Forwarded += el.forwarded[k]
+			lr.Totals.Forwarded += fs.Departed.Total().Packets
 		}
 		if !e.opts.SkipLinkFlows {
 			lr.Flows = make([]LinkFlow, len(t.Flows))
@@ -781,7 +748,7 @@ func (e *engine) collect() {
 					Dropped:           fs.Dropped.Total(),
 					ConformantDropped: fs.Dropped.Conformant,
 					Departed:          fs.Departed.Total(),
-					Forwarded:         el.forwarded[k],
+					Forwarded:         fs.Departed.Total().Packets,
 				}
 			}
 		}

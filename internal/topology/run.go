@@ -60,7 +60,8 @@ type LinkFlow struct {
 	ConformantDropped stats.Counter
 	Departed          stats.Counter
 	// Forwarded counts packets handed to the next hop (or the delivery
-	// sink).
+	// sink). Every departure is handed onward, so it is
+	// Departed.Packets.
 	Forwarded int64
 }
 

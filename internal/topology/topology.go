@@ -167,6 +167,10 @@ type Topology struct {
 	// admission planner and the engine. Nil on a topology never
 	// validated, or whose last Validate failed.
 	joinAt []float64
+	// ft is the route index of the resolved routes, built once by
+	// Validate for its trial builds and reused by every Run. Nil when
+	// joinAt is.
+	ft *FlowTable
 }
 
 // noJoin marks a flow without a join event in Topology.joinAt (event
@@ -174,7 +178,9 @@ type Topology struct {
 const noJoin = -1
 
 // Specs returns the declared profiles of all flows, in ID order — the
-// global flow population every link's buffer manager is built for.
+// global flow population. A link's scheme is built for the flows
+// traversing it, or for this whole population when the scheme is
+// population-sensitive or no flow traverses the link (linkConfig).
 func (t *Topology) Specs() []packet.FlowSpec {
 	specs := make([]packet.FlowSpec, len(t.Flows))
 	for i, f := range t.Flows {
@@ -222,29 +228,58 @@ func (t *Topology) Classes() []int {
 	return classes
 }
 
-// schemeConfig assembles the scheme.Config for one link: the global
-// flow population plus the link's physical parameters. seed
-// differentiates randomized managers (RED) per link.
-func (l *Link) schemeConfig(specs []packet.FlowSpec, classes []int, seed int64) scheme.Config {
-	return scheme.Config{
-		Specs:    specs,
-		LinkRate: l.Rate,
-		Buffer:   l.Buffer,
-		Headroom: l.Headroom,
-		QueueOf:  l.Queues,
-		Classes:  classes,
-		Seed:     seed,
+// linkConfig assembles the scheme.Config link li runs with, and the
+// map from its data-plane flow index to the global flow id. Prop. 2's
+// threshold σᵢ + ρᵢB/R depends only on flow i's own envelope and its
+// link, and so do the other per-flow weights, budgets and classes of a
+// population-insensitive scheme: it is built over just the flows
+// traversing the link, in ascending id order. A population-sensitive
+// scheme, and a link no flow traverses (builders reject an empty
+// population), get the global population (specs and classes, as
+// t.Specs() and t.Classes() return them) and a nil map. seed
+// differentiates randomized managers (RED) per link. Validate's trial
+// build and the engine both configure links here, so a scenario
+// validates exactly when its links build.
+func (t *Topology) linkConfig(li int, specs []packet.FlowSpec, classes []int, seed int64) (scheme.Config, []int32) {
+	l := &t.Links[li]
+	cfg := scheme.Config{LinkRate: l.Rate, Buffer: l.Buffer, Headroom: l.Headroom, Seed: seed}
+	locals := t.ft.LinkFlows[li]
+	if l.scheme.PopulationSensitive() || len(locals) == 0 {
+		cfg.Specs, cfg.Classes, cfg.QueueOf = specs, classes, l.Queues
+		return cfg, nil
 	}
+	cfg.Specs, cfg.Classes = pick(specs, locals), pick(classes, locals)
+	return cfg, locals
+}
+
+// pick returns all's elements at idx, in order, or nil when all is nil.
+func pick[T any](all []T, idx []int32) []T {
+	if all == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = all[i]
+	}
+	return out
 }
 
 // Validate checks the whole scenario: link physics, scheme specs (each
-// is trial-built against the full flow population), flow contracts,
-// route resolution, and timeline consistency. It fills the resolved
-// Route and event indices, sorts Events by time (stable), and applies
-// defaults (link names, source parameters). A Topology must be
+// is trial-built with the configuration the engine runs it with, see
+// linkConfig), flow contracts, route resolution, and timeline
+// consistency. It fills the resolved Route and event indices, builds
+// the route index every Run reuses, sorts Events by time (stable), and
+// applies defaults (link names, source parameters). A Topology must be
 // validated before Run.
-func (t *Topology) Validate() error {
-	t.joinAt = nil // rebuilt below once the timeline checks out
+func (t *Topology) Validate() (err error) {
+	// The join-time table and the route index are rebuilt below and
+	// kept only if the whole scenario checks out.
+	t.joinAt, t.ft = nil, nil
+	defer func() {
+		if err != nil {
+			t.joinAt, t.ft = nil, nil
+		}
+	}()
 	if len(t.Links) == 0 {
 		return fmt.Errorf("topology %s: no links", t.Name)
 	}
@@ -390,9 +425,10 @@ func (t *Topology) Validate() error {
 		}
 	}
 
-	// Trial-build every link's scheme against the full flow population
-	// so spec/population mismatches (hybrid queue maps, bad thresholds)
-	// fail at load time, not mid-run.
+	// Trial-build every link's scheme with the configuration it runs
+	// with so spec/population mismatches (hybrid queue maps, bad
+	// thresholds, classes out of range) fail at load time, not mid-run.
+	t.ft = NewFlowTable(t)
 	specs := t.Specs()
 	classes := t.Classes()
 	for i := range t.Links {
@@ -400,7 +436,7 @@ func (t *Topology) Validate() error {
 		if l.Queues != nil && len(l.Queues) != len(t.Flows) {
 			return fmt.Errorf("link %s: queue map covers %d flows, topology has %d", l.Name, len(l.Queues), len(t.Flows))
 		}
-		cfg := l.schemeConfig(specs, classes, 0)
+		cfg, _ := t.linkConfig(i, specs, classes, 0)
 		cfg.Now = func() float64 { return 0 } // placeholder clock; the trial build is discarded
 		if _, _, err := l.scheme.Build(cfg); err != nil {
 			return fmt.Errorf("link %s: %w", l.Name, err)

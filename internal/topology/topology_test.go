@@ -124,6 +124,10 @@ func TestValidateErrors(t *testing.T) {
 			t.Events = []Event{{At: 1, Kind: EventRate, Link: "a->b", Rate: 0}}
 		}, "non-positive rate"},
 		{"hybrid without queues", func(t *Topology) { t.Links[0].Spec = "hybrid+sharing" }, "hybrid"},
+		{"class out of range on its link", func(t *Topology) {
+			t.Links[0].Spec = "classseg?classes=2"
+			t.Flows[0].Class = 3
+		}, "class 3 outside"},
 	}
 	for _, tc := range cases {
 		topo := base()
@@ -135,6 +139,11 @@ func TestValidateErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		// A failed Validate keeps no route index, so the scenario
+		// cannot run half-checked.
+		if _, err := Run(context.Background(), topo, Options{Duration: 1}); err == nil || !strings.Contains(err.Error(), "not validated") {
+			t.Errorf("%s: Run after a failed Validate: err = %v, want not validated", tc.name, err)
 		}
 	}
 }
