@@ -193,7 +193,9 @@ qosd-smoke:
 	echo "qosd-smoke: ok (clean drain)"
 
 # Bounded property-fuzzing campaign: 50 seeded scenarios, 2 s horizon,
-# every invariant oracle. Fails (and writes shrunk reproducers to
+# every invariant oracle, each judging the scenario it generated (the
+# competitive bounds and the √n sizing floor are comp-smoke's and
+# sizing-smoke's). Fails (and writes shrunk reproducers to
 # testdata/repros/) on any violation. CI runs this on every push; the
 # scheduled nightly workflow runs fuzz-nightly instead.
 fuzz-smoke:
@@ -207,14 +209,25 @@ fuzz-smoke:
 # parser, the random source against math/rand, the admission daemon's
 # decision-body scanner against encoding/json, and the competitive-
 # analysis instance parser with every policy against the offline
-# optimum. A failing input is written under the package's
-# testdata/fuzz/.
+# optimum and its proven bound. A failing input is written under the
+# package's testdata/fuzz/. Last, the geometries beyond the comp-smoke
+# and sizing-smoke defaults: the competitive sweep at m = 2 and m = 4
+# queues over B ∈ {1,2,3} with 50 replications, and the √n floor at
+# n ∈ {64,128,256} over seeds 1–20.
 fuzz-nightly:
 	go run ./cmd/qfuzz -n 500 -duration 2s -seed 1 -out testdata/repros
 	go test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 60s ./internal/experiment
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 60s ./internal/online
+	go run ./cmd/qcomp -check -queues 2 -buffers 1,2,3 -n 50
+	go run ./cmd/qcomp -check -queues 4 -buffers 1,2,3 -n 50
+	@set -e; go build -o /tmp/bufqos-qsize ./cmd/qsize; \
+	for s in $$(seq 1 20); do \
+		/tmp/bufqos-qsize -check -flows 64,128,256 -rules bdp/sqrtn \
+			-schemes fifo+none -duration 4 -seed $$s >/dev/null \
+			|| { echo "√n floor failed at qsize -seed $$s"; exit 1; }; \
+	done; echo "√n floor held over seeds 1-20"
 	@echo "== broken-threshold sweep (must fail)"; \
 	if go run ./cmd/qfuzz -n 10 -duration 2s -seed 1 -threshold-scale 0.9 \
 		-out /tmp/bufqos-broken-repros >/dev/null; then \

@@ -110,8 +110,8 @@ func main() {
 	}
 }
 
-// replay loads one saved instance (a qfuzz reproducer or a hand-written
-// file) and evaluates every compatible policy on it.
+// replay loads one saved instance (written by Instance.Write or by
+// hand) and evaluates every compatible policy on it.
 func replay(path, policyFilter string) error {
 	in, err := online.LoadInstance(path)
 	if err != nil {

@@ -119,13 +119,13 @@ func main() {
 }
 
 // sqrtViolations returns the closed-loop tail-drop bdp/sqrtn cells with
-// n ≥ 64 that fall below 90% utilization — the regression the
-// sizing-sqrt-n oracle pins. The claim is the literature's: it is about
-// plain drop-tail FIFO (schemes that partition the buffer per flow
-// throttle harder at tiny B by design) and it presumes the prescribed
-// buffer still holds a handful of packets — once C·RTT/√n shrinks
-// under ~8 segments the rule has left its validity region (the sweep
-// documents that boundary), so such cells are exempt.
+// n ≥ 64 that fall below 90% utilization — the regression -check
+// gates. The claim is the literature's: it is about plain drop-tail
+// FIFO (schemes that partition the buffer per flow throttle harder at
+// tiny B by design) and it presumes the prescribed buffer still holds
+// a handful of packets — once C·RTT/√n shrinks under ~8 segments the
+// rule has left its validity region (the sweep documents that
+// boundary), so such cells are exempt.
 func sqrtViolations(rep *sizing.Report) []sizing.Cell {
 	var bad []sizing.Cell
 	for _, c := range rep.Cells {

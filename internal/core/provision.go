@@ -33,83 +33,3 @@ func WFQDelayBound(spec packet.FlowSpec, r units.Rate, mtu units.Bytes) float64 
 	return spec.BucketSize.Bits()/spec.TokenRate.BitsPerSecond() +
 		2*mtu.Bits()/r.BitsPerSecond()
 }
-
-// Hop describes one output port on a provisioned path.
-type Hop struct {
-	// Rate is the hop's link rate.
-	Rate units.Rate
-	// Buffer is the hop's total buffer.
-	Buffer units.Bytes
-	// Propagation is the link's propagation delay to the next hop.
-	Propagation float64
-	// Flows is the complete flow population at the hop (the provisioned
-	// flow must be included).
-	Flows []packet.FlowSpec
-}
-
-// PathPlan is the result of provisioning one flow across a path.
-type PathPlan struct {
-	// Thresholds[h] is the flow's occupancy threshold at hop h.
-	Thresholds []units.Bytes
-	// WorstCaseDelay is the end-to-end delay bound: Σ (Bₕ+L)/Rₕ + Σ prop.
-	WorstCaseDelay float64
-	// BurstAtHop[h] is the flow's effective burst parameter entering hop
-	// h: FIFO multiplexing dilates σ by ρ·Dₕ per hop (the output of a
-	// FIFO hop with worst delay D conforms to (σ + ρD, ρ)).
-	BurstAtHop []units.Bytes
-}
-
-// ProvisionPath checks that the given flow (which must appear in every
-// hop's population) is admissible at every hop under the FIFO+BM
-// schedulability region, and returns the per-hop thresholds and the
-// end-to-end worst-case delay bound. MTU is used for the per-hop
-// non-preemption term.
-func ProvisionPath(flow packet.FlowSpec, hops []Hop, mtu units.Bytes) (*PathPlan, error) {
-	if err := flow.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if len(hops) == 0 {
-		return nil, fmt.Errorf("core: empty path")
-	}
-	plan := &PathPlan{
-		Thresholds: make([]units.Bytes, len(hops)),
-		BurstAtHop: make([]units.Bytes, len(hops)),
-	}
-	sigma := flow.BucketSize
-	for h, hop := range hops {
-		found := false
-		var sumRho float64
-		var sumSigma units.Bytes
-		for _, f := range hop.Flows {
-			if err := f.Validate(); err != nil {
-				return nil, fmt.Errorf("core: hop %d: %w", h, err)
-			}
-			sumRho += f.TokenRate.BitsPerSecond()
-			sumSigma += f.BucketSize
-			if f == flow {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: hop %d population does not include the provisioned flow", h)
-		}
-		if sumRho >= hop.Rate.BitsPerSecond() {
-			return nil, fmt.Errorf("core: hop %d bandwidth limited: Σρ = %v ≥ %v",
-				h, units.Rate(sumRho), hop.Rate)
-		}
-		// Buffer constraint (eq. 8) with the flow's dilated burst.
-		adjSigma := sumSigma - flow.BucketSize + sigma
-		need := float64(hop.Buffer)*(1-sumRho/hop.Rate.BitsPerSecond()) - float64(adjSigma)
-		if need < 0 {
-			return nil, fmt.Errorf("core: hop %d buffer limited: B = %v insufficient for Σσ = %v at u = %.3f",
-				h, hop.Buffer, adjSigma, sumRho/hop.Rate.BitsPerSecond())
-		}
-		plan.BurstAtHop[h] = sigma
-		plan.Thresholds[h] = sigma + PeakRateThreshold(flow.TokenRate, hop.Rate, hop.Buffer)
-		d := WorstCaseFIFODelay(hop.Buffer, hop.Rate, mtu)
-		plan.WorstCaseDelay += d + hop.Propagation
-		// The hop dilates the flow's burst by ρ·D for the next hop.
-		sigma += units.Bytes(flow.TokenRate.BytesPerSecond() * d)
-	}
-	return plan, nil
-}

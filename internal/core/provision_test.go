@@ -52,72 +52,3 @@ func TestDelayBoundValidation(t *testing.T) {
 		}()
 	}
 }
-
-func pathHops(flow packet.FlowSpec) []Hop {
-	other := spec(100, 20)
-	return []Hop{
-		{Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(2), Propagation: 0.002,
-			Flows: []packet.FlowSpec{flow, other}},
-		{Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(2), Propagation: 0.003,
-			Flows: []packet.FlowSpec{flow, other}},
-	}
-}
-
-func TestProvisionPathHappy(t *testing.T) {
-	flow := spec(50, 8)
-	plan, err := ProvisionPath(flow, pathHops(flow), 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Thresholds) != 2 {
-		t.Fatalf("thresholds: %v", plan.Thresholds)
-	}
-	// Hop 0 threshold: σ + Bρ/R = 50KB + 2MB/6.
-	want0 := units.KiloBytes(50) + PeakRateThreshold(flow.TokenRate, units.MbitsPerSecond(48), units.MegaBytes(2))
-	if plan.Thresholds[0] != want0 {
-		t.Errorf("hop 0 threshold %v, want %v", plan.Thresholds[0], want0)
-	}
-	// Burst dilation: hop 1 sees σ + ρ·D₀.
-	d0 := WorstCaseFIFODelay(units.MegaBytes(2), units.MbitsPerSecond(48), 500)
-	wantSigma := units.KiloBytes(50) + units.Bytes(flow.TokenRate.BytesPerSecond()*d0)
-	if math.Abs(float64(plan.BurstAtHop[1]-wantSigma)) > 1 {
-		t.Errorf("hop 1 burst %v, want %v", plan.BurstAtHop[1], wantSigma)
-	}
-	if plan.Thresholds[1] <= plan.Thresholds[0] {
-		t.Error("hop 1 threshold should exceed hop 0 (dilated burst)")
-	}
-	// End-to-end delay: two hop bounds plus both propagations.
-	wantDelay := 2*d0 + 0.005
-	if math.Abs(plan.WorstCaseDelay-wantDelay) > 1e-12 {
-		t.Errorf("worst delay %v, want %v", plan.WorstCaseDelay, wantDelay)
-	}
-}
-
-func TestProvisionPathRejections(t *testing.T) {
-	flow := spec(50, 8)
-	// Flow missing from a hop.
-	missing := pathHops(flow)
-	missing[1].Flows = []packet.FlowSpec{spec(100, 20)}
-	if _, err := ProvisionPath(flow, missing, 500); err == nil {
-		t.Error("missing flow accepted")
-	}
-	// Bandwidth limited.
-	bw := pathHops(flow)
-	bw[0].Flows = append(bw[0].Flows, spec(10, 25))
-	if _, err := ProvisionPath(flow, bw, 500); err == nil {
-		t.Error("over-reserved hop accepted")
-	}
-	// Buffer limited.
-	small := pathHops(flow)
-	small[0].Buffer = units.KiloBytes(100)
-	if _, err := ProvisionPath(flow, small, 500); err == nil {
-		t.Error("under-buffered hop accepted")
-	}
-	// Degenerate inputs.
-	if _, err := ProvisionPath(flow, nil, 500); err == nil {
-		t.Error("empty path accepted")
-	}
-	if _, err := ProvisionPath(packet.FlowSpec{}, pathHops(flow), 500); err == nil {
-		t.Error("invalid flow accepted")
-	}
-}

@@ -2,10 +2,12 @@ package online_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
 	"bufqos/internal/online"
+	"bufqos/internal/sim"
 	"bufqos/internal/validate"
 )
 
@@ -52,10 +54,107 @@ func fuzzSmall(in *online.Instance) bool {
 	return true
 }
 
+// competitiveEps is the tolerance above a proven bound before a ratio
+// counts as a violation: qcomp's default -eps.
+const competitiveEps = 1e-9
+
+// boundApplies reports whether the instance lies in the model the
+// policy's competitive bound is proven for: unit values in the
+// multi-queue model (Bienkowski; Azar & Richter), and for cseg values
+// fixed per class and non-decreasing in the class index (Al-Bawani &
+// Souza). Preemptive greedy's bound holds for any values.
+func boundApplies(p online.Policy, in *online.Instance) bool {
+	for _, a := range in.Arrivals {
+		switch {
+		case p.Model == online.ModelMultiQueue:
+			if a.Value != 1 {
+				return false
+			}
+		case p.Name == "cseg":
+			for _, b := range in.Arrivals {
+				if a.Queue <= b.Queue && a.Value > b.Value {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// checkInstance evaluates the instance under the policy and returns the
+// first claim the outcome breaks: no policy beats the offline optimum,
+// and a policy with a proven bound earns ALG ≥ OPT/bound on the
+// instances its bound covers.
+func checkInstance(p online.Policy, in *online.Instance) error {
+	out, err := online.Evaluate(p, in)
+	if err != nil {
+		return err
+	}
+	if out.ALG > out.OPT*(1+1e-9) {
+		return fmt.Errorf("ALG %v beats OPT %v", out.ALG, out.OPT)
+	}
+	if p.Bound > 0 && boundApplies(p, in) && out.Ratio > p.Bound+competitiveEps {
+		return fmt.Errorf("ratio %.6g exceeds the proven bound %g (ALG=%g, OPT=%g)",
+			out.Ratio, p.Bound, out.ALG, out.OPT)
+	}
+	return nil
+}
+
+// adversarialCorpus returns every adversary's instances at every
+// geometry (m, B) ∈ {2,3,4}×{1,2,3}: a deterministic construction once
+// per geometry, a seeded one (random, hillclimb) against each bounded
+// policy of its model at a fixed seed.
+func adversarialCorpus() []*online.Instance {
+	var out []*online.Instance
+	for queues := 2; queues <= 4; queues++ {
+		for buffer := 1; buffer <= 3; buffer++ {
+			for _, adv := range validate.Adversaries() {
+				if adv.Deterministic {
+					out = append(out, adv.Gen(nil, online.Policy{Model: adv.Model}, queues, buffer))
+					continue
+				}
+				for _, p := range online.Policies() {
+					if p.Bound == 0 || (adv.Model != "" && adv.Model != p.Model) {
+						continue
+					}
+					rng := sim.NewRand(int64(len(out)))
+					out = append(out, adv.Gen(rng, p, queues, buffer))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCheckInstanceFlagsFalseBound: a copy of greedy-np that claims
+// greedy's bound of 2 is caught on the two-value sequence at m = 2,
+// B = 3, where it is only α-competitive.
+func TestCheckInstanceFlagsFalseBound(t *testing.T) {
+	np, err := online.PolicyByName("greedy-np")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := np
+	broken.Bound = 2
+	adv, err := validate.AdversaryByName("lb-twovalue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := adv.Gen(nil, broken, 2, 3)
+	if err := checkInstance(np, in); err != nil {
+		t.Fatalf("greedy-np as registered: %v", err)
+	}
+	if err := checkInstance(broken, in); err == nil {
+		t.Error("greedy-np claiming bound 2 passed the two-value sequence")
+	}
+}
+
 // FuzzInstance feeds arbitrary bytes to Parse. Every parsed instance
 // small enough for the exact solver is evaluated under every policy of
-// its model: no policy may panic, beat the offline optimum, or keep a
-// packet after the buffer drains.
+// its model: no policy may panic, beat the offline optimum, exceed its
+// proven competitive bound, or keep a packet after the buffer drains.
+// The seed corpus holds the adversary library's instances, so plain
+// `go test` checks every bounded policy against them.
 func FuzzInstance(f *testing.F) {
 	for _, path := range oversized {
 		data, err := os.ReadFile(path)
@@ -64,13 +163,12 @@ func FuzzInstance(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	for _, name := range []string{"lb-multiqueue", "lb-twovalue"} {
-		adv, err := validate.AdversaryByName(name)
-		if err != nil {
-			f.Fatal(err)
+	for _, in := range adversarialCorpus() {
+		if !fuzzSmall(in) {
+			f.Fatalf("corpus instance %s (m=%d, B=%d) exceeds fuzzSmall", in.Name, in.Queues, in.Buffer)
 		}
 		var buf bytes.Buffer
-		if err := adv.Gen(nil, online.Policy{}, 3, 2).Write(&buf); err != nil {
+		if err := in.Write(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -98,12 +196,8 @@ func FuzzInstance(f *testing.F) {
 			if p.Model != in.Model {
 				continue
 			}
-			out, err := online.Evaluate(p, in)
-			if err != nil {
+			if err := checkInstance(p, in); err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
-			}
-			if out.ALG > out.OPT*(1+1e-9) {
-				t.Fatalf("%s: ALG %v beats OPT %v", p.Name, out.ALG, out.OPT)
 			}
 			runAdapter(t, p, in)
 		}

@@ -115,25 +115,12 @@ func (in *Instance) Clone() *Instance {
 	return &cp
 }
 
-// Write serializes the instance as indented JSON.
+// Write serializes the instance as indented JSON, the format
+// `qcomp -replay` reads back.
 func (in *Instance) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(in)
-}
-
-// Save writes the instance to path; the file is replayable with
-// `qcomp -replay <path>`.
-func Save(path string, in *Instance) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("online: %w", err)
-	}
-	if err := in.Write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("online: %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // Parse reads and validates an instance from r. Unknown fields and
@@ -162,38 +149,4 @@ func LoadInstance(path string) (*Instance, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return in, nil
-}
-
-// ShrinkInstance greedily minimizes an instance while still failing:
-// it repeatedly tries dropping each arrival (then halving the buffer)
-// and keeps any mutation for which stillFailing returns true. The
-// result is a local minimum — removing any single remaining arrival
-// makes the failure disappear. Deterministic: mutations are tried in a
-// fixed order with a bounded budget.
-func ShrinkInstance(in *Instance, stillFailing func(*Instance) bool) *Instance {
-	cur := in.Clone()
-	budget := 4 * (len(cur.Arrivals) + 8)
-	for shrunk := true; shrunk && budget > 0; {
-		shrunk = false
-		for i := 0; i < len(cur.Arrivals) && budget > 0; i++ {
-			budget--
-			cand := cur.Clone()
-			cand.Arrivals = append(cand.Arrivals[:i], cand.Arrivals[i+1:]...)
-			if len(cand.Arrivals) > 0 && stillFailing(cand) {
-				cur = cand
-				shrunk = true
-				i--
-			}
-		}
-		if cur.Buffer > 1 && budget > 0 {
-			budget--
-			cand := cur.Clone()
-			cand.Buffer /= 2
-			if stillFailing(cand) {
-				cur = cand
-				shrunk = true
-			}
-		}
-	}
-	return cur
 }

@@ -14,7 +14,8 @@ type Policy struct {
 	// Doc is a one-line description.
 	Doc string
 	// Bound is the proven competitive-ratio upper bound (OPT/ALG never
-	// exceeds it on any sequence); 0 means no finite bound is known.
+	// exceeds it on any sequence of the model Cite proves it for); 0
+	// means no finite bound is known.
 	Bound float64
 	// Cite anchors the bound in the literature.
 	Cite string

@@ -134,7 +134,7 @@ func TestSemiGreedyEqualsLQFAtBOne(t *testing.T) {
 
 // TestPoliciesWithinBounds draws random instances and checks every
 // bounded policy stays within its proven competitive ratio against the
-// exact optimum — the same invariant the qfuzz oracle enforces.
+// exact optimum — the invariant FuzzInstance asserts on its corpus.
 func TestPoliciesWithinBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, p := range Policies() {
@@ -165,34 +165,6 @@ func TestRunRejectsModelMismatch(t *testing.T) {
 	in := &Instance{Model: ModelMultiQueue, Queues: 2, Buffer: 1}
 	if _, err := Run(mustPolicy(t, "greedy"), in); err == nil {
 		t.Fatal("Run accepted a model mismatch")
-	}
-}
-
-// TestShrinkInstance keeps the failure and reaches a local minimum.
-func TestShrinkInstance(t *testing.T) {
-	in := twoValueInstance(3, 10)
-	in.Arrivals = append(in.Arrivals, Arrival{At: 5, Value: 2}) // noise
-	failing := func(c *Instance) bool {
-		out, err := Evaluate(mustPolicy(t, "greedy-np"), c)
-		return err == nil && out.Ratio > 3
-	}
-	if !failing(in) {
-		t.Fatal("setup: instance should fail")
-	}
-	small := ShrinkInstance(in, failing)
-	if !failing(small) {
-		t.Fatal("shrunk instance no longer fails")
-	}
-	if len(small.Arrivals) >= len(in.Arrivals) {
-		t.Fatalf("shrink removed nothing: %d arrivals", len(small.Arrivals))
-	}
-	// 1-minimal: dropping any remaining arrival stops the failure.
-	for i := range small.Arrivals {
-		cand := small.Clone()
-		cand.Arrivals = append(cand.Arrivals[:i], cand.Arrivals[i+1:]...)
-		if len(cand.Arrivals) > 0 && failing(cand) {
-			t.Fatalf("shrink not minimal: arrival %d removable", i)
-		}
 	}
 }
 

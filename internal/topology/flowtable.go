@@ -18,8 +18,7 @@ type FlowTable struct {
 	// fields with these.
 	RouteLocal []int32
 	// LinkFlows maps each link to the global ids of the flows traversing
-	// it, in ascending order. A flow crossing a link twice (a looping
-	// route) appears once.
+	// it, in ascending order.
 	LinkFlows [][]int32
 }
 
@@ -38,21 +37,13 @@ func NewFlowTable(t *Topology) *FlowTable {
 	// Count each link's flows first and carve every LinkFlows list from
 	// one array, so the index costs the same handful of allocations at
 	// any flow count.
-	seen := make([]int32, len(t.Links)) // last flow counted/appended per link, +1
 	count := make([]int32, len(t.Links))
 	for fi := range t.Flows {
 		for _, li := range t.Flows[fi].Route {
-			if seen[li] != int32(fi)+1 {
-				count[li]++
-				seen[li] = int32(fi) + 1
-			}
+			count[li]++
 		}
 	}
-	total := int32(0)
-	for _, c := range count {
-		total += c
-	}
-	all := make([]int32, total)
+	all := make([]int32, hops)
 	off := int32(0)
 	for li, c := range count {
 		if c > 0 {
@@ -60,16 +51,12 @@ func NewFlowTable(t *Topology) *FlowTable {
 		}
 		off += c
 	}
-	clear(seen)
 	// Iterating flows in id order makes every LinkFlows list ascending
 	// without a sort.
 	for fi := range t.Flows {
 		ft.RouteOff[fi] = int32(len(ft.RouteLink))
 		for _, li := range t.Flows[fi].Route {
-			if seen[li] != int32(fi)+1 {
-				ft.LinkFlows[li] = append(ft.LinkFlows[li], int32(fi))
-				seen[li] = int32(fi) + 1
-			}
+			ft.LinkFlows[li] = append(ft.LinkFlows[li], int32(fi))
 			ft.RouteLink = append(ft.RouteLink, int32(li))
 			ft.RouteLocal = append(ft.RouteLocal, int32(len(ft.LinkFlows[li])-1))
 		}

@@ -18,6 +18,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -405,6 +406,12 @@ func (t *Topology) Validate() (err error) {
 			li, ok := byEdge[edge]
 			if !ok {
 				return fmt.Errorf("flow %s: no link %s on its route (nodes %s)",
+					f.Name, edge, strings.Join(f.RouteNodes, " "))
+			}
+			// A link sizes one threshold per flow, for one crossing,
+			// so a route crosses each link at most once.
+			if slices.Contains(f.Route, li) {
+				return fmt.Errorf("flow %s: link %s repeated in route (nodes %s)",
 					f.Name, edge, strings.Join(f.RouteNodes, " "))
 			}
 			f.Route = append(f.Route, li)

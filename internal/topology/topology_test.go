@@ -124,6 +124,10 @@ func TestValidateErrors(t *testing.T) {
 			t.Events = []Event{{At: 1, Kind: EventRate, Link: "a->b", Rate: 0}}
 		}, "non-positive rate"},
 		{"hybrid without queues", func(t *Topology) { t.Links[0].Spec = "hybrid+sharing" }, "hybrid"},
+		{"route repeats a link", func(t *Topology) {
+			t.Links = append(t.Links, Link{From: "b", To: "a", Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(1)})
+			t.Flows[0].RouteNodes = []string{"a", "b", "a", "b"}
+		}, "link a->b repeated in route"},
 		{"class out of range on its link", func(t *Topology) {
 			t.Links[0].Spec = "classseg?classes=2"
 			t.Flows[0].Class = 3

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"bufqos/internal/experiment"
 	"bufqos/internal/online"
-	"bufqos/internal/report"
 	"bufqos/internal/sim"
 )
 
@@ -19,8 +16,8 @@ import (
 // generators for the abstract models of internal/online, and a sweep
 // harness that crosses every policy with every compatible adversary and
 // buffer size, measuring empirical competitive ratios against the exact
-// offline optimum. cmd/qcomp drives it; the competitive-ratio qfuzz
-// oracle reuses the same generators case by case.
+// offline optimum. cmd/qcomp drives it, and internal/online's
+// FuzzInstance seeds its corpus from the same generators.
 
 // Adversary is one seeded generator of adversarial arrival sequences.
 type Adversary struct {
@@ -218,77 +215,6 @@ func genHillClimb(rng *rand.Rand, p online.Policy, queues, buffer int) *online.I
 		cur = cand
 	}
 	return cur
-}
-
-// competitiveEps is the tolerance the qfuzz oracle grants above a
-// proven bound before calling a replication a violation.
-const competitiveEps = 1e-9
-
-// competitiveSeedID offsets the fuzz-case seed so the oracle's rng
-// streams are independent of the scenario generator's.
-const competitiveSeedID = 7700
-
-// checkCompetitiveRatio is the qfuzz oracle: for every policy with a
-// proven competitive bound, each fuzz case generates fresh adversarial
-// instances (one per compatible adversary, at a case-specific geometry)
-// and asserts ALG ≥ OPT/bound within tolerance. A violation is shrunk
-// to a 1-minimal instance and saved into the campaign's repro directory
-// as a file replayable with `qcomp -replay`.
-func checkCompetitiveRatio(ctx context.Context, c *Case) []report.Assertion {
-	seed := sim.DeriveSeed(c.Scenario.Seed, competitiveSeedID)
-	geo := sim.NewRand(seed)
-	queues := 2 + geo.Intn(3)
-	buffer := 1 + geo.Intn(3)
-	var as []report.Assertion
-	pair := 0
-	for _, p := range online.Policies() {
-		if p.Bound == 0 {
-			continue
-		}
-		for _, adv := range Adversaries() {
-			if ctx.Err() != nil {
-				return as
-			}
-			if adv.Model != "" && adv.Model != p.Model {
-				continue
-			}
-			pair++
-			in := adv.Gen(sim.NewRand(sim.DeriveSeed(seed, pair)), p, queues, buffer)
-			out, err := online.Evaluate(p, in)
-			detail := fmt.Sprintf("policy %s vs %s (m=%d, B=%d)", p.Name, adv.Name, queues, buffer)
-			if err == nil && out.Ratio > p.Bound+competitiveEps {
-				err = fmt.Errorf("ratio %.6g exceeds the proven bound %g (ALG=%g, OPT=%g)",
-					out.Ratio, p.Bound, out.ALG, out.OPT)
-				if path := writeInstanceRepro(c.ReproDir, p, in); path != "" {
-					detail += ", repro " + path
-				}
-			}
-			as = append(as, report.Assertion{Name: "competitive-ratio", Detail: detail, Err: err})
-		}
-	}
-	return as
-}
-
-// writeInstanceRepro shrinks a bound-violating instance against the
-// same policy and saves it; it returns "" when no directory is set or
-// saving fails.
-func writeInstanceRepro(dir string, p online.Policy, in *online.Instance) string {
-	if dir == "" {
-		return ""
-	}
-	shrunk := online.ShrinkInstance(in, func(cand *online.Instance) bool {
-		out, err := online.Evaluate(p, cand)
-		return err == nil && out.Ratio > p.Bound+competitiveEps
-	})
-	shrunk.Name = fmt.Sprintf("repro-competitive-%s-%s", p.Name, in.Name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(dir, shrunk.Name+".json")
-	if err := online.Save(path, shrunk); err != nil {
-		return ""
-	}
-	return path
 }
 
 // CompeteOptions parameterizes one competitive sweep.

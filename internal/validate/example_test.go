@@ -52,6 +52,6 @@ func ExampleFuzz() {
 	//   kind differential          1 cases
 	//   kind single-link           2 cases
 	//   kind tandem                1 cases
-	//   assertions checked: 133
+	//   assertions checked: 81
 	//   all oracles passed
 }

@@ -120,7 +120,7 @@ func runCase(ctx context.Context, i int, opts Options, oracles []Oracle) CaseRes
 	cr.Kind = sc.Kind
 	cr.Name = sc.Topo.Name
 	ropts := topology.Options{Duration: opts.Duration, Seed: caseSeed}
-	as, err := evaluateScenarioRepro(ctx, sc, ropts, oracles, opts.ReproDir)
+	as, err := evaluateScenario(ctx, sc, ropts, oracles)
 	if err != nil {
 		cr.Err = err
 		cr.Done = ctx.Err() == nil
@@ -151,15 +151,10 @@ func writeRepro(ctx context.Context, sc *Scenario, ropts topology.Options,
 	var subset []Oracle
 	var names []string
 	for _, o := range oracles {
-		// NoShrink oracles write their own reproducers (abstract
-		// instances, not topologies) from inside Check.
-		if failing[o.Name] && !o.NoShrink {
+		if failing[o.Name] {
 			subset = append(subset, o)
 			names = append(names, o.Name)
 		}
-	}
-	if len(subset) == 0 {
-		return "", 0, 0, 0
 	}
 	shrunk := Shrink(ctx, sc, ropts, subset)
 	t := shrunk.Topo

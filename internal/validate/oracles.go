@@ -22,10 +22,6 @@ type Case struct {
 	Scenario *Scenario
 	Opts     topology.Options
 	Result   *topology.Result
-	// ReproDir, when non-empty, is where oracles that manage their own
-	// reproducer format (competitive-ratio's abstract instances) write
-	// files; the standard topology shrinker has its own pipeline.
-	ReproDir string
 }
 
 // Oracle is one paper invariant turned into an executable check. Check
@@ -38,12 +34,8 @@ type Oracle struct {
 	// Citation anchors the invariant in the paper.
 	Citation string
 	// Doc is a one-line statement of the property.
-	Doc string
-	// NoShrink excludes the oracle from the topology shrinker: its
-	// failures concern inputs other than the scenario (abstract arrival
-	// instances), and it writes its own reproducers into Case.ReproDir.
-	NoShrink bool
-	Check    func(ctx context.Context, c *Case) []report.Assertion
+	Doc   string
+	Check func(ctx context.Context, c *Case) []report.Assertion
 }
 
 // Oracles returns the full oracle library in catalogue order.
@@ -108,20 +100,6 @@ func Oracles() []Oracle {
 			Citation: "§2 fluid analysis vs the packet simulator",
 			Doc:      "on an all-greedy threshold link, packet-sim departures and drops stay within a quantization envelope of the fluid trajectory",
 			Check:    checkDifferential,
-		},
-		{
-			Name:     "competitive-ratio",
-			Citation: "Al-Bawani & Souza (arXiv:1103.6049); Bienkowski (arXiv:1007.1535)",
-			Doc:      "every bounded online policy earns ALG ≥ OPT/bound on per-case adversarial instances; violations shrink to instances replayable with qcomp -replay",
-			NoShrink: true,
-			Check:    checkCompetitiveRatio,
-		},
-		{
-			Name:     "sizing-sqrt-n",
-			Citation: "Spang–Arslan–McKeown, \"Updating the Theory of Buffer Sizing\" (PAPERS.md)",
-			Doc:      "a drop-tail bottleneck buffered at C·RTT/√n stays ≥90% utilized under n ≥ 64 case-seeded TCP flows",
-			NoShrink: true,
-			Check:    checkSizingSqrtN,
 		},
 	}
 }

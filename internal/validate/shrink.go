@@ -27,18 +27,13 @@ func cloneTopology(t *topology.Topology) *topology.Topology {
 }
 
 // evaluateScenario runs the scenario once and applies the given oracles
-// to the outcome. During shrinking the Case carries no ReproDir, so
-// self-reproducing oracles stay silent about files.
+// to the outcome.
 func evaluateScenario(ctx context.Context, sc *Scenario, opts topology.Options, oracles []Oracle) ([]report.Assertion, error) {
-	return evaluateScenarioRepro(ctx, sc, opts, oracles, "")
-}
-
-func evaluateScenarioRepro(ctx context.Context, sc *Scenario, opts topology.Options, oracles []Oracle, reproDir string) ([]report.Assertion, error) {
 	res, err := topology.Run(ctx, sc.Topo, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Case{Scenario: sc, Opts: opts, Result: &res, ReproDir: reproDir}
+	c := &Case{Scenario: sc, Opts: opts, Result: &res}
 	var as []report.Assertion
 	for _, o := range oracles {
 		as = append(as, o.Check(ctx, c)...)
