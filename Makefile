@@ -206,10 +206,12 @@ fuzz-smoke:
 # necessity direction of Proposition 1): its reproducers land in a
 # throwaway directory and the expected non-zero exit is inverted. Then
 # every native Go fuzz target runs for 60 s: the workload
-# parser, the random source against math/rand, the admission daemon's
-# decision-body scanner against encoding/json, and the competitive-
-# analysis instance parser with every policy against the offline
-# optimum and its proven bound. A failing input is written under the
+# parser, the scenario loader (no panic, and every accepted scenario
+# writes and parses back to itself), the random source against
+# math/rand, the admission daemon's decision-body scanner against
+# encoding/json, and the competitive-analysis instance parser with
+# every policy against the offline optimum and its proven bound (within
+# the bound's model). A failing input is written under the
 # package's testdata/fuzz/. Last, the geometries beyond the comp-smoke
 # and sizing-smoke defaults: the competitive sweep at m = 2 and m = 4
 # queues over B ∈ {1,2,3} with 50 replications, and the √n floor at
@@ -217,6 +219,7 @@ fuzz-smoke:
 fuzz-nightly:
 	go run ./cmd/qfuzz -n 500 -duration 2s -seed 1 -out testdata/repros
 	go test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 60s ./internal/experiment
+	go test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 60s ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 60s ./internal/online

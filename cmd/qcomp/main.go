@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -59,7 +60,7 @@ func main() {
 		return
 	}
 	if *replayPath != "" {
-		if err := replay(*replayPath, *policies); err != nil {
+		if err := replay(os.Stdout, *replayPath, *policies); err != nil {
 			cli.Fatalf("%v", err)
 		}
 		return
@@ -111,19 +112,21 @@ func main() {
 }
 
 // replay loads one saved instance (written by Instance.Write or by
-// hand) and evaluates every compatible policy on it.
-func replay(path, policyFilter string) error {
+// hand), evaluates every compatible policy on it, and writes the
+// outcomes to w. A bounded policy's ratio is judged against its bound
+// only on an instance inside the bound's model.
+func replay(w io.Writer, path, policyFilter string) error {
 	in, err := online.LoadInstance(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: model %s, m=%d, B=%d, %d arrivals (total value %g)\n",
+	fmt.Fprintf(w, "%s: model %s, m=%d, B=%d, %d arrivals (total value %g)\n",
 		path, in.Model, in.Queues, in.Buffer, len(in.Arrivals), in.TotalValue())
 	opt, err := online.Opt(in)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  OPT = %g\n", opt)
+	fmt.Fprintf(w, "  OPT = %g\n", opt)
 	selected := map[string]bool{}
 	for _, name := range strings.Split(policyFilter, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -140,10 +143,13 @@ func replay(path, policyFilter string) error {
 			return err
 		}
 		verdict := ""
-		if p.Bound > 0 && out.Ratio > p.Bound+1e-9 {
+		switch {
+		case p.Bound > 0 && !p.BoundApplies(in):
+			verdict = "  outside the bound's model"
+		case p.Bound > 0 && out.Ratio > p.Bound+1e-9:
 			verdict = "  VIOLATES bound " + strconv.FormatFloat(p.Bound, 'g', -1, 64)
 		}
-		fmt.Printf("  %-12s ALG = %-8g ratio = %-8.6g%s\n", p.Name, out.ALG, out.Ratio, verdict)
+		fmt.Fprintf(w, "  %-12s ALG = %-8g ratio = %-8.6g%s\n", p.Name, out.ALG, out.Ratio, verdict)
 		ran++
 	}
 	if ran == 0 {

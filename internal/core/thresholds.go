@@ -70,6 +70,9 @@ func Thresholds(specs []packet.FlowSpec, r units.Rate, b units.Bytes) ([]units.B
 	}
 	th := make([]units.Bytes, len(specs))
 	for i, v := range raw {
+		if !(v < math.MaxInt64) {
+			return nil, fmt.Errorf("core: flow %d: threshold of %g bytes overflows", i, v)
+		}
 		th[i] = units.Bytes(math.Round(v))
 	}
 	return th, nil

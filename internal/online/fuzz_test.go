@@ -58,29 +58,6 @@ func fuzzSmall(in *online.Instance) bool {
 // counts as a violation: qcomp's default -eps.
 const competitiveEps = 1e-9
 
-// boundApplies reports whether the instance lies in the model the
-// policy's competitive bound is proven for: unit values in the
-// multi-queue model (Bienkowski; Azar & Richter), and for cseg values
-// fixed per class and non-decreasing in the class index (Al-Bawani &
-// Souza). Preemptive greedy's bound holds for any values.
-func boundApplies(p online.Policy, in *online.Instance) bool {
-	for _, a := range in.Arrivals {
-		switch {
-		case p.Model == online.ModelMultiQueue:
-			if a.Value != 1 {
-				return false
-			}
-		case p.Name == "cseg":
-			for _, b := range in.Arrivals {
-				if a.Queue <= b.Queue && a.Value > b.Value {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // checkInstance evaluates the instance under the policy and returns the
 // first claim the outcome breaks: no policy beats the offline optimum,
 // and a policy with a proven bound earns ALG ≥ OPT/bound on the
@@ -93,7 +70,7 @@ func checkInstance(p online.Policy, in *online.Instance) error {
 	if out.ALG > out.OPT*(1+1e-9) {
 		return fmt.Errorf("ALG %v beats OPT %v", out.ALG, out.OPT)
 	}
-	if p.Bound > 0 && boundApplies(p, in) && out.Ratio > p.Bound+competitiveEps {
+	if p.Bound > 0 && p.BoundApplies(in) && out.Ratio > p.Bound+competitiveEps {
 		return fmt.Errorf("ratio %.6g exceeds the proven bound %g (ALG=%g, OPT=%g)",
 			out.Ratio, p.Bound, out.ALG, out.OPT)
 	}

@@ -70,6 +70,30 @@ func Policies() []Policy {
 	}
 }
 
+// BoundApplies reports whether the instance lies in the model the
+// policy's competitive bound is proven for: unit values in the
+// multi-queue model (Bienkowski; Azar & Richter), and for cseg values
+// fixed per class and non-decreasing in the class index (Al-Bawani &
+// Souza). Preemptive greedy's bound holds for any values. Outside its
+// model a ratio above Bound breaks no claim.
+func (p Policy) BoundApplies(in *Instance) bool {
+	for _, a := range in.Arrivals {
+		switch {
+		case p.Model == ModelMultiQueue:
+			if a.Value != 1 {
+				return false
+			}
+		case p.Name == "cseg":
+			for _, b := range in.Arrivals {
+				if a.Queue <= b.Queue && a.Value > b.Value {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // PolicyByName resolves a registry name.
 func PolicyByName(name string) (Policy, error) {
 	for _, p := range Policies() {

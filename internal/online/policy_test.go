@@ -134,7 +134,10 @@ func TestSemiGreedyEqualsLQFAtBOne(t *testing.T) {
 
 // TestPoliciesWithinBounds draws random instances and checks every
 // bounded policy stays within its proven competitive ratio against the
-// exact optimum — the invariant FuzzInstance asserts on its corpus.
+// exact optimum — the invariant FuzzInstance asserts on its corpus. A
+// draw outside the bound's model is revalued into it: unit values for
+// the multi-queue policies, one value per class rising with the class
+// for cseg.
 func TestPoliciesWithinBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, p := range Policies() {
@@ -143,6 +146,17 @@ func TestPoliciesWithinBounds(t *testing.T) {
 		}
 		for trial := 0; trial < 100; trial++ {
 			in := randomInstance(r, p.Model)
+			if !p.BoundApplies(in) {
+				for i := range in.Arrivals {
+					in.Arrivals[i].Value = 1
+					if p.Model == ModelShared {
+						in.Arrivals[i].Value += float64(in.Arrivals[i].Queue)
+					}
+				}
+				if !p.BoundApplies(in) {
+					t.Fatalf("%s trial %d: revalued instance still outside the bound's model: %+v", p.Name, trial, in)
+				}
+			}
 			out, err := Evaluate(p, in)
 			if err != nil {
 				t.Fatal(err)

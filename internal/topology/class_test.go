@@ -16,10 +16,10 @@ import (
 func TestClassRoundTrip(t *testing.T) {
 	src := `{
 		"name": "classy",
-		"links": [{"from": "a", "to": "b", "rate_mbps": 10, "buffer_kb": 16, "scheme": "classseg?classes=2"}],
+		"links": [{"from": "a", "to": "b", "rate": "10Mbit/s", "buffer": "16KB", "scheme": "classseg?classes=2"}],
 		"flows": [
-			{"name": "gold", "route": ["a", "b"], "token_mbps": 2, "bucket_kb": 50, "source": "cbr", "class": 1},
-			{"name": "dirt", "route": ["a", "b"], "token_mbps": 2, "bucket_kb": 50, "source": "cbr"}
+			{"name": "gold", "route": ["a", "b"], "spec": {"token": "2Mbit/s", "bucket": "50KB"}, "source": "cbr", "class": 1},
+			{"name": "dirt", "route": ["a", "b"], "spec": {"token": "2Mbit/s", "bucket": "50KB"}, "source": "cbr"}
 		]
 	}`
 	topo, err := Parse(strings.NewReader(src))

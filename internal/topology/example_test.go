@@ -17,14 +17,14 @@ func ExampleParse() {
 	const doc = `{
 	  "name": "one-hop",
 	  "links": [
-	    {"from": "a", "to": "b", "rate_mbps": 48, "buffer_kb": 500,
+	    {"from": "a", "to": "b", "rate": "48Mbit/s", "buffer": "500KB",
 	     "scheme": "fifo+threshold"}
 	  ],
 	  "flows": [
-	    {"name": "conf", "route": ["a", "b"], "peak_mbps": 16,
-	     "token_mbps": 8, "bucket_kb": 50, "source": "greedy", "shaped": true},
-	    {"name": "rival", "route": ["a", "b"], "peak_mbps": 48,
-	     "token_mbps": 24, "bucket_kb": 100, "source": "greedy", "shaped": true}
+	    {"name": "conf", "route": ["a", "b"], "source": "greedy", "shaped": true,
+	     "spec": {"peak": "16Mbit/s", "token": "8Mbit/s", "bucket": "50KB"}},
+	    {"name": "rival", "route": ["a", "b"], "source": "greedy", "shaped": true,
+	     "spec": {"peak": "48Mbit/s", "token": "24Mbit/s", "bucket": "100KB"}}
 	  ]
 	}`
 	topo, err := topology.Parse(strings.NewReader(doc))

@@ -5,67 +5,21 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"bufqos/internal/units"
 )
 
-// Write encodes a validated scenario in the same JSON schema Parse
-// reads (rates in Mbits/s, sizes in KBytes, propagation delays in
-// milliseconds), so a programmatically built Topology — a fuzzer's
-// shrunk reproducer, a generated benchmark — can be replayed with
-// `qnet -topology file.json`. Parse(Write(t)) yields an equivalent
-// scenario: defaults that Validate filled in (link names, source kinds,
+// Write encodes a scenario in the schema Parse reads, so a
+// programmatically built Topology — a fuzzer's shrunk reproducer, a
+// generated benchmark — can be replayed with `qnet -topology
+// file.json`. For a validated t, Parse(Write(t)) is bit-identical to t:
+// every rate, size and time parses back to the value written, and the
+// defaults Validate filled in (link names and schemes, source kinds,
 // average rates) are written explicitly, which keeps the file
 // self-describing.
 func Write(w io.Writer, t *Topology) error {
-	jt := jsonTopology{Name: t.Name, Description: t.Description}
-	for i := range t.Links {
-		l := &t.Links[i]
-		jl := jsonLink{
-			From:       l.From,
-			To:         l.To,
-			RateMbps:   l.Rate.Mbits(),
-			BufferKB:   l.Buffer.KB(),
-			HeadroomKB: l.Headroom.KB(),
-			PropMs:     l.PropDelay * 1000,
-			Scheme:     l.Spec,
-			Queues:     l.Queues,
-		}
-		// Keep explicit names only when they differ from the default.
-		if l.Name != l.From+"->"+l.To {
-			jl.Name = l.Name
-		}
-		jt.Links = append(jt.Links, jl)
-	}
-	for i := range t.Flows {
-		f := &t.Flows[i]
-		jt.Flows = append(jt.Flows, jsonFlow{
-			Name:        f.Name,
-			Route:       f.RouteNodes,
-			PeakMbps:    f.Spec.PeakRate.Mbits(),
-			TokenMbps:   f.Spec.TokenRate.Mbits(),
-			BucketKB:    f.Spec.BucketSize.KB(),
-			AvgMbps:     f.AvgRate.Mbits(),
-			BurstKB:     f.MeanBurst.KB(),
-			PacketBytes: float64(f.PacketSize),
-			Source:      string(f.Source),
-			Shaped:      f.Shaped,
-			Class:       f.Class,
-		})
-	}
-	for i := range t.Events {
-		ev := &t.Events[i]
-		jt.Events = append(jt.Events, jsonEvent{
-			At:       units.Seconds(ev.At),
-			Type:     string(ev.Kind),
-			Flow:     ev.Flow,
-			Link:     ev.Link,
-			RateMbps: ev.Rate.Mbits(),
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(jt); err != nil {
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(t); err != nil {
 		return fmt.Errorf("topology %s: %w", t.Name, err)
 	}
 	return nil

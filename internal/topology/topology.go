@@ -18,6 +18,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -34,23 +35,24 @@ import (
 type Link struct {
 	// Name identifies the link in results and events; it defaults to
 	// "from->to".
-	Name string
+	Name string `json:"name,omitempty"`
 	// From and To are node names. Nodes exist implicitly as endpoints.
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
 	// Rate is the link capacity R.
-	Rate units.Rate
+	Rate units.Rate `json:"rate,omitempty"`
 	// Buffer is the output buffer B.
-	Buffer units.Bytes
+	Buffer units.Bytes `json:"buffer,omitempty"`
 	// Headroom is the sharing headroom H (used by sharing managers).
-	Headroom units.Bytes
+	Headroom units.Bytes `json:"headroom,omitempty"`
 	// PropDelay is the propagation delay towards To, in seconds.
-	PropDelay float64
+	PropDelay float64 `json:"prop_delay,omitempty"`
 	// Spec is the scheme-registry spec, e.g. "wfq+sharing"; Validate
 	// fills an empty one with defaultSpec.
-	Spec string
+	Spec string `json:"scheme,omitempty"`
 	// Queues optionally maps flow IDs to hybrid queues (required by
 	// hybrid specs, ignored otherwise).
-	Queues []int
+	Queues []int `json:"queues,omitempty"`
 
 	scheme *scheme.Scheme
 }
@@ -84,42 +86,42 @@ const (
 // explicit route through the link graph, and a traffic source.
 type Flow struct {
 	// Name identifies the flow in results and events.
-	Name string
+	Name string `json:"name,omitempty"`
 	// ID is the dense flow index (position in Topology.Flows); packet
 	// Flow fields and buffer-manager thresholds use it.
-	ID int
+	ID int `json:"-"`
 	// Spec is the declared traffic contract.
-	Spec packet.FlowSpec
+	Spec packet.FlowSpec `json:"spec"`
 	// RouteNodes is the node path, e.g. ["s0", "a", "b", "sink"].
-	RouteNodes []string
+	RouteNodes []string `json:"route"`
 	// Route is the resolved path as indices into Topology.Links.
-	Route []int
+	Route []int `json:"-"`
 	// ReverseRoute, filled by Validate for tcp flows only, holds the
 	// reverse-direction link of each forward hop: ReverseRoute[h] is the
 	// link To→From opposite Route[h]. Acknowledgements and drop
 	// notifications accumulate its propagation delays on their way back
 	// to the source.
-	ReverseRoute []int
+	ReverseRoute []int `json:"-"`
 	// Source selects the generator kind.
-	Source SourceKind
+	Source SourceKind `json:"source,omitempty"`
 	// AvgRate and MeanBurst parameterize the on-off source (the cbr
 	// source also sends at AvgRate). Both default from the spec:
 	// AvgRate = ρ, MeanBurst = σ.
-	AvgRate   units.Rate
-	MeanBurst units.Bytes
+	AvgRate   units.Rate  `json:"avg,omitempty"`
+	MeanBurst units.Bytes `json:"burst,omitempty"`
 	// PacketSize is the flow's packet size (default 500 bytes, the
 	// paper's maximum packet size).
-	PacketSize units.Bytes
+	PacketSize units.Bytes `json:"packet,omitempty"`
 	// Shaped routes the source through a leaky-bucket shaper with the
 	// flow's profile, making its traffic conformant (Table 1 flows 0–5).
-	Shaped bool
+	Shaped bool `json:"shaped,omitempty"`
 	// Class is the flow's service class for the class-aware online
 	// schemes (cgreedy, classseg, lqf, semigreedy); higher = more
 	// valuable. Packets carry it, and links running those schemes use
 	// it for admission and service decisions. When every flow leaves it
 	// 0, class-aware links derive classes from the declared profiles
 	// instead.
-	Class int
+	Class int `json:"class,omitempty"`
 }
 
 // EventKind enumerates the scenario timeline verbs.
@@ -142,11 +144,12 @@ const (
 // Event is one timeline entry. Flow events name a flow; link events
 // name a link.
 type Event struct {
-	At   float64
-	Kind EventKind
-	Flow string
-	Link string
-	Rate units.Rate // for EventRate
+	// At is the event time in simulated seconds.
+	At   float64    `json:"at"`
+	Kind EventKind  `json:"type"`
+	Flow string     `json:"flow,omitempty"`
+	Link string     `json:"link,omitempty"`
+	Rate units.Rate `json:"rate,omitempty"` // for EventRate
 
 	flow, link int // resolved indices
 }
@@ -154,14 +157,14 @@ type Event struct {
 // Topology is a validated scenario: links, flows, and a timeline.
 type Topology struct {
 	// Name labels the scenario in reports.
-	Name string
+	Name string `json:"name"`
 	// Description is free text carried from the JSON file.
-	Description string
-	Links       []Link
-	Flows       []Flow
+	Description string `json:"description,omitempty"`
+	Links       []Link `json:"links"`
+	Flows       []Flow `json:"flows"`
 	// Events is the timeline, sorted by time (ties keep file order, so
 	// a leave releasing capacity can precede a join reusing it).
-	Events []Event
+	Events []Event `json:"events,omitempty"`
 
 	// joinAt is each flow's join-event time, or noJoin, filled by a
 	// successful Validate so JoinTime is O(1) for Validate itself, the
@@ -173,6 +176,11 @@ type Topology struct {
 	// joinAt is.
 	ft *FlowTable
 }
+
+// badRate reports a rate no link or source can run at: not positive
+// (NaN included) or infinite, both of which the wire form can spell
+// ("NaNMbit/s", "InfMbit/s").
+func badRate(r units.Rate) bool { return !(r > 0) || math.IsInf(float64(r), 1) }
 
 // noJoin marks a flow without a join event in Topology.joinAt (event
 // times are validated non-negative).
@@ -249,12 +257,12 @@ func (t *Topology) linkConfig(li int, specs []packet.FlowSpec, classes []int, se
 		cfg.Specs, cfg.Classes, cfg.QueueOf = specs, classes, l.Queues
 		return cfg, nil
 	}
-	cfg.Specs, cfg.Classes = pick(specs, locals), pick(classes, locals)
+	cfg.Specs, cfg.Classes = gather(specs, locals), gather(classes, locals)
 	return cfg, locals
 }
 
-// pick returns all's elements at idx, in order, or nil when all is nil.
-func pick[T any](all []T, idx []int32) []T {
+// gather returns all's elements at idx, in order, or nil when all is nil.
+func gather[T any](all []T, idx []int32) []T {
 	if all == nil {
 		return nil
 	}
@@ -299,7 +307,7 @@ func (t *Topology) Validate() (err error) {
 		if l.Name == "" {
 			l.Name = l.From + "->" + l.To
 		}
-		if l.Rate <= 0 {
+		if badRate(l.Rate) {
 			return fmt.Errorf("link %s: non-positive rate %v", l.Name, l.Rate)
 		}
 		if l.Buffer <= 0 {
@@ -354,6 +362,9 @@ func (t *Topology) Validate() (err error) {
 		if err := f.Spec.Validate(); err != nil {
 			return fmt.Errorf("flow %s: %w", f.Name, err)
 		}
+		if badRate(f.Spec.TokenRate) || f.Spec.PeakRate != 0 && badRate(f.Spec.PeakRate) {
+			return fmt.Errorf("flow %s: rates %v, %v not finite", f.Name, f.Spec.PeakRate, f.Spec.TokenRate)
+		}
 		if f.PacketSize == 0 {
 			f.PacketSize = scheme.DefaultPacketSize
 		}
@@ -362,6 +373,9 @@ func (t *Topology) Validate() (err error) {
 		}
 		if f.AvgRate == 0 {
 			f.AvgRate = f.Spec.TokenRate
+		}
+		if badRate(f.AvgRate) {
+			return fmt.Errorf("flow %s: non-positive average rate %v", f.Name, f.AvgRate)
 		}
 		if f.MeanBurst == 0 {
 			f.MeanBurst = f.Spec.BucketSize
@@ -388,7 +402,7 @@ func (t *Topology) Validate() (err error) {
 			switch {
 			case f.Spec.PeakRate <= 0:
 				return fmt.Errorf("flow %s: on-off source needs a positive peak rate", f.Name)
-			case f.AvgRate <= 0 || f.AvgRate > f.Spec.PeakRate:
+			case f.AvgRate > f.Spec.PeakRate:
 				return fmt.Errorf("flow %s: average rate %v outside (0, peak %v]", f.Name, f.AvgRate, f.Spec.PeakRate)
 			case f.MeanBurst < f.PacketSize:
 				return fmt.Errorf("flow %s: mean burst %v below packet size %v", f.Name, f.MeanBurst, f.PacketSize)
@@ -468,7 +482,7 @@ func (t *Topology) Validate() (err error) {
 				return fmt.Errorf("event %d: unknown link %q", i, ev.Link)
 			}
 			ev.link = li
-			if ev.Kind == EventRate && ev.Rate <= 0 {
+			if ev.Kind == EventRate && badRate(ev.Rate) {
 				return fmt.Errorf("event %d: non-positive rate %v for link %s", i, ev.Rate, ev.Link)
 			}
 		default:

@@ -152,10 +152,43 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields: a typo, a paper-unit field name of
+// the retired second encoding, a derived field, and a suffixed time are
+// each refused with an error naming the field.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse(strings.NewReader(`{"name":"x","links":[{"from":"a","to":"b","rate_mbsp":48}]}`))
-	if err == nil || !strings.Contains(err.Error(), "rate_mbsp") {
-		t.Errorf("typo field not rejected: %v", err)
+	const valid = `{"name": "x",
+	  "links": [{"from": "a", "to": "b", "rate": "48Mbit/s", "buffer": "100KB", "headroom": "10KB", "prop_delay": 0.001}],
+	  "flows": [{"name": "f", "route": ["a", "b"], "spec": {"peak": "3Mbit/s", "token": "1Mbit/s", "bucket": "10KB"},
+	             "avg": "1Mbit/s", "burst": "10KB", "packet": "500B"}],
+	  "events": [{"at": 1, "type": "rate", "link": "a->b", "rate": "24Mbit/s"}]}`
+	if _, err := Parse(strings.NewReader(valid)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ field, old, new string }{
+		{"rate_mbsp", `"rate": "48Mbit/s"`, `"rate_mbsp": 48`},
+		{"rate_mbps", `"rate": "48Mbit/s"`, `"rate_mbps": 48`},
+		{"buffer_kb", `"buffer": "100KB"`, `"buffer_kb": 100`},
+		{"headroom_kb", `"headroom": "10KB"`, `"headroom_kb": 10`},
+		{"prop_delay_ms", `"prop_delay": 0.001`, `"prop_delay_ms": 1`},
+		{"peak_mbps", `"spec": {"peak": "3Mbit/s", `, `"peak_mbps": 3, "spec": {`},
+		{"token_mbps", `"spec": {"peak": "3Mbit/s", "token": "1Mbit/s", `, `"token_mbps": 1, "spec": {"peak": "3Mbit/s", `},
+		{"bucket_kb", `"spec": {"peak": "3Mbit/s", "token": "1Mbit/s", "bucket": "10KB"}`, `"bucket_kb": 10, "spec": {"peak": "3Mbit/s", "token": "1Mbit/s"}`},
+		{"avg_mbps", `"avg": "1Mbit/s"`, `"avg_mbps": 1`},
+		{"burst_kb", `"burst": "10KB"`, `"burst_kb": 10`},
+		{"packet_bytes", `"packet": "500B"`, `"packet_bytes": 500`},
+		{"rate_mbps", `"rate": "24Mbit/s"`, `"rate_mbps": 24`},
+		{"ID", `{"name": "f", `, `{"name": "f", "ID": 0, `},
+		{"route", `"route": ["a", "b"]`, `"route": ["a", "b"], "Route": [0]`},
+		{"at", `"at": 1`, `"at": "2500ms"`},
+	}
+	for _, c := range cases {
+		if !strings.Contains(valid, c.old) {
+			t.Fatalf("%s: %q not in the valid scenario", c.field, c.old)
+		}
+		doc := strings.Replace(valid, c.old, c.new, 1)
+		if _, err := Parse(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a refusal naming the field", c.field, err)
+		}
 	}
 }
 

@@ -2,21 +2,25 @@ package topology
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
 
-// TestParseWireTypedScenario loads a scenario written entirely in the
-// suffixed wire encoding shared with qosd and checks it equals the
-// legacy-numeric spelling of the same scenario.
+// TestParseWireTypedScenario loads a scenario in the suffixed wire
+// encoding shared with qosd and checks every quantity decodes to its
+// exact value.
 func TestParseWireTypedScenario(t *testing.T) {
 	wire := `{
   "name": "wire",
   "links": [
     {"from": "a", "to": "b", "rate": "48Mbit/s", "buffer": "600KB",
-     "headroom": "50KB", "prop_delay": "5ms"}
+     "headroom": "50KB", "prop_delay": 0.005}
   ],
   "flows": [
     {"name": "f0", "route": ["a", "b"], "source": "cbr", "shaped": true,
@@ -27,115 +31,124 @@ func TestParseWireTypedScenario(t *testing.T) {
     {"at": 1, "type": "rate", "link": "a->b", "rate": "24Mbit/s"}
   ]
 }`
-	legacy := `{
-  "name": "wire",
-  "links": [
-    {"from": "a", "to": "b", "rate_mbps": 48, "buffer_kb": 600,
-     "headroom_kb": 50, "prop_delay_ms": 5}
-  ],
-  "flows": [
-    {"name": "f0", "route": ["a", "b"], "source": "cbr", "shaped": true,
-     "peak_mbps": 6, "token_mbps": 2, "bucket_kb": 60,
-     "avg_mbps": 2, "burst_kb": 60, "packet_bytes": 500}
-  ],
-  "events": [
-    {"at": 1, "type": "rate", "link": "a->b", "rate_mbps": 24}
-  ]
-}`
 	tw, err := Parse(strings.NewReader(wire))
 	if err != nil {
-		t.Fatalf("wire form: %v", err)
-	}
-	tl, err := Parse(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy form: %v", err)
-	}
-	lw, ll := tw.Links[0], tl.Links[0]
-	if lw.Rate != ll.Rate || lw.Buffer != ll.Buffer || lw.Headroom != ll.Headroom || lw.PropDelay != ll.PropDelay {
-		t.Errorf("links differ:\nwire   %+v\nlegacy %+v", lw, ll)
-	}
-	if tw.Flows[0].Spec != tl.Flows[0].Spec || tw.Flows[0].AvgRate != tl.Flows[0].AvgRate ||
-		tw.Flows[0].MeanBurst != tl.Flows[0].MeanBurst || tw.Flows[0].PacketSize != tl.Flows[0].PacketSize {
-		t.Errorf("flows differ:\nwire   %+v\nlegacy %+v", tw.Flows[0], tl.Flows[0])
-	}
-	if tw.Events[0].Rate != tl.Events[0].Rate {
-		t.Errorf("event rates differ: %v vs %v", tw.Events[0].Rate, tl.Events[0].Rate)
-	}
-	if tw.Links[0].Rate != units.MbitsPerSecond(48) || tw.Links[0].PropDelay != 0.005 {
-		t.Errorf("wire link decoded wrong: %+v", tw.Links[0])
-	}
-
-	// Write emits the legacy schema; the round trip must survive.
-	var buf bytes.Buffer
-	if err := Write(&buf, tw); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reparse written scenario: %v", err)
+	l := tw.Links[0]
+	if l.Rate != 48*units.Mbps || l.Buffer != 600*units.KBytes || l.Headroom != 50*units.KBytes || l.PropDelay != 0.005 {
+		t.Errorf("link decoded wrong: %+v", l)
 	}
-	if back.Links[0].Rate != tw.Links[0].Rate || back.Flows[0].Spec != tw.Flows[0].Spec {
-		t.Error("Write/Parse round trip lost wire-typed values")
+	f := tw.Flows[0]
+	spec := packet.FlowSpec{PeakRate: 6 * units.Mbps, TokenRate: 2 * units.Mbps, BucketSize: 60 * units.KBytes}
+	if f.Spec != spec || f.AvgRate != 2*units.Mbps || f.MeanBurst != 60*units.KBytes || f.PacketSize != 500 {
+		t.Errorf("flow decoded wrong: %+v", f)
 	}
+	if ev := tw.Events[0]; ev.At != 1 || ev.Kind != EventRate || ev.Rate != 24*units.Mbps {
+		t.Errorf("event decoded wrong: %+v", ev)
+	}
+	roundTrip(t, tw)
 }
 
-// TestParseRejectsDoubleEncoding: giving the same quantity in both
-// encodings is ambiguous and must fail loudly.
-func TestParseRejectsDoubleEncoding(t *testing.T) {
-	cases := []string{
-		`{"name":"x","links":[{"from":"a","to":"b","rate_mbps":48,"rate":"24Mbit/s","buffer_kb":100}],
-		  "flows":[{"route":["a","b"],"token_mbps":1,"bucket_kb":10,"peak_mbps":3}]}`,
-		`{"name":"x","links":[{"from":"a","to":"b","rate_mbps":48,"buffer_kb":100}],
-		  "flows":[{"route":["a","b"],"token_mbps":1,"bucket_kb":10,"peak_mbps":3,
-		            "spec":{"token":"1Mbit/s","bucket":"10KB"}}]}`,
-	}
-	for i, c := range cases {
-		if _, err := Parse(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: double-encoded scenario accepted", i)
-		}
-	}
-}
-
-// TestParseWireEventTimes: timeline times accept the suffixed wire
-// encoding ("250ms", "1s") alongside bare numeric seconds, sharing the
-// units.Time parser with flow specs, and survive a Write round trip.
+// TestParseWireEventTimes: timeline times are plain seconds, and a time
+// with no short decimal form survives a Write round trip bit for bit.
 func TestParseWireEventTimes(t *testing.T) {
 	src := `{
   "name": "evt",
   "links": [
-    {"from": "a", "to": "b", "rate_mbps": 48, "buffer_kb": 600}
+    {"from": "a", "to": "b", "rate": "48Mbit/s", "buffer": "600KB"}
   ],
   "flows": [
     {"name": "f0", "route": ["a", "b"], "source": "cbr",
-     "peak_mbps": 6, "token_mbps": 2, "bucket_kb": 60}
+     "spec": {"peak": "6Mbit/s", "token": "2Mbit/s", "bucket": "60KB"}}
   ],
   "events": [
-    {"at": "250ms", "type": "rate", "link": "a->b", "rate_mbps": 24},
-    {"at": 1, "type": "rate", "link": "a->b", "rate_mbps": 48},
-    {"at": "1.5s", "type": "fail", "link": "a->b"}
+    {"at": 0.25, "type": "rate", "link": "a->b", "rate": "24Mbit/s"},
+    {"at": 1, "type": "rate", "link": "a->b", "rate": "48Mbit/s"},
+    {"at": 1.5, "type": "fail", "link": "a->b"}
   ]
 }`
 	tw, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.25, 1, 1.5}
-	for i, w := range want {
+	for i, w := range []float64{0.25, 1, 1.5} {
 		if tw.Events[i].At != w {
 			t.Errorf("event %d: at=%v, want %v", i, tw.Events[i].At, w)
 		}
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tw); err != nil {
+	tw.Events[1].At = 0.1 + 0.2 // 0.30000000000000004
+	tw.Links[0].PropDelay = 1.0 / 3
+	roundTrip(t, tw)
+}
+
+// TestWriteRoundTripsExactly: Parse(Write(t)) is t, field for field,
+// for every shipped scenario, the committed fuzz case and generated
+// networks up to bench's net-open size, whose rates, buffers and delays
+// have no short decimal form.
+func TestWriteRoundTripsExactly(t *testing.T) {
+	paths, err := filepath.Glob("../../topologies/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("shipped scenarios: %v, %v", paths, err)
+	}
+	for _, path := range append(paths, "testdata/wfq_none_fuzz_case.json") {
+		topo, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, topo)
+	}
+	for _, spec := range []string{"line", "fattree?k=4", "random?links=80,flows=8000,seed=1"} {
+		topo, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, topo)
+	}
+}
+
+// roundTrip checks that the validated topo writes, parses back to the
+// same scenario, and writes again to the same bytes.
+func roundTrip(t testing.TB, topo *Topology) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := Write(&first, topo); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(bytes.NewReader(buf.Bytes()))
+	back, err := Parse(bytes.NewReader(first.Bytes()))
 	if err != nil {
-		t.Fatalf("reparse written scenario: %v", err)
+		t.Fatalf("%s: written scenario does not parse: %v\n%s", topo.Name, err, first.Bytes())
 	}
-	for i, w := range want {
-		if back.Events[i].At != w {
-			t.Errorf("round trip event %d: at=%v, want %v", i, back.Events[i].At, w)
+	if !reflect.DeepEqual(back, topo) {
+		t.Fatalf("%s: Parse(Write(t)) differs from t:\n%s", topo.Name, first.Bytes())
+	}
+	if err := Write(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("%s: writing the parsed scenario changed its bytes", topo.Name)
+	}
+}
+
+// FuzzParseTopology: no input panics Parse, and every scenario Parse
+// accepts round-trips exactly through Write.
+func FuzzParseTopology(f *testing.F) {
+	paths, err := filepath.Glob("../../topologies/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("shipped scenarios: %v, %v", paths, err)
+	}
+	for _, path := range append(paths, "testdata/wfq_none_fuzz_case.json") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(data)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		roundTrip(t, topo)
+	})
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // This file gives the unit types a human-readable JSON wire form —
-// "48Mbit/s", "100KB", "5ms" — shared by the topology loader and the
-// qosd control-plane API, so a (σ, ρ) contract means the same bytes in
-// a scenario file, a join request, and a daemon snapshot.
+// "48Mbit/s", "100KB" — shared by the topology loader and the qosd
+// control-plane API, so a (σ, ρ) contract means the same bytes in a
+// scenario file, a join request, and a daemon snapshot.
 //
 // Marshalling always picks the largest unit that represents the value
 // exactly (falling back to the base unit, which always does), so every
 // value round-trips bit-for-bit. Unmarshalling additionally accepts a
-// bare JSON number in the base unit (bits/s, bytes, seconds).
+// bare JSON number in the base unit (bits/s, bytes).
 
 // jsonScaled renders v as value/scale + suffix when that division is
 // exact under round-trip, or "" when it is not.
@@ -170,51 +170,5 @@ func (b *Bytes) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("units: size %w", err)
 	}
 	*b = Bytes(v)
-	return nil
-}
-
-// MarshalJSON encodes the span as a suffixed string, e.g. "5ms".
-func (t Time) MarshalJSON() ([]byte, error) {
-	v := float64(t)
-	abs := v
-	if abs < 0 {
-		abs = -abs
-	}
-	if v != 0 && abs < 1 {
-		for _, e := range []struct {
-			scale float64
-			suf   string
-		}{{1e-3, "ms"}, {1e-6, "us"}, {1e-9, "ns"}} {
-			if abs >= e.scale {
-				if s := jsonScaled(v, e.scale, e.suf); s != "" {
-					return []byte(`"` + s + `"`), nil
-				}
-			}
-		}
-	}
-	return []byte(`"` + strconv.FormatFloat(v, 'g', -1, 64) + `s"`), nil
-}
-
-var timeSuffixes = []suffix{
-	{"ns", 1e-9}, {"us", 1e-6}, {"µs", 1e-6}, {"ms", 1e-3}, {"s", 1},
-}
-
-// UnmarshalJSON accepts "5ms", "250us", "1.5s", "80ns" or a bare number
-// in seconds.
-func (t *Time) UnmarshalJSON(data []byte) error {
-	s, quoted := unquote(data)
-	if !quoted {
-		v, err := strconv.ParseFloat(string(s), 64)
-		if err != nil {
-			return fmt.Errorf("units: time %s: %w", string(data), err)
-		}
-		*t = Time(v)
-		return nil
-	}
-	v, err := parseSuffixed(s, timeSuffixes)
-	if err != nil {
-		return fmt.Errorf("units: time %w", err)
-	}
-	*t = Time(v)
 	return nil
 }

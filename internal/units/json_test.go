@@ -100,83 +100,24 @@ func TestBytesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTimeJSONRoundTrip(t *testing.T) {
-	for _, v := range []Time{0, Second, Seconds(1.5), Milliseconds(5), Milliseconds(0.25),
-		Microsecond, 80 * Nanosecond, Seconds(3600), Seconds(0.0034567)} {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var back Time
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", b, err)
-		}
-		if back != v {
-			t.Errorf("round trip %v -> %s -> %v", float64(v), b, float64(back))
-		}
-	}
-	cases := []struct {
-		in   string
-		want Time
-	}{
-		{`"5ms"`, Milliseconds(5)},
-		{`"250us"`, 250 * Microsecond},
-		{`"250µs"`, 250 * Microsecond},
-		{`"1.5s"`, Seconds(1.5)},
-		{`"80ns"`, 80 * Nanosecond},
-		{`0.25`, Seconds(0.25)},
-	}
-	for _, c := range cases {
-		var v Time
-		if err := json.Unmarshal([]byte(c.in), &v); err != nil {
-			t.Errorf("unmarshal %s: %v", c.in, err)
-			continue
-		}
-		if v != c.want {
-			t.Errorf("unmarshal %s = %v, want %v", c.in, float64(v), float64(c.want))
-		}
-	}
-	if b, _ := json.Marshal(Milliseconds(5)); string(b) != `"5ms"` {
-		t.Errorf("marshal 5ms = %s", b)
-	}
-}
-
-func TestTimeHelpers(t *testing.T) {
-	if Milliseconds(1500).SecondsFloat() != 1.5 {
-		t.Error("SecondsFloat wrong")
-	}
-	if Seconds(2).Duration().Seconds() != 2 {
-		t.Error("Duration wrong")
-	}
-	for _, c := range []struct {
-		v    Time
-		want string
-	}{{0, "0s"}, {Seconds(2), "2s"}, {Milliseconds(5), "5ms"}, {3 * Microsecond, "3us"}, {2 * Nanosecond, "2ns"}} {
-		if got := c.v.String(); got != c.want {
-			t.Errorf("String(%v) = %q, want %q", float64(c.v), got, c.want)
-		}
-	}
-}
-
 // TestUnmarshalWithoutAllocating: a quoted suffixed value parses over
 // the token's bytes.
 func TestUnmarshalWithoutAllocating(t *testing.T) {
-	rate, size, span := []byte(`"48Mbit/s"`), []byte(`" 1.5 MB "`), []byte(`"250US"`)
+	rate, size := []byte(`"48MBIT/s"`), []byte(`" 1.5 MB "`)
 	var (
-		r  Rate
-		b  Bytes
-		tm Time
+		r Rate
+		b Bytes
 	)
 	allocs := testing.AllocsPerRun(100, func() {
-		if r.UnmarshalJSON(rate) != nil || b.UnmarshalJSON(size) != nil || tm.UnmarshalJSON(span) != nil {
+		if r.UnmarshalJSON(rate) != nil || b.UnmarshalJSON(size) != nil {
 			t.Fatal("unmarshal failed")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("%v allocations per Rate+Bytes+Time unmarshal, want 0", allocs)
+		t.Errorf("%v allocations per Rate+Bytes unmarshal, want 0", allocs)
 	}
-	if r != 48*Mbps || b != KiloBytes(1500) || tm != Time(250e-6) {
-		t.Errorf("decoded %v, %v, %v", r, b, tm)
+	if r != 48*Mbps || b != KiloBytes(1500) {
+		t.Errorf("decoded %v, %v", r, b)
 	}
 }
 
@@ -193,7 +134,7 @@ func TestSuffixMatchAgreesWithToLower(t *testing.T) {
 		"250µs", "250µS", "250 µs", "\u00a05ms\u2003", "5\u0085KB", "5\u039cS", "5\u03bcs", "\uff15MB",
 		"\u00c0MB", "\xffMB", "5\xe2\xc2\xb5s", "5\xb5s", "5\u017f", "\u212a",
 	}
-	tables := map[string][]suffix{"rate": rateSuffixes, "size": bytesSuffixes, "time": timeSuffixes}
+	tables := map[string][]suffix{"rate": rateSuffixes, "size": bytesSuffixes}
 	for name, table := range tables {
 		for _, in := range inputs {
 			v, err := parseSuffixed([]byte(in), table)

@@ -1,6 +1,6 @@
 // Package units provides the units of measure used throughout the
-// simulator: data sizes in bytes, data rates in bits per second, and
-// simulated time in seconds.
+// simulator: data sizes in bytes and data rates in bits per second.
+// Simulated time is a plain float64 number of seconds throughout.
 //
 // The paper (Guérin et al., SIGCOMM '98) states buffer sizes in KBytes
 // and MBytes, rates in Mbits/s, and analyses flows at bit granularity.

@@ -274,7 +274,8 @@ type CompeteCell struct {
 	WorstSeed int64   `json:"worst_seed"`
 	WorstALG  float64 `json:"worst_alg"`
 	WorstOPT  float64 `json:"worst_opt"`
-	// Violations counts replications whose ratio exceeded Bound + eps
+	// Violations counts replications inside the bound's model
+	// (online.Policy.BoundApplies) whose ratio exceeded Bound + eps
 	// (always 0 for policies with no proven bound).
 	Violations int `json:"violations"`
 }
@@ -356,7 +357,7 @@ func Compete(ctx context.Context, opts CompeteOptions) (*CompeteReport, error) {
 				cell.WorstALG = out.ALG
 				cell.WorstOPT = out.OPT
 			}
-			if j.p.Bound > 0 && out.Ratio > j.p.Bound+opts.Eps {
+			if j.p.Bound > 0 && j.p.BoundApplies(in) && out.Ratio > j.p.Bound+opts.Eps {
 				cell.Violations++
 			}
 		}

@@ -5,9 +5,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"bufqos/internal/sim"
 	"bufqos/internal/topology"
 )
 
@@ -136,6 +138,29 @@ func TestFuzzBrokenThreshold(t *testing.T) {
 	}
 	if len(ents) != 2 {
 		t.Errorf("repro dir has %d files, want 2", len(ents))
+	}
+}
+
+// TestReproducersReplayExactly: a reproducer file replays the scenario
+// that failed. Every scenario of campaign seed 1's first 1,000 cases
+// parses back from its own Write output as the same scenario.
+func TestReproducersReplayExactly(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		sc, err := Generate(sim.DeriveSeed(1, i), GenConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := topology.Write(&buf, sc.Topo); err != nil {
+			t.Fatal(err)
+		}
+		back, err := topology.Parse(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, sc.Topo) {
+			t.Errorf("case %d (%s): the written scenario parses back as a different one", i, sc.Topo.Name)
+		}
 	}
 }
 
