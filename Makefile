@@ -146,12 +146,31 @@ bench-smoke:
 
 # Run every shipped topology scenario short with -check: fails if any
 # admitted conformant flow loses conformant traffic at any hop or
-# misses its reserved throughput. CI runs this on every push.
+# misses its reserved throughput, or if a scenario's stdout no longer
+# hashes (first 16 hex digits of its sha256) to its entry in
+# TOPO_SMOKE_SHA256, which pins the simulated results byte for byte. A
+# change that moves these bytes on purpose updates the list and records
+# old -> new hash, with the reason, in CHANGES.md in the same commit.
+# CI runs this on every push.
+TOPO_SMOKE_SHA256 = churn:208fae41314c69a4 gfr3:9123adf280f14d02 \
+	parkinglot:a1bf7012fb2ab122 tandem3:e34706ebdbea35ef
+
 topo-smoke:
-	@set -e; for f in topologies/*.json; do \
+	@set -e; \
+	go build -o /tmp/bufqos-qnet ./cmd/qnet; \
+	for f in topologies/*.json; do \
+		n=$$(basename $$f .json); \
 		echo "== $$f"; \
-		go run ./cmd/qnet -topology $$f -duration 5 -runs 2 -check; \
-	done
+		/tmp/bufqos-qnet -topology $$f -duration 5 -runs 2 -check > /tmp/bufqos-topo-$$n.txt \
+			|| { cat /tmp/bufqos-topo-$$n.txt; exit 1; }; \
+		cat /tmp/bufqos-topo-$$n.txt; \
+		got=$$(sha256sum /tmp/bufqos-topo-$$n.txt | cut -c1-16); \
+		want=$$(printf '%s\n' $(TOPO_SMOKE_SHA256) | sed -n "s/^$$n://p"); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "topo-smoke: $$n stdout sha256 $$got, want $${want:-(no entry in TOPO_SMOKE_SHA256)}"; exit 1; \
+		fi; \
+	done; \
+	echo "topo-smoke: ok (every scenario at its pinned sha256)"
 
 # Closed-loop determinism gate: the gfr3 TCP scenario (feedback data
 # plane: ACKs and drop notifications riding reverse links) run with

@@ -26,6 +26,9 @@ type Link struct {
 	sched Scheduler
 	mgr   buffer.Manager
 	col   *stats.Collector
+	// tot, when col is nil, is one row every flow's packets count into
+	// (CountTotals).
+	tot *stats.FlowStats
 
 	busy bool
 	down bool
@@ -103,6 +106,8 @@ func NewLink(s *sim.Simulator, rate units.Rate, sched Scheduler, mgr buffer.Mana
 func (l *Link) dropped(p *packet.Packet) {
 	if l.col != nil {
 		l.col.Dropped(p, l.sim.Now())
+	} else if l.tot != nil {
+		l.tot.Dropped.Add(p)
 	}
 	if l.OnDrop != nil {
 		l.OnDrop(p)
@@ -110,6 +115,12 @@ func (l *Link) dropped(p *packet.Packet) {
 	}
 	l.sim.Release(p)
 }
+
+// CountTotals makes a link built without a collector count every
+// flow's offered, dropped and departed packets into the one row tot,
+// from time zero: the link's totals at the cost of one row, where a
+// collector keeps a row per flow.
+func (l *Link) CountTotals(tot *stats.FlowStats) { l.tot = tot }
 
 // Rate returns the link rate.
 func (l *Link) Rate() units.Rate { return l.rate }
@@ -157,6 +168,8 @@ func (l *Link) Busy() bool { return l.busy }
 func (l *Link) Receive(p *packet.Packet) {
 	if l.col != nil {
 		l.col.Offered(p, l.sim.Now())
+	} else if l.tot != nil {
+		l.tot.Offered.Add(p)
 	}
 	if !l.mgr.Admit(p.Flow, p.Size) {
 		l.dropped(p)
@@ -195,6 +208,8 @@ func (l *Link) depart() {
 	l.mServedBytes.Add(int64(p.Size))
 	if l.col != nil {
 		l.col.Departed(p, l.sim.Now())
+	} else if l.tot != nil {
+		l.tot.Departed.Add(p)
 	}
 	if l.OnDepart != nil {
 		l.OnDepart(p)

@@ -12,7 +12,8 @@ import (
 // times and equal stamps planted throughout, run on the kernel and on
 // naiveKernel — a linear scan for the least (time, sched, seq) — must
 // fire the same events at the same times and leave the same events
-// pending.
+// pending. A kernel may also own delay lines: form numForms+j sends on
+// line j (line_test.go).
 
 // Scheduling forms a stream draws from.
 const (
@@ -50,6 +51,7 @@ type kernel interface {
 	run(t float64, exclusive bool)
 	pending() int
 	log() []fired
+	nlines() int
 }
 
 // childLabel marks events scheduled from inside a callback; they
@@ -70,13 +72,19 @@ func react(k kernel, label int) {
 	if label%5 == 1 && k.scheduled() > 0 {
 		k.cancel(label % k.scheduled())
 	}
+	if n := k.nlines(); n > 0 && label%4 == 1 {
+		k.schedule(numForms+label%n, 0, 0, label+childLabel)
+	}
 }
 
-// simKernel drives the real Simulator.
+// simKernel drives the real Simulator. A send on line j goes through
+// lines[j] or, when lines is nil, through AfterPacket with delays[j].
 type simKernel struct {
 	s      *Simulator
 	events []Event
 	fired  []fired
+	lines  []DelayLine
+	delays []float64
 }
 
 type labelHandler struct {
@@ -105,6 +113,14 @@ func (k *simKernel) schedule(form int, d, sOff float64, label int) {
 		e = k.s.AtHandler(t, &labelHandler{k, label})
 	case formStamped:
 		e = k.s.AtStampedPacket(t, t-sOff, func(p *packet.Packet) { k.fire(int(p.Seq)) }, &packet.Packet{Seq: uint64(label)})
+	default: // a line send, which no Cancel reaches
+		j := form - numForms
+		fn, p := func(p *packet.Packet) { k.fire(int(p.Seq)) }, &packet.Packet{Seq: uint64(label)}
+		if k.lines != nil {
+			k.lines[j].Send(fn, p)
+		} else {
+			k.s.AfterPacket(k.delays[j], fn, p)
+		}
 	}
 	k.events = append(k.events, e)
 }
@@ -113,6 +129,7 @@ func (k *simKernel) cancel(i int)   { k.events[i].Cancel() }
 func (k *simKernel) scheduled() int { return len(k.events) }
 func (k *simKernel) pending() int   { return k.s.Pending() }
 func (k *simKernel) log() []fired   { return k.fired }
+func (k *simKernel) nlines() int    { return len(k.delays) }
 
 func (k *simKernel) run(t float64, exclusive bool) {
 	if exclusive {
@@ -124,16 +141,19 @@ func (k *simKernel) run(t float64, exclusive bool) {
 
 // naiveKernel keeps every event ever scheduled in one slice and runs
 // the least pending one by (time, sched, seq), found by a linear scan.
+// A line send is a plain event delays[j] ahead that no Cancel reaches.
 type naiveKernel struct {
 	clock  float64
 	events []naiveEvent // index = seq
 	fired  []fired
+	delays []float64
 }
 
 type naiveEvent struct {
 	time, sched float64
 	label       int
 	pending     bool
+	sent        bool // on a line: not cancellable
 }
 
 func (k *naiveKernel) now() float64 { return k.clock }
@@ -144,12 +164,21 @@ func (k *naiveKernel) schedule(form int, d, sOff float64, label int) {
 	if form == formStamped {
 		sched = t - sOff
 	}
-	k.events = append(k.events, naiveEvent{time: t, sched: sched, label: label, pending: true})
+	sent := form >= numForms
+	if sent {
+		t = k.clock + k.delays[form-numForms]
+	}
+	k.events = append(k.events, naiveEvent{time: t, sched: sched, label: label, pending: true, sent: sent})
 }
 
-func (k *naiveKernel) cancel(i int)   { k.events[i].pending = false }
+func (k *naiveKernel) cancel(i int) {
+	if !k.events[i].sent {
+		k.events[i].pending = false
+	}
+}
 func (k *naiveKernel) scheduled() int { return len(k.events) }
 func (k *naiveKernel) log() []fired   { return k.fired }
+func (k *naiveKernel) nlines() int    { return len(k.delays) }
 
 func (k *naiveKernel) pending() int {
 	n := 0

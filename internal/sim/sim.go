@@ -27,6 +27,17 @@
 // its receiver (AtHandler): per-flow objects built by the thousand in
 // one slab re-arm themselves through a pointer to their own element,
 // so building a flow costs no closure either.
+//
+// A packet crossing a fixed delay — a link's propagation wire — can
+// instead ride a DelayLine (line.go): a FIFO ring whose head alone sits
+// in the heap. Send draws the key AfterPacket would, (now+d, now, seq),
+// and on one line those keys strictly increase (the clock never runs
+// backwards, d is fixed, seq grows), so the heap over line heads and
+// ordinary events is a k-way merge that dispatches exactly the sequence
+// AfterPacket would, with the same Steps count. When a head fires, its
+// heap entry takes the next packet's key in place and sifts down. A
+// topology whose wires hold most of its pending packets keeps a heap as
+// deep as its flows and links, not its packets in flight.
 package sim
 
 import (
@@ -59,8 +70,8 @@ type entry struct {
 //
 // What an event runs is h, set while the slot is live: an At/After
 // callback (funcHandler), a packet-carrying callback (packetFunc, called
-// with p), or an AtHandler receiver. One field for all three keeps the
-// node at 32 bytes.
+// with p), an AtHandler receiver, or a delay line whose head the event
+// is (lineHead). One field for all four keeps the node at 32 bytes.
 type node struct {
 	h   Handler
 	p   *packet.Packet
@@ -153,6 +164,9 @@ type Simulator struct {
 	nodes  []node
 	free   []int32
 	heap   []entry // 4-ary min-heap ordered by (time, sched, seq)
+	// lined counts the packets waiting on delay lines behind their
+	// line's head, the one of each line in the heap.
+	lined int
 
 	pool packet.Pool
 
@@ -222,9 +236,10 @@ func (s *Simulator) Now() float64 { return s.now }
 // loop-detection in tests and for benchmark reporting.
 func (s *Simulator) Steps() uint64 { return s.nsteps }
 
-// Pending returns the number of events currently queued. Cancelled
-// events leave the queue immediately, so the count is exact.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending returns the number of events currently queued, the packets
+// on delay lines included. Cancelled events leave the queue
+// immediately, so the count is exact.
+func (s *Simulator) Pending() int { return len(s.heap) + s.lined }
 
 // schedule is the one insertion path: it queues an arena slot due at t
 // with scheduling stamp sched, holding h and, for a packetFunc, its
@@ -389,18 +404,23 @@ func (s *Simulator) runTo(t float64, exclusive bool) {
 }
 
 // runNext pops the earliest event, frees its slot and runs it, so the
-// callback may reuse the slot.
+// callback may reuse the slot. A delay line's head event is not popped
+// here: its Fire moves it to the line's next packet.
 func (s *Simulator) runNext() {
 	id := s.heap[0].id
 	n := &s.nodes[id]
 	h, p := n.h, n.p
 	s.now = s.heap[0].time
 	s.nsteps++
-	s.removeAt(0)
-	s.freeNode(id)
 	if s.mDispatched != nil {
 		s.mDispatched.Inc()
 	}
+	if l, ok := h.(*lineHead); ok {
+		l.Fire()
+		return
+	}
+	s.removeAt(0)
+	s.freeNode(id)
 	run(h, p)
 }
 

@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"bufqos/internal/metrics"
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
@@ -86,5 +88,28 @@ func TestEngineBuildsInConstantAllocations(t *testing.T) {
 	t.Logf("newEngine: %d mallocs at 8000 flows, %d at 16000", m1, m2)
 	if m2 > m1+32 {
 		t.Errorf("newEngine at 16000 flows costs %d mallocs against %d at 8000: per-flow state is no longer in slabs", m2, m1)
+	}
+}
+
+// TestEngineHeapHoldsLineHeads is the delay lines' structural gate,
+// with no clock in it: on bench's net-open network the kernel's heap
+// holds about one event per flow plus a few per link, because the
+// packets on a wire wait in their link's delay line and only the
+// line's head is in the heap. Before the lines, those packets were
+// three quarters of a 31,407-deep heap.
+func TestEngineHeapHoldsLineHeads(t *testing.T) {
+	topo, err := Generate("random?links=80,flows=8000,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	if _, err := Run(context.Background(), topo, Options{Duration: 0.01, Seed: 1, SkipLinkFlows: true, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	depth := reg.Gauge("sim.heap_depth").Max()
+	bound := int64(len(topo.Flows) + 4*len(topo.Links) + 256)
+	t.Logf("heap depth high-water %d, bound %d", depth, bound)
+	if depth > bound {
+		t.Errorf("heap depth reached %d, above flows + 4·links + 256 = %d: packets on the wire are back in the heap", depth, bound)
 	}
 }

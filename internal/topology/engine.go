@@ -3,6 +3,7 @@ package topology
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"bufqos/internal/core"
@@ -128,12 +129,19 @@ type engineLink struct {
 	topoIdx int
 	shard   int
 	link    *sched.Link
-	col     *stats.Collector
+	// col holds the link's per-flow counters; under
+	// Options.SkipLinkFlows it is nil and the link counts into tot.
+	col *stats.Collector
+	tot stats.FlowStats
 	// flows maps the link's data-plane flow index to the global flow id.
 	// Nil when the link runs with global ids (population-sensitive
 	// scheme, or no traversing flows).
 	flows []int32
 	prop  float64
+	// line is the link's propagation wire on its shard's kernel, nil
+	// when prop is zero: every packet forwarded or delivered on the
+	// same shard rides it.
+	line *sim.DelayLine
 	// arrive is the handler of every packet event that ends at this
 	// link: stamp the arrival and enqueue. Built once per link, it
 	// serves same-shard propagation and cross-shard injection alike.
@@ -382,19 +390,26 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		}
 	}
 
-	// Per-shard kernels, pre-sized: each source holds at most a few
-	// pending events, each link one transmission plus one propagation.
+	// Per-shard kernels, pre-sized for what their heaps hold: about one
+	// pending event per flow starting there (its start, then its
+	// source's or shaper's next action), and a few per link (its
+	// transmission, the head of its delay line, its scenario events).
+	// Packets on a wire wait in the line's ring, not the heap; feedback
+	// in flight and tcp timers grow the heap past this.
 	e.shards = make([]*engineShard, e.part.N)
-	ownedHops := make([]int, e.part.N)
+	owned := make([]int, e.part.N)
+	for fi := range t.Flows {
+		owned[e.part.Assign[t.Flows[fi].Route[0]]]++
+	}
 	for li := range t.Links {
-		ownedHops[e.part.Assign[li]] += len(e.ft.LinkFlows[li])
+		owned[e.part.Assign[li]] += 4
 	}
 	for i := range e.shards {
 		s := sim.New()
 		if opts.Metrics != nil {
 			s.Instrument(opts.Metrics)
 		}
-		s.Reserve(4*ownedHops[i] + 256)
+		s.Reserve(owned[i] + 256)
 		es := &engineShard{
 			s:        s,
 			delivery: network.NewDeliveryLight(s, len(t.Flows)),
@@ -407,6 +422,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		e.shards[i] = es
 	}
 
+	lines := e.buildLines()
 	specs := t.Specs()
 	classes := t.Classes()
 	e.links = make([]*engineLink, len(t.Links))
@@ -415,23 +431,27 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 		sh := e.part.Assign[li]
 		es := e.shards[sh]
 		cfg, flows := t.linkConfig(li, specs, classes, sim.DeriveSeed(opts.Seed, linkSeedBase+li))
-		nflows := len(cfg.Specs)
-		col := stats.NewCollector(nflows, 0)
-		lk, err := l.scheme.NewLink(es.s, cfg, col)
+		el := &engineLink{
+			topoIdx: li,
+			shard:   sh,
+			flows:   flows,
+			prop:    l.PropDelay,
+			line:    lines[li],
+		}
+		if !opts.SkipLinkFlows {
+			el.col = stats.NewCollector(len(cfg.Specs), 0)
+		}
+		lk, err := l.scheme.NewLink(es.s, cfg, el.col)
 		if err != nil {
 			return nil, fmt.Errorf("topology %s: link %s: %w", t.Name, l.Name, err)
+		}
+		if el.col == nil {
+			lk.CountTotals(&el.tot)
 		}
 		if opts.Metrics != nil {
 			lk.Instrument(opts.Metrics, l.Spec)
 		}
-		el := &engineLink{
-			topoIdx: li,
-			shard:   sh,
-			link:    lk,
-			col:     col,
-			flows:   flows,
-			prop:    l.PropDelay,
-		}
+		el.link = lk
 		el.arrive = func(p *packet.Packet) {
 			p.Arrived = es.s.Now()
 			lk.Receive(p)
@@ -545,6 +565,64 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 	return e, nil
 }
 
+// buildLines gives every link with a propagation delay its wire: a
+// delay line on its shard's kernel, each shard's rings carved from one
+// slab. A ring starts with room for every packet its wire can hold at
+// once: departures are at least one smallest packet's transmission
+// apart at the fastest rate the link is ever set to, and each stays
+// on the wire for the propagation delay. Past wireRoomMax a ring
+// starts smaller and grows. The result is indexed by link.
+func (e *engine) buildLines() []*sim.DelayLine {
+	t := e.topo
+	fastest := make([]units.Rate, len(t.Links))
+	for li := range t.Links {
+		fastest[li] = t.Links[li].Rate
+	}
+	for _, ev := range t.Events {
+		if ev.Kind == EventRate {
+			fastest[ev.link] = max(fastest[ev.link], ev.Rate)
+		}
+	}
+	delays := make([][]float64, len(e.shards))
+	room := make([][]int, len(e.shards))
+	for li := range t.Links {
+		l := &t.Links[li]
+		if l.PropDelay == 0 {
+			continue
+		}
+		var smallest units.Bytes
+		for _, fi := range e.ft.LinkFlows[li] {
+			if sz := t.Flows[fi].PacketSize; smallest == 0 || sz < smallest {
+				smallest = sz
+			}
+		}
+		n := 1
+		if smallest > 0 {
+			gap := units.TransmissionTime(smallest, fastest[li])
+			n = int(min(math.Ceil(l.PropDelay/gap), wireRoomMax)) + 2
+		}
+		sh := e.part.Assign[li]
+		delays[sh] = append(delays[sh], l.PropDelay)
+		room[sh] = append(room[sh], n)
+	}
+	built := make([][]sim.DelayLine, len(e.shards))
+	for i, es := range e.shards {
+		built[i] = es.s.NewDelayLines(delays[i], room[i])
+	}
+	lines := make([]*sim.DelayLine, len(t.Links))
+	for li := range t.Links {
+		if sh := e.part.Assign[li]; t.Links[li].PropDelay != 0 {
+			lines[li] = &built[sh][0]
+			built[sh] = built[sh][1:]
+		}
+	}
+	return lines
+}
+
+// wireRoomMax caps the packets a delay line's ring starts with room
+// for.
+const wireRoomMax = 1 << 14
+
 func (e *engine) shardOfFlow(fi int) *engineShard {
 	return e.shards[e.part.Assign[e.topo.Flows[fi].Route[0]]]
 }
@@ -565,22 +643,22 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 		idx := ft.RouteOff[g] + p.Hop + 1
 		if idx >= ft.RouteOff[g+1] {
 			p.Flow = int(g)
-			if el.prop == 0 {
+			if el.line == nil {
 				es.deliver(p)
 				return
 			}
-			es.s.AfterPacket(el.prop, es.deliver, p)
+			el.line.Send(es.deliver, p)
 			return
 		}
 		p.Hop++
 		p.Flow = int(e.hopEntry[idx])
 		dst := e.links[ft.RouteLink[idx]]
 		if dst.shard == el.shard {
-			if el.prop == 0 {
+			if el.line == nil {
 				dst.arrive(p)
 				return
 			}
-			es.s.AfterPacket(el.prop, dst.arrive, p)
+			el.line.Send(dst.arrive, p)
 			return
 		}
 		// The partitioner colocates zero-lookahead edges, so a crossing
@@ -726,16 +804,13 @@ func (e *engine) collect() {
 	for li := range t.Links {
 		el := e.links[li]
 		lr := LinkResult{Name: t.Links[li].Name}
-		n := el.col.NumFlows()
-		for k := 0; k < n; k++ {
-			fs := el.col.Flow(k)
-			addCounter(&lr.Totals.Offered, fs.Offered.Total())
-			addCounter(&lr.Totals.Dropped, fs.Dropped.Total())
-			addCounter(&lr.Totals.ConformantDropped, fs.Dropped.Conformant)
-			addCounter(&lr.Totals.Departed, fs.Departed.Total())
-			lr.Totals.Forwarded += fs.Departed.Total().Packets
-		}
-		if !e.opts.SkipLinkFlows {
+		if el.col == nil {
+			addTotals(&lr.Totals, &el.tot)
+		} else {
+			n := el.col.NumFlows()
+			for k := 0; k < n; k++ {
+				addTotals(&lr.Totals, el.col.Flow(k))
+			}
 			lr.Flows = make([]LinkFlow, len(t.Flows))
 			for k := 0; k < n; k++ {
 				g := k
@@ -781,6 +856,15 @@ func (e *engine) collect() {
 	for _, es := range e.shards {
 		e.res.Events += es.s.Steps()
 	}
+}
+
+// addTotals folds one row of link counters into the link's totals.
+func addTotals(dst *LinkTotals, fs *stats.FlowStats) {
+	addCounter(&dst.Offered, fs.Offered.Total())
+	addCounter(&dst.Dropped, fs.Dropped.Total())
+	addCounter(&dst.ConformantDropped, fs.Dropped.Conformant)
+	addCounter(&dst.Departed, fs.Departed.Total())
+	dst.Forwarded += fs.Departed.Total().Packets
 }
 
 // addCounter folds one counter into an aggregate.

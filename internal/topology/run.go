@@ -38,8 +38,10 @@ type Options struct {
 	// SkipLinkFlows leaves LinkResult.Flows nil, keeping only the
 	// always-populated Totals. With L links and F flows the per-link
 	// flow tables cost O(L·F) memory in the Result — prohibitive at
-	// 10³ links × 10⁵ flows — while Totals stay O(L). Verify skips its
-	// per-link per-flow assertions when the tables are absent.
+	// 10³ links × 10⁵ flows — while Totals stay O(L). Each link then
+	// counts into one totals row instead of a row per flow, and Verify
+	// asserts zero conformant loss per link from the totals instead of
+	// per flow.
 	SkipLinkFlows bool
 }
 

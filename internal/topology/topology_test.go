@@ -644,3 +644,65 @@ func TestValidateScalesLinearly(t *testing.T) {
 		t.Errorf("Validate at 4× the flows costs %.1f× the time, want under 8×: name resolution is no longer linear", ratio)
 	}
 }
+
+// TestVerifyCatchesLossFromTotals plants a violation — a first hop at
+// half Proposition 1's thresholds, still claiming the guarantee, where
+// four shaped greedy flows open with their whole bucket at once — and
+// requires Verify to catch it with and without per-flow link tables.
+// Without them the check is one assertion per guaranteed link from its
+// totals, and it must fail at exactly the links where some flow's
+// per-flow assertion fails: the first hop, not the full-threshold
+// second.
+func TestVerifyCatchesLossFromTotals(t *testing.T) {
+	topo := &Topology{
+		Name: "halved",
+		Links: []Link{
+			{Name: "half", From: "a", To: "b", Rate: units.MbitsPerSecond(48), Buffer: units.KiloBytes(700), PropDelay: 0.001, Spec: "fifo+threshold?scale=0.5"},
+			{Name: "full", From: "b", To: "c", Rate: units.MbitsPerSecond(48), Buffer: units.KiloBytes(700), PropDelay: 0.002, Spec: "fifo+threshold"},
+		},
+	}
+	for i := 0; i < 4; i++ {
+		topo.Flows = append(topo.Flows, Flow{
+			Name: fmt.Sprintf("g%d", i), RouteNodes: []string{"a", "b", "c"}, Source: SourceGreedy, Shaped: true,
+			Spec: packet.FlowSpec{PeakRate: units.MbitsPerSecond(100), TokenRate: units.MbitsPerSecond(4), BucketSize: units.KiloBytes(100)},
+		})
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	failedAt := func(skip bool) map[string]bool {
+		res, err := Run(context.Background(), topo, Options{Duration: 1, Seed: 1, SkipLinkFlows: skip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rejections) != 0 {
+			t.Fatalf("admission refused %v", res.Rejections)
+		}
+		failed := map[string]bool{}
+		for _, a := range Verify(topo, &res) {
+			if a.Name != "zero-conformant-loss" {
+				continue
+			}
+			if totals := strings.HasSuffix(a.Detail, "(totals)"); totals != skip {
+				t.Errorf("SkipLinkFlows %v: assertion %q", skip, a.Detail)
+			}
+			if a.Failed() {
+				for _, l := range topo.Links {
+					if strings.Contains(a.Detail, "link "+l.Name) {
+						failed[l.Name] = true
+					}
+				}
+			}
+		}
+		return failed
+	}
+	perFlow, totals := failedAt(false), failedAt(true)
+	if !perFlow["half"] {
+		t.Fatal("half the thresholds lost no conformant packet; the planted violation tests nothing")
+	}
+	for _, l := range topo.Links {
+		if perFlow[l.Name] != totals[l.Name] {
+			t.Errorf("link %s: per-flow loss %v, totals loss %v", l.Name, perFlow[l.Name], totals[l.Name])
+		}
+	}
+}

@@ -13,7 +13,9 @@ import (
 //   - zero conformant loss: an admitted shaped flow loses no conformant
 //     packet at any Guaranteed link of its route (Props. 1–2 per hop;
 //     admission kept every hop inside its schedulability region). Other
-//     hops make no per-flow promise and are not asserted.
+//     hops make no per-flow promise and are not asserted. A run without
+//     per-flow tables (Options.SkipLinkFlows) gets the same check once
+//     per Guaranteed link, from the link's totals (linkLoss).
 //   - conservation: the flow delivers at least what it offered minus a
 //     burst-and-storage allowance — one bucket σ plus, per hop, the
 //     buffer that may still hold its bytes and the bits in flight on
@@ -78,7 +80,7 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 		}
 		for _, li := range f.Route {
 			if !t.Links[li].Guaranteed() || res.Links[li].Flows == nil {
-				continue // no per-flow promise, or Options.SkipLinkFlows left loss unattributed
+				continue // no per-flow promise, or linkLoss asserts it from the totals
 			}
 			lf := &res.Links[li].Flows[fi]
 			var err error
@@ -109,6 +111,41 @@ func Verify(t *Topology, res *Result) []report.Assertion {
 					"delivered %v (%v), want ≥ %v", fr.Delivered.Bytes, fr.Throughput, want),
 			})
 		}
+	}
+	return append(as, linkLoss(t, res)...)
+}
+
+// linkLoss asserts zero conformant loss at each Guaranteed link whose
+// per-flow table the run left out (Options.SkipLinkFlows), from its
+// totals. That is the per-flow check exactly: only a shaper marks
+// packets conformant, so a link's conformant drops are those of the
+// admitted shaped flows crossing it, each of which Verify would assert
+// there — unless the flow is degraded, and then its guarantee is void,
+// so a link that a degraded shaped flow crosses is not asserted.
+func linkLoss(t *Topology, res *Result) []report.Assertion {
+	void := make([]bool, len(t.Links))
+	for fi := range t.Flows {
+		if fr := &res.Flows[fi]; fr.Admitted && fr.Degraded && t.Flows[fi].Shaped {
+			for _, li := range t.Flows[fi].Route {
+				void[li] = true
+			}
+		}
+	}
+	var as []report.Assertion
+	for li := range t.Links {
+		lr := &res.Links[li]
+		if lr.Flows != nil || void[li] || !t.Links[li].Guaranteed() {
+			continue
+		}
+		var err error
+		if d := lr.Totals.ConformantDropped; d.Packets != 0 {
+			err = fmt.Errorf("dropped %d conformant packets (%v) over its flows", d.Packets, d.Bytes)
+		}
+		as = append(as, report.Assertion{
+			Name:   "zero-conformant-loss",
+			Detail: fmt.Sprintf("link %s, every flow (totals)", lr.Name),
+			Err:    err,
+		})
 	}
 	return as
 }
