@@ -51,7 +51,16 @@ test:
 # outside tests and bench/, only internal/core may declare a
 # Check(spec packet.FlowSpec) ... RejectReason method — the offline
 # engine's plan, the serial admitter and the daemon's shards all decide
-# through core.Region. CI runs this alongside `make verify`.
+# through core.Region. And it keeps one path to a link: outside tests,
+# only internal/scheme (NewLink), bench/, qtrace's -example1 (Example 1's
+# hand-set thresholds) and examples/quickstart may call sched.NewLink —
+# every other link is a scheme's. And it ratchets panics: non-test code
+# outside bench/ may hold at most PANIC_LINES lines with a panic( call.
+# A change that removes one lowers PANIC_LINES to the new count in the
+# same commit, so the number only goes down. CI runs this alongside
+# `make verify`.
+PANIC_LINES = 89
+
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -112,6 +121,15 @@ lint:
 	if [ -n "$$streams" ]; then \
 		echo "draw random streams from sim.NewRand or a sim.Rand, not rand.New/rand.NewSource:"; echo "$$streams"; exit 1; \
 	fi
+	@links=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'sched.NewLink(' . \
+		| grep -v -e '^\./internal/scheme/' -e '^\./bench/' -e '^\./cmd/qtrace/main\.go:' -e '^\./examples/quickstart/'); \
+	if [ -n "$$links" ]; then \
+		echo "build links with (*scheme.Scheme).NewLink (or run a topology), not sched.NewLink:"; echo "$$links"; exit 1; \
+	fi
+	@panics=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'panic(' . | grep -v -e '^\./bench/' | wc -l); \
+	if [ "$$panics" -gt $(PANIC_LINES) ]; then \
+		echo "non-test panic( lines outside bench/: $$panics, more than PANIC_LINES = $(PANIC_LINES); return an error instead"; exit 1; \
+	fi
 
 race:
 	go test -race -short -run 'TestParallel|TestPool|TestSweepCancel|TestMetricsDeterministic' ./internal/experiment
@@ -148,12 +166,15 @@ bench-smoke:
 # admitted conformant flow loses conformant traffic at any hop or
 # misses its reserved throughput, or if a scenario's stdout no longer
 # hashes (first 16 hex digits of its sha256) to its entry in
-# TOPO_SMOKE_SHA256, which pins the simulated results byte for byte. A
+# TOPO_SMOKE_SHA256, which pins the simulated results byte for byte.
+# examples/churn, the churn study as one topology per arrival rate, is
+# pinned the same way under example-churn. A
 # change that moves these bytes on purpose updates the list and records
 # old -> new hash, with the reason, in CHANGES.md in the same commit.
 # CI runs this on every push.
-TOPO_SMOKE_SHA256 = churn:208fae41314c69a4 gfr3:9123adf280f14d02 \
-	parkinglot:a1bf7012fb2ab122 tandem3:e34706ebdbea35ef
+TOPO_SMOKE_SHA256 = churn:f47101c4f985362b gfr3:9123adf280f14d02 \
+	parkinglot:a1bf7012fb2ab122 tandem3:e34706ebdbea35ef \
+	example-churn:0fbe7f70587cd2de
 
 topo-smoke:
 	@set -e; \
@@ -170,6 +191,15 @@ topo-smoke:
 			echo "topo-smoke: $$n stdout sha256 $$got, want $${want:-(no entry in TOPO_SMOKE_SHA256)}"; exit 1; \
 		fi; \
 	done; \
+	n=example-churn; \
+	echo "== examples/churn"; \
+	go run ./examples/churn > /tmp/bufqos-topo-$$n.txt; \
+	cat /tmp/bufqos-topo-$$n.txt; \
+	got=$$(sha256sum /tmp/bufqos-topo-$$n.txt | cut -c1-16); \
+	want=$$(printf '%s\n' $(TOPO_SMOKE_SHA256) | sed -n "s/^$$n://p"); \
+	if [ "$$got" != "$$want" ]; then \
+		echo "topo-smoke: $$n stdout sha256 $$got, want $${want:-(no entry in TOPO_SMOKE_SHA256)}"; exit 1; \
+	fi; \
 	echo "topo-smoke: ok (every scenario at its pinned sha256)"
 
 # Closed-loop determinism gate: the gfr3 TCP scenario (feedback data

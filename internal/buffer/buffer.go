@@ -238,17 +238,6 @@ func NewFixedThreshold(capacity units.Bytes, thresholds []units.Bytes) *FixedThr
 // Threshold returns flow's occupancy threshold.
 func (m *FixedThreshold) Threshold(flow int) units.Bytes { return m.thresholds[flow] }
 
-// SetThreshold updates a flow's threshold at run time — used when a
-// flow id is (re)assigned to a newly admitted flow under churn. Lowering a threshold below the flow's current
-// occupancy is allowed: the flow simply admits nothing until it drains
-// below the new cap.
-func (m *FixedThreshold) SetThreshold(flow int, v units.Bytes) {
-	if v < 0 {
-		panic(fmt.Sprintf("buffer: negative threshold %v for flow %d", v, flow))
-	}
-	m.thresholds[flow] = v
-}
-
 // Admit implements Manager.
 func (m *FixedThreshold) Admit(flow int, size units.Bytes) bool {
 	if m.total+size > m.capacity || m.occ[flow]+size > m.thresholds[flow] {

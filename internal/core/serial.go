@@ -8,8 +8,8 @@ import (
 // SerialAdmitter is one link's admission book with its admitted
 // multiset: a Region plus a count per admitted spec, so Release can
 // refuse a spec that is not currently admitted in O(1). It is the
-// single-goroutine implementation of Admitter used by per-run
-// simulation code (the churn experiment); a concurrent control plane
+// single-goroutine implementation of Admitter (examples/admission uses
+// it directly); a concurrent control plane
 // uses ShardedAdmitter, whose shards are SerialAdmitters behind a
 // mutex.
 type SerialAdmitter struct {

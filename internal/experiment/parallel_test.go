@@ -52,37 +52,6 @@ func TestParallelRunLinesMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelChurnSweepMatchesSequential does the same for the churn
-// driver: the rates × replications grid must be identical at any worker
-// count.
-func TestParallelChurnSweepMatchesSequential(t *testing.T) {
-	base := ChurnConfig{
-		Templates: []FlowConfig{{
-			Spec:      Table1Flows()[0].Spec,
-			AvgRate:   Table1Flows()[0].AvgRate,
-			MeanBurst: Table1Flows()[0].MeanBurst,
-		}},
-		MeanHold: 2,
-		MaxFlows: 16,
-		Buffer:   units.MegaBytes(1),
-		Duration: 5,
-		Warmup:   0.5,
-		Seed:     3,
-	}
-	rates := []float64{1, 4}
-	want, err := SweepChurn(context.Background(), base, rates, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SweepChurn(context.Background(), base, rates, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parallel churn sweep differs from sequential:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestParallelErrorDeterministic checks ForEachJob reports the earliest
 // failing job regardless of scheduling, and skips work after a failure.
 func TestParallelErrorDeterministic(t *testing.T) {

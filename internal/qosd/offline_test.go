@@ -56,7 +56,13 @@ func TestDaemonDecidesAsOfflineEngine(t *testing.T) {
 // refused.
 func replayAgainstEngine(t *testing.T, topo *topology.Topology) int {
 	t.Helper()
-	res, err := topology.Run(context.Background(), topo, topology.Options{Duration: 0.01, Seed: 1, SkipLinkFlows: true})
+	// The engine decides only the events within its horizon, so it runs
+	// to the last one (an event at exactly the horizon fires).
+	horizon := 0.01
+	if n := len(topo.Events); n > 0 {
+		horizon = max(horizon, topo.Events[n-1].At)
+	}
+	res, err := topology.Run(context.Background(), topo, topology.Options{Duration: horizon, Seed: 1, SkipLinkFlows: true})
 	if err != nil {
 		t.Fatalf("%s: %v", topo.Name, err)
 	}

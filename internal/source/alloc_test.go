@@ -114,7 +114,7 @@ func TestShaperQueueReusesItsCapacity(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
 		t.Errorf("%v allocs per event with a standing backlog, want 0", allocs)
 	}
-	if n := sh.Backlog(); n < backlog-2 || n > backlog+2 {
+	if n := sh.q.len(); n < backlog-2 || n > backlog+2 {
 		t.Fatalf("backlog %d, want about %d", n, backlog)
 	}
 	if c := cap(sh.q.q); c > 4*backlog {

@@ -151,9 +151,6 @@ func (s *Shaper) Init(sm *sim.Simulator, spec packet.FlowSpec, sink Sink) *Shape
 	return s
 }
 
-// Backlog returns the number of packets waiting in the shaping queue.
-func (s *Shaper) Backlog() int { return s.q.len() }
-
 // Receive implements Sink.
 func (s *Shaper) Receive(p *packet.Packet) {
 	if float64(p.Size) > s.bkt.depth {

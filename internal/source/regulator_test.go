@@ -77,8 +77,8 @@ func TestShaperDoesNotDrop(t *testing.T) {
 	if uint64(len(rec.Packets)) != sent {
 		t.Errorf("shaper delivered %d of %d packets", len(rec.Packets), sent)
 	}
-	if sh.Backlog() != 0 {
-		t.Errorf("backlog %d after drain", sh.Backlog())
+	if sh.q.len() != 0 {
+		t.Errorf("backlog %d after drain", sh.q.len())
 	}
 }
 

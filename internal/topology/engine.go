@@ -34,9 +34,11 @@ type admissionPlan struct {
 	rejections []Rejection
 }
 
-// planAdmission replays the scenario's join/leave sequence through the
-// paper's admission regions. It books the sums alone: it knows which
-// flows it admitted, so a leave unbooks exactly what a join booked.
+// planAdmission replays the scenario's join/leave sequence up to the
+// horizon (an event at exactly duration fires) through the paper's
+// admission regions; a flow joining later is neither admitted nor
+// rejected. It books the sums alone: it knows which flows it admitted,
+// so a leave unbooks exactly what a join booked.
 func planAdmission(t *Topology, duration float64) (*admissionPlan, error) {
 	p := &admissionPlan{
 		admitted: make([]bool, len(t.Flows)),
@@ -45,6 +47,7 @@ func planAdmission(t *Topology, duration float64) (*admissionPlan, error) {
 		left:     make([]bool, len(t.Flows)),
 	}
 	for fi := range p.leaveAt {
+		p.joinAt[fi], _ = t.JoinTime(fi)
 		p.leaveAt[fi] = duration
 	}
 	regions := make([]core.Region, len(t.Links))
@@ -57,7 +60,6 @@ func planAdmission(t *Topology, duration float64) (*admissionPlan, error) {
 	}
 	join := func(fi int, at float64) {
 		f := &t.Flows[fi]
-		p.joinAt[fi] = at
 		for _, li := range f.Route {
 			if reason := regions[li].Check(f.Spec); reason != core.Accepted {
 				p.rejections = append(p.rejections, Rejection{
@@ -80,6 +82,9 @@ func planAdmission(t *Topology, duration float64) (*admissionPlan, error) {
 		}
 	}
 	for _, ev := range t.Events {
+		if ev.At > duration {
+			break // sorted: every later event is past the horizon too
+		}
 		switch ev.Kind {
 		case EventJoin:
 			join(ev.flow, ev.At)
@@ -375,7 +380,7 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 	e.edges = buildEdges(t, e.ft)
 	e.part = shard.Compute(len(t.Links), nshards, e.edges, weight)
 
-	deg := degradedLinks(t)
+	deg := degradedLinks(t, opts.Duration)
 	for fi := range t.Flows {
 		fr := &e.res.Flows[fi]
 		fr.Name = t.Flows[fi].Name

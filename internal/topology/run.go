@@ -101,15 +101,17 @@ func (l *LinkResult) DroppedPackets() int64 { return l.Totals.Dropped.Packets }
 type FlowResult struct {
 	Name string
 	// Admitted is true when every link on the route accepted the flow.
-	// A never-joining flow (rejected) has zero traffic counters.
+	// A never-joining flow (rejected, or joining past the horizon) has
+	// zero traffic counters.
 	Admitted bool
 	// Degraded marks flows whose route crosses a link that fails or has
-	// its rate cut during the scenario; their guarantees are void for
+	// its rate cut within the run; their guarantees are void for
 	// the run (the paper's admission decision assumed the declared
 	// rate).
 	Degraded bool
-	// JoinAt/LeaveAt bound the flow's active window. LeaveAt is the run
-	// duration when the flow never leaves; Left tells the difference.
+	// JoinAt/LeaveAt bound the flow's active window: JoinAt is the
+	// declared join time, LeaveAt the run duration when the flow does not
+	// leave within it (Left tells the difference).
 	JoinAt  float64
 	LeaveAt float64
 	Left    bool
@@ -175,11 +177,14 @@ func (l *Link) Admission() (core.LinkConfig, error) {
 	return core.LinkConfig{Discipline: d, Rate: l.Rate, Buffer: l.Buffer}, nil
 }
 
-// degradedLinks marks links whose declared capacity is violated during
-// the scenario: a failure, or a rate event below the declared rate.
-func degradedLinks(t *Topology) []bool {
+// degradedLinks marks links whose declared capacity is violated within
+// the horizon: a failure, or a rate event below the declared rate.
+func degradedLinks(t *Topology, duration float64) []bool {
 	deg := make([]bool, len(t.Links))
 	for _, ev := range t.Events {
+		if ev.At > duration {
+			break
+		}
 		switch ev.Kind {
 		case EventFail:
 			deg[ev.link] = true

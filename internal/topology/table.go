@@ -44,7 +44,10 @@ func WriteFlowTable(w io.Writer, t *Topology, results []Result) error {
 				status = strings.TrimSpace(status + " left")
 			}
 		}
-		if admitted == 0 {
+		switch {
+		case admitted == 0 && results[0].Flows[fi].JoinAt > results[0].Duration:
+			status = strings.TrimSpace("not joined " + status) // its join lies past the horizon
+		case admitted == 0:
 			status = strings.TrimSpace("rejected " + status)
 		}
 		fmt.Fprintf(w, "%-12s %-22s %-7s %2d/%-6d %-18s %-18s %-8s %-16s %s\n",

@@ -351,6 +351,74 @@ func TestLeaveReleasesCapacity(t *testing.T) {
 	}
 }
 
+// TestEventsPastTheHorizonTakeNoEffect: a run honours only the timeline
+// up to its duration. An event at exactly the horizon fires (the hog's
+// join is refused); a later join leaves its flow neither admitted nor
+// rejected, a later leave leaves its flow active to the end, and a
+// later failure degrades no flow, so every guarantee is still checked.
+func TestEventsPastTheHorizonTakeNoEffect(t *testing.T) {
+	topo := twoHop(t)
+	cbr := func(name string, rho float64) Flow {
+		return Flow{
+			Name:       name,
+			Spec:       packet.FlowSpec{TokenRate: units.MbitsPerSecond(rho), BucketSize: units.KiloBytes(50)},
+			RouteNodes: []string{"a", "b", "c"},
+			Source:     SourceCBR,
+			Shaped:     true,
+		}
+	}
+	topo.Flows = append(topo.Flows, cbr("visitor", 6), cbr("hog", 40), cbr("late", 4))
+	topo.Events = []Event{
+		{At: 1, Kind: EventJoin, Flow: "visitor"},
+		{At: 3, Kind: EventJoin, Flow: "hog"},
+		{At: 4, Kind: EventFail, Link: "b->c"},
+		{At: 5, Kind: EventLeave, Flow: "visitor"},
+		{At: 6, Kind: EventJoin, Flow: "late"},
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 3.0
+	res, err := Run(context.Background(), topo, Options{Duration: horizon, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rejections) != 1 || res.Rejections[0].Flow != "hog" || res.Rejections[0].At != horizon {
+		t.Errorf("rejections %+v, want only hog's, at t=%v", res.Rejections, horizon)
+	}
+	visitor, late := res.Flows[2], res.Flows[4]
+	if !visitor.Admitted || visitor.Left || visitor.LeaveAt != horizon {
+		t.Errorf("visitor = %+v, want admitted and active until the horizon", visitor)
+	}
+	if want := units.Rate(visitor.Delivered.Bytes.Bits() / (horizon - 1)); visitor.Throughput != want {
+		t.Errorf("visitor throughput %v, want delivered over its 2 s window, %v", visitor.Throughput, want)
+	}
+	if late.Admitted || late.JoinAt != 6 || late.Offered.Packets != 0 {
+		t.Errorf("late = %+v, want not admitted, declared join at t=6, no traffic", late)
+	}
+	for _, fr := range res.Flows {
+		if fr.Degraded {
+			t.Errorf("flow %s degraded by a failure past the horizon", fr.Name)
+		}
+	}
+	for _, a := range Verify(topo, &res) {
+		if a.Err != nil {
+			t.Errorf("%s %s: %v", a.Name, a.Detail, a.Err)
+		}
+	}
+	var table bytes.Buffer
+	if err := WriteFlowTable(&table, topo, []Result{res}); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(table.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "hog ") && !strings.Contains(line, "rejected"),
+			strings.HasPrefix(line, "late ") && !strings.HasSuffix(line, "not joined"):
+			t.Errorf("flow table line %q", line)
+		}
+	}
+}
+
 func TestLinkFailurePartialPathStats(t *testing.T) {
 	topo := twoHop(t)
 	topo.Events = []Event{
