@@ -54,13 +54,16 @@ func TestBlockingMatchesErlangB(t *testing.T) {
 }
 
 // TestChurnKeepsEveryGuarantee runs the example's on-off population at
-// all five arrival rates, up to 8/s, for 30 s each: every guarantee
-// topology.Verify asserts holds, the link drops no conformant packet,
-// and blocking does not fall as the load rises, ending above zero.
+// all five arrival rates, up to 8/s, for 30 s each. Its subtests hold
+// the two churn claims: every guarantee topology.Verify asserts holds
+// and the link drops no conformant packet, however the population
+// changes; and blocking does not fall as the load rises, ending above
+// zero.
 func TestChurnKeepsEveryGuarantee(t *testing.T) {
 	const horizon = 30.0
-	last := 0.0
-	for _, rate := range rates {
+	topos := make([]*topology.Topology, len(rates))
+	results := make([]topology.Result, len(rates))
+	for i, rate := range rates {
 		topo, err := scenario(template, rate, hold, horizon, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -69,22 +72,32 @@ func TestChurnKeepsEveryGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range topology.Verify(topo, &res) {
-			if a.Err != nil {
-				t.Errorf("rate %g/s: %s %s: %v", rate, a.Name, a.Detail, a.Err)
+		topos[i], results[i] = topo, res
+	}
+	t.Run("GuaranteesSurvivePopulationChanges", func(t *testing.T) {
+		for i, rate := range rates {
+			for _, a := range topology.Verify(topos[i], &results[i]) {
+				if a.Err != nil {
+					t.Errorf("rate %g/s: %s %s: %v", rate, a.Name, a.Detail, a.Err)
+				}
+			}
+			if d := results[i].Links[0].Totals.ConformantDropped; d.Packets != 0 {
+				t.Errorf("rate %g/s: %d conformant packets dropped", rate, d.Packets)
 			}
 		}
-		if d := res.Links[0].Totals.ConformantDropped; d.Packets != 0 {
-			t.Errorf("rate %g/s: %d conformant packets dropped", rate, d.Packets)
+	})
+	t.Run("BlockingGrowsWithLoad", func(t *testing.T) {
+		last := 0.0
+		for i, rate := range rates {
+			requests, bandwidth, buffer := blocking(&results[i], 0)
+			b := float64(bandwidth+buffer) / float64(requests)
+			if b < last {
+				t.Errorf("rate %g/s: blocking %.4f below %.4f at the previous rate", rate, b, last)
+			}
+			last = b
 		}
-		requests, bandwidth, buffer := blocking(&res, 0)
-		b := float64(bandwidth+buffer) / float64(requests)
-		if b < last {
-			t.Errorf("rate %g/s: blocking %.4f below %.4f at the previous rate", rate, b, last)
+		if last == 0 {
+			t.Errorf("no request refused at %g/s: admission never engaged", rates[len(rates)-1])
 		}
-		last = b
-	}
-	if last == 0 {
-		t.Errorf("no request refused at %g/s: admission never engaged", rates[len(rates)-1])
-	}
+	})
 }
