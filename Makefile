@@ -150,8 +150,9 @@ bench:
 # with and without metrics): catches benchmarks that no longer compile
 # or crash without paying for full measurement.
 # Then short runs of the repository's benchmark (BENCHMARK.json,
-# bench/README.md) on its Table 1 workload, its closed-loop sizing cell
-# and its sharded network: each exits non-zero unless the repeated
+# bench/README.md) on its Table 1 workload, its open-loop WFQ cell (the
+# event queue's claimed workload), its closed-loop sizing cell and its
+# sharded network: each exits non-zero unless the repeated
 # calls' result fingerprints agree and the workload's output checks
 # hold (shaped flows lose nothing, utilization within bounds, the
 # sharded fingerprint equal to the single-shard one) — those checks are
@@ -159,6 +160,7 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x .
 	go run ./bench --workload link-fifo --seed 1 --seconds 2 --trace 0
+	go run ./bench --workload link-wfq-1k --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload tcp-cell --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload net-sharded --seed 1 --seconds 2 --trace 0
 
@@ -257,8 +259,11 @@ fuzz-smoke:
 # every native Go fuzz target runs for 60 s: the workload
 # parser, the scenario loader (no panic, and every accepted scenario
 # writes and parses back to itself), the random source against
-# math/rand, the admission daemon's decision-body scanner against
-# encoding/json, and the competitive-analysis instance parser with
+# math/rand, the event queue's dispatch order against a linear scan
+# (minimizing each new input for at most 5 s: the scan is quadratic,
+# and the default 60 s spends the minute on the first few inputs), the
+# admission daemon's decision-body scanner against encoding/json, and
+# the competitive-analysis instance parser with
 # every policy against the offline optimum and its proven bound (within
 # the bound's model). A failing input is written under the
 # package's testdata/fuzz/. Last, the geometries beyond the comp-smoke
@@ -270,6 +275,7 @@ fuzz-nightly:
 	go test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 60s ./internal/experiment
 	go test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 60s ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzDispatchMatchesNaiveOrder$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 60s ./internal/online
 	go run ./cmd/qcomp -check -queues 2 -buffers 1,2,3 -n 50

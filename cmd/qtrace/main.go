@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 
 	"bufqos/internal/buffer"
@@ -51,6 +52,9 @@ func main() {
 		listSch  = flag.Bool("list-schemes", false, "print the scheme registry catalogue and exit")
 	)
 	flag.Parse()
+	if err := checkDuration(*duration); err != nil {
+		cli.Fatalf("%v", err)
+	}
 
 	if *listSch {
 		cli.Stdout("catalogue", scheme.WriteCatalogue)
@@ -140,6 +144,15 @@ func main() {
 			cli.Fatalf("%v", err)
 		}
 	}
+}
+
+// checkDuration rejects a -duration the trace cannot reach: the
+// sources re-arm themselves, so a NaN or infinite horizon never ends.
+func checkDuration(d float64) error {
+	if !(d >= 0) || math.IsInf(d, 1) { // NaN fails the comparison too
+		return fmt.Errorf("-duration %v is not a finite number of seconds ≥ 0", d)
+	}
+	return nil
 }
 
 func occupancyLabels(n int) []string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -293,6 +294,8 @@ func TestSweepOptionsValidated(t *testing.T) {
 		{"explicit zero warmup", NewOptions(WithWarmup(0)), ""},
 		{"negative runs", &Options{Runs: -1}, "runs"},
 		{"negative duration", &Options{Duration: -3}, "duration"},
+		{"NaN duration", &Options{Duration: math.NaN()}, "duration"},
+		{"infinite duration", &Options{Duration: math.Inf(1)}, "duration"},
 		{"negative warmup", NewOptions(WithWarmup(-1)), "warmup"},
 		{"warmup beyond duration", NewOptions(WithDuration(1), WithWarmup(5)), "warmup"},
 		{"warmup equals duration", NewOptions(WithDuration(1), WithWarmup(1)), "warmup"},

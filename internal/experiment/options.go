@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -206,6 +207,11 @@ func (o *Options) sweepDefaults() {
 	}
 }
 
+// ValidDuration reports whether d is a horizon a run can reach: positive
+// and finite. A NaN or infinite horizon would run a self-re-arming
+// source forever.
+func ValidDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
+
 // validateSweep rejects defaulted sweep options no simulation can
 // honour, naming the offending setting, so a bad flag is an error at the
 // start of a sweep rather than a panic or an all-zero figure inside it.
@@ -213,8 +219,8 @@ func (o *Options) validateSweep() error {
 	switch {
 	case o.Runs < 0:
 		return fmt.Errorf("experiment: runs %d is negative", o.Runs)
-	case !(o.Duration > 0):
-		return fmt.Errorf("experiment: duration %v is not positive", o.Duration)
+	case !ValidDuration(o.Duration):
+		return fmt.Errorf("experiment: duration %v is not positive and finite", o.Duration)
 	case !(o.Warmup >= 0 && o.Warmup < o.Duration):
 		return fmt.Errorf("experiment: warmup %v is outside [0, duration %v)", o.Warmup, o.Duration)
 	case o.Headroom < 0:

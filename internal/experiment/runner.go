@@ -98,7 +98,14 @@ func NewPlane(o *Options) (*Plane, error) {
 	if len(cfg.Flows) == 0 {
 		return nil, fmt.Errorf("experiment: no flows")
 	}
+	if !ValidDuration(cfg.Duration) {
+		return nil, fmt.Errorf("experiment: duration %v is not positive and finite", cfg.Duration)
+	}
+	// Pending at once: at most a source timer and a shaper timer per
+	// flow and the link's departure. Reserving them up front spares the
+	// kernel's arena its growth copies.
 	s := sim.New()
+	s.Reserve(2*len(cfg.Flows) + 1)
 	col := stats.NewCollector(len(cfg.Flows), cfg.Warmup)
 	if cfg.TrackDelays {
 		// Histogram ceiling: a full buffer draining at the link rate.

@@ -28,6 +28,24 @@ func quickCfg(spec string, buf units.Bytes) *Options {
 // run is Run without a deadline.
 func run(o *Options) (Result, error) { return Run(context.Background(), o) }
 
+// TestRunRejectsNonFiniteDuration: a single run's horizon must be
+// positive and finite. NaN and +Inf once reached the kernel, where the
+// self-re-arming sources ran forever; zero still takes the default.
+func TestRunRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), -1} {
+		o := quickCfg("fifo+threshold", units.MegaBytes(1))
+		o.Duration = d
+		if _, err := run(o); err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("Duration %v: error %v, want one naming the duration", d, err)
+		}
+	}
+	o := quickCfg("fifo+threshold", units.MegaBytes(1))
+	o.Duration = 0
+	if _, err := NewPlane(o); err != nil {
+		t.Errorf("Duration 0 (the default): %v", err)
+	}
+}
+
 func TestRunAllSchemesSmoke(t *testing.T) {
 	for _, s := range goldenSpecs {
 		res, err := run(quickCfg(s, units.MegaBytes(1)))

@@ -13,7 +13,7 @@ import (
 // event that executed at Sched (Sched ≤ Time; the gap is the edge's
 // lookahead). The coordinator merges each destination's items in
 // (Time, Sched, tie) order, which is exactly the order a single global
-// event heap would have dispatched them in.
+// event queue would have dispatched them in.
 type Item[T any] struct {
 	Dst   int
 	Time  float64

@@ -136,20 +136,30 @@ func TestRunBeforeExcludesBoundary(t *testing.T) {
 }
 
 // TestReserve checks pre-sizing: scheduling within the reserved
-// capacity must not grow the arena or heap.
+// capacity must grow neither the arena nor bucket 0, whether the events
+// spread over many buckets or all tie at one instant, as a topology's
+// flow starts do.
 func TestReserve(t *testing.T) {
 	s := New()
 	const n = 4096
 	s.Reserve(n)
-	if cap(s.nodes) < n || cap(s.heap) < n {
-		t.Fatalf("Reserve(%d) left caps nodes=%d heap=%d", n, cap(s.nodes), cap(s.heap))
+	if cap(s.nodes) < n || cap(s.ties) < n {
+		t.Fatalf("Reserve(%d) left caps nodes=%d ties=%d", n, cap(s.nodes), cap(s.ties))
 	}
-	nodesCap, heapCap := cap(s.nodes), cap(s.heap)
-	for i := 0; i < n; i++ {
+	nodesCap, tiesCap := cap(s.nodes), cap(s.ties)
+	for i := 0; i < n/2; i++ {
 		s.At(float64(i), func() {})
 	}
-	if cap(s.nodes) != nodesCap || cap(s.heap) != heapCap {
-		t.Errorf("caps grew: nodes %d→%d heap %d→%d", nodesCap, cap(s.nodes), heapCap, cap(s.heap))
+	for i := 0; i < n/2; i++ {
+		s.At(n, func() {})
+	}
+	s.RunUntil(n / 2)
+	s.Step() // every event at n moves into bucket 0
+	if cap(s.nodes) != nodesCap || cap(s.ties) != tiesCap {
+		t.Errorf("caps grew: nodes %d→%d ties %d→%d", nodesCap, cap(s.nodes), tiesCap, cap(s.ties))
+	}
+	if len(s.ties) != n/2-1 {
+		t.Errorf("bucket 0 holds %d events after the first at %d ran, want %d", len(s.ties), n, n/2-1)
 	}
 	s.RunUntil(n)
 	if s.Steps() != n {

@@ -20,14 +20,14 @@ type lineItem struct {
 
 // DelayLine is a FIFO of packets that each arrive a fixed delay after
 // they were sent: a link's propagation wire. Only the packet at the head
-// of the line sits in the simulator's heap; the rest wait in the line's
-// ring, so a wire holding hundreds of packets costs the heap one entry.
+// of the line sits in the simulator's queue; the rest wait in the line's
+// ring, so a wire holding hundreds of packets costs the queue one event.
 //
 // The line is exact. Send draws the packet's key (now+d, now, seq)
 // exactly as AfterPacket(d, fn, p) would, and on one line those keys
 // strictly increase: the clock never runs backwards, d is fixed, and seq
 // grows with every scheduling. So the head is the least key of its line,
-// the heap over line heads and ordinary events always holds the least
+// the queue over line heads and ordinary events always holds the least
 // pending key, and popping it — a k-way merge — dispatches exactly the
 // sequence AfterPacket would. No other event's seq changes, and Steps
 // counts each packet once, as before.
@@ -38,8 +38,9 @@ type DelayLine struct {
 	s    *Simulator
 	d    float64
 	ring []lineItem
-	head int // ring index of the oldest packet
-	n    int // packets on the line
+	head int   // ring index of the oldest packet
+	n    int   // packets on the line
+	id   int32 // the head event's arena slot, while n > 0
 }
 
 // NewDelayLines builds one delay line per entry of delays, each line's
@@ -87,22 +88,28 @@ func (l *DelayLine) Send(fn func(*packet.Packet), p *packet.Packet) {
 	l.ring[i] = lineItem{sched: s.now, seq: s.seq, fn: fn, p: p}
 	l.n++
 	if l.n == 1 {
-		s.queue(s.now+l.d, s.now, s.seq, (*lineHead)(l))
+		// The key was valid when drawn, so the head skips schedule's
+		// checks.
+		l.id = s.alloc()
+		n := &s.nodes[l.id]
+		n.h = (*lineHead)(l)
+		n.time, n.sched, n.seq = s.now+l.d, s.now, s.seq
+		s.push(l.id)
 	} else {
 		s.lined++
 	}
 	s.seq++
 	if s.mScheduled != nil {
 		s.mScheduled.Inc()
-		s.mHeapDepth.Set(int64(len(s.heap)))
+		s.mHeapDepth.Set(int64(s.queued))
 	}
 }
 
-// lineHead is the Handler of a line's head event. runNext calls its
-// Fire while the event is at the top of the heap, without popping it:
-// Fire takes the head packet off the line and moves the event to the
-// next packet's key in place — a replace-top, one sift down — or, when
-// the line is now empty, out of the heap, and then runs the packet.
+// lineHead is the Handler of a line's head event. dispatch calls its
+// Fire without freeing the event's slot: Fire takes the head packet
+// off the line and queues the same slot again under the next packet's
+// key, or, when the line is now empty, frees it, and then runs the
+// packet.
 type lineHead DelayLine
 
 func (h *lineHead) Fire() {
@@ -115,13 +122,14 @@ func (h *lineHead) Fire() {
 		l.head = 0
 	}
 	l.n--
-	if id := s.heap[0].id; l.n == 0 {
-		s.removeAt(0)
-		s.freeNode(id)
+	if l.n == 0 {
+		s.freeNode(l.id)
 	} else {
 		next := &l.ring[l.head]
 		s.lined--
-		s.siftDown(0, entry{time: next.sched + l.d, sched: next.sched, seq: next.seq, id: id})
+		n := &s.nodes[l.id]
+		n.time, n.sched, n.seq = next.sched+l.d, next.sched, next.seq
+		s.push(l.id)
 	}
 	it.fn(it.p)
 }
@@ -132,45 +140,4 @@ func (l *DelayLine) grow() {
 	k := copy(ring, l.ring[l.head:])
 	copy(ring[k:], l.ring[:l.head])
 	l.ring, l.head = ring, 0
-}
-
-// queue inserts a line head under the key its packet drew at Send. It
-// is schedule without the checks: the key was valid when drawn.
-func (s *Simulator) queue(t, sched float64, seq uint64, h Handler) {
-	id := s.alloc()
-	s.nodes[id].h = h
-	s.heap = append(s.heap, entry{})
-	s.siftUp(len(s.heap)-1, entry{time: t, sched: sched, seq: seq, id: id})
-}
-
-// siftDown places e in the hole at i or, moving the children it
-// follows up, below it, recording every moved entry's position in its
-// node. A line head's next key is the next packet on the same wire,
-// seldom far from the top, so replacing the key in place and sifting
-// down top-first stops early where a pop and a push would each walk
-// the heap's depth.
-func (s *Simulator) siftDown(i int, e entry) {
-	h := s.heap
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := min(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[best]) {
-				best = c
-			}
-		}
-		if !h[best].before(&e) {
-			break
-		}
-		h[i] = h[best]
-		s.nodes[h[i].id].pos = int32(i)
-		i = best
-	}
-	h[i] = e
-	s.nodes[e.id].pos = int32(i)
 }

@@ -84,7 +84,7 @@ func TestDelayLineMatchesAfterPacket(t *testing.T) {
 }
 
 // TestDelayLineCountsPending: Pending counts every packet on a line,
-// not only the line's one heap entry.
+// not only the line's one queued event.
 func TestDelayLineCountsPending(t *testing.T) {
 	s := New()
 	line := &s.NewDelayLines([]float64{1}, nil)[0]

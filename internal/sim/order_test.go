@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,7 +16,10 @@ import (
 // naiveKernel — a linear scan for the least (time, sched, seq) — must
 // fire the same events at the same times and leave the same events
 // pending. A kernel may also own delay lines: form numForms+j sends on
-// line j (line_test.go).
+// line j (line_test.go). Streams aimed at the radix queue's edges —
+// times over fifteen binades, zeros and subnormals, a thousand-event
+// tie, cancels inside a bucket as it moves down, empty run windows —
+// and a fuzz target over encoded streams use the same two kernels.
 
 // Scheduling forms a stream draws from.
 const (
@@ -27,7 +33,8 @@ const (
 // orderOp is one step of a stream: a scheduling (delay d, and for the
 // stamped form a stamp sOff before the event time), a Cancel of the
 // pending-or-not event at fraction frac of those scheduled so far, or a
-// run to now+d.
+// run to now+d. With ulps > 0 the scheduling or run is instead that
+// many floats after the clock.
 type orderOp struct {
 	kind  int // 0 schedule, 1 cancel, 2 RunUntil, 3 RunBefore
 	form  int
@@ -35,6 +42,7 @@ type orderOp struct {
 	sOff  float64
 	frac  float64
 	label int
+	ulps  int
 }
 
 type fired struct {
@@ -47,6 +55,7 @@ type kernel interface {
 	now() float64
 	schedule(form int, d, sOff float64, label int)
 	cancel(i int)
+	cancelLabel(label int)
 	scheduled() int
 	run(t float64, exclusive bool)
 	pending() int
@@ -55,8 +64,37 @@ type kernel interface {
 }
 
 // childLabel marks events scheduled from inside a callback; they
-// schedule nothing further, so every stream terminates.
-const childLabel = 1 << 20
+// schedule nothing further, so every stream terminates. leadLabel marks
+// an event that, firing, cancels the event labelled one above it:
+// scheduled just after it, in the same bucket, so the cancel lands in
+// the bucket the queue has just moved down.
+const (
+	childLabel = 1 << 20
+	leadLabel  = 1 << 19
+)
+
+// eventTime is the time a scheduling with delay d asks for, on both
+// kernels: now+d, except that a -0 delay at time zero asks for -0
+// itself, the one negative time a kernel accepts.
+func eventTime(now, d float64) float64 {
+	if now == 0 && d == 0 && math.Signbit(d) {
+		return d
+	}
+	return now + d
+}
+
+// delay is op's delay at clock now: op.d, or the distance to the
+// op.ulps-th float after now, which now+delay then reproduces exactly.
+func (op orderOp) delay(now float64) float64 {
+	if op.ulps == 0 {
+		return op.d
+	}
+	t := now
+	for i := 0; i < op.ulps; i++ {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	return t - now
+}
 
 // react is what firing label does, identically on both kernels: record
 // the firing, and for some labels schedule a child event (often at the
@@ -65,6 +103,9 @@ const childLabel = 1 << 20
 func react(k kernel, label int) {
 	if label >= childLabel {
 		return
+	}
+	if label&leadLabel != 0 {
+		k.cancelLabel(label&^leadLabel + 1)
 	}
 	if label%3 == 0 {
 		k.schedule(label%numForms, float64((label/3)%3)/8, float64(label%5)/8, label+childLabel)
@@ -82,6 +123,7 @@ func react(k kernel, label int) {
 type simKernel struct {
 	s      *Simulator
 	events []Event
+	labels []int // of events, index for index
 	fired  []fired
 	lines  []DelayLine
 	delays []float64
@@ -102,7 +144,7 @@ func (k *simKernel) fire(label int) {
 func (k *simKernel) now() float64 { return k.s.Now() }
 
 func (k *simKernel) schedule(form int, d, sOff float64, label int) {
-	t := k.s.Now() + d
+	t := eventTime(k.s.Now(), d)
 	var e Event
 	switch form {
 	case formAt:
@@ -123,6 +165,15 @@ func (k *simKernel) schedule(form int, d, sOff float64, label int) {
 		}
 	}
 	k.events = append(k.events, e)
+	k.labels = append(k.labels, label)
+}
+
+func (k *simKernel) cancelLabel(label int) {
+	for i, l := range k.labels {
+		if l == label {
+			k.events[i].Cancel()
+		}
+	}
 }
 
 func (k *simKernel) cancel(i int)   { k.events[i].Cancel() }
@@ -159,7 +210,7 @@ type naiveEvent struct {
 func (k *naiveKernel) now() float64 { return k.clock }
 
 func (k *naiveKernel) schedule(form int, d, sOff float64, label int) {
-	t := k.clock + d
+	t := eventTime(k.clock, d)
 	sched := k.clock
 	if form == formStamped {
 		sched = t - sOff
@@ -174,6 +225,14 @@ func (k *naiveKernel) schedule(form int, d, sOff float64, label int) {
 func (k *naiveKernel) cancel(i int) {
 	if !k.events[i].sent {
 		k.events[i].pending = false
+	}
+}
+
+func (k *naiveKernel) cancelLabel(label int) {
+	for i := range k.events {
+		if k.events[i].label == label {
+			k.cancel(i)
+		}
 	}
 }
 func (k *naiveKernel) scheduled() int { return len(k.events) }
@@ -254,41 +313,215 @@ func randomStream(rng *rand.Rand, n int) []orderOp {
 func apply(k kernel, op orderOp) {
 	switch op.kind {
 	case 0:
-		k.schedule(op.form, op.d, op.sOff, op.label)
+		k.schedule(op.form, op.delay(k.now()), op.sOff, op.label)
 	case 1:
 		if n := k.scheduled(); n > 0 {
 			k.cancel(int(op.frac * float64(n)))
 		}
 	default:
-		k.run(k.now()+op.d, op.kind == 3)
+		k.run(k.now()+op.delay(k.now()), op.kind == 3)
 	}
 }
 
-// TestDispatchMatchesNaiveOrder is the kernel's ordering oracle.
+// checkOrder runs ops on the kernel, with delay lines of the given
+// delays, and on naiveKernel, and reports how many events fired and the
+// first disagreement: in the clock or the pending count after an op,
+// or in what fired.
+func checkOrder(ops []orderOp, delays []float64) (int, error) {
+	s := New()
+	kern := &simKernel{s: s, delays: delays}
+	if delays != nil {
+		kern.lines = s.NewDelayLines(delays, nil)
+	}
+	naive := &naiveKernel{delays: delays}
+	for i, op := range ops {
+		apply(kern, op)
+		apply(naive, op)
+		if kern.pending() != naive.pending() || kern.now() != naive.now() {
+			return 0, fmt.Errorf("op %d (%+v): pending %d at %v, naive %d at %v",
+				i, op, kern.pending(), kern.now(), naive.pending(), naive.now())
+		}
+	}
+	got, want := kern.log(), naive.log()
+	if len(got) != len(want) {
+		return 0, fmt.Errorf("fired %d events, naive %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return 0, fmt.Errorf("firing %d is %+v, naive %+v", i, got[i], want[i])
+		}
+	}
+	if kern.pending() != 0 {
+		return 0, fmt.Errorf("%d left pending after the drain", kern.pending())
+	}
+	return len(got), nil
+}
+
+// TestDispatchMatchesNaiveOrder is the kernel's ordering oracle: the
+// eighths-grid streams, dense in equal times and stamps, and wideStream's
+// radix edges, on delay lines too.
 func TestDispatchMatchesNaiveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for stream := 0; stream < 300; stream++ {
 		ops := randomStream(rng, 50+rng.Intn(400))
-		kern, naive := &simKernel{s: New()}, &naiveKernel{}
-		for i, op := range ops {
-			apply(kern, op)
-			apply(naive, op)
-			if kern.pending() != naive.pending() || kern.now() != naive.now() {
-				t.Fatalf("stream %d op %d (%+v): pending %d at %v, naive %d at %v",
-					stream, i, op, kern.pending(), kern.now(), naive.pending(), naive.now())
-			}
+		fired, err := checkOrder(ops, nil)
+		if err != nil {
+			t.Fatalf("stream %d: %v", stream, err)
 		}
-		got, want := kern.log(), naive.log()
-		if len(got) != len(want) {
-			t.Fatalf("stream %d: fired %d events, naive %d", stream, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("stream %d: firing %d is %+v, naive %+v", stream, i, got[i], want[i])
-			}
-		}
-		if kern.pending() != 0 || len(got) < len(ops)/4 {
-			t.Fatalf("stream %d: %d left pending, %d fired of %d ops", stream, kern.pending(), len(got), len(ops))
+		if fired < len(ops)/4 {
+			t.Fatalf("stream %d: %d fired of %d ops", stream, fired, len(ops))
 		}
 	}
+	for stream := 0; stream < 40; stream++ {
+		tie := 0
+		if stream%4 == 0 {
+			tie = 1000 + rng.Intn(200)
+		}
+		ops := wideStream(rng, 200+rng.Intn(300), tie)
+		fired, err := checkOrder(ops, lineDelays)
+		if err != nil {
+			t.Fatalf("wide stream %d: %v", stream, err)
+		}
+		if fired < tie+len(ops)/4 {
+			t.Fatalf("wide stream %d: %d fired of %d ops", stream, fired, len(ops))
+		}
+	}
+}
+
+// wideStream draws a stream aimed at a radix queue. Delays spread
+// log-uniformly over 1e-9 to 1e6 s, with exact zeros and subnormals
+// among them, and the stream opens at time zero with -0, +0 and
+// subnormal times. Lead events cancel their successor, scheduled a
+// hair later in the same bucket, as that bucket moves down. RunBefore
+// windows one float wide, which find nothing due but ties at the clock,
+// are each followed by schedulings a few floats after it. Line sends ride along, and
+// when tie > 0 one instant gets tie events, across the four forms and
+// with stamps spread over eight values.
+func wideStream(rng *rand.Rand, n, tie int) []orderOp {
+	wide := func() float64 { return math.Pow(10, -9+15*rng.Float64()) }
+	form := func() int { return rng.Intn(numForms + len(lineDelays)) }
+	label := 0
+	var ops []orderOp
+	add := func(op orderOp) {
+		if op.kind == 0 {
+			op.label |= label
+			label++
+		}
+		ops = append(ops, op)
+	}
+	for _, d := range []float64{math.Copysign(0, -1), 0, 5e-324, 0x1p-1022} {
+		add(orderOp{form: rng.Intn(numForms), d: d})
+	}
+	tieAt := -1
+	if tie > 0 {
+		tieAt = rng.Intn(n)
+	}
+	for len(ops) < n {
+		if len(ops) >= tieAt && tieAt >= 0 {
+			d := wide()
+			for i := 0; i < tie; i++ {
+				add(orderOp{form: rng.Intn(numForms), d: d, sOff: float64(rng.Intn(8)) * d / 8})
+			}
+			tieAt = -1
+		}
+		switch r := rng.Intn(20); {
+		case r < 8:
+			d := wide()
+			add(orderOp{form: form(), d: d, sOff: d * rng.Float64()})
+		case r < 10:
+			add(orderOp{form: form(), d: []float64{0, 5e-324, 0x1p-1074 * 3}[rng.Intn(3)]})
+		case r < 12: // a lead and its victim, 1e-6 apart in relative terms
+			d := wide()
+			add(orderOp{form: rng.Intn(numForms), d: d, label: leadLabel})
+			add(orderOp{form: rng.Intn(numForms), d: d * (1 + 1e-6)})
+		case r < 14:
+			add(orderOp{kind: 1, frac: rng.Float64()})
+		case r < 16: // a window one float wide, then events just after it
+			add(orderOp{kind: 3, ulps: 1})
+			for j := rng.Intn(3); j >= 0; j-- {
+				add(orderOp{form: rng.Intn(numForms), ulps: 1 + rng.Intn(3)})
+			}
+		default:
+			add(orderOp{kind: 2 + rng.Intn(2), d: wide()})
+		}
+	}
+	return append(ops, orderOp{kind: 2, d: 1e8}) // drain
+}
+
+// FuzzDispatchMatchesNaiveOrder runs decoded streams — on delay lines
+// too — through checkOrder. The seed corpus is the eighths-grid and
+// wide streams of TestDispatchMatchesNaiveOrder, encoded.
+func FuzzDispatchMatchesNaiveOrder(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4; i++ {
+		f.Add(encodeOps(randomStream(rng, 40+rng.Intn(60))))
+		f.Add(encodeOps(wideStream(rng, 40+rng.Intn(60), 0)))
+	}
+	f.Add(encodeOps(wideStream(rng, 30, 64)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := checkOrder(decodeOps(data), lineDelays); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// opBytes is the size of one encoded op: a head byte (kind in bits
+// 0-1, the lead flag in bit 2, the form in bits 3-5, ulps in bits 6-7),
+// the delay and the stamp offset as float64 bits, and the cancel
+// fraction in 256ths.
+const opBytes = 18
+
+func encodeOps(ops []orderOp) []byte {
+	var b []byte
+	for _, op := range ops {
+		if op.kind == 2 && op.d >= 1e8 {
+			break // decodeOps appends the drain
+		}
+		head := byte(op.kind) | byte(op.form)<<3 | byte(op.ulps)<<6
+		if op.label&leadLabel != 0 {
+			head |= 4
+		}
+		b = append(b, head)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.d))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.sOff))
+		b = append(b, byte(op.frac*256))
+	}
+	return b
+}
+
+// decodeOps turns any bytes into a valid stream: delays and stamp
+// offsets become finite, non-negative and at most 1e6 (a -0 delay stays
+// -0), forms wrap to the forms and lines there are, labels count up,
+// and a drain ends it.
+func decodeOps(data []byte) []orderOp {
+	clean := func(v float64) float64 {
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return 0
+		case v < 0:
+			v = -v
+		}
+		return math.Min(v, 1e6)
+	}
+	var ops []orderOp
+	label := 0
+	for ; len(data) >= opBytes; data = data[opBytes:] {
+		op := orderOp{
+			kind: int(data[0] & 3),
+			form: int(data[0]>>3&7) % (numForms + len(lineDelays)),
+			ulps: int(data[0] >> 6),
+			d:    clean(math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))),
+			sOff: clean(math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))),
+			frac: float64(data[17]) / 256,
+		}
+		if op.kind == 0 {
+			op.label = label
+			if data[0]&4 != 0 {
+				op.label |= leadLabel
+			}
+			label++
+		}
+		ops = append(ops, op)
+	}
+	return append(ops, orderOp{kind: 2, d: 1e8})
 }

@@ -2,23 +2,24 @@
 // every experiment in this repository.
 //
 // The kernel is deliberately small: a simulator owns a current clock and
-// a min-heap of pending events. Events scheduled for the same instant
+// a queue of pending events. Events scheduled for the same instant
 // fire in the order they were scheduled (a monotone sequence number
 // breaks ties), which makes FIFO queueing semantics exact and the whole
 // simulation deterministic for a fixed seed.
 //
 // The implementation is allocation-free in steady state. Event payloads
-// live in an index-managed arena with a free-list, and At/After hand out
-// value handles instead of heap pointers. The priority queue is a 4-ary
-// heap (shallower than a binary heap) whose entries carry their own
-// ordering key — time, stamp, sequence number — beside the arena index,
-// so a sift compares contiguous entries instead of chasing an index per
-// comparison into the arena. Popping is bottom-up: the hole at the root
-// descends along the smallest child to a leaf and the last entry, which
-// almost always belongs near the bottom, fills it and sifts up. Cancelled
-// events are removed from the heap eagerly rather than lingering until
-// popped, so a workload that schedules and cancels heavily (shapers,
-// churn) keeps the queue exactly as large as its live event count.
+// live in an index-managed arena with a free list threaded through it,
+// and At/After hand out value handles instead of heap pointers. The
+// queue (queue.go) is a monotone radix queue over the same arena: no
+// event is due before the clock, so an event's key is its time's IEEE
+// bits, and its bucket is the highest bit in which that key differs
+// from the last key the queue moved down to. Buckets are linked lists
+// through the arena nodes, so insertion and Cancel cost O(1) at any
+// depth, and bucket 0, the events due at one instant, is a small heap
+// on (stamp, sequence number). Cancelled events leave the queue
+// eagerly rather than lingering until popped, so a workload that
+// schedules and cancels heavily (shapers, churn, TCP timers) keeps the
+// queue exactly as large as its live event count.
 //
 // A simulator also owns the packet pool of everything that runs on its
 // clock (NewPacket, Release), and an event can carry a packet in its
@@ -30,14 +31,14 @@
 //
 // A packet crossing a fixed delay — a link's propagation wire — can
 // instead ride a DelayLine (line.go): a FIFO ring whose head alone sits
-// in the heap. Send draws the key AfterPacket would, (now+d, now, seq),
+// in the queue. Send draws the key AfterPacket would, (now+d, now, seq),
 // and on one line those keys strictly increase (the clock never runs
-// backwards, d is fixed, seq grows), so the heap over line heads and
+// backwards, d is fixed, seq grows), so the queue over line heads and
 // ordinary events is a k-way merge that dispatches exactly the sequence
 // AfterPacket would, with the same Steps count. When a head fires, its
-// heap entry takes the next packet's key in place and sifts down. A
-// topology whose wires hold most of its pending packets keeps a heap as
-// deep as its flows and links, not its packets in flight.
+// event re-enters the queue under the next packet's key. A topology
+// whose wires hold most of its pending packets keeps a queue as deep as
+// its flows and links, not its packets in flight.
 package sim
 
 import (
@@ -48,35 +49,36 @@ import (
 	"bufqos/internal/packet"
 )
 
-// entry is one slot of the event heap: the event's ordering key and the
-// arena slot holding what it runs. At 32 bytes, a node's four children
-// span two or three cache lines, and a sift reads nothing else.
+// node is one arena slot: an event's ordering key, what it runs, and
+// its links in the queue (queue.go). The generation counter
+// distinguishes a live occupant from a recycled slot, so stale Event
+// handles stay inert.
 //
 // sched is the simulated time at which the event was scheduled. For
 // At/After it is the kernel's clock at the call; AtStampedPacket lets a
 // caller supply it explicitly (the sharded topology engine stamps
 // cross-shard arrivals with their upstream departure time, so a merged
-// heap reproduces the order a single global kernel would have used).
-type entry struct {
-	time  float64
-	sched float64
-	seq   uint64
-	id    int32 // arena slot
-}
-
-// node is one arena slot. The generation counter distinguishes a live
-// occupant from a recycled slot, so stale Event handles stay inert, and
-// pos, the slot's heap position, lets Cancel remove it in place.
+// queue reproduces the order a single global kernel would have used).
 //
 // What an event runs is h, set while the slot is live: an At/After
 // callback (funcHandler), a packet-carrying callback (packetFunc, called
 // with p), an AtHandler receiver, or a delay line whose head the event
-// is (lineHead). One field for all four keeps the node at 32 bytes.
+// is (lineHead). One field for all four keeps the node at 64 bytes, one
+// cache line.
+//
+// next and prev link a queued node into its bucket's list, and next a
+// free node into the free list; both hold an id plus one, so zero ends
+// a list. pos is the node's place in the queue: its index in bucket 0's
+// heap, -2-i in the list of bucket i+1, or unqueued.
 type node struct {
-	h   Handler
-	p   *packet.Packet
-	gen uint32
-	pos int32 // heap position, -1 free
+	h          Handler
+	p          *packet.Packet
+	time       float64
+	sched      float64
+	seq        uint64
+	next, prev int32
+	gen        uint32
+	pos        int32
 }
 
 // Handler is the receiver of an event scheduled with AtHandler. A
@@ -138,10 +140,10 @@ func (e Event) Cancel() {
 		return
 	}
 	n := &e.s.nodes[e.id]
-	if n.gen != e.gen || n.pos < 0 {
+	if n.gen != e.gen || n.pos == unqueued {
 		return
 	}
-	e.s.removeAt(int(n.pos))
+	e.s.unqueue(e.id)
 	e.s.freeNode(e.id)
 	e.s.mCancelled.Inc()
 }
@@ -152,7 +154,7 @@ func (e Event) Pending() bool {
 		return false
 	}
 	n := &e.s.nodes[e.id]
-	return n.gen == e.gen && n.pos >= 0
+	return n.gen == e.gen && n.pos != unqueued
 }
 
 // Simulator is a discrete-event simulator. The zero value is not ready
@@ -162,10 +164,18 @@ type Simulator struct {
 	seq    uint64
 	nsteps uint64
 	nodes  []node
-	free   []int32
-	heap   []entry // 4-ary min-heap ordered by (time, sched, seq)
+	free   int32 // first free node, id plus one
+
+	// The event queue (queue.go). Zero is an empty queue.
+	last   uint64     // key bucket 0's events are due at
+	ties   []int32    // bucket 0: a 4-ary heap on (sched, seq)
+	heads  [64]int32  // bucket i+1's first node, id plus one
+	mins   [64]uint64 // bucket i+1's least key, complemented: 0 empty
+	mask   uint64     // bit i set while bucket i+1 is non-empty
+	stale  uint64     // bit i set when mins[i]'s event was cancelled
+	queued int
 	// lined counts the packets waiting on delay lines behind their
-	// line's head, the one of each line in the heap.
+	// line's head, the one of each line in the queue.
 	lined int
 
 	pool packet.Pool
@@ -239,7 +249,7 @@ func (s *Simulator) Steps() uint64 { return s.nsteps }
 // Pending returns the number of events currently queued, the packets
 // on delay lines included. Cancelled events leave the queue
 // immediately, so the count is exact.
-func (s *Simulator) Pending() int { return len(s.heap) + s.lined }
+func (s *Simulator) Pending() int { return s.queued + s.lined }
 
 // schedule is the one insertion path: it queues an arena slot due at t
 // with scheduling stamp sched, holding h and, for a packetFunc, its
@@ -251,7 +261,7 @@ func (s *Simulator) schedule(t, sched float64, h Handler, p *packet.Packet) Even
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: non-finite event time %v", t))
 	}
-	if t < s.now {
+	if !(t >= s.now) {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, s.now))
 	}
 	if !(sched <= t) || math.IsInf(sched, -1) { // NaN fails the comparison too
@@ -263,14 +273,14 @@ func (s *Simulator) schedule(t, sched float64, h Handler, p *packet.Packet) Even
 	id := s.alloc()
 	n := &s.nodes[id]
 	n.h, n.p = h, p
-	s.heap = append(s.heap, entry{})
-	s.siftUp(len(s.heap)-1, entry{time: t, sched: sched, seq: s.seq, id: id})
+	n.time, n.sched, n.seq = t, sched, s.seq
+	s.push(id)
 	s.seq++
 	// Gauge.Set is not inlinable (CAS loop), so gate the pair on one
 	// predictable branch instead of paying a call on the disabled path.
 	if s.mScheduled != nil {
 		s.mScheduled.Inc()
-		s.mHeapDepth.Set(int64(len(s.heap)))
+		s.mHeapDepth.Set(int64(s.queued))
 	}
 	return Event{s: s, id: id, gen: n.gen, time: t}
 }
@@ -336,35 +346,32 @@ func (s *Simulator) AtStampedPacket(t, sched float64, fn func(*packet.Packet), p
 	return s.schedule(t, sched, packetFunc(fn), p)
 }
 
-// Reserve pre-sizes the arena, heap, and free list for at least n
+// Reserve pre-sizes the arena and bucket 0 for at least n
 // simultaneously pending events, so a large warm-up (a 100k-flow
-// topology scheduling its sources) does no growth reallocations.
+// topology scheduling its sources, all due at one instant) does no
+// growth reallocations. The free list and buckets 1 to 64 live in the
+// arena.
 func (s *Simulator) Reserve(n int) {
 	if cap(s.nodes) < n {
 		nodes := make([]node, len(s.nodes), n)
 		copy(nodes, s.nodes)
 		s.nodes = nodes
 	}
-	if cap(s.heap) < n {
-		heap := make([]entry, len(s.heap), n)
-		copy(heap, s.heap)
-		s.heap = heap
-	}
-	if cap(s.free) < n {
-		free := make([]int32, len(s.free), n)
-		copy(free, s.free)
-		s.free = free
+	if cap(s.ties) < n {
+		ties := make([]int32, len(s.ties), n)
+		copy(ties, s.ties)
+		s.ties = ties
 	}
 }
 
 // Step executes the next pending event and reports whether one was
 // executed.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
-		return false
+	id, ok := s.pop(math.MaxUint64) // above every key
+	if ok {
+		s.dispatch(id)
 	}
-	s.runNext()
-	return true
+	return ok
 }
 
 // RunUntil executes events in order until the clock would pass t or the
@@ -372,7 +379,7 @@ func (s *Simulator) Step() bool {
 // clock reads exactly t (even if the queue drained earlier), so
 // measurement intervals are well defined.
 func (s *Simulator) RunUntil(t float64) {
-	if t < s.now {
+	if !(t >= s.now) { // NaN fails the comparison too
 		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now %v)", t, s.now))
 	}
 	s.runTo(t, false)
@@ -386,7 +393,7 @@ func (s *Simulator) RunUntil(t float64) {
 // window boundary execute in the next window, after the exchange that
 // may deliver their equal-time cross-shard peers.
 func (s *Simulator) RunBefore(t float64) {
-	if t < s.now {
+	if !(t >= s.now) { // NaN fails the comparison too
 		panic(fmt.Sprintf("sim: RunBefore(%v) is in the past (now %v)", t, s.now))
 	}
 	s.runTo(t, true)
@@ -395,22 +402,26 @@ func (s *Simulator) RunBefore(t float64) {
 // runTo is the one dispatch loop: it runs events in (time, sched, seq)
 // order up to t — strictly before t when exclusive.
 func (s *Simulator) runTo(t float64, exclusive bool) {
-	for len(s.heap) > 0 {
-		if next := s.heap[0].time; next > t || (exclusive && next == t) {
+	limit := key(t) + 1 // no key is above +Inf's, so this cannot wrap
+	if exclusive {
+		limit--
+	}
+	for {
+		id, ok := s.pop(limit)
+		if !ok {
 			return
 		}
-		s.runNext()
+		s.dispatch(id)
 	}
 }
 
-// runNext pops the earliest event, frees its slot and runs it, so the
-// callback may reuse the slot. A delay line's head event is not popped
-// here: its Fire moves it to the line's next packet.
-func (s *Simulator) runNext() {
-	id := s.heap[0].id
+// dispatch runs the popped event id: it frees the slot first, so the
+// callback may reuse it. A delay line's head event keeps its slot: its
+// Fire queues it again under the line's next packet.
+func (s *Simulator) dispatch(id int32) {
 	n := &s.nodes[id]
 	h, p := n.h, n.p
-	s.now = s.heap[0].time
+	s.now = n.time
 	s.nsteps++
 	if s.mDispatched != nil {
 		s.mDispatched.Inc()
@@ -419,7 +430,6 @@ func (s *Simulator) runNext() {
 		l.Fire()
 		return
 	}
-	s.removeAt(0)
 	s.freeNode(id)
 	run(h, p)
 }
@@ -440,12 +450,12 @@ func (s *Simulator) Run(maxSteps uint64) {
 
 // alloc returns a free arena slot, recycling before growing.
 func (s *Simulator) alloc() int32 {
-	if k := len(s.free); k > 0 {
-		id := s.free[k-1]
-		s.free = s.free[:k-1]
+	if s.free != 0 {
+		id := s.free - 1
+		s.free = s.nodes[id].next
 		return id
 	}
-	s.nodes = append(s.nodes, node{pos: -1})
+	s.nodes = append(s.nodes, node{pos: unqueued})
 	return int32(len(s.nodes) - 1)
 }
 
@@ -456,74 +466,7 @@ func (s *Simulator) freeNode(id int32) {
 	n := &s.nodes[id]
 	n.h, n.p = nil, nil
 	n.gen++
-	n.pos = -1
-	s.free = append(s.free, id)
-}
-
-// before orders entries by (time, sched, seq). For events scheduled
-// through At/After the sched stamp is nondecreasing in seq (the clock
-// never runs backwards), so this order coincides with the historical
-// (time, seq) order; the stamp only matters for AtStampedPacket
-// injections. seq is unique, so the order is total and the dispatch
-// sequence does not depend on how the heap is arranged.
-func (a *entry) before(b *entry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	return a.seq < b.seq
-}
-
-// removeAt deletes the heap entry at position i, bottom-up: the hole at
-// i descends along the smallest child to a leaf, then the last entry
-// fills it and sifts up. Against a top-down sift this saves the compare
-// with the last entry at every level, and that entry, drawn from the
-// bottom, rarely climbs far.
-func (s *Simulator) removeAt(i int) {
-	last := len(s.heap) - 1
-	moved := s.heap[last]
-	s.heap = s.heap[:last]
-	if i == last {
-		return
-	}
-	h := s.heap
-	for {
-		first := 4*i + 1
-		if first >= last {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > last {
-			end = last
-		}
-		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[best]) {
-				best = c
-			}
-		}
-		h[i] = h[best]
-		s.nodes[h[i].id].pos = int32(i)
-		i = best
-	}
-	s.siftUp(i, moved)
-}
-
-// siftUp places e in the hole at i or, moving the parents it precedes
-// down, above it, recording every moved entry's position in its node.
-func (s *Simulator) siftUp(i int, e entry) {
-	h := s.heap
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		s.nodes[h[i].id].pos = int32(i)
-		i = parent
-	}
-	h[i] = e
-	s.nodes[e.id].pos = int32(i)
+	n.pos = unqueued
+	n.next = s.free
+	s.free = id + 1
 }

@@ -149,6 +149,32 @@ func TestNonFiniteTimePanics(t *testing.T) {
 	}
 }
 
+// TestNaNHorizonPanics: a NaN horizon fails the same check as one in
+// the past. It once passed it, so RunUntil(NaN) ran every pending event
+// and, with a source that re-arms itself, never returned.
+func TestNaNHorizonPanics(t *testing.T) {
+	for name, run := range map[string]func(*Simulator, float64){
+		"RunUntil":  (*Simulator).RunUntil,
+		"RunBefore": (*Simulator).RunBefore,
+	} {
+		s := New()
+		var tick func()
+		tick = func() { s.After(1, tick) }
+		s.At(0, tick)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			run(s, math.NaN())
+		}()
+		if s.Steps() != 0 {
+			t.Errorf("%s(NaN) ran %d events before panicking", name, s.Steps())
+		}
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -426,19 +452,17 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins the heap entry and the arena node at 32 bytes each:
-// a sift reads only entries, so a 4-ary node's children stay within
-// three cache lines, and the three event forms share one Handler field
-// so the node, touched once per move to record a position, stays small.
+// TestNodeSize pins the arena node at 64 bytes, one cache line: the
+// radix queue keeps an event's key and its bucket links in its node,
+// so inserting, cancelling or moving an event down a bucket touches
+// one line of the arena and nothing else, and the three event forms
+// share one Handler field so the key and links fit beside it.
 func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(entry{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 32", got)
-	}
-	if got := unsafe.Sizeof(node{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(node{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(node{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want 64", got)
 	}
 }
 

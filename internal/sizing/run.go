@@ -21,6 +21,9 @@ import (
 // running ones between chunks of simulated time, and returns the
 // context error.
 func Sweep(ctx context.Context, cfg Config) (*Report, error) {
+	if cfg.Duration != 0 && !experiment.ValidDuration(cfg.Duration) {
+		return nil, fmt.Errorf("sizing: duration %v is not positive and finite", cfg.Duration)
+	}
 	cells := cfg.cells()
 	rep := &Report{
 		LinkRateMbps: cfg.linkRate().Mbits(),
@@ -81,7 +84,12 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 	if err != nil {
 		return Cell{}, err
 	}
+	// Pending at once: a timer per flow and the packets on the
+	// propagation paths, at most a window of the longest RTTs (1.5·RTT,
+	// below) in flight. Reserving them up front spares the kernel's
+	// arena its growth copies.
 	s := sim.New()
+	s.Reserve(n + int(1.5*c.BytesPerSecond()*rtt/float64(segment)))
 	col := stats.NewCollector(n, warmup)
 	link, err := sc.NewLink(s, scheme.Config{
 		Specs:      specs,

@@ -142,7 +142,8 @@ type Config struct {
 	RTT float64
 	// SegmentSize is the data-packet size (default 1500 bytes).
 	SegmentSize units.Bytes
-	// Duration is the simulated horizon per cell in seconds (default 10).
+	// Duration is the simulated horizon per cell in seconds (default 10
+	// when zero); Sweep rejects a negative, NaN or infinite one.
 	Duration float64
 	// Warmup discards measurements before this time (default Duration/4).
 	Warmup float64

@@ -4,11 +4,24 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestSweepRejectsNonFiniteDuration: a negative, NaN or infinite
+// horizon is an error, where it once silently became the 10 s default.
+func TestSweepRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), -1} {
+		cfg := Config{Duration: d, Cells: []CellSpec{{Flows: 2, Rule: RuleBDP, Scheme: "fifo+none"}}}
+		if _, err := Sweep(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("Duration %v: error %v, want one naming the duration", d, err)
+		}
+	}
+}
 
 func TestParseRule(t *testing.T) {
 	cases := []struct {

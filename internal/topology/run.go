@@ -202,8 +202,8 @@ func degradedLinks(t *Topology, duration float64) []bool {
 // with and without a cancellable context, across any worker count when
 // driven through RunMany, and across any Options.Shards value.
 func Run(ctx context.Context, t *Topology, opts Options) (Result, error) {
-	if opts.Duration <= 0 {
-		return Result{}, fmt.Errorf("topology %s: non-positive duration %v", t.Name, opts.Duration)
+	if !experiment.ValidDuration(opts.Duration) {
+		return Result{}, fmt.Errorf("topology %s: duration %v is not positive and finite", t.Name, opts.Duration)
 	}
 	e, err := newEngine(t, opts)
 	if err != nil {

@@ -210,6 +210,21 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteDuration: a NaN horizon once passed the
+// "non-positive" check and ran forever, as did +Inf; both are errors
+// now, at one shard and at several.
+func TestRunRejectsNonFiniteDuration(t *testing.T) {
+	topo := twoHop(t)
+	for _, d := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		for _, shards := range []int{1, 2} {
+			_, err := Run(context.Background(), topo, Options{Duration: d, Seed: 1, Shards: shards})
+			if err == nil || !strings.Contains(err.Error(), "duration") {
+				t.Errorf("Duration %v, %d shards: error %v, want one naming the duration", d, shards, err)
+			}
+		}
+	}
+}
+
 func TestRunAdmitsAndDelivers(t *testing.T) {
 	topo := twoHop(t)
 	res, err := Run(context.Background(), topo, Options{Duration: 5, Seed: 1})
