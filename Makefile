@@ -262,8 +262,9 @@ fuzz-smoke:
 # math/rand, the event queue's dispatch order against a linear scan
 # (minimizing each new input for at most 5 s: the scan is quadratic,
 # and the default 60 s spends the minute on the first few inputs), the
-# admission daemon's decision-body scanner against encoding/json, and
-# the competitive-analysis instance parser with
+# admission daemon's decision-body scanner and its answer writer
+# against encoding/json, and the competitive-analysis instance parser
+# with
 # every policy against the offline optimum and its proven bound (within
 # the bound's model). A failing input is written under the
 # package's testdata/fuzz/. Last, the geometries beyond the comp-smoke
@@ -277,6 +278,7 @@ fuzz-nightly:
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDispatchMatchesNaiveOrder$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
+	go test -run '^$$' -fuzz '^FuzzDecisionAnswers$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 60s ./internal/online
 	go run ./cmd/qcomp -check -queues 2 -buffers 1,2,3 -n 50
 	go run ./cmd/qcomp -check -queues 4 -buffers 1,2,3 -n 50

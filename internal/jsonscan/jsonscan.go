@@ -15,6 +15,10 @@
 // Decode holds documents read once — scenario, workload and instance
 // files and the daemon's snapshots — to the same strictness through
 // encoding/json itself.
+//
+// AppendString goes the other way: it writes a JSON string as
+// json.Encoder does, HTML escapes included, into a caller's buffer, for
+// the daemon's answers.
 package jsonscan
 
 import (

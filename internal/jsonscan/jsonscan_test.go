@@ -104,3 +104,32 @@ func TestDecodeIsStrict(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendStringMatchesEncodingJSON: AppendString writes what
+// json.Marshal writes for the same string — every single byte, the
+// HTML specials, the line separators, invalid UTF-8 — and appends to
+// dst without allocating when dst has room.
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	ins := []string{"", "plain", "a\"b\\c/d", "<a href='x'>&amp;</a>", "é😀€", "\u2028 \u2029 \u2027\u202a",
+		"bad\xff\xfe", "\xed\xa0\x80", "\xef\xbf\xbd", "trunc\xe2\x82", "\xf0\x9f\x98", "nul\x00\x1f\x7f"}
+	for c := 0; c < 256; c++ {
+		ins = append(ins, string([]byte{byte(c)}), "x"+string([]byte{byte(c)})+"y")
+	}
+	for _, in := range ins {
+		want, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("k:"), in); string(got) != "k:"+string(want) {
+			t.Errorf("AppendString(%q) = %s, encoding/json %s", in, got[2:], want)
+		}
+		if got := AppendString(nil, []byte(in)); !bytes.Equal(got, want) {
+			t.Errorf("AppendString([]byte(%q)) = %s, encoding/json %s", in, got, want)
+		}
+	}
+	long := []byte(strings.Repeat("é <\xff", 64))
+	dst := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(100, func() { dst = AppendString(dst[:0], long) }); n != 0 {
+		t.Errorf("AppendString allocates %v times into a roomy dst", n)
+	}
+}

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,6 +25,12 @@ func TestFlowSpecValidate(t *testing.T) {
 		{TokenRate: -1, BucketSize: 100},
 		{TokenRate: units.Mbps, BucketSize: -1},
 		{PeakRate: units.Mbps, TokenRate: 2 * units.Mbps, BucketSize: 0},
+		// NaN and infinity pass a sign check; each must be refused.
+		{TokenRate: units.Rate(math.NaN()), BucketSize: 100},
+		{TokenRate: units.Rate(math.Inf(1)), BucketSize: 100},
+		{PeakRate: units.Rate(math.NaN()), TokenRate: units.Mbps, BucketSize: 100},
+		{PeakRate: units.Rate(math.Inf(1)), TokenRate: units.Mbps, BucketSize: 100},
+		{PeakRate: units.Rate(math.Inf(-1)), TokenRate: units.Mbps, BucketSize: 100},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

@@ -16,6 +16,11 @@ import (
 // A longer body is answered 413 without being read to its end.
 const maxDecisionBody = 4 << 20
 
+// maxRestoreBody bounds a /v1/restore body. A snapshot's flow record is
+// about 150 bytes, so 32 MiB holds some 200,000 flows; a longer body is
+// answered 413 and restores nothing.
+const maxRestoreBody = 32 << 20
+
 // endpoint names the decision body a request carries.
 type endpoint uint8
 
@@ -63,21 +68,19 @@ type wireOp struct {
 type list struct{ at, n, held int }
 
 // request is one decision request's pooled scratch: the body, what it
-// decodes to, and the batch answers.
+// decodes to, and the answer.
 type request struct {
-	body    bytes.Buffer
-	sc      jsonscan.Scanner
-	ops     []wireOp
-	links   [][]byte // link names of every op
-	joins   list     // /v1/batch "joins"
-	batch   list     // /v1/batch "ops"
-	route   []int
-	results []BatchResult
+	body  bytes.Buffer
+	sc    jsonscan.Scanner
+	ops   []wireOp
+	links [][]byte // link names of every op
+	joins list     // /v1/batch "joins"
+	batch list     // /v1/batch "ops"
+	route []int
+	out   []byte // the answer
 }
 
-var requests = sync.Pool{New: func() any {
-	return &request{results: make([]BatchResult, 0, 64)}
-}}
+var requests = sync.Pool{New: func() any { return new(request) }}
 
 // readRequest reads a decision body of at most maxDecisionBody bytes
 // and decodes it; release the request when done with it.
@@ -95,10 +98,13 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, e endpoint)
 	return req, nil
 }
 
-func (req *request) release() {
-	clear(req.results)
-	req.results = req.results[:0]
-	requests.Put(req)
+func (req *request) release() { requests.Put(req) }
+
+// answer sends out, the answer written into req.out's storage, with its
+// newline and status 200.
+func (req *request) answer(w http.ResponseWriter, out []byte) {
+	req.out = append(out, '\n')
+	writeBody(w, http.StatusOK, req.out)
 }
 
 // decode reads the body in one pass. It accepts exactly the bodies

@@ -129,12 +129,20 @@ func sameBody(a, b refBody) bool {
 	return reflect.DeepEqual(norm(a.Joins), norm(b.Joins)) && reflect.DeepEqual(norm(a.Ops), norm(b.Ops))
 }
 
+// refWrite answers v the way the handlers did: encoding/json's
+// Encoder, which ends the value with a newline.
+func refWrite(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v) //nolint:errcheck
+}
+
 // refServe answers a decision request the way the handlers did over
-// encoding/json: decode, then the exported methods.
+// encoding/json: decode, then the exported methods, then the Encoder.
 func refServe(s *Server, path string, body []byte) (int, []byte) {
 	w := httptest.NewRecorder()
 	fail := func(err error) (int, []byte) {
-		s.writeErr(w, err)
+		refWrite(w, errorStatus(err), apiError{Error: err.Error()})
 		return w.Code, w.Body.Bytes()
 	}
 	switch path {
@@ -147,7 +155,7 @@ func refServe(s *Server, path string, body []byte) (int, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		s.writeJSON(w, http.StatusOK, d)
+		refWrite(w, http.StatusOK, d)
 	case "/v1/leave":
 		var req LeaveRequest
 		if _, err := refDecode(body, &req); err != nil {
@@ -156,7 +164,7 @@ func refServe(s *Server, path string, body []byte) (int, []byte) {
 		if err := s.Leave(req.Flow); err != nil {
 			return fail(err)
 		}
-		s.writeJSON(w, http.StatusOK, Decision{Flow: req.Flow, Admitted: true})
+		refWrite(w, http.StatusOK, Decision{Flow: req.Flow, Admitted: true})
 	case "/v1/reroute":
 		var req RerouteRequest
 		if _, err := refDecode(body, &req); err != nil {
@@ -166,7 +174,7 @@ func refServe(s *Server, path string, body []byte) (int, []byte) {
 		if err != nil {
 			return fail(err)
 		}
-		s.writeJSON(w, http.StatusOK, d)
+		refWrite(w, http.StatusOK, d)
 	case "/v1/batch":
 		var req BatchRequest
 		if _, err := refDecode(body, &req); err != nil {
@@ -203,7 +211,7 @@ func refServe(s *Server, path string, body []byte) (int, []byte) {
 				record(op.Flow, Decision{}, fmt.Errorf("unknown op %q", op.Op))
 			}
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+		refWrite(w, http.StatusOK, resp)
 	}
 	return w.Code, w.Body.Bytes()
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
+	"bufqos/internal/core"
 	"bufqos/internal/jsonscan"
 	"bufqos/internal/packet"
 )
@@ -96,9 +98,10 @@ type apiError struct {
 //
 // Decisions are 200 whether admitted or rejected — a rejection is the
 // control plane working, not an error. 4xx is reserved for malformed
-// requests (400), unknown flows (404), conflicts (409) and decision
-// bodies over maxDecisionBody (413). A decision body is one JSON value:
-// anything after it but white space is malformed.
+// requests (400), unknown flows (404), conflicts (409) and bodies over
+// maxDecisionBody, or maxRestoreBody for a snapshot (413). A decision
+// body is one JSON value: anything after it but white space is
+// malformed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/join", s.handleJoin)
@@ -116,32 +119,93 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// writeJSON emits compact JSON: decisions are the hot path and the
-// indentation bytes are pure overhead there.
+// jsonContentType is every answer's Content-Type, shared so that
+// setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends body, a JSON answer, with status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
+}
+
+// writeJSON emits compact JSON for the endpoints off the decision path.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-// writeErr maps service errors to status codes: ConflictError → 409,
-// NotFoundError → 404, a body over maxDecisionBody → 413, anything
-// else → 400.
-func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	s.met.httpErrors.Inc()
-	code := http.StatusBadRequest
+// errorStatus maps a service error to its status code: ConflictError →
+// 409, NotFoundError → 404, a body over its bound → 413, anything else
+// → 400.
+func errorStatus(err error) int {
 	var conflict *ConflictError
 	var notFound *NotFoundError
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &conflict):
-		code = http.StatusConflict
+		return http.StatusConflict
 	case errors.As(err, &notFound):
-		code = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.As(err, &tooLarge):
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	s.writeJSON(w, code, apiError{Error: err.Error()})
+	return http.StatusBadRequest
+}
+
+// writeErr answers err as an apiError with its status code.
+func (s *Server) writeErr(w http.ResponseWriter, err error) {
+	s.met.httpErrors.Inc()
+	writeBody(w, errorStatus(err), append(appendError(nil, err.Error()), '\n'))
+}
+
+// The answer writer. Each function appends what json.Encoder.Encode
+// writes for its value but the newline that ends it; strings go
+// through jsonscan.AppendString.
+
+// appendResult appends a BatchResult for flow with error errMsg, or
+// without one a Decision: the two encode alike when Error is empty.
+func appendResult(dst, flow []byte, admitted bool, link, reason, errMsg string) []byte {
+	dst = jsonscan.AppendString(append(dst, `{"flow":`...), flow)
+	dst = strconv.AppendBool(append(dst, `,"admitted":`...), admitted)
+	if link != "" {
+		dst = jsonscan.AppendString(append(dst, `,"link":`...), link)
+	}
+	if reason != "" {
+		dst = jsonscan.AppendString(append(dst, `,"reason":`...), reason)
+	}
+	if errMsg != "" {
+		dst = jsonscan.AppendString(append(dst, `,"error":`...), errMsg)
+	}
+	return append(dst, '}')
+}
+
+// openBatch, nextResult and closeBatch frame a BatchResponse: the
+// results go one by one after openBatch, each after nextResult.
+func openBatch(dst []byte) []byte  { return append(dst, `{"decisions":[`...) }
+func closeBatch(dst []byte) []byte { return append(dst, "]}"...) }
+
+// nextResult appends the comma before a result that is not the first.
+func nextResult(dst []byte) []byte {
+	if dst[len(dst)-1] != '[' {
+		dst = append(dst, ',')
+	}
+	return dst
+}
+
+// appendOutcome appends the Decision o is for flow.
+func (s *Server) appendOutcome(dst, flow []byte, o outcome) []byte {
+	if o.reason != core.Accepted {
+		return appendResult(dst, flow, false, s.linkNames[o.refusing], o.reason.String(), "")
+	}
+	return appendResult(dst, flow, true, "", "", "")
+}
+
+// appendError appends an apiError.
+func appendError(dst []byte, msg string) []byte {
+	return append(jsonscan.AppendString(append(dst, `{"error":`...), msg), '}')
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -154,13 +218,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	defer req.release()
 	o := &req.ops[0]
 	route, rerr := req.resolve(s, o)
-	d, err := s.join(string(o.flow), o.spec, route, rerr)
+	oc, err := s.join(o.flow, o.spec, route, rerr)
 	s.met.latencyJoin.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, d)
+	req.answer(w, s.appendOutcome(req.out[:0], o.flow, oc))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -171,46 +235,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer req.release()
+	out := openBatch(req.out[:0])
 	joins, ops := req.opsOf(req.joins), req.opsOf(req.batch)
 	for i := range joins {
-		req.results = append(req.results, s.runOp(req, &joins[i], true))
+		out = s.runOp(out, req, &joins[i], true)
 	}
 	for i := range ops {
-		req.results = append(req.results, s.runOp(req, &ops[i], false))
+		out = s.runOp(out, req, &ops[i], false)
 	}
 	s.met.latencyBatch.Observe(time.Since(start).Seconds())
-	s.writeJSON(w, http.StatusOK, BatchResponse{Decisions: req.results})
+	req.answer(w, closeBatch(out))
 }
 
 // runOp decides one batch entry — a "joins" entry when join is set —
-// and returns its answer. An entry's error does not stop the batch.
-func (s *Server) runOp(req *request, o *wireOp, join bool) BatchResult {
+// and appends its answer to the list in dst. An entry's error does not
+// stop the batch.
+func (s *Server) runOp(dst []byte, req *request, o *wireOp, join bool) []byte {
+	dst = nextResult(dst)
 	var (
-		name string
-		d    Decision
-		err  error
+		oc  outcome
+		err error
 	)
 	switch {
 	case join || string(o.op) == "" || string(o.op) == "join":
-		name = string(o.flow)
 		route, rerr := req.resolve(s, o)
-		d, err = s.join(name, o.spec, route, rerr)
+		oc, err = s.join(o.flow, o.spec, route, rerr)
 	case string(o.op) == "leave":
-		name, err = s.leave(o.flow)
-		d = Decision{Flow: name, Admitted: true}
+		err = s.leave(o.flow, &req.route)
 	case string(o.op) == "reroute":
 		route, rerr := req.resolve(s, o)
-		d, err = s.reroute(o.flow, route, rerr)
+		oc, err = s.reroute(o.flow, route, rerr)
 	default:
 		err = fmt.Errorf("unknown op %q", string(o.op))
 	}
 	if err != nil {
-		if name == "" {
-			name = string(o.flow)
-		}
-		return BatchResult{Decision: Decision{Flow: name}, Error: err.Error()}
+		return appendResult(dst, o.flow, false, "", "", err.Error())
 	}
-	return BatchResult{Decision: d}
+	return s.appendOutcome(dst, o.flow, oc)
 }
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
@@ -221,13 +282,14 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer req.release()
-	name, err := s.leave(req.ops[0].flow)
+	flow := req.ops[0].flow
+	err = s.leave(flow, &req.route)
 	s.met.latencyLeave.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, Decision{Flow: name, Admitted: true})
+	req.answer(w, appendResult(req.out[:0], flow, true, "", "", ""))
 }
 
 func (s *Server) handleReroute(w http.ResponseWriter, r *http.Request) {
@@ -240,13 +302,13 @@ func (s *Server) handleReroute(w http.ResponseWriter, r *http.Request) {
 	defer req.release()
 	o := &req.ops[0]
 	route, rerr := req.resolve(s, o)
-	d, err := s.reroute(o.flow, route, rerr)
+	oc, err := s.reroute(o.flow, route, rerr)
 	s.met.latencyReroute.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, d)
+	req.answer(w, s.appendOutcome(req.out[:0], o.flow, oc))
 }
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
@@ -261,7 +323,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// The snapshot is read as strictly as a decision body (readRequest):
 	// unknown fields and trailing data are refused.
 	var snap Snapshot
-	if err := jsonscan.Decode(r.Body, &snap); err != nil {
+	if err := jsonscan.Decode(http.MaxBytesReader(w, r.Body, maxRestoreBody), &snap); err != nil {
 		s.writeErr(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}

@@ -9,16 +9,24 @@
 // all traversed links or not at all.
 //
 // The daemon's state is deliberately small: the per-link (Σσ, Σρ)
-// aggregates live inside the sharded admitter, and a flat flow table
-// maps flow names to their admitted route and contract. The whole
-// table snapshots to JSON (wire-typed, suffixed units) and restores
-// from it, so an operator can drain one daemon and replay its
-// reservations into another.
+// aggregates live inside the sharded admitter, and one flow table
+// (table.go) maps flow names to their admitted route and contract: rows
+// in a slab of fixed chunks with a free list, names copied into a
+// compacted arena, and an open-addressing index searched by the name's
+// bytes. Once the table has grown to the flow population, a decision —
+// a join admitted or refused, a leave, a reroute — allocates nothing:
+// it is decoded from a pooled request, decided in the table and the
+// shards, and answered by writing its JSON into the same pooled buffer,
+// byte for byte what encoding/json would write. The whole table
+// snapshots to JSON (wire-typed, suffixed units) and restores from it,
+// so an operator can drain one daemon and replay its reservations into
+// another.
 package qosd
 
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
@@ -75,31 +83,6 @@ type Decision struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// flowEntry is one row of the flow table. A row is inserted in the
-// pending state before the admitter runs so concurrent joins of the
-// same name conflict on the table, not inside the shards; it becomes
-// active (pending=false) only after the route committed.
-type flowEntry struct {
-	name    string // the table key
-	spec    packet.FlowSpec
-	route   []int
-	hops    [inlineHops]int // route's storage when it fits
-	pending bool
-}
-
-// inlineHops is the longest route a flowEntry stores without a second
-// allocation.
-const inlineHops = 4
-
-// setRoute stores a copy of route.
-func (e *flowEntry) setRoute(route []int) {
-	if len(route) <= len(e.hops) {
-		e.route = append(e.hops[:0], route...)
-		return
-	}
-	e.route = append([]int(nil), route...)
-}
-
 // Server is the admission control plane for one topology. Its methods
 // are safe for concurrent use; the HTTP layer in http.go is a thin
 // JSON shim over them.
@@ -110,7 +93,7 @@ type Server struct {
 	adm       *core.ShardedAdmitter
 
 	mu    sync.Mutex
-	flows map[string]*flowEntry
+	flows flowTable
 
 	met serverMetrics
 }
@@ -127,7 +110,7 @@ func New(t *topology.Topology, reg *metrics.Registry) (*Server, error) {
 		topoName:  t.Name,
 		linkNames: make([]string, len(t.Links)),
 		byName:    make(map[string]int, len(t.Links)),
-		flows:     make(map[string]*flowEntry),
+		flows:     flowTable{seed: maphash.MakeSeed()},
 	}
 	cfgs := make([]core.LinkConfig, len(t.Links))
 	for i := range t.Links {
@@ -181,82 +164,105 @@ func resolveRoute[N string | []byte](s *Server, dst []int, links []N) ([]int, er
 
 var errEmptyRoute = errors.New("empty route")
 
+// outcome is a join or reroute decision without its flow name, which
+// the caller supplies: the exported methods their argument, the HTTP
+// layer the bytes of the request.
+type outcome struct {
+	reason   core.RejectReason
+	refusing int // the first refusing link, when reason is not Accepted
+}
+
+// decision returns o as the Decision for flow name.
+func (s *Server) decision(name string, o outcome) Decision {
+	if o.reason != core.Accepted {
+		return Decision{Flow: name, Link: s.linkNames[o.refusing], Reason: o.reason.String()}
+	}
+	return Decision{Flow: name, Admitted: true}
+}
+
 // Join admits one flow on every link of its route, atomically: either
 // all links book the (σ, ρ) reservation or none do. On rejection the
 // decision carries the first refusing link in route order.
 func (s *Server) Join(name string, links []string, spec packet.FlowSpec) (Decision, error) {
 	var buf [inlineHops]int
 	route, err := resolveRoute(s, buf[:0], links)
-	return s.join(name, spec, route, err)
+	o, err := s.join([]byte(name), spec, route, err)
+	if err != nil {
+		return Decision{}, err
+	}
+	return s.decision(name, o), nil
 }
 
 // join decides a join over a route the caller resolved; routeErr, the
 // resolution's error, is reported after the name and spec checks. The
-// flow keeps a copy of route.
-func (s *Server) join(name string, spec packet.FlowSpec, route []int, routeErr error) (Decision, error) {
-	if name == "" {
-		return Decision{}, fmt.Errorf("missing flow name")
+// flow keeps a copy of its name and of route.
+func (s *Server) join(name []byte, spec packet.FlowSpec, route []int, routeErr error) (outcome, error) {
+	if len(name) == 0 {
+		return outcome{}, fmt.Errorf("missing flow name")
 	}
 	if err := spec.Validate(); err != nil {
-		return Decision{}, err
+		return outcome{}, err
 	}
 	if routeErr != nil {
-		return Decision{}, routeErr
+		return outcome{}, routeErr
 	}
 
 	s.mu.Lock()
-	if _, exists := s.flows[name]; exists {
+	entry := s.flows.insert(name)
+	if entry == nil {
 		s.mu.Unlock()
-		return Decision{}, &ConflictError{fmt.Sprintf("flow %q already joined", name)}
+		return outcome{}, &ConflictError{fmt.Sprintf("flow %q already joined", string(name))}
 	}
-	entry := &flowEntry{name: name, spec: spec, pending: true}
+	entry.spec, entry.pending = spec, true
 	entry.setRoute(route)
-	s.flows[name] = entry
 	s.mu.Unlock()
 
+	// The row is pending, so no other operation touches it: its route
+	// is read without the lock.
 	refusing, reason := s.adm.AdmitRoute(entry.route, spec)
 
 	s.mu.Lock()
 	if reason != core.Accepted {
-		delete(s.flows, name)
-		n := len(s.flows)
-		s.mu.Unlock()
-		s.met.decision(reason, n)
-		return Decision{Flow: name, Link: s.linkNames[refusing], Reason: reason.String()}, nil
+		s.flows.remove(entry)
+	} else {
+		entry.pending = false
 	}
-	entry.pending = false
-	n := len(s.flows)
+	n := s.flows.n
 	s.mu.Unlock()
-	s.met.decision(core.Accepted, n)
-	return Decision{Flow: name, Admitted: true}, nil
+	s.met.decision(reason, n)
+	return outcome{reason: reason, refusing: refusing}, nil
 }
 
 // Leave releases a flow's reservation on every link of its route.
 func (s *Server) Leave(name string) error {
-	_, err := s.leave([]byte(name))
-	return err
+	var buf [inlineHops]int
+	scratch := buf[:0]
+	return s.leave([]byte(name), &scratch)
 }
 
-// leave releases the named flow and returns its name as the table
-// holds it, so the caller can answer without allocating one.
-func (s *Server) leave(name []byte) (string, error) {
+// leave releases the named flow. Its route is copied into *scratch
+// (grown if need be) before its row is freed, since another join may
+// take the row as soon as the lock is dropped.
+func (s *Server) leave(name []byte, scratch *[]int) error {
 	s.mu.Lock()
-	entry, ok := s.flows[string(name)]
-	if !ok {
+	entry := s.flows.find(name)
+	switch {
+	case entry == nil:
 		s.mu.Unlock()
-		return "", &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
-	}
-	if entry.pending {
+		return &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
+	case entry.pending:
 		s.mu.Unlock()
-		return "", &ConflictError{fmt.Sprintf("flow %q has an operation in flight", entry.name)}
+		return &ConflictError{fmt.Sprintf("flow %q has an operation in flight", string(name))}
 	}
-	delete(s.flows, entry.name)
-	n := len(s.flows)
+	route, spec := append((*scratch)[:0], entry.route...), entry.spec
+	*scratch = route
+	s.flows.remove(entry)
+	n := s.flows.n
 	s.mu.Unlock()
 
-	s.adm.ReleaseRoute(entry.route, entry.spec)
+	s.adm.ReleaseRoute(route, spec)
 	s.met.released(n)
-	return entry.name, nil
+	return nil
 }
 
 // Reroute atomically moves a flow to a new route: links on both routes
@@ -266,26 +272,30 @@ func (s *Server) leave(name []byte) (string, error) {
 func (s *Server) Reroute(name string, links []string) (Decision, error) {
 	var buf [inlineHops]int
 	route, err := resolveRoute(s, buf[:0], links)
-	return s.reroute([]byte(name), route, err)
+	o, err := s.reroute([]byte(name), route, err)
+	if err != nil {
+		return Decision{}, err
+	}
+	return s.decision(name, o), nil
 }
 
 // reroute moves the named flow to a route the caller resolved; a
 // resolution error, routeErr, comes before any lookup. The flow keeps
 // a copy of newRoute.
-func (s *Server) reroute(name []byte, newRoute []int, routeErr error) (Decision, error) {
+func (s *Server) reroute(name []byte, newRoute []int, routeErr error) (outcome, error) {
 	if routeErr != nil {
-		return Decision{}, routeErr
+		return outcome{}, routeErr
 	}
 
 	s.mu.Lock()
-	entry, ok := s.flows[string(name)]
-	if !ok {
+	entry := s.flows.find(name)
+	switch {
+	case entry == nil:
 		s.mu.Unlock()
-		return Decision{}, &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
-	}
-	if entry.pending {
+		return outcome{}, &NotFoundError{fmt.Sprintf("flow %q not joined", string(name))}
+	case entry.pending:
 		s.mu.Unlock()
-		return Decision{}, &ConflictError{fmt.Sprintf("flow %q has an operation in flight", entry.name)}
+		return outcome{}, &ConflictError{fmt.Sprintf("flow %q has an operation in flight", string(name))}
 	}
 	entry.pending = true
 	oldRoute, spec := entry.route, entry.spec
@@ -298,14 +308,11 @@ func (s *Server) reroute(name []byte, newRoute []int, routeErr error) (Decision,
 	if reason == core.Accepted {
 		entry.setRoute(newRoute)
 	}
-	n := len(s.flows)
+	n := s.flows.n
 	s.mu.Unlock()
 
 	s.met.rerouted(reason, n)
-	if reason != core.Accepted {
-		return Decision{Flow: entry.name, Link: s.linkNames[refusing], Reason: reason.String()}, nil
-	}
-	return Decision{Flow: entry.name, Admitted: true}, nil
+	return outcome{reason: reason, refusing: refusing}, nil
 }
 
 // NumFlows reports the number of active (committed) flows.
@@ -313,11 +320,11 @@ func (s *Server) NumFlows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, e := range s.flows {
+	s.flows.each(func(_ []byte, e *flowEntry) {
 		if !e.pending {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -346,17 +353,17 @@ func (s *Server) linkStates() []LinkState {
 // excluded — they have not committed.
 func (s *Server) SnapshotState() Snapshot {
 	s.mu.Lock()
-	flows := make([]FlowRecord, 0, len(s.flows))
-	for name, e := range s.flows {
+	flows := make([]FlowRecord, 0, s.flows.n)
+	s.flows.each(func(name []byte, e *flowEntry) {
 		if e.pending {
-			continue
+			return
 		}
 		links := make([]string, len(e.route))
 		for i, li := range e.route {
 			links[i] = s.linkNames[li]
 		}
-		flows = append(flows, FlowRecord{Flow: name, Links: links, Spec: e.spec})
-	}
+		flows = append(flows, FlowRecord{Flow: string(name), Links: links, Spec: e.spec})
+	})
 	s.mu.Unlock()
 	sort.Slice(flows, func(i, j int) bool { return flows[i].Flow < flows[j].Flow })
 	return Snapshot{Topology: s.topoName, Links: s.linkStates(), Flows: flows}
@@ -390,32 +397,30 @@ func (s *Server) Restore(snap Snapshot) ([]Decision, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, e := range s.flows {
-		if e.pending {
-			return nil, &ConflictError{fmt.Sprintf("flow %q has an operation in flight", name)}
+	var inFlight error
+	s.flows.each(func(name []byte, e *flowEntry) {
+		if e.pending && inFlight == nil {
+			inFlight = &ConflictError{fmt.Sprintf("flow %q has an operation in flight", string(name))}
 		}
+	})
+	if inFlight != nil {
+		return nil, inFlight
 	}
-	for name, e := range s.flows {
-		s.adm.ReleaseRoute(e.route, e.spec)
-		delete(s.flows, name)
-	}
+	s.flows.each(func(_ []byte, e *flowEntry) { s.adm.ReleaseRoute(e.route, e.spec) })
+	s.flows.clear()
 	var rejected []Decision
 	for _, rec := range recs {
 		route, _ := resolveRoute(s, buf[:0], rec.Links) // checked above
 		refusing, reason := s.adm.AdmitRoute(route, rec.Spec)
 		if reason != core.Accepted {
-			rejected = append(rejected, Decision{
-				Flow:   rec.Flow,
-				Link:   s.linkNames[refusing],
-				Reason: reason.String(),
-			})
+			rejected = append(rejected, s.decision(rec.Flow, outcome{reason: reason, refusing: refusing}))
 			continue
 		}
-		entry := &flowEntry{name: rec.Flow, spec: rec.Spec}
+		entry := s.flows.insert([]byte(rec.Flow))
+		entry.spec = rec.Spec
 		entry.setRoute(route)
-		s.flows[rec.Flow] = entry
 	}
-	s.met.restored(len(s.flows))
+	s.met.restored(s.flows.n)
 	return rejected, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -434,4 +435,80 @@ func TestWireSpecEncoding(t *testing.T) {
 	if snap.Flows[0].Spec != vidSpec() {
 		t.Errorf("decoded spec %+v, want %+v", snap.Flows[0].Spec, vidSpec())
 	}
+}
+
+// TestNonFiniteSpecRefused: a NaN or infinite rate is a malformed
+// spec, refused with nothing booked, whether it comes in a join, a
+// batch entry or a snapshot record. A NaN once admitted on a link made
+// its Σρ NaN, every later check on it pass, and /v1/links unencodable.
+func TestNonFiniteSpecRefused(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, rate := range []string{"NaNMbit/s", "InfMbit/s"} {
+		for _, spec := range []string{
+			`{"token":"` + rate + `","bucket":"60KB"}`,
+			`{"peak":"` + rate + `","token":"2Mbit/s","bucket":"60KB"}`,
+		} {
+			var apiErr apiError
+			body := `{"flow":"nan","links":["a->b"],"spec":` + spec + `}`
+			if code := post(t, ts, "/v1/join", body, &apiErr); code != http.StatusBadRequest || apiErr.Error == "" {
+				t.Errorf("join with %s: status %d, error %q, want 400", spec, code, apiErr.Error)
+			}
+			var br BatchResponse
+			body = `{"ops":[{"op":"join","flow":"nan","links":["a->b"],"spec":` + spec + `}]}`
+			if code := post(t, ts, "/v1/batch", body, &br); code != http.StatusOK || len(br.Decisions) != 1 ||
+				br.Decisions[0].Admitted || br.Decisions[0].Error == "" {
+				t.Errorf("batch join with %s: status %d, %+v, want one entry error", spec, code, br.Decisions)
+			}
+			body = `{"topology":"qosd-test","flows":[{"flow":"nan","links":["a->b"],"spec":` + spec + `}]}`
+			if code := post(t, ts, "/v1/restore", body, &apiErr); code != http.StatusBadRequest {
+				t.Errorf("restore with %s: status %d, want 400", spec, code)
+			}
+		}
+	}
+	if n := s.NumFlows(); n != 0 {
+		t.Errorf("%d flows booked from non-finite specs", n)
+	}
+	var links []LinkState
+	if code := call(t, ts, "GET", "/v1/links", nil, &links); code != http.StatusOK || len(links) != 3 {
+		t.Fatalf("/v1/links: status %d, %d links", code, len(links))
+	}
+	for _, l := range links {
+		if l.Flows != 0 || l.SumRho != 0 || l.SumSigma != 0 {
+			t.Errorf("link %s booked: %+v", l.Name, l)
+		}
+	}
+}
+
+// TestRestoreBodyTooLarge: a /v1/restore body over maxRestoreBody is
+// refused with 413 before it is read to its end, and the state is as it
+// was.
+func TestRestoreBodyTooLarge(t *testing.T) {
+	s, err := New(testTopo(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := s.Join("kept", []string{"a->b"}, vidSpec()); err != nil || !d.Admitted {
+		t.Fatalf("join: %+v, %v", d, err)
+	}
+	// White space to one byte past the bound, streamed, not built.
+	body := io.LimitReader(spaces{}, maxRestoreBody+1)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/restore", body))
+	var apiErr apiError
+	if err := json.Unmarshal(w.Body.Bytes(), &apiErr); w.Code != http.StatusRequestEntityTooLarge || err != nil || apiErr.Error == "" {
+		t.Errorf("oversized restore: status %d, body %q, want 413 with an error", w.Code, w.Body.Bytes())
+	}
+	if snap := s.SnapshotState(); len(snap.Flows) != 1 || snap.Flows[0].Flow != "kept" {
+		t.Errorf("oversized restore changed the state: %+v", snap.Flows)
+	}
+}
+
+// spaces reads as endless white space.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }

@@ -24,6 +24,9 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Duration != 0 && !experiment.ValidDuration(cfg.Duration) {
 		return nil, fmt.Errorf("sizing: duration %v is not positive and finite", cfg.Duration)
 	}
+	if w := cfg.Warmup; w != 0 && !(w > 0 && w < cfg.duration()) {
+		return nil, fmt.Errorf("sizing: warmup %v is outside [0, duration %v)", w, cfg.duration())
+	}
 	cells := cfg.cells()
 	rep := &Report{
 		LinkRateMbps: cfg.linkRate().Mbits(),

@@ -145,7 +145,9 @@ type Config struct {
 	// Duration is the simulated horizon per cell in seconds (default 10
 	// when zero); Sweep rejects a negative, NaN or infinite one.
 	Duration float64
-	// Warmup discards measurements before this time (default Duration/4).
+	// Warmup discards measurements before this time (default
+	// Duration/4 when zero); Sweep rejects a NaN or negative one and one
+	// at or past the horizon.
 	Warmup float64
 	// Seed derives every cell's RNG stream (default 1).
 	Seed int64

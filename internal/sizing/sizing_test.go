@@ -23,6 +23,24 @@ func TestSweepRejectsNonFiniteDuration(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsBadWarmup: a NaN or negative warm-up, or one at or
+// past the horizon, is an error, where it once became Duration/4 or an
+// all-zero table. Zero keeps its default.
+func TestSweepRejectsBadWarmup(t *testing.T) {
+	for _, w := range []float64{math.NaN(), -3, 2, 5, math.Inf(1)} {
+		cfg := Config{Duration: 2, Warmup: w, Cells: []CellSpec{{Flows: 2, Rule: RuleBDP, Scheme: "fifo+none"}}}
+		if _, err := Sweep(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "warmup") {
+			t.Errorf("Warmup %v: error %v, want one naming the warm-up", w, err)
+		}
+	}
+	cfg := Config{Duration: 0.5, Cells: []CellSpec{{Flows: 2, Rule: RuleBDP, Scheme: "fifo+none"}}}
+	if rep, err := Sweep(context.Background(), cfg); err != nil {
+		t.Errorf("Warmup 0: %v", err)
+	} else if rep.Warmup != 0.125 {
+		t.Errorf("Warmup 0 measured from %v, want the default Duration/4", rep.Warmup)
+	}
+}
+
 func TestParseRule(t *testing.T) {
 	cases := []struct {
 		in   string
