@@ -29,11 +29,12 @@ import (
 	"bufqos/internal/units"
 )
 
-func main() {
-	linkRate := units.MbitsPerSecond(48)
+var linkRate = units.MbitsPerSecond(48)
 
-	// Three service classes: telephony (smooth, low-rate), video on
-	// demand (bursty, mid-rate), bulk data (very bursty, low floor).
+// trunkFlows are the three service classes: telephony (smooth,
+// low-rate), video on demand (bursty, mid-rate), bulk data (very
+// bursty, low floor, aggressive).
+func trunkFlows() []experiment.FlowConfig {
 	mkFlow := func(peakMb, avgMb, bucketKB, tokenMb, burstKB float64, conf experiment.Conformance) experiment.FlowConfig {
 		return experiment.FlowConfig{
 			Spec: packet.FlowSpec{
@@ -56,40 +57,78 @@ func main() {
 	for i := 0; i < 2; i++ { // bulk data, aggressive
 		flows = append(flows, mkFlow(40, 6, 60, 1, 300, experiment.Aggressive))
 	}
-	specs := experiment.Specs(flows)
+	return flows
+}
 
-	queueOf, err := core.OptimizeGroupingExhaustive(specs, 3)
-	check(err)
-	fmt.Printf("optimal grouping of %d flows into 3 queues: %v\n\n", len(flows), queueOf)
+// plan is the §4 sizing of the trunk: the buffer-optimal grouping, its
+// Prop. 3 rates and eq. 18 per-queue buffers, and the lossless buffers
+// of one FIFO (eq. 9) and of the hybrid (eq. 19) with the eq. 17
+// savings between them.
+type plan struct {
+	queueOf            []int
+	groups             []core.Group
+	rates              []units.Rate
+	minBuf             []units.Bytes
+	fifo, hybrid, save units.Bytes
+}
 
-	k := 0
-	for _, q := range queueOf {
-		if q+1 > k {
-			k = q + 1
-		}
+func sizeTrunk(specs []packet.FlowSpec) (p plan, err error) {
+	if p.queueOf, err = core.OptimizeGroupingExhaustive(specs, 3); err != nil {
+		return p, err
 	}
-	groups, err := core.GroupFlows(specs, queueOf, k)
+	k := 0
+	for _, q := range p.queueOf {
+		k = max(k, q+1)
+	}
+	if p.groups, err = core.GroupFlows(specs, p.queueOf, k); err != nil {
+		return p, err
+	}
+	if p.rates, err = core.AllocateHybrid(linkRate, p.groups); err != nil {
+		return p, err
+	}
+	if p.minBuf, err = core.HybridBufferPerQueue(linkRate, p.groups); err != nil {
+		return p, err
+	}
+	if p.hybrid, err = core.HybridBufferTotal(linkRate, p.groups); err != nil {
+		return p, err
+	}
+	if p.fifo, err = core.RequiredBufferFIFO(specs, linkRate); err != nil {
+		return p, err
+	}
+	p.save, err = core.BufferSavings(linkRate, p.groups)
+	return p, err
+}
+
+// simulate runs the trunk for 10 s behind spec at the hybrid's minimum
+// buffer, with a quarter of it as sharing headroom.
+func simulate(flows []experiment.FlowConfig, p plan, spec string) (experiment.Result, error) {
+	return experiment.Run(context.Background(), experiment.NewOptions(
+		experiment.WithFlows(flows),
+		experiment.WithSchemeSpec(spec),
+		experiment.WithBuffer(p.hybrid),
+		experiment.WithHeadroom(p.hybrid/4),
+		experiment.WithQueues(p.queueOf),
+		experiment.WithDuration(10),
+		experiment.WithWarmup(1),
+		experiment.WithSeed(7),
+	))
+}
+
+func main() {
+	flows := trunkFlows()
+	specs := experiment.Specs(flows)
+	p, err := sizeTrunk(specs)
 	check(err)
-	rates, err := core.AllocateHybrid(linkRate, groups)
-	check(err)
-	minBuf, err := core.HybridBufferPerQueue(linkRate, groups)
-	check(err)
+	fmt.Printf("optimal grouping of %d flows into 3 queues: %v\n\n", len(flows), p.queueOf)
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "queue\tσ̂\tρ̂\trate Rᵢ (eq.16)\tmin buffer Bᵢ (eq.18)")
-	for q, g := range groups {
-		fmt.Fprintf(tw, "%d\t%v\t%v\t%v\t%v\n", q, g.Sigma, g.Rho, rates[q], minBuf[q])
+	for q, g := range p.groups {
+		fmt.Fprintf(tw, "%d\t%v\t%v\t%v\t%v\n", q, g.Sigma, g.Rho, p.rates[q], p.minBuf[q])
 	}
 	tw.Flush()
 
-	hybridTotal, err := core.HybridBufferTotal(linkRate, groups)
-	check(err)
-	fifoTotal, err := core.RequiredBufferFIFO(specs, linkRate)
-	check(err)
-	savings, err := core.BufferSavings(linkRate, groups)
-	check(err)
-	fmt.Printf("\nlossless buffer: single FIFO %v, hybrid %v (saves %v, eq. 17)\n",
-		fifoTotal, hybridTotal, savings)
+	fmt.Printf("\nlossless buffer: single FIFO %v, hybrid %v (saves %v, eq. 17)\n", p.fifo, p.hybrid, p.save)
 	fmt.Printf("WFQ would need %v but per-flow sorted queues for %d flows\n\n",
 		core.RequiredBufferWFQ(specs), len(flows))
 
@@ -97,16 +136,7 @@ func main() {
 	for _, spec := range []string{"hybrid+sharing", "wfq+sharing"} {
 		scheme, err := experiment.ParseScheme(spec)
 		check(err)
-		res, err := experiment.Run(context.Background(), experiment.NewOptions(
-			experiment.WithFlows(flows),
-			experiment.WithSchemeSpec(spec),
-			experiment.WithBuffer(hybridTotal),
-			experiment.WithHeadroom(hybridTotal/4),
-			experiment.WithQueues(queueOf),
-			experiment.WithDuration(10),
-			experiment.WithWarmup(1),
-			experiment.WithSeed(7),
-		))
+		res, err := simulate(flows, p, spec)
 		check(err)
 		fmt.Printf("%-16s utilization %.1f%%  conformant loss %.3f%%\n",
 			scheme.String()+":", 100*res.Utilization, 100*res.ConformantLoss)

@@ -5,7 +5,11 @@
 //
 // This example runs the full Table 1 workload (six conformant customers
 // with SLAs, three aggressive ones) through the four §3.2 schemes and
-// prints each customer's SLA attainment.
+// prints the share of each customer's offered traffic the link
+// delivered. A conformant customer's on-off source offers less than its
+// reservation over a 9 s window, so an SLA holds when the link carries
+// everything the customer offers, not when it carries the reserved
+// rate.
 //
 //	go run ./examples/slaprotection
 package main
@@ -21,35 +25,36 @@ import (
 	"bufqos/internal/units"
 )
 
+// specs are the four §3.2 schemes: FIFO and WFQ, each without buffer
+// management and with the paper's per-flow thresholds.
+var specs = []string{"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold"}
+
+// customers are the Table 1 flows sold an SLA: flows 0-5 are conformant.
+const customers = 6
+
+// run simulates the Table 1 workload for 10 s (9 s measured) behind one
+// scheme on a 48 Mb/s link with a 1 MB buffer.
+func run(spec string) (experiment.Result, error) {
+	return experiment.Run(context.Background(), experiment.NewOptions(
+		experiment.WithFlows(experiment.Table1Flows()),
+		experiment.WithSchemeSpec(spec),
+		experiment.WithBuffer(units.MegaBytes(1)),
+		experiment.WithDuration(10),
+		experiment.WithWarmup(1),
+		experiment.WithSeed(42),
+	))
+}
+
+// delivered is the share of flow id's offered traffic the link carried.
+func delivered(res experiment.Result, id int) float64 {
+	return res.FlowThroughput[id].BitsPerSecond() / res.OfferedRate[id].BitsPerSecond()
+}
+
 func main() {
 	flows := experiment.Table1Flows()
-	specs := []string{"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold"}
-	schemes := make([]*scheme.Scheme, len(specs))
+	results := make([]experiment.Result, len(specs))
 	for i, spec := range specs {
-		schemes[i] = scheme.MustParse(spec)
-	}
-
-	fmt.Println("SLA attainment on a 48 Mb/s link, 1 MB buffer, Table 1 workload")
-	fmt.Println("(delivered rate / reserved rate for the six conformant customers; 10 s run)")
-	fmt.Println()
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "customer\treserved")
-	for _, s := range schemes {
-		fmt.Fprintf(tw, "\t%s", s)
-	}
-	fmt.Fprintln(tw)
-
-	results := make([]experiment.Result, len(schemes))
-	for i, spec := range specs {
-		res, err := experiment.Run(context.Background(), experiment.NewOptions(
-			experiment.WithFlows(flows),
-			experiment.WithSchemeSpec(spec),
-			experiment.WithBuffer(units.MegaBytes(1)),
-			experiment.WithDuration(10),
-			experiment.WithWarmup(1),
-			experiment.WithSeed(42),
-		))
+		res, err := run(spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "slaprotection: %v\n", err)
 			os.Exit(1)
@@ -57,12 +62,20 @@ func main() {
 		results[i] = res
 	}
 
-	for id := 0; id <= 5; id++ {
-		reserved := flows[id].Spec.TokenRate
-		fmt.Fprintf(tw, "flow %d\t%v", id, reserved)
+	fmt.Println("SLA protection on a 48 Mb/s link, 1 MB buffer, Table 1 workload")
+	fmt.Println("(delivered rate / offered rate for the six conformant customers; 10 s run, 9 s measured)")
+	fmt.Println()
+
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprint(tw, "customer\treserved\toffered")
+	for _, spec := range specs {
+		fmt.Fprintf(tw, "\t%s", scheme.MustParse(spec))
+	}
+	fmt.Fprintln(tw)
+	for id := 0; id < customers; id++ {
+		fmt.Fprintf(tw, "flow %d\t%v\t%v", id, flows[id].Spec.TokenRate, results[0].OfferedRate[id])
 		for _, res := range results {
-			attain := res.FlowThroughput[id].BitsPerSecond() / reserved.BitsPerSecond()
-			fmt.Fprintf(tw, "\t%5.1f%%", 100*attain)
+			fmt.Fprintf(tw, "\t%5.1f%%", 100*delivered(res, id))
 		}
 		fmt.Fprintln(tw)
 	}
@@ -71,14 +84,14 @@ func main() {
 	fmt.Println()
 	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\tlink utilization\tconformant loss")
-	for i, s := range schemes {
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.2f%%\n", s, 100*results[i].Utilization, 100*results[i].ConformantLoss)
+	for i, spec := range specs {
+		fmt.Fprintf(tw, "%s\t%.1f%%\t%.2f%%\n", scheme.MustParse(spec), 100*results[i].Utilization, 100*results[i].ConformantLoss)
 	}
 	tw.Flush()
 
 	fmt.Println()
 	fmt.Println("Without buffer management, both schedulers let the aggressive flows")
 	fmt.Println("(6-8, offering far above their reservations) push conformant traffic out")
-	fmt.Println("of the buffer. Thresholds restore the SLAs — and for FIFO they do it")
-	fmt.Println("with O(1) per-packet work, no sorted queues.")
+	fmt.Println("of the buffer. Thresholds deliver everything the customers offer — and")
+	fmt.Println("for FIFO they do it with O(1) per-packet work, no sorted queues.")
 }

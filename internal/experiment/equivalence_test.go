@@ -15,14 +15,14 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/legacy_golden.json from the current implementation")
 
-// goldenSpecs are the fourteen schemes the golden file was captured
-// for. The file keys results by each spec's display label, so table
-// labels are pinned at the same time.
+// goldenSpecs are the twelve schemes the golden file pins. The file
+// keys results by each spec's display label, so table labels are
+// pinned at the same time.
 var goldenSpecs = []string{
 	"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold",
 	"fifo+sharing", "wfq+sharing", "hybrid+sharing",
 	"fifo+dynthresh", "fifo+red", "fifo+adaptive",
-	"rpq+threshold", "drr+threshold", "edf+threshold", "vc+threshold",
+	"rpq+threshold", "drr+threshold",
 }
 
 // legacyGoldenOptions is the fixed scenario the guard runs every scheme
@@ -136,7 +136,7 @@ func readGolden(t *testing.T) map[string]goldenResult {
 	return want
 }
 
-// TestLegacyGoldenHoldsThePaperClaims reads two claims off the fourteen
+// TestLegacyGoldenHoldsThePaperClaims reads two claims off the twelve
 // Table 1 runs at 500 KB that the golden file pins. Every scheduler
 // family paired with per-flow thresholds or sharing loses no conformant
 // traffic (Props. 1–2), while no buffer management, RED and Dynamic

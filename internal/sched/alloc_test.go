@@ -13,8 +13,7 @@ import (
 // the kernel's (internal/sim): a pooled packet's whole stay — admission,
 // enqueue, the stored departure event, dequeue, release of the buffer
 // space and of the packet — allocates nothing, behind FIFO, behind the
-// sorted-queue WFQ, EDF and Virtual Clock, and behind DRR, with a
-// rejected arrival mixed in.
+// sorted-queue WFQ and behind DRR, with a rejected arrival mixed in.
 func TestLinkServesWithoutAllocating(t *testing.T) {
 	const flows = 4
 	rate := units.MbitsPerSecond(48)
@@ -26,12 +25,6 @@ func TestLinkServesWithoutAllocating(t *testing.T) {
 				weights[i] = units.Mbps
 			}
 			return NewWFQ(rate, s.Now, weights)
-		},
-		"edf": func(s *sim.Simulator) Scheduler {
-			return NewEDF(s.Now, []float64{0.01, 0.02, 0.01, 0.03})
-		},
-		"vc": func(s *sim.Simulator) Scheduler {
-			return NewVirtualClock(s.Now, []units.Rate{units.Mbps, 2 * units.Mbps, units.Mbps, 3 * units.Mbps})
 		},
 		"drr": func(*sim.Simulator) Scheduler {
 			return NewDRR([]units.Rate{units.Mbps, 2 * units.Mbps, units.Mbps, 3 * units.Mbps}, 500)

@@ -80,13 +80,11 @@ func (s *flowQueues) Len() int { return s.len }
 // Backlog implements Scheduler.
 func (s *flowQueues) Backlog() units.Bytes { return s.backlog }
 
-// tagHeap is a typed binary min-heap, boxing nothing, ordered by (tag,
-// seq): WFQ's ready heap (head finish tag, flow) and GPS heap (last
-// finish tag, flow) with seq zero, and the EDF and Virtual Clock queues
-// (deadline or stamp, arrival sequence, packet). Its sifts are
-// container/heap's up and down with the sifted entry held aside instead
-// of swapped: the same comparisons, so entries with equal keys end where
-// container/heap would leave them.
+// tagHeap is a typed binary min-heap, boxing nothing, ordered by tag:
+// WFQ's ready heap (head finish tag, flow) and GPS heap (last finish
+// tag, flow). Its sifts are container/heap's up and down with the
+// sifted entry held aside instead of swapped: the same comparisons, so
+// entries with equal tags end where container/heap would leave them.
 // When pos is set, it records every item's position, -1 once popped.
 type tagHeap struct {
 	e   []tagged
@@ -95,14 +93,10 @@ type tagHeap struct {
 
 type tagged struct {
 	tag  float64
-	seq  uint64
-	p    *packet.Packet
 	item int32
 }
 
-func (a *tagged) before(b *tagged) bool {
-	return a.tag < b.tag || a.tag == b.tag && a.seq < b.seq
-}
+func (a *tagged) before(b *tagged) bool { return a.tag < b.tag }
 
 func (h *tagHeap) push(x tagged) {
 	h.e = append(h.e, x)

@@ -67,10 +67,15 @@ func (r *RPQ) Epoch() int64 {
 }
 
 // advance merges ring slots into the due queue for every epoch boundary
-// the clock has crossed.
+// the clock has crossed. One turn of the ring merges every slot, so a
+// longer jump skips the rest: a short interval costs no loop per epoch.
 func (r *RPQ) advance() {
 	target := int64(r.nowFn() / r.interval)
-	for r.epoch < target {
+	for turn := 0; r.epoch < target; turn++ {
+		if turn == len(r.ring) {
+			r.epoch = target
+			break
+		}
 		r.epoch++
 		for slot := &r.ring[int(r.epoch)%len(r.ring)]; slot.n > 0; {
 			r.push(&r.due, r.pop(slot), 0)

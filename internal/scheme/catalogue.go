@@ -53,14 +53,14 @@ func (d *schedulerDef) Params() []ParamDef { return append([]ParamDef(nil), d.pa
 // Params returns a copy of the manager's parameter definitions.
 func (d *managerDef) Params() []ParamDef { return append([]ParamDef(nil), d.params...) }
 
-// formatParams renders "name=default (doc); ..." or "—".
+// formatParams renders "name=default (doc; range); ..." or "—".
 func formatParams(defs []ParamDef) string {
 	if len(defs) == 0 {
 		return "—"
 	}
 	parts := make([]string, len(defs))
 	for i, p := range defs {
-		parts[i] = fmt.Sprintf("%s=%s (%s)", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc)
+		parts[i] = fmt.Sprintf("%s=%s (%s; %s)", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc, p.rangeText())
 	}
 	return strings.Join(parts, "; ")
 }
@@ -77,7 +77,7 @@ func WriteCatalogue(w io.Writer) error {
 	for _, d := range schedulers {
 		tw.printf("  %-10s %-8s %s  [%s]\n", d.name, d.display, d.doc, d.paper)
 		for _, p := range d.params {
-			tw.printf("  %-10s   ?%s=%s — %s\n", "", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc)
+			tw.printf("  %-10s   ?%s=%s — %s; %s\n", "", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc, p.rangeText())
 		}
 	}
 	tw.printf("\nbuffer managers:\n")
@@ -88,7 +88,7 @@ func WriteCatalogue(w io.Writer) error {
 		}
 		tw.printf("  %-10s %-16s %s  [%s]\n", d.name, display, d.doc, d.paper)
 		for _, p := range d.params {
-			tw.printf("  %-10s   ?%s=%s — %s\n", "", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc)
+			tw.printf("  %-10s   ?%s=%s — %s; %s\n", "", p.Name, strconv.FormatFloat(p.Default, 'g', -1, 64), p.Doc, p.rangeText())
 		}
 	}
 	tw.printf("\nall combinations:\n")

@@ -23,9 +23,6 @@ func buildPushout(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, error
 		return nil, nil, fmt.Errorf("scheme %s: needs a positive buffer, got %v", s.Spec(), cfg.Buffer)
 	}
 	share := s.params.get(s.sched.params, "share")
-	if share < 0 || share > 1 {
-		return nil, nil, fmt.Errorf("scheme %s: share %v outside [0,1]", s.Spec(), share)
-	}
 	var shares []units.Bytes
 	if share == 0 {
 		th, err := thresholds(cfg)
@@ -49,11 +46,7 @@ func onlineClasses(cfg Config, s *Scheme) (int, []int, error) {
 	if cfg.Buffer <= 0 {
 		return 0, nil, fmt.Errorf("scheme %s: needs a positive buffer, got %v", s.Spec(), cfg.Buffer)
 	}
-	v := s.params.get(s.sched.params, "classes")
-	n := int(v)
-	if float64(n) != v || n < 1 {
-		return 0, nil, fmt.Errorf("scheme %s: classes must be a positive integer, got %v", s.Spec(), v)
-	}
+	n := int(s.params.get(s.sched.params, "classes"))
 	if cfg.Classes == nil {
 		// Invert the RPQ delay classification: smooth low-burst flows
 		// (telephony-like, class 0 there) are the most valuable here.

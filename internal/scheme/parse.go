@@ -96,7 +96,8 @@ func cut(s, sep string) (before, after string, found bool) {
 }
 
 // parseParams fills s.params from the "key=value,key=value" tail,
-// validating every key against the combination's declared parameters.
+// validating every key against the combination's declared parameters
+// and every value against its declared range.
 func (s *Scheme) parseParams(spec, tail string) error {
 	if strings.TrimSpace(tail) == "" {
 		return fmt.Errorf("scheme %q: empty parameter list after '?'", spec)
@@ -108,14 +109,14 @@ func (s *Scheme) parseParams(spec, tail string) error {
 		if !ok || key == "" {
 			return fmt.Errorf("scheme %q: parameter %q is not key=value", spec, kv)
 		}
-		known := false
-		for _, d := range defs {
-			if d.Name == key {
-				known = true
+		var def *ParamDef
+		for i := range defs {
+			if defs[i].Name == key {
+				def = &defs[i]
 				break
 			}
 		}
-		if !known {
+		if def == nil {
 			return fmt.Errorf("scheme %q: unknown parameter %q (accepted: %s)", spec, key, paramNames(defs))
 		}
 		if _, dup := s.params[key]; dup {
@@ -124,6 +125,9 @@ func (s *Scheme) parseParams(spec, tail string) error {
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
 			return fmt.Errorf("scheme %q: parameter %s=%q is not a number", spec, key, val)
+		}
+		if err := def.check(f); err != nil {
+			return fmt.Errorf("scheme %q: %w", spec, err)
 		}
 		s.params[key] = f
 	}

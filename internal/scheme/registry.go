@@ -2,6 +2,8 @@ package scheme
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"bufqos/internal/buffer"
@@ -17,8 +19,49 @@ type ParamDef struct {
 	Name string
 	// Default applies when the spec omits the parameter.
 	Default float64
+	// Min and Max bound the accepted values, both inclusive unless
+	// MinOpen excludes Min; Parse refuses a value outside them, so no
+	// builder sees one. Max may be +Inf; a value must still be finite.
+	Min, Max float64
+	MinOpen  bool
+	// Integer restricts the value to whole numbers (a count).
+	Integer bool
 	// Doc is a one-line description (units included).
 	Doc string
+}
+
+// MaxClasses bounds every class-count parameter (rpq's delay classes,
+// the online schemes' service classes): each class costs a queue, and
+// a count read from a spec must not size an allocation without limit.
+const MaxClasses = 64
+
+// check reports why v is not an accepted value of d, or nil.
+func (d *ParamDef) check(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("parameter %s=%v is not a finite number", d.Name, v)
+	}
+	if v < d.Min || d.MinOpen && v == d.Min || v > d.Max || d.Integer && v != math.Trunc(v) {
+		return fmt.Errorf("parameter %s=%v is not %s", d.Name, v, d.rangeText())
+	}
+	return nil
+}
+
+// rangeText renders the accepted values, e.g. "in (0, 1]" or "an integer
+// in [1, 64]".
+func (d *ParamDef) rangeText() string {
+	lo, hi := "[", "]"
+	if d.MinOpen {
+		lo = "("
+	}
+	max := strconv.FormatFloat(d.Max, 'g', -1, 64)
+	if math.IsInf(d.Max, 1) {
+		max, hi = "∞", ")"
+	}
+	r := "in " + lo + strconv.FormatFloat(d.Min, 'g', -1, 64) + ", " + max + hi
+	if d.Integer {
+		r = "an integer " + r
+	}
+	return r
 }
 
 // params holds the explicitly-set parameters of a parsed spec.
@@ -124,19 +167,12 @@ var schedulers = []*schedulerDef{
 		doc:   "rotating priority queues, flows classed by burst-to-rate ratio",
 		paper: "ref [10]",
 		params: []ParamDef{
-			{Name: "classes", Default: 4, Doc: "number of delay classes"},
-			{Name: "interval", Default: 0.002, Doc: "rotation interval (seconds)"},
+			{Name: "classes", Default: 4, Min: 1, Max: MaxClasses, Integer: true, Doc: "number of delay classes"},
+			{Name: "interval", Default: 0.002, Min: 1e-9, Max: math.Inf(1), Doc: "rotation interval (seconds)"},
 		},
 		build: func(cfg Config, s *Scheme) (sched.Scheduler, error) {
-			classes := s.params.get(s.sched.params, "classes")
+			n := int(s.params.get(s.sched.params, "classes"))
 			interval := s.params.get(s.sched.params, "interval")
-			n := int(classes)
-			if float64(n) != classes || n < 1 {
-				return nil, fmt.Errorf("classes must be a positive integer, got %v", classes)
-			}
-			if interval <= 0 {
-				return nil, fmt.Errorf("interval must be positive, got %v", interval)
-			}
 			return sched.NewRPQ(n, interval, cfg.Now, delayClasses(cfg.Specs, n)), nil
 		},
 	},
@@ -150,31 +186,11 @@ var schedulers = []*schedulerDef{
 		},
 	},
 	{
-		name: "edf", display: "EDF",
-		doc:   "earliest deadline first, per-flow budget σ/ρ (burst drain time)",
-		paper: "ref [4]",
-		build: func(cfg Config, _ *Scheme) (sched.Scheduler, error) {
-			budgets := make([]float64, len(cfg.Specs))
-			for i, sp := range cfg.Specs {
-				budgets[i] = sp.BucketSize.Bits() / sp.TokenRate.BitsPerSecond()
-			}
-			return sched.NewEDF(cfg.Now, budgets), nil
-		},
-	},
-	{
-		name: "vc", display: "VC",
-		doc:   "virtual clock, rates = token rates",
-		paper: "ref [8]",
-		build: func(cfg Config, _ *Scheme) (sched.Scheduler, error) {
-			return sched.NewVirtualClock(cfg.Now, tokenRates(cfg.Specs)), nil
-		},
-	},
-	{
 		name: "pushout", display: "pushout",
 		doc:   "protective pushout FIFO (combined queue/manager): when full, an under-share flow pushes out the newest packet of the most over-share flow",
 		paper: "ref [2]",
 		params: []ParamDef{
-			{Name: "share", Default: 0, Doc: "per-flow guaranteed share as a fraction of B; 0 derives the paper's σᵢ + ρᵢB/R thresholds"},
+			{Name: "share", Default: 0, Min: 0, Max: 1, Doc: "per-flow guaranteed share as a fraction of B; 0 derives the paper's σᵢ + ρᵢB/R thresholds"},
 		},
 		combined:        buildPushout,
 		allowedManagers: selfManaged,
@@ -220,7 +236,7 @@ var selfManaged = map[string]bool{"none": true}
 // classesParam is the shared tunable of the class-aware online
 // schemes.
 var classesParam = []ParamDef{
-	{Name: "classes", Default: 4, Doc: "number of service classes (flows map to classes by burst-to-rate ratio unless the topology assigns them)"},
+	{Name: "classes", Default: 4, Min: 1, Max: MaxClasses, Integer: true, Doc: "number of service classes (flows map to classes by burst-to-rate ratio unless the topology assigns them)"},
 }
 
 // redSeedID is the DeriveSeed stream id reserved for RED's drop RNG; it
@@ -243,13 +259,10 @@ var managers = []*managerDef{
 		doc:   "fixed per-flow thresholds σᵢ + ρᵢB/R (the paper's proposal)",
 		paper: "§2",
 		params: []ParamDef{
-			{Name: "scale", Default: 1, Doc: "multiply every computed threshold by this factor; <1 deliberately under-allocates (necessity experiments)"},
+			{Name: "scale", Default: 1, Min: 0, MinOpen: true, Max: 1, Doc: "multiply every computed threshold by this factor; <1 deliberately under-allocates (necessity experiments)"},
 		},
 		build: func(cfg Config, p params) (buffer.Manager, error) {
 			scale := p.get(managerByName["threshold"].params, "scale")
-			if scale <= 0 || scale > 1 {
-				return nil, fmt.Errorf("scale %v outside (0,1]", scale)
-			}
 			th, err := thresholds(cfg)
 			if err != nil {
 				return nil, err
@@ -267,7 +280,7 @@ var managers = []*managerDef{
 		doc:   "thresholds + holes/headroom borrowing of unused buffer",
 		paper: "§3.3",
 		params: []ParamDef{
-			{Name: "headroom", Default: 0, Doc: "headroom H as a fraction of B (omit to use the run-level headroom)"},
+			{Name: "headroom", Default: 0, Min: 0, Max: 1, Doc: "headroom H as a fraction of B (omit to use the run-level headroom)"},
 		},
 		build: func(cfg Config, p params) (buffer.Manager, error) {
 			th, err := thresholds(cfg)
@@ -282,13 +295,10 @@ var managers = []*managerDef{
 		doc:   "Choudhury–Hahne dynamic threshold T(t) = α·(B − Q(t))",
 		paper: "ref [1]",
 		params: []ParamDef{
-			{Name: "alpha", Default: 1, Doc: "control parameter α > 0"},
+			{Name: "alpha", Default: 1, Min: 0, MinOpen: true, Max: 64, Doc: "control parameter α"},
 		},
 		build: func(cfg Config, p params) (buffer.Manager, error) {
 			alpha := p.get(managerByName["dynthresh"].params, "alpha")
-			if alpha <= 0 {
-				return nil, fmt.Errorf("alpha must be positive, got %v", alpha)
-			}
 			return buffer.NewDynamicThreshold(cfg.Buffer, len(cfg.Specs), alpha), nil
 		},
 	},
@@ -297,10 +307,10 @@ var managers = []*managerDef{
 		doc:   "random early detection over the aggregate queue (no per-flow state)",
 		paper: "ref [3]",
 		params: []ParamDef{
-			{Name: "min", Default: 0.25, Doc: "min threshold as a fraction of B"},
-			{Name: "max", Default: 0.75, Doc: "max threshold as a fraction of B"},
-			{Name: "maxp", Default: 0.1, Doc: "max drop probability at the max threshold"},
-			{Name: "wq", Default: 0.002, Doc: "EWMA queue-average weight w_q"},
+			{Name: "min", Default: 0.25, Min: 0, Max: 1, Doc: "min threshold as a fraction of B (below max)"},
+			{Name: "max", Default: 0.75, Min: 0, MinOpen: true, Max: 1, Doc: "max threshold as a fraction of B"},
+			{Name: "maxp", Default: 0.1, Min: 0, MinOpen: true, Max: 1, Doc: "max drop probability at the max threshold"},
+			{Name: "wq", Default: 0.002, Min: 0, MinOpen: true, Max: 1, Doc: "EWMA queue-average weight w_q"},
 		},
 		build: func(cfg Config, p params) (buffer.Manager, error) {
 			defs := managerByName["red"].params
@@ -308,14 +318,8 @@ var managers = []*managerDef{
 			max := p.get(defs, "max")
 			maxp := p.get(defs, "maxp")
 			wq := p.get(defs, "wq")
-			if min < 0 || max <= min || max > 1 {
-				return nil, fmt.Errorf("need 0 <= min < max <= 1, got min=%v max=%v", min, max)
-			}
-			if maxp <= 0 || maxp > 1 {
-				return nil, fmt.Errorf("maxp %v outside (0,1]", maxp)
-			}
-			if wq <= 0 || wq > 1 {
-				return nil, fmt.Errorf("wq %v outside (0,1]", wq)
+			if max <= min {
+				return nil, fmt.Errorf("need min < max, got min=%v max=%v", min, max)
 			}
 			minTh := units.Bytes(min * float64(cfg.Buffer))
 			maxTh := units.Bytes(max * float64(cfg.Buffer))
@@ -330,15 +334,12 @@ var managers = []*managerDef{
 		doc:   "sharing where only loss-adaptive flows borrow the full holes",
 		paper: "§5",
 		params: []ParamDef{
-			{Name: "fraction", Default: 0.25, Doc: "fraction of the holes non-adaptive flows may borrow"},
-			{Name: "headroom", Default: 0, Doc: "headroom H as a fraction of B (omit to use the run-level headroom)"},
+			{Name: "fraction", Default: 0.25, Min: 0, Max: 1, Doc: "fraction of the holes non-adaptive flows may borrow"},
+			{Name: "headroom", Default: 0, Min: 0, Max: 1, Doc: "headroom H as a fraction of B (omit to use the run-level headroom)"},
 		},
 		build: func(cfg Config, p params) (buffer.Manager, error) {
 			defs := managerByName["adaptive"].params
 			fraction := p.get(defs, "fraction")
-			if fraction < 0 || fraction > 1 {
-				return nil, fmt.Errorf("fraction %v outside [0,1]", fraction)
-			}
 			th, err := thresholds(cfg)
 			if err != nil {
 				return nil, err

@@ -1,7 +1,7 @@
 // Package scheme is the registry of composable QoS schemes. The paper's
-// evaluation crosses a scheduler (FIFO, WFQ, the §4 hybrid, RPQ, DRR,
-// EDF, Virtual Clock) with a buffer-management policy (tail-drop, fixed
-// per-flow thresholds, the §3.3 sharing scheme, Choudhury–Hahne dynamic
+// evaluation crosses a scheduler (FIFO, WFQ, the §4 hybrid, RPQ, DRR)
+// with a buffer-management policy (tail-drop, fixed per-flow
+// thresholds, the §3.3 sharing scheme, Choudhury–Hahne dynamic
 // thresholds, RED, adaptive sharing); this package makes every such
 // combination addressable by one parseable spec string, e.g.
 //
@@ -72,7 +72,7 @@ type Config struct {
 	// Zero defaults to 500 bytes, the paper's maximum packet size.
 	PacketSize units.Bytes
 	// Now is the simulation clock, required by time-stamping schedulers
-	// (WFQ, hybrid, RPQ, EDF, VC). NewLink sets it to its simulator's.
+	// (WFQ, hybrid, RPQ). NewLink sets it to its simulator's.
 	Now func() float64
 	// Seed derives the RNG of randomized managers (RED) so runs stay
 	// reproducible.
@@ -184,7 +184,7 @@ func (s *Scheme) paramDefs() []ParamDef {
 	return append(defs, s.mgr.params...)
 }
 
-// tokenRates returns the WFQ/DRR/VC weights: "the token rate is used to
+// tokenRates returns the WFQ/DRR weights: "the token rate is used to
 // determine the weight used for the flow".
 func tokenRates(specs []packet.FlowSpec) []units.Rate {
 	rates := make([]units.Rate, len(specs))

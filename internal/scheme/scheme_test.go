@@ -99,7 +99,7 @@ func TestLegacyLabelsParse(t *testing.T) {
 		"FIFO", "WFQ", "FIFO+thresholds", "WFQ+thresholds",
 		"FIFO+sharing", "WFQ+sharing", "hybrid+sharing",
 		"FIFO+dynthresh", "FIFO+RED", "FIFO+adaptive-sharing",
-		"RPQ+thresholds", "DRR+thresholds", "EDF+thresholds", "VC+thresholds",
+		"RPQ+thresholds", "DRR+thresholds",
 	}
 	for _, l := range labels {
 		s, err := Parse(l)
@@ -141,30 +141,80 @@ func TestMalformedSpecs(t *testing.T) {
 	}
 }
 
-// TestInvalidParamValues: specs that parse but carry out-of-range
-// values fail at Build, not with a panic.
+// badParamSpecs carry a parameter value outside its declared range:
+// non-finite values, negative headrooms and out-of-range fractions that
+// once reached a buffer constructor's panic or ran silently, and class
+// counts that would size an allocation without limit. The value is
+// never built. Each maps to the parameter its error must name.
+var badParamSpecs = map[string]string{
+	"fifo+threshold?scale=NaN":     "scale",
+	"fifo+threshold?scale=0":       "scale",
+	"fifo+threshold?scale=1.5":     "scale",
+	"fifo+sharing?headroom=NaN":    "headroom",
+	"fifo+sharing?headroom=Inf":    "headroom",
+	"fifo+sharing?headroom=-1":     "headroom",
+	"wfq+sharing?headroom=-1":      "headroom",
+	"fifo+adaptive?headroom=-0.1":  "headroom",
+	"hybrid+sharing?headroom=-0.2": "headroom",
+	"fifo+adaptive?fraction=NaN":   "fraction",
+	"fifo+adaptive?fraction=2":     "fraction",
+	"fifo+red?min=NaN":             "min",
+	"fifo+red?maxp=NaN":            "maxp",
+	"fifo+red?maxp=0":              "maxp",
+	"fifo+red?maxp=1.5":            "maxp",
+	"fifo+red?wq=NaN":              "wq",
+	"fifo+red?wq=0":                "wq",
+	"fifo+dynthresh?alpha=NaN":     "alpha",
+	"fifo+dynthresh?alpha=Inf":     "alpha",
+	"fifo+dynthresh?alpha=-Inf":    "alpha",
+	"fifo+dynthresh?alpha=0":       "alpha",
+	"fifo+dynthresh?alpha=-1":      "alpha",
+	"pushout+none?share=NaN":       "share",
+	"pushout+none?share=-1":        "share",
+	"rpq+threshold?classes=1e9":    "classes",
+	"rpq+threshold?classes=0":      "classes",
+	"rpq+threshold?classes=2.5":    "classes",
+	"rpq+threshold?interval=0":     "interval",
+	"rpq+threshold?interval=NaN":   "interval",
+	"cgreedy?classes=1e9":          "classes",
+	"classseg?classes=65":          "classes",
+	"lqf?classes=0":                "classes",
+	"semigreedy?classes=-Inf":      "classes",
+}
+
+// TestInvalidParamValues: Parse refuses every value outside its
+// parameter's declared range, naming the parameter, so no builder, and
+// no topology or CLI that parses a spec, meets one. Only the one
+// relation between two parameters, RED's min < max, is Build's.
 func TestInvalidParamValues(t *testing.T) {
-	cfg := testConfig()
-	bad := []string{
-		"fifo+dynthresh?alpha=0",
-		"fifo+dynthresh?alpha=-1",
-		"fifo+red?min=0.9,max=0.5",
-		"fifo+red?maxp=0",
-		"fifo+red?maxp=1.5",
-		"fifo+red?wq=0",
-		"fifo+adaptive?fraction=2",
-		"rpq+threshold?classes=0",
-		"rpq+threshold?classes=2.5",
-		"rpq+threshold?interval=0",
-	}
-	for _, spec := range bad {
+	for spec, param := range badParamSpecs {
 		s, err := Parse(spec)
-		if err != nil {
-			t.Errorf("Parse(%q): %v (value errors should surface at Build)", spec, err)
+		if err == nil {
+			t.Errorf("Parse(%q) = %s, want an error", spec, s.Spec())
 			continue
 		}
-		if _, _, err := s.Build(cfg); err == nil {
-			t.Errorf("Build(%q) accepted an invalid value", spec)
+		if !strings.Contains(err.Error(), "parameter "+param+"=") {
+			t.Errorf("Parse(%q): %v, want the error to name %s", spec, err, param)
+		}
+	}
+	s, err := Parse("fifo+red?min=0.9,max=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Build(testConfig()); err == nil {
+		t.Error("Build accepted RED with min above max")
+	}
+}
+
+// TestParamDefaultsInRange: every declared default is a value its own
+// range accepts, so a spec that omits a parameter builds as one that
+// names it.
+func TestParamDefaultsInRange(t *testing.T) {
+	for _, e := range Catalogue() {
+		for _, p := range e.Params {
+			if err := p.check(p.Default); err != nil {
+				t.Errorf("%s %s: default: %v", e.Kind, e.Name, err)
+			}
 		}
 	}
 }

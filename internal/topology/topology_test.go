@@ -93,6 +93,10 @@ func TestValidateErrors(t *testing.T) {
 		want   string
 	}{
 		{"unknown scheme", func(t *Topology) { t.Links[0].Spec = "bogus+none" }, "bogus"},
+		{"NaN threshold scale", func(t *Topology) { t.Links[0].Spec = "fifo+threshold?scale=NaN" }, "parameter scale=NaN"},
+		{"negative headroom", func(t *Topology) { t.Links[0].Spec = "wfq+sharing?headroom=-1" }, "parameter headroom=-1"},
+		{"infinite alpha", func(t *Topology) { t.Links[0].Spec = "fifo+dynthresh?alpha=Inf" }, "parameter alpha=+Inf"},
+		{"huge class count", func(t *Topology) { t.Links[0].Spec = "rpq+threshold?classes=1e9" }, "parameter classes=1e+09"},
 		{"negative prop", func(t *Topology) { t.Links[0].PropDelay = -1 }, "propagation"},
 		{"zero rate", func(t *Topology) { t.Links[0].Rate = 0 }, "rate"},
 		{"self loop", func(t *Topology) { t.Links[0].To = "a" }, "self-loop"},
