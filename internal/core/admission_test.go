@@ -31,6 +31,21 @@ func TestAdmissionWFQRegion(t *testing.T) {
 	}
 }
 
+func TestAdmissionWFQRegionAdmitsAFullBuffer(t *testing.T) {
+	// Eq. 6 admits Σσ = B exactly: on 100 KB with 60 KB booked, a 40 KB
+	// burst fits and one byte more does not.
+	g := NewRegion(LinkConfig{Discipline: DisciplineWFQ, Rate: units.MbitsPerSecond(48), Buffer: units.KiloBytes(100)})
+	g.Add(spec(60, 2))
+	if got := g.Check(spec(40, 2)); got != Accepted {
+		t.Errorf("Σσ = B: got %v, want accepted", got)
+	}
+	over := spec(40, 2)
+	over.BucketSize++
+	if got := g.Check(over); got != BufferLimited {
+		t.Errorf("Σσ = B + 1 byte: got %v, want buffer-limited", got)
+	}
+}
+
 func TestAdmissionFIFORegionTighter(t *testing.T) {
 	// The same flow set can be WFQ-schedulable but FIFO-buffer-limited
 	// (the §2.3 point). Σσ = 300KB, u = 0.5 ⇒ FIFO needs B ≥ 600KB.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,33 +67,6 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestSourceReseedRestarts: re-seeding a used Source, directly or
-// through Rand.Init, yields the stream of a fresh one — flow slots and
-// churn arrivals re-seed in place.
-func TestSourceReseedRestarts(t *testing.T) {
-	var r Rand
-	used := r.Init(7)
-	for range 5000 {
-		used.ExpFloat64()
-	}
-	buf := make([]byte, 5)
-	used.Read(buf) // leaves a partial word buffered in the rand.Rand
-	drawsMatch(t, 11, r.Init(11), 2000)
-
-	var src Source
-	src.Seed(3)
-	for range 1000 {
-		src.Uint64()
-	}
-	src.Seed(5)
-	want := rand.NewSource(5).(rand.Source64)
-	for i := range 2000 {
-		if g, w := src.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("re-seeded Source draw %d = %#x, fresh math/rand gives %#x", i, g, w)
-		}
-	}
-}
-
 // TestRandInitWithoutAllocating: seeding a stream in place costs no
 // allocation and NewRand costs one.
 func TestRandInitWithoutAllocating(t *testing.T) {
@@ -117,7 +91,7 @@ func TestLehmerIsExact(t *testing.T) {
 	for range 100000 {
 		xs = append(xs, 1+uint64(r.Int63n(int32max-1)))
 	}
-	for _, m := range []uint64{seedMul, seedMul3} {
+	for _, m := range []uint64{seedMul, uint64(seedPow[0][2]), uint64(seedPow[rngLen-1][2])} {
 		for _, x := range xs {
 			if got, want := lehmer(x, m), x*m%int32max; got != want {
 				t.Fatalf("lehmer(%d, %d) = %d, want %d", x, m, got, want)
@@ -126,36 +100,92 @@ func TestLehmerIsExact(t *testing.T) {
 	}
 }
 
-// FuzzSourceMatchesMathRand runs the stdlib oracle on fuzzed seeds,
-// starting from the edge seeds.
-func FuzzSourceMatchesMathRand(f *testing.F) {
-	for _, seed := range edgeSeeds {
-		f.Add(seed)
+// reseedAfter are draw counts around the register's boundaries: none,
+// one, either side of the tap (273) and of the register's length (607),
+// where Source switches from computing draws off the seed to stepping
+// its register, and well past it.
+var reseedAfter = []int{0, 1, 272, 273, 274, 606, 607, 608, 5000}
+
+// drawUsed draws used values from got, a stream seeded with seed, and
+// checks each against math/rand's.
+func drawUsed(t testing.TB, got *rand.Rand, seed int64, used int) {
+	t.Helper()
+	want := rand.NewSource(seed).(rand.Source64)
+	for i := range used {
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("seed %d: Uint64 draw %d = %#x, math/rand gives %#x", seed, i, g, w)
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+}
+
+// TestSourceReseedRestarts: re-seeding a used stream yields the stream
+// of a fresh one — flow slots and churn arrivals re-seed in place —
+// after any number of draws around the register's boundaries, whether
+// its register is shared slab storage (Rand.Init), its own (NewRand,
+// re-seeded through rand.Rand.Seed) or not built yet.
+func TestSourceReseedRestarts(t *testing.T) {
+	for _, used := range reseedAfter {
+		for _, seed := range []int64{1, 42, -7, math.MaxInt64} {
+			var slab Rand
+			drawUsed(t, slab.Init(^seed), ^seed, used)
+			drawsMatch(t, seed, slab.Init(seed), 2000)
+
+			own := NewRand(^seed)
+			drawUsed(t, own, ^seed, used)
+			own.Seed(seed)
+			drawsMatch(t, seed, own, 2000)
+		}
+	}
+
+	// Init also drops a partial word Read left buffered in the rand.Rand.
+	var r Rand
+	r.Init(7).Read(make([]byte, 5))
+	drawsMatch(t, 11, r.Init(11), 2000)
+}
+
+// FuzzSourceMatchesMathRand runs the stdlib oracle on fuzzed seeds,
+// starting from the edge seeds: a fresh NewRand stream, and a slab
+// stream re-seeded after a fuzzed number of draws.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for i, seed := range edgeSeeds {
+		f.Add(seed, uint16(reseedAfter[i%len(reseedAfter)]))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, used uint16) {
 		drawsMatch(t, seed, NewRand(seed), 2000)
+		var r Rand
+		drawUsed(t, r.Init(^seed), ^seed, int(used))
+		drawsMatch(t, seed, r.Init(seed), 2000)
 	})
 }
 
-// BenchmarkSeed sets a stream's state from a seed: Source's
-// division-free seeding beside math/rand's.
+// BenchmarkSeed sets a stream's state from a seed and draws k values:
+// Source's O(1) seed, with its draws computed off the seed up to 607
+// and from its register after, beside math/rand's full seeding.
 func BenchmarkSeed(b *testing.B) {
-	b.Run("Source", func(b *testing.B) {
-		var s Source
-		seed := int64(0)
-		for b.Loop() {
-			seed++
-			s.Seed(seed)
-		}
-	})
-	b.Run("math-rand", func(b *testing.B) {
-		s := rand.NewSource(0)
-		seed := int64(0)
-		for b.Loop() {
-			seed++
-			s.Seed(seed)
-		}
-	})
+	for _, k := range []int{0, 66, 300, 607, 2000} {
+		b.Run(fmt.Sprintf("draws=%d/Source", k), func(b *testing.B) {
+			var s Source
+			seed := int64(0)
+			for b.Loop() {
+				seed++
+				s.Seed(seed)
+				for range k {
+					s.Uint64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("draws=%d/math-rand", k), func(b *testing.B) {
+			s := rand.NewSource(0).(rand.Source64)
+			seed := int64(0)
+			for b.Loop() {
+				seed++
+				s.Seed(seed)
+				for range k {
+					s.Uint64()
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkNewRand builds a fresh seeded *rand.Rand: NewRand beside

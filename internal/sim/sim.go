@@ -39,6 +39,13 @@
 // event re-enters the queue under the next packet's key. A topology
 // whose wires hold most of its pending packets keeps a queue as deep as
 // its flows and links, not its packets in flight.
+//
+// Random streams (rand.go) are math/rand's generator bit for bit, in a
+// Source that builds its 607-word register lazily: seeding is O(1), the
+// first 607 draws are computed from the seed, and the register is
+// filled only at draw 608. A stream that draws a few hundred values —
+// an on-off flow over a short run — costs about 90 bytes as a Rand slab
+// element; the register alone is 4.9 KB.
 package sim
 
 import (

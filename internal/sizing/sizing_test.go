@@ -311,6 +311,24 @@ func TestClosedCellBytesPerFlow(t *testing.T) {
 	}
 }
 
+// TestOpenCellBytesPerFlow is its open-loop twin: an on-off flow's
+// source, its random stream (a sim.Rand of about 90 B, whose register is
+// built only past its 607th draw, which a 1 ns cell never reaches),
+// collector and propagation entries allocate under 1 KB per flow. A
+// stream that seeded its full register again would cost 4.9 KB more.
+func TestOpenCellBytesPerFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not pinned under -short (the race detector's runs)")
+	}
+	const n, ceiling = 20000, 1024
+	_, bytes := cellBuild(t, n, true)
+	perFlow := bytes / n
+	t.Logf("open cell build: %d bytes per flow", perFlow)
+	if perFlow > ceiling {
+		t.Errorf("building an open-loop cell allocates %d bytes per flow, ceiling %d", perFlow, ceiling)
+	}
+}
+
 // BenchmarkSmallCell measures the full single-link closed-loop path at
 // small n — the "no slower at small n" half of the flow-state
 // refactor's contract (the ring microbenchmarks in internal/source and
