@@ -34,8 +34,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"bufqos/internal/cli"
 	"bufqos/internal/experiment"
@@ -97,9 +95,6 @@ func main() {
 		reg = metrics.NewRegistry()
 		opts.Metrics = reg
 	}
-	if *showProgres {
-		opts.Progress = progressPrinter()
-	}
 	if *buffers != "" {
 		sizes, err := parseBuffers(*buffers)
 		if err != nil {
@@ -122,7 +117,7 @@ func main() {
 	}()
 
 	if *workload != "" {
-		interrupted = runWorkloadSweep(ctx, *workload, *schemes, opts, *csvDir)
+		interrupted = runWorkloadSweep(ctx, *workload, *schemes, opts, *csvDir, *showProgres)
 		return
 	}
 
@@ -138,6 +133,12 @@ func main() {
 			ids = append(ids, id)
 		}
 	}
+	// onDone is the current figure's progress line; Figures keeps a copy
+	// of opts, so opts.OnDone forwards to it.
+	var onDone func(int)
+	if *showProgres {
+		opts.OnDone = func(i int) { onDone(i) }
+	}
 	figs, err := experiment.NewFigures(opts)
 	if err != nil {
 		cli.Fatalf("%v", err)
@@ -150,6 +151,9 @@ func main() {
 	}
 
 	for _, id := range ids {
+		if *showProgres {
+			onDone = cli.Progress(figs.Runs(id), "runs")
+		}
 		fig, err := figs.Figure(ctx, id)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			cli.Fatalf("%s: %v", id, err)
@@ -192,32 +196,10 @@ func writeFigure(fig experiment.Figure, csvDir string) {
 	}
 }
 
-// progressPrinter returns a ProgressFunc that rewrites one stderr line
-// with an ETA, throttled to 10 updates/s. The callback arrives
-// concurrently from pool workers, so it serializes with a mutex.
-func progressPrinter() experiment.ProgressFunc {
-	var mu sync.Mutex
-	var lastPrint time.Time
-	return func(p experiment.Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		now := time.Now()
-		if p.Done < p.Total && now.Sub(lastPrint) < 100*time.Millisecond {
-			return
-		}
-		lastPrint = now
-		eta := ""
-		if p.Remaining > 0 {
-			eta = fmt.Sprintf(", ETA %s", p.Remaining.Round(time.Second))
-		}
-		cli.ProgressLine(p.Done, p.Total, "runs", p.Elapsed, eta)
-	}
-}
-
 // runWorkloadSweep loads a JSON workload and runs the fig1/fig2-style
 // buffer sweep over the requested schemes. It reports whether the sweep
 // was interrupted.
-func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experiment.Options, csvDir string) bool {
+func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experiment.Options, csvDir string, progress bool) bool {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatalf("opening workload: %v", err)
@@ -244,6 +226,9 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			cli.Fatalf("creating %s: %v", csvDir, err)
 		}
+	}
+	if progress {
+		opts.OnDone = cli.Progress(experiment.SweepRuns(w, specs, opts), "runs")
 	}
 	util, loss, err := experiment.SweepWorkload(ctx, w, specs, opts)
 	interrupted := errors.Is(err, context.Canceled)

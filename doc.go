@@ -32,11 +32,12 @@
 // The experiment package is driven through a single Options struct built
 // with functional options and a context-aware entry point:
 //
-//	figs, err := experiment.NewFigures(experiment.NewOptions(
+//	opts := experiment.NewOptions(
 //	    experiment.WithRuns(5),
-//	    experiment.WithMetrics(reg),      // nil registry = zero-cost
-//	    experiment.WithProgress(onTick),  // runs done/total + ETA
-//	))
+//	    experiment.WithMetrics(reg), // nil registry = zero-cost
+//	)
+//	opts.OnDone = onRun // after every run; figs.Runs(id) is the total
+//	figs, err := experiment.NewFigures(opts)
 //	fig1, err := figs.Figure(ctx, "fig1") // simulates the four §3.2 schemes
 //	fig2, err := figs.Figure(ctx, "fig2") // another view of the same runs: free
 //

@@ -8,7 +8,6 @@ import (
 	"bufqos/internal/buffer"
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
-	"bufqos/internal/fluid"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
 	"bufqos/internal/sim"
@@ -91,20 +90,16 @@ func TestProposition1NecessityPacketized(t *testing.T) {
 	}
 }
 
-// TestExample1DynamicsPacketized cross-validates the fluid recursion
+// TestExample1DynamicsPacketized cross-validates the §2.1 fluid limits
 // against the packet simulator: the victim's throughput measured over
-// the whole run must exceed the early-interval rates and approach ρ₁,
-// and the greedy flow's rate must approach R−ρ₁.
+// the settled tail must approach R¹∞ = ρ₁, and the greedy flow's rate
+// must approach R²∞ = R−ρ₁ (internal/fluid's tests show the Example 1
+// recursion converging to these limits).
 func TestExample1DynamicsPacketized(t *testing.T) {
 	linkRate := units.MbitsPerSecond(48)
 	rho := units.MbitsPerSecond(8)
 	bufSize := units.MegaBytes(1)
-
-	ex, err := fluid.NewExample1(rho, linkRate, bufSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, r1Inf, r2Inf := ex.Limits()
+	r1Inf, r2Inf := rho, linkRate-rho
 
 	s := sim.New()
 	col := stats.NewCollector(2, 10) // measure the settled tail only
@@ -206,7 +201,7 @@ func TestWFQMatchesGPSReference(t *testing.T) {
 	// Packetized WFQ run, recording departure times per (flow, seq).
 	s := sim.New()
 	w := sched.NewWFQ(rate, s.Now, weights)
-	link := sched.NewLink(s, rate, w, buffer.NewUnlimited(nflows), nil)
+	link := sched.NewLink(s, rate, w, buffer.NewTailDrop(1<<60, nflows), nil)
 	type key struct {
 		flow int
 		seq  uint64

@@ -191,25 +191,6 @@ func (t *TailDrop) Admit(flow int, size units.Bytes) bool {
 	return true
 }
 
-// Unlimited admits everything; it exists for tests and for measuring
-// offered load.
-type Unlimited struct {
-	accounting
-}
-
-// NewUnlimited returns a manager that never drops.
-func NewUnlimited(nflows int) *Unlimited {
-	u := &Unlimited{newAccounting(0, nflows)}
-	u.capacity = units.Bytes(1) << 60
-	return u
-}
-
-// Admit implements Manager.
-func (u *Unlimited) Admit(flow int, size units.Bytes) bool {
-	u.add(flow, size)
-	return true
-}
-
 // FixedThreshold is the paper's §2 scheme: the buffer is logically
 // partitioned by per-flow occupancy thresholds. A packet of flow i is
 // admitted iff it fits in the buffer and would not raise the flow's

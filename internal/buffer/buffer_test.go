@@ -113,15 +113,6 @@ func TestFixedThresholdAccessors(t *testing.T) {
 	}
 }
 
-func TestUnlimitedNeverDrops(t *testing.T) {
-	m := NewUnlimited(1)
-	for i := 0; i < 1000; i++ {
-		if !m.Admit(0, 1500) {
-			t.Fatal("unlimited manager dropped")
-		}
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewTailDrop(-1, 1) },

@@ -114,28 +114,34 @@ func Workers(n int) int {
 }
 
 // Progress returns a job-done callback for a pool of total jobs that
-// keeps one "<program>: done/total noun (elapsed)" line current on
-// standard error. The pool calls it from several goroutines at once, so
-// it serializes with a mutex.
+// keeps one "<program>: done/total noun (elapsed, ETA)" line current on
+// standard error, rewritten at most ten times a second and ended once
+// every job is done. The pool calls it from several goroutines at once,
+// so it serializes with a mutex.
 func Progress(total int, noun string) func(int) {
 	var mu sync.Mutex
 	done := 0
 	start := time.Now()
+	var last time.Time
 	return func(int) {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
-		ProgressLine(done, total, noun, time.Since(start), "")
-	}
-}
-
-// ProgressLine rewrites the progress line in place, note (e.g.
-// ", ETA 5s") following the elapsed time, and ends it once done reaches
-// total.
-func ProgressLine(done, total int, noun string, elapsed time.Duration, note string) {
-	fmt.Fprintf(os.Stderr, "\r%s: %d/%d %s (%s elapsed%s)   ",
-		filepath.Base(os.Args[0]), done, total, noun, elapsed.Round(time.Second), note)
-	if done == total {
-		fmt.Fprintln(os.Stderr)
+		now := time.Now()
+		if done < total && now.Sub(last) < 100*time.Millisecond {
+			return
+		}
+		last = now
+		elapsed := now.Sub(start)
+		eta := ""
+		if done < total {
+			remaining := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+			eta = ", ETA " + remaining.Round(time.Second).String()
+		}
+		fmt.Fprintf(os.Stderr, "\r%s: %d/%d %s (%s elapsed%s)   ",
+			filepath.Base(os.Args[0]), done, total, noun, elapsed.Round(time.Second), eta)
+		if done == total {
+			fmt.Fprintln(os.Stderr)
+		}
 	}
 }

@@ -6,34 +6,7 @@ import (
 	"sort"
 
 	"bufqos/internal/packet"
-	"bufqos/internal/units"
 )
-
-// BufferSavingsDirect evaluates the right-hand side of equation (17)
-// directly,
-//
-//	Σ_{i<j} (√(σ̂ᵢρ̂ⱼ) − √(σ̂ⱼρ̂ᵢ))² / (R − ρ)
-//
-// which the claim in §4.1 shows equals B_FIFO − B_hybrid. Having both
-// forms lets tests verify the paper's algebra.
-func BufferSavingsDirect(r units.Rate, groups []Group) (units.Bytes, error) {
-	var rho float64
-	for _, g := range groups {
-		rho += g.Rho.BitsPerSecond()
-	}
-	if rho >= r.BitsPerSecond() {
-		return 0, fmt.Errorf("core: reserved rate %v ≥ link rate %v", units.Rate(rho), r)
-	}
-	var num float64 // in bits·(bits/s)
-	for i := 0; i < len(groups); i++ {
-		for j := i + 1; j < len(groups); j++ {
-			a := math.Sqrt(groups[i].Sigma.Bits() * groups[j].Rho.BitsPerSecond())
-			b := math.Sqrt(groups[j].Sigma.Bits() * groups[i].Rho.BitsPerSecond())
-			num += (a - b) * (a - b)
-		}
-	}
-	return units.Bytes(num / (r.BitsPerSecond() - rho) / 8), nil
-}
 
 // groupingCost returns S = Σ√(σ̂ᵢρ̂ᵢ) for a queue assignment; since
 // B_hybrid = σ + S²/(R−ρ) (equation 19), minimizing S minimizes the

@@ -81,36 +81,21 @@ func AllocateHybrid(r units.Rate, groups []Group) ([]units.Rate, error) {
 	return rates, nil
 }
 
-// QueueBuffer returns equation (11): the minimum buffer of one FIFO
-// queue served at rate ri with aggregate profile g,
-//
-//	Bᵢ = Rᵢ·σ̂ᵢ / (Rᵢ − ρ̂ᵢ)
-//
-// It errors when ri ≤ ρ̂ᵢ.
-func QueueBuffer(ri units.Rate, g Group) (units.Bytes, error) {
-	if ri <= g.Rho {
-		return 0, fmt.Errorf("core: queue rate %v ≤ reserved %v", ri, g.Rho)
-	}
-	return units.Bytes(math.Ceil(ri.BitsPerSecond() * float64(g.Sigma) / (ri.BitsPerSecond() - g.Rho.BitsPerSecond()))), nil
-}
-
 // HybridBufferPerQueue returns equation (18) under the optimal rate
 // assignment:
 //
 //	Bᵢ = σ̂ᵢ + S·√(σ̂ᵢρ̂ᵢ)/(R − ρ),   S = Σⱼ√(σ̂ⱼρ̂ⱼ)
 func HybridBufferPerQueue(r units.Rate, groups []Group) ([]units.Bytes, error) {
-	var rho, s float64
+	var rho float64
 	for _, g := range groups {
 		rho += g.Rho.BitsPerSecond()
-		s += math.Sqrt(float64(g.Sigma) * g.Rho.BitsPerSecond())
 	}
 	if rho >= r.BitsPerSecond() {
 		return nil, fmt.Errorf("core: reserved rate %v ≥ link rate %v", units.Rate(rho), r)
 	}
 	// Work in bit·(bits/s) units: σ in bits for the S terms, then back
-	// to bytes. √(σ̂ᵢρ̂ᵢ) above uses σ in bytes; the units cancel in
-	// S·√(σ̂ᵢρ̂ᵢ)/(R−ρ) only if σ is consistent, so recompute with bits.
-	s = 0
+	// to bytes.
+	var s float64
 	roots := make([]float64, len(groups))
 	for i, g := range groups {
 		roots[i] = math.Sqrt(g.Sigma.Bits() * g.Rho.BitsPerSecond())

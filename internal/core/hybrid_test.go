@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -308,4 +309,17 @@ func TestPropertyHybridNeverWorse(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// QueueBuffer returns equation (11): the minimum buffer of one FIFO
+// queue served at rate ri with aggregate profile g,
+//
+//	Bᵢ = Rᵢ·σ̂ᵢ / (Rᵢ − ρ̂ᵢ)
+//
+// It errors when ri ≤ ρ̂ᵢ.
+func QueueBuffer(ri units.Rate, g Group) (units.Bytes, error) {
+	if ri <= g.Rho {
+		return 0, fmt.Errorf("core: queue rate %v ≤ reserved %v", ri, g.Rho)
+	}
+	return units.Bytes(math.Ceil(ri.BitsPerSecond() * float64(g.Sigma) / (ri.BitsPerSecond() - g.Rho.BitsPerSecond()))), nil
 }

@@ -7,18 +7,6 @@ import (
 	"bufqos/internal/units"
 )
 
-// WorstCaseFIFODelay returns the §1 bound on FIFO queueing delay: the
-// time to drain a full buffer, B·8/R, plus one maximum packet of
-// non-preemption. This is the figure behind "the worst case delay
-// caused by a 1MByte buffer feeding an OC-48 link is less than
-// 3.5msec".
-func WorstCaseFIFODelay(b units.Bytes, r units.Rate, mtu units.Bytes) float64 {
-	if r <= 0 {
-		panic(fmt.Sprintf("core: non-positive link rate %v", r))
-	}
-	return (b.Bits() + mtu.Bits()) / r.BitsPerSecond()
-}
-
 // WFQDelayBound returns the PGPS worst-case delay for a
 // (σ, ρ)-conformant flow scheduled with weight ρ on a link of rate r:
 // σ/ρ + Lmax/R (plus one packet of non-preemption). This is the

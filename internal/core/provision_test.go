@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,4 +52,16 @@ func TestDelayBoundValidation(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// WorstCaseFIFODelay returns the §1 bound on FIFO queueing delay: the
+// time to drain a full buffer, B·8/R, plus one maximum packet of
+// non-preemption. This is the figure behind "the worst case delay
+// caused by a 1MByte buffer feeding an OC-48 link is less than
+// 3.5msec".
+func WorstCaseFIFODelay(b units.Bytes, r units.Rate, mtu units.Bytes) float64 {
+	if r <= 0 {
+		panic(fmt.Sprintf("core: non-positive link rate %v", r))
+	}
+	return (b.Bits() + mtu.Bits()) / r.BitsPerSecond()
 }

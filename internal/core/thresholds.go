@@ -31,13 +31,6 @@ func PeakRateThreshold(rho, r units.Rate, b units.Bytes) units.Bytes {
 	return units.Bytes(float64(b) * rho.BitsPerSecond() / r.BitsPerSecond())
 }
 
-// LeakyBucketThreshold returns the §2.2 (Proposition 2) threshold
-// σ + B·ρ/R that guarantees lossless service to a (σ, ρ)-conformant
-// flow.
-func LeakyBucketThreshold(spec packet.FlowSpec, r units.Rate, b units.Bytes) units.Bytes {
-	return spec.BucketSize + PeakRateThreshold(spec.TokenRate, r, b)
-}
-
 // Thresholds computes the per-flow buffer thresholds of §3.2 for a set
 // of flows sharing a FIFO buffer of size b on a link of rate r:
 // threshold_i = σᵢ + ρᵢ·B/R. Per the paper's footnote 5, when the

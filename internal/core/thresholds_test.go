@@ -37,16 +37,6 @@ func TestPeakRateThreshold(t *testing.T) {
 	}
 }
 
-func TestLeakyBucketThreshold(t *testing.T) {
-	s := spec(50, 8)
-	got := LeakyBucketThreshold(s, units.MbitsPerSecond(48), units.MegaBytes(1))
-	oneSixthMB := 1e6 / 6.0
-	want := units.KiloBytes(50) + units.Bytes(oneSixthMB)
-	if got != want {
-		t.Errorf("threshold = %v, want σ + Bρ/R = %v", got, want)
-	}
-}
-
 func TestThresholdsTable1(t *testing.T) {
 	specs := table1Specs()
 	r := units.MbitsPerSecond(48)

@@ -190,8 +190,8 @@ func bufferAxis(o *Options, headroom units.Bytes) axis {
 // from a scheme reads the same runs.
 //
 // Cancelling ctx stops the sweep within roughly one run's duration; the
-// run sets are then partial and the error is ctx.Err(). o.Progress, when
-// set, is notified after every completed run; o.Metrics aggregates the
+// run sets are then partial and the error is ctx.Err(). o.OnDone, when
+// set, is called after every completed run; o.Metrics aggregates the
 // simulation metrics of all runs.
 func runSweep(ctx context.Context, o *Options, w *Workload, specs []string, ax axis) ([]runSet, error) {
 	if ctx == nil {
@@ -203,8 +203,7 @@ func runSweep(ctx context.Context, o *Options, w *Workload, specs []string, ax a
 		sets[si] = runSet{make([]Result, nx*nr), make([]bool, nx*nr)}
 	}
 	total := len(specs) * nx * nr
-	tracker := newProgressTracker(o.Progress, total)
-	err := ForEachJob(ctx, o.Workers, total, o.Metrics, tracker.onDone, func(j int) error {
+	err := ForEachJob(ctx, o.Workers, total, o.Metrics, o.OnDone, func(j int) error {
 		si, slot, r := j/(nx*nr), j%(nx*nr), j%nr
 		x := ax.xs[slot/nr]
 		rc := &Options{
@@ -304,34 +303,14 @@ func NewFigures(opts *Options) (*Figures, error) {
 // replications, empty points have Summary{} — together with ctx.Err(),
 // and remembers none of the interrupted runs.
 func (f *Figures) Figure(ctx context.Context, id string) (Figure, error) {
-	var d *figureDecl
-	for i := range figureTable {
-		if figureTable[i].id == id {
-			d = &figureTable[i]
-			break
-		}
-	}
+	d := figureByID(id)
 	if d == nil {
 		return Figure{}, fmt.Errorf("experiment: unknown figure %q", id)
 	}
 	o := f.o
-	var ax axis
-	switch d.headroom {
-	case noHeadroom:
-		ax = bufferAxis(o, 0)
-	case optionHeadroom:
-		ax = bufferAxis(o, o.Headroom)
-	case sweepHeadroom:
-		ax = axis{"headroom (MB)", o.Headrooms, func(x units.Bytes) (units.Bytes, units.Bytes) { return o.Fig7Buffer, x }}
-	}
+	ax := f.axis(d)
 	key := func(spec string) runKey { return runKey{d.table, spec, d.headroom} }
-	var missing []string
-	for _, spec := range d.specs {
-		if _, ok := f.memo[key(spec)]; !ok {
-			missing = append(missing, spec)
-		}
-	}
-	ran, err := runSweep(ctx, o, f.tables[d.table], missing, ax)
+	ran, err := runSweep(ctx, o, f.tables[d.table], f.missing(d), ax)
 	sets := make([]runSet, len(d.specs))
 	for si, spec := range d.specs {
 		set, ok := f.memo[key(spec)]
@@ -348,4 +327,48 @@ func (f *Figures) Figure(ctx context.Context, id string) (Figure, error) {
 		ID: d.id, Title: title, XLabel: ax.label, YLabel: d.ylabel,
 		Xs: mbAxis(ax.xs), Series: view(d.specs, sets, d.curves, len(ax.xs)),
 	}, err
+}
+
+// Runs returns how many simulations Figure(ctx, id) would run now, the
+// runs of its schemes that no earlier call has completed: the total
+// against which a caller counts Options.OnDone calls. An unknown id
+// runs none.
+func (f *Figures) Runs(id string) int {
+	d := figureByID(id)
+	if d == nil {
+		return 0
+	}
+	return len(f.missing(d)) * len(f.axis(d).xs) * f.o.Runs
+}
+
+func figureByID(id string) *figureDecl {
+	for i := range figureTable {
+		if figureTable[i].id == id {
+			return &figureTable[i]
+		}
+	}
+	return nil
+}
+
+// axis is the swept quantity of figure d.
+func (f *Figures) axis(d *figureDecl) axis {
+	o := f.o
+	switch d.headroom {
+	case optionHeadroom:
+		return bufferAxis(o, o.Headroom)
+	case sweepHeadroom:
+		return axis{"headroom (MB)", o.Headrooms, func(x units.Bytes) (units.Bytes, units.Bytes) { return o.Fig7Buffer, x }}
+	}
+	return bufferAxis(o, 0) // noHeadroom
+}
+
+// missing returns the schemes of figure d whose runs are not remembered.
+func (f *Figures) missing(d *figureDecl) []string {
+	var specs []string
+	for _, spec := range d.specs {
+		if _, ok := f.memo[runKey{d.table, spec, d.headroom}]; !ok {
+			specs = append(specs, spec)
+		}
+	}
+	return specs
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bufqos/internal/metrics"
@@ -188,17 +189,26 @@ func TestFiguresRunEachSimulationOnce(t *testing.T) {
 	opts.Metrics = metrics.NewRegistry()
 	perScheme := int64(len(opts.BufferSizes) * opts.Runs)
 
+	var done atomic.Int64
+	opts.OnDone = func(int) { done.Add(1) }
+
 	figs, err := NewFigures(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first [3]Figure
 	for i, id := range []string{"fig1", "fig2", "fig3"} {
+		pending := int64(figs.Runs(id))
+		before := runCount(opts.Metrics)
 		if first[i], err = figs.Figure(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
-		if got := runCount(opts.Metrics); got != 4*perScheme {
+		got := runCount(opts.Metrics)
+		if got != 4*perScheme {
 			t.Errorf("after %s: %d runs, want the four schemes' %d", id, got, 4*perScheme)
+		}
+		if got-before != pending || done.Load() != got {
+			t.Errorf("%s: Runs said %d, it ran %d, OnDone counted %d in all of %d", id, pending, got-before, done.Load(), got)
 		}
 	}
 	// A memoised figure is the figure a fresh set computes.
@@ -221,8 +231,8 @@ func TestFiguresRunEachSimulationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runCount(opts.Metrics); got != 3*perScheme {
-		t.Errorf("SweepWorkload: %d runs, want %d", got, 3*perScheme)
+	if got := runCount(opts.Metrics); got != 3*perScheme || int64(SweepRuns(w, specs, opts)) != got {
+		t.Errorf("SweepWorkload: %d runs, want %d, as SweepRuns says %d", got, 3*perScheme, SweepRuns(w, specs, opts))
 	}
 	if len(util.Series) != 3 || len(loss.Series) != 3 || util.Series[1].Label != "WFQ+sharing" {
 		t.Errorf("SweepWorkload series: util %+v loss %+v", util.Series, loss.Series)
@@ -334,8 +344,9 @@ func TestCancelledFigureIsNotRemembered(t *testing.T) {
 	defer cancel()
 	opts := tinyOpts()
 	opts.Workers = 1
-	opts.Progress = func(p Progress) {
-		if p.Done == 3 {
+	done := 0
+	opts.OnDone = func(int) {
+		if done++; done == 3 {
 			cancel()
 		}
 	}

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"bufqos/internal/metrics"
 	"bufqos/internal/units"
@@ -14,7 +12,7 @@ import (
 // package: it describes one simulation run (flows, scheme, buffer,
 // duration, seed) and how sweeps over such runs execute (replications,
 // swept axes, worker count) and are observed (metrics registry,
-// progress callbacks).
+// run-done callback).
 //
 // Build an Options with NewOptions and functional options:
 //
@@ -85,10 +83,10 @@ type Options struct {
 	// deterministic aggregates (counters, histogram buckets, gauge
 	// high-waters) are identical for any worker count.
 	Metrics *metrics.Registry
-	// Progress, when non-nil, is called after every completed run of a
-	// sweep with completion counts and an ETA. It may be called
-	// concurrently from pool workers.
-	Progress ProgressFunc
+	// OnDone, when non-nil, is called after every completed run of a
+	// sweep with the run's index in it, possibly from several pool
+	// workers at once. Figures.Runs and SweepRuns give the total.
+	OnDone func(i int)
 
 	// warmupSet / seedSet mark explicit zeros; only WithWarmup/WithSeed
 	// set them.
@@ -157,9 +155,6 @@ func WithFig7Buffer(b units.Bytes) Option { return func(o *Options) { o.Fig7Buff
 
 // WithMetrics attaches a metrics registry; nil disables collection.
 func WithMetrics(r *metrics.Registry) Option { return func(o *Options) { o.Metrics = r } }
-
-// WithProgress attaches a sweep progress callback.
-func WithProgress(fn ProgressFunc) Option { return func(o *Options) { o.Progress = fn } }
 
 // defaults fills unset fields with the paper's setup. It mutates the
 // receiver, so callers work on a copy of caller-owned Options.
@@ -237,52 +232,4 @@ func (o *Options) validateSweep() error {
 		}
 	}
 	return nil
-}
-
-// Progress reports how far a sweep has come. Done/Total count
-// individual simulation runs (scheme × point × replication), each
-// counted once however many curves are drawn from it.
-type Progress struct {
-	Done  int
-	Total int
-	// Elapsed is wall-clock time since the sweep started.
-	Elapsed time.Duration
-	// Remaining estimates time to completion from the mean run rate so
-	// far (zero until the first run completes).
-	Remaining time.Duration
-}
-
-// ProgressFunc receives sweep progress updates. It may be called
-// concurrently from several pool workers; implementations must be
-// safe for concurrent use (the qsim printer serializes internally).
-type ProgressFunc func(Progress)
-
-// progressTracker adapts a ProgressFunc to the pool's onDone hook,
-// adding wall-clock ETA estimation.
-type progressTracker struct {
-	fn    ProgressFunc
-	total int
-	start time.Time
-	done  atomic.Int64
-}
-
-func newProgressTracker(fn ProgressFunc, total int) *progressTracker {
-	if fn == nil {
-		return nil
-	}
-	return &progressTracker{fn: fn, total: total, start: time.Now()}
-}
-
-// onDone is the pool hook; nil trackers no-op.
-func (t *progressTracker) onDone(int) {
-	if t == nil {
-		return
-	}
-	done := int(t.done.Add(1))
-	elapsed := time.Since(t.start)
-	var remaining time.Duration
-	if done > 0 && done < t.total {
-		remaining = time.Duration(float64(elapsed) / float64(done) * float64(t.total-done))
-	}
-	t.fn(Progress{Done: done, Total: t.total, Elapsed: elapsed, Remaining: remaining})
 }

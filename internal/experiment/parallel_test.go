@@ -142,7 +142,7 @@ func TestSweepCancellationPartialResults(t *testing.T) {
 	var seen atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts.Progress = func(p Progress) {
+	opts.OnDone = func(int) {
 		if seen.Add(1) == 3 {
 			cancel()
 		}

@@ -36,12 +36,7 @@ func SweepWorkload(ctx context.Context, w *Workload, specs []string, opts *Optio
 	if err != nil {
 		return Figure{}, Figure{}, err
 	}
-	if len(specs) == 0 {
-		specs = w.Schemes
-	}
-	if len(specs) == 0 {
-		specs = []string{"fifo+threshold", "wfq+threshold", "fifo+none"}
-	}
+	specs = sweepSpecs(w, specs)
 	// Validate every spec up front: a typo should fail the sweep before
 	// any simulation time is spent.
 	for _, spec := range specs {
@@ -66,4 +61,27 @@ func SweepWorkload(ctx context.Context, w *Workload, specs []string, opts *Optio
 		Xs: mbAxis(ax.xs), Series: view(specs, sets, lossCurve, len(ax.xs)),
 	}
 	return util, loss, err
+}
+
+// SweepRuns returns how many simulations SweepWorkload(ctx, w, specs,
+// opts) runs, the total against which a caller counts Options.OnDone
+// calls (0 for options SweepWorkload refuses).
+func SweepRuns(w *Workload, specs []string, opts *Options) int {
+	o, err := opts.sweepReady()
+	if err != nil {
+		return 0
+	}
+	return len(sweepSpecs(w, specs)) * len(o.BufferSizes) * o.Runs
+}
+
+// sweepSpecs resolves SweepWorkload's scheme list: specs, else the
+// workload's own, else the paper's §3.2 comparison.
+func sweepSpecs(w *Workload, specs []string) []string {
+	if len(specs) == 0 {
+		specs = w.Schemes
+	}
+	if len(specs) == 0 {
+		specs = []string{"fifo+threshold", "wfq+threshold", "fifo+none"}
+	}
+	return specs
 }

@@ -1,3 +1,7 @@
+// Package fluid implements the paper's fluid-model analysis: a
+// discretized fluid FIFO engine for verifying Propositions 1 and 2
+// numerically. Its tests also hold the closed-form Example 1 dynamics of
+// §2.1 and the burst-potential process of equation (3), as oracles.
 package fluid
 
 import (
@@ -139,31 +143,4 @@ func (e *Engine) ServiceRate(flow int) float64 {
 		return 0
 	}
 	return e.Departed[flow] / e.now
-}
-
-// BurstPotential tracks σ(t) of equation (3) incrementally for a fluid
-// arrival process: the token-pool level of a (σ, ρ) leaky bucket fed by
-// the flow. Advance returns the level after the step; a negative level
-// means the arrival process violated its envelope.
-type BurstPotential struct {
-	Sigma, Rho float64 // bits, bits/s
-	level      float64
-}
-
-// NewBurstPotential starts with a full token pool, σ(0) = σ.
-func NewBurstPotential(sigma, rho float64) *BurstPotential {
-	if sigma < 0 || rho <= 0 {
-		panic(fmt.Sprintf("fluid: invalid burst potential σ=%v ρ=%v", sigma, rho))
-	}
-	return &BurstPotential{Sigma: sigma, Rho: rho, level: sigma}
-}
-
-// Level returns the current σ(t).
-func (b *BurstPotential) Level() float64 { return b.level }
-
-// Advance moves time forward by dt seconds during which the flow
-// emitted arrived bits, and returns the new level.
-func (b *BurstPotential) Advance(dt, arrived float64) float64 {
-	b.level = math.Min(b.Sigma, b.level+b.Rho*dt) - arrived
-	return b.level
 }

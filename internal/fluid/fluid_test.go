@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -368,4 +369,31 @@ func BenchmarkFluidEngine(b *testing.B) {
 	rates := func(t float64) []float64 { return []float64{8e6, 0} }
 	b.ResetTimer()
 	e.Run(b.N, rates)
+}
+
+// BurstPotential tracks σ(t) of equation (3) incrementally for a fluid
+// arrival process: the token-pool level of a (σ, ρ) leaky bucket fed by
+// the flow. Advance returns the level after the step; a negative level
+// means the arrival process violated its envelope.
+type BurstPotential struct {
+	Sigma, Rho float64 // bits, bits/s
+	level      float64
+}
+
+// NewBurstPotential starts with a full token pool, σ(0) = σ.
+func NewBurstPotential(sigma, rho float64) *BurstPotential {
+	if sigma < 0 || rho <= 0 {
+		panic(fmt.Sprintf("fluid: invalid burst potential σ=%v ρ=%v", sigma, rho))
+	}
+	return &BurstPotential{Sigma: sigma, Rho: rho, level: sigma}
+}
+
+// Level returns the current σ(t).
+func (b *BurstPotential) Level() float64 { return b.level }
+
+// Advance moves time forward by dt seconds during which the flow
+// emitted arrived bits, and returns the new level.
+func (b *BurstPotential) Advance(dt, arrived float64) float64 {
+	b.level = math.Min(b.Sigma, b.level+b.Rho*dt) - arrived
+	return b.level
 }

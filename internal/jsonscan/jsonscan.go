@@ -30,11 +30,20 @@ import (
 	"unicode/utf8"
 )
 
+// MaxDecode is the most Decode reads: 64 MiB, about four times the
+// scenario file of a generated 400-link, 40,000-flow network (15.7 MB).
+// A longer stream is refused before encoding/json buffers it all.
+const MaxDecode = 64 << 20
+
+// errTooLarge is Decode's answer to a stream longer than MaxDecode.
+var errTooLarge = fmt.Errorf("input exceeds the %d MiB cap", MaxDecode>>20)
+
 // Decode reads one JSON value from r into v as encoding/json does,
 // with unknown object members rejected, and fails unless nothing but
-// white space follows the value.
+// white space follows the value. It fails on a stream longer than
+// MaxDecode.
 func Decode(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(&capReader{io.LimitedReader{R: r, N: MaxDecode + 1}})
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -47,6 +56,18 @@ func Decode(r io.Reader, v any) error {
 	default:
 		return err
 	}
+}
+
+// capReader reads at most MaxDecode+1 bytes, and fails once it has read
+// them all.
+type capReader struct{ io.LimitedReader }
+
+func (c *capReader) Read(p []byte) (int, error) {
+	n, err := c.LimitedReader.Read(p)
+	if c.N == 0 {
+		return n, errTooLarge
+	}
+	return n, err
 }
 
 // Scanner reads one JSON text. The zero value is ready for Reset.

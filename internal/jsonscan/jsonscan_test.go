@@ -3,6 +3,7 @@ package jsonscan
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,44 @@ func TestDecodeIsStrict(t *testing.T) {
 			t.Errorf("Decode(%q) decoded %+v", c.in, d)
 		}
 	}
+}
+
+// TestDecodeCapsItsInput: a document padded with white space to exactly
+// MaxDecode bytes decodes; one byte more is refused with an error that
+// names the cap, and a longer stream is not read past it.
+func TestDecodeCapsItsInput(t *testing.T) {
+	const doc = `{"a":1}`
+	for _, c := range []struct {
+		over int64 // stream length minus MaxDecode
+		ok   bool
+	}{{0, true}, {1, false}, {1 << 20, false}} {
+		pad := &blanks{n: MaxDecode + c.over - int64(len(doc))}
+		var d struct{ A int }
+		err := Decode(io.MultiReader(strings.NewReader(doc), pad), &d)
+		switch {
+		case c.ok && (err != nil || d.A != 1):
+			t.Errorf("MaxDecode%+d bytes: decoded %+v, %v", c.over, d, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "64 MiB cap")):
+			t.Errorf("MaxDecode%+d bytes: %v, want an error naming the cap", c.over, err)
+		case !c.ok && pad.n < c.over-1:
+			t.Errorf("MaxDecode%+d bytes: read %d bytes past the cap", c.over, c.over-pad.n)
+		}
+	}
+}
+
+// blanks is a stream of n spaces.
+type blanks struct{ n int64 }
+
+func (b *blanks) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), b.n)]
+	for i := range p {
+		p[i] = ' '
+	}
+	b.n -= int64(len(p))
+	return len(p), nil
 }
 
 // TestAppendStringMatchesEncodingJSON: AppendString writes what

@@ -35,10 +35,9 @@
 //     MultiQueue for lqf and semigreedy), one 1-byte packet per
 //     arrival and one Dequeue per step. So the bounds qcomp certifies
 //     are those of the cgreedy, classseg, lqf and semigreedy schemes.
-//   - Exact offline optima (Opt, BruteForceOpt): a min-cost max-flow
-//     matching of packets to transmission slots on a time-expanded
-//     graph, and an exponential enumeration used to verify it on tiny
-//     instances.
+//   - The exact offline optimum (Opt): a min-cost max-flow matching of
+//     packets to transmission slots on a time-expanded graph (its tests
+//     verify it against an exponential enumeration on tiny instances).
 //
 // Adversarial arrival generators (the papers' lower-bound
 // constructions plus a seeded hill-climbing search) live in

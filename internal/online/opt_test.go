@@ -1,6 +1,7 @@
 package online
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,4 +120,113 @@ func TestOptRejectsInvalidInstance(t *testing.T) {
 	if _, err := Opt(in); err == nil {
 		t.Fatal("Opt accepted an unknown model")
 	}
+}
+
+// maxBruteForceArrivals caps the exponential enumeration in
+// BruteForceOpt.
+const maxBruteForceArrivals = 16
+
+// BruteForceOpt computes the offline optimum by enumerating every
+// subset of arrivals and checking schedulability directly. Exponential
+// — it refuses instances above maxBruteForceArrivals packets — and
+// exists solely to verify Opt on tiny instances.
+func BruteForceOpt(in *Instance) (float64, error) {
+	if err := in.Validate(); err != nil {
+		return 0, err
+	}
+	n := len(in.Arrivals)
+	if n > maxBruteForceArrivals {
+		return 0, fmt.Errorf("online: %d arrivals exceed the brute-force limit of %d", n, maxBruteForceArrivals)
+	}
+	best := 0.0
+	for mask := 0; mask < 1<<n; mask++ {
+		var value float64
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				value += in.Arrivals[i].Value
+			}
+		}
+		if value <= best {
+			continue
+		}
+		if schedulable(in, mask) {
+			best = value
+		}
+	}
+	return best, nil
+}
+
+// schedulable reports whether the subset of arrivals selected by mask
+// can all be transmitted under the instance's buffer discipline.
+func schedulable(in *Instance, mask int) bool {
+	chains := 1
+	if in.Model == ModelMultiQueue {
+		chains = in.Queues
+	}
+	counts := make([]int, chains)
+	if chains == 1 {
+		// Single chain: serving the (only) nonempty chain whenever
+		// possible is trivially optimal, no search needed.
+		i := 0
+		for t := 0; t < in.horizon(); t++ {
+			for ; i < len(in.Arrivals) && in.Arrivals[i].At == t; i++ {
+				if mask&(1<<i) != 0 {
+					counts[0]++
+				}
+			}
+			if counts[0] > in.Buffer {
+				return false
+			}
+			if counts[0] > 0 {
+				counts[0]--
+			}
+		}
+		return counts[0] == 0
+	}
+	// Multi-queue: which chain to serve each step matters, so search
+	// over service choices with memoization on (arrival index, step,
+	// counts).
+	seen := make(map[string]bool)
+	var try func(i, t int, prev []int) bool
+	try = func(i, t int, prev []int) bool {
+		counts := append([]int(nil), prev...)
+		for ; i < len(in.Arrivals) && in.Arrivals[i].At == t; i++ {
+			if mask&(1<<i) != 0 {
+				counts[in.Arrivals[i].Queue]++
+			}
+		}
+		total := 0
+		for _, c := range counts {
+			if c > in.Buffer {
+				return false
+			}
+			total += c
+		}
+		if i >= len(in.Arrivals) {
+			// No arrivals left: the backlog drains freely, one per step.
+			return true
+		}
+		if total == 0 {
+			// Idle until the next arrival batch.
+			return try(i, in.Arrivals[i].At, counts)
+		}
+		key := fmt.Sprint(i, t, counts)
+		if seen[key] {
+			return false
+		}
+		for q := range counts {
+			if counts[q] == 0 {
+				continue
+			}
+			counts[q]--
+			ok := try(i, t+1, counts)
+			counts[q]++
+			if ok {
+				return true
+			}
+		}
+		seen[key] = true
+		return false
+	}
+	return try(0, 0, counts)
 }

@@ -34,7 +34,7 @@ func TestDRRWeightedSharesEndToEnd(t *testing.T) {
 	rate := units.MbitsPerSecond(48)
 	d := NewDRR([]units.Rate{3 * units.Mbps, units.Mbps}, 500)
 	var got [2]units.Bytes
-	link := NewLink(s, rate, d, buffer.NewUnlimited(2), nil)
+	link := NewLink(s, rate, d, buffer.NewTailDrop(1<<60, 2), nil)
 	link.OnDepart = func(p *packet.Packet) { got[p.Flow] += p.Size }
 	for i := 0; i < 2; i++ {
 		src := source.NewCBR(s, i, 500, rate, link)

@@ -20,10 +20,11 @@ func runWFQ(t *testing.T, rate units.Rate, weights []units.Rate, offered []units
 	s := sim.New()
 	col := stats.NewCollector(len(weights), 0)
 	w := NewWFQ(rate, s.Now, weights)
-	// Unlimited buffer: these tests isolate scheduling fairness. (With a
-	// shared tail-drop buffer the first saturating flow would capture
-	// all the space — the very pathology the paper's §2 opens with.)
-	mgr := buffer.NewUnlimited(len(weights))
+	// A buffer no run comes near: these tests isolate scheduling
+	// fairness. (With a shared tail-drop buffer that fills, the first
+	// saturating flow would capture all the space — the very pathology
+	// the paper's §2 opens with.)
+	mgr := buffer.NewTailDrop(1<<60, len(weights))
 	link := NewLink(s, rate, w, mgr, col)
 	for i, r := range offered {
 		if r <= 0 {
@@ -143,7 +144,7 @@ func TestWFQDelayBoundForConformantFlow(t *testing.T) {
 	rho := units.MbitsPerSecond(8)
 	s := sim.New()
 	w := NewWFQ(rate, s.Now, []units.Rate{rho, rate - rho})
-	mgr := buffer.NewUnlimited(2)
+	mgr := buffer.NewTailDrop(1<<60, 2)
 	link := NewLink(s, rate, w, mgr, nil)
 
 	worst := 0.0

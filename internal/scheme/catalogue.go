@@ -7,52 +7,6 @@ import (
 	"strings"
 )
 
-// CatalogueEntry describes one registered scheduler or manager for
-// documentation: CLI -list-schemes output and the README table are both
-// rendered from these, so the docs cannot drift from the registry.
-type CatalogueEntry struct {
-	// Kind is "scheduler" or "manager".
-	Kind string
-	// Name is the spec token; Display the result-table label fragment.
-	Name    string
-	Display string
-	// Doc is the one-line description, Paper the paper section or
-	// reference it implements.
-	Doc   string
-	Paper string
-	// Params are the entry's tunables with defaults.
-	Params []ParamDef
-}
-
-// Catalogue returns every registered scheduler and manager, schedulers
-// first, each list in registry order.
-func Catalogue() []CatalogueEntry {
-	var out []CatalogueEntry
-	for _, d := range schedulers {
-		out = append(out, CatalogueEntry{
-			Kind: "scheduler", Name: d.name, Display: d.display,
-			Doc: d.doc, Paper: d.paper, Params: d.Params(),
-		})
-	}
-	for _, d := range managers {
-		display := d.display
-		if display == "" {
-			display = "(tail-drop)"
-		}
-		out = append(out, CatalogueEntry{
-			Kind: "manager", Name: d.name, Display: display,
-			Doc: d.doc, Paper: d.paper, Params: d.Params(),
-		})
-	}
-	return out
-}
-
-// Params returns a copy of the scheduler's parameter definitions.
-func (d *schedulerDef) Params() []ParamDef { return append([]ParamDef(nil), d.params...) }
-
-// Params returns a copy of the manager's parameter definitions.
-func (d *managerDef) Params() []ParamDef { return append([]ParamDef(nil), d.params...) }
-
 // formatParams renders "name=default (doc; range); ..." or "—".
 func formatParams(defs []ParamDef) string {
 	if len(defs) == 0 {

@@ -210,12 +210,18 @@ func TestInvalidParamValues(t *testing.T) {
 // range accepts, so a spec that omits a parameter builds as one that
 // names it.
 func TestParamDefaultsInRange(t *testing.T) {
-	for _, e := range Catalogue() {
-		for _, p := range e.Params {
+	check := func(kind, name string, params []ParamDef) {
+		for _, p := range params {
 			if err := p.check(p.Default); err != nil {
-				t.Errorf("%s %s: default: %v", e.Kind, e.Name, err)
+				t.Errorf("%s %s: default: %v", kind, name, err)
 			}
 		}
+	}
+	for _, d := range schedulers {
+		check("scheduler", d.name, d.params)
+	}
+	for _, d := range managers {
+		check("manager", d.name, d.params)
 	}
 }
 
@@ -330,32 +336,33 @@ func TestNewLink(t *testing.T) {
 	}
 }
 
-// TestCatalogue: every registry entry appears in the catalogue and in
-// at least one combination, and the renderers cover them.
+// TestCatalogue: every registry entry has a doc line and a paper
+// section, appears in at least one combination, and the renderers cover
+// it.
 func TestCatalogue(t *testing.T) {
-	entries := Catalogue()
-	if len(entries) != len(schedulers)+len(managers) {
-		t.Fatalf("catalogue has %d entries, registry %d", len(entries), len(schedulers)+len(managers))
-	}
-	specs := strings.Join(Specs(), " ")
-	for _, e := range entries {
-		if e.Doc == "" || e.Paper == "" {
-			t.Errorf("%s %q lacks doc or paper section", e.Kind, e.Name)
-		}
-		if !strings.Contains(specs, e.Name) {
-			t.Errorf("%s %q appears in no combination", e.Kind, e.Name)
-		}
-	}
 	var b strings.Builder
 	if err := WriteCatalogue(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if !strings.Contains(b.String(), e.Name) {
-			t.Errorf("-list-schemes output omits %q", e.Name)
+	specs, markdown := strings.Join(Specs(), " "), MarkdownCatalogue()
+	check := func(kind, name, doc, paper string) {
+		if doc == "" || paper == "" {
+			t.Errorf("%s %q lacks doc or paper section", kind, name)
 		}
-		if !strings.Contains(MarkdownCatalogue(), "`"+e.Name+"`") {
-			t.Errorf("markdown catalogue omits %q", e.Name)
+		if !strings.Contains(specs, name) {
+			t.Errorf("%s %q appears in no combination", kind, name)
 		}
+		if !strings.Contains(b.String(), name) {
+			t.Errorf("-list-schemes output omits %q", name)
+		}
+		if !strings.Contains(markdown, "`"+name+"`") {
+			t.Errorf("markdown catalogue omits %q", name)
+		}
+	}
+	for _, d := range schedulers {
+		check("scheduler", d.name, d.doc, d.paper)
+	}
+	for _, d := range managers {
+		check("manager", d.name, d.doc, d.paper)
 	}
 }
