@@ -4,7 +4,7 @@
 # registry metrics aggregation) and of the sharded engine's packet
 # hand-off (open loop, and closed loop with pooled packets crossing in
 # both directions) so they stay race-clean.
-.PHONY: verify build vet test race lint bench bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke comp-smoke sizing-smoke figs-smoke plan-smoke
+.PHONY: verify build vet test race lint bench bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke comp-smoke sizing-smoke figs-smoke plan-smoke trace-smoke
 
 verify: build vet test race
 
@@ -261,7 +261,10 @@ fuzz-smoke:
 # writes and parses back to itself), the random source against
 # math/rand, the event queue's dispatch order against a linear scan
 # (minimizing each new input for at most 5 s: the scan is quadratic,
-# and the default 60 s spends the minute on the first few inputs), the
+# and the default 60 s spends the minute on the first few inputs), a
+# FIFO link's computed departures against its departure events under
+# arrivals on exact departure instants and mid-run rate, failure and
+# hook changes (minimized the same way), the
 # admission daemon's decision-body scanner and its answer writer
 # against encoding/json, its snapshot restore (no panic, a refused body
 # leaves the snapshot as it was, an accepted one's snapshot restores
@@ -280,6 +283,7 @@ fuzz-nightly:
 	go test -run '^$$' -fuzz '^FuzzParseTopology$$' -fuzztime 60s ./internal/topology
 	go test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 60s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzDispatchMatchesNaiveOrder$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzComputedDeparturesMatchEvents$$' -fuzztime 60s -fuzzminimizetime 5s ./internal/sched
 	go test -run '^$$' -fuzz '^FuzzDecisionBodies$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzDecisionAnswers$$' -fuzztime 60s ./internal/qosd
 	go test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 60s ./internal/qosd
@@ -395,6 +399,40 @@ plan-smoke:
 		fi; \
 	done; \
 	echo "plan-smoke: ok (every screen at its pinned sha256)"
+
+# Time-series gate: qtrace is the one CLI that reads link state in
+# mid-run (its samplers settle the FIFO link's computed departures
+# first), so its output is pinned byte for byte: the first 16 hex
+# digits of the sha256 of each stdout must equal its TRACE_SMOKE_SHA256
+# entry, and so must the -metrics CSV of the threshold run with the
+# kernel's sim.* columns cut (they count events, which computed
+# departures do not spend). A change that moves these bytes on purpose
+# updates the list and records old -> new hash, with the reason, in
+# CHANGES.md in the same commit. CI runs this on every push.
+TRACE_SMOKE_SHA256 = threshold:4b23fb9751ff23b2 fifo-red:e3d2d8d7e640ccd1 \
+	example1:931ea028080cb3af threshold-metrics:b2e40e935ac74403
+
+trace-smoke:
+	@set -e; \
+	go build -o /tmp/bufqos-qtrace ./cmd/qtrace; \
+	check() { \
+		got=$$(sha256sum $$2 | cut -c1-16); \
+		want=$$(printf '%s\n' $(TRACE_SMOKE_SHA256) | sed -n "s/^$$1://p"); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "trace-smoke: $$1 sha256 $$got, want $${want:-(no entry in TRACE_SMOKE_SHA256)}"; exit 1; \
+		fi; \
+	}; \
+	/tmp/bufqos-qtrace -scheme threshold -metrics /tmp/bufqos-trace-metrics.csv > /tmp/bufqos-trace-threshold.csv; \
+	check threshold /tmp/bufqos-trace-threshold.csv; \
+	awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $$i !~ /^sim\./ } \
+		{ o = ""; for (i = 1; i <= NF; i++) if (keep[i]) o = o (o == "" ? "" : ",") $$i; print o }' \
+		/tmp/bufqos-trace-metrics.csv > /tmp/bufqos-trace-threshold-metrics.csv; \
+	check threshold-metrics /tmp/bufqos-trace-threshold-metrics.csv; \
+	/tmp/bufqos-qtrace -scheme fifo+red > /tmp/bufqos-trace-fifo-red.csv; \
+	check fifo-red /tmp/bufqos-trace-fifo-red.csv; \
+	/tmp/bufqos-qtrace -example1 > /tmp/bufqos-trace-example1.csv; \
+	check example1 /tmp/bufqos-trace-example1.csv; \
+	echo "trace-smoke: ok (every trace at its pinned sha256)"
 
 # Documentation drift gate: the README scheme catalogue and CLI table,
 # the EXPERIMENTS.md oracle catalogue and rent ledger, the EXPERIMENTS.md

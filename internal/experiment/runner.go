@@ -102,8 +102,9 @@ func NewPlane(o *Options) (*Plane, error) {
 		return nil, fmt.Errorf("experiment: duration %v is not positive and finite", cfg.Duration)
 	}
 	// Pending at once: at most a source timer and a shaper timer per
-	// flow and the link's departure. Reserving them up front spares the
-	// kernel's arena its growth copies.
+	// flow, and the link's departure where it is an event (a FIFO
+	// link computes its departures and queues none). Reserving them up
+	// front spares the kernel's arena its growth copies.
 	s := sim.New()
 	s.Reserve(2*len(cfg.Flows) + 1)
 	col := stats.NewCollector(len(cfg.Flows), cfg.Warmup)

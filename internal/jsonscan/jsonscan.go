@@ -22,6 +22,7 @@
 package jsonscan
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,10 +44,18 @@ var errTooLarge = fmt.Errorf("input exceeds the %d MiB cap", MaxDecode>>20)
 // white space follows the value. It fails on a stream longer than
 // MaxDecode.
 func Decode(r io.Reader, v any) error {
-	dec := json.NewDecoder(&capReader{io.LimitedReader{R: r, N: MaxDecode + 1}})
+	// encoding/json keeps the white space before a value in its buffer
+	// while it looks for the value, so leading blanks are read off here,
+	// toward the cap but into no buffer of their own.
+	br := bufio.NewReader(&capReader{io.LimitedReader{R: r, N: MaxDecode + 1}})
+	lead, err := skipSpace(br)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(br)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return err
+		return shiftOffset(err, lead)
 	}
 	switch _, err := dec.Token(); {
 	case err == io.EOF:
@@ -56,6 +65,38 @@ func Decode(r io.Reader, v any) error {
 	default:
 		return err
 	}
+}
+
+// skipSpace reads JSON white space off br and returns how many bytes it
+// read; the end of the stream is not an error here.
+func skipSpace(br *bufio.Reader) (int64, error) {
+	var n int64
+	for {
+		c, err := br.ReadByte()
+		switch {
+		case err == io.EOF:
+			return n, nil
+		case err != nil:
+			return n, err
+		case c != ' ' && c != '\t' && c != '\n' && c != '\r':
+			return n, br.UnreadByte()
+		}
+		n++
+	}
+}
+
+// shiftOffset moves the stream offset an encoding/json error reports by
+// the lead bytes read before the decoder saw the stream.
+func shiftOffset(err error, lead int64) error {
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &syntax):
+		syntax.Offset += lead
+	case errors.As(err, &typ):
+		typ.Offset += lead
+	}
+	return err
 }
 
 // capReader reads at most MaxDecode+1 bytes, and fails once it has read

@@ -3,7 +3,10 @@ package jsonscan
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -125,6 +128,39 @@ func TestDecodeCapsItsInput(t *testing.T) {
 			t.Errorf("MaxDecode%+d bytes: %v, want an error naming the cap", c.over, err)
 		case !c.ok && pad.n < c.over-1:
 			t.Errorf("MaxDecode%+d bytes: read %d bytes past the cap", c.over, c.over-pad.n)
+		}
+	}
+}
+
+// TestDecodeDiscardsLeadingBlanks: white space before the value counts
+// toward the cap but is not buffered, so a stream of MaxDecode+1 blanks
+// is refused naming the cap after well under 1 MB of allocation, and an
+// error's offset still counts from the start of the stream.
+func TestDecodeDiscardsLeadingBlanks(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := Decode(&blanks{n: MaxDecode + 1}, new(struct{}))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "64 MiB cap") {
+		t.Errorf("MaxDecode+1 blanks: %v, want an error naming the cap", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("MaxDecode+1 blanks allocated %d bytes, want under 1 MB", alloc)
+	}
+	for _, in := range []string{" \n\t\r {\"a\": x}", "   [1,", "\n\n {\"a\": \"s\"}", "  ", "\t}"} {
+		var got, want struct{ A int }
+		gotErr := Decode(strings.NewReader(in), &got)
+		wantErr := json.NewDecoder(strings.NewReader(in)).Decode(&want)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("Decode(%q) = %v, want encoding/json's %v", in, gotErr, wantErr)
+		}
+		var gs, ws *json.SyntaxError
+		if errors.As(gotErr, &gs) && errors.As(wantErr, &ws) && gs.Offset != ws.Offset {
+			t.Errorf("Decode(%q): syntax error at offset %d, want %d", in, gs.Offset, ws.Offset)
+		}
+		var gt, wt *json.UnmarshalTypeError
+		if errors.As(gotErr, &gt) && errors.As(wantErr, &wt) && gt.Offset != wt.Offset {
+			t.Errorf("Decode(%q): type error at offset %d, want %d", in, gt.Offset, wt.Offset)
 		}
 	}
 }

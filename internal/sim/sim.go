@@ -40,6 +40,19 @@
 // whose wires hold most of its pending packets keeps a queue as deep as
 // its flows and links, not its packets in flight.
 //
+// Completions computed ahead of the clock (held.go) spend no event. A
+// FIFO link knows each departure when it admits the packet, so it
+// keeps its departures in a ring under the keys their events would
+// have had, (d, start, seq): Current gives the key of the event being
+// dispatched, so the link completes what precedes it before its next
+// admission, and DrawSeq gives a departure its sequence number without
+// queuing anything. The link is a Holder, and the kernel settles what
+// it still holds when a run call returns — RunUntil(t) every
+// completion due at or before t, RunBefore(t) every one before t, Step
+// and Run one at a time in key order once the queue is empty, moving
+// the clock as the event would have — and, through Settle, for a
+// reader in the middle of a run (a sampler). Steps counts events only.
+//
 // Random streams (rand.go) are math/rand's generator bit for bit, in a
 // Source that builds its 607-word register lazily: seeding is O(1), the
 // first 607 draws are computed from the seed, and the register is
@@ -186,6 +199,13 @@ type Simulator struct {
 	lined int
 
 	pool packet.Pool
+
+	// cur is the key of the event being dispatched, meaningful while
+	// running (held.go: Current), and holders the holders of
+	// completions computed ahead of the clock that Hold registered.
+	cur     Key
+	running bool
+	holders []Holder
 
 	// Metric handles, nil unless Instrument was called. Nil handles
 	// no-op, so the disabled path costs one branch per operation.
@@ -372,24 +392,31 @@ func (s *Simulator) Reserve(n int) {
 }
 
 // Step executes the next pending event and reports whether one was
-// executed.
+// executed. With no event queued it settles instead the earliest
+// completion a Holder holds, moving the clock to its time, and reports
+// whether there was one.
 func (s *Simulator) Step() bool {
 	id, ok := s.pop(math.MaxUint64) // above every key
-	if ok {
-		s.dispatch(id)
+	if !ok {
+		return s.settle(Key{math.Inf(1), math.Inf(1), math.MaxUint64}, 1) > 0
 	}
-	return ok
+	s.running = true
+	s.dispatch(id)
+	s.running = false
+	return true
 }
 
 // RunUntil executes events in order until the clock would pass t or the
-// queue drains. Events scheduled exactly at t do fire. On return the
-// clock reads exactly t (even if the queue drained earlier), so
-// measurement intervals are well defined.
+// queue drains. Events scheduled exactly at t do fire, and every held
+// completion due at or before t is settled. On return the clock reads
+// exactly t (even if the queue drained earlier), so measurement
+// intervals are well defined.
 func (s *Simulator) RunUntil(t float64) {
 	if !(t >= s.now) { // NaN fails the comparison too
 		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now %v)", t, s.now))
 	}
 	s.runTo(t, false)
+	s.settle(Key{t, math.Inf(1), 0}, math.MaxInt)
 	s.now = t
 }
 
@@ -398,12 +425,14 @@ func (s *Simulator) RunUntil(t float64) {
 // exactly t stay queued — the sharded engine runs each synchronization
 // window [T, T+W) with RunBefore(T+W), so arrivals landing exactly on a
 // window boundary execute in the next window, after the exchange that
-// may deliver their equal-time cross-shard peers.
+// may deliver their equal-time cross-shard peers. Held completions due
+// before t are settled, and move the clock as their events would have.
 func (s *Simulator) RunBefore(t float64) {
 	if !(t >= s.now) { // NaN fails the comparison too
 		panic(fmt.Sprintf("sim: RunBefore(%v) is in the past (now %v)", t, s.now))
 	}
 	s.runTo(t, true)
+	s.settle(Key{t, math.Inf(-1), 0}, math.MaxInt)
 }
 
 // runTo is the one dispatch loop: it runs events in (time, sched, seq)
@@ -413,13 +442,15 @@ func (s *Simulator) runTo(t float64, exclusive bool) {
 	if exclusive {
 		limit--
 	}
+	s.running = true
 	for {
 		id, ok := s.pop(limit)
 		if !ok {
-			return
+			break
 		}
 		s.dispatch(id)
 	}
+	s.running = false
 }
 
 // dispatch runs the popped event id: it frees the slot first, so the
@@ -429,6 +460,7 @@ func (s *Simulator) dispatch(id int32) {
 	n := &s.nodes[id]
 	h, p := n.h, n.p
 	s.now = n.time
+	s.cur = Key{n.time, n.sched, n.seq}
 	s.nsteps++
 	if s.mDispatched != nil {
 		s.mDispatched.Inc()

@@ -51,6 +51,10 @@ func (sa *Sampler) sample() {
 	if sa.stopped {
 		return
 	}
+	// Completions the kernel holds ahead of the clock (a FIFO link's
+	// computed departures) land first, so the probe reads the state
+	// their events would have left.
+	sa.sim.Settle()
 	row := sa.probe()
 	if len(sa.labels) > 0 && len(row) != len(sa.labels) {
 		panic(fmt.Sprintf("trace: probe returned %d values for %d labels", len(row), len(sa.labels)))
