@@ -328,7 +328,8 @@ comp-smoke:
 # Buffer-sizing gate: the default qsize sweep at worker counts 1 and 4
 # must produce byte-identical reports, the √n utilization floor must
 # hold (-check exits 1 otherwise), and the committed BENCH_sizing.json
-# must match a fresh run. CI runs this on every push.
+# must match a fresh run; a stale one prints its first differing lines.
+# CI runs this on every push.
 sizing-smoke:
 	@set -e; \
 	go build -o /tmp/bufqos-qsize ./cmd/qsize; \
@@ -341,7 +342,8 @@ sizing-smoke:
 		diff /tmp/bufqos-sizing-1.json /tmp/bufqos-sizing-4.json; exit 1; \
 	fi; \
 	if ! cmp -s /tmp/bufqos-sizing-1.json BENCH_sizing.json; then \
-		echo "sizing-smoke: committed BENCH_sizing.json is stale"; \
+		echo "sizing-smoke: committed BENCH_sizing.json is stale (< committed, > fresh):"; \
+		diff BENCH_sizing.json /tmp/bufqos-sizing-1.json | head -20 || true; \
 		echo "regenerate with: go run ./cmd/qsize -out BENCH_sizing.json -check"; \
 		echo "then refresh the EXPERIMENTS.md tables: go run ./cmd/qsize -md BENCH_sizing.json"; \
 		exit 1; \

@@ -14,31 +14,38 @@ import (
 
 // TestDeliveryReceivesWithoutAllocating: delivery is where a data
 // packet's life ends, and for a closed-loop flow where an ACK's begins;
-// both come from and go back to the pool.
+// both come from and go back to the pool, whether the packet is booked
+// now (Receive) or ahead of the clock (ReceiveAt).
 func TestDeliveryReceivesWithoutAllocating(t *testing.T) {
 	for _, closed := range []bool{false, true} {
-		s := sim.New()
-		d := NewDeliveryLight(s, 1)
-		acked := 0
-		if closed {
-			d.SetAcker(0, TCPAckSize, func(ap *packet.Packet) {
-				acked++
-				s.Release(ap)
-			})
-		}
-		seq := uint64(0)
-		receive := func() {
-			p := s.NewPacket()
-			p.Size, p.Seq = 1500, seq
-			seq++
-			d.Receive(p)
-		}
-		receive()
-		if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {
-			t.Errorf("closed=%v: Receive allocates %v/op in steady state, want 0", closed, allocs)
-		}
-		if closed && acked != 1002 {
-			t.Errorf("acked %d segments, want 1002", acked)
+		for _, ahead := range []bool{false, true} {
+			s := sim.New()
+			d := NewDeliveryLight(s, 1)
+			acked := 0
+			if closed {
+				d.SetAcker(0, TCPAckSize, func(ap *packet.Packet) {
+					acked++
+					s.Release(ap)
+				})
+			}
+			seq := uint64(0)
+			receive := func() {
+				p := s.NewPacket()
+				p.Size, p.Seq = 1500, seq
+				seq++
+				if ahead {
+					d.ReceiveAt(p, 0.01)
+				} else {
+					d.Receive(p)
+				}
+			}
+			receive()
+			if allocs := testing.AllocsPerRun(1000, receive); allocs != 0 {
+				t.Errorf("closed=%v ahead=%v: delivery allocates %v/op in steady state, want 0", closed, ahead, allocs)
+			}
+			if closed && acked != 1002 {
+				t.Errorf("acked %d segments, want 1002", acked)
+			}
 		}
 	}
 }

@@ -7,6 +7,15 @@
 // multi-hop topology engine all wire their flows through this package;
 // what lies between the two ends — one link, or a routed network of
 // them — is the runner's.
+//
+// A delivery costs no event. Everything it does is known when the
+// packet leaves its last link at d: it reaches the sink at t = d +
+// prop, the wire's fixed delay. So the runners book it then, with
+// Delivery.ReceiveAt(p, t), instead of scheduling an event at t, and
+// stamp the acknowledgement it produces with t. A reader of the sink in
+// the middle of a run would see deliveries up to one prop early; every
+// runner reads it after the run, when all bookings due by the horizon
+// are in and none after it was made.
 package network
 
 import (
@@ -20,6 +29,16 @@ import (
 
 // Delivery records end-to-end completions at the far end of a flow's
 // route.
+//
+// Runners book a packet when it departs its last link (ReceiveAt at its
+// arrival time t), so the acknowledgement a closed-loop flow returns is
+// scheduled at the departure d, due at t + δ (δ the reverse path's
+// delay) and stamped t — the key it would get from a delivery event at
+// t — but with a sequence number drawn at d rather than t. That is the
+// tie rule: an event due at exactly t + δ with stamp exactly t whose
+// sequence number was drawn in [d, t) — one scheduled at t ahead of
+// that delivery event — runs after the ACK, not before it. Nothing
+// else changes order.
 type Delivery struct {
 	sim *sim.Simulator
 	// per-flow counters
@@ -108,8 +127,9 @@ func (b *seqBitmap) grow(base, need uint64) {
 	b.words = words
 }
 
-// receive processes one data segment and emits the cumulative ACK.
-func (r *tcpEndpoint) receive(d *Delivery, p *packet.Packet) {
+// receive processes one data segment arriving at t and emits the
+// cumulative ACK, created and arrived at t.
+func (r *tcpEndpoint) receive(d *Delivery, p *packet.Packet, t float64) {
 	switch {
 	case p.Seq < r.rcvNxt || r.ooo.has(r.rcvNxt, p.Seq):
 		r.dups++
@@ -124,12 +144,11 @@ func (r *tcpEndpoint) receive(d *Delivery, p *packet.Packet) {
 		r.goodput.Add(p.Size)
 		r.ooo.set(r.rcvNxt, p.Seq)
 	}
-	now := d.sim.Now()
 	ap := d.sim.NewPacket()
 	ap.Flow = p.Flow
 	ap.Size = r.ackSize
-	ap.Created = now
-	ap.Arrived = now
+	ap.Created = t
+	ap.Arrived = t
 	ap.Seq = r.ackSeq
 	ap.Ack = true
 	ap.AckSeq = r.rcvNxt
@@ -154,29 +173,35 @@ func NewDeliveryLight(s *sim.Simulator, nflows int) *Delivery {
 // NumFlows returns how many flows the delivery sink tracks.
 func (d *Delivery) NumFlows() int { return len(d.packets) }
 
-// Receive is the handler of every packet event that ends at the sink:
-// record the completion, acknowledge it when the flow is closed-loop,
-// and release the packet — delivery is where a data packet's life ends.
-// It measures delay from p.Created, so nothing need stamp p.Arrived
-// first.
+// Receive books p as arriving now: ReceiveAt(p, Now()). It is the
+// handler of a packet event that ends at the sink.
+func (d *Delivery) Receive(p *packet.Packet) { d.ReceiveAt(p, d.sim.Now()) }
+
+// ReceiveAt books p as arriving at the sink at t, which may lie ahead
+// of the clock: record the completion with delay t − p.Created,
+// acknowledge it when the flow is closed-loop — the ACK is created and
+// arrived at t, and handed to the acker now — and release the packet,
+// since delivery is where a data packet's life ends. Nothing need stamp
+// p.Arrived first. A flow's packets must be booked in the order of
+// their arrival times, as a wire of fixed delay delivers them.
 // A packet whose flow ID is outside the sink's range panics with a
 // message naming the flow — a topology that forwards an unknown flow is
 // a wiring bug, and the bare index-out-of-range panic it used to cause
 // gave no hint which flow was misrouted.
-func (d *Delivery) Receive(p *packet.Packet) {
+func (d *Delivery) ReceiveAt(p *packet.Packet, t float64) {
 	if p.Flow < 0 || p.Flow >= len(d.packets) {
 		panic(fmt.Sprintf("network: delivery received packet of unknown flow %d (tracking flows 0..%d); check the topology's routes", p.Flow, len(d.packets)-1))
 	}
 	d.packets[p.Flow]++
 	d.bytes[p.Flow] += p.Size
-	delay := d.sim.Now() - p.Created
+	delay := t - p.Created
 	d.dsum[p.Flow] += delay
 	if delay > d.dmax[p.Flow] {
 		d.dmax[p.Flow] = delay
 	}
 	if d.tcp != nil {
 		if r := &d.tcp[p.Flow]; r.ack != nil {
-			r.receive(d, p)
+			r.receive(d, p, t)
 		}
 	}
 	d.sim.Release(p)
@@ -188,9 +213,11 @@ const TCPAckSize units.Bytes = 40
 
 // SetAcker registers flow as closed-loop: every delivered data segment
 // is answered with a cumulative acknowledgement packet of the given
-// size, handed to ack at delivery time. The caller routes the ACK back
-// towards the source (typically across the flow's reverse path delay)
-// and owns it: the sender's OnAck releases the ACK it is handed.
+// size, handed to ack when the segment is booked and stamped (Created,
+// Arrived) with its arrival time. The caller routes the ACK back
+// towards the source (typically across the flow's reverse path delay,
+// from that stamp) and owns it: the sender's OnAck releases the ACK it
+// is handed.
 func (d *Delivery) SetAcker(flow int, ackSize units.Bytes, ack func(p *packet.Packet)) {
 	if d.tcp == nil {
 		d.tcp = make([]tcpEndpoint, len(d.packets))

@@ -23,8 +23,12 @@ import (
 //     departed packet — each only when no OnDrop/OnDepart hook is
 //     installed. An installed hook takes ownership: it may forward the
 //     packet, hand it back to a Receive, or keep it.
-//   - network.Delivery.Receive releases the data packet after
-//     accounting and ACK generation.
+//   - network.Delivery.ReceiveAt (and Receive) releases the data packet
+//     after accounting and ACK generation. The runners call it when the
+//     packet departs its last link, with its arrival time, and release
+//     it themselves when that time lies past the run's horizon; an
+//     open-loop sizing cell, which reads nothing at the far end,
+//     releases it in its departure hook.
 //   - source.TCP.OnAck and OnDrop release the notification they were
 //     handed before returning; network.Flows.Feedback releases one
 //     naming a flow that has no sender.

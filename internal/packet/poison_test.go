@@ -3,9 +3,11 @@ package packet_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bufqos/internal/experiment"
@@ -96,7 +98,7 @@ func TestPoisonTopologyGoldens(t *testing.T) {
 				return append(b, '\n')
 			})
 			if string(got) != string(want) {
-				t.Errorf("%s at %d shard(s): result under poisoned release diverges from the committed golden", name, shards)
+				t.Errorf("%s at %d shard(s): result under poisoned release diverges from the committed golden at %s", name, shards, firstDiff(got, want))
 			}
 		}
 	}
@@ -122,4 +124,47 @@ func TestPoisonSizingClosedLoopCell(t *testing.T) {
 	if !reflect.DeepEqual(clean, got) {
 		t.Errorf("report moved under poisoned release:\n clean    %+v\n poisoned %+v", clean.Cells[0], got.Cells[0])
 	}
+}
+
+// TestPoisonSizingOpenLoopCell: on-off sources into wfq+sharing, the
+// shape of the link-wfq-1k benchmark cell at small n. The departure
+// hook books the queueing delay and releases the packet itself.
+func TestPoisonSizingOpenLoopCell(t *testing.T) {
+	run := func() *sizing.Report {
+		rep, err := sizing.Sweep(context.Background(), sizing.Config{
+			Cells:    []sizing.CellSpec{{Flows: 50, Rule: sizing.RuleSqrt, Scheme: "wfq+sharing", Open: true}},
+			Duration: 2, Seed: 3, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean, got := run(), poisoned(run)
+	if clean.Cells[0].MeanDelayMs == 0 {
+		t.Error("no queueing delay booked: the departure path was not exercised")
+	}
+	if !reflect.DeepEqual(clean, got) {
+		t.Errorf("report moved under poisoned release:\n clean    %+v\n poisoned %+v", clean.Cells[0], got.Cells[0])
+	}
+}
+
+// firstDiff names the first line in which got differs from want, with
+// both sides: on an indented JSON result it reads as the field that
+// moved, e.g. `line 12: golden "Events": 365598, got "Events": 331815`.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		gl, wl := "(end)", "(end)"
+		if i < len(g) {
+			gl = strings.TrimSpace(g[i])
+		}
+		if i < len(w) {
+			wl = strings.TrimSpace(w[i])
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d: golden %s, got %s", i+1, wl, gl)
+		}
+	}
+	return "no differing line"
 }

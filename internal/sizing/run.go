@@ -87,12 +87,18 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 	if err != nil {
 		return Cell{}, err
 	}
-	// Pending at once: a timer per flow and the packets on the
-	// propagation paths, at most a window of the longest RTTs (1.5·RTT,
-	// below) in flight. Reserving them up front spares the kernel's
-	// arena its growth copies.
+	// Pending at once: a timer per flow and, in a closed loop, the
+	// segments and acknowledgements in flight, at most a window of the
+	// longest RTTs (1.5·RTT, below). An open-loop cell books each
+	// departure at once, so only the link's transmission joins its
+	// timers. Reserving them up front spares the kernel's arena its
+	// growth copies.
+	pending := n + 1
+	if !spec.Open {
+		pending = n + int(1.5*c.BytesPerSecond()*rtt/float64(segment))
+	}
 	s := sim.New()
-	s.Reserve(n + int(1.5*c.BytesPerSecond()*rtt/float64(segment)))
+	s.Reserve(pending)
 	col := stats.NewCollector(n, warmup)
 	link, err := sc.NewLink(s, scheme.Config{
 		Specs:      specs,
@@ -104,27 +110,8 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 	if err != nil {
 		return Cell{}, err
 	}
-	delivery := network.NewDeliveryLight(s, n)
 	qdelay := stats.NewDelayTracker(0)
 
-	// Per-flow propagation: half the flow's RTT after the bottleneck,
-	// the other half on the ACK path. RTTs are spread uniformly over
-	// [0.5, 1.5]·RTT (mean RTT, the value the rules size against) — with
-	// one shared RTT the closed-loop population phase-locks and drop-tail
-	// starves late starters outright, a synchronization artifact the
-	// buffer-sizing literature removes the same way.
-	rng := sim.NewRand(seed)
-	props := make([]float64, n)
-	for i := range props {
-		props[i] = (rtt / 2) * (0.5 + rng.Float64())
-	}
-	deliver := delivery.Receive
-	link.OnDepart = func(p *packet.Packet) {
-		if now := s.Now(); now >= warmup {
-			qdelay.Add(now - p.Arrived)
-		}
-		s.AfterPacket(props[p.Flow], deliver, p)
-	}
 	// Open-loop population: on-off sources matching the declared
 	// (σ,ρ,peak) profiles in the paper's parameterization. Closed-loop
 	// population: NewReno senders paced at link speed.
@@ -145,11 +132,49 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 		}
 	}
 	flows := network.NewFlows(chains, seed)
+	var delivery *network.Delivery
 	if spec.Open {
+		// Nothing reads an open-loop cell's far end — its goodput is
+		// what departs the bottleneck — so a departure books its
+		// queueing delay and ends the packet's life.
+		link.OnDepart = func(p *packet.Packet) {
+			if now := s.Now(); now >= warmup {
+				qdelay.Add(now - p.Arrived)
+			}
+			s.Release(p)
+		}
 		for i := range chains {
 			flows.Start(i).Fire()
 		}
 	} else {
+		delivery = network.NewDeliveryLight(s, n)
+		// Per-flow propagation: half the flow's RTT after the
+		// bottleneck, the other half on the ACK path. RTTs are spread
+		// uniformly over [0.5, 1.5]·RTT (mean RTT, the value the rules
+		// size against) — with one shared RTT the closed-loop population
+		// phase-locks and drop-tail starves late starters outright, a
+		// synchronization artifact the buffer-sizing literature removes
+		// the same way.
+		rng := sim.NewRand(seed)
+		props := make([]float64, n)
+		for i := range props {
+			props[i] = (rtt / 2) * (0.5 + rng.Float64())
+		}
+		// A departing segment is booked at the far end at once, at its
+		// arrival time, or released if that lies past the run, where its
+		// delivery event would never have fired. The ACK leaves stamped
+		// with that arrival time (network.Delivery's tie rule).
+		link.OnDepart = func(p *packet.Packet) {
+			now := s.Now()
+			if now >= warmup {
+				qdelay.Add(now - p.Arrived)
+			}
+			if t := now + props[p.Flow]; t <= duration {
+				delivery.ReceiveAt(p, t)
+			} else {
+				s.Release(p)
+			}
+		}
 		// The senders are ACKed from the far end across the reverse
 		// propagation delay. Starts are staggered over two RTTs — enough
 		// jitter to split the slow-start bursts across event times, short
@@ -158,7 +183,9 @@ func runCell(ctx context.Context, cfg *Config, spec CellSpec, seed int64) (Cell,
 		// everyone out).
 		feedback := flows.Feedback
 		link.OnDrop = feedback
-		sendAck := func(ap *packet.Packet) { s.AfterPacket(props[ap.Flow], feedback, ap) }
+		sendAck := func(ap *packet.Packet) {
+			s.AtStampedPacket(ap.Created+props[ap.Flow], ap.Created, feedback, ap)
+		}
 		spread := 2 * rtt
 		for i := range chains {
 			delivery.SetAcker(i, network.TCPAckSize, sendAck)

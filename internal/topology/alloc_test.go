@@ -113,3 +113,20 @@ func TestEngineHeapHoldsLineHeads(t *testing.T) {
 		t.Errorf("heap depth reached %d, above flows + 4·links + 256 = %d: packets on the wire are back in the heap", depth, bound)
 	}
 }
+
+// TestEngineWiresOnlyForwardingLinks: a delivery is booked at its last
+// departure, so only a link that forwards packets to a next hop on its
+// own shard gets a delay line. On the two-hop closed-loop pair, the
+// first hop forwards and keeps its line; the last hop and the two
+// reverse links, which carry only feedback, get none.
+func TestEngineWiresOnlyForwardingLinks(t *testing.T) {
+	e, err := newEngine(tcpPair(t, "fifo+threshold"), Options{Duration: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, el := range e.links {
+		if wired := el.line != nil; wired != (li == 0) {
+			t.Errorf("link %d (%s→%s): has a line %v, want %v", li, e.topo.Links[li].From, e.topo.Links[li].To, wired, li == 0)
+		}
+	}
+}

@@ -143,9 +143,10 @@ type engineLink struct {
 	// scheme, or no traversing flows).
 	flows []int32
 	prop  float64
-	// line is the link's propagation wire on its shard's kernel, nil
-	// when prop is zero: every packet forwarded or delivered on the
-	// same shard rides it.
+	// line is the link's propagation wire on its shard's kernel: every
+	// packet forwarded to a next hop on the same shard rides it. It is
+	// nil when prop is zero or no such packet leaves the link; a
+	// delivery is booked at departure instead.
 	line *sim.DelayLine
 	// arrive is the handler of every packet event that ends at this
 	// link: stamp the arrival and enqueue. Built once per link, it
@@ -158,9 +159,6 @@ type engineShard struct {
 	s        *sim.Simulator
 	delivery *network.Delivery
 	outbox   []shard.Item[crossing]
-	// deliver is the handler of a packet event that ends at the
-	// delivery sink, built once per shard.
-	deliver func(p *packet.Packet)
 	// ack is the acker of every closed-loop flow delivering on this
 	// shard: it sends the acknowledgement home along the reverse path
 	// of the flow it names. Built once per shard.
@@ -199,16 +197,16 @@ var generators = map[SourceKind]network.Source{
 }
 
 // cross queues p for the barrier exchange towards shard dst, due at
-// now+delay, and releases the local packet: from here on the copy in
-// the outbox is the packet.
-func (es *engineShard) cross(dst int, delay float64, p *packet.Packet, load crossing) {
-	now := es.s.Now()
+// at+delay and stamped at — the instant p leaves (now, or a booked
+// delivery's arrival time) — and releases the local packet: from here
+// on the copy in the outbox is the packet.
+func (es *engineShard) cross(dst int, at, delay float64, p *packet.Packet, load crossing) {
 	load.pkt = *p
 	es.s.Release(p)
 	es.outbox = append(es.outbox, shard.Item[crossing]{
 		Dst:   dst,
-		Time:  now + delay,
-		Sched: now,
+		Time:  at + delay,
+		Sched: at,
 		Load:  load,
 	})
 }
@@ -419,10 +417,9 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 			s:        s,
 			delivery: network.NewDeliveryLight(s, len(t.Flows)),
 		}
-		es.deliver = es.delivery.Receive
 		es.ack = func(ap *packet.Packet) {
 			route := t.Flows[ap.Flow].Route
-			e.sendFeedback(es, e.links[route[len(route)-1]], ap, crossAck, e.ackDelay[ap.Flow])
+			e.sendFeedback(es, e.links[route[len(route)-1]], ap, crossAck, ap.Created, e.ackDelay[ap.Flow])
 		}
 		e.shards[i] = es
 	}
@@ -572,11 +569,14 @@ func newEngine(t *Topology, opts Options) (*engine, error) {
 
 // buildLines gives every link with a propagation delay its wire: a
 // delay line on its shard's kernel, each shard's rings carved from one
-// slab. A ring starts with room for every packet its wire can hold at
-// once: departures are at least one smallest packet's transmission
-// apart at the fastest rate the link is ever set to, and each stays
-// on the wire for the propagation delay. Past wireRoomMax a ring
-// starts smaller and grows. The result is indexed by link.
+// slab. Only a packet forwarded to a next hop on the same shard rides
+// a wire — a delivery is booked at departure and a crossing goes
+// through the outbox — so a link no such packet leaves gets no line.
+// A ring starts with room for every packet its wire can hold at once:
+// departures are at least one smallest riding packet's transmission
+// apart at the fastest rate the link is ever set to, and each stays on
+// the wire for the propagation delay. Past wireRoomMax a ring starts
+// smaller and grows. The result is indexed by link.
 func (e *engine) buildLines() []*sim.DelayLine {
 	t := e.topo
 	fastest := make([]units.Rate, len(t.Links))
@@ -588,27 +588,33 @@ func (e *engine) buildLines() []*sim.DelayLine {
 			fastest[ev.link] = max(fastest[ev.link], ev.Rate)
 		}
 	}
+	// smallest is the smallest packet riding each link's wire, zero
+	// where none does (validated packet sizes are positive).
+	smallest := make([]units.Bytes, len(t.Links))
+	for fi := range t.Flows {
+		route := t.Flows[fi].Route
+		for h := 0; h+1 < len(route); h++ {
+			li := route[h]
+			if e.part.Assign[li] != e.part.Assign[route[h+1]] {
+				continue
+			}
+			if sz := t.Flows[fi].PacketSize; smallest[li] == 0 || sz < smallest[li] {
+				smallest[li] = sz
+			}
+		}
+	}
+	wired := func(li int) bool { return t.Links[li].PropDelay != 0 && smallest[li] != 0 }
 	delays := make([][]float64, len(e.shards))
 	room := make([][]int, len(e.shards))
 	for li := range t.Links {
-		l := &t.Links[li]
-		if l.PropDelay == 0 {
+		if !wired(li) {
 			continue
 		}
-		var smallest units.Bytes
-		for _, fi := range e.ft.LinkFlows[li] {
-			if sz := t.Flows[fi].PacketSize; smallest == 0 || sz < smallest {
-				smallest = sz
-			}
-		}
-		n := 1
-		if smallest > 0 {
-			gap := units.TransmissionTime(smallest, fastest[li])
-			n = int(min(math.Ceil(l.PropDelay/gap), wireRoomMax)) + 2
-		}
+		l := &t.Links[li]
+		gap := units.TransmissionTime(smallest[li], fastest[li])
 		sh := e.part.Assign[li]
 		delays[sh] = append(delays[sh], l.PropDelay)
-		room[sh] = append(room[sh], n)
+		room[sh] = append(room[sh], int(min(math.Ceil(l.PropDelay/gap), wireRoomMax))+2)
 	}
 	built := make([][]sim.DelayLine, len(e.shards))
 	for i, es := range e.shards {
@@ -616,7 +622,7 @@ func (e *engine) buildLines() []*sim.DelayLine {
 	}
 	lines := make([]*sim.DelayLine, len(t.Links))
 	for li := range t.Links {
-		if sh := e.part.Assign[li]; t.Links[li].PropDelay != 0 {
+		if sh := e.part.Assign[li]; wired(li) {
 			lines[li] = &built[sh][0]
 			built[sh] = built[sh][1:]
 		}
@@ -634,12 +640,16 @@ func (e *engine) shardOfFlow(fi int) *engineShard {
 
 // forwardFrom builds el's OnDepart hook: translate the departing
 // packet's data-plane id back to the global flow, advance the hop, and
-// hand the packet to the next link (same shard: direct or After; other
-// shard: outbox item for the barrier exchange) or the delivery sink
-// (always local — a flow terminates on its last link's shard).
+// hand the packet to the next link (same shard: direct or along the
+// wire; other shard: outbox item for the barrier exchange) or book it
+// at the delivery sink (always local — a flow terminates on its last
+// link's shard). A delivery costs no event: the packet is booked now
+// at its arrival time, or released when that lies past the horizon,
+// where its delivery event would never have fired.
 func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 	es := e.shards[el.shard]
 	ft := e.ft
+	horizon := e.opts.Duration
 	return func(p *packet.Packet) {
 		g := int32(p.Flow)
 		if el.flows != nil {
@@ -648,18 +658,18 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 		idx := ft.RouteOff[g] + p.Hop + 1
 		if idx >= ft.RouteOff[g+1] {
 			p.Flow = int(g)
-			if el.line == nil {
-				es.deliver(p)
-				return
+			if t := es.s.Now() + el.prop; t <= horizon {
+				es.delivery.ReceiveAt(p, t)
+			} else {
+				es.s.Release(p)
 			}
-			el.line.Send(es.deliver, p)
 			return
 		}
 		p.Hop++
 		p.Flow = int(e.hopEntry[idx])
 		dst := e.links[ft.RouteLink[idx]]
 		if dst.shard == el.shard {
-			if el.line == nil {
+			if el.prop == 0 {
 				dst.arrive(p)
 				return
 			}
@@ -668,7 +678,7 @@ func (e *engine) forwardFrom(el *engineLink) func(p *packet.Packet) {
 		}
 		// The partitioner colocates zero-lookahead edges, so a crossing
 		// always has prop > 0 and lands at least one window ahead.
-		es.cross(dst.shard, el.prop, p,
+		es.cross(dst.shard, es.s.Now(), el.prop, p,
 			crossing{dstLink: int32(dst.topoIdx), srcLink: int32(el.topoIdx), flow: g})
 	}
 }
@@ -692,32 +702,38 @@ func (e *engine) dropFrom(el *engineLink) func(p *packet.Packet) {
 			return
 		}
 		p.Flow = int(g)
-		e.sendFeedback(es, el, p, crossDrop, e.dropDelay[ft.RouteOff[g]+p.Hop])
+		e.sendFeedback(es, el, p, crossDrop, es.s.Now(), e.dropDelay[ft.RouteOff[g]+p.Hop])
 	}
 }
 
 // sendFeedback routes one reverse-direction notification (ACK or drop)
 // generated on shard src at link from back to the source of the flow p
-// names (p.Flow is the global id), after the given propagation delay. Same shard: direct call (zero delay,
-// matching the data path's same-event forwarding) or After; other
-// shard: an outbox item for the window barrier, stamped exactly like a
-// data crossing so the hand-off instant is bit-identical to the
-// single-shard After. A cross-shard item always has delay ≥ the
-// synchronization window, because the feedback edge's lookahead is
-// this delay (zero-delay feedback paths are colocated by the
-// partitioner).
-func (e *engine) sendFeedback(src *engineShard, from *engineLink, p *packet.Packet, kind crossingKind, delay float64) {
+// names (p.Flow is the global id). It leaves at the instant at — now
+// for a drop, the booked delivery's arrival time for an ACK, which may
+// lie ahead of the clock — and arrives the given propagation delay
+// later. Same shard: an event due at at+delay stamped at, or with zero
+// delay a direct call (matching the data path's same-event forwarding)
+// — or, for an ACK leaving ahead of the clock, an event at at stamped
+// now, the key its delivery's own event had; other shard: an outbox
+// item for the window barrier, stamped the same way. A cross-shard item
+// always has delay ≥ the synchronization window, because the feedback
+// edge's lookahead is this delay (zero-delay feedback paths are
+// colocated by the partitioner).
+func (e *engine) sendFeedback(src *engineShard, from *engineLink, p *packet.Packet, kind crossingKind, at, delay float64) {
 	first := e.topo.Flows[p.Flow].Route[0]
 	dst := e.part.Assign[first]
 	if e.shards[dst] == src {
-		if delay == 0 {
+		switch now := src.s.Now(); {
+		case delay != 0:
+			src.s.AtStampedPacket(at+delay, at, e.feedbackArrived, p)
+		case at == now:
 			e.flows.Feedback(p)
-			return
+		default:
+			src.s.AtStampedPacket(at, now, e.feedbackArrived, p)
 		}
-		src.s.AfterPacket(delay, e.feedbackArrived, p)
 		return
 	}
-	src.cross(dst, delay, p,
+	src.cross(dst, at, delay, p,
 		crossing{dstLink: int32(first), srcLink: int32(from.topoIdx), kind: kind, flow: int32(p.Flow)})
 }
 

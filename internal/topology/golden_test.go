@@ -3,8 +3,10 @@ package topology_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bufqos/internal/topology"
@@ -62,8 +64,28 @@ func TestResultGoldens(t *testing.T) {
 				t.Fatalf("missing golden (run with -update-goldens to create): %v", err)
 			}
 			if string(got) != string(want) {
-				t.Errorf("result diverges from the committed golden %s;\nif the change is intentional, regenerate with -update-goldens and explain the divergence in the commit", goldenPath)
+				t.Errorf("result diverges from the committed golden %s at %s;\nif the change is intentional, regenerate with -update-goldens and explain the divergence in the commit", goldenPath, firstDiff(got, want))
 			}
 		})
 	}
+}
+
+// firstDiff names the first line in which got differs from want, with
+// both sides: on an indented JSON result it reads as the field that
+// moved, e.g. `line 12: golden "Events": 365598, got "Events": 331815`.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		gl, wl := "(end)", "(end)"
+		if i < len(g) {
+			gl = strings.TrimSpace(g[i])
+		}
+		if i < len(w) {
+			wl = strings.TrimSpace(w[i])
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d: golden %s, got %s", i+1, wl, gl)
+		}
+	}
+	return "no differing line"
 }

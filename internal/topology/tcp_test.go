@@ -2,6 +2,9 @@ package topology
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,5 +240,37 @@ func TestGFR3ShardedPoolStaysBounded(t *testing.T) {
 		if int64(created) > offered/5 {
 			t.Errorf("shards=%d: %v packets created for %d offered: the pools are not recycling", shards, created, offered)
 		}
+	}
+}
+
+// TestTCPZeroDelayAckPath covers the one acknowledgement that cannot
+// simply be scheduled δ after its delivery: with zero-delay reverse
+// links behind a wired last hop, an ACK booked at departure is due at
+// its arrival time t, and must run in an event keyed as the delivery's
+// own event was (t, departure, its sequence number), where the sender
+// used to get it by a direct call. The pinned digest covers the whole
+// Result but its event count, and equals the digest of the engine that
+// delivered by events.
+func TestTCPZeroDelayAckPath(t *testing.T) {
+	topo := tcpPair(t, "fifo+threshold")
+	topo.Links[2].PropDelay, topo.Links[3].PropDelay = 0, 0
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), topo, Options{Duration: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Flows[0].Goodput.Packets == 0 {
+		t.Fatal("no goodput: the closed loop never ran")
+	}
+	res.Events = 0
+	b, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "5b43c84a247b8b9b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b))[:16]; got != want {
+		t.Errorf("result digest %s, want %s", got, want)
 	}
 }
