@@ -147,8 +147,10 @@ bench:
 
 # One fast iteration of every root benchmark (Table 1 traffic, the
 # Figure 1 sweep sequential and parallel, the end-to-end Table 1 run
-# with and without metrics): catches benchmarks that no longer compile
-# or crash without paying for full measurement.
+# with and without metrics) and of the kernel's hold models
+# (internal/sim's BenchmarkHold and BenchmarkHoldTimers): catches
+# benchmarks that no longer compile or crash without paying for full
+# measurement.
 # Then short runs of the repository's benchmark (BENCHMARK.json,
 # bench/README.md) on its Table 1 workload, its open-loop WFQ cell (the
 # event queue's claimed workload), its closed-loop sizing cell and its
@@ -159,6 +161,7 @@ bench:
 # the point here, not the timing. CI runs this on every push.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x .
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	go run ./bench --workload link-fifo --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload link-wfq-1k --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload tcp-cell --seed 1 --seconds 2 --trace 0

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -18,8 +19,10 @@ import (
 // pending. A kernel may also own delay lines: form numForms+j sends on
 // line j (line_test.go). Streams aimed at the radix queue's edges —
 // times over fifteen binades, zeros and subnormals, a thousand-event
-// tie, cancels inside a bucket as it moves down, empty run windows —
-// and a fuzz target over encoded streams use the same two kernels.
+// tie, cancels inside a bucket as it moves down, empty run windows,
+// keys that first differ from the clock's in each byte — and a fuzz
+// target over encoded streams use the same two kernels, and after
+// every op checkQueue holds the queue to its invariants.
 
 // Scheduling forms a stream draws from.
 const (
@@ -34,7 +37,8 @@ const (
 // stamped form a stamp sOff before the event time), a Cancel of the
 // pending-or-not event at fraction frac of those scheduled so far, or a
 // run to now+d. With ulps > 0 the scheduling or run is instead that
-// many floats after the clock.
+// many floats after the clock, and with at > 0 at byteTime(now, at-1,
+// up, fill).
 type orderOp struct {
 	kind  int // 0 schedule, 1 cancel, 2 RunUntil, 3 RunBefore
 	form  int
@@ -43,6 +47,9 @@ type orderOp struct {
 	frac  float64
 	label int
 	ulps  int
+	at    int
+	up    int
+	fill  byte
 }
 
 type fired struct {
@@ -83,17 +90,42 @@ func eventTime(now, d float64) float64 {
 	return now + d
 }
 
-// delay is op's delay at clock now: op.d, or the distance to the
-// op.ulps-th float after now, which now+delay then reproduces exactly.
+// delay is op's delay at clock now: op.d; or the distance to the
+// op.ulps-th float after now, which now+delay then reproduces exactly;
+// or the distance to byteTime(now, op.at-1, op.up, op.fill), which
+// now+delay reproduces within a float.
 func (op orderOp) delay(now float64) float64 {
-	if op.ulps == 0 {
-		return op.d
+	switch {
+	case op.at > 0:
+		return byteTime(now, op.at-1, op.up, op.fill) - now
+	case op.ulps > 0:
+		t := now
+		for i := 0; i < op.ulps; i++ {
+			t = math.Nextafter(t, math.Inf(1))
+		}
+		return t - now
 	}
-	t := now
-	for i := 0; i < op.ulps; i++ {
-		t = math.Nextafter(t, math.Inf(1))
+	return op.d
+}
+
+// byteTime is the time whose key is now's with byte j raised by up — to
+// at most 255, and in the top byte to 0x7e, so that it and the few
+// floats after it stay finite — and each byte below j set to fill; or
+// now, where that key would lie below now's.
+func byteTime(now float64, j, up int, fill byte) float64 {
+	k := key(now)
+	shift := 8 * uint(j)
+	top := 255
+	if j == 7 {
+		top = 0x7e
 	}
-	return t - now
+	digit := uint64(min(int(k>>shift&0xff)+up, top))
+	low := uint64(1)<<shift - 1
+	t := k&^(low|0xff<<shift) | digit<<shift | low&(0x0101010101010101*uint64(fill))
+	if t < k {
+		return now
+	}
+	return math.Float64frombits(t)
 }
 
 // react is what firing label does, identically on both kernels: record
@@ -324,10 +356,12 @@ func apply(k kernel, op orderOp) {
 }
 
 // checkOrder runs ops on the kernel, with delay lines of the given
-// delays, and on naiveKernel, and reports how many events fired and the
-// first disagreement: in the clock or the pending count after an op,
-// or in what fired.
-func checkOrder(ops []orderOp, delays []float64) (int, error) {
+// delays, and on naiveKernel, and reports how many events fired, which
+// bytes' buckets it saw, and the first disagreement: in the clock or
+// the pending count after an op, in the kernel's queue invariants, or
+// in what fired.
+func checkOrder(ops []orderOp, delays []float64) (int, cover, error) {
+	var cov cover
 	s := New()
 	kern := &simKernel{s: s, delays: delays}
 	if delays != nil {
@@ -338,33 +372,112 @@ func checkOrder(ops []orderOp, delays []float64) (int, error) {
 		apply(kern, op)
 		apply(naive, op)
 		if kern.pending() != naive.pending() || kern.now() != naive.now() {
-			return 0, fmt.Errorf("op %d (%+v): pending %d at %v, naive %d at %v",
+			return 0, cov, fmt.Errorf("op %d (%+v): pending %d at %v, naive %d at %v",
 				i, op, kern.pending(), kern.now(), naive.pending(), naive.now())
+		}
+		if err := checkQueue(s, &cov); err != nil {
+			return 0, cov, fmt.Errorf("op %d (%+v): %v", i, op, err)
 		}
 	}
 	got, want := kern.log(), naive.log()
 	if len(got) != len(want) {
-		return 0, fmt.Errorf("fired %d events, naive %d", len(got), len(want))
+		return 0, cov, fmt.Errorf("fired %d events, naive %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			return 0, fmt.Errorf("firing %d is %+v, naive %+v", i, got[i], want[i])
+			return 0, cov, fmt.Errorf("firing %d is %+v, naive %+v", i, got[i], want[i])
 		}
 	}
 	if kern.pending() != 0 {
-		return 0, fmt.Errorf("%d left pending after the drain", kern.pending())
+		return 0, cov, fmt.Errorf("%d left pending after the drain", kern.pending())
 	}
-	return len(got), nil
+	return len(got), cov, nil
+}
+
+// cover records, one bit per byte j, whether checkQueue saw a digit
+// bucket of byte j holding events, and holding a stale least key.
+type cover struct{ filled, stale uint8 }
+
+// checkQueue holds the kernel's queue to its invariants, computing each
+// node's bucket from its key alone: bucket 0 is a heap of the events
+// due at last; every other queued node sits in bucket j·256 + (byte j
+// of its key), j the highest byte in which its key differs from last,
+// on a list whose links and positions agree; a bucket's mask bit, and
+// its word's summary bit, are set exactly while it holds events; its
+// least key is exact unless its stale bit is set, and then lies below
+// every key it holds; and the count of queued events is right.
+func checkQueue(s *Simulator, cov *cover) error {
+	queued := 0
+	for i, id := range s.ties {
+		n := &s.nodes[id]
+		if key(n.time) != s.last || n.pos != int32(i) {
+			return fmt.Errorf("tie %d: node %d at %v, pos %d, last %#x", i, id, n.time, n.pos, s.last)
+		}
+		if i > 0 && s.tieBefore(id, s.ties[(i-1)/4]) {
+			return fmt.Errorf("tie %d: node %d precedes its parent", i, id)
+		}
+		queued++
+	}
+	for b, head := range s.heads {
+		w, bit := b/64, uint64(1)<<(b%64)
+		if (s.mask[w]&bit != 0) != (head != 0) {
+			return fmt.Errorf("bucket %d: head %d, mask bit %v", b, head, s.mask[w]&bit != 0)
+		}
+		stale := s.stale[w]&bit != 0
+		if head == 0 {
+			if s.mins[b] != 0 || stale {
+				return fmt.Errorf("empty bucket %d: least key %#x, stale %v", b, ^s.mins[b], stale)
+			}
+			continue
+		}
+		least := uint64(math.MaxUint64)
+		prev := int32(0)
+		for e, steps := head, 0; e != 0; e, steps = s.nodes[e-1].next, steps+1 {
+			if steps > len(s.nodes) {
+				return fmt.Errorf("bucket %d: its list loops", b)
+			}
+			n := &s.nodes[e-1]
+			k := key(n.time)
+			if k <= s.last {
+				return fmt.Errorf("bucket %d: key %#x at or below last %#x", b, k, s.last)
+			}
+			j := (63 - bits.LeadingZeros64(k^s.last)) / 8
+			if want := j*256 + int(k>>(8*j)&0xff); want != b || n.pos != int32(-2-b) || n.prev != prev {
+				return fmt.Errorf("node %d (key %#x, last %#x) in bucket %d, pos %d, prev %d; want bucket %d, prev %d",
+					e-1, k, s.last, b, n.pos, n.prev, want, prev)
+			}
+			least = min(least, k)
+			prev = e
+			queued++
+		}
+		if m := ^s.mins[b]; m != least && !(stale && m < least) {
+			return fmt.Errorf("bucket %d: least key %#x (stale %v), holds %#x", b, m, stale, least)
+		}
+		cov.filled |= 1 << (b / 256)
+		if stale {
+			cov.stale |= 1 << (b / 256)
+		}
+	}
+	for w, m := range s.mask {
+		if (s.summary>>w&1 != 0) != (m != 0) {
+			return fmt.Errorf("mask word %d is %#x, summary %#x", w, m, s.summary)
+		}
+	}
+	if queued != s.queued {
+		return fmt.Errorf("%d queued in the buckets, counted %d", queued, s.queued)
+	}
+	return nil
 }
 
 // TestDispatchMatchesNaiveOrder is the kernel's ordering oracle: the
-// eighths-grid streams, dense in equal times and stamps, and wideStream's
-// radix edges, on delay lines too.
+// eighths-grid streams, dense in equal times and stamps, wideStream's
+// radix edges, on delay lines too, and byteStream's digits, which must
+// fill and leave stale a bucket of every byte.
 func TestDispatchMatchesNaiveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for stream := 0; stream < 300; stream++ {
 		ops := randomStream(rng, 50+rng.Intn(400))
-		fired, err := checkOrder(ops, nil)
+		fired, _, err := checkOrder(ops, nil)
 		if err != nil {
 			t.Fatalf("stream %d: %v", stream, err)
 		}
@@ -378,13 +491,30 @@ func TestDispatchMatchesNaiveOrder(t *testing.T) {
 			tie = 1000 + rng.Intn(200)
 		}
 		ops := wideStream(rng, 200+rng.Intn(300), tie)
-		fired, err := checkOrder(ops, lineDelays)
+		fired, _, err := checkOrder(ops, lineDelays)
 		if err != nil {
 			t.Fatalf("wide stream %d: %v", stream, err)
 		}
 		if fired < tie+len(ops)/4 {
 			t.Fatalf("wide stream %d: %d fired of %d ops", stream, fired, len(ops))
 		}
+	}
+	var all cover
+	for stream := 0; stream < 40; stream++ {
+		ops := byteStream(rng, 200+rng.Intn(300))
+		fired, cov, err := checkOrder(ops, lineDelays)
+		if err != nil {
+			t.Fatalf("byte stream %d: %v", stream, err)
+		}
+		if fired < len(ops)/2 {
+			t.Fatalf("byte stream %d: %d fired of %d ops", stream, fired, len(ops))
+		}
+		all.filled |= cov.filled
+		all.stale |= cov.stale
+	}
+	if all.filled != 0xff || all.stale != 0xff {
+		t.Fatalf("byte streams filled buckets of bytes %08b and left stale those of %08b, want every byte",
+			all.filled, all.stale)
 	}
 }
 
@@ -448,18 +578,73 @@ func wideStream(rng *rand.Rand, n, tie int) []orderOp {
 	return append(ops, orderOp{kind: 2, d: 1e8}) // drain
 }
 
+// byteStream draws a stream aimed at the radix queue's byte digits. The
+// clock first runs to a time in [1, 2). Then, for each byte j in turn,
+// a group of events lands where its keys first differ from the clock's
+// in byte j, one of:
+//   - a digit just above the clock's, and a digit of 255 with every
+//     byte below it 0xff beside the key one above it, a carry into
+//     byte j+1;
+//   - a bucket of three events whose least one is cancelled, by a lead
+//     one float after the clock, before the bucket is the lowest, so
+//     its least key is found again when it is;
+//   - a bucket of three events and a RunBefore window that ends inside
+//     it.
+//
+// Runs to a time inside the group's bucket ride along, and a drain to
+// +Inf ends the stream.
+func byteStream(rng *rand.Rand, n int) []orderOp {
+	label := 0
+	var ops []orderOp
+	add := func(op orderOp) {
+		if op.kind == 0 {
+			op.form = rng.Intn(numForms)
+			op.label |= label
+			label++
+		}
+		ops = append(ops, op)
+	}
+	add(orderOp{kind: 2, d: 1 + rng.Float64()})
+	for j := 0; len(ops) < n; j = (j + 1) % 8 {
+		at, up := j+1, 1+rng.Intn(2)
+		switch rng.Intn(3) {
+		case 0:
+			add(orderOp{at: at, up: up, fill: byte(rng.Intn(256))})
+			if j < 7 {
+				add(orderOp{at: at, up: 255, fill: 0xff})
+				add(orderOp{at: at + 1, up: 1})
+			}
+		case 1:
+			add(orderOp{ulps: 1, label: leadLabel})
+			for _, fill := range []byte{0, 0x80, 0xff} { // the least first
+				add(orderOp{at: at, up: up + 1, fill: fill})
+			}
+		default:
+			for _, fill := range []byte{0, 0x80, 0xff} {
+				add(orderOp{at: at, up: up, fill: fill})
+			}
+			add(orderOp{kind: 3, at: at, up: up, fill: 0x40})
+		}
+		if rng.Intn(4) == 0 {
+			add(orderOp{kind: 2 + rng.Intn(2), at: at, up: up, fill: 0xc0})
+		}
+	}
+	return append(ops, orderOp{kind: 2, d: math.Inf(1)}) // drain
+}
+
 // FuzzDispatchMatchesNaiveOrder runs decoded streams — on delay lines
 // too — through checkOrder. The seed corpus is the eighths-grid and
-// wide streams of TestDispatchMatchesNaiveOrder, encoded.
+// wide and byte streams of TestDispatchMatchesNaiveOrder, encoded.
 func FuzzDispatchMatchesNaiveOrder(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 4; i++ {
 		f.Add(encodeOps(randomStream(rng, 40+rng.Intn(60))))
 		f.Add(encodeOps(wideStream(rng, 40+rng.Intn(60), 0)))
+		f.Add(encodeOps(byteStream(rng, 60+rng.Intn(60))))
 	}
 	f.Add(encodeOps(wideStream(rng, 30, 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := checkOrder(decodeOps(data), lineDelays); err != nil {
+		if _, _, err := checkOrder(decodeOps(data), lineDelays); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -467,9 +652,9 @@ func FuzzDispatchMatchesNaiveOrder(f *testing.F) {
 
 // opBytes is the size of one encoded op: a head byte (kind in bits
 // 0-1, the lead flag in bit 2, the form in bits 3-5, ulps in bits 6-7),
-// the delay and the stamp offset as float64 bits, and the cancel
-// fraction in 256ths.
-const opBytes = 18
+// the delay and the stamp offset as float64 bits, the cancel fraction
+// in 256ths, and at, up and fill.
+const opBytes = 21
 
 func encodeOps(ops []orderOp) []byte {
 	var b []byte
@@ -484,15 +669,15 @@ func encodeOps(ops []orderOp) []byte {
 		b = append(b, head)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.d))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(op.sOff))
-		b = append(b, byte(op.frac*256))
+		b = append(b, byte(op.frac*256), byte(op.at), byte(op.up), op.fill)
 	}
 	return b
 }
 
 // decodeOps turns any bytes into a valid stream: delays and stamp
 // offsets become finite, non-negative and at most 1e6 (a -0 delay stays
-// -0), forms wrap to the forms and lines there are, labels count up,
-// and a drain ends it.
+// -0), forms wrap to the forms and lines there are, at to a byte or
+// none, labels count up, and a drain to +Inf ends it.
 func decodeOps(data []byte) []orderOp {
 	clean := func(v float64) float64 {
 		switch {
@@ -513,6 +698,9 @@ func decodeOps(data []byte) []orderOp {
 			d:    clean(math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))),
 			sOff: clean(math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))),
 			frac: float64(data[17]) / 256,
+			at:   int(data[18] % 9),
+			up:   int(data[19]),
+			fill: data[20],
 		}
 		if op.kind == 0 {
 			op.label = label
@@ -523,5 +711,5 @@ func decodeOps(data []byte) []orderOp {
 		}
 		ops = append(ops, op)
 	}
-	return append(ops, orderOp{kind: 2, d: 1e8})
+	return append(ops, orderOp{kind: 2, d: math.Inf(1)})
 }

@@ -5,32 +5,42 @@ import (
 	"math/bits"
 )
 
-// The event queue is a monotone radix queue (a radix heap: Ahuja,
-// Mehlhorn, Orlin and Tarjan, 1990) threaded through the event arena.
+// The event queue is a monotone radix queue with byte-wide digits (the
+// K-ary radix heap of Ahuja, Mehlhorn, Orlin and Tarjan, 1990) threaded
+// through the event arena.
 //
 // It rests on two facts. No event is due before the clock (schedule
 // panics on t < now, and a delay line's keys strictly increase), and a
 // non-negative float64 orders exactly like its IEEE bits read as a
 // uint64. So an event's key is the bits of its time, with -0 mapped to
 // +0, and the queue keeps last, the key it last moved down to, at or
-// below the clock. An event goes into bucket 64 - LeadingZeros64(key ^
-// last): bucket 0 holds the events due exactly at last, bucket b ≥ 1
-// those whose key first differs from last in bit b-1. Every key in a
-// lower bucket is less than every key in a higher one.
+// below the clock. An event due exactly at last goes into bucket 0, the
+// ties; one whose key k first differs from last in byte j goes into
+// digit bucket j·256 + (byte j of k). That digit exceeds last's byte j,
+// so it is never 0 and no digit bucket is bucket 0. Every key in a lower
+// bucket is less than every key in a higher one.
 //
-// Buckets 1 to 64 are doubly linked lists through the nodes, each with
-// its least key kept beside it, so insertion and Cancel cost O(1).
-// Bucket 0 is a 4-ary heap of node ids on (sched, seq), the order among
-// events due at one instant. When bucket 0 runs dry and the lowest
-// non-empty bucket's least key m is due, last moves to m and that
-// bucket's events move down, each to a strictly lower bucket — those
-// due at m into bucket 0 — so an event moves at most 64 times in its
-// life, and in practice a handful. last never moves past a run's
-// horizon: RunUntil and a sharded engine's injections may still insert
-// any time at or after the clock.
+// The 2048 digit buckets are doubly linked lists through the nodes,
+// each with its least key kept beside it, so insertion and Cancel cost
+// O(1); 32 mask words and a summary word over them find the lowest
+// non-empty one in two bit scans. Bucket 0 is a 4-ary heap of node ids
+// on (sched, seq), the order among events due at one instant. When
+// bucket 0 runs dry and the lowest non-empty bucket's least key m is
+// due, last moves to m and that bucket's events move down, each to a
+// bucket of a lower byte — those due at m into bucket 0 — so an event
+// moves at most 8 times in its life; the benchmark's workloads measure
+// 0.35 to 1.25. last never moves past a run's horizon: RunUntil and a
+// sharded engine's injections may still insert any time at or after the
+// clock.
 //
 // (time, sched, seq) is a total order, seq being unique, so the queue
 // dispatches exactly the sequence any exact priority queue on it would.
+
+// The digit buckets: 8 bytes of 256 digits, a mask word per 64.
+const (
+	nbuckets  = 8 * 256
+	maskWords = nbuckets / 64
+)
 
 // unqueued is the pos of a node in no bucket: free, or popped and
 // running.
@@ -40,6 +50,14 @@ const unqueued = -1
 // cleared, which maps -0 to +0 and leaves every other time the queue
 // can hold (none is negative) alone.
 func key(t float64) uint64 { return math.Float64bits(t) &^ (1 << 63) }
+
+// bucket is the digit bucket of key k, which differs from last in x =
+// k ^ last != 0: the byte j of x's highest set bit, and k's digit there.
+// The mask changes no value; it spares the bucket arrays' bounds checks.
+func bucket(k, x uint64) int {
+	shift := uint(63-bits.LeadingZeros64(x)) &^ 7
+	return (int(shift)<<5 | int(k>>shift&0xff)) & (nbuckets - 1)
+}
 
 // push queues node id under its time.
 func (s *Simulator) push(id int32) {
@@ -57,7 +75,7 @@ func (s *Simulator) place(id int32) {
 		s.tieUp(len(s.ties)-1, id)
 		return
 	}
-	b := 63 - bits.LeadingZeros64(x) // bucket b+1 lives at index b
+	b := bucket(k, x)
 	n.pos = -2 - int32(b)
 	n.prev, n.next = 0, s.heads[b]
 	if n.next != 0 {
@@ -65,7 +83,8 @@ func (s *Simulator) place(id int32) {
 	}
 	s.heads[b] = id + 1
 	s.mins[b] = max(s.mins[b], ^k)
-	s.mask |= 1 << b
+	s.mask[b>>6] |= 1 << (b & 63)
+	s.summary |= 1 << (b >> 6)
 }
 
 // unqueue takes the queued node id out of its bucket.
@@ -76,8 +95,7 @@ func (s *Simulator) unqueue(id int32) {
 		s.tieRemove(int(n.pos))
 		return
 	}
-	b := -2 - n.pos
-	bit := uint64(1) << b
+	b := int(-2-n.pos) & (nbuckets - 1)
 	if n.prev != 0 {
 		s.nodes[n.prev-1].next = n.next
 	} else {
@@ -88,11 +106,21 @@ func (s *Simulator) unqueue(id int32) {
 	}
 	switch {
 	case s.heads[b] == 0:
-		s.mask &^= bit
-		s.stale &^= bit
-		s.mins[b] = 0
+		s.vacate(b)
 	case ^key(n.time) == s.mins[b]:
-		s.stale |= bit
+		s.stale[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// vacate marks bucket b empty: no head, no least key, its mask and
+// stale bits clear, and its word's summary bit clear with the word.
+func (s *Simulator) vacate(b int) {
+	w, bit := b>>6, uint64(1)<<(b&63)
+	s.heads[b] = 0
+	s.mins[b] = 0
+	s.stale[w] &^= bit
+	if s.mask[w] &^= bit; s.mask[w] == 0 {
+		s.summary &^= 1 << w
 	}
 }
 
@@ -102,11 +130,12 @@ func (s *Simulator) unqueue(id int32) {
 // that bucket's events move down.
 func (s *Simulator) pop(limit uint64) (int32, bool) {
 	if len(s.ties) == 0 {
-		if s.mask == 0 {
+		if s.summary == 0 {
 			return 0, false
 		}
-		b := bits.TrailingZeros64(s.mask)
-		if s.stale&(1<<b) != 0 {
+		w := bits.TrailingZeros32(s.summary)
+		b := w<<6 | bits.TrailingZeros64(s.mask[w])
+		if s.stale[w]&(1<<(b&63)) != 0 {
 			s.rescan(b)
 		}
 		m := ^s.mins[b]
@@ -115,9 +144,7 @@ func (s *Simulator) pop(limit uint64) (int32, bool) {
 		}
 		s.last = m
 		e := s.heads[b]
-		s.heads[b] = 0
-		s.mins[b] = 0
-		s.mask &^= 1 << b
+		s.vacate(b)
 		if n := &s.nodes[e-1]; n.next == 0 { // alone, so earliest
 			n.pos = unqueued
 			s.queued--
@@ -137,7 +164,7 @@ func (s *Simulator) pop(limit uint64) (int32, bool) {
 	return id, true
 }
 
-// rescan finds bucket b+1's least key again after its holder was
+// rescan finds bucket b's least key again after its holder was
 // cancelled. It runs at most once per such Cancel, when the bucket is
 // the lowest, so a run window with nothing due costs O(1).
 func (s *Simulator) rescan(b int) {
@@ -146,7 +173,7 @@ func (s *Simulator) rescan(b int) {
 		m = max(m, ^key(s.nodes[e-1].time))
 	}
 	s.mins[b] = m
-	s.stale &^= 1 << b
+	s.stale[b>>6] &^= 1 << (b & 63)
 }
 
 // tieBefore orders two events due at the same instant by (sched, seq).

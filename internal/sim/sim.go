@@ -10,13 +10,15 @@
 // The implementation is allocation-free in steady state. Event payloads
 // live in an index-managed arena with a free list threaded through it,
 // and At/After hand out value handles instead of heap pointers. The
-// queue (queue.go) is a monotone radix queue over the same arena: no
-// event is due before the clock, so an event's key is its time's IEEE
-// bits, and its bucket is the highest bit in which that key differs
-// from the last key the queue moved down to. Buckets are linked lists
-// through the arena nodes, so insertion and Cancel cost O(1) at any
-// depth, and bucket 0, the events due at one instant, is a small heap
-// on (stamp, sequence number). Cancelled events leave the queue
+// queue (queue.go) is a monotone radix queue with byte-wide digits over
+// the same arena: no event is due before the clock, so an event's key is
+// its time's IEEE bits, and its bucket is the highest byte in which that
+// key differs from the last key the queue moved down to, and its digit
+// there. An event moves down at most 8 times, on the benchmark's
+// workloads 0.35 to 1.25 times. Buckets are linked lists through the
+// arena nodes, so insertion and Cancel cost O(1) at any depth, and
+// bucket 0, the events due at one instant, is a small heap on (stamp,
+// sequence number). Cancelled events leave the queue
 // eagerly rather than lingering until popped, so a workload that
 // schedules and cancels heavily (shapers, churn, TCP timers) keeps the
 // queue exactly as large as its live event count.
@@ -89,7 +91,7 @@ import (
 // next and prev link a queued node into its bucket's list, and next a
 // free node into the free list; both hold an id plus one, so zero ends
 // a list. pos is the node's place in the queue: its index in bucket 0's
-// heap, -2-i in the list of bucket i+1, or unqueued.
+// heap, -2-b in the list of bucket b ≥ 1, or unqueued.
 type node struct {
 	h          Handler
 	p          *packet.Packet
@@ -186,14 +188,12 @@ type Simulator struct {
 	nodes  []node
 	free   int32 // first free node, id plus one
 
-	// The event queue (queue.go). Zero is an empty queue.
-	last   uint64     // key bucket 0's events are due at
-	ties   []int32    // bucket 0: a 4-ary heap on (sched, seq)
-	heads  [64]int32  // bucket i+1's first node, id plus one
-	mins   [64]uint64 // bucket i+1's least key, complemented: 0 empty
-	mask   uint64     // bit i set while bucket i+1 is non-empty
-	stale  uint64     // bit i set when mins[i]'s event was cancelled
-	queued int
+	// The event queue (queue.go), its digit buckets at the end. Zero
+	// is an empty queue.
+	last    uint64  // key bucket 0's events are due at
+	ties    []int32 // bucket 0: a 4-ary heap on (sched, seq)
+	summary uint32  // bit w set while mask[w] is non-zero
+	queued  int
 	// lined counts the packets waiting on delay lines behind their
 	// line's head, the one of each line in the queue.
 	lined int
@@ -215,6 +215,13 @@ type Simulator struct {
 	mHeapDepth      *metrics.Gauge
 	mPacketsLive    *metrics.Gauge
 	mPacketsCreated *metrics.Counter
+
+	// The digit buckets, after every pointer field: the collector scans
+	// an object only up to its last pointer.
+	heads [nbuckets]int32   // bucket b's first node, id plus one
+	mins  [nbuckets]uint64  // bucket b's least key, complemented: 0 empty
+	mask  [maskWords]uint64 // bit b%64 of word b/64 set while b is non-empty
+	stale [maskWords]uint64 // the same bit set when mins[b]'s event was cancelled
 }
 
 // New returns a simulator with its clock at time zero.
@@ -376,7 +383,7 @@ func (s *Simulator) AtStampedPacket(t, sched float64, fn func(*packet.Packet), p
 // Reserve pre-sizes the arena and bucket 0 for at least n
 // simultaneously pending events, so a large warm-up (a 100k-flow
 // topology scheduling its sources, all due at one instant) does no
-// growth reallocations. The free list and buckets 1 to 64 live in the
+// growth reallocations. The free list and the digit buckets live in the
 // arena.
 func (s *Simulator) Reserve(n int) {
 	if cap(s.nodes) < n {
