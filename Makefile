@@ -59,7 +59,7 @@ test:
 # A change that removes one lowers PANIC_LINES to the new count in the
 # same commit, so the number only goes down. CI runs this alongside
 # `make verify`.
-PANIC_LINES = 81
+PANIC_LINES = 79
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -153,12 +153,14 @@ bench:
 # measurement.
 # Then short runs of the repository's benchmark (BENCHMARK.json,
 # bench/README.md) on its Table 1 workload, its open-loop WFQ cell (the
-# event queue's claimed workload), its closed-loop sizing cell and its
-# sharded network: each exits non-zero unless the repeated
-# calls' result fingerprints agree and the workload's output checks
-# hold (shaped flows lose nothing, utilization within bounds, the
-# sharded fingerprint equal to the single-shard one) — those checks are
-# the point here, not the timing. CI runs this on every push.
+# event queue's claimed workload), its closed-loop sizing cell, its
+# sharded network and the admission daemon's batched stream: each exits
+# non-zero unless the repeated calls' result fingerprints agree and the
+# workload's output checks hold (shaped flows lose nothing, utilization
+# within bounds, the sharded fingerprint equal to the single-shard one,
+# every qosd answer equal to bench's replay oracle's, so each push
+# checks the daemon's decisions end to end) — those checks are the
+# point here, not the timing. CI runs this on every push.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test -run '^$$' -bench . -benchtime 1x ./internal/sim
@@ -166,6 +168,7 @@ bench-smoke:
 	go run ./bench --workload link-wfq-1k --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload tcp-cell --seed 1 --seconds 2 --trace 0
 	go run ./bench --workload net-sharded --seed 1 --seconds 2 --trace 0
+	go run ./bench --workload adm-batch --seed 1 --seconds 2 --trace 0
 
 # Run every shipped topology scenario short with -check: fails if any
 # admitted conformant flow loses conformant traffic at any hop or

@@ -124,8 +124,8 @@ func newAccounting(capacity units.Bytes, nflows int) accounting {
 	if capacity < 0 {
 		panic(fmt.Sprintf("buffer: negative capacity %v", capacity))
 	}
-	if nflows <= 0 {
-		panic(fmt.Sprintf("buffer: need at least one flow, got %d", nflows))
+	if nflows < 0 {
+		panic(fmt.Sprintf("buffer: negative flow count %d", nflows))
 	}
 	return accounting{capacity: capacity, occ: make([]units.Bytes, nflows)}
 }

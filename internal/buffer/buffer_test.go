@@ -116,7 +116,7 @@ func TestFixedThresholdAccessors(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewTailDrop(-1, 1) },
-		func() { NewTailDrop(100, 0) },
+		func() { NewTailDrop(100, -1) },
 		func() { NewFixedThreshold(100, []units.Bytes{-1}) },
 		func() { NewDynamicThreshold(100, 1, 0) },
 	}

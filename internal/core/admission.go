@@ -54,24 +54,18 @@ func (d Discipline) String() string {
 	return "FIFO+thresholds"
 }
 
-// Admitter is the narrow admission-control surface of one link: answer
-// whether a flow fits the link's schedulability region, commit it,
-// release it, and export a consistent view of the admitted aggregate.
-// Two implementations exist, on the same book: SerialAdmitter
-// (single-goroutine) and ShardedAdmitter link views (a SerialAdmitter
-// behind a mutex, safe for concurrent callers).
+// Admitter is the decision surface of one link: answer whether a flow
+// fits the link's schedulability region, and book it when it does. Two
+// implementations exist, on the same Region: SerialAdmitter
+// (single-goroutine, with the admitted multiset) and ShardedAdmitter
+// link views (a bare Region behind a mutex, safe for concurrent
+// callers).
 type Admitter interface {
 	// Check reports whether spec fits without admitting it.
 	Check(spec packet.FlowSpec) RejectReason
 	// Admit adds spec to the admitted set when it fits, returning the
 	// decision.
 	Admit(spec packet.FlowSpec) RejectReason
-	// Release removes one previously admitted instance of spec. It is
-	// idempotent: releasing a spec that is not currently admitted
-	// returns false and leaves the aggregate unchanged.
-	Release(spec packet.FlowSpec) bool
-	// Snapshot returns a consistent copy of the admitted aggregate.
-	Snapshot() AdmissionSnapshot
 }
 
 // AdmissionSnapshot is a point-in-time view of one link's admitted
@@ -105,9 +99,9 @@ type LinkConfig struct {
 // place the paper's schedulability regions (eqs. 5–8) are evaluated
 // and their sums kept; every admitter — the offline engine's plan, the
 // serial admitter and the daemon's shards — decides through it. A
-// Region does not know which flows it holds: a caller that must refuse
-// to release a flow it never admitted uses SerialAdmitter, which keeps
-// the admitted multiset beside it.
+// Region does not know which flows it holds: a caller that keeps no
+// record of its own and must refuse to release a flow it never
+// admitted uses SerialAdmitter, which keeps the admitted multiset.
 type Region struct {
 	// agg is the link and its booked aggregate, in the form Snapshot
 	// exports.

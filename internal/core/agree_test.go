@@ -8,9 +8,11 @@ import (
 	"bufqos/internal/units"
 )
 
-// TestSerialAndShardedAgree drives a SerialAdmitter and a sharded link
-// view through the same seeded join/leave churn on 200 links and
-// requires identical decisions and snapshots after every operation.
+// TestSerialAndShardedAgree drives a SerialAdmitter and a one-link
+// ShardedAdmitter (AdmitRoute and ReleaseRoute on the one-link route,
+// releasing only admitted specs, as the sharded contract requires)
+// through the same seeded join/leave churn on 200 links and requires
+// identical decisions and snapshots after every operation.
 // Token rates are whole thirds of a kb/s, which float64 cannot hold
 // exactly, so Σρ drifts with every join and leave; after each operation
 // the test probes the region's boundary, where a book that summed
@@ -33,7 +35,8 @@ func TestSerialAndShardedAgree(t *testing.T) {
 		rate := units.Rate(third * float64(30000+rng.Intn(3_000_000)))
 		buffer := units.Bytes(100_000 + rng.Intn(10_000_000))
 		serial := NewSerialAdmitter(d, rate, buffer)
-		view := NewShardedAdmitter([]LinkConfig{{d, rate, buffer}}).Link(0)
+		sharded := NewShardedAdmitter([]LinkConfig{{d, rate, buffer}})
+		view, route := sharded.Link(0), []int{0}
 		// A flow reserves about 1/30 of the link, so joins fill it and
 		// leaves keep the population churning near the boundary.
 		maxK := int(float64(rate)/third/15) + 1
@@ -51,7 +54,8 @@ func TestSerialAndShardedAgree(t *testing.T) {
 				rho := units.Rate(third * float64(1+rng.Intn(maxK)))
 				s := packet.FlowSpec{PeakRate: 2 * rho, TokenRate: rho, BucketSize: units.Bytes(1 + rng.Intn(int(buffer)/30))}
 				r := serial.Admit(s)
-				agree("admit", r, view.Admit(s))
+				_, got := sharded.AdmitRoute(route, s)
+				agree("admit", r, got)
 				if r == Accepted {
 					admitted = append(admitted, s)
 				}
@@ -60,10 +64,13 @@ func TestSerialAndShardedAgree(t *testing.T) {
 				s := admitted[i]
 				admitted[i] = admitted[len(admitted)-1]
 				admitted = admitted[:len(admitted)-1]
-				agree("release", serial.Release(s), view.Release(s))
+				if !serial.Release(s) {
+					t.Fatalf("link %d op %d: serial refused to release an admitted spec", l, op)
+				}
+				sharded.ReleaseRoute(route, s)
 			}
 			snap := serial.Snapshot()
-			if got := view.Snapshot(); got != snap {
+			if got := sharded.Snapshot()[0]; got != snap {
 				drifted++
 				if drifted <= 5 {
 					t.Errorf("link %d op %d: serial books (n=%d, Σρ=%v bits/s, Σσ=%d), sharded (n=%d, Σρ=%v bits/s, Σσ=%d)",

@@ -8,10 +8,9 @@ import (
 // SerialAdmitter is one link's admission book with its admitted
 // multiset: a Region plus a count per admitted spec, so Release can
 // refuse a spec that is not currently admitted in O(1). It is the
-// single-goroutine implementation of Admitter (examples/admission uses
-// it directly); a concurrent control plane
-// uses ShardedAdmitter, whose shards are SerialAdmitters behind a
-// mutex.
+// single-goroutine implementation of Admitter (examples/admission and
+// the benchmark's replay oracle use it); a concurrent control plane
+// uses ShardedAdmitter, whose shards are bare Regions behind a mutex.
 type SerialAdmitter struct {
 	region   Region
 	admitted map[packet.FlowSpec]int
@@ -43,15 +42,10 @@ func (a *SerialAdmitter) Check(spec packet.FlowSpec) RejectReason { return a.reg
 func (a *SerialAdmitter) Admit(spec packet.FlowSpec) RejectReason {
 	r := a.region.Check(spec)
 	if r == Accepted {
-		a.add(spec)
+		a.admitted[spec]++
+		a.region.Add(spec)
 	}
 	return r
-}
-
-// add books spec unchecked.
-func (a *SerialAdmitter) add(spec packet.FlowSpec) {
-	a.admitted[spec]++
-	a.region.Add(spec)
 }
 
 // Release removes one admitted instance of spec; it returns false when

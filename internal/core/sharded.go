@@ -7,54 +7,43 @@ import (
 	"bufqos/internal/packet"
 )
 
-// admShard is one link's admission state: its SerialAdmitter — the
-// region and the admitted multiset — behind the link's mutex. It is
-// the Admitter view Link returns; route operations lock the shards
-// themselves and use the book directly.
+// admShard is one link's admission state: its Region behind the
+// link's mutex. Route operations lock the shards themselves and book
+// through the region directly; the locked Check and Admit make a shard
+// the single-link view Link returns.
 type admShard struct {
-	mu   sync.Mutex
-	book SerialAdmitter
+	mu     sync.Mutex
+	region Region
 }
-
-var _ Admitter = (*admShard)(nil)
 
 // Check reports whether spec fits without admitting it.
 func (s *admShard) Check(spec packet.FlowSpec) RejectReason {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.book.Check(spec)
+	return s.region.Check(spec)
 }
 
-// Admit adds spec to the admitted set when it fits.
+// Admit books spec when it fits, returning the decision.
 func (s *admShard) Admit(spec packet.FlowSpec) RejectReason {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.book.Admit(spec)
-}
-
-// Release removes one admitted instance of spec, refusing (and leaving
-// the aggregate untouched) when none is admitted.
-func (s *admShard) Release(spec packet.FlowSpec) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.book.Release(spec)
-}
-
-// Snapshot returns the link's admitted aggregate.
-func (s *admShard) Snapshot() AdmissionSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.book.Snapshot()
+	r := s.region.Check(spec)
+	if r == Accepted {
+		s.region.Add(spec)
+	}
+	return r
 }
 
 // ShardedAdmitter is the concurrent admission controller behind qosd:
-// one mutex-guarded shard per link, so joins on disjoint links never
-// contend. Multi-link operations (AdmitRoute, ReleaseRoute, Reroute)
-// lock the links they touch in canonical (ascending index) order, which
-// makes any mix of concurrent requests deadlock-free, and hold all of
-// them across the check-then-commit window, so a route admission is
-// atomic — two racing joins can never both pass Check and jointly
-// overshoot a link's region (no double-commit).
+// one mutex-guarded Region per link, so joins on disjoint links never
+// contend. A shard keeps only the aggregate (n, Σρ, Σσ) eqs. 5–8 read;
+// who holds what is the caller's record (qosd's flow table), which
+// ReleaseRoute trusts. Multi-link operations (AdmitRoute, ReleaseRoute,
+// Reroute) lock the links they touch in canonical (ascending index)
+// order, which makes any mix of concurrent requests deadlock-free, and
+// hold all of them across the check-then-commit window, so a route
+// admission is atomic — two racing joins can never both pass Check and
+// jointly overshoot a link's region (no double-commit).
 type ShardedAdmitter struct {
 	shards []*admShard
 }
@@ -66,7 +55,7 @@ func NewShardedAdmitter(links []LinkConfig) *ShardedAdmitter {
 	}
 	a := &ShardedAdmitter{shards: make([]*admShard, len(links))}
 	for i, l := range links {
-		a.shards[i] = &admShard{book: *NewSerialAdmitter(l.Discipline, l.Rate, l.Buffer)}
+		a.shards[i] = &admShard{region: NewRegion(l)}
 	}
 	return a
 }
@@ -75,7 +64,7 @@ func NewShardedAdmitter(links []LinkConfig) *ShardedAdmitter {
 func (a *ShardedAdmitter) NumLinks() int { return len(a.shards) }
 
 // Link returns the Admitter view of one link. The view is safe for
-// concurrent use; single-link calls lock only that link's shard.
+// concurrent use; its calls lock only that link's shard.
 func (a *ShardedAdmitter) Link(i int) Admitter { return a.shards[i] }
 
 // Snapshot returns a consistent per-link snapshot of every shard.
@@ -84,7 +73,9 @@ func (a *ShardedAdmitter) Link(i int) Admitter { return a.shards[i] }
 func (a *ShardedAdmitter) Snapshot() []AdmissionSnapshot {
 	out := make([]AdmissionSnapshot, len(a.shards))
 	for i, s := range a.shards {
-		out[i] = s.Snapshot()
+		s.mu.Lock()
+		out[i] = s.region.Snapshot()
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -130,37 +121,41 @@ func (a *ShardedAdmitter) AdmitRoute(route []int, spec packet.FlowSpec) (int, Re
 	a.lockAll(order)
 	defer a.unlockAll(order)
 	for _, li := range route {
-		if r := a.shards[li].book.Check(spec); r != Accepted {
+		if r := a.shards[li].region.Check(spec); r != Accepted {
 			return li, r
 		}
 	}
 	for _, li := range route {
-		a.shards[li].book.add(spec)
+		a.shards[li].region.Add(spec)
 	}
 	return -1, Accepted
 }
 
-// ReleaseRoute releases spec on every link of route, returning true
-// when every link held it. Like Release, it is idempotent per link.
-func (a *ShardedAdmitter) ReleaseRoute(route []int, spec packet.FlowSpec) bool {
+// ReleaseRoute releases spec on every link of route. Release only what
+// you admitted, once: a region cannot refuse a stray release. qosd's
+// flow table sees to it: join and reroute mark their row pending until
+// they have booked, /v1/restore refuses while any row is pending, and a
+// leave removes its row under the table's lock before it releases, so
+// it or a Restore, never both, releases each reservation. A leave
+// racing a Restore may release after the restored set is booked; its
+// stale reservation is still on the links, so the books end equal to
+// the table.
+func (a *ShardedAdmitter) ReleaseRoute(route []int, spec packet.FlowSpec) {
 	var buf [2 * shortRoute]int
 	order := lockOrder(&buf, route, nil)
 	a.lockAll(order)
 	defer a.unlockAll(order)
-	all := true
 	for _, li := range route {
-		if !a.shards[li].book.Release(spec) {
-			all = false
-		}
+		a.shards[li].region.Remove(spec)
 	}
-	return all
 }
 
 // Reroute atomically moves spec from route old to route new: links on
 // both routes keep their reservation untouched, links only on new must
 // admit it, links only on old release it. On rejection nothing changes
 // and the first refusing new link (in new-route order) is returned; on
-// success it returns (-1, Accepted).
+// success it returns (-1, Accepted). spec must be booked on old, as
+// ReleaseRoute requires.
 func (a *ShardedAdmitter) Reroute(old, new []int, spec packet.FlowSpec) (int, RejectReason) {
 	var buf [2 * shortRoute]int
 	order := lockOrder(&buf, old, new)
@@ -170,18 +165,18 @@ func (a *ShardedAdmitter) Reroute(old, new []int, spec packet.FlowSpec) (int, Re
 		if slices.Contains(old, li) {
 			continue
 		}
-		if r := a.shards[li].book.Check(spec); r != Accepted {
+		if r := a.shards[li].region.Check(spec); r != Accepted {
 			return li, r
 		}
 	}
 	for _, li := range new {
 		if !slices.Contains(old, li) {
-			a.shards[li].book.add(spec)
+			a.shards[li].region.Add(spec)
 		}
 	}
 	for _, li := range old {
 		if !slices.Contains(new, li) {
-			a.shards[li].book.Release(spec)
+			a.shards[li].region.Remove(spec)
 		}
 	}
 	return -1, Accepted

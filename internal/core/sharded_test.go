@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"bufqos/internal/packet"
 	"bufqos/internal/units"
 )
 
@@ -15,33 +16,43 @@ func twoLinks() *ShardedAdmitter {
 }
 
 func TestShardedLinkViewMatchesSerial(t *testing.T) {
-	// The same op sequence on a link view and a SerialAdmitter must give
-	// identical decisions and aggregates.
+	// The same op sequence on link 0 of a ShardedAdmitter — the view's
+	// Admit, AdmitRoute and ReleaseRoute on the one-link route — and on
+	// a SerialAdmitter must give identical decisions, and identical
+	// aggregates after every op. Releases name only admitted specs.
 	sa := twoLinks()
-	view := sa.Link(0)
+	view, route := sa.Link(0), []int{0}
 	serial := NewSerialAdmitter(DisciplineWFQ, units.MbitsPerSecond(48), units.KiloBytes(100))
 	ops := []struct {
-		admit bool
-		s     float64
-		r     float64
+		op   byte // 'v': view Admit, 'a': AdmitRoute, 'r': ReleaseRoute
+		s, r float64
 	}{
-		{true, 50, 20}, {true, 70, 20}, {true, 10, 30}, {true, 10, 4},
-		{false, 50, 20}, {true, 30, 2}, {false, 999, 1}, {false, 30, 2},
+		{'v', 50, 20}, {'a', 70, 20}, {'a', 10, 30}, {'v', 10, 4},
+		{'r', 50, 20}, {'a', 30, 2}, {'r', 10, 4}, {'v', 30, 2},
+		{'r', 30, 2}, {'r', 30, 2}, {'a', 60, 1},
 	}
 	for i, op := range ops {
-		if op.admit {
-			if got, want := view.Admit(spec(op.s, op.r)), serial.Admit(spec(op.s, op.r)); got != want {
-				t.Fatalf("op %d: sharded Admit = %v, serial = %v", i, got, want)
+		s := spec(op.s, op.r)
+		var got RejectReason
+		switch op.op {
+		case 'v':
+			got = view.Admit(s)
+		case 'a':
+			_, got = sa.AdmitRoute(route, s)
+		case 'r':
+			if !serial.Release(s) {
+				t.Fatalf("op %d releases a spec the serial admitter does not hold", i)
 			}
-		} else {
-			if got, want := view.Release(spec(op.s, op.r)), serial.Release(spec(op.s, op.r)); got != want {
-				t.Fatalf("op %d: sharded Release = %v, serial = %v", i, got, want)
+			sa.ReleaseRoute(route, s)
+		}
+		if op.op != 'r' {
+			if want := serial.Admit(s); got != want {
+				t.Fatalf("op %d: sharded admit = %v, serial = %v", i, got, want)
 			}
 		}
-	}
-	vs, ss := view.Snapshot(), serial.Snapshot()
-	if vs != ss {
-		t.Errorf("snapshots diverge: sharded %+v, serial %+v", vs, ss)
+		if vs, ss := sa.Snapshot()[0], serial.Snapshot(); vs != ss {
+			t.Fatalf("op %d: snapshots diverge: sharded %+v, serial %+v", i, vs, ss)
+		}
 	}
 }
 
@@ -52,19 +63,24 @@ func TestShardedAdmitRouteAtomic(t *testing.T) {
 	if li, r := sa.AdmitRoute([]int{1, 0}, spec(120, 1)); li != 0 || r != BufferLimited {
 		t.Fatalf("AdmitRoute = (%d, %v), want (0, buffer-limited)", li, r)
 	}
-	for i := 0; i < 2; i++ {
-		if n := sa.Link(i).Snapshot().NumFlows; n != 0 {
-			t.Errorf("link %d holds %d flows after failed route admit", i, n)
+	for i, snap := range sa.Snapshot() {
+		if snap.NumFlows != 0 {
+			t.Errorf("link %d holds %d flows after failed route admit", i, snap.NumFlows)
 		}
 	}
 	if li, r := sa.AdmitRoute([]int{1, 0}, spec(50, 2)); li != -1 || r != Accepted {
 		t.Fatalf("fitting route rejected: (%d, %v)", li, r)
 	}
-	if !sa.ReleaseRoute([]int{0, 1}, spec(50, 2)) {
-		t.Error("ReleaseRoute of admitted spec failed")
+	for i, snap := range sa.Snapshot() {
+		if snap.NumFlows != 1 {
+			t.Errorf("link %d holds %d flows after route admit, want 1", i, snap.NumFlows)
+		}
 	}
-	if sa.ReleaseRoute([]int{0, 1}, spec(50, 2)) {
-		t.Error("double ReleaseRoute succeeded")
+	sa.ReleaseRoute([]int{0, 1}, spec(50, 2))
+	for i, snap := range sa.Snapshot() {
+		if snap.NumFlows != 0 || snap.SumRho != 0 || snap.SumSigma != 0 {
+			t.Errorf("link %d not empty after ReleaseRoute: %+v", i, snap)
+		}
 	}
 }
 
@@ -95,7 +111,7 @@ func TestShardedReroute(t *testing.T) {
 		t.Fatalf("reroute = (%d, %v), want (2, buffer-limited)", li, r)
 	}
 	for i, want := range []int{1, 1, 0} {
-		if n := sa.Link(i).Snapshot().NumFlows; n != want {
+		if n := sa.Snapshot()[i].NumFlows; n != want {
 			t.Errorf("after failed reroute, link %d has %d flows, want %d", i, n, want)
 		}
 	}
@@ -105,7 +121,7 @@ func TestShardedReroute(t *testing.T) {
 		t.Fatalf("shrinking reroute rejected: (%d, %v)", li, r)
 	}
 	for i, want := range []int{0, 1, 0} {
-		if n := sa.Link(i).Snapshot().NumFlows; n != want {
+		if n := sa.Snapshot()[i].NumFlows; n != want {
 			t.Errorf("after reroute, link %d has %d flows, want %d", i, n, want)
 		}
 	}
@@ -166,18 +182,23 @@ func TestShardedRerouteFailureLeavesAllUntouched(t *testing.T) {
 			t.Errorf("failed reroute changed link %d: %+v -> %+v", i, before[i], after[i])
 		}
 	}
-	// And the flow is still releasable on its original route.
-	if !sa.ReleaseRoute([]int{0, 1}, s) {
-		t.Error("original route lost its reservation after a failed reroute")
+	// And the flow still holds its original route, which releases to
+	// empty links.
+	sa.ReleaseRoute([]int{0, 1}, s)
+	for i, snap := range sa.Snapshot() {
+		if snap.NumFlows != 0 || snap.SumRho != 0 || snap.SumSigma != 0 {
+			t.Errorf("link %d not empty after releasing the original route: %+v", i, snap)
+		}
 	}
 }
 
 // TestShardedOneLinkHammer drives one link from 32 goroutines under
-// -race: each worker admits its own distinct specs and releases every
-// other one. The link is provisioned so everything fits, which makes
-// the final aggregate independent of interleaving — it must equal a
-// sequential replay of the same per-worker op streams exactly
-// (NumFlows and the integer Σσ bit-for-bit).
+// -race: each worker admits its own distinct specs through the link
+// view and releases every other one on the one-link route. The link is
+// provisioned so everything fits, which makes the final aggregate
+// independent of interleaving — it must equal a sequential replay of
+// the same per-worker op streams exactly (NumFlows and the integer Σσ
+// bit-for-bit).
 func TestShardedOneLinkHammer(t *testing.T) {
 	const workers = 32
 	const perWorker = 200
@@ -210,17 +231,14 @@ func TestShardedOneLinkHammer(t *testing.T) {
 					return
 				}
 				if i%2 == 1 {
-					if !view.Release(spec(sp.s, sp.r)) {
-						t.Errorf("worker %d release %d failed", w, i)
-						return
-					}
+					conc.ReleaseRoute([]int{0}, spec(sp.s, sp.r))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	seq := mk().Link(0)
+	seq := NewSerialAdmitter(DisciplineFIFO, units.Gbps, units.MegaBytes(1000))
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
 			sp := workerSpec(w, i)
@@ -230,7 +248,7 @@ func TestShardedOneLinkHammer(t *testing.T) {
 			}
 		}
 	}
-	got, want := conc.Link(0).Snapshot(), seq.Snapshot()
+	got, want := conc.Snapshot()[0], seq.Snapshot()
 	if got.NumFlows != want.NumFlows || got.SumSigma != want.SumSigma {
 		t.Errorf("concurrent aggregate (n=%d, Σσ=%v) != sequential replay (n=%d, Σσ=%v)",
 			got.NumFlows, got.SumSigma, want.NumFlows, want.SumSigma)
@@ -260,16 +278,12 @@ func TestShardedRouteRace(t *testing.T) {
 					t.Errorf("worker %d: admit (%d, %v)", w, li, r)
 					return
 				}
-				if !sa.ReleaseRoute(route, s) {
-					t.Errorf("worker %d: release failed", w)
-					return
-				}
+				sa.ReleaseRoute(route, s)
 			}
 		}(w)
 	}
 	wg.Wait()
-	for i := range links {
-		snap := sa.Link(i).Snapshot()
+	for i, snap := range sa.Snapshot() {
 		if snap.NumFlows != 0 || snap.SumSigma != 0 || snap.SumRho != 0 {
 			t.Errorf("link %d not empty after churn: %+v", i, snap)
 		}
@@ -294,7 +308,8 @@ func TestRouteOpsWithoutAllocating(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			_, r1 := sa.AdmitRoute(c.route, s)
 			_, r2 := sa.Reroute(c.route, c.next, s)
-			ok = ok && r1 == Accepted && r2 == Accepted && sa.ReleaseRoute(c.next, s)
+			sa.ReleaseRoute(c.next, s)
+			ok = ok && r1 == Accepted && r2 == Accepted
 		})
 		if !ok {
 			t.Fatalf("route %v -> %v: an operation was refused", c.route, c.next)
@@ -302,5 +317,70 @@ func TestRouteOpsWithoutAllocating(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("route %v -> %v: %v allocations per admit+reroute+release, want 0", c.route, c.next, allocs)
 		}
+	}
+}
+
+// TestRouteChurnWithoutAllocating: a fresh admitter's first churn —
+// 16 distinct specs on 3-link routes, as the benchmark's admission
+// templates have, filled to 64 flows, then 1000 steps that each release
+// the oldest flow, admit a new one and reroute another, then drained —
+// allocates nothing. The benchmark counts a fresh daemon's first
+// operations, so the churn starts from empty books.
+func TestRouteChurnWithoutAllocating(t *testing.T) {
+	links := make([]LinkConfig, 8)
+	for i := range links {
+		links[i] = LinkConfig{DisciplineFIFO, units.Gbps, units.MegaBytes(100)}
+	}
+	var specs [16]packet.FlowSpec
+	for i := range specs {
+		specs[i] = spec(1+float64(i)/3, 0.01*float64(i+1))
+	}
+	routes := make([][]int, len(links))
+	for i := range routes {
+		routes[i] = []int{i, (i + 3) % len(links), (i + 5) % len(links)}
+	}
+	type flow struct {
+		route []int
+		spec  packet.FlowSpec
+	}
+	// AllocsPerRun calls the churn twice, a warm-up and the measured
+	// run: each gets an admitter of its own, built here.
+	fresh := []*ShardedAdmitter{NewShardedAdmitter(links), NewShardedAdmitter(links)}
+	var live [64]flow
+	refused := 0
+	admit := func(sa *ShardedAdmitter, f *flow) {
+		if _, r := sa.AdmitRoute(f.route, f.spec); r != Accepted {
+			refused++
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		sa := fresh[0]
+		fresh = fresh[1:]
+		for i := range live {
+			live[i] = flow{routes[i%len(routes)], specs[i%len(specs)]}
+			admit(sa, &live[i])
+		}
+		for step := 0; step < 1000; step++ {
+			f := &live[step%len(live)]
+			sa.ReleaseRoute(f.route, f.spec)
+			*f = flow{routes[(step*3)%len(routes)], specs[(step*5)%len(specs)]}
+			admit(sa, f)
+			g := &live[(step*7+3)%len(live)]
+			next := routes[(step+1)%len(routes)]
+			if _, r := sa.Reroute(g.route, next, g.spec); r != Accepted {
+				refused++
+			} else {
+				g.route = next
+			}
+		}
+		for i := range live {
+			sa.ReleaseRoute(live[i].route, live[i].spec)
+		}
+	})
+	if refused > 0 {
+		t.Fatalf("%d operations refused: the churn did not run as planned", refused)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations over a fresh admitter's churn, want 0", allocs)
 	}
 }

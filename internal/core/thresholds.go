@@ -8,9 +8,10 @@
 // against measured behaviour. Admission against the regions is kept in
 // one per-link book, Region, whose sums are added on a join and
 // subtracted on a leave: the offline engine's plan keeps bare Regions,
-// SerialAdmitter adds the admitted multiset, and ShardedAdmitter puts
-// one SerialAdmitter behind each link's mutex, so every admitter
-// decides with the same arithmetic.
+// ShardedAdmitter puts one bare Region behind each link's mutex (its
+// caller records which flow holds what), and SerialAdmitter adds the
+// admitted multiset, so every admitter decides with the same
+// arithmetic.
 package core
 
 import (

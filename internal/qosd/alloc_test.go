@@ -147,18 +147,29 @@ func TestBatchHandlerWithoutAllocating(t *testing.T) {
 		b.mallocs(t, bodies[0]) // warm-up: fills the tables and the pools
 		b.mallocs(t, bodies[1])
 		var total uint64
+		per := make([]uint64, 0, rounds)
 		for _, body := range bodies[2:] {
-			total += b.mallocs(t, body)
+			n := b.mallocs(t, body)
+			per = append(per, n)
+			total += n
 		}
-		// The request's fixed cost, spread over its 64 ops, must fit in
-		// the budget; an allocation per join, or per refused join,
-		// would not.
 		if n := s.NumFlows(); n != 8+24 {
 			t.Fatalf("%d flows after the rounds, want 32: the batches did not run as planned", n)
 		}
+		// The request's fixed cost, spread over its 64 ops, must fit in
+		// the budget; an allocation per join, or per refused join,
+		// would not. The median batch allocates once, for the
+		// http.MaxBytesReader, and the rounds 22 or 23 times in all.
+		// In a few runs of a hundred one batch allocates ≈34 more, as
+		// many as a request made afresh rather than taken from the
+		// pool; the mean budget absorbs that.
+		slices.Sort(per)
+		if med := per[rounds/2]; med > 1 {
+			t.Errorf("steady-state mixed batch: the median batch of 64 ops allocates %d times, want at most 1", med)
+		}
 		const perOp = 0.05
 		if got := float64(total) / (rounds * 64); got > perOp {
-			t.Errorf("steady-state mixed batch: %.2f allocations per op, want at most %.2f", got, perOp)
+			t.Errorf("steady-state mixed batch: %.3f allocations per op, want at most %.3f", got, perOp)
 		}
 	})
 

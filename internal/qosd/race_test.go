@@ -92,7 +92,8 @@ func TestConcurrentJoinsMatchSequentialReplay(t *testing.T) {
 
 // TestConcurrentRerouteDrain spins flows between two parallel links
 // from many goroutines, then leaves them all: the shards must end
-// exactly empty (the multiset release path never double-counts).
+// exactly empty (every reservation is released once, by the reroute
+// that vacates its link or by the leave).
 func TestConcurrentRerouteDrain(t *testing.T) {
 	const workers, hops = 16, 30
 	topo := &topology.Topology{

@@ -34,18 +34,15 @@ type drrFlow struct {
 // use token rates); mtu scales the quanta so the minimum-weight flow
 // receives one MTU per round.
 func NewDRR(weights []units.Rate, mtu units.Bytes) *DRR {
-	if len(weights) == 0 {
-		panic("drr: no flows")
-	}
 	if mtu <= 0 {
 		panic(fmt.Sprintf("drr: invalid MTU %v", mtu))
 	}
-	minW := weights[0]
-	for _, w := range weights {
+	var minW units.Rate
+	for i, w := range weights {
 		if w <= 0 {
 			panic(fmt.Sprintf("drr: non-positive weight %v", w))
 		}
-		if w < minW {
+		if i == 0 || w < minW {
 			minW = w
 		}
 	}

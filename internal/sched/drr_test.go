@@ -106,8 +106,10 @@ func TestDRRVariablePacketSizes(t *testing.T) {
 }
 
 func TestDRRValidation(t *testing.T) {
+	if d := NewDRR(nil, 500); d.Dequeue() != nil || d.Len() != 0 {
+		t.Error("a DRR over no flows is not empty")
+	}
 	for i, f := range []func(){
-		func() { NewDRR(nil, 500) },
 		func() { NewDRR([]units.Rate{0}, 500) },
 		func() { NewDRR([]units.Rate{units.Mbps}, 0) },
 	} {

@@ -135,9 +135,11 @@ func TestPushoutProtectsConformantEndToEnd(t *testing.T) {
 }
 
 func TestPushoutValidation(t *testing.T) {
+	if po := buffer.NewPushoutFIFO(100, nil); po.Dequeue() != nil || po.NumFlows() != 0 {
+		t.Error("a pushout FIFO over no flows is not empty")
+	}
 	for i, f := range []func(){
 		func() { buffer.NewPushoutFIFO(0, []units.Bytes{100}) },
-		func() { buffer.NewPushoutFIFO(100, nil) },
 		func() { buffer.NewPushoutFIFO(100, []units.Bytes{-1}) },
 	} {
 		func() {

@@ -67,9 +67,6 @@ func NewWFQ(rate units.Rate, now func() float64, weights []units.Rate) *WFQ {
 	if now == nil {
 		panic("wfq: nil clock")
 	}
-	if len(weights) == 0 {
-		panic("wfq: no flows")
-	}
 	w := &WFQ{rate: rate, nowFn: now, flows: make([]wfqFlow, len(weights)), flowQueues: newFlowQueues(),
 		gps: tagHeap{pos: make([]int32, len(weights))}}
 	for i, phi := range weights {

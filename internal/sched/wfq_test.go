@@ -202,10 +202,14 @@ func TestWFQPerFlowFIFOOrder(t *testing.T) {
 
 func TestWFQValidation(t *testing.T) {
 	now := func() float64 { return 0 }
+	// No flows is a link no flow traverses: it builds, and serves
+	// nothing.
+	if w := NewWFQ(units.Mbps, now, nil); w.Dequeue() != nil || w.Len() != 0 || w.VirtualTime() != 0 {
+		t.Error("a WFQ over no flows is not empty")
+	}
 	cases := []func(){
 		func() { NewWFQ(0, now, []units.Rate{units.Mbps}) },
 		func() { NewWFQ(units.Mbps, nil, []units.Rate{units.Mbps}) },
-		func() { NewWFQ(units.Mbps, now, nil) },
 		func() { NewWFQ(units.Mbps, now, []units.Rate{0}) },
 	}
 	for i, f := range cases {

@@ -130,8 +130,12 @@ type managerDef struct {
 	build   func(cfg Config, p params) (buffer.Manager, error)
 }
 
-// thresholds computes the paper's per-flow thresholds σᵢ + ρᵢB/R.
+// thresholds computes the paper's per-flow thresholds σᵢ + ρᵢB/R: none
+// on a link no flow traverses.
 func thresholds(cfg Config) ([]units.Bytes, error) {
+	if len(cfg.Specs) == 0 {
+		return nil, nil
+	}
 	return core.Thresholds(cfg.Specs, cfg.LinkRate, cfg.Buffer)
 }
 

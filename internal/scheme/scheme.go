@@ -110,9 +110,11 @@ type Scheme struct {
 
 // Build constructs the data plane of one link: the buffer manager and
 // the scheduler, wired for cfg. The same Scheme may build any number of
-// links (each call returns fresh state).
+// links (each call returns fresh state). A population-insensitive
+// scheme builds over no flows too (a link no flow traverses); a
+// population-sensitive one needs its population.
 func (s *Scheme) Build(cfg Config) (buffer.Manager, sched.Scheduler, error) {
-	if len(cfg.Specs) == 0 {
+	if len(cfg.Specs) == 0 && s.PopulationSensitive() {
 		return nil, nil, fmt.Errorf("scheme %s: no flows", s.Spec())
 	}
 	if s.sched.combined != nil {

@@ -8,6 +8,7 @@ import (
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
 	"bufqos/internal/sim"
+	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
 
@@ -364,5 +365,39 @@ func TestCatalogue(t *testing.T) {
 	}
 	for _, d := range managers {
 		check("manager", d.name, d.doc, d.paper)
+	}
+}
+
+// TestBuildOverNoFlows walks the registry: a topology builds a link no
+// flow traverses over an empty population when its scheme is
+// population-insensitive, so every such combination must build over
+// zero flows — and its link run idle — while a population-sensitive one
+// refuses an empty population with an error.
+func TestBuildOverNoFlows(t *testing.T) {
+	built := 0
+	for _, spec := range Specs() {
+		s := MustParse(spec)
+		cfg := testConfig()
+		cfg.Specs, cfg.QueueOf = nil, nil
+		sm := sim.New()
+		link, err := s.NewLink(sm, cfg, stats.NewCollector(0, 0))
+		switch {
+		case s.PopulationSensitive():
+			if err == nil {
+				t.Errorf("%s: population-sensitive scheme built over no flows", spec)
+			}
+			continue
+		case err != nil:
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		sm.RunUntil(1)
+		if link.Busy() || link.Manager().Total() != 0 {
+			t.Errorf("%s: an idle link is busy or holds %v", spec, link.Manager().Total())
+		}
+		built++
+	}
+	if built < 20 {
+		t.Errorf("only %d combinations built over no flows", built)
 	}
 }

@@ -140,7 +140,7 @@ type engineLink struct {
 	tot stats.FlowStats
 	// flows maps the link's data-plane flow index to the global flow id.
 	// Nil when the link runs with global ids (population-sensitive
-	// scheme, or no traversing flows).
+	// scheme) or carries no flow.
 	flows []int32
 	prop  float64
 	// line is the link's propagation wire on its shard's kernel: every

@@ -242,18 +242,17 @@ func (t *Topology) Classes() []int {
 // threshold σᵢ + ρᵢB/R depends only on flow i's own envelope and its
 // link, and so do the other per-flow weights, budgets and classes of a
 // population-insensitive scheme: it is built over just the flows
-// traversing the link, in ascending id order. A population-sensitive
-// scheme, and a link no flow traverses (builders reject an empty
-// population), get the global population (specs and classes, as
-// t.Specs() and t.Classes() return them) and a nil map. seed
-// differentiates randomized managers (RED) per link. Validate's trial
-// build and the engine both configure links here, so a scenario
-// validates exactly when its links build.
+// traversing the link, in ascending id order — none on a link no flow
+// traverses. A population-sensitive scheme gets the global population
+// (specs and classes, as t.Specs() and t.Classes() return them) and a
+// nil map. seed differentiates randomized managers (RED) per link.
+// Validate's trial build and the engine both configure links here, so
+// a scenario validates exactly when its links build.
 func (t *Topology) linkConfig(li int, specs []packet.FlowSpec, classes []int, seed int64) (scheme.Config, []int32) {
 	l := &t.Links[li]
 	cfg := scheme.Config{LinkRate: l.Rate, Buffer: l.Buffer, Headroom: l.Headroom, Seed: seed}
 	locals := t.ft.LinkFlows[li]
-	if l.scheme.PopulationSensitive() || len(locals) == 0 {
+	if l.scheme.PopulationSensitive() {
 		cfg.Specs, cfg.Classes, cfg.QueueOf = specs, classes, l.Queues
 		return cfg, nil
 	}
